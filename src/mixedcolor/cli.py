@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--td", default=None, help="tree decomposition file (PACE .td)")
     p.add_argument("--cert", default=None, help="write the witness coloring here")
     p.add_argument("--budget", type=int, default=None, help="search node budget / brute cap")
-    p.add_argument("--threads", type=int, default=1, help="accepted for interface parity; execution is sequential and deterministic")
     p.add_argument("--dump-ilp", action="store_true", help="dump the per-preorder feasibility programs")
     p.set_defaults(func=cmd_solve)
 

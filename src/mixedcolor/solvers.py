@@ -542,81 +542,167 @@ def ndm_fpt_decide(
 # inrank-0 branching
 # ---------------------------------------------------------------------------
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mis_masks(cand: int, keep: list[int]) -> list[int]:
+    """Maximal independent subsets of the nonempty vertex mask ``cand``.
+
+    ``keep[i]`` is the complement of bit i and its edge neighborhood, so
+    ``p & keep[i]`` is what stays compatible after choosing i. Bron–Kerbosch
+    on the complement graph with Tomita pivoting, over an explicit stack.
+    """
+    out: list[int] = []
+    stack = [(0, cand, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        pivot, best = 0, -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            size = (p & keep[u]).bit_count()
+            if size > best:
+                pivot, best = u, size
+        branch = p & ~keep[pivot]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
+            stack.append((r | low, p & keep[v], x & keep[v]))
+            p ^= low
+            x |= low
+    return out
+
+
 def maximal_independent_sets(vertices: list[int], edge_adj: dict[int, set[int]]) -> list[frozenset[int]]:
-    """All maximal independent sets, as maximal cliques of the complement."""
+    """All maximal independent sets of the graph induced on ``vertices``, sorted."""
     vs = sorted(vertices)
-    vset = set(vs)
-    comp: dict[int, set[int]] = {
-        v: (vset - edge_adj[v]) - {v} for v in vs
-    }
-    results: list[frozenset[int]] = []
-
-    def bk(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            results.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda u: (len(p & comp[u]), -u))
-        for v in sorted(p - comp[pivot]):
-            bk(r | {v}, p & comp[v], x & comp[v])
-            p = p - {v}
-            x = x | {v}
-
-    if vs:
-        bk(set(), set(vs), set())
-    return sorted(results, key=sorted)
+    if not vs:
+        return []
+    index = {v: i for i, v in enumerate(vs)}
+    keep = []
+    for i, v in enumerate(vs):
+        nbrs = 1 << i
+        for u in edge_adj[v]:
+            if u in index:
+                nbrs |= 1 << index[u]
+        keep.append(~nbrs)
+    sets = [frozenset(vs[i] for i in _bits(m)) for m in _mis_masks((1 << len(vs)) - 1, keep)]
+    return sorted(sets, key=sorted)
 
 
 class _BranchingSearch:
-    """Memoized exact chromatic number via the inrank-0 recursion."""
+    """Decide k-colorability by the inrank-0 recursion over vertex bitmasks.
+
+    Vertex v is bit v - 1. A state is the mask of vertices not yet colored;
+    each child colors one maximal independent set of the state's sources
+    (vertices without an incoming arc from the state) with the next color.
+    A state only ever loses sources, so it is closed under arc successors and
+    its longest arc chain starts at its tallest vertex: it needs more than j
+    colors as soon as it meets ``tall[j]``. ``refuted`` maps an expanded
+    state to the largest color count shown insufficient for it; it stays
+    valid across ``decide`` calls with different k, and it holds at most one
+    entry per counted node.
+    """
 
     def __init__(self, g: MixedGraph, budget: int, fanout_log: list | None):
-        self.g = g
+        n = g.n
+        self.n = n
         self.budget = budget
         self.fanout_log = fanout_log
         self.nodes = 0
-        self.memo: dict[frozenset[int], tuple[int, frozenset[int] | None]] = {}
-        self.edge_adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+        self.refuted: dict[int, int] = {}
+        adj = [0] * n
         for u, v in g.edges:
-            self.edge_adj[u].add(v)
-            self.edge_adj[v].add(u)
-        self.arc_in: dict[int, set[int]] = {v: set() for v in g.vertices}
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+        self.keep = [~(adj[i] | 1 << i) for i in range(n)]
+        self.arc_in = [0] * n
+        self.arc_out: list[list[int]] = [[] for _ in range(n)]
         for u, v in g.arcs:
-            self.arc_in[v].add(u)
+            self.arc_in[v - 1] |= 1 << (u - 1)
+            self.arc_out[u - 1].append(v - 1)
+        # arc height: arcs on the longest directed path leaving the vertex
+        height = [0] * n
+        for v in reversed(topological_order(g)):
+            height[v - 1] = max((height[w] + 1 for w in self.arc_out[v - 1]), default=0)
+        # tall[j]: vertices of arc height at least j; j ranges over 0..n
+        self.tall = [0] * (n + 2)
+        for i, h in enumerate(height):
+            self.tall[h] |= 1 << i
+        for j in range(n, -1, -1):
+            self.tall[j] |= self.tall[j + 1]
+        self.lower_bound = max(height, default=-1) + 1
 
-    def chi(self, remaining: frozenset[int]) -> int:
-        if not remaining:
-            return 0
-        hit = self.memo.get(remaining)
-        if hit is not None:
-            return hit[0]
+    def _expand(self, state: int, sources: int, j: int) -> list:
+        """Count a node and build its frame: state, sources, colors, children, next child.
+
+        The state fits under the chain cut for j colors, so a vertex of arc
+        height j - 1 in it has no arc predecessor left and is a source. A
+        child that leaves one uncolored is cut, so the children are only the
+        maximal independent sets of the sources that contain all of them.
+        """
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"branching exceeded {self.budget} nodes")
-        inrank0 = [v for v in remaining if not (self.arc_in[v] & remaining)]
-        adj = {v: self.edge_adj[v] & remaining for v in inrank0}
-        sets = maximal_independent_sets(inrank0, adj)
+        must = sources & self.tall[j - 1]
+        free = sources
+        children = [must]
+        for i in _bits(must):
+            if must & ~self.keep[i] != 1 << i:
+                children = []  # two of them share an edge
+            free &= self.keep[i]
+        if children and free:
+            children = [must | indep for indep in _mis_masks(free, self.keep)]
+            children.sort(key=int.bit_count, reverse=True)
         if self.fanout_log is not None:
-            self.fanout_log.append((remaining, len(sets)))
-        best = None
-        best_set: frozenset[int] | None = None
-        for indep in sets:
-            sub = self.chi(remaining - indep) + 1
-            if best is None or sub < best:
-                best, best_set = sub, indep
-        self.memo[remaining] = (best, best_set)
-        return best
+            self.fanout_log.append((frozenset(i + 1 for i in _bits(state)), len(children)))
+        return [state, sources, j, children, 0]
 
-    def witness(self) -> Coloring:
-        colors: dict[int, int] = {}
-        remaining = frozenset(self.g.vertices)
-        color = 1
-        while remaining:
-            _, indep = self.memo[remaining]
-            for v in indep:
-                colors[v] = color
-            remaining -= indep
-            color += 1
-        return Coloring(colors)
+    def decide(self, k: int) -> list[int] | None:
+        """Color classes of a coloring with at most k colors, in color order, or None."""
+        k = min(k, self.n)
+        state = (1 << self.n) - 1
+        if state & self.tall[k] or self.refuted.get(state, -1) >= k:
+            return None
+        sources = sum(1 << i for i in range(self.n) if not self.arc_in[i])
+        stack = [self._expand(state, sources, k)]
+        while stack:
+            frame = stack[-1]
+            state, sources, j, children, idx = frame
+            if idx == len(children):
+                self.refuted[state] = j
+                stack.pop()
+                continue
+            frame[4] = idx + 1
+            indep = children[idx]
+            child = state & ~indep
+            if not child:
+                return [f[3][f[4] - 1] for f in stack]
+            if self.refuted.get(child, -1) >= j - 1:
+                continue
+            child_sources = sources & ~indep
+            for v in _bits(indep):
+                for w in self.arc_out[v]:
+                    if not self.arc_in[w] & child:
+                        child_sources |= 1 << w
+            stack.append(self._expand(child, child_sources, j - 1))
+        return None
+
+
+def _classes_coloring(classes: list[int]) -> Coloring:
+    return Coloring({i + 1: color for color, mask in enumerate(classes, 1) for i in _bits(mask)})
 
 
 def branching_decide(
@@ -626,28 +712,36 @@ def branching_decide(
     fanout_log: list | None = None,
 ) -> SolveResult:
     """Decide k-colorability via chi(G) = 1 + min over inrank-0 maximal
-    independent sets I of chi(G - I), memoized on the remaining vertex set."""
+    independent sets I of chi(G - I), as a depth-first search that cuts at k."""
     started = time.perf_counter()
     if g.n == 0:
         return SolveResult(True, Coloring({}), {"nodes": 0})
     if k < 1:
         return SolveResult(False, None, {"nodes": 0})
     search = _BranchingSearch(g, budget, fanout_log)
-    chi = search.chi(frozenset(g.vertices))
-    stats = {"nodes": search.nodes, "chi": chi, "wall_time": time.perf_counter() - started}
-    if chi <= k:
-        return SolveResult(True, search.witness(), stats)
-    return SolveResult(False, None, stats)
+    classes = search.decide(k)
+    stats = {"nodes": search.nodes, "wall_time": time.perf_counter() - started}
+    if classes is None:
+        return SolveResult(False, None, stats)
+    return SolveResult(True, _classes_coloring(classes), stats)
 
 
 def branching_chi(
     g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, fanout_log: list | None = None
 ) -> tuple[int, Coloring]:
+    """Exact chromatic number by ascending k from the longest arc chain.
+
+    All k share one search, so states refuted for a smaller k are not
+    searched again.
+    """
     if g.n == 0:
         return 0, Coloring({})
     search = _BranchingSearch(g, budget, fanout_log)
-    chi = search.chi(frozenset(g.vertices))
-    return chi, search.witness()
+    for k in range(search.lower_bound, g.n + 1):
+        classes = search.decide(k)
+        if classes is not None:
+            return k, _classes_coloring(classes)
+    raise AssertionError("no coloring with n colors was found; the search is unsound")
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,8 @@ def load_td(stream: TextIO) -> TreeDecomposition:
             if header is None:
                 raise ParseError(f"line {lineno}: bag before header")
             values = ints(parts[1:], lineno)
+            if not values:
+                raise ParseError(f"line {lineno}: bag line without a bag id")
             idx = values[0]
             if idx in bags:
                 raise ParseError(f"line {lineno}: duplicate bag {idx}")

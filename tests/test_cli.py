@@ -89,6 +89,25 @@ class TestSolve:
         assert code == 2
         assert "BudgetExceeded" in err
 
+    def test_deep_chain_branch(self, capsys, tmp_path):
+        n = 1500
+        chain = tmp_path / "chain.graph"
+        chain.write_text(
+            f"p mixed {n} 0 {n - 1}\n" + "".join(f"a {v} {v + 1}\n" for v in range(1, n))
+        )
+        code, out, _ = run(capsys, "solve", str(chain), "--method", "branch")
+        assert code == 0
+        assert report_dict(out)["chi"] == str(n)
+
+    def test_bag_line_without_id_exit_two(self, capsys, path4, tmp_path):
+        td_file = tmp_path / "bare.td"
+        td_file.write_text("s td 1 1 5\nb\n")
+        code, _, err = run(
+            capsys, "solve", path4, "--k", "5", "--method", "twdp", "--td", str(td_file)
+        )
+        assert code == 2
+        assert "ParseError" in err
+
     def test_given_tree_decomposition(self, capsys, path4, tmp_path):
         td_file = tmp_path / "path.td"
         td_file.write_text("s td 4 2 5\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 4 5\n1 2\n2 3\n3 4\n")
