@@ -3,11 +3,18 @@
 Programs are pure feasibility problems: integer variables with finite bounds
 and linear constraints of the form ``sum(a_j * v_j) <= b`` or ``== b``. The
 solver is complete within the variable domains; there is no objective.
+
+Each call compiles the program once: variables become list indices, every
+constraint becomes ``<=`` rows of ``(index, coef)`` terms (an EQ gives two;
+zero coefficients are dropped), and every variable watches the rows it
+appears in. Propagation is driven by a queue of rows whose variables moved,
+and the search keeps its nodes on an explicit stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Optional
 
 from .errors import BudgetExceeded
@@ -62,93 +69,150 @@ class FeasibilityProgram:
         return True
 
 
-def _propagate(
-    bounds: dict[VarName, tuple[int, int]],
-    constraints: tuple[Constraint, ...],
-) -> bool:
-    """Tighten bounds to interval consistency in place; False if infeasible."""
-    # each EQ is handled as a pair of <= rows
-    rows: list[tuple[tuple[tuple[VarName, int], ...], int]] = []
-    for con in constraints:
-        rows.append((con.coeffs, con.rhs))
-        if con.op == EQ:
-            rows.append((tuple((n, -c) for n, c in con.coeffs), -con.rhs))
-    changed = True
-    while changed:
-        changed = False
-        for coeffs, rhs in rows:
+class _Compiled:
+    """A program with integer-indexed variables and ``<=`` rows, built once per call."""
+
+    def __init__(self, program: FeasibilityProgram) -> None:
+        self.names = [name for name, _, _ in program.variables]
+        self.lo = [lo for _, lo, _ in program.variables]
+        self.hi = [hi for _, _, hi in program.variables]
+        index = {name: i for i, name in enumerate(self.names)}
+        self.rows: list[tuple[tuple[int, int], ...]] = []
+        self.rhs: list[int] = []
+        for con in program.constraints:
+            terms = tuple((index[name], int(coef)) for name, coef in con.coeffs if coef)
+            self.rows.append(terms)
+            self.rhs.append(con.rhs)
+            if con.op == EQ:
+                self.rows.append(tuple((i, -c) for i, c in terms))
+                self.rhs.append(-con.rhs)
+        self.watch: list[list[int]] = [[] for _ in self.names]
+        for r, terms in enumerate(self.rows):
+            for i, _ in terms:
+                if not self.watch[i] or self.watch[i][-1] != r:
+                    self.watch[i].append(r)
+
+    @cached_property
+    def by_rank(self) -> list[int]:
+        """Branching order among equal domain sizes: by str(name), then position.
+
+        Built on first use, so a program decided at the root never sorts.
+        """
+        keys = [str(name) for name in self.names]
+        return sorted(range(len(self.names)), key=keys.__getitem__)
+
+    def propagate(self, lo: list[int], hi: list[int], seeds) -> bool:
+        """Tighten lo/hi in place to interval consistency; False if infeasible.
+
+        Only the rows in ``seeds`` are queued at first; a row is queued again
+        when a bound of one of its variables moves.
+        """
+        rows, rhs, watch = self.rows, self.rhs, self.watch
+        queue = list(seeds)
+        queued = bytearray(len(rows))
+        for r in queue:
+            queued[r] = 1
+        while queue:
+            r = queue.pop()
+            queued[r] = 0
+            terms = rows[r]
             lo_sum = 0
-            for name, coef in coeffs:
-                lo, hi = bounds[name]
-                lo_sum += coef * lo if coef > 0 else coef * hi
-            if lo_sum > rhs:
-                return False
-            for name, coef in coeffs:
-                lo, hi = bounds[name]
-                others = lo_sum - (coef * lo if coef > 0 else coef * hi)
-                slack = rhs - others
-                if coef > 0:
-                    new_hi = slack // coef  # floor(slack / coef)
-                    if new_hi < hi:
-                        if new_hi < lo:
-                            return False
-                        bounds[name] = (lo, new_hi)
-                        changed = True
+            span = 0
+            for i, c in terms:
+                if c > 0:
+                    lo_sum += c * lo[i]
+                    s = c * (hi[i] - lo[i])
                 else:
-                    new_lo = -(slack // -coef)  # ceil(slack / coef), coef < 0
-                    if new_lo > lo:
-                        if new_lo > hi:
-                            return False
-                        bounds[name] = (new_lo, hi)
-                        changed = True
-    return True
+                    lo_sum += c * hi[i]
+                    s = -c * (hi[i] - lo[i])
+                if s > span:
+                    span = s
+            slack = rhs[r] - lo_sum
+            if slack < 0:
+                return False
+            if slack >= span:
+                continue  # no term's span exceeds the slack, so none can tighten
+            for i, c in terms:
+                if c > 0:
+                    new = lo[i] + slack // c
+                    if new >= hi[i]:
+                        continue
+                    hi[i] = new
+                else:
+                    new = hi[i] - slack // -c
+                    if new <= lo[i]:
+                        continue
+                    lo[i] = new
+                for w in watch[i]:
+                    if not queued[w]:
+                        queued[w] = 1
+                        queue.append(w)
+        return True
+
+    def pick(self, lo: list[int], hi: list[int]) -> Optional[int]:
+        """The unfixed variable with the smallest domain (ties by rank), or None."""
+        best, best_width = None, 0
+        for i in self.by_rank:
+            width = hi[i] - lo[i]
+            if width and (best is None or width < best_width):
+                best, best_width = i, width
+                if width == 1:
+                    break
+        return best
 
 
 def propagate_bounds(program: FeasibilityProgram) -> Optional[FeasibilityProgram]:
     """Interval (bounds) consistency; returns the tightened program or None if infeasible."""
-    bounds = {name: (lo, hi) for name, lo, hi in program.variables}
-    for name, (lo, hi) in bounds.items():
-        if lo > hi:
-            return None
-    if not _propagate(bounds, program.constraints):
+    comp = _Compiled(program)
+    lo, hi = comp.lo, comp.hi
+    if any(a > b for a, b in zip(lo, hi)) or not comp.propagate(lo, hi, range(len(comp.rows))):
         return None
-    variables = tuple((name, bounds[name][0], bounds[name][1]) for name, _, _ in program.variables)
+    variables = tuple(zip(comp.names, lo, hi))
     return FeasibilityProgram(variables, program.constraints)
 
 
 def solve_feasibility(
-    program: FeasibilityProgram, budget: int = DEFAULT_BUDGET
+    program: FeasibilityProgram,
+    budget: int = DEFAULT_BUDGET,
+    stats: Optional[dict] = None,
 ) -> Optional[dict[VarName, int]]:
     """Find a satisfying integral assignment, or None.
 
     Depth-first search branching on the smallest current domain, values
     ascending, with interval propagation at every node. Complete within the
-    domain bounds; raises BudgetExceeded past the node budget.
+    domain bounds; raises BudgetExceeded past the node budget. If ``stats``
+    is given, its ``nodes`` key is set to the number of search nodes.
     """
-    bounds = {name: (lo, hi) for name, lo, hi in program.variables}
-    for lo, hi in bounds.values():
-        if lo > hi:
+    comp = _Compiled(program)
+    nodes = 0
+    try:
+        if any(a > b for a, b in zip(comp.lo, comp.hi)):
             return None
-    nodes = [0]
-
-    def dfs(bounds: dict[VarName, tuple[int, int]]) -> Optional[dict[VarName, int]]:
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded(f"feasibility search exceeded {budget} nodes")
-        if not _propagate(bounds, program.constraints):
-            return None
-        free = [(hi - lo, name) for name, (lo, hi) in bounds.items() if lo < hi]
-        if not free:
-            assignment = {name: lo for name, (lo, _) in bounds.items()}
-            return assignment if program.check(assignment) else None
-        _, pick = min(free, key=lambda t: (t[0], str(t[1])))
-        lo, hi = bounds[pick]
-        for value in range(lo, hi + 1):
-            child = dict(bounds)
-            child[pick] = (value, value)
-            result = dfs(child)
-            if result is not None:
-                return result
-        return None
-
-    return dfs(dict(bounds))
+        lo, hi, seeds = comp.lo, comp.hi, range(len(comp.rows))
+        # each frame: a propagated node's bounds, its branch variable, the values left
+        stack: list[tuple] = []
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"feasibility search exceeded {budget} nodes")
+            if comp.propagate(lo, hi, seeds):
+                pick = comp.pick(lo, hi)
+                if pick is None:
+                    assignment = dict(zip(comp.names, lo))
+                    if program.check(assignment):
+                        return assignment
+                else:
+                    stack.append((lo, hi, pick, iter(range(lo[pick], hi[pick] + 1))))
+            while stack:
+                plo, phi, pick, values = stack[-1]
+                value = next(values, None)
+                if value is not None:
+                    break
+                stack.pop()
+            else:
+                return None
+            lo, hi, seeds = plo[:], phi[:], comp.watch[pick]
+            lo[pick] = hi[pick] = value
+    finally:
+        if stats is not None:
+            stats["nodes"] = nodes

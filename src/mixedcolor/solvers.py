@@ -19,6 +19,7 @@ from typing import Iterator, Optional
 from .bounds import layering_coloring, lower_bounds
 from .errors import BudgetExceeded, CapExceeded
 from .feasibility import (
+    DEFAULT_BUDGET as DEFAULT_FEASIBILITY_BUDGET,
     EQ,
     LE,
     Constraint,
@@ -510,32 +511,29 @@ def ndm_fpt_decide(
     if any, is rebuilt into a witness coloring.
     """
     started = time.perf_counter()
+    stats = {"preorders": 0, "feasibility_nodes": 0}
     if g.n == 0:
-        return SolveResult(True, Coloring({}), {"preorders": 0})
+        return SolveResult(True, Coloring({}), stats)
     if k < 1:
-        return SolveResult(False, None, {"preorders": 0})
+        return SolveResult(False, None, stats)
     struct = class_structure(g)
     m = len(struct.sizes)
-    count = 0
+    budget = DEFAULT_FEASIBILITY_BUDGET if feasibility_budget is None else feasibility_budget
+    search: dict = {}
+    witness = None
     if _chain_weight_bound(struct) <= k:
         for pre in maximal_proper_preorders(m, struct.class_arcs):
-            count += 1
-            if count > preorder_budget:
+            stats["preorders"] += 1
+            if stats["preorders"] > preorder_budget:
                 raise BudgetExceeded(f"preorder enumeration exceeded {preorder_budget}")
             program = preorder_program(pre, struct.sizes, struct.class_edges, k)
-            if feasibility_budget is None:
-                assignment = solve_feasibility(program)
-            else:
-                assignment = solve_feasibility(program, budget=feasibility_budget)
+            assignment = solve_feasibility(program, budget=budget, stats=search)
+            stats["feasibility_nodes"] += search["nodes"]
             if assignment is not None:
                 witness = coloring_from_preorder_solution(assignment, pre, struct)
-                stats = {
-                    "preorders": count,
-                    "wall_time": time.perf_counter() - started,
-                }
-                return SolveResult(True, witness, stats)
-    stats = {"preorders": count, "wall_time": time.perf_counter() - started}
-    return SolveResult(False, None, stats)
+                break
+    stats["wall_time"] = time.perf_counter() - started
+    return SolveResult(witness is not None, witness, stats)
 
 
 # ---------------------------------------------------------------------------

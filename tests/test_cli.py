@@ -99,6 +99,16 @@ class TestSolve:
         assert code == 0
         assert report_dict(out)["chi"] == str(n)
 
+    def test_ndm_reports_feasibility_nodes(self, capsys, tmp_path):
+        # 84 nodes is the count of the full-sweep recursive engine on this
+        # instance; the compiled engine explores the same search tree
+        graph = str(tmp_path / "t4.graph")
+        run(capsys, "gen", "tripartite", "4", "--out", graph)
+        code, out, _ = run(capsys, "solve", graph, "--k", "3", "--method", "ndm")
+        fields = report_dict(out)
+        assert code == 0 and fields["decision"] == "yes"
+        assert (fields["preorders"], fields["feasibility_nodes"]) == ("1", "84")
+
     def test_bag_line_without_id_exit_two(self, capsys, path4, tmp_path):
         td_file = tmp_path / "bare.td"
         td_file.write_text("s td 1 1 5\nb\n")
