@@ -12,11 +12,11 @@ from .errors import BudgetExceeded, InvalidCover
 from .graphs import (
     Coloring,
     MixedGraph,
+    arc_order,
     coloring_total_on,
     layering,
     maxrank,
     reachability,
-    topological_order,
     underlying_undirected,
 )
 from .partitions import clique_number
@@ -48,45 +48,52 @@ def check_proper(g: MixedGraph, c: Coloring) -> tuple[bool, Optional[Violation]]
 def chi_u_exact(g: MixedGraph, budget: int = CHI_U_BUDGET) -> tuple[int, dict[int, int]]:
     """Exact chromatic number of the underlying undirected graph, with witness.
 
-    Backtracking with the usual "at most one new color" symmetry breaking.
+    Backtracking with the usual "at most one new color" symmetry breaking,
+    over an explicit stack: frame i holds the colors of order[i]'s neighbors
+    and the number of colors in use before it, and order[i] moves on to its
+    next free color when the search comes back to it. Each node entered
+    counts against the budget, the final one with every vertex colored
+    included.
     """
-    und = underlying_undirected(g)
-    if und.n == 0:
+    if g.n == 0:
         return 0, {}
-    adj: dict[int, list[int]] = {v: [] for v in und.vertices}
-    for u, v in und.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = g.adjacent
     # highest degree first tends to fail fast
-    order = sorted(und.vertices, key=lambda v: (-len(adj[v]), v))
-    colors: dict[int, int] = {}
-    nodes = [0]
+    order = sorted(g.vertices, key=lambda v: (-len(adj[v]), v))
+    nodes = 0
 
-    def extend(i: int, used: int, k: int) -> bool:
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded(f"chi_u search exceeded {budget} nodes")
-        if i == len(order):
-            return True
-        v = order[i]
-        taken = {colors[w] for w in adj[v] if w in colors}
-        limit = min(k, used + 1)
-        for color in range(1, limit + 1):
-            if color in taken:
-                continue
-            colors[v] = color
-            if extend(i + 1, max(used, color), k):
-                return True
-            del colors[v]
-        return False
+    def coloring(k: int) -> dict[int, int] | None:
+        nonlocal nodes
+        colors = [0] * (g.n + 1)  # 0 while uncolored
+        frames: list[tuple[set[int], int]] = []
+        used = 0
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"chi_u search exceeded {budget} nodes")
+            depth = len(frames)
+            if depth == len(order):
+                return {v: colors[v] for v in order}
+            frames.append(({colors[w] for w in adj[order[depth]]}, used))
+            while frames:
+                taken, before = frames[-1]
+                v = order[len(frames) - 1]
+                color = colors[v] + 1
+                while color in taken:
+                    color += 1
+                if color <= min(k, before + 1):
+                    colors[v] = color
+                    used = max(before, color)
+                    break
+                colors[v] = 0
+                frames.pop()
+            else:
+                return None
 
-    lower = clique_number(g, budget=budget) if und.edges else 1
-    k = lower
-    while True:
-        colors.clear()
-        if extend(0, 0, k):
-            return k, dict(colors)
+    k = clique_number(g, budget=budget) if g.edges or g.arcs else 1
+    while (colors := coloring(k)) is None:
         k += 1
+    return k, colors
 
 
 @dataclass(frozen=True)
@@ -116,13 +123,10 @@ def lower_bounds(g: MixedGraph, budget: int = CHI_U_BUDGET) -> LowerBounds:
     return LowerBounds(chi_u, rank, max(chi_u, rank + 1), exact)
 
 
-def _greedy_dsatur(und: MixedGraph) -> dict[int, int]:
-    adj: dict[int, set[int]] = {v: set() for v in und.vertices}
-    for u, v in und.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+def _greedy_dsatur(g: MixedGraph) -> dict[int, int]:
+    adj = g.adjacent
     colors: dict[int, int] = {}
-    uncolored = set(und.vertices)
+    uncolored = set(g.vertices)
     while uncolored:
         # highest saturation, then highest degree, then smallest id
         v = min(
@@ -148,12 +152,12 @@ def layering_coloring(g: MixedGraph, exact_layer_cap: int = EXACT_LAYER_CAP) -> 
     assignment: dict[int, int] = {}
     offset = 0
     for layer in lay.layers:
+        # arcs always leave a layer, so the layer's subgraph has edges only
         sub, remap = g.induced(layer)
-        und = underlying_undirected(sub)
-        if und.n <= exact_layer_cap:
-            _, local = chi_u_exact(und)
+        if sub.n <= exact_layer_cap:
+            _, local = chi_u_exact(sub)
         else:
-            local = _greedy_dsatur(und)
+            local = _greedy_dsatur(sub)
         back = {new: old for old, new in remap.items()}
         used = max(local.values(), default=0)
         for new_id, color in local.items():
@@ -183,22 +187,14 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
         for v in cover_sorted
         if u != v and (reach[u] >> v) & 1
     ]
-    sub_edges: frozenset = frozenset()
-    remap = {v: i + 1 for i, v in enumerate(cover_sorted)}
-    sub = MixedGraph(
-        len(cover_sorted),
-        sub_edges,
-        frozenset((remap[u], remap[v]) for u, v in closure_arcs),
-    )
-    back = {i: v for v, i in remap.items()}
-    order = [back[i] for i in topological_order(sub)]
     colors: dict[int, int] = {}
-    for idx, v in enumerate(order, start=1):
+    cover_order = [v for v in arc_order(g.n, closure_arcs) if v in cover]
+    for idx, v in enumerate(cover_order, start=1):
         colors[v] = 2 * idx
     for v in g.vertices:
         if v in cover:
             continue
-        preds = [colors[u] for u in g.in_neighbors(v)]
+        preds = [colors[u] for u in g.preds[v]]
         colors[v] = (max(preds) if preds else 0) + 1
     return Coloring(colors)
 

@@ -393,11 +393,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except MixedColorError as exc:
+    except Exception as exc:  # whatever failed, the run gave no answer
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

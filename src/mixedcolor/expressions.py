@@ -22,7 +22,7 @@ from .errors import (
     WidthCapExceeded,
 )
 from .graphs import MixedGraph, normalize_edge, transitive_closure
-from .partitions import mixed_neighborhood_partition
+from .partitions import class_relations, mixed_neighborhood_partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,35 +161,16 @@ def _evaluate(e: MixedExpression, allow_opposite: bool) -> _EvalState:
                                 f"arc ({u},{w}) would parallel an existing edge"
                             )
                     st.arcs.add((u, w))
-            if not allow_opposite and side_i and side_j:
-                _assert_acyclic(st.labels.keys(), st.arcs)
     return states.pop()
-
-
-def _assert_acyclic(vertices, arcs: set[tuple[int, int]]) -> None:
-    indeg = {v: 0 for v in vertices}
-    out: dict[int, list[int]] = {v: [] for v in indeg}
-    for u, v in arcs:
-        out[u].append(v)
-        indeg[v] += 1
-    queue = [v for v in indeg if indeg[v] == 0]
-    removed = 0
-    while queue:
-        v = queue.pop()
-        removed += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if removed != len(indeg):
-        raise DirectedCycleError("arc operation created a directed cycle")
 
 
 def evaluate(e: MixedExpression) -> LabeledGraph:
     """Bottom-up evaluation to a labeled mixed graph.
 
     Re-adding an identical relation is a no-op; adding a relation parallel or
-    opposite to an existing one, or closing a directed cycle, is an error.
+    opposite to an existing one is an error at that operation. Arcs only
+    accumulate, so a directed cycle closed by any operation is still there at
+    the end, where building the graph rejects it.
     """
     st = _evaluate(e, allow_opposite=False)
     n = len(st.labels)
@@ -356,16 +337,8 @@ def ndm_expression(g: MixedGraph) -> MixedExpression:
                 expr = Relabel(aux, label, grown)
         class_exprs.append(expr)
     expr = _union_fold(class_exprs)
-    reps = [sorted(cls)[0] for cls in part.classes]
-    for i in range(w):
-        for j in range(i + 1, w):
-            u, v = reps[i], reps[j]
-            if normalize_edge(u, v) in g.edges:
-                expr = AddEdge(i + 1, j + 1, expr)
-            elif (u, v) in g.arcs:
-                expr = AddArc(i + 1, j + 1, expr)
-            elif (v, u) in g.arcs:
-                expr = AddArc(j + 1, i + 1, expr)
+    for kind, i, j in class_relations(g, part):
+        expr = (AddEdge if kind == "edge" else AddArc)(i + 1, j + 1, expr)
     return expr
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, TextIO
 
 from .errors import (
@@ -39,35 +40,73 @@ class MixedGraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        edge_pairs: set[Edge] = set()
         for u, v in self.edges:
             if u == v:
                 raise LoopError(f"edge ({u},{v}) is a loop")
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"edge ({u},{v}) not normalized or out of range")
-            edge_pairs.add((u, v))
         for u, v in self.arcs:
             if u == v:
                 raise LoopError(f"arc ({u},{v}) is a loop")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"arc ({u},{v}) out of range")
-            if normalize_edge(u, v) in edge_pairs:
+            if normalize_edge(u, v) in self.edges:
                 raise DuplicateRelation(f"pair {{{u},{v}}} carries an edge and an arc")
         # opposite arcs are a directed 2-cycle and reported as such
-        _check_acyclic(self.n, self.arcs)
+        if len(self.order) < self.n:
+            raise DirectedCycleError("arc set induces a directed cycle")
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
+    # The graph index. Each part is built on first use and then shared by
+    # every caller. Per-vertex tuples are indexed by vertex id (entry 0 is
+    # empty); bit v of a mask stands for vertex v.
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Arc-respecting vertex order, ties broken by smallest id first."""
+        return tuple(arc_order(self.n, self.arcs))
+
+    @cached_property
+    def preds(self) -> tuple[frozenset[int], ...]:
+        return _neighbor_sets(self.n, ((v, u) for u, v in self.arcs))
+
+    @cached_property
+    def succs(self) -> tuple[frozenset[int], ...]:
+        return _neighbor_sets(self.n, self.arcs)
+
+    @cached_property
+    def nbrs(self) -> tuple[frozenset[int], ...]:
+        """Undirected (edge) neighbors."""
+        return _neighbor_sets(self.n, _both_ways(self.edges))
+
+    @cached_property
+    def adjacent(self) -> tuple[frozenset[int], ...]:
+        """Neighbors in the underlying undirected graph."""
+        return tuple(p | s | e for p, s, e in zip(self.preds, self.succs, self.nbrs))
+
+    @cached_property
+    def pred_masks(self) -> tuple[int, ...]:
+        return _masks(self.n, ((v, u) for u, v in self.arcs))
+
+    @cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        return _masks(self.n, _both_ways(self.edges))
+
+    @cached_property
+    def adjacent_masks(self) -> tuple[int, ...]:
+        return _masks(self.n, _both_ways([*self.edges, *self.arcs]))
+
     def in_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(u for (u, w) in self.arcs if w == v)
+        return self.preds[v]
 
     def out_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(w for (u, w) in self.arcs if u == v)
+        return self.succs[v]
 
     def undirected_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset((a if b == v else b) for (a, b) in self.edges if v in (a, b))
+        return self.nbrs[v]
 
     def induced(self, vertices: Iterable[int]) -> tuple["MixedGraph", dict[int, int]]:
         """Induced subgraph with vertices renumbered 1..m; returns (graph, old->new map)."""
@@ -88,25 +127,48 @@ def mixed_graph(n: int, edges: Iterable[tuple[int, int]] = (), arcs: Iterable[tu
     return MixedGraph(n, frozenset(normalize_edge(u, v) for u, v in edges), frozenset(tuple(a) for a in arcs))
 
 
-def _check_acyclic(n: int, arcs: Iterable[Arc]) -> None:
-    indeg = [0] * (n + 1)
+def _both_ways(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    pairs = list(pairs)
+    return pairs + [(v, u) for u, v in pairs]
+
+
+def _neighbor_sets(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[frozenset[int], ...]:
+    sets: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in pairs:
+        sets[u].append(v)
+    return tuple(map(frozenset, sets))
+
+
+def _masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    masks = [0] * (n + 1)
+    for u, v in pairs:
+        masks[u] |= 1 << v
+    return tuple(masks)
+
+
+def arc_order(n: int, arcs: Iterable[Arc]) -> list[int]:
+    """Kahn's algorithm: vertices 1..n in an arc-respecting order, taking the
+    smallest ready id first.
+
+    The order leaves out every vertex on or behind a directed cycle, so it is
+    shorter than n exactly when the arcs are cyclic. Vertices without arcs
+    do not change the relative order of the others.
+    """
     out: list[list[int]] = [[] for _ in range(n + 1)]
-    count = 0
+    indeg = [0] * (n + 1)
     for u, v in arcs:
         out[u].append(v)
         indeg[v] += 1
-        count += 1
-    queue = [v for v in range(1, n + 1) if indeg[v] == 0]
-    removed = 0
-    while queue:
-        v = queue.pop()
-        removed += 1
+    heap = [v for v in range(1, n + 1) if indeg[v] == 0]  # sorted, so a heap
+    order: list[int] = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
         for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
-    if removed != n:
-        raise DirectedCycleError("arc set induces a directed cycle")
+                heapq.heappush(heap, w)
+    return order
 
 
 @dataclass(frozen=True)
@@ -251,33 +313,15 @@ def coloring_total_on(c: Coloring, g: MixedGraph) -> None:
 
 def topological_order(g: MixedGraph) -> list[int]:
     """Arc-respecting vertex order, ties broken by smallest id first."""
-    indeg = {v: 0 for v in g.vertices}
-    out: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for u, v in g.arcs:
-        out[u].append(v)
-        indeg[v] += 1
-    heap = [v for v in g.vertices if indeg[v] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    return order
+    return list(g.order)
 
 
 def reachability(g: MixedGraph) -> dict[int, int]:
     """Bitmask of vertices reachable from each vertex along arcs (self excluded)."""
     reach = {v: 0 for v in g.vertices}
-    out: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for u, v in g.arcs:
-        out[u].append(v)
-    for v in reversed(topological_order(g)):
+    for v in reversed(g.order):
         bits = 0
-        for w in out[v]:
+        for w in g.succs[v]:
             bits |= (1 << w) | reach[w]
         reach[v] = bits
     return reach
@@ -301,12 +345,9 @@ def transitive_closure(g: MixedGraph) -> MixedGraph:
 def layering(g: MixedGraph) -> Layering:
     """Partition by inrank (longest-path DP over a topological order)."""
     inrank = {v: 0 for v in g.vertices}
-    inc: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for u, v in g.arcs:
-        inc[v].append(u)
-    for v in topological_order(g):
-        if inc[v]:
-            inrank[v] = max(inrank[u] + 1 for u in inc[v])
+    for v in g.order:
+        if g.preds[v]:
+            inrank[v] = max(inrank[u] + 1 for u in g.preds[v])
     top = max(inrank.values(), default=0)
     layers = tuple(
         frozenset(v for v in g.vertices if inrank[v] == i) for i in range(top + 1)

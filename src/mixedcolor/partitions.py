@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .graphs import MixedGraph, underlying_undirected
+from .graphs import MixedGraph
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -27,72 +27,63 @@ class NeighborhoodPartition:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def class_of(self, v: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if v in cls:
-                return i
-        raise KeyError(v)
 
+def _partition_by_signature(g: MixedGraph, signatures: list, kind: str) -> NeighborhoodPartition:
+    """Classes of the type relation, found by hashing neighborhood signatures.
 
-def _group_by_type(g: MixedGraph, same_type) -> list[list[int]]:
-    # pairwise check with union-find; the relation is transitive, but the
-    # explicit check keeps this faithful to the quadratic procedure.
-    parent = {v: v for v in g.vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    vs = list(g.vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if find(u) != find(v) and same_type(u, v):
-                parent[find(v)] = find(u)
-    groups: dict[int, list[int]] = {}
-    for v in vs:
-        groups.setdefault(find(v), []).append(v)
-    return sorted((sorted(members) for members in groups.values()), key=lambda m: m[0])
-
-
-def _partition_from_groups(g: MixedGraph, groups: list[list[int]], kind: str) -> NeighborhoodPartition:
-    kinds = []
-    for members in groups:
-        if len(members) >= 2 and (members[0], members[1]) in g.edges:
-            kinds.append("clique")
-        else:
-            kinds.append("independent")
-    return NeighborhoodPartition(
-        tuple(frozenset(m) for m in groups), kind, tuple(kinds)
+    ``signatures[v]`` ends with the mask of v's neighbors whose relation two
+    vertices of one type share only up to each other. Non-adjacent vertices
+    of a type have equal signatures; adjacent ones agree once each adds its
+    own bit to that mask. A vertex with a non-adjacent partner has no adjacent
+    one, so only the vertices left alone by the first grouping are grouped a
+    second time, on these closed signatures.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for v in g.vertices:
+        groups.setdefault(signatures[v], []).append(v)
+    classes = [members for members in groups.values() if len(members) > 1]
+    closed: dict[tuple, list[int]] = {}
+    for members in groups.values():
+        if len(members) == 1:
+            v = members[0]
+            *fixed, mask = signatures[v]
+            closed.setdefault((*fixed, mask | 1 << v), []).append(v)
+    classes += closed.values()
+    classes.sort(key=lambda members: members[0])
+    kinds = tuple(
+        "clique" if len(m) >= 2 and m[1] in g.adjacent[m[0]] else "independent" for m in classes
     )
+    return NeighborhoodPartition(tuple(map(frozenset, classes)), kind, kinds)
 
 
 def mixed_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
     """Coarsest partition under equal in-, out-, and undirected neighborhoods."""
-    nin = {v: g.in_neighbors(v) for v in g.vertices}
-    nout = {v: g.out_neighbors(v) for v in g.vertices}
-    nund = {v: g.undirected_neighbors(v) for v in g.vertices}
-
-    def same_type(u: int, v: int) -> bool:
-        return (
-            nin[u] == nin[v]
-            and nout[u] == nout[v]
-            and nund[u] - {v} == nund[v] - {u}
-        )
-
-    return _partition_from_groups(g, _group_by_type(g, same_type), "mixed")
+    signatures = list(zip(g.preds, g.succs, g.nbr_masks))
+    return _partition_by_signature(g, signatures, "mixed")
 
 
 def undirected_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
     """Type partition of the underlying undirected graph."""
-    und = underlying_undirected(g)
-    nbr = {v: und.undirected_neighbors(v) for v in und.vertices}
+    return _partition_by_signature(g, [(mask,) for mask in g.adjacent_masks], "undirected")
 
-    def same_type(u: int, v: int) -> bool:
-        return nbr[u] - {v} == nbr[v] - {u}
 
-    return _partition_from_groups(und, _group_by_type(und, same_type), "undirected")
+def class_relations(g: MixedGraph, part: NeighborhoodPartition) -> list[tuple[str, int, int]]:
+    """Relations between the classes of a mixed partition, by class index.
+
+    Types see each other uniformly, so the neighbors of one representative
+    per class give every relation. Entries are ``("edge", i, j)`` or
+    ``("arc", tail, head)``, ordered by their smaller and then their larger
+    class index.
+    """
+    class_of = {v: i for i, cls in enumerate(part.classes) for v in cls}
+    relations = []
+    for i, cls in enumerate(part.classes):
+        u = min(cls)
+        found = {class_of[w]: ("edge", i, class_of[w]) for w in g.nbrs[u]}
+        found.update((class_of[w], ("arc", i, class_of[w])) for w in g.succs[u])
+        found.update((class_of[w], ("arc", class_of[w], i)) for w in g.preds[u])
+        relations += [found[j] for j in sorted(found) if j > i]
+    return relations
 
 
 def ndm(g: MixedGraph) -> int:
@@ -103,14 +94,6 @@ def ndu(g: MixedGraph) -> int:
     return len(undirected_neighborhood_partition(g))
 
 
-def _underlying_adjacency(g: MixedGraph) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in underlying_undirected(g).edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def vertex_cover_number(g: MixedGraph, budget: int = DEFAULT_BUDGET) -> tuple[int, frozenset[int]]:
     """Exact minimum vertex cover of the underlying graph, with a witness.
 
@@ -119,7 +102,7 @@ def vertex_cover_number(g: MixedGraph, budget: int = DEFAULT_BUDGET) -> tuple[in
     vertex; a greedy matching lower-bounds the remainder. Raises
     BudgetExceeded past the node budget.
     """
-    base_adj = _underlying_adjacency(g)
+    base_adj = {v: set(g.adjacent[v]) for v in g.vertices}
     best: list = [None, frozenset()]
     nodes = [0]
 
@@ -176,11 +159,7 @@ def clique_number(g: MixedGraph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact maximum clique size of the underlying graph (nonempty g)."""
     if g.n == 0:
         raise ValueError("clique number of the empty graph is undefined")
-    adj = _underlying_adjacency(g)
-    bits = {v: 0 for v in g.vertices}
-    for v in g.vertices:
-        for w in adj[v]:
-            bits[v] |= 1 << w
+    bits = g.adjacent_masks
     best = [1]
     nodes = [0]
 

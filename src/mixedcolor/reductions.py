@@ -352,10 +352,7 @@ class ListColoringInstance:
 def list_coloring_exists(inst: ListColoringInstance) -> bool:
     """Backtracking over vertices in id order, colors in list order."""
     vs = sorted(inst.graph.vertices)
-    adj: dict[int, set[int]] = {v: set() for v in vs}
-    for u, v in inst.graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = inst.graph.nbrs
     assignment: dict[int, int] = {}
 
     def extend(i: int) -> bool:

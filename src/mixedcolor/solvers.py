@@ -26,8 +26,8 @@ from .feasibility import (
     FeasibilityProgram,
     solve_feasibility,
 )
-from .graphs import Coloring, MixedGraph, normalize_edge, topological_order
-from .partitions import mixed_neighborhood_partition
+from .graphs import Coloring, MixedGraph
+from .partitions import class_relations, mixed_neighborhood_partition
 from .treedecomp import (
     NiceNode,
     TreeDecomposition,
@@ -63,14 +63,7 @@ def brute_force_decide(g: MixedGraph, k: int) -> Optional[Coloring]:
         return Coloring({})
     if k < 1:
         return None
-    order = topological_order(g)
-    edge_nbrs: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for u, v in g.edges:
-        edge_nbrs[u].append(v)
-        edge_nbrs[v].append(u)
-    in_nbrs: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for u, v in g.arcs:
-        in_nbrs[v].append(u)
+    order = g.order
     colors: dict[int, int] = {}
 
     def extend(i: int) -> bool:
@@ -78,9 +71,9 @@ def brute_force_decide(g: MixedGraph, k: int) -> Optional[Coloring]:
             return True
         v = order[i]
         start = 1
-        for u in in_nbrs[v]:
+        for u in g.preds[v]:
             start = max(start, colors[u] + 1)  # in-neighbors precede v
-        forbidden = {colors[u] for u in edge_nbrs[v] if u in colors}
+        forbidden = {colors[u] for u in g.nbrs[v] if u in colors}
         for color in range(start, k + 1):
             if color in forbidden:
                 continue
@@ -142,8 +135,6 @@ def tw_dp_decide(
             for child in node.children:
                 stack.append((child, False))
 
-    edge_set = g.edges
-    arc_set = g.arcs
     tables: dict[int, object] = {}
     entries = 0
     max_table = 0
@@ -158,11 +149,11 @@ def tw_dp_decide(
             vi = node.bag.index(v)
             checks = []  # (kind, index into the child key)
             for i, u in enumerate(child.bag):
-                if normalize_edge(u, v) in edge_set:
+                if u in g.nbrs[v]:
                     checks.append(("ne", i))
-                if (v, u) in arc_set:
+                if u in g.succs[v]:
                     checks.append(("lt", i))
-                if (u, v) in arc_set:
+                if u in g.preds[v]:
                     checks.append(("gt", i))
             table = {}
             for key in child_table:
@@ -271,18 +262,10 @@ def class_structure(g: MixedGraph) -> ClassStructure:
     members = tuple(tuple(sorted(cls)) for cls in part.classes)
     independent = tuple(kind == "independent" for kind in part.class_kinds)
     sizes = tuple(1 if independent[i] else len(members[i]) for i in range(len(members)))
-    class_edges = set()
-    class_arcs = set()
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            u, v = members[i][0], members[j][0]
-            if normalize_edge(u, v) in g.edges:
-                class_edges.add(frozenset((i, j)))
-            elif (u, v) in g.arcs:
-                class_arcs.add((i, j))
-            elif (v, u) in g.arcs:
-                class_arcs.add((j, i))
-    return ClassStructure(sizes, members, independent, frozenset(class_edges), frozenset(class_arcs))
+    relations = class_relations(g, part)
+    class_edges = frozenset(frozenset((i, j)) for kind, i, j in relations if kind == "edge")
+    class_arcs = frozenset((i, j) for kind, i, j in relations if kind == "arc")
+    return ClassStructure(sizes, members, independent, class_edges, class_arcs)
 
 
 def maximal_proper_preorders(
@@ -478,24 +461,12 @@ def coloring_from_preorder_solution(
 
 def _chain_weight_bound(struct: ClassStructure) -> int:
     """Longest class-DAG chain weighted by class sizes: a chromatic lower bound."""
-    m = len(struct.sizes)
-    out: list[list[int]] = [[] for _ in range(m)]
-    indeg = [0] * m
-    for i, j in struct.class_arcs:
-        out[i].append(j)
-        indeg[j] += 1
-    order = [c for c in range(m) if indeg[c] == 0]
-    best = list(struct.sizes)
-    queue = list(order)
-    indeg2 = list(indeg)
-    while queue:
-        c = queue.pop()
-        for j in out[c]:
-            best[j] = max(best[j], best[c] + struct.sizes[j])
-            indeg2[j] -= 1
-            if indeg2[j] == 0:
-                queue.append(j)
-    return max(best, default=0)
+    arcs = frozenset((i + 1, j + 1) for i, j in struct.class_arcs)
+    dag = MixedGraph(len(struct.sizes), frozenset(), arcs)
+    best = [0] * (dag.n + 1)
+    for c in dag.order:
+        best[c] = struct.sizes[c - 1] + max((best[p] for p in dag.preds[c]), default=0)
+    return max(best)
 
 
 def ndm_fpt_decide(
@@ -621,19 +592,13 @@ class _BranchingSearch:
         self.fanout_log = fanout_log
         self.nodes = 0
         self.refuted: dict[int, int] = {}
-        adj = [0] * n
-        for u, v in g.edges:
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-        self.keep = [~(adj[i] | 1 << i) for i in range(n)]
-        self.arc_in = [0] * n
-        self.arc_out: list[list[int]] = [[] for _ in range(n)]
-        for u, v in g.arcs:
-            self.arc_in[v - 1] |= 1 << (u - 1)
-            self.arc_out[u - 1].append(v - 1)
+        # the graph index keeps bit v for vertex v; the search uses bit v - 1
+        self.keep = [~(g.nbr_masks[v] >> 1 | 1 << (v - 1)) for v in g.vertices]
+        self.arc_in = [g.pred_masks[v] >> 1 for v in g.vertices]
+        self.arc_out = [[w - 1 for w in g.succs[v]] for v in g.vertices]
         # arc height: arcs on the longest directed path leaving the vertex
         height = [0] * n
-        for v in reversed(topological_order(g)):
+        for v in reversed(g.order):
             height[v - 1] = max((height[w] + 1 for w in self.arc_out[v - 1]), default=0)
         # tall[j]: vertices of arc height at least j; j ranges over 0..n
         self.tall = [0] * (n + 2)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 from .errors import InvalidDecomposition, ParseError
-from .graphs import MixedGraph, normalize_edge, underlying_undirected
+from .graphs import MixedGraph, normalize_edge
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,10 @@ def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
 
 def min_fill_decomposition(g: MixedGraph) -> TreeDecomposition:
     """Heuristic decomposition by min-fill elimination on the underlying graph."""
-    und = underlying_undirected(g)
-    if und.n == 0:
+    if g.n == 0:
         return TreeDecomposition(0, (frozenset(),), ())
-    adj: dict[int, set[int]] = {v: set() for v in und.vertices}
-    for u, v in und.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    # elimination adds fill edges, so it works on a mutable copy
+    adj = {v: set(g.adjacent[v]) for v in g.vertices}
 
     def fill_cost(v: int) -> int:
         nbrs = sorted(adj[v])
@@ -89,7 +86,7 @@ def min_fill_decomposition(g: MixedGraph) -> TreeDecomposition:
             if b not in adj[a]
         )
 
-    remaining = set(und.vertices)
+    remaining = set(g.vertices)
     order: list[int] = []
     bag_of: dict[int, frozenset[int]] = {}
     while remaining:

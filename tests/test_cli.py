@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from mixedcolor import solvers
 from mixedcolor.cli import main
+from mixedcolor.graphs import Coloring
 
 
 def run(capsys, *argv):
@@ -98,6 +100,42 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(chain), "--method", "branch")
         assert code == 0
         assert report_dict(out)["chi"] == str(n)
+
+    def test_deep_chain_bounds(self, capsys, tmp_path):
+        n = 1500
+        chain = tmp_path / "chain.graph"
+        chain.write_text(
+            f"p mixed {n} 0 {n - 1}\n" + "".join(f"a {v} {v + 1}\n" for v in range(1, n))
+        )
+        code, out, _ = run(capsys, "bounds", str(chain))
+        assert code == 0
+        fields = report_dict(out)
+        assert (fields["lower"], fields["upper"]) == (str(n), str(n))
+
+    @pytest.mark.parametrize(
+        "exc",
+        [AssertionError("broken"), IndexError("list index"), RecursionError("too deep"), MemoryError()],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_untyped_failure_exit_two(self, capsys, path4, monkeypatch, exc):
+        def failing(g, k):
+            raise exc
+
+        monkeypatch.setattr(solvers, "ndm_fpt_decide", failing)
+        code, out, err = run(capsys, "solve", path4, "--k", "5", "--method", "ndm")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert type(exc).__name__ in err
+
+    def test_improper_witness_exit_two(self, capsys, path4, monkeypatch, tmp_path):
+        def improper(g, k):
+            return solvers.SolveResult(True, Coloring({v: 1 for v in g.vertices}))
+
+        monkeypatch.setattr(solvers, "ndm_fpt_decide", improper)
+        cert = str(tmp_path / "cert.txt")
+        code, _, err = run(capsys, "solve", path4, "--k", "5", "--method", "ndm", "--cert", cert)
+        assert code == 2
+        assert err == "error: AssertionError: solver produced an improper witness\n"
 
     def test_ndm_reports_feasibility_nodes(self, capsys, tmp_path):
         # 84 nodes is the count of the full-sweep recursive engine on this

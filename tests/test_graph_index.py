@@ -1,0 +1,161 @@
+"""Property tests: the cached graph index and the hashed neighborhood partitions.
+
+Every cached view is compared with a direct scan of the edge and arc sets,
+and both partitions with the pairwise definition of the type relation.
+Examples are derandomized so every run of the suite sees the same graphs.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mixedcolor import (
+    DirectedCycleError,
+    MixedGraph,
+    mixed_graph,
+    mixed_neighborhood_partition,
+    undirected_neighborhood_partition,
+)
+from mixedcolor.graphs import normalize_edge, underlying_undirected
+from mixedcolor.partitions import class_relations
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def typed_graphs(draw, max_n=14):
+    """Blow-ups of a random type graph with a few relations changed afterwards.
+
+    Vertices get a random type; a type is a clique or an independent set and
+    relates uniformly to each other type. Arcs follow one drawn vertex order,
+    so the graph is acyclic. Without the changes every type would be a class.
+    """
+    n = draw(st.integers(0, max_n))
+    types = [draw(st.integers(0, 3)) for _ in range(n)]
+    clique = [draw(st.booleans()) for _ in range(4)]
+    between = {
+        (a, b): draw(st.sampled_from(("none", "edge", "arc"))) for a, b in combinations(range(4), 2)
+    }
+    order = draw(st.permutations(range(1, n + 1)))
+    rank = {v: i for i, v in enumerate(order)}
+    relation = {}
+    for u, v in combinations(range(1, n + 1), 2):
+        a, b = sorted((types[u - 1], types[v - 1]))
+        relation[u, v] = ("edge" if clique[a] else "none") if a == b else between[a, b]
+    for _ in range(draw(st.integers(0, 3))):
+        if n >= 2:
+            pair = tuple(sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))))
+            relation[pair] = draw(st.sampled_from(("none", "edge", "arc")))
+    edges = [pair for pair, kind in relation.items() if kind == "edge"]
+    arcs = [
+        (u, v) if rank[u] < rank[v] else (v, u) for (u, v), kind in relation.items() if kind == "arc"
+    ]
+    return mixed_graph(n, edges, arcs)
+
+
+def pairwise_partition(g, same_type):
+    """Union-find over all vertex pairs; classes ordered by smallest member."""
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in combinations(g.vertices, 2):
+        if find(u) != find(v) and same_type(u, v):
+            parent[find(v)] = find(u)
+    groups = {}
+    for v in g.vertices:
+        groups.setdefault(find(v), []).append(v)
+    classes = sorted(groups.values(), key=lambda m: m[0])
+    kinds = tuple(
+        "clique" if len(m) >= 2 and (m[0], m[1]) in g.edges else "independent" for m in classes
+    )
+    return tuple(frozenset(m) for m in classes), kinds
+
+
+def scanned(g):
+    """Per-vertex in-, out- and edge neighborhoods read straight off the relation sets."""
+    ins = {v: frozenset(u for u, w in g.arcs if w == v) for v in g.vertices}
+    outs = {v: frozenset(w for u, w in g.arcs if u == v) for v in g.vertices}
+    nbrs = {v: frozenset(a if b == v else b for a, b in g.edges if v in (a, b)) for v in g.vertices}
+    return ins, outs, nbrs
+
+
+@PROPERTY
+@given(typed_graphs())
+def test_mixed_partition_matches_pairwise_definition(g):
+    ins, outs, nbrs = scanned(g)
+
+    def same_type(u, v):
+        return ins[u] == ins[v] and outs[u] == outs[v] and nbrs[u] - {v} == nbrs[v] - {u}
+
+    part = mixed_neighborhood_partition(g)
+    assert (part.classes, part.class_kinds) == pairwise_partition(g, same_type)
+
+
+@PROPERTY
+@given(typed_graphs())
+def test_undirected_partition_matches_pairwise_definition(g):
+    und = underlying_undirected(g)
+    _, _, nbrs = scanned(und)
+
+    def same_type(u, v):
+        return nbrs[u] - {v} == nbrs[v] - {u}
+
+    part = undirected_neighborhood_partition(g)
+    assert (part.classes, part.class_kinds) == pairwise_partition(und, same_type)
+
+
+@PROPERTY
+@given(typed_graphs())
+def test_class_relations_match_representative_pairs(g):
+    part = mixed_neighborhood_partition(g)
+    reps = [min(cls) for cls in part.classes]
+    expected = []
+    for i, j in combinations(range(len(reps)), 2):
+        u, v = reps[i], reps[j]
+        if normalize_edge(u, v) in g.edges:
+            expected.append(("edge", i, j))
+        elif (u, v) in g.arcs:
+            expected.append(("arc", i, j))
+        elif (v, u) in g.arcs:
+            expected.append(("arc", j, i))
+    assert class_relations(g, part) == expected
+
+
+@PROPERTY
+@given(typed_graphs())
+def test_index_matches_direct_scans(g):
+    ins, outs, nbrs = scanned(g)
+    for v in g.vertices:
+        assert g.in_neighbors(v) == g.preds[v] == ins[v]
+        assert g.out_neighbors(v) == g.succs[v] == outs[v]
+        assert g.undirected_neighbors(v) == g.nbrs[v] == nbrs[v]
+        assert g.adjacent[v] == ins[v] | outs[v] | nbrs[v]
+        for view, masks in ((ins, g.pred_masks), (nbrs, g.nbr_masks), (g.adjacent, g.adjacent_masks)):
+            assert masks[v] == sum(1 << u for u in view[v])
+    # the order takes, at every step, the smallest vertex whose in-neighbors are all placed
+    placed, expected = set(), []
+    while len(expected) < g.n:
+        v = min(v for v in g.vertices if v not in placed and ins[v] <= placed)
+        expected.append(v)
+        placed.add(v)
+    assert g.order == tuple(expected)
+
+
+@PROPERTY
+@given(typed_graphs(), st.data())
+def test_construction_rejects_directed_cycles(g, data):
+    if g.n < 2:
+        return
+    cycle = data.draw(st.lists(st.integers(1, g.n), min_size=2, max_size=g.n, unique=True))
+    closing = set(zip(cycle, cycle[1:] + cycle[:1]))
+    touched = {normalize_edge(u, v) for u, v in closing}
+    edges = frozenset(e for e in g.edges if e not in touched)
+    arcs = frozenset(a for a in g.arcs if normalize_edge(*a) not in touched) | closing
+    with pytest.raises(DirectedCycleError):
+        MixedGraph(g.n, edges, arcs)
