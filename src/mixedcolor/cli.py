@@ -128,7 +128,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         elif args.method == "twdp":
             from .treedecomp import min_fill_decomposition
 
-            result = solvers.tw_dp_decide(g, td or min_fill_decomposition(g), args.k)
+            # min_fill_decomposition validates its own output; a .td file is checked here
+            result = solvers.tw_dp_decide(
+                g, td or min_fill_decomposition(g), args.k, validate=td is not None
+            )
             decision, witness, stats = result.decision, result.witness, result.stats
         elif args.method == "ndm":
             result = solvers.ndm_fpt_decide(g, args.k)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .bounds import layering_coloring, lower_bounds
@@ -111,8 +112,12 @@ def tw_dp_decide(
 ) -> SolveResult:
     """Decide k-colorability with the nice-decomposition table DP.
 
-    Introduce steps check each new vertex against its bag co-members for both
-    edge inequality and arc order; join steps intersect tables on equal bags.
+    A table holds the proper colorings of a node's bag, as tuples in bag
+    order, that extend to its subtree. An introduce node gives the new
+    vertex every color of the window its bagged in- and out-neighbors leave
+    open that no bagged edge neighbor uses; join nodes intersect tables on
+    equal bags. Only forget tables outlive their parent: each maps a
+    reduced key to the forgotten vertex's color in one witness extension.
     """
     started = time.perf_counter()
     if validate:
@@ -135,61 +140,56 @@ def tw_dp_decide(
             for child in node.children:
                 stack.append((child, False))
 
-    tables: dict[int, object] = {}
+    forgets: dict[int, dict] = {}  # id(forget node) -> its table
     entries = 0
     max_table = 0
-
-    results: list[tuple[NiceNode, object]] = []
+    pending: list[dict] = []  # tables not yet consumed by their parent
     for node in post:
         if node.kind == "leaf":
-            table: object = {(): None}
+            table: dict = {(): None}
         elif node.kind == "introduce":
-            child, child_table = results.pop()
+            child_table = pending.pop()
             v = node.vertex
             vi = node.bag.index(v)
-            checks = []  # (kind, index into the child key)
-            for i, u in enumerate(child.bag):
-                if u in g.nbrs[v]:
-                    checks.append(("ne", i))
-                if u in g.succs[v]:
-                    checks.append(("lt", i))
-                if u in g.preds[v]:
-                    checks.append(("gt", i))
+            child_bag = node.children[0].bag
+            # child-key positions of v's bagged in-, out- and edge neighbors;
+            # each getter repeats its first position so it returns a tuple
+            ins = [i for i, u in enumerate(child_bag) if u in g.preds[v]]
+            outs = [i for i, u in enumerate(child_bag) if u in g.succs[v]]
+            nes = [i for i, u in enumerate(child_bag) if u in g.nbrs[v]]
+            in_colors = itemgetter(*ins, ins[0]) if ins else None
+            out_colors = itemgetter(*outs, outs[0]) if outs else None
+            ne_colors = itemgetter(*nes, nes[0]) if nes else None
             table = {}
             for key in child_table:
-                for color in range(1, k + 1):
-                    ok = True
-                    for kind, i in checks:
-                        other = key[i]
-                        if kind == "ne" and color == other:
-                            ok = False
-                        elif kind == "lt" and not color < other:
-                            ok = False
-                        elif kind == "gt" and not other < color:
-                            ok = False
-                        if not ok:
-                            break
-                    if ok:
-                        table[key[:vi] + (color,) + key[vi:]] = None
+                # key colors lie in 1..k, so the out-neighbors keep hi below k
+                lo = max(in_colors(key)) + 1 if ins else 1
+                hi = min(out_colors(key)) - 1 if outs else k
+                if lo > hi:
+                    continue
+                used = ne_colors(key) if nes else ()
+                head, tail = key[:vi], key[vi:]
+                for color in range(lo, hi + 1):
+                    if color not in used:
+                        table[head + (color,) + tail] = None
         elif node.kind == "forget":
-            child, child_table = results.pop()
-            v = node.vertex
-            vi = child.bag.index(v)
+            child_table = pending.pop()
+            vi = node.children[0].bag.index(node.vertex)
             table = {}
             for key in child_table:
                 reduced = key[:vi] + key[vi + 1:]
                 if reduced not in table:
-                    table[reduced] = key  # remember one witness extension
+                    table[reduced] = key[vi]  # the color of one witness extension
+            forgets[id(node)] = table
         else:  # join
-            right, right_table = results.pop()
-            left, left_table = results.pop()
+            right_table = pending.pop()
+            left_table = pending.pop()
             table = {key: None for key in left_table if key in right_table}
         entries += len(table)
         max_table = max(max_table, len(table))
-        results.append((node, table))
-        tables[id(node)] = table
+        pending.append(table)
 
-    _, root_table = results.pop()
+    root_table = pending.pop()
     stats = {
         "nodes": entries,
         "max_table": max_table,
@@ -198,27 +198,23 @@ def tw_dp_decide(
     if not root_table:
         return SolveResult(False, None, stats)
 
-    # witness reconstruction: walk down from the root entry
+    # witness reconstruction: walk down from the root entry, right join
+    # branches waiting on a stack until the left branch reaches its leaf
     colors: dict[int, int] = {}
-
-    def walk(node: NiceNode, key: tuple[int, ...]) -> None:
-        while True:
-            if node.kind == "leaf":
-                return
+    branches: list[tuple[NiceNode, tuple[int, ...]]] = [(root, next(iter(root_table)))]
+    while branches:
+        node, key = branches.pop()
+        while node.kind != "leaf":
             if node.kind == "introduce":
-                v = node.vertex
-                vi = node.bag.index(v)
-                colors[v] = key[vi]
+                vi = node.bag.index(node.vertex)
+                colors[node.vertex] = key[vi]
                 key = key[:vi] + key[vi + 1:]
-                node = node.children[0]
             elif node.kind == "forget":
-                key = tables[id(node)][key]
-                node = node.children[0]
+                vi = node.children[0].bag.index(node.vertex)
+                key = key[:vi] + (forgets[id(node)][key],) + key[vi:]
             else:  # join
-                walk(node.children[0], key)
-                node = node.children[1]
-
-    walk(root, next(iter(root_table)))
+                branches.append((node.children[1], key))
+            node = node.children[0]
     witness = Coloring(colors)
     return SolveResult(True, witness, stats)
 
@@ -737,10 +733,11 @@ def chi_exact(
     lb = lower_bounds(g).combined
     upper_witness = layering_coloring(g)
     ub = upper_witness.num_colors()
-    if method == "twdp" and td is None:
-        td = min_fill_decomposition(g)
     if method == "twdp":
-        validate_decomposition(td, g)
+        if td is None:
+            td = min_fill_decomposition(g)  # validated where it is built
+        else:
+            validate_decomposition(td, g)
     for k in range(lb, ub + 1):
         if method == "twdp":
             result = tw_dp_decide(g, td, k, validate=False)

@@ -209,17 +209,32 @@ def make_nice(td: TreeDecomposition) -> NiceNode:
         adj[i].append(j)
         adj[j].append(i)
 
-    def build(node: int, parent: int) -> NiceNode:
-        kids = [c for c in adj[node] if c != parent]
+    # root the tree at bag 0; a parent precedes its children in ``order``
+    order: list[int] = []
+    kids: dict[int, list[int]] = {}
+    parent = {0: -1}
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kids[node] = [c for c in adj[node] if c != parent[node]]
+        for c in kids[node]:
+            if c in parent:
+                raise InvalidDecomposition("bag graph is not a tree")
+            parent[c] = node
+            stack.append(c)
+
+    # build bottom-up: every child's nice subtree exists before its parent's
+    built: dict[int, NiceNode] = {}
+    for node in reversed(order):
         bag = td.bags[node]
-        if not kids:
-            return _chain(frozenset(), bag, NiceNode("leaf", ()))
-        subtrees = [_chain(td.bags[c], bag, build(c, node)) for c in kids]
+        if not kids[node]:
+            built[node] = _chain(frozenset(), bag, NiceNode("leaf", ()))
+            continue
+        subtrees = [_chain(td.bags[c], bag, built.pop(c)) for c in kids[node]]
         while len(subtrees) > 1:
             right = subtrees.pop()
             left = subtrees.pop()
             subtrees.append(NiceNode("join", tuple(sorted(bag)), None, [left, right]))
-        return subtrees[0]
-
-    root = build(0, -1)
-    return _chain(td.bags[0], frozenset(), root)
+        built[node] = subtrees[0]
+    return _chain(td.bags[0], frozenset(), built[0])

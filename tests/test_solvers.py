@@ -114,6 +114,30 @@ class TestTreewidthDP:
             result = tw_dp_decide(g, td, k)
             assert result.stats["max_table"] <= k ** (td.width + 1)
 
+    @pytest.mark.parametrize(
+        "k, decision, nodes, max_table", [(9, False, 27_058, 5_184), (12, True, 629_298, 285_120)]
+    )
+    def test_pinned_tables(self, k, decision, nodes, max_table):
+        # the tables the plain try-every-color DP builds; a faster kernel must
+        # build the same ones
+        g = family_layered_cliques(2, 4)
+        result = tw_dp_decide(g, min_fill_decomposition(g), k)
+        assert result.decision == decision
+        assert (result.stats["nodes"], result.stats["max_table"]) == (nodes, max_table)
+        if decision:
+            assert check_proper(g, result.witness)[0]
+
+    def test_long_undirected_path(self):
+        n = 1500
+        g = mixed_graph(n, edges=[(i, i + 1) for i in range(1, n)])
+        bags = tuple(frozenset({i, i + 1}) for i in range(1, n))
+        td = TreeDecomposition(n, bags, tuple((i, i + 1) for i in range(n - 2)))
+        result = tw_dp_decide(g, td, 2)
+        assert result.decision
+        assert check_proper(g, result.witness)[0]
+        assert result.witness.max_color() == 2
+        assert not tw_dp_decide(g, td, 1).decision
+
 
 class TestNdmFpt:
     def test_short_path(self):

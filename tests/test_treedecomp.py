@@ -103,3 +103,23 @@ class TestNiceForm:
                     (child,) = node.children
                     assert set(child.bag) - set(node.bag) == {node.vertex}
             assert seen_vertices == set(g.vertices)
+
+    def test_long_path_decomposition(self):
+        # 1500 bags {i, i+1}: one leaf, and a chain far deeper than the
+        # interpreter's recursion limit
+        bags = tuple(frozenset({i, i + 1}) for i in range(1, 1501))
+        td = TreeDecomposition(1501, bags, tuple((i, i + 1) for i in range(1499)))
+        root = make_nice(td)
+        kinds = {"leaf": 0, "introduce": 0, "forget": 0, "join": 0}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            kinds[node.kind] += 1
+            stack.extend(node.children)
+        assert kinds == {"leaf": 1, "introduce": 1501, "forget": 1501, "join": 0}
+
+    def test_cycle_in_bag_graph_rejected(self):
+        bags = (frozenset({1}), frozenset({1}), frozenset({1}))
+        td = TreeDecomposition(1, bags, ((0, 1), (1, 2), (2, 0)))
+        with pytest.raises(InvalidDecomposition):
+            make_nice(td)
