@@ -48,52 +48,95 @@ def check_proper(g: MixedGraph, c: Coloring) -> tuple[bool, Optional[Violation]]
 def chi_u_exact(g: MixedGraph, budget: int = CHI_U_BUDGET) -> tuple[int, dict[int, int]]:
     """Exact chromatic number of the underlying undirected graph, with witness.
 
-    Backtracking with the usual "at most one new color" symmetry breaking,
-    over an explicit stack: frame i holds the colors of order[i]'s neighbors
-    and the number of colors in use before it, and order[i] moves on to its
-    next free color when the search comes back to it. Each node entered
-    counts against the budget, the final one with every vertex colored
-    included.
+    ``_dsatur`` searches up from the clique number; both searches get ``budget``.
     """
-    if g.n == 0:
-        return 0, {}
-    adj = g.adjacent
-    # highest degree first tends to fail fast
-    order = sorted(g.vertices, key=lambda v: (-len(adj[v]), v))
-    nodes = 0
+    if not (g.edges or g.arcs):
+        return min(g.n, 1), dict.fromkeys(g.vertices, 1)
+    return _dsatur(g, clique_number(g, budget=budget), budget)
 
-    def coloring(k: int) -> dict[int, int] | None:
-        nonlocal nodes
-        colors = [0] * (g.n + 1)  # 0 while uncolored
-        frames: list[tuple[set[int], int]] = []
+
+def _dsatur(g: MixedGraph, k: int, budget: int) -> tuple[int, dict[int, int]]:
+    """Smallest k' >= k that colors every component of the underlying graph.
+
+    Components go largest first, each decided from the running k'. The
+    search is DSATUR backtracking over an explicit stack: the next vertex
+    has the most distinct neighbor colors, then the highest degree, then the
+    smallest id, and tries its free colors ascending, at most one above
+    those in use; neighbor color counts are undone on backtrack. Every node
+    entered counts against ``budget``. At k = n the first descent never
+    backtracks: it is the greedy DSATUR coloring.
+    """
+    adj = g.adjacent
+    deg = list(map(len, adj))
+    colors = [0] * (g.n + 1)  # 0 while uncolored
+    sat = [0] * (g.n + 1)  # distinct colors among the neighbors
+    # colors stay within max degree + 1: from that k on, the first descent succeeds
+    width = max(deg) + 2
+    counts = [[0] * width for _ in adj]
+    nodes = 0
+    by_degree = sorted(g.vertices, key=deg.__getitem__, reverse=True)  # stable: ids ascend
+    for ranked in _components(adj, by_degree):
+        frames: list[tuple[int, int]] = []  # (vertex, colors in use before it)
         used = 0
         while True:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"chi_u search exceeded {budget} nodes")
-            depth = len(frames)
-            if depth == len(order):
-                return {v: colors[v] for v in order}
-            frames.append(({colors[w] for w in adj[order[depth]]}, used))
+            if len(frames) == len(ranked):
+                break
+            v, top = 0, -1
+            for u in ranked:
+                if not colors[u] and sat[u] > top:
+                    v, top = u, sat[u]
+            frames.append((v, used))
             while frames:
-                taken, before = frames[-1]
-                v = order[len(frames) - 1]
-                color = colors[v] + 1
-                while color in taken:
+                v, before = frames[-1]
+                color = colors[v]
+                if color:
+                    for w in adj[v]:
+                        row = counts[w]
+                        row[color] -= 1
+                        if not row[color]:
+                            sat[w] -= 1
+                row = counts[v]
+                last = before + 1 if before < k else k
+                color += 1
+                while color <= last and row[color]:
                     color += 1
-                if color <= min(k, before + 1):
+                if color <= last:
                     colors[v] = color
-                    used = max(before, color)
+                    for w in adj[v]:
+                        row = counts[w]
+                        if not row[color]:
+                            sat[w] += 1
+                        row[color] += 1
+                    used = color if color > before else before
                     break
                 colors[v] = 0
                 frames.pop()
             else:
-                return None
+                k += 1  # every count is back to zero: retry with one more color
+                used = 0
+    return k, dict(zip(g.vertices, colors[1:]))
 
-    k = clique_number(g, budget=budget) if g.edges or g.arcs else 1
-    while (colors := coloring(k)) is None:
-        k += 1
-    return k, colors
+
+def _components(adj: tuple[frozenset[int], ...], ranked: list[int]) -> list[list[int]]:
+    """Connected components, largest first, each listed in ``ranked`` order."""
+    label = [0] * len(adj)
+    count = 0
+    for s in ranked:
+        if not label[s]:
+            label[s] = count = count + 1
+            reached = [s]
+            for v in reached:
+                for w in adj[v]:
+                    if not label[w]:
+                        label[w] = count
+                        reached.append(w)
+    comps: list[list[int]] = [[] for _ in range(count)]
+    for v in ranked:
+        comps[label[v] - 1].append(v)
+    return sorted(comps, key=len, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -123,30 +166,12 @@ def lower_bounds(g: MixedGraph, budget: int = CHI_U_BUDGET) -> LowerBounds:
     return LowerBounds(chi_u, rank, max(chi_u, rank + 1), exact)
 
 
-def _greedy_dsatur(g: MixedGraph) -> dict[int, int]:
-    adj = g.adjacent
-    colors: dict[int, int] = {}
-    uncolored = set(g.vertices)
-    while uncolored:
-        # highest saturation, then highest degree, then smallest id
-        v = min(
-            uncolored,
-            key=lambda u: (-len({colors[w] for w in adj[u] if w in colors}), -len(adj[u]), u),
-        )
-        taken = {colors[w] for w in adj[v] if w in colors}
-        color = 1
-        while color in taken:
-            color += 1
-        colors[v] = color
-        uncolored.remove(v)
-    return colors
-
-
 def layering_coloring(g: MixedGraph, exact_layer_cap: int = EXACT_LAYER_CAP) -> Coloring:
     """Proper coloring from the layering: each layer gets a fresh color block.
 
     Layers of at most ``exact_layer_cap`` vertices are colored optimally,
-    larger ones greedily (DSATUR); either way the result is proper.
+    larger ones greedily by the first descent of the same DSATUR search;
+    either way the result is proper.
     """
     lay = layering(g)
     assignment: dict[int, int] = {}
@@ -157,7 +182,7 @@ def layering_coloring(g: MixedGraph, exact_layer_cap: int = EXACT_LAYER_CAP) -> 
         if sub.n <= exact_layer_cap:
             _, local = chi_u_exact(sub)
         else:
-            local = _greedy_dsatur(sub)
+            _, local = _dsatur(sub, sub.n, CHI_U_BUDGET)
         back = {new: old for old, new in remap.items()}
         used = max(local.values(), default=0)
         for new_id, color in local.items():

@@ -66,27 +66,24 @@ def brute_force_decide(g: MixedGraph, k: int) -> Optional[Coloring]:
         return None
     order = g.order
     colors: dict[int, int] = {}
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
+    i = 0  # colors holds order[:i]; order[i] is next to color
+    while i < len(order):
         v = order[i]
-        start = 1
-        for u in g.preds[v]:
-            start = max(start, colors[u] + 1)  # in-neighbors precede v
+        if v in colors:  # back from a failed extension: try the next color
+            color = colors.pop(v) + 1
+        else:  # in-neighbors precede v
+            color = max((colors[u] + 1 for u in g.preds[v]), default=1)
         forbidden = {colors[u] for u in g.nbrs[v] if u in colors}
-        for color in range(start, k + 1):
-            if color in forbidden:
-                continue
+        while color in forbidden:
+            color += 1
+        if color <= k:
             colors[v] = color
-            if extend(i + 1):
-                return True
-            del colors[v]
-        return False
-
-    if extend(0):
-        return Coloring(dict(colors))
-    return None
+            i += 1
+        elif i == 0:
+            return None
+        else:
+            i -= 1
+    return Coloring(colors)
 
 
 def brute_force_chi(g: MixedGraph, cap: int = DEFAULT_BRUTE_CAP) -> tuple[int, Coloring]:
@@ -288,12 +285,7 @@ def maximal_proper_preorders(
     for c in sources:
         p_minus[c] = 1
 
-    def rec(t: int, closed: set[int], open_: set[int], unstarted: set[int]):
-        if not unstarted:
-            for c in open_:
-                p_plus[c] = t
-            yield TypeEndpointPreorder(t, tuple(p_minus), tuple(p_plus))
-            return
+    def children(t: int, closed: set[int], open_: set[int], unstarted: set[int]):
         ordered = sorted(open_)
         for mask in range(1, 1 << len(ordered)):
             ends = {ordered[b] for b in range(len(ordered)) if mask >> b & 1}
@@ -307,9 +299,22 @@ def maximal_proper_preorders(
                 p_plus[c] = t
             for c in starts:
                 p_minus[c] = t
-            yield from rec(t + 1, closed | ends, (open_ - ends) | starts, unstarted - starts)
+            yield t + 1, closed | ends, (open_ - ends) | starts, unstarted - starts
 
-    yield from rec(2, set(), set(sources), set(range(m)) - set(sources))
+    # depth first over an explicit stack of child generators
+    stack = [iter([(2, set(), set(sources), set(range(m)) - set(sources))])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        t, _, open_, unstarted = state
+        if unstarted:
+            stack.append(children(*state))
+            continue
+        for c in open_:
+            p_plus[c] = t
+        yield TypeEndpointPreorder(t, tuple(p_minus), tuple(p_plus))
 
 
 def _independent_submasks(active_mask: int, conflict: list[int]) -> list[int]:

@@ -80,6 +80,13 @@ class TestBruteForce:
             if chi > 0:
                 assert brute_force_decide(g, chi - 1) is None
 
+    def test_long_undirected_path(self):
+        # one search level per vertex, with no Python recursion
+        g = mixed_graph(1500, edges=[(i, i + 1) for i in range(1, 1500)])
+        witness = brute_force_decide(g, 2)
+        assert check_proper(g, witness)[0] and witness.max_color() == 2
+        assert brute_force_decide(g, 1) is None
+
 
 class TestTreewidthDP:
     def test_directed_path_with_given_decomposition(self):
@@ -200,6 +207,15 @@ class TestPreorders:
         arcs = frozenset({(0, 1), (1, 2)})
         pres = list(maximal_proper_preorders(3, arcs))
         assert pres == [TypeEndpointPreorder(4, (1, 2, 3), (2, 3, 4))]
+
+    def test_long_chain(self):
+        # the 1500-vertex directed path has 1500 classes, one start and one
+        # end per position; the enumeration must not recurse per class
+        struct = class_structure(directed_path(1499))
+        m = len(struct.sizes)
+        assert m == 1500
+        pres = list(maximal_proper_preorders(m, struct.class_arcs))
+        assert pres == [TypeEndpointPreorder(m + 1, tuple(range(1, m + 1)), tuple(range(2, m + 2)))]
 
     def test_two_independent_arcs_three_interleavings(self):
         arcs = frozenset({(0, 1), (2, 3)})
