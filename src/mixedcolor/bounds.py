@@ -16,7 +16,6 @@ from .graphs import (
     coloring_total_on,
     layering,
     maxrank,
-    reachability,
     underlying_undirected,
 )
 from .partitions import clique_number
@@ -204,13 +203,12 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
         if u not in cover and v not in cover:
             raise InvalidCover(f"edge {{{u},{v}}} has no endpoint in the cover")
     cover = frozenset(cover)
-    reach = reachability(g)
     cover_sorted = sorted(cover)
     closure_arcs = [
         (u, v)
         for u in cover_sorted
         for v in cover_sorted
-        if u != v and (reach[u] >> v) & 1
+        if u != v and (g.desc_masks[u] >> v) & 1
     ]
     colors: dict[int, int] = {}
     cover_order = [v for v in arc_order(g.n, closure_arcs) if v in cover]

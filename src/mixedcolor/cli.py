@@ -37,6 +37,7 @@ from .graphs import (
 )
 from .partitions import (
     clique_number,
+    closure_neighborhood_partition,
     mixed_neighborhood_partition,
     undirected_neighborhood_partition,
     vertex_cover_number,
@@ -195,6 +196,7 @@ def cmd_params(args: argparse.Namespace) -> int:
     report.add("edges", len(g.edges))
     report.add("arcs", len(g.arcs))
     report.add("ndm", len(mixed_neighborhood_partition(g)))
+    report.add("ndm_closure", len(closure_neighborhood_partition(g)))
     report.add("ndu", len(undirected_neighborhood_partition(g)))
     vc, _ = vertex_cover_number(g)
     report.add("vc", vc)

@@ -4,11 +4,11 @@ Programs are pure feasibility problems: integer variables with finite bounds
 and linear constraints of the form ``sum(a_j * v_j) <= b`` or ``== b``. The
 solver is complete within the variable domains; there is no objective.
 
-Each call compiles the program once: variables become list indices, every
-constraint becomes ``<=`` rows of ``(index, coef)`` terms (an EQ gives two;
-zero coefficients are dropped), and every variable watches the rows it
-appears in. Propagation is driven by a queue of rows whose variables moved,
-and the search keeps its nodes on an explicit stack.
+The search runs on ``Rows``, the solver's integer form of ``<=`` rows over
+indexed variables, which ``Rows.compile`` builds from a named program and a
+caller that knows its rows can build directly. Propagation is driven by a
+queue of rows whose variables moved, and the search keeps its nodes on an
+explicit stack.
 """
 
 from __future__ import annotations
@@ -57,40 +57,61 @@ class FeasibilityProgram:
 
     def check(self, assignment: dict[VarName, int]) -> bool:
         """Evaluate every bound and constraint on a full assignment."""
-        for name, lo, hi in self.variables:
-            if name not in assignment or not (lo <= assignment[name] <= hi):
-                return False
-        for con in self.constraints:
-            total = sum(coef * assignment[name] for name, coef in con.coeffs)
-            if con.op == LE and total > con.rhs:
-                return False
-            if con.op == EQ and total != con.rhs:
-                return False
-        return True
+        if any(name not in assignment or not lo <= assignment[name] <= hi for name, lo, hi in self.variables):
+            return False
+        return Rows.compile(self).satisfied([assignment[name] for name, _, _ in self.variables])
 
 
-class _Compiled:
-    """A program with integer-indexed variables and ``<=`` rows, built once per call."""
+class Rows:
+    """A program in the solver's integer form.
 
-    def __init__(self, program: FeasibilityProgram) -> None:
-        self.names = [name for name, _, _ in program.variables]
-        self.lo = [lo for _, lo, _ in program.variables]
-        self.hi = [hi for _, _, hi in program.variables]
-        index = {name: i for i, name in enumerate(self.names)}
-        self.rows: list[tuple[tuple[int, int], ...]] = []
-        self.rhs: list[int] = []
-        for con in program.constraints:
-            terms = tuple((index[name], int(coef)) for name, coef in con.coeffs if coef)
-            self.rows.append(terms)
-            self.rhs.append(con.rhs)
-            if con.op == EQ:
-                self.rows.append(tuple((i, -c) for i, c in terms))
-                self.rhs.append(-con.rhs)
-        self.watch: list[list[int]] = [[] for _ in self.names]
-        for r, terms in enumerate(self.rows):
+    Variable i is named ``names[i]`` and ranges over ``lo[i]..hi[i]``; row r
+    reads ``sum(c * v[i] for i, c in rows[r]) <= rhs[r]``, and ``watch[i]``
+    lists the rows variable i appears in, ascending. Names only break
+    branching ties and label a solution.
+    """
+
+    def __init__(self, names: list, lo: list[int], hi: list[int], rows: list, rhs: list[int]) -> None:
+        self.names, self.lo, self.hi, self.rows, self.rhs = names, lo, hi, rows, rhs
+        self.watch: list[list[int]] = [[] for _ in names]
+        for r, terms in enumerate(rows):
             for i, _ in terms:
                 if not self.watch[i] or self.watch[i][-1] != r:
                     self.watch[i].append(r)
+
+    @classmethod
+    def compile(cls, program: FeasibilityProgram) -> "Rows":
+        """One row per LE constraint and two per EQ, zero coefficients dropped."""
+        names = [name for name, _, _ in program.variables]
+        index = {name: i for i, name in enumerate(names)}
+        rows: list[tuple[tuple[int, int], ...]] = []
+        rhs: list[int] = []
+        for con in program.constraints:
+            terms = tuple((index[name], int(coef)) for name, coef in con.coeffs if coef)
+            rows.append(terms)
+            rhs.append(con.rhs)
+            if con.op == EQ:
+                rows.append(tuple((i, -c) for i, c in terms))
+                rhs.append(-con.rhs)
+        lo = [lo for _, lo, _ in program.variables]
+        return cls(names, lo, [hi for _, _, hi in program.variables], rows, rhs)
+
+    def program(self, first_eq: int) -> FeasibilityProgram:
+        """The named program that compiles to these rows, given that the rows
+        from ``first_eq`` on come in pairs, each an EQ row and its negation."""
+
+        def constraint(r: int, op: str) -> Constraint:
+            return Constraint(tuple((self.names[i], c) for i, c in self.rows[r]), op, self.rhs[r])
+
+        return FeasibilityProgram(
+            tuple(zip(self.names, self.lo, self.hi)),
+            tuple(constraint(r, LE) for r in range(first_eq))
+            + tuple(constraint(r, EQ) for r in range(first_eq, len(self.rows), 2)),
+        )
+
+    def satisfied(self, values: list[int]) -> bool:
+        """Whether a full assignment, in variable order, meets every row."""
+        return all(sum(c * values[i] for i, c in terms) <= b for terms, b in zip(self.rows, self.rhs))
 
     @cached_property
     def by_rank(self) -> list[int]:
@@ -163,7 +184,7 @@ class _Compiled:
 
 def propagate_bounds(program: FeasibilityProgram) -> Optional[FeasibilityProgram]:
     """Interval (bounds) consistency; returns the tightened program or None if infeasible."""
-    comp = _Compiled(program)
+    comp = Rows.compile(program)
     lo, hi = comp.lo, comp.hi
     if any(a > b for a, b in zip(lo, hi)) or not comp.propagate(lo, hi, range(len(comp.rows))):
         return None
@@ -171,36 +192,31 @@ def propagate_bounds(program: FeasibilityProgram) -> Optional[FeasibilityProgram
     return FeasibilityProgram(variables, program.constraints)
 
 
-def solve_feasibility(
-    program: FeasibilityProgram,
-    budget: int = DEFAULT_BUDGET,
-    stats: Optional[dict] = None,
-) -> Optional[dict[VarName, int]]:
-    """Find a satisfying integral assignment, or None.
+def search(prog: Rows, budget: int = DEFAULT_BUDGET, stats: Optional[dict] = None) -> Optional[list[int]]:
+    """A satisfying assignment of ``prog``, as values in variable order, or None.
 
     Depth-first search branching on the smallest current domain, values
-    ascending, with interval propagation at every node. Complete within the
-    domain bounds; raises BudgetExceeded past the node budget. If ``stats``
-    is given, its ``nodes`` key is set to the number of search nodes.
+    ascending, with interval propagation at every node; each leaf is checked
+    against every row. Complete within the domain bounds; raises
+    BudgetExceeded past the node budget. If ``stats`` is given, its ``nodes``
+    key is set to the number of search nodes.
     """
-    comp = _Compiled(program)
     nodes = 0
     try:
-        if any(a > b for a, b in zip(comp.lo, comp.hi)):
+        if any(a > b for a, b in zip(prog.lo, prog.hi)):
             return None
-        lo, hi, seeds = comp.lo, comp.hi, range(len(comp.rows))
+        lo, hi, seeds = prog.lo[:], prog.hi[:], range(len(prog.rows))
         # each frame: a propagated node's bounds, its branch variable, the values left
         stack: list[tuple] = []
         while True:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"feasibility search exceeded {budget} nodes")
-            if comp.propagate(lo, hi, seeds):
-                pick = comp.pick(lo, hi)
+            if prog.propagate(lo, hi, seeds):
+                pick = prog.pick(lo, hi)
                 if pick is None:
-                    assignment = dict(zip(comp.names, lo))
-                    if program.check(assignment):
-                        return assignment
+                    if prog.satisfied(lo):
+                        return lo
                 else:
                     stack.append((lo, hi, pick, iter(range(lo[pick], hi[pick] + 1))))
             while stack:
@@ -211,8 +227,17 @@ def solve_feasibility(
                 stack.pop()
             else:
                 return None
-            lo, hi, seeds = plo[:], phi[:], comp.watch[pick]
+            lo, hi, seeds = plo[:], phi[:], prog.watch[pick]
             lo[pick] = hi[pick] = value
     finally:
         if stats is not None:
             stats["nodes"] = nodes
+
+
+def solve_feasibility(
+    program: FeasibilityProgram, budget: int = DEFAULT_BUDGET, stats: Optional[dict] = None
+) -> Optional[dict[VarName, int]]:
+    """Find a satisfying integral assignment, or None: ``search`` on the compiled program."""
+    prog = Rows.compile(program)
+    values = search(prog, budget, stats)
+    return None if values is None else dict(zip(prog.names, values))

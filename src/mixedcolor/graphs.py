@@ -99,6 +99,16 @@ class MixedGraph:
     def adjacent_masks(self) -> tuple[int, ...]:
         return _masks(self.n, _both_ways([*self.edges, *self.arcs]))
 
+    @cached_property
+    def desc_masks(self) -> tuple[int, ...]:
+        """Vertices reachable from each vertex along arcs, self excluded."""
+        return _reach_masks(self.n, reversed(self.order), self.succs)
+
+    @cached_property
+    def anc_masks(self) -> tuple[int, ...]:
+        """Vertices that reach each vertex along arcs, self excluded."""
+        return _reach_masks(self.n, self.order, self.preds)
+
     def in_neighbors(self, v: int) -> frozenset[int]:
         return self.preds[v]
 
@@ -143,6 +153,14 @@ def _masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     masks = [0] * (n + 1)
     for u, v in pairs:
         masks[u] |= 1 << v
+    return tuple(masks)
+
+
+def _reach_masks(n: int, order: Iterable[int], step: tuple[frozenset[int], ...]) -> tuple[int, ...]:
+    masks = [0] * (n + 1)
+    for v in order:  # every step[v] comes before v
+        for w in step[v]:
+            masks[v] |= 1 << w | masks[w]
     return tuple(masks)
 
 
@@ -316,23 +334,11 @@ def topological_order(g: MixedGraph) -> list[int]:
     return list(g.order)
 
 
-def reachability(g: MixedGraph) -> dict[int, int]:
-    """Bitmask of vertices reachable from each vertex along arcs (self excluded)."""
-    reach = {v: 0 for v in g.vertices}
-    for v in reversed(g.order):
-        bits = 0
-        for w in g.succs[v]:
-            bits |= (1 << w) | reach[w]
-        reach[v] = bits
-    return reach
-
-
 def transitive_closure(g: MixedGraph) -> MixedGraph:
     """Add every transitive arc and drop edges now parallel to an arc."""
-    reach = reachability(g)
     arcs = set()
     for u in g.vertices:
-        bits = reach[u]
+        bits = g.desc_masks[u]
         while bits:
             low = bits & -bits
             arcs.add((u, low.bit_length() - 1))

@@ -62,6 +62,17 @@ def mixed_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
     return _partition_by_signature(g, signatures, "mixed")
 
 
+def closure_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
+    """``mixed_neighborhood_partition(transitive_closure(g))``, without building the closure.
+
+    In the closure, v's in- and out-neighbors are its ancestors and
+    descendants, and its edge neighbors are those of g that no arc path joins
+    to it.
+    """
+    signatures = [(a, d, e & ~(a | d)) for a, d, e in zip(g.anc_masks, g.desc_masks, g.nbr_masks)]
+    return _partition_by_signature(g, signatures, "mixed")
+
+
 def undirected_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
     """Type partition of the underlying undirected graph."""
     return _partition_by_signature(g, [(mask,) for mask in g.adjacent_masks], "undirected")

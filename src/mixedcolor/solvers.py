@@ -15,20 +15,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .bounds import layering_coloring, lower_bounds
 from .errors import BudgetExceeded, CapExceeded
 from .feasibility import (
     DEFAULT_BUDGET as DEFAULT_FEASIBILITY_BUDGET,
-    EQ,
-    LE,
-    Constraint,
     FeasibilityProgram,
+    Rows,
+    search,
     solve_feasibility,
 )
 from .graphs import Coloring, MixedGraph
-from .partitions import class_relations, mixed_neighborhood_partition
+# perfbench's tracer wraps solve_feasibility and mixed_neighborhood_partition in this module
+from .partitions import closure_neighborhood_partition, mixed_neighborhood_partition  # noqa: F401
 from .treedecomp import (
     NiceNode,
     TreeDecomposition,
@@ -236,11 +236,15 @@ class TypeEndpointPreorder:
 
 @dataclass(frozen=True)
 class ClassStructure:
-    """Class-level view of a graph after merging independent-set types.
+    """Class-level view of the transitive closure after merging independent-set types.
 
-    Every class is a clique; relations between classes are uniform, so a
-    single edge/arc per class pair describes them all. ``sizes`` are the
-    post-merge sizes (1 for a merged independent class).
+    Adding every transitive arc keeps the proper colorings and can only merge
+    types. Every class is a clique; relations between classes are uniform, so
+    a single edge per class pair describes them all. ``class_arcs`` holds the
+    graph's own arcs between classes, which generate the closure's class arcs:
+    properness and the maximal preorders are the same for both sets, because
+    the earliest-starting out-neighbor of a class is always a direct one.
+    ``sizes`` are the post-merge sizes (1 for a merged independent class).
     """
 
     sizes: tuple[int, ...]
@@ -251,13 +255,18 @@ class ClassStructure:
 
 
 def class_structure(g: MixedGraph) -> ClassStructure:
-    part = mixed_neighborhood_partition(g)
+    """The class structure of ``transitive_closure(g)``, without building the closure."""
+    part = closure_neighborhood_partition(g)
     members = tuple(tuple(sorted(cls)) for cls in part.classes)
     independent = tuple(kind == "independent" for kind in part.class_kinds)
     sizes = tuple(1 if independent[i] else len(members[i]) for i in range(len(members)))
-    relations = class_relations(g, part)
-    class_edges = frozenset(frozenset((i, j)) for kind, i, j in relations if kind == "edge")
-    class_arcs = frozenset((i, j) for kind, i, j in relations if kind == "arc")
+    class_of = {v: i for i, cls in enumerate(members) for v in cls}
+    class_edges = frozenset(
+        frozenset((class_of[u], class_of[v]))
+        for u, v in g.edges
+        if class_of[u] != class_of[v] and not (g.anc_masks[u] | g.desc_masks[u]) >> v & 1
+    )
+    class_arcs = frozenset((class_of[u], class_of[v]) for u, v in g.arcs)
     return ClassStructure(sizes, members, independent, class_edges, class_arcs)
 
 
@@ -317,24 +326,83 @@ def maximal_proper_preorders(
         yield TypeEndpointPreorder(t, tuple(p_minus), tuple(p_plus))
 
 
-def _independent_submasks(active_mask: int, conflict: list[int]) -> list[int]:
-    """Nonempty submasks of active_mask inducing no class edge."""
-    out = []
-    sub = active_mask
-    while sub:
-        ok = True
-        bits = sub
-        while bits:
-            low = bits & -bits
-            b = low.bit_length() - 1
-            if conflict[b] & sub:
-                ok = False
-                break
-            bits ^= low
-        if ok:
-            out.append(sub)
-        sub = (sub - 1) & active_mask
-    return sorted(out)
+class _Subsets(dict):
+    """Count-variable subsets of the classes, memoized per active class mask.
+
+    ``self[active]`` lists the nonempty submasks of ``active`` that hold no
+    class edge, ascending, as ``entries``. One instance serves every preorder
+    of a decide call.
+    """
+
+    def __init__(self, m: int, class_edges: frozenset[frozenset[int]]) -> None:
+        super().__init__()
+        self.conflict = [0] * m  # bit j of conflict[i]: classes i and j share an edge
+        for i, j in map(tuple, class_edges):
+            self.conflict[i] |= 1 << j
+            self.conflict[j] |= 1 << i
+
+    def entries(self, masks: Iterable[int]) -> list[tuple[int, list[int], bool]]:
+        """Each mask with its classes and whether it holds no class edge."""
+        out = []
+        for mask in masks:
+            classes = list(_bits(mask))
+            out.append((mask, classes, not any(self.conflict[c] & mask for c in classes)))
+        return out
+
+    def __missing__(self, active: int) -> list[tuple[int, list[int], bool]]:
+        subs, sub = [], active
+        while sub:  # every submask, descending
+            subs.append(sub)
+            sub = (sub - 1) & active
+        entries = self[active] = [e for e in self.entries(reversed(subs)) if e[2]]
+        return entries
+
+
+def preorder_rows(
+    pre: TypeEndpointPreorder, sizes: tuple[int, ...], subsets: _Subsets, k: int, full: bool = False
+) -> Rows:
+    """The rows of ``preorder_program``, built directly in the solver's form.
+
+    Rows come in the program's constraint order: per interval its ordering
+    and capacity rows, then per class its count EQ (two rows), and in the
+    ``full`` form the zero EQs of the class's counts outside its span, and
+    last those of every subset holding an edge.
+    """
+    m, ell, p_minus, p_plus = len(sizes), pre.ell, pre.p_minus, pre.p_plus
+    names: list = [("c", i) for i in range(1, ell + 1)]
+    lo, hi = [1] * ell, [k + 1] * ell
+    rows: list = []
+    rhs: list[int] = []
+    spans: list[tuple[list[int], ...]] = [([], [], []) for _ in range(m)]  # before, inside, after
+    zero: list[int] = []
+    for i in range(1, ell):
+        if full:
+            entries = subsets.entries(range(1, 1 << m))
+        else:
+            entries = subsets[sum([1 << c for c in range(m) if p_minus[c] <= i < p_plus[c]])]
+        first = len(names)
+        for x, (mask, classes, independent) in enumerate(entries, first):
+            names.append(("x", i, mask))
+            for c in classes:
+                spans[c][(i >= p_minus[c]) + (i >= p_plus[c])].append(x)
+            if not independent:
+                zero.append(x)
+        lo += [0] * (len(names) - first)
+        hi += [k] * (len(names) - first)
+        rows.append(((i - 1, 1), (i, -1)))
+        rows.append(tuple([(x, 1) for x in range(first, len(names))]) + ((i, -1), (i - 1, 1)))
+        rhs += [-1, 0]
+    eqs = []
+    for c in range(m):
+        before, inside, after = spans[c]
+        eqs.append((inside, sizes[c]))
+        if full:
+            eqs += [(terms, 0) for terms in (before, after) if terms]
+    for terms, b in eqs + [([x], 0) for x in zero]:
+        rows.append(tuple([(x, 1) for x in terms]))
+        rows.append(tuple([(x, -1) for x in terms]))
+        rhs += [b, -b]
+    return Rows(names, lo, hi, rows, rhs)
 
 
 def preorder_program(
@@ -351,76 +419,11 @@ def preorder_program(
     counts colors in interval i used exactly by the class subset ``mask``.
     With ``reduced`` the structurally-zero count variables (subset not active
     in the interval, or containing an edge-connected pair) are omitted; the
-    feasible sets are identical up to those zeros.
+    feasible sets are identical up to those zeros. This is the named view of
+    ``preorder_rows``.
     """
-    m = len(sizes)
-    ell = pre.ell
-    conflict = [0] * m
-    for pair in class_edges:
-        i, j = sorted(pair)
-        conflict[i] |= 1 << j
-        conflict[j] |= 1 << i
-    variables: list[tuple[object, int, int]] = []
-    for i in range(1, ell + 1):
-        variables.append((("c", i), 1, k + 1))
-    masks_by_interval: dict[int, list[int]] = {}
-    full_mask = (1 << m) - 1
-    for i in range(1, ell):
-        if reduced:
-            active = 0
-            for c in range(m):
-                if pre.p_minus[c] <= i < pre.p_plus[c]:
-                    active |= 1 << c
-            masks = _independent_submasks(active, conflict)
-        else:
-            masks = list(range(1, full_mask + 1))
-        masks_by_interval[i] = masks
-        for mask in masks:
-            variables.append((("x", i, mask), 0, k))
-    constraints: list[Constraint] = []
-    for i in range(1, ell):
-        constraints.append(
-            Constraint(((("c", i), 1), (("c", i + 1), -1)), LE, -1)
-        )
-        coeffs = [(("x", i, mask), 1) for mask in masks_by_interval[i]]
-        coeffs += [(("c", i + 1), -1), (("c", i), 1)]
-        constraints.append(Constraint(tuple(coeffs), LE, 0))
-    for c in range(m):
-        inside = [
-            (("x", i, mask), 1)
-            for i in range(pre.p_minus[c], pre.p_plus[c])
-            for mask in masks_by_interval.get(i, [])
-            if mask >> c & 1
-        ]
-        constraints.append(Constraint(tuple(inside), EQ, sizes[c]))
-        if not reduced:
-            before = [
-                (("x", i, mask), 1)
-                for i in range(1, pre.p_minus[c])
-                for mask in masks_by_interval.get(i, [])
-                if mask >> c & 1
-            ]
-            if before:
-                constraints.append(Constraint(tuple(before), EQ, 0))
-            after = [
-                (("x", i, mask), 1)
-                for i in range(pre.p_plus[c], ell)
-                for mask in masks_by_interval.get(i, [])
-                if mask >> c & 1
-            ]
-            if after:
-                constraints.append(Constraint(tuple(after), EQ, 0))
-    if not reduced:
-        for i in range(1, ell):
-            for mask in masks_by_interval[i]:
-                bits = [b for b in range(m) if mask >> b & 1]
-                if any(
-                    frozenset((a, b)) in class_edges
-                    for ai, a in enumerate(bits)
-                    for b in bits[ai + 1:]
-                ):
-                    constraints.append(Constraint(((("x", i, mask), 1),), EQ, 0))
-    return FeasibilityProgram(tuple(variables), tuple(constraints))
+    subsets = _Subsets(len(sizes), class_edges)
+    return preorder_rows(pre, sizes, subsets, k, full=not reduced).program(2 * (pre.ell - 1))
 
 
 def coloring_from_preorder_solution(
@@ -434,20 +437,12 @@ def coloring_from_preorder_solution(
     """
     m = len(struct.sizes)
     class_colors: list[list[int]] = [[] for _ in range(m)]
-    by_interval: dict[int, list[int]] = {}
-    for key in assignment:
-        if isinstance(key, tuple) and key[0] == "x":
-            by_interval.setdefault(key[1], []).append(key[2])
-    for i in range(1, pre.ell):
-        d = assignment[("c", i)]
-        for mask in sorted(by_interval.get(i, [])):
-            cnt = assignment[("x", i, mask)]
-            if cnt <= 0:
-                continue
-            for c in range(m):
-                if mask >> c & 1:
-                    class_colors[c].extend(range(d, d + cnt))
-            d += cnt
+    start = {i: assignment[("c", i)] for i in range(1, pre.ell)}  # next color per interval
+    for key in sorted(key for key in assignment if key[0] == "x"):  # by interval, then mask
+        _, i, mask = key
+        for c in _bits(mask):
+            class_colors[c].extend(range(start[i], start[i] + assignment[key]))
+        start[i] += assignment[key]
     colors: dict[int, int] = {}
     for c in range(m):
         if struct.independent[c]:
@@ -478,31 +473,33 @@ def ndm_fpt_decide(
 ) -> SolveResult:
     """Decide k-colorability by proper-preorder enumeration plus feasibility.
 
-    Independent-set types are merged into single representatives first; each
-    enumerated preorder is turned into a feasibility program whose solution,
-    if any, is rebuilt into a witness coloring.
+    Solves on the classes of the transitive closure, whose colorings are those
+    of g; independent-set types are merged into single representatives. Each
+    enumerated preorder is turned into feasibility rows whose solution, if
+    any, is rebuilt into a witness coloring.
     """
     started = time.perf_counter()
-    stats = {"preorders": 0, "feasibility_nodes": 0}
+    stats = {"classes": 0, "preorders": 0, "feasibility_nodes": 0}
     if g.n == 0:
         return SolveResult(True, Coloring({}), stats)
     if k < 1:
         return SolveResult(False, None, stats)
     struct = class_structure(g)
-    m = len(struct.sizes)
+    m = stats["classes"] = len(struct.sizes)
+    subsets = _Subsets(m, struct.class_edges)
     budget = DEFAULT_FEASIBILITY_BUDGET if feasibility_budget is None else feasibility_budget
-    search: dict = {}
+    searched: dict = {}
     witness = None
     if _chain_weight_bound(struct) <= k:
         for pre in maximal_proper_preorders(m, struct.class_arcs):
             stats["preorders"] += 1
             if stats["preorders"] > preorder_budget:
                 raise BudgetExceeded(f"preorder enumeration exceeded {preorder_budget}")
-            program = preorder_program(pre, struct.sizes, struct.class_edges, k)
-            assignment = solve_feasibility(program, budget=budget, stats=search)
-            stats["feasibility_nodes"] += search["nodes"]
-            if assignment is not None:
-                witness = coloring_from_preorder_solution(assignment, pre, struct)
+            prog = preorder_rows(pre, struct.sizes, subsets, k)
+            values = search(prog, budget=budget, stats=searched)
+            stats["feasibility_nodes"] += searched["nodes"]
+            if values is not None:
+                witness = coloring_from_preorder_solution(dict(zip(prog.names, values)), pre, struct)
                 break
     stats["wall_time"] = time.perf_counter() - started
     return SolveResult(witness is not None, witness, stats)

@@ -138,14 +138,14 @@ class TestSolve:
         assert err == "error: AssertionError: solver produced an improper witness\n"
 
     def test_ndm_reports_feasibility_nodes(self, capsys, tmp_path):
-        # 84 nodes is the count of the full-sweep recursive engine on this
-        # instance; the compiled engine explores the same search tree
+        # the route solves on the transitive closure, where tripartite(4) has
+        # 6 classes instead of 12; its one preorder takes 10 search nodes
         graph = str(tmp_path / "t4.graph")
         run(capsys, "gen", "tripartite", "4", "--out", graph)
         code, out, _ = run(capsys, "solve", graph, "--k", "3", "--method", "ndm")
         fields = report_dict(out)
         assert code == 0 and fields["decision"] == "yes"
-        assert (fields["preorders"], fields["feasibility_nodes"]) == ("1", "84")
+        assert (fields["preorders"], fields["feasibility_nodes"]) == ("1", "10")
 
     def test_bag_line_without_id_exit_two(self, capsys, path4, tmp_path):
         td_file = tmp_path / "bare.td"
@@ -188,6 +188,16 @@ class TestBoundsParams:
         fields = report_dict(out)
         assert fields["ndm"] == "8"
         assert fields["ndu"] == "8"
+
+    def test_params_reports_closure_ndm(self, capsys, tmp_path):
+        out_file = str(tmp_path / "t6.graph")
+        run(capsys, "gen", "tripartite", "6", "--out", out_file)
+        code, out, _ = run(capsys, "params", out_file)
+        fields = report_dict(out)
+        assert code == 0
+        assert (fields["ndm"], fields["ndm_closure"]) == ("16", "6")
+        code, out, _ = run(capsys, "solve", out_file, "--k", "3", "--method", "ndm")
+        assert code == 0 and report_dict(out)["classes"] == "6"
 
     def test_verify_rejects(self, capsys, path4, tmp_path):
         cert = tmp_path / "bad.txt"

@@ -145,6 +145,16 @@ def test_index_matches_direct_scans(g):
         expected.append(v)
         placed.add(v)
     assert g.order == tuple(expected)
+    # reachability masks: every vertex a walk along the scanned arcs meets
+    for v in g.vertices:
+        for masks, step in ((g.desc_masks, outs), (g.anc_masks, ins)):
+            seen, todo = set(), list(step[v])
+            while todo:
+                u = todo.pop()
+                if u not in seen:
+                    seen.add(u)
+                    todo.extend(step[u])
+            assert masks[v] == sum(1 << u for u in seen)
 
 
 @PROPERTY

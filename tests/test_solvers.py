@@ -214,6 +214,8 @@ class TestPreorders:
         struct = class_structure(directed_path(1499))
         m = len(struct.sizes)
         assert m == 1500
+        # the path's own arcs generate the closure's 1,124,250 class arcs
+        assert len(struct.class_arcs) == 1499
         pres = list(maximal_proper_preorders(m, struct.class_arcs))
         assert pres == [TypeEndpointPreorder(m + 1, tuple(range(1, m + 1)), tuple(range(2, m + 2)))]
 
