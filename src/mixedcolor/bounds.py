@@ -165,10 +165,10 @@ def lower_bounds(g: MixedGraph, budget: int = CHI_U_BUDGET) -> LowerBounds:
     return LowerBounds(chi_u, rank, max(chi_u, rank + 1), exact)
 
 
-def layering_coloring(g: MixedGraph, exact_layer_cap: int = EXACT_LAYER_CAP) -> Coloring:
+def layering_coloring(g: MixedGraph) -> Coloring:
     """Proper coloring from the layering: each layer gets a fresh color block.
 
-    Layers of at most ``exact_layer_cap`` vertices are colored optimally,
+    Layers of at most ``EXACT_LAYER_CAP`` vertices are colored optimally,
     larger ones greedily by the first descent of the same DSATUR search;
     either way the result is proper.
     """
@@ -178,7 +178,7 @@ def layering_coloring(g: MixedGraph, exact_layer_cap: int = EXACT_LAYER_CAP) -> 
     for layer in lay.layers:
         # arcs always leave a layer, so the layer's subgraph has edges only
         sub, remap = g.induced(layer)
-        if sub.n <= exact_layer_cap:
+        if sub.n <= EXACT_LAYER_CAP:
             _, local = chi_u_exact(sub)
         else:
             _, local = _dsatur(sub, sub.n, CHI_U_BUDGET)

@@ -120,54 +120,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
             program = preorder_program(pre, struct.sizes, struct.class_edges, args.k, reduced=False)
             sys.stdout.write(f"# preorder {idx}: ell={pre.ell} p-={pre.p_minus} p+={pre.p_plus}\n")
             sys.stdout.write(_format_program(program) + "\n")
-    witness = None
+    budget = args.budget or solvers.DEFAULT_NODE_BUDGET
     if args.k is not None:
-        if args.method == "brute":
-            witness = solvers.brute_force_decide(g, args.k)
-            decision = witness is not None
-            stats = {}
-        elif args.method == "twdp":
-            from .treedecomp import min_fill_decomposition
-
-            # min_fill_decomposition validates its own output; a .td file is checked here
-            result = solvers.tw_dp_decide(
-                g, td or min_fill_decomposition(g), args.k, validate=td is not None
-            )
-            decision, witness, stats = result.decision, result.witness, result.stats
-        elif args.method == "ndm":
-            result = solvers.ndm_fpt_decide(g, args.k)
-            decision, witness, stats = result.decision, result.witness, result.stats
-        else:
-            result = solvers.branching_decide(
-                g, args.k, budget=args.budget or solvers.DEFAULT_NODE_BUDGET
-            )
-            decision, witness, stats = result.decision, result.witness, result.stats
+        result = solvers.ROUTES[args.method](g, td, budget)(args.k)
         report.add("k", args.k)
-        report.add("decision", "yes" if decision else "no")
+        report.add("decision", "yes" if result.decision else "no")
     else:
-        chi, witness = solvers.chi_exact(
-            g,
-            method=args.method,
-            td=td,
-            brute_cap=args.budget or solvers.DEFAULT_BRUTE_CAP,
-            budget=args.budget or solvers.DEFAULT_NODE_BUDGET,
-        )
-        decision = True
-        stats = {}
+        chi, witness = solvers.chi_exact(g, method=args.method, td=td, budget=budget)
+        result = solvers.SolveResult(True, witness)
         report.add("chi", chi)
-    for key, value in sorted(stats.items()):
-        if key != "wall_time":
-            report.add(key, value)
+    for key, value in sorted(result.stats.items()):
+        report.add(key, value)
     report.add("wall_time", f"{time.perf_counter() - started:.6f}")
-    if witness is not None and args.cert:
-        ok, _ = bounds_mod.check_proper(g, witness)
+    if result.witness is not None and args.cert:
+        ok, _ = bounds_mod.check_proper(g, result.witness)
         if not ok:
             raise AssertionError("solver produced an improper witness")
         with open(args.cert, "w", encoding="utf-8") as fh:
-            save_coloring(witness, fh)
+            save_coloring(result.witness, fh)
         report.add("certificate", args.cert)
     report.emit()
-    return 0 if decision else 1
+    return 0 if result.decision else 1
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -356,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=solvers.METHODS, default="branch")
     p.add_argument("--td", default=None, help="tree decomposition file (PACE .td)")
     p.add_argument("--cert", default=None, help="write the witness coloring here")
-    p.add_argument("--budget", type=int, default=None, help="search node budget / brute cap")
+    p.add_argument("--budget", type=int, default=None, help="node budget of the branch search")
     p.add_argument("--dump-ilp", action="store_true", help="dump the per-preorder feasibility programs")
     p.set_defaults(func=cmd_solve)
 

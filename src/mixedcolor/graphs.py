@@ -355,10 +355,10 @@ def layering(g: MixedGraph) -> Layering:
         if g.preds[v]:
             inrank[v] = max(inrank[u] + 1 for u in g.preds[v])
     top = max(inrank.values(), default=0)
-    layers = tuple(
-        frozenset(v for v in g.vertices if inrank[v] == i) for i in range(top + 1)
-    )
-    return Layering(layers, inrank)
+    layers: list[set[int]] = [set() for _ in range(top + 1)]
+    for v in g.vertices:
+        layers[inrank[v]].add(v)
+    return Layering(tuple(map(frozenset, layers)), inrank)
 
 
 def maxrank(g: MixedGraph) -> int:

@@ -8,16 +8,18 @@ Four routes, cross-validated against each other in the test suite:
   mixed neighborhood partition, one bounded-integer feasibility program each.
 * ``branching_decide`` — recursion over maximal independent sets among the
   vertices without incoming arcs.
+
+``ROUTES`` maps each method to a per-graph set-up returning ``decide(k) -> SolveResult``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .bounds import layering_coloring, lower_bounds
+# perfbench's tracer wraps layering_coloring in this module
+from .bounds import layering_coloring, lower_bounds  # noqa: F401
 from .errors import BudgetExceeded, CapExceeded
 from .feasibility import (
     DEFAULT_BUDGET as DEFAULT_FEASIBILITY_BUDGET,
@@ -37,7 +39,7 @@ from .treedecomp import (
     validate_decomposition,
 )
 
-DEFAULT_NODE_BUDGET = 50_000_000
+DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_PREORDER_BUDGET = 5_000_000
 DEFAULT_BRUTE_CAP = 10
 
@@ -47,6 +49,18 @@ class SolveResult:
     decision: bool
     witness: Optional[Coloring]
     stats: dict = field(default_factory=dict)
+
+
+Decide = Callable[[int], SolveResult]
+
+
+def _ascend(decide: Decide, first_k: int, n: int) -> tuple[int, Coloring]:
+    """The first k in first_k..n that monotone ``decide`` accepts, with its witness."""
+    for k in range(first_k, n + 1):
+        result = decide(k)
+        if result.decision:
+            return k, result.witness
+    raise AssertionError("no coloring with n colors was found; the decider is unsound")
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +104,7 @@ def brute_force_chi(g: MixedGraph, cap: int = DEFAULT_BRUTE_CAP) -> tuple[int, C
     """Exact chromatic number by upward search from the combined lower bound."""
     if g.n > cap:
         raise CapExceeded(f"brute force limited to {cap} vertices, got {g.n}")
-    if g.n == 0:
-        return 0, Coloring({})
-    k = lower_bounds(g).combined
-    while True:
-        witness = brute_force_decide(g, k)
-        if witness is not None:
-            return k, witness
-        k += 1
+    return _ascend(ROUTES["brute"](g, None, DEFAULT_NODE_BUDGET), lower_bounds(g).combined, g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +123,6 @@ def tw_dp_decide(
     equal bags. Only forget tables outlive their parent: each maps a
     reduced key to the forgotten vertex's color in one witness extension.
     """
-    started = time.perf_counter()
     if validate:
         validate_decomposition(td, g)
     if g.n == 0:
@@ -187,11 +193,7 @@ def tw_dp_decide(
         pending.append(table)
 
     root_table = pending.pop()
-    stats = {
-        "nodes": entries,
-        "max_table": max_table,
-        "wall_time": time.perf_counter() - started,
-    }
+    stats = {"nodes": entries, "max_table": max_table}
     if not root_table:
         return SolveResult(False, None, stats)
 
@@ -465,12 +467,7 @@ def _chain_weight_bound(struct: ClassStructure) -> int:
     return max(best)
 
 
-def ndm_fpt_decide(
-    g: MixedGraph,
-    k: int,
-    preorder_budget: int = DEFAULT_PREORDER_BUDGET,
-    feasibility_budget: int | None = None,
-) -> SolveResult:
+def ndm_fpt_decide(g: MixedGraph, k: int) -> SolveResult:
     """Decide k-colorability by proper-preorder enumeration plus feasibility.
 
     Solves on the classes of the transitive closure, whose colorings are those
@@ -478,7 +475,6 @@ def ndm_fpt_decide(
     enumerated preorder is turned into feasibility rows whose solution, if
     any, is rebuilt into a witness coloring.
     """
-    started = time.perf_counter()
     stats = {"classes": 0, "preorders": 0, "feasibility_nodes": 0}
     if g.n == 0:
         return SolveResult(True, Coloring({}), stats)
@@ -487,21 +483,19 @@ def ndm_fpt_decide(
     struct = class_structure(g)
     m = stats["classes"] = len(struct.sizes)
     subsets = _Subsets(m, struct.class_edges)
-    budget = DEFAULT_FEASIBILITY_BUDGET if feasibility_budget is None else feasibility_budget
     searched: dict = {}
     witness = None
     if _chain_weight_bound(struct) <= k:
         for pre in maximal_proper_preorders(m, struct.class_arcs):
             stats["preorders"] += 1
-            if stats["preorders"] > preorder_budget:
-                raise BudgetExceeded(f"preorder enumeration exceeded {preorder_budget}")
+            if stats["preorders"] > DEFAULT_PREORDER_BUDGET:
+                raise BudgetExceeded(f"preorder enumeration exceeded {DEFAULT_PREORDER_BUDGET}")
             prog = preorder_rows(pre, struct.sizes, subsets, k)
-            values = search(prog, budget=budget, stats=searched)
+            values = search(prog, budget=DEFAULT_FEASIBILITY_BUDGET, stats=searched)
             stats["feasibility_nodes"] += searched["nodes"]
             if values is not None:
                 witness = coloring_from_preorder_solution(dict(zip(prog.names, values)), pre, struct)
                 break
-    stats["wall_time"] = time.perf_counter() - started
     return SolveResult(witness is not None, witness, stats)
 
 
@@ -583,7 +577,7 @@ class _BranchingSearch:
     entry per counted node.
     """
 
-    def __init__(self, g: MixedGraph, budget: int, fanout_log: list | None):
+    def __init__(self, g: MixedGraph, budget: int, fanout_log: list | None = None):
         n = g.n
         self.n = n
         self.budget = budget
@@ -633,9 +627,11 @@ class _BranchingSearch:
 
     def decide(self, k: int) -> list[int] | None:
         """Color classes of a coloring with at most k colors, in color order, or None."""
-        k = min(k, self.n)
         state = (1 << self.n) - 1
-        if state & self.tall[k] or self.refuted.get(state, -1) >= k:
+        if not state:
+            return []
+        k = min(k, self.n)
+        if k < 1 or state & self.tall[k] or self.refuted.get(state, -1) >= k:
             return None
         sources = sum(1 << i for i in range(self.n) if not self.arc_in[i])
         stack = [self._expand(state, sources, k)]
@@ -661,9 +657,13 @@ class _BranchingSearch:
             stack.append(self._expand(child, child_sources, j - 1))
         return None
 
-
-def _classes_coloring(classes: list[int]) -> Coloring:
-    return Coloring({i + 1: color for color, mask in enumerate(classes, 1) for i in _bits(mask)})
+    def solve(self, k: int) -> SolveResult:
+        """``decide`` with its witness coloring and the nodes counted so far."""
+        classes = self.decide(k)
+        if classes is None:
+            return SolveResult(False, None, {"nodes": self.nodes})
+        colors = {i + 1: color for color, mask in enumerate(classes, 1) for i in _bits(mask)}
+        return SolveResult(True, Coloring(colors), {"nodes": self.nodes})
 
 
 def branching_decide(
@@ -674,17 +674,7 @@ def branching_decide(
 ) -> SolveResult:
     """Decide k-colorability via chi(G) = 1 + min over inrank-0 maximal
     independent sets I of chi(G - I), as a depth-first search that cuts at k."""
-    started = time.perf_counter()
-    if g.n == 0:
-        return SolveResult(True, Coloring({}), {"nodes": 0})
-    if k < 1:
-        return SolveResult(False, None, {"nodes": 0})
-    search = _BranchingSearch(g, budget, fanout_log)
-    classes = search.decide(k)
-    stats = {"nodes": search.nodes, "wall_time": time.perf_counter() - started}
-    if classes is None:
-        return SolveResult(False, None, stats)
-    return SolveResult(True, _classes_coloring(classes), stats)
+    return _BranchingSearch(g, budget, fanout_log).solve(k)
 
 
 def branching_chi(
@@ -695,56 +685,61 @@ def branching_chi(
     All k share one search, so states refuted for a smaller k are not
     searched again.
     """
-    if g.n == 0:
-        return 0, Coloring({})
     search = _BranchingSearch(g, budget, fanout_log)
-    for k in range(search.lower_bound, g.n + 1):
-        classes = search.decide(k)
-        if classes is not None:
-            return k, _classes_coloring(classes)
-    raise AssertionError("no coloring with n colors was found; the search is unsound")
+    return _ascend(search.solve, search.lower_bound, g.n)
 
 
 # ---------------------------------------------------------------------------
-# chromatic number wrapper
+# route table and chromatic number wrapper
 # ---------------------------------------------------------------------------
 
-METHODS = ("brute", "twdp", "ndm", "branch")
+def _brute_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
+    def decide(k: int) -> SolveResult:
+        witness = brute_force_decide(g, k)
+        return SolveResult(witness is not None, witness)
+
+    return decide
+
+
+def _twdp_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
+    if td is None:
+        td = min_fill_decomposition(g)  # validated where it is built
+    else:
+        validate_decomposition(td, g)
+    return lambda k: tw_dp_decide(g, td, k, validate=False)
+
+
+def _ndm_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
+    return lambda k: ndm_fpt_decide(g, k)
+
+
+def _branch_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
+    return _BranchingSearch(g, budget).solve  # one search serves every k
+
+
+# method -> set-up(g, td, budget), run once per graph, returning decide(k);
+# td is read by twdp only and the node budget by branch only
+ROUTES = {"brute": _brute_route, "twdp": _twdp_route, "ndm": _ndm_route, "branch": _branch_route}
+METHODS = tuple(ROUTES)
 
 
 def chi_exact(
     g: MixedGraph,
     method: str = "branch",
     td: TreeDecomposition | None = None,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[int, Coloring]:
-    """Minimum k with a proper k-coloring, via the chosen decider.
+    """Minimum k with a proper k-coloring, via the chosen route.
 
-    Deciders are monotone in k, so the search ascends linearly from the
-    combined lower bound; the layering coloring caps it from above.
+    brute goes through ``brute_force_chi``, capped at ``DEFAULT_BRUTE_CAP``
+    vertices, and branch through ``branching_chi``, which ascends from its
+    search's arc-height bound; twdp and ndm ascend from the combined lower
+    bound. ``budget`` is the branch search's node budget.
     """
-    if method not in METHODS:
+    if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
-    if g.n == 0:
-        return 0, Coloring({})
     if method == "brute":
-        return brute_force_chi(g, cap=brute_cap)
+        return brute_force_chi(g)
     if method == "branch":
         return branching_chi(g, budget=budget)
-    lb = lower_bounds(g).combined
-    upper_witness = layering_coloring(g)
-    ub = upper_witness.num_colors()
-    if method == "twdp":
-        if td is None:
-            td = min_fill_decomposition(g)  # validated where it is built
-        else:
-            validate_decomposition(td, g)
-    for k in range(lb, ub + 1):
-        if method == "twdp":
-            result = tw_dp_decide(g, td, k, validate=False)
-        else:
-            result = ndm_fpt_decide(g, k)
-        if result.decision:
-            return k, result.witness
-    raise AssertionError("layering upper bound was not reached; decider is unsound")
+    return _ascend(ROUTES[method](g, td, budget), lower_bounds(g).combined, g.n)

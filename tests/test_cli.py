@@ -169,6 +169,61 @@ class TestSolve:
         assert code == 1
 
 
+# the stats lines each route prints after its decision, sorted by key
+ROUTE_STATS = {
+    "brute": [],
+    "twdp": ["max_table", "nodes"],
+    "ndm": ["classes", "feasibility_nodes", "preorders"],
+    "branch": ["nodes"],
+}
+EMPTY_STATS = {
+    "brute": [],
+    "twdp": [("max_table", "1"), ("nodes", "0")],
+    "ndm": [("classes", "0"), ("feasibility_nodes", "0"), ("preorders", "0")],
+    "branch": [("nodes", "0")],
+}
+
+
+def report_lines(text):
+    return [tuple(line.split("=", 1)) for line in text.strip().splitlines()]
+
+
+@pytest.mark.parametrize("method", sorted(ROUTE_STATS))
+class TestRoutes:
+    @pytest.mark.parametrize("k, code, decision", [(5, 0, "yes"), (4, 1, "no")])
+    def test_decide_path(self, capsys, path4, method, k, code, decision):
+        got, out, _ = run(capsys, "solve", path4, "--k", str(k), "--method", method)
+        assert got == code
+        keys = [key for key, _ in report_lines(out)]
+        assert keys == ["command", "input", "input_sha256", "k", "decision", *ROUTE_STATS[method], "wall_time"]
+        assert report_dict(out)["decision"] == decision
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_decide_empty_graph(self, capsys, tmp_path, method, k):
+        empty = tmp_path / "empty.graph"
+        empty.write_text("p mixed 0 0 0\n")
+        code, out, _ = run(capsys, "solve", str(empty), "--k", str(k), "--method", method)
+        assert code == 0
+        lines = report_lines(out)
+        assert lines[:3] == [("command", "solve"), ("input", str(empty)), ("input_sha256", "e0590c8cff30272d")]
+        assert lines[3:-1] == [("k", str(k)), ("decision", "yes"), *EMPTY_STATS[method]]
+        assert lines[-1][0] == "wall_time"
+
+
+class TestBudget:
+    def test_branch_chi_budget_exceeded(self, capsys, path4):
+        code, out, err = run(capsys, "solve", path4, "--method", "branch", "--budget", "1")
+        assert code == 2 and out == ""
+        assert "BudgetExceeded" in err
+
+    def test_budget_does_not_raise_brute_cap(self, capsys, tmp_path):
+        graph = tmp_path / "edgeless11.graph"
+        graph.write_text("p mixed 11 0 0\n")
+        code, out, err = run(capsys, "solve", str(graph), "--method", "brute", "--budget", "20")
+        assert code == 2 and out == ""
+        assert "CapExceeded" in err
+
+
 class TestBoundsParams:
     def test_bounds(self, capsys, path4, tmp_path):
         cert = str(tmp_path / "upper.txt")
