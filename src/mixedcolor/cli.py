@@ -83,6 +83,12 @@ def _read_graph(path: str) -> MixedGraph:
         return load_graph(fh)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _format_program(program) -> str:
     def name(var) -> str:
         if var[0] == "c":
@@ -120,13 +126,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
             program = preorder_program(pre, struct.sizes, struct.class_edges, args.k, reduced=False)
             sys.stdout.write(f"# preorder {idx}: ell={pre.ell} p-={pre.p_minus} p+={pre.p_plus}\n")
             sys.stdout.write(_format_program(program) + "\n")
-    budget = args.budget or solvers.DEFAULT_NODE_BUDGET
     if args.k is not None:
-        result = solvers.ROUTES[args.method](g, td, budget)(args.k)
+        result = solvers.ROUTES[args.method](g, td, args.budget)(args.k)
         report.add("k", args.k)
         report.add("decision", "yes" if result.decision else "no")
     else:
-        chi, witness = solvers.chi_exact(g, method=args.method, td=td, budget=budget)
+        chi, witness = solvers.chi_exact(g, method=args.method, td=td, budget=args.budget)
         result = solvers.SolveResult(True, witness)
         report.add("chi", chi)
     for key, value in sorted(result.stats.items()):
@@ -329,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=solvers.METHODS, default="branch")
     p.add_argument("--td", default=None, help="tree decomposition file (PACE .td)")
     p.add_argument("--cert", default=None, help="write the witness coloring here")
-    p.add_argument("--budget", type=int, default=None, help="node budget of the branch search")
+    p.add_argument("--budget", type=_positive_int, default=solvers.DEFAULT_NODE_BUDGET,
+                   help="node budget of the branch search")
     p.add_argument("--dump-ilp", action="store_true", help="dump the per-preorder feasibility programs")
     p.set_defaults(func=cmd_solve)
 

@@ -11,7 +11,7 @@ used when comparing an evaluated expression against a target graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (
@@ -99,69 +99,73 @@ def _validate_op_labels(i: int, j: int) -> None:
         raise ConflictingRelation(f"operation needs distinct labels, got {i},{j}")
 
 
-@dataclass
-class _EvalState:
-    labels: dict[int, int] = field(default_factory=dict)  # vertex -> label
-    edges: set[tuple[int, int]] = field(default_factory=set)
-    arcs: set[tuple[int, int]] = field(default_factory=set)
+def _evaluate(
+    e: MixedExpression, allow_opposite: bool
+) -> tuple[int, dict[int, list[int]], set[tuple[int, int]], set[tuple[int, int]]]:
+    """Fold e bottom-up; returns the vertex count, the label buckets, the edges and the arcs.
 
-
-def _evaluate(e: MixedExpression, allow_opposite: bool) -> _EvalState:
-    states: list[_EvalState] = []
+    A subexpression's state is its ``label -> vertices`` buckets, ids
+    ascending, so a relabel moves one bucket and an edge or arc operation
+    reads only the two buckets it joins. The right operand of a union was
+    introduced later, so its ids exceed the left's and appending keeps every
+    bucket ascending. Relations are kept in one edge set and one arc set:
+    a relation between two vertices was added below the lowest operation
+    that holds both, so the sets answer for every subexpression.
+    """
+    states: list[dict[int, list[int]]] = []
+    edges: set[tuple[int, int]] = set()
+    arcs: set[tuple[int, int]] = set()
     counter = 0
     for node in _walk_postorder(e):
         if isinstance(node, Introduce):
             counter += 1
-            states.append(_EvalState({counter: node.label}))
+            states.append({node.label: [counter]})
         elif isinstance(node, Union):
             right = states.pop()
-            left = states.pop()
-            left.labels.update(right.labels)
-            left.edges |= right.edges
-            left.arcs |= right.arcs
-            states.append(left)
+            left = states[-1]
+            for lab, members in right.items():
+                left.setdefault(lab, []).extend(members)
         elif isinstance(node, Relabel):
-            st = states[-1]
-            for v, lab in st.labels.items():
-                if lab == node.old:
-                    st.labels[v] = node.new
+            buckets = states[-1]
+            moved = buckets.pop(node.old, None)
+            if moved is not None:
+                kept = buckets.get(node.new)
+                buckets[node.new] = moved if kept is None else sorted(kept + moved)
         elif isinstance(node, AddEdge):
             _validate_op_labels(node.i, node.j)
-            st = states[-1]
             if allow_opposite:
                 raise ConflictingRelation("edge operations are not allowed in arc-only evaluation")
-            side_i = [v for v, lab in st.labels.items() if lab == node.i]
-            side_j = [v for v, lab in st.labels.items() if lab == node.j]
-            for u in side_i:
+            buckets = states[-1]
+            side_j = buckets.get(node.j, ())
+            for u in buckets.get(node.i, ()):
                 for w in side_j:
                     pair = normalize_edge(u, w)
-                    if pair in st.edges:
+                    if pair in edges:
                         continue
-                    if (u, w) in st.arcs or (w, u) in st.arcs:
+                    if (u, w) in arcs or (w, u) in arcs:
                         raise ConflictingRelation(
                             f"edge {{{u},{w}}} would parallel an existing arc"
                         )
-                    st.edges.add(pair)
+                    edges.add(pair)
         else:  # AddArc
             _validate_op_labels(node.i, node.j)
-            st = states[-1]
-            side_i = [v for v, lab in st.labels.items() if lab == node.i]
-            side_j = [v for v, lab in st.labels.items() if lab == node.j]
-            for u in side_i:
+            buckets = states[-1]
+            side_j = buckets.get(node.j, ())
+            for u in buckets.get(node.i, ()):
                 for w in side_j:
-                    if (u, w) in st.arcs:
+                    if (u, w) in arcs:
                         continue
                     if not allow_opposite:
-                        if (w, u) in st.arcs:
+                        if (w, u) in arcs:
                             raise ConflictingRelation(
                                 f"arc ({u},{w}) would oppose an existing arc"
                             )
-                        if normalize_edge(u, w) in st.edges:
+                        if normalize_edge(u, w) in edges:
                             raise ConflictingRelation(
                                 f"arc ({u},{w}) would parallel an existing edge"
                             )
-                    st.arcs.add((u, w))
-    return states.pop()
+                    arcs.add((u, w))
+    return counter, states.pop(), edges, arcs
 
 
 def evaluate(e: MixedExpression) -> LabeledGraph:
@@ -172,10 +176,10 @@ def evaluate(e: MixedExpression) -> LabeledGraph:
     accumulate, so a directed cycle closed by any operation is still there at
     the end, where building the graph rejects it.
     """
-    st = _evaluate(e, allow_opposite=False)
-    n = len(st.labels)
-    graph = MixedGraph(n, frozenset(st.edges), frozenset(st.arcs))
-    return LabeledGraph(graph, dict(st.labels))
+    n, buckets, edges, arcs = _evaluate(e, allow_opposite=False)
+    graph = MixedGraph(n, frozenset(edges), frozenset(arcs))
+    labels = sorted((v, lab) for lab, members in buckets.items() for v in members)
+    return LabeledGraph(graph, dict(labels))
 
 
 def evaluate_arcs(e: MixedExpression) -> tuple[int, frozenset[tuple[int, int]]]:
@@ -184,8 +188,8 @@ def evaluate_arcs(e: MixedExpression) -> tuple[int, frozenset[tuple[int, int]]]:
     Used to check arc-only conversions, whose output may contain the two
     opposite arcs that encode an edge.
     """
-    st = _evaluate(e, allow_opposite=True)
-    return len(st.labels), frozenset(st.arcs)
+    n, _, _, arcs = _evaluate(e, allow_opposite=True)
+    return n, frozenset(arcs)
 
 
 # ---------------------------------------------------------------------------

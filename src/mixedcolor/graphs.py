@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import (
     DirectedCycleError,
@@ -122,13 +122,12 @@ class MixedGraph:
         """Induced subgraph with vertices renumbered 1..m; returns (graph, old->new map)."""
         keep = sorted(set(vertices))
         remap = {v: i + 1 for i, v in enumerate(keep)}
-        keepset = set(keep)
+        # only the kept vertices' own relations are read; ids outside 1..n have none
+        inside = [v for v in keep if 1 <= v <= self.n]
         edges = frozenset(
-            (remap[u], remap[v]) for (u, v) in self.edges if u in keepset and v in keepset
+            (remap[u], remap[v]) for u in inside for v in self.nbrs[u] if u < v and v in remap
         )
-        arcs = frozenset(
-            (remap[u], remap[v]) for (u, v) in self.arcs if u in keepset and v in keepset
-        )
+        arcs = frozenset((remap[u], remap[v]) for u in inside for v in self.succs[u] if v in remap)
         return MixedGraph(len(keep), edges, arcs), remap
 
 
@@ -154,6 +153,14 @@ def _masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     for u, v in pairs:
         masks[u] |= 1 << v
     return tuple(masks)
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first (the vertices of a vertex mask)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _reach_masks(n: int, order: Iterable[int], step: tuple[frozenset[int], ...]) -> tuple[int, ...]:

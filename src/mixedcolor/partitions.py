@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .graphs import MixedGraph
+from .graphs import MixedGraph, set_bits
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -108,62 +108,71 @@ def ndu(g: MixedGraph) -> int:
 def vertex_cover_number(g: MixedGraph, budget: int = DEFAULT_BUDGET) -> tuple[int, frozenset[int]]:
     """Exact minimum vertex cover of the underlying graph, with a witness.
 
-    Branch on a maximum-degree vertex (take it, or take its whole
-    neighborhood), after folding in the forced neighbor of every degree-one
-    vertex; a greedy matching lower-bounds the remainder. Raises
+    Branch on a maximum-degree vertex, smallest id first (take it, or take
+    its whole neighborhood), after folding in the forced neighbor of every
+    degree-one vertex, smallest id first; an ascending greedy matching
+    lower-bounds the remainder. A search state is (remaining vertices, chosen
+    vertices, cover size) as bitmasks over ``g.adjacent_masks``, searched
+    depth first from an explicit stack, one node per state. Raises
     BudgetExceeded past the node budget.
     """
-    base_adj = {v: set(g.adjacent[v]) for v in g.vertices}
-    best: list = [None, frozenset()]
-    nodes = [0]
-
-    def matching_bound(adj: dict[int, set[int]]) -> int:
-        used: set[int] = set()
-        size = 0
-        for u in sorted(adj):
-            if u in used or not adj[u]:
-                continue
-            for v in sorted(adj[u]):
-                if v not in used:
-                    used.update((u, v))
-                    size += 1
-                    break
-        return size
-
-    def without(adj: dict[int, set[int]], drop: set[int]) -> dict[int, set[int]]:
-        return {
-            u: (nbrs - drop)
-            for u, nbrs in adj.items()
-            if u not in drop
-        }
-
-    def branch(adj: dict[int, set[int]], chosen: set[int]) -> None:
-        nodes[0] += 1
-        if nodes[0] > budget:
+    adj = g.adjacent_masks
+    best_size: int | None = None
+    best = 0
+    nodes = 0
+    stack = [((1 << (g.n + 1)) - 2, 0, 0)]
+    while stack:
+        rem, chosen, size = stack.pop()
+        nodes += 1
+        if nodes > budget:
             raise BudgetExceeded(f"vertex cover search exceeded {budget} nodes")
-        # degree-one reduction: the neighbor is always at least as good
-        while True:
-            leaf = next((u for u in sorted(adj) if len(adj[u]) == 1), None)
-            if leaf is None:
-                break
-            forced = min(adj[leaf])
-            chosen = chosen | {forced}
-            adj = without(adj, {forced, leaf})
-        if best[0] is not None and len(chosen) >= best[0]:
-            return
-        if all(not nbrs for nbrs in adj.values()):
-            best[0] = len(chosen)
-            best[1] = frozenset(chosen)
-            return
-        if best[0] is not None and len(chosen) + matching_bound(adj) >= best[0]:
-            return
-        v = max(adj, key=lambda u: (len(adj[u]), -u))
-        branch(without(adj, {v}), chosen | {v})
-        nbrs = set(adj[v])
-        branch(without(adj, nbrs | {v}), chosen | nbrs)
+        # degree-one reduction: the neighbor is always at least as good. A fold
+        # changes only the degrees of the forced vertex's neighbors.
+        leaves = 0
+        for u in set_bits(rem):
+            if (adj[u] & rem).bit_count() == 1:
+                leaves |= 1 << u
+        while leaves:
+            leaf = leaves & -leaves
+            forced = adj[leaf.bit_length() - 1] & rem
+            chosen |= forced
+            size += 1
+            rem &= ~(leaf | forced)
+            leaves &= rem
+            for u in set_bits(adj[forced.bit_length() - 1] & rem):
+                if (adj[u] & rem).bit_count() == 1:
+                    leaves |= 1 << u
+                else:
+                    leaves &= ~(1 << u)
+        if best_size is not None and size >= best_size:
+            continue
+        v, top = 0, 0
+        for u in set_bits(rem):
+            degree = (adj[u] & rem).bit_count()
+            if degree > top:
+                v, top = u, degree
+        if not top:
+            best_size, best = size, chosen
+            continue
+        if best_size is not None and size + _matching_bound(adj, rem) >= best_size:
+            continue
+        nbrs = adj[v] & rem
+        stack.append((rem & ~(nbrs | 1 << v), chosen | nbrs, size + top))
+        stack.append((rem & ~(1 << v), chosen | 1 << v, size + 1))
+    return best_size, frozenset(set_bits(best))
 
-    branch(base_adj, set())
-    return best[0], best[1]
+
+def _matching_bound(adj: tuple[int, ...], rem: int) -> int:
+    """Size of the greedy matching on rem: each vertex, ascending, takes its smallest free neighbor."""
+    free = rem
+    size = 0
+    for u in set_bits(rem):
+        if free >> u & 1:
+            nbrs = adj[u] & free
+            if nbrs:
+                free &= ~(1 << u | nbrs & -nbrs)
+                size += 1
+    return size
 
 
 def clique_number(g: MixedGraph, budget: int = DEFAULT_BUDGET) -> int:

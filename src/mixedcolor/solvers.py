@@ -28,7 +28,7 @@ from .feasibility import (
     search,
     solve_feasibility,
 )
-from .graphs import Coloring, MixedGraph
+from .graphs import Coloring, MixedGraph, set_bits
 # perfbench's tracer wraps solve_feasibility and mixed_neighborhood_partition in this module
 from .partitions import closure_neighborhood_partition, mixed_neighborhood_partition  # noqa: F401
 from .treedecomp import (
@@ -347,7 +347,7 @@ class _Subsets(dict):
         """Each mask with its classes and whether it holds no class edge."""
         out = []
         for mask in masks:
-            classes = list(_bits(mask))
+            classes = list(set_bits(mask))
             out.append((mask, classes, not any(self.conflict[c] & mask for c in classes)))
         return out
 
@@ -442,7 +442,7 @@ def coloring_from_preorder_solution(
     start = {i: assignment[("c", i)] for i in range(1, pre.ell)}  # next color per interval
     for key in sorted(key for key in assignment if key[0] == "x"):  # by interval, then mask
         _, i, mask = key
-        for c in _bits(mask):
+        for c in set_bits(mask):
             class_colors[c].extend(range(start[i], start[i] + assignment[key]))
         start[i] += assignment[key]
     colors: dict[int, int] = {}
@@ -503,14 +503,6 @@ def ndm_fpt_decide(g: MixedGraph, k: int) -> SolveResult:
 # inrank-0 branching
 # ---------------------------------------------------------------------------
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mis_masks(cand: int, keep: list[int]) -> list[int]:
     """Maximal independent subsets of the nonempty vertex mask ``cand``.
 
@@ -559,7 +551,7 @@ def maximal_independent_sets(vertices: list[int], edge_adj: dict[int, set[int]])
             if u in index:
                 nbrs |= 1 << index[u]
         keep.append(~nbrs)
-    sets = [frozenset(vs[i] for i in _bits(m)) for m in _mis_masks((1 << len(vs)) - 1, keep)]
+    sets = [frozenset(vs[i] for i in set_bits(m)) for m in _mis_masks((1 << len(vs)) - 1, keep)]
     return sorted(sets, key=sorted)
 
 
@@ -614,7 +606,7 @@ class _BranchingSearch:
         must = sources & self.tall[j - 1]
         free = sources
         children = [must]
-        for i in _bits(must):
+        for i in set_bits(must):
             if must & ~self.keep[i] != 1 << i:
                 children = []  # two of them share an edge
             free &= self.keep[i]
@@ -622,7 +614,7 @@ class _BranchingSearch:
             children = [must | indep for indep in _mis_masks(free, self.keep)]
             children.sort(key=int.bit_count, reverse=True)
         if self.fanout_log is not None:
-            self.fanout_log.append((frozenset(i + 1 for i in _bits(state)), len(children)))
+            self.fanout_log.append((frozenset(i + 1 for i in set_bits(state)), len(children)))
         return [state, sources, j, children, 0]
 
     def decide(self, k: int) -> list[int] | None:
@@ -650,7 +642,7 @@ class _BranchingSearch:
             if self.refuted.get(child, -1) >= j - 1:
                 continue
             child_sources = sources & ~indep
-            for v in _bits(indep):
+            for v in set_bits(indep):
                 for w in self.arc_out[v]:
                     if not self.arc_in[w] & child:
                         child_sources |= 1 << w
@@ -662,7 +654,7 @@ class _BranchingSearch:
         classes = self.decide(k)
         if classes is None:
             return SolveResult(False, None, {"nodes": self.nodes})
-        colors = {i + 1: color for color, mask in enumerate(classes, 1) for i in _bits(mask)}
+        colors = {i + 1: color for color, mask in enumerate(classes, 1) for i in set_bits(mask)}
         return SolveResult(True, Coloring(colors), {"nodes": self.nodes})
 
 

@@ -216,6 +216,12 @@ class TestBudget:
         assert code == 2 and out == ""
         assert "BudgetExceeded" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3", "many"])
+    def test_non_positive_budget_is_usage_error(self, capsys, path4, budget):
+        code, out, err = run(capsys, "solve", path4, "--method", "branch", "--k", "5", "--budget", budget)
+        assert code == 2 and out == ""
+        assert "--budget: expected a positive integer" in err
+
     def test_budget_does_not_raise_brute_cap(self, capsys, tmp_path):
         graph = tmp_path / "edgeless11.graph"
         graph.write_text("p mixed 11 0 0\n")

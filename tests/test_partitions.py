@@ -1,6 +1,7 @@
 """Neighborhood partitions, vertex cover, clique number, and their bounds."""
 
 import itertools
+import sys
 
 from mixedcolor import (
     clique_number,
@@ -124,6 +125,27 @@ class TestVertexCover:
             size, witness = vertex_cover_number(g)
             assert size == exact == len(witness)
             assert all(u in witness or v in witness for u, v in und.edges)
+
+    def test_no_recursion_per_branch(self):
+        # 300 disjoint 4-cycles need 300 nested branchings; a search that
+        # recursed once per branch would exceed this limit
+        cycles = [(4 * c + i, 4 * c + i % 4 + 1) for c in range(300) for i in range(1, 5)]
+        g = mixed_graph(1200, edges=cycles)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            size, witness = vertex_cover_number(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert size == len(witness) == 600
+        assert all(u in witness or v in witness for u, v in g.edges)
+
+    def test_long_undirected_path(self):
+        g = mixed_graph(1500, edges=[(i, i + 1) for i in range(1, 1500)])
+        assert vertex_cover_number(g)[0] == 750
 
     def test_budget(self):
         import pytest
