@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceeded, InvalidCover
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, InvalidCover
 from .graphs import (
     Coloring,
     MixedGraph,
@@ -23,7 +23,6 @@ from .partitions import clique_number
 Violation = tuple[str, int, int]  # ("edge"|"arc", u, v)
 
 EXACT_LAYER_CAP = 20
-CHI_U_BUDGET = 5_000_000
 
 
 def check_proper(g: MixedGraph, c: Coloring) -> tuple[bool, Optional[Violation]]:
@@ -44,7 +43,7 @@ def check_proper(g: MixedGraph, c: Coloring) -> tuple[bool, Optional[Violation]]
     return False, min(violations, key=lambda t: (t[1], t[2], t[0]))
 
 
-def chi_u_exact(g: MixedGraph, budget: int = CHI_U_BUDGET) -> tuple[int, dict[int, int]]:
+def chi_u_exact(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, dict[int, int]]:
     """Exact chromatic number of the underlying undirected graph, with witness.
 
     ``_dsatur`` searches up from the clique number; both searches get ``budget``.
@@ -146,7 +145,7 @@ class LowerBounds:
     chi_u_exact: bool  # False when the budget forced a clique-number fallback
 
 
-def lower_bounds(g: MixedGraph, budget: int = CHI_U_BUDGET) -> LowerBounds:
+def lower_bounds(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> LowerBounds:
     """Chromatic lower bounds: underlying chromatic number and maxrank.
 
     The combined bound is max(chi_u, maxrank + 1) for nonempty graphs: the
@@ -181,7 +180,7 @@ def layering_coloring(g: MixedGraph) -> Coloring:
         if sub.n <= EXACT_LAYER_CAP:
             _, local = chi_u_exact(sub)
         else:
-            _, local = _dsatur(sub, sub.n, CHI_U_BUDGET)
+            _, local = _dsatur(sub, sub.n, DEFAULT_NODE_BUDGET)
         back = {new: old for old, new in remap.items()}
         used = max(local.values(), default=0)
         for new_id, color in local.items():

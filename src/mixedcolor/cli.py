@@ -16,7 +16,7 @@ import time
 
 from . import bounds as bounds_mod
 from . import solvers
-from .errors import MixedColorError
+from .errors import DEFAULT_NODE_BUDGET, MixedColorError
 from .expressions import (
     evaluate,
     format_expression,
@@ -117,8 +117,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.td:
         with open(args.td, "r", encoding="utf-8") as fh:
             td = load_td(fh)
-    started = time.perf_counter()
-    if args.dump_ilp and args.k is not None:
+    if args.dump_ilp:
         from .solvers import class_structure, maximal_proper_preorders, preorder_program
 
         struct = class_structure(g)
@@ -126,6 +125,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             program = preorder_program(pre, struct.sizes, struct.class_edges, args.k, reduced=False)
             sys.stdout.write(f"# preorder {idx}: ell={pre.ell} p-={pre.p_minus} p+={pre.p_plus}\n")
             sys.stdout.write(_format_program(program) + "\n")
+    started = time.perf_counter()
     if args.k is not None:
         result = solvers.ROUTES[args.method](g, td, args.budget)(args.k)
         report.add("k", args.k)
@@ -334,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=solvers.METHODS, default="branch")
     p.add_argument("--td", default=None, help="tree decomposition file (PACE .td)")
     p.add_argument("--cert", default=None, help="write the witness coloring here")
-    p.add_argument("--budget", type=_positive_int, default=solvers.DEFAULT_NODE_BUDGET,
-                   help="node budget of the branch search")
-    p.add_argument("--dump-ilp", action="store_true", help="dump the per-preorder feasibility programs")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
+                   help="work budget of every method's search (default %(default)s)")
+    p.add_argument("--dump-ilp", action="store_true",
+                   help="dump the per-preorder feasibility programs (needs --k)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", help="chromatic lower/upper bounds with a witness coloring")
@@ -373,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "solve" and args.dump_ilp and args.k is None:
+            parser.error("--dump-ilp needs --k")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -29,8 +29,13 @@ class InvalidCover(MixedColorError):
     """A claimed vertex cover leaves some edge of the underlying graph uncovered."""
 
 
+# The work budget of every exact search: each counts its own unit of work
+# (search nodes, loop steps, table entries, preorders) against this number.
+DEFAULT_NODE_BUDGET = 5_000_000
+
+
 class BudgetExceeded(MixedColorError):
-    """An exact search exceeded its configured node budget."""
+    """An exact search exceeded its work budget."""
 
 
 class CapExceeded(MixedColorError):

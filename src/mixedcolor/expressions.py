@@ -81,8 +81,8 @@ def _walk_postorder(e: MixedExpression) -> Iterator[MixedExpression]:
             stack.append((node.child, False))
 
 
-def width(e: MixedExpression) -> int:
-    """Number of distinct labels appearing anywhere in the expression."""
+def _labels(e: MixedExpression) -> list[int]:
+    """The distinct labels appearing anywhere in the expression, ascending."""
     labels: set[int] = set()
     for node in _walk_postorder(e):
         if isinstance(node, Introduce):
@@ -91,7 +91,12 @@ def width(e: MixedExpression) -> int:
             labels.update((node.i, node.j))
         elif isinstance(node, Relabel):
             labels.update((node.old, node.new))
-    return len(labels)
+    return sorted(labels)
+
+
+def width(e: MixedExpression) -> int:
+    """Number of distinct labels appearing anywhere in the expression."""
+    return len(_labels(e))
 
 
 def _validate_op_labels(i: int, j: int) -> None:
@@ -428,10 +433,9 @@ class _TcBuilder:
 
     def __init__(self, e: MixedExpression, cap: int):
         self.expr = e
-        ell = width(e)
-        if ell > cap:
-            raise WidthCapExceeded(f"expression width {ell} exceeds cap {cap}")
-        self.base_labels = self._collect_labels(e)
+        self.base_labels = _labels(e)
+        if len(self.base_labels) > cap:
+            raise WidthCapExceeded(f"expression width {len(self.base_labels)} exceeds cap {cap}")
         self.closure = transitive_closure(evaluate(e).graph)
         # simulation state
         self.vertex_label: dict[int, tuple[int, frozenset[int], frozenset[int]]] = {}
@@ -439,18 +443,6 @@ class _TcBuilder:
         self.edges: set[tuple[int, int]] = set()
         self.counter = 0
         self.encoding: dict[tuple[int, frozenset[int], frozenset[int]], int] = {}
-
-    @staticmethod
-    def _collect_labels(e: MixedExpression) -> list[int]:
-        labels: set[int] = set()
-        for node in _walk_postorder(e):
-            if isinstance(node, Introduce):
-                labels.add(node.label)
-            elif isinstance(node, (AddEdge, AddArc)):
-                labels.update((node.i, node.j))
-            elif isinstance(node, Relabel):
-                labels.update((node.old, node.new))
-        return sorted(labels)
 
     def enc(self, label: tuple[int, frozenset[int], frozenset[int]]) -> int:
         if label not in self.encoding:

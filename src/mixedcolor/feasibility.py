@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Optional
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded
 
 VarName = Hashable
-DEFAULT_BUDGET = 2_000_000
 
 LE = "<="
 EQ = "=="
@@ -192,7 +191,7 @@ def propagate_bounds(program: FeasibilityProgram) -> Optional[FeasibilityProgram
     return FeasibilityProgram(variables, program.constraints)
 
 
-def search(prog: Rows, budget: int = DEFAULT_BUDGET, stats: Optional[dict] = None) -> Optional[list[int]]:
+def search(prog: Rows, budget: int = DEFAULT_NODE_BUDGET, stats: Optional[dict] = None) -> Optional[list[int]]:
     """A satisfying assignment of ``prog``, as values in variable order, or None.
 
     Depth-first search branching on the smallest current domain, values
@@ -235,7 +234,7 @@ def search(prog: Rows, budget: int = DEFAULT_BUDGET, stats: Optional[dict] = Non
 
 
 def solve_feasibility(
-    program: FeasibilityProgram, budget: int = DEFAULT_BUDGET, stats: Optional[dict] = None
+    program: FeasibilityProgram, budget: int = DEFAULT_NODE_BUDGET, stats: Optional[dict] = None
 ) -> Optional[dict[VarName, int]]:
     """Find a satisfying integral assignment, or None: ``search`` on the compiled program."""
     prog = Rows.compile(program)

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded
 from .graphs import MixedGraph, set_bits
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def ndu(g: MixedGraph) -> int:
     return len(undirected_neighborhood_partition(g))
 
 
-def vertex_cover_number(g: MixedGraph, budget: int = DEFAULT_BUDGET) -> tuple[int, frozenset[int]]:
+def vertex_cover_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, frozenset[int]]:
     """Exact minimum vertex cover of the underlying graph, with a witness.
 
     Branch on a maximum-degree vertex, smallest id first (take it, or take
@@ -175,7 +173,7 @@ def _matching_bound(adj: tuple[int, ...], rem: int) -> int:
     return size
 
 
-def clique_number(g: MixedGraph, budget: int = DEFAULT_BUDGET) -> int:
+def clique_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact maximum clique size of the underlying graph (nonempty g)."""
     if g.n == 0:
         raise ValueError("clique number of the empty graph is undefined")

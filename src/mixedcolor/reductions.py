@@ -73,50 +73,27 @@ def reduce_superstring(inst: SuperstringInstance, split: bool = False) -> tuple[
     k = inst.k
     edges: list[tuple[int, int]] = []
     arcs: list[tuple[int, int]] = []
-    if not split:
-        ids: list[list[int]] = []
-        nxt = 1
-        for s in inst.strings:
-            path = list(range(nxt, nxt + len(s)))
-            nxt += len(s)
-            ids.append(path)
-            arcs += [(path[i], path[i + 1]) for i in range(len(s) - 1)]
-        for a, sa in enumerate(inst.strings):
-            for b in range(a + 1, len(inst.strings)):
-                sb = inst.strings[b]
-                for i, ca in enumerate(sa):
-                    for j, cb in enumerate(sb):
-                        if ca != cb:
-                            edges.append((ids[a][i], ids[b][j]))
-        return mixed_graph(nxt - 1, edges, arcs), k
-
-    # split construction
-    char_vertices: list[list[tuple[int, int]]] = []  # per string: (in_sib, out_sib)
+    chars: list[list[tuple[int, ...]]] = []  # per string, per character: its vertices
     nxt = 1
     for s in inst.strings:
-        pairs = []
-        prev_out = None
+        verts: list[tuple[int, ...]] = []
         for _ in s:
-            in_sib, out_sib = nxt, nxt + 1
-            clique = list(range(nxt + 2, nxt + 2 + (k - 1)))
-            nxt += 2 + (k - 1)
-            pairs.append((in_sib, out_sib))
-            edges += [(a, b) for x, a in enumerate(clique) for b in clique[x + 1:]]
-            edges += [(in_sib, c) for c in clique]
-            edges += [(out_sib, c) for c in clique]
-            if prev_out is not None:
-                arcs.append((prev_out, in_sib))
-            prev_out = out_sib
-        char_vertices.append(pairs)
-    for a, sa in enumerate(inst.strings):
-        for b in range(a + 1, len(inst.strings)):
-            sb = inst.strings[b]
-            for i, ca in enumerate(sa):
-                for j, cb in enumerate(sb):
-                    if ca != cb:
-                        for u in char_vertices[a][i]:
-                            for v in char_vertices[b][j]:
-                                edges.append((u, v))
+            if split:
+                clique = list(range(nxt + 2, nxt + 1 + k))
+                edges += [(a, b) for x, a in enumerate(clique) for b in clique[x + 1:]]
+                edges += [(sib, c) for sib in (nxt, nxt + 1) for c in clique]
+                verts.append((nxt, nxt + 1))
+                nxt += 1 + k
+            else:
+                verts.append((nxt,))
+                nxt += 1
+        arcs += [(prev[-1], cur[0]) for prev, cur in zip(verts, verts[1:])]
+        chars.append(verts)
+    for a, b in itertools.combinations(range(len(inst.strings)), 2):
+        for ca, us in zip(inst.strings[a], chars[a]):
+            for cb, vs in zip(inst.strings[b], chars[b]):
+                if ca != cb:
+                    edges += [(u, v) for u in us for v in vs]
     return mixed_graph(nxt - 1, edges, arcs), k
 
 

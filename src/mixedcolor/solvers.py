@@ -20,14 +20,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 # perfbench's tracer wraps layering_coloring in this module
 from .bounds import layering_coloring, lower_bounds  # noqa: F401
-from .errors import BudgetExceeded, CapExceeded
-from .feasibility import (
-    DEFAULT_BUDGET as DEFAULT_FEASIBILITY_BUDGET,
-    FeasibilityProgram,
-    Rows,
-    search,
-    solve_feasibility,
-)
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, CapExceeded
+from .feasibility import FeasibilityProgram, Rows, search, solve_feasibility
 from .graphs import Coloring, MixedGraph, set_bits
 # perfbench's tracer wraps solve_feasibility and mixed_neighborhood_partition in this module
 from .partitions import closure_neighborhood_partition, mixed_neighborhood_partition  # noqa: F401
@@ -39,8 +33,6 @@ from .treedecomp import (
     validate_decomposition,
 )
 
-DEFAULT_NODE_BUDGET = 5_000_000
-DEFAULT_PREORDER_BUDGET = 5_000_000
 DEFAULT_BRUTE_CAP = 10
 
 
@@ -67,12 +59,12 @@ def _ascend(decide: Decide, first_k: int, n: int) -> tuple[int, Coloring]:
 # brute force oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_decide(g: MixedGraph, k: int) -> Optional[Coloring]:
+def brute_force_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Optional[Coloring]:
     """Backtracking k-colorability check; returns a witness or None.
 
     Vertices are processed in topological order and each vertex tries its
     feasible colors in increasing order, so the first witness found is
-    canonical.
+    canonical. Each step of the backtracking loop counts against ``budget``.
     """
     if g.n == 0:
         return Coloring({})
@@ -81,7 +73,11 @@ def brute_force_decide(g: MixedGraph, k: int) -> Optional[Coloring]:
     order = g.order
     colors: dict[int, int] = {}
     i = 0  # colors holds order[:i]; order[i] is next to color
+    steps = 0
     while i < len(order):
+        steps += 1
+        if steps > budget:
+            raise BudgetExceeded(f"brute force exceeded {budget} steps")
         v = order[i]
         if v in colors:  # back from a failed extension: try the next color
             color = colors.pop(v) + 1
@@ -100,11 +96,13 @@ def brute_force_decide(g: MixedGraph, k: int) -> Optional[Coloring]:
     return Coloring(colors)
 
 
-def brute_force_chi(g: MixedGraph, cap: int = DEFAULT_BRUTE_CAP) -> tuple[int, Coloring]:
+def brute_force_chi(
+    g: MixedGraph, cap: int = DEFAULT_BRUTE_CAP, budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[int, Coloring]:
     """Exact chromatic number by upward search from the combined lower bound."""
     if g.n > cap:
         raise CapExceeded(f"brute force limited to {cap} vertices, got {g.n}")
-    return _ascend(ROUTES["brute"](g, None, DEFAULT_NODE_BUDGET), lower_bounds(g).combined, g.n)
+    return _ascend(ROUTES["brute"](g, None, budget), lower_bounds(g, budget).combined, g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ def brute_force_chi(g: MixedGraph, cap: int = DEFAULT_BRUTE_CAP) -> tuple[int, C
 # ---------------------------------------------------------------------------
 
 def tw_dp_decide(
-    g: MixedGraph, td: TreeDecomposition, k: int, validate: bool = True
+    g: MixedGraph, td: TreeDecomposition, k: int, validate: bool = True, budget: int = DEFAULT_NODE_BUDGET
 ) -> SolveResult:
     """Decide k-colorability with the nice-decomposition table DP.
 
@@ -122,6 +120,8 @@ def tw_dp_decide(
     open that no bagged edge neighbor uses; join nodes intersect tables on
     equal bags. Only forget tables outlive their parent: each maps a
     reduced key to the forgotten vertex's color in one witness extension.
+    The table entries built so far count against ``budget``, checked once
+    per node.
     """
     if validate:
         validate_decomposition(td, g)
@@ -189,6 +189,8 @@ def tw_dp_decide(
             left_table = pending.pop()
             table = {key: None for key in left_table if key in right_table}
         entries += len(table)
+        if entries > budget:
+            raise BudgetExceeded(f"tree decomposition DP exceeded {budget} table entries")
         max_table = max(max_table, len(table))
         pending.append(table)
 
@@ -467,13 +469,14 @@ def _chain_weight_bound(struct: ClassStructure) -> int:
     return max(best)
 
 
-def ndm_fpt_decide(g: MixedGraph, k: int) -> SolveResult:
+def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Decide k-colorability by proper-preorder enumeration plus feasibility.
 
     Solves on the classes of the transitive closure, whose colorings are those
     of g; independent-set types are merged into single representatives. Each
     enumerated preorder is turned into feasibility rows whose solution, if
-    any, is rebuilt into a witness coloring.
+    any, is rebuilt into a witness coloring. The preorder count and each
+    feasibility search's nodes count against ``budget``.
     """
     stats = {"classes": 0, "preorders": 0, "feasibility_nodes": 0}
     if g.n == 0:
@@ -488,10 +491,10 @@ def ndm_fpt_decide(g: MixedGraph, k: int) -> SolveResult:
     if _chain_weight_bound(struct) <= k:
         for pre in maximal_proper_preorders(m, struct.class_arcs):
             stats["preorders"] += 1
-            if stats["preorders"] > DEFAULT_PREORDER_BUDGET:
-                raise BudgetExceeded(f"preorder enumeration exceeded {DEFAULT_PREORDER_BUDGET}")
+            if stats["preorders"] > budget:
+                raise BudgetExceeded(f"preorder enumeration exceeded {budget} preorders")
             prog = preorder_rows(pre, struct.sizes, subsets, k)
-            values = search(prog, budget=DEFAULT_FEASIBILITY_BUDGET, stats=searched)
+            values = search(prog, budget=budget, stats=searched)
             stats["feasibility_nodes"] += searched["nodes"]
             if values is not None:
                 witness = coloring_from_preorder_solution(dict(zip(prog.names, values)), pre, struct)
@@ -687,7 +690,7 @@ def branching_chi(
 
 def _brute_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
     def decide(k: int) -> SolveResult:
-        witness = brute_force_decide(g, k)
+        witness = brute_force_decide(g, k, budget)
         return SolveResult(witness is not None, witness)
 
     return decide
@@ -698,11 +701,11 @@ def _twdp_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Dec
         td = min_fill_decomposition(g)  # validated where it is built
     else:
         validate_decomposition(td, g)
-    return lambda k: tw_dp_decide(g, td, k, validate=False)
+    return lambda k: tw_dp_decide(g, td, k, validate=False, budget=budget)
 
 
 def _ndm_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
-    return lambda k: ndm_fpt_decide(g, k)
+    return lambda k: ndm_fpt_decide(g, k, budget)
 
 
 def _branch_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
@@ -710,7 +713,7 @@ def _branch_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> D
 
 
 # method -> set-up(g, td, budget), run once per graph, returning decide(k);
-# td is read by twdp only and the node budget by branch only
+# td is read by twdp only, and every route counts its work against the budget
 ROUTES = {"brute": _brute_route, "twdp": _twdp_route, "ndm": _ndm_route, "branch": _branch_route}
 METHODS = tuple(ROUTES)
 
@@ -726,12 +729,12 @@ def chi_exact(
     brute goes through ``brute_force_chi``, capped at ``DEFAULT_BRUTE_CAP``
     vertices, and branch through ``branching_chi``, which ascends from its
     search's arc-height bound; twdp and ndm ascend from the combined lower
-    bound. ``budget`` is the branch search's node budget.
+    bound. ``budget`` bounds the lower bound's search and every decide call.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
     if method == "brute":
-        return brute_force_chi(g)
+        return brute_force_chi(g, budget=budget)
     if method == "branch":
         return branching_chi(g, budget=budget)
-    return _ascend(ROUTES[method](g, td, budget), lower_bounds(g).combined, g.n)
+    return _ascend(ROUTES[method](g, td, budget), lower_bounds(g, budget).combined, g.n)

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, certificates, generators."""
 
 import json
+import time
 
 import pytest
 
@@ -22,6 +23,14 @@ def report_dict(text):
             key, value = line.split("=", 1)
             fields[key] = value
     return fields
+
+
+# random_mixed_graph(Random(72), 8, 0.3, 0.3): chi 4
+NDM48 = (
+    "p mixed 8 9 9\n"
+    "e 1 5\ne 1 8\ne 2 3\ne 2 4\ne 2 7\ne 2 8\ne 3 4\ne 4 5\ne 5 6\n"
+    "a 1 2\na 3 5\na 4 7\na 4 8\na 5 7\na 6 2\na 6 4\na 6 7\na 6 8\n"
+)
 
 
 @pytest.fixture()
@@ -77,6 +86,11 @@ class TestSolve:
         assert code == 0
         assert "# preorder 1" in out and "var c[1]" in out
 
+    def test_dump_ilp_without_k_is_usage_error(self, capsys, path4):
+        code, out, err = run(capsys, "solve", path4, "--method", "ndm", "--dump-ilp")
+        assert code == 2 and out == ""
+        assert "--dump-ilp needs --k" in err
+
     def test_parse_error_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text("p mixed 2 0 2\na 1 2\na 2 1\n")
@@ -118,7 +132,7 @@ class TestSolve:
         ids=lambda exc: type(exc).__name__,
     )
     def test_untyped_failure_exit_two(self, capsys, path4, monkeypatch, exc):
-        def failing(g, k):
+        def failing(g, k, budget):
             raise exc
 
         monkeypatch.setattr(solvers, "ndm_fpt_decide", failing)
@@ -128,7 +142,7 @@ class TestSolve:
         assert type(exc).__name__ in err
 
     def test_improper_witness_exit_two(self, capsys, path4, monkeypatch, tmp_path):
-        def improper(g, k):
+        def improper(g, k, budget):
             return solvers.SolveResult(True, Coloring({v: 1 for v in g.vertices}))
 
         monkeypatch.setattr(solvers, "ndm_fpt_decide", improper)
@@ -228,6 +242,36 @@ class TestBudget:
         code, out, err = run(capsys, "solve", str(graph), "--method", "brute", "--budget", "20")
         assert code == 2 and out == ""
         assert "CapExceeded" in err
+
+    def test_brute_budget_stops_backtracking(self, capsys, tmp_path):
+        # the K4 comes last in the order, so refuting k = 3 backtracks over
+        # the 3-colorings of the path before it
+        graph = tmp_path / "path30_k4.graph"
+        edges = [(v, v + 1) for v in range(1, 30)] + [(u, v) for u in range(31, 35) for v in range(u + 1, 35)]
+        graph.write_text(f"p mixed 34 {len(edges)} 0\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(graph), "--method", "brute", "--k", "3", "--budget", "1000")
+        assert time.perf_counter() - started < 0.5
+        assert code == 2 and out == ""
+        assert "BudgetExceeded: brute force exceeded 1000 steps" in err
+
+    @pytest.mark.parametrize("k", [None, "5"])
+    def test_twdp_budget_counts_table_entries(self, capsys, path4, k):
+        argv = ["--k", k] if k else []
+        code, out, err = run(capsys, "solve", path4, "--method", "twdp", "--budget", "1", *argv)
+        assert code == 2 and out == ""
+        assert "BudgetExceeded: tree decomposition DP exceeded 1 table entries" in err
+
+    def test_ndm_budget_counts_preorders(self, capsys, tmp_path):
+        # k = 3 is refuted over 48 preorders, each searched in one node
+        graph = tmp_path / "ndm48.graph"
+        graph.write_text(NDM48)
+        code, out, err = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "47")
+        assert code == 2 and out == ""
+        assert "BudgetExceeded: preorder enumeration exceeded 47 preorders" in err
+        code, out, _ = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "48")
+        assert code == 1
+        assert (report_dict(out)["preorders"], report_dict(out)["feasibility_nodes"]) == ("48", "48")
 
 
 class TestBoundsParams:

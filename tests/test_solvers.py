@@ -20,7 +20,7 @@ from mixedcolor import (
     solve_feasibility,
     tw_dp_decide,
 )
-from mixedcolor.errors import CapExceeded
+from mixedcolor.errors import DEFAULT_NODE_BUDGET, BudgetExceeded, CapExceeded
 from mixedcolor.solvers import (
     TypeEndpointPreorder,
     class_structure,
@@ -35,8 +35,14 @@ from mixedcolor.reductions import (
 )
 from mixedcolor.treedecomp import load_td
 
+import importlib
+import inspect
 import io
 import math
+import pkgutil
+
+import mixedcolor
+from mixedcolor import solvers
 
 
 def directed_path(length):
@@ -388,3 +394,53 @@ class TestChiExact:
                 a = chi_exact(g, method)
                 b = chi_exact(g, method)
                 assert a == b
+
+
+class TestBudget:
+    def test_twdp_counts_table_entries(self):
+        # k = 9 builds 27,058 entries in all (pinned above)
+        g = family_layered_cliques(2, 4)
+        td = min_fill_decomposition(g)
+        with pytest.raises(BudgetExceeded, match="exceeded 27057 table entries"):
+            tw_dp_decide(g, td, 9, budget=27_057)
+        assert tw_dp_decide(g, td, 9, budget=27_058).stats["nodes"] == 27_058
+
+    def test_brute_counts_loop_steps(self):
+        g = mixed_graph(4, edges=[(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
+        with pytest.raises(BudgetExceeded, match="exceeded 3 steps"):
+            brute_force_decide(g, 4, budget=3)
+        assert brute_force_decide(g, 4, budget=4) is not None
+        with pytest.raises(BudgetExceeded):
+            brute_force_chi(g, budget=3)
+
+    @pytest.mark.parametrize("method", ["brute", "twdp", "ndm", "branch"])
+    def test_chi_exact_passes_budget_to_lower_bounds(self, monkeypatch, method):
+        seen = []
+        real = solvers.lower_bounds
+
+        def spy(g, budget=DEFAULT_NODE_BUDGET):
+            seen.append(budget)
+            return real(g, budget)
+
+        monkeypatch.setattr(solvers, "lower_bounds", spy)
+        assert chi_exact(triangle(), method, budget=1000)[0] == 3
+        assert seen == ([] if method == "branch" else [1000])  # branch starts from its arc-height bound
+
+    def test_every_budget_defaults_to_the_one_constant(self):
+        defaults = {}
+        for info in pkgutil.iter_modules(mixedcolor.__path__):
+            module = importlib.import_module(f"mixedcolor.{info.name}")
+            assert [n for n in vars(module) if n.endswith("BUDGET")] in ([], ["DEFAULT_NODE_BUDGET"])
+            for name, obj in vars(module).items():
+                if name.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != module.__name__:
+                    continue
+                param = inspect.signature(obj).parameters.get("budget")
+                if param is not None:
+                    defaults[f"{info.name}.{name}"] = param.default
+        assert set(defaults) >= {
+            "bounds.chi_u_exact", "bounds.lower_bounds", "feasibility.search", "feasibility.solve_feasibility",
+            "partitions.clique_number", "partitions.vertex_cover_number", "solvers.brute_force_decide",
+            "solvers.brute_force_chi", "solvers.tw_dp_decide", "solvers.ndm_fpt_decide",
+            "solvers.branching_decide", "solvers.branching_chi", "solvers.chi_exact",
+        }
+        assert all(default is DEFAULT_NODE_BUDGET for default in defaults.values()), defaults
