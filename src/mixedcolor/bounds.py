@@ -159,7 +159,7 @@ def lower_bounds(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> LowerBound
         chi_u, _ = chi_u_exact(g, budget=budget)
         exact = True
     except BudgetExceeded:
-        chi_u = clique_number(g)
+        chi_u = clique_number(g, budget)
         exact = False
     return LowerBounds(chi_u, rank, max(chi_u, rank + 1), exact)
 

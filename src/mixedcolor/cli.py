@@ -34,6 +34,7 @@ from .graphs import (
     mixed_graph,
     save_coloring,
     save_graph,
+    set_bits,
 )
 from .partitions import (
     clique_number,
@@ -89,22 +90,19 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _format_program(program) -> str:
+def _format_program(prog) -> str:
+    """The variables of ``prog`` with their bounds, then its ``<=`` rows in order."""
+
     def name(var) -> str:
         if var[0] == "c":
             return f"c[{var[1]}]"
-        bits = ",".join(str(b + 1) for b in range(64) if var[2] >> b & 1)
-        return f"x[{var[1]},{{{bits}}}]"
+        return f"x[{var[1]},{{{','.join(str(b + 1) for b in set_bits(var[2]))}}}]"
 
-    lines = []
-    for var, lo, hi in program.variables:
-        lines.append(f"var {name(var)} in [{lo},{hi}]")
-    for con in program.constraints:
-        terms = " ".join(
-            ("+" if coef >= 0 else "-") + (f"{abs(coef)}*" if abs(coef) != 1 else "") + name(var)
-            for var, coef in con.coeffs
-        )
-        lines.append(f"{terms} {'<=' if con.op == '<=' else '='} {con.rhs}")
+    names = [name(var) for var in prog.names]
+    lines = [f"var {var} in [{lo},{hi}]" for var, lo, hi in zip(names, prog.lo, prog.hi)]
+    for terms, rhs in zip(prog.rows, prog.rhs):
+        lhs = " ".join(("+" if c > 0 else "-") + (f"{abs(c)}*" if abs(c) != 1 else "") + names[i] for i, c in terms)
+        lines.append(f"{lhs} <= {rhs}")
     return "\n".join(lines)
 
 
@@ -118,13 +116,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         with open(args.td, "r", encoding="utf-8") as fh:
             td = load_td(fh)
     if args.dump_ilp:
-        from .solvers import class_structure, maximal_proper_preorders, preorder_program
-
-        struct = class_structure(g)
-        for idx, pre in enumerate(maximal_proper_preorders(len(struct.sizes), struct.class_arcs), 1):
-            program = preorder_program(pre, struct.sizes, struct.class_edges, args.k, reduced=False)
+        programs = solvers.ndm_programs(solvers.class_structure(g), args.k, args.budget)
+        for idx, (pre, prog) in enumerate(programs, 1):
             sys.stdout.write(f"# preorder {idx}: ell={pre.ell} p-={pre.p_minus} p+={pre.p_plus}\n")
-            sys.stdout.write(_format_program(program) + "\n")
+            sys.stdout.write(_format_program(prog) + "\n")
     started = time.perf_counter()
     if args.k is not None:
         result = solvers.ROUTES[args.method](g, td, args.budget)(args.k)
@@ -337,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                    help="work budget of every method's search (default %(default)s)")
     p.add_argument("--dump-ilp", action="store_true",
-                   help="dump the per-preorder feasibility programs (needs --k)")
+                   help="print the rows the ndm route searches per preorder (needs --k, --method ndm)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", help="chromatic lower/upper bounds with a witness coloring")
@@ -374,8 +369,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve" and args.dump_ilp and args.k is None:
-            parser.error("--dump-ilp needs --k")
+        if args.command == "solve" and args.dump_ilp and (args.k is None or args.method != "ndm"):
+            parser.error("--dump-ilp needs --k and --method ndm")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

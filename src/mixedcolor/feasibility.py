@@ -95,19 +95,6 @@ class Rows:
         lo = [lo for _, lo, _ in program.variables]
         return cls(names, lo, [hi for _, _, hi in program.variables], rows, rhs)
 
-    def program(self, first_eq: int) -> FeasibilityProgram:
-        """The named program that compiles to these rows, given that the rows
-        from ``first_eq`` on come in pairs, each an EQ row and its negation."""
-
-        def constraint(r: int, op: str) -> Constraint:
-            return Constraint(tuple((self.names[i], c) for i, c in self.rows[r]), op, self.rhs[r])
-
-        return FeasibilityProgram(
-            tuple(zip(self.names, self.lo, self.hi)),
-            tuple(constraint(r, LE) for r in range(first_eq))
-            + tuple(constraint(r, EQ) for r in range(first_eq, len(self.rows), 2)),
-        )
-
     def satisfied(self, values: list[int]) -> bool:
         """Whether a full assignment, in variable order, meets every row."""
         return all(sum(c * values[i] for i, c in terms) <= b for terms, b in zip(self.rows, self.rhs))

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 # perfbench's tracer wraps layering_coloring in this module
 from .bounds import layering_coloring, lower_bounds  # noqa: F401
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, CapExceeded
-from .feasibility import FeasibilityProgram, Rows, search, solve_feasibility
+from .feasibility import Rows, search, solve_feasibility  # noqa: F401
 from .graphs import Coloring, MixedGraph, set_bits
 # perfbench's tracer wraps solve_feasibility and mixed_neighborhood_partition in this module
 from .partitions import closure_neighborhood_partition, mixed_neighborhood_partition  # noqa: F401
@@ -333,9 +333,10 @@ def maximal_proper_preorders(
 class _Subsets(dict):
     """Count-variable subsets of the classes, memoized per active class mask.
 
-    ``self[active]`` lists the nonempty submasks of ``active`` that hold no
-    class edge, ascending, as ``entries``. One instance serves every preorder
-    of a decide call.
+    ``self[active]`` lists, ascending, each nonempty submask of ``active``
+    that holds no class edge, with its classes. These are the only subsets a
+    preorder program counts colors of; one instance serves every preorder of
+    a decide call.
     """
 
     def __init__(self, m: int, class_edges: frozenset[frozenset[int]]) -> None:
@@ -345,89 +346,52 @@ class _Subsets(dict):
             self.conflict[i] |= 1 << j
             self.conflict[j] |= 1 << i
 
-    def entries(self, masks: Iterable[int]) -> list[tuple[int, list[int], bool]]:
-        """Each mask with its classes and whether it holds no class edge."""
-        out = []
-        for mask in masks:
-            classes = list(set_bits(mask))
-            out.append((mask, classes, not any(self.conflict[c] & mask for c in classes)))
-        return out
-
-    def __missing__(self, active: int) -> list[tuple[int, list[int], bool]]:
+    def __missing__(self, active: int) -> list[tuple[int, list[int]]]:
         subs, sub = [], active
         while sub:  # every submask, descending
             subs.append(sub)
             sub = (sub - 1) & active
-        entries = self[active] = [e for e in self.entries(reversed(subs)) if e[2]]
+        entries = self[active] = []
+        for mask in reversed(subs):
+            classes = list(set_bits(mask))
+            if not any(self.conflict[c] & mask for c in classes):
+                entries.append((mask, classes))
         return entries
 
 
-def preorder_rows(
-    pre: TypeEndpointPreorder, sizes: tuple[int, ...], subsets: _Subsets, k: int, full: bool = False
-) -> Rows:
-    """The rows of ``preorder_program``, built directly in the solver's form.
+def preorder_program(pre: TypeEndpointPreorder, sizes: tuple[int, ...], subsets: _Subsets, k: int) -> Rows:
+    """The interval/color-count feasibility program for one proper preorder.
 
-    Rows come in the program's constraint order: per interval its ordering
-    and capacity rows, then per class its count EQ (two rows), and in the
-    ``full`` form the zero EQs of the class's counts outside its span, and
-    last those of every subset holding an edge.
+    Variables ``('c', i)`` are the ascending interval endpoints, in
+    ``1..k + 1`` since intervals are half-open, and ``('x', i, mask)`` counts
+    the colors in interval i used by exactly the classes of ``mask``, for the
+    subsets ``subsets`` gives for the classes active in interval i. Rows come
+    per interval, its ordering and capacity rows, then per class the two rows
+    of its count EQ over its span.
     """
     m, ell, p_minus, p_plus = len(sizes), pre.ell, pre.p_minus, pre.p_plus
     names: list = [("c", i) for i in range(1, ell + 1)]
     lo, hi = [1] * ell, [k + 1] * ell
     rows: list = []
     rhs: list[int] = []
-    spans: list[tuple[list[int], ...]] = [([], [], []) for _ in range(m)]  # before, inside, after
-    zero: list[int] = []
+    inside: list[list[int]] = [[] for _ in range(m)]
     for i in range(1, ell):
-        if full:
-            entries = subsets.entries(range(1, 1 << m))
-        else:
-            entries = subsets[sum([1 << c for c in range(m) if p_minus[c] <= i < p_plus[c]])]
+        active = sum([1 << c for c in range(m) if p_minus[c] <= i < p_plus[c]])
         first = len(names)
-        for x, (mask, classes, independent) in enumerate(entries, first):
+        for x, (mask, classes) in enumerate(subsets[active], first):
             names.append(("x", i, mask))
             for c in classes:
-                spans[c][(i >= p_minus[c]) + (i >= p_plus[c])].append(x)
-            if not independent:
-                zero.append(x)
+                inside[c].append(x)
         lo += [0] * (len(names) - first)
         hi += [k] * (len(names) - first)
         rows.append(((i - 1, 1), (i, -1)))
         rows.append(tuple([(x, 1) for x in range(first, len(names))]) + ((i, -1), (i - 1, 1)))
         rhs += [-1, 0]
-    eqs = []
     for c in range(m):
-        before, inside, after = spans[c]
-        eqs.append((inside, sizes[c]))
-        if full:
-            eqs += [(terms, 0) for terms in (before, after) if terms]
-    for terms, b in eqs + [([x], 0) for x in zero]:
-        rows.append(tuple([(x, 1) for x in terms]))
-        rows.append(tuple([(x, -1) for x in terms]))
-        rhs += [b, -b]
+        rows.append(tuple([(x, 1) for x in inside[c]]))
+        rows.append(tuple([(x, -1) for x in inside[c]]))
+        rhs += [sizes[c], -sizes[c]]
     return Rows(names, lo, hi, rows, rhs)
-
-
-def preorder_program(
-    pre: TypeEndpointPreorder,
-    sizes: tuple[int, ...],
-    class_edges: frozenset[frozenset[int]],
-    k: int,
-    reduced: bool = True,
-) -> FeasibilityProgram:
-    """The interval/color-count feasibility program for one proper preorder.
-
-    Variables ``('c', i)`` are the ascending interval endpoints (the top one
-    may exceed k by one, since intervals are half-open) and ``('x', i, mask)``
-    counts colors in interval i used exactly by the class subset ``mask``.
-    With ``reduced`` the structurally-zero count variables (subset not active
-    in the interval, or containing an edge-connected pair) are omitted; the
-    feasible sets are identical up to those zeros. This is the named view of
-    ``preorder_rows``.
-    """
-    subsets = _Subsets(len(sizes), class_edges)
-    return preorder_rows(pre, sizes, subsets, k, full=not reduced).program(2 * (pre.ell - 1))
 
 
 def coloring_from_preorder_solution(
@@ -469,14 +433,33 @@ def _chain_weight_bound(struct: ClassStructure) -> int:
     return max(best)
 
 
+def ndm_programs(
+    struct: ClassStructure, k: int, budget: int = DEFAULT_NODE_BUDGET
+) -> Iterator[tuple[TypeEndpointPreorder, Rows]]:
+    """The programs the ndm route searches for k colors, in its order.
+
+    Nothing if the class-DAG chain weight already exceeds k; otherwise one per
+    maximal proper preorder of the classes, raising BudgetExceeded at the
+    preorder past ``budget``.
+    """
+    if _chain_weight_bound(struct) > k:
+        return
+    m = len(struct.sizes)
+    subsets = _Subsets(m, struct.class_edges)
+    for count, pre in enumerate(maximal_proper_preorders(m, struct.class_arcs), 1):
+        if count > budget:
+            raise BudgetExceeded(f"preorder enumeration exceeded {budget} preorders")
+        yield pre, preorder_program(pre, struct.sizes, subsets, k)
+
+
 def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Decide k-colorability by proper-preorder enumeration plus feasibility.
 
     Solves on the classes of the transitive closure, whose colorings are those
-    of g; independent-set types are merged into single representatives. Each
-    enumerated preorder is turned into feasibility rows whose solution, if
-    any, is rebuilt into a witness coloring. The preorder count and each
-    feasibility search's nodes count against ``budget``.
+    of g; independent-set types are merged into single representatives. The
+    rows of each program from ``ndm_programs`` are searched until one has a
+    solution, which is rebuilt into a witness coloring. The preorder count and
+    each feasibility search's nodes count against ``budget``.
     """
     stats = {"classes": 0, "preorders": 0, "feasibility_nodes": 0}
     if g.n == 0:
@@ -484,21 +467,16 @@ def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> 
     if k < 1:
         return SolveResult(False, None, stats)
     struct = class_structure(g)
-    m = stats["classes"] = len(struct.sizes)
-    subsets = _Subsets(m, struct.class_edges)
+    stats["classes"] = len(struct.sizes)
     searched: dict = {}
     witness = None
-    if _chain_weight_bound(struct) <= k:
-        for pre in maximal_proper_preorders(m, struct.class_arcs):
-            stats["preorders"] += 1
-            if stats["preorders"] > budget:
-                raise BudgetExceeded(f"preorder enumeration exceeded {budget} preorders")
-            prog = preorder_rows(pre, struct.sizes, subsets, k)
-            values = search(prog, budget=budget, stats=searched)
-            stats["feasibility_nodes"] += searched["nodes"]
-            if values is not None:
-                witness = coloring_from_preorder_solution(dict(zip(prog.names, values)), pre, struct)
-                break
+    for pre, prog in ndm_programs(struct, k, budget):
+        stats["preorders"] += 1
+        values = search(prog, budget=budget, stats=searched)
+        stats["feasibility_nodes"] += searched["nodes"]
+        if values is not None:
+            witness = coloring_from_preorder_solution(dict(zip(prog.names, values)), pre, struct)
+            break
     return SolveResult(witness is not None, witness, stats)
 
 

@@ -15,7 +15,9 @@ from mixedcolor import (
     vc_coloring,
     vertex_cover_number,
 )
+from mixedcolor import bounds
 from mixedcolor.bounds import chi_u_exact
+from mixedcolor.errors import BudgetExceeded
 from mixedcolor.reductions import (
     SuperstringInstance,
     family_layered_cliques,
@@ -80,9 +82,16 @@ class TestLowerBounds:
     def test_empty_graph(self):
         assert lower_bounds(mixed_graph(0)).combined == 0
 
-    def test_budget_falls_back_to_clique_number(self):
+    def test_budget_falls_back_to_clique_number(self, monkeypatch):
         g = family_layered_cliques(1, 3)
-        lb = lower_bounds(g, budget=1)
+        # one node does not finish the clique search, so there is nothing to fall back on
+        with pytest.raises(BudgetExceeded, match="clique search exceeded 1 nodes"):
+            lower_bounds(g, budget=1)
+        budgets, clique_number = [], bounds.clique_number
+        monkeypatch.setattr(bounds, "clique_number", lambda g, budget: budgets.append(budget) or clique_number(g, budget))
+        # six nodes finish the clique search but not the coloring
+        lb = lower_bounds(g, budget=6)
+        assert budgets == [6, 6]  # the fallback keeps the caller's budget
         assert not lb.chi_u_exact
         assert lb.chi_u == 6  # adjacent layers induce K_6; the clique is found
         full = lower_bounds(g)

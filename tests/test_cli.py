@@ -7,7 +7,7 @@ import pytest
 
 from mixedcolor import solvers
 from mixedcolor.cli import main
-from mixedcolor.graphs import Coloring
+from mixedcolor.graphs import Coloring, set_bits
 
 
 def run(capsys, *argv):
@@ -90,6 +90,54 @@ class TestSolve:
         code, out, err = run(capsys, "solve", path4, "--method", "ndm", "--dump-ilp")
         assert code == 2 and out == ""
         assert "--dump-ilp needs --k" in err
+
+    def test_dump_ilp_without_ndm_is_usage_error(self, capsys, path4):
+        code, out, err = run(capsys, "solve", path4, "--k", "5", "--dump-ilp")
+        assert code == 2 and out == ""
+        assert "--dump-ilp needs --k and --method ndm" in err
+
+    def test_dump_ilp_names_classes_past_64(self, capsys, tmp_path):
+        # the 70 closure classes of a directed path have one preorder of 71 intervals
+        graph = tmp_path / "path70.graph"
+        graph.write_text("p mixed 70 0 69\n" + "".join(f"a {v} {v + 1}\n" for v in range(1, 70)))
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "solve", str(graph), "--k", "70", "--method", "ndm", "--dump-ilp")
+        assert time.perf_counter() - started < 2
+        assert code == 0 and out.count("# preorder") == 1
+        assert "var x[70,{70}] in [0,70]" in out and "x[70,{}]" not in out
+
+    @pytest.mark.parametrize("text, k, budget", [
+        (NDM48, "3", "47"),
+        ("p mixed 8 0 4\na 1 2\na 3 4\na 5 6\na 7 8\n", "2", "1"),
+    ], ids=["ndm48", "four_arcs"])
+    def test_dump_ilp_follows_the_budget(self, capsys, tmp_path, text, k, budget):
+        graph = tmp_path / "dump.graph"
+        graph.write_text(text)
+        code, out, err = run(
+            capsys, "solve", str(graph), "--k", k, "--method", "ndm", "--dump-ilp", "--budget", budget
+        )
+        assert code == 2 and out.count("# preorder") <= int(budget)
+        assert f"BudgetExceeded: preorder enumeration exceeded {budget} preorders" in err
+
+    def test_dump_ilp_prints_the_rows_the_route_searches(self, capsys, tmp_path, monkeypatch):
+        graph = str(tmp_path / "t4.graph")
+        run(capsys, "gen", "tripartite", "4", "--out", graph)
+        built, preorder_program = [], solvers.preorder_program
+        monkeypatch.setattr(
+            solvers, "preorder_program", lambda *args: built.append(preorder_program(*args)) or built[-1]
+        )
+        code, out, _ = run(capsys, "solve", graph, "--k", "3", "--method", "ndm", "--dump-ilp")
+        assert code == 0
+        blocks = out.split("# preorder ")[1:]
+        assert len(built) == 2 * len(blocks) > 0  # the dump's programs, then the route's
+        for block, prog in zip(blocks, built[len(blocks):]):
+            lines = block.splitlines()
+            names = [line.split()[1] for line in lines if line.startswith("var ")]
+            assert names == [
+                f"c[{i}]" if kind == "c" else "x[%d,{%s}]" % (i, ",".join(str(c + 1) for c in set_bits(mask[0])))
+                for kind, i, *mask in prog.names
+            ]
+            assert sum(" <= " in line for line in lines) == len(prog.rows)
 
     def test_parse_error_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
@@ -257,10 +305,11 @@ class TestBudget:
 
     @pytest.mark.parametrize("k", [None, "5"])
     def test_twdp_budget_counts_table_entries(self, capsys, path4, k):
+        # without --k the ascent's lower bound needs 2 clique-search nodes of the same budget
         argv = ["--k", k] if k else []
-        code, out, err = run(capsys, "solve", path4, "--method", "twdp", "--budget", "1", *argv)
+        code, out, err = run(capsys, "solve", path4, "--method", "twdp", "--budget", "2", *argv)
         assert code == 2 and out == ""
-        assert "BudgetExceeded: tree decomposition DP exceeded 1 table entries" in err
+        assert "BudgetExceeded: tree decomposition DP exceeded 2 table entries" in err
 
     def test_ndm_budget_counts_preorders(self, capsys, tmp_path):
         # k = 3 is refuted over 48 preorders, each searched in one node

@@ -1,7 +1,7 @@
-"""The direct row builder of the ndm route against a named reference program.
+"""The row builder of the ndm route against a named reference program.
 
 ``reference_program`` restates the tuple-named program builder the route
-used before it built rows directly, loop for loop. The builder must
+used before it built rows directly, loop for loop. ``preorder_program`` must
 emit exactly the rows that compiling the reference gives, and searching
 those rows must take the same nodes as solving the named program. Examples
 are derandomized so every run of the suite sees the same structures.
@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 
 from mixedcolor import maximal_proper_preorders, solve_feasibility
 from mixedcolor.feasibility import EQ, LE, Constraint, FeasibilityProgram, Rows, search
-from mixedcolor.solvers import _Subsets, preorder_program, preorder_rows
+from mixedcolor.solvers import _Subsets, preorder_program
 
 from test_feasibility import programs
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
-def reference_program(pre, sizes, class_edges, k, reduced=True):
+def reference_program(pre, sizes, class_edges, k):
     m = len(sizes)
     ell = pre.ell
     conflict = [0] * m
@@ -37,11 +37,8 @@ def reference_program(pre, sizes, class_edges, k, reduced=True):
     variables = [(("c", i), 1, k + 1) for i in range(1, ell + 1)]
     masks_by_interval = {}
     for i in range(1, ell):
-        if reduced:
-            active = sum(1 << c for c in range(m) if pre.p_minus[c] <= i < pre.p_plus[c])
-            masks = [s for s in range(1, active + 1) if s & ~active == 0 and independent(s)]
-        else:
-            masks = list(range(1, 1 << m))
+        active = sum(1 << c for c in range(m) if pre.p_minus[c] <= i < pre.p_plus[c])
+        masks = [s for s in range(1, active + 1) if s & ~active == 0 and independent(s)]
         masks_by_interval[i] = masks
         variables += [(("x", i, mask), 0, k) for mask in masks]
     constraints = []
@@ -61,15 +58,6 @@ def reference_program(pre, sizes, class_edges, k, reduced=True):
 
     for c in range(m):
         constraints.append(Constraint(counts(c, range(pre.p_minus[c], pre.p_plus[c])), EQ, sizes[c]))
-        if not reduced:
-            for outside in (range(1, pre.p_minus[c]), range(pre.p_plus[c], ell)):
-                if counts(c, outside):
-                    constraints.append(Constraint(counts(c, outside), EQ, 0))
-    if not reduced:
-        for i in range(1, ell):
-            for mask in masks_by_interval[i]:
-                if not independent(mask):
-                    constraints.append(Constraint(((("x", i, mask), 1),), EQ, 0))
     return FeasibilityProgram(tuple(variables), tuple(constraints))
 
 
@@ -102,12 +90,9 @@ def test_builder_emits_the_compiled_reference(structure):
         if n_pre == 4:
             break
         for k in range(1, 7):
-            built = preorder_rows(pre, sizes, subsets, k)
+            built = preorder_program(pre, sizes, subsets, k)
             reference = reference_program(pre, sizes, edges, k)
             assert fields(built) == fields(Rows.compile(reference))
-            assert preorder_program(pre, sizes, edges, k) == reference
-            full = reference_program(pre, sizes, edges, k, reduced=False)
-            assert preorder_program(pre, sizes, edges, k, reduced=False) == full
 
             named, searched = {}, {}
             assignment = solve_feasibility(reference, stats=named)

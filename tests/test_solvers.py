@@ -17,14 +17,15 @@ from mixedcolor import (
     mixed_graph,
     ndm_fpt_decide,
     ndu,
-    solve_feasibility,
     tw_dp_decide,
 )
 from mixedcolor.errors import DEFAULT_NODE_BUDGET, BudgetExceeded, CapExceeded
+from mixedcolor.feasibility import search
 from mixedcolor.solvers import (
     TypeEndpointPreorder,
     class_structure,
     coloring_from_preorder_solution,
+    _Subsets,
     maximal_independent_sets,
     preorder_program,
 )
@@ -275,32 +276,17 @@ class TestPreorders:
                     elif r < 0.6:
                         arcs.add((i, j) if perm[i] < perm[j] else (j, i))
             edges, arcs = frozenset(edges), frozenset(arcs)
+            subsets = _Subsets(m, edges)
             for k in range(1, sum(sizes) + 2):
                 full = any(
-                    solve_feasibility(preorder_program(pre, sizes, edges, k)) is not None
+                    search(preorder_program(pre, sizes, subsets, k)) is not None
                     for pre in all_proper(m, arcs)
                 )
                 restricted = any(
-                    solve_feasibility(preorder_program(pre, sizes, edges, k)) is not None
+                    search(preorder_program(pre, sizes, subsets, k)) is not None
                     for pre in maximal_proper_preorders(m, arcs)
                 )
                 assert full == restricted, (sizes, sorted(edges), sorted(arcs), k)
-
-    def test_reduced_and_full_programs_agree(self, small_corpus):
-        for g in small_corpus[:12]:
-            if not 0 < g.n <= 6:
-                continue
-            struct = class_structure(g)
-            m = len(struct.sizes)
-            for k in (2, g.n):
-                for pre in maximal_proper_preorders(m, struct.class_arcs):
-                    reduced = preorder_program(pre, struct.sizes, struct.class_edges, k)
-                    full = preorder_program(
-                        pre, struct.sizes, struct.class_edges, k, reduced=False
-                    )
-                    assert (solve_feasibility(reduced) is None) == (
-                        solve_feasibility(full) is None
-                    )
 
     def test_interval_figure_program(self):
         # four clique types, one arc C1 -> C2, edges C3 - C4 and C1 - C3; the
@@ -319,18 +305,13 @@ class TestPreorders:
         pre = TypeEndpointPreorder(6, (1, 4, 2, 3), (4, 6, 5, 6))
         assert pre.is_proper(struct.class_arcs)
         k = 10
-        program = preorder_program(pre, struct.sizes, struct.class_edges, k, reduced=False)
-        solution = solve_feasibility(program)
-        assert solution is not None
-        # x variables for the conflicting pair {C3, C4} are pinned to zero
+        prog = preorder_program(pre, struct.sizes, _Subsets(4, struct.class_edges), k)
+        # no x variable counts colors shared by the conflicting pair {C3, C4}
         conflict_mask = (1 << 2) | (1 << 3)
-        for key, value in solution.items():
-            if key[0] == "x" and key[2] & conflict_mask == conflict_mask:
-                assert value == 0
-        reduced = preorder_program(pre, struct.sizes, struct.class_edges, k)
-        witness = coloring_from_preorder_solution(
-            solve_feasibility(reduced), pre, struct
-        )
+        assert not [key for key in prog.names if key[0] == "x" and key[2] & conflict_mask == conflict_mask]
+        values = search(prog)
+        assert values is not None
+        witness = coloring_from_preorder_solution(dict(zip(prog.names, values)), pre, struct)
         assert check_proper(g, witness)[0]
         assert witness.max_color() <= k
 
