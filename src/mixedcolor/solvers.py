@@ -15,6 +15,7 @@ Four routes, cross-validated against each other in the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
@@ -221,6 +222,47 @@ def tw_dp_decide(
 
 
 # ---------------------------------------------------------------------------
+# maximal independent sets over bitmasks
+# ---------------------------------------------------------------------------
+
+def _mis_masks(cand: int, keep: list[int]) -> list[int]:
+    """Maximal independent subsets of the vertex mask ``cand``.
+
+    ``keep[i]`` is the complement of bit i and its edge neighborhood, so
+    ``p & keep[i]`` is what stays compatible after choosing i. Bron–Kerbosch
+    on the complement graph with Tomita pivoting, over an explicit stack.
+    The empty mask has one maximal independent subset, itself: ``[0]``.
+    Serves the ndm route's class sets and the branch route's source sets.
+    """
+    out: list[int] = []
+    stack = [(0, cand, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        pivot, best = 0, -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            size = (p & keep[u]).bit_count()
+            if size > best:
+                pivot, best = u, size
+        branch = p & ~keep[pivot]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
+            stack.append((r | low, p & keep[v], x & keep[v]))
+            p ^= low
+            x |= low
+    return out
+
+
+# ---------------------------------------------------------------------------
 # mixed-neighborhood-diversity FPT route
 # ---------------------------------------------------------------------------
 
@@ -275,18 +317,24 @@ def class_structure(g: MixedGraph) -> ClassStructure:
 
 
 def maximal_proper_preorders(
-    m: int, class_arcs: frozenset[tuple[int, int]]
+    m: int, class_arcs: frozenset[tuple[int, int]], max_ell: int | None = None, budget: int = DEFAULT_NODE_BUDGET
 ) -> Iterator[TypeEndpointPreorder]:
-    """Enumerate the dominance-maximal proper type-endpoint preorders.
+    """Enumerate the dominance-maximal proper type-endpoint preorders with ell <= ``max_ell``.
 
     Every proper preorder can be widened, without breaking properness or the
     correspondence of any coloring, until each lower endpoint sits at the
     latest ending in-neighbor (or position 1) and each upper endpoint at the
     earliest starting out-neighbor (or the final position). Enumerating only
-    these widened preorders therefore preserves the decision.
+    these widened preorders therefore preserves the decision. A state at
+    position t ends at ell >= t + 1 while a class is unstarted, so it is
+    dropped once that passes ``max_ell`` (default 2m, which no preorder
+    exceeds); at t + 1 == max_ell only the end set that starts every
+    unstarted class is tried. Each end set tried and each preorder yielded
+    counts against ``budget``.
     """
     if m == 0:
         return
+    max_ell = 2 * m if max_ell is None else max_ell
     in_nbrs: list[set[int]] = [set() for _ in range(m)]
     out_nbrs: list[set[int]] = [set() for _ in range(m)]
     for i, j in class_arcs:
@@ -297,11 +345,20 @@ def maximal_proper_preorders(
     sources = [c for c in range(m) if not in_nbrs[c]]
     for c in sources:
         p_minus[c] = 1
+    steps = count(1)  # end masks tried plus preorders yielded
+
+    def spend() -> None:
+        if next(steps) > budget:
+            raise BudgetExceeded(f"preorder enumeration exceeded {budget} preorders and end masks")
 
     def children(t: int, closed: set[int], open_: set[int], unstarted: set[int]):
-        ordered = sorted(open_)
-        for mask in range(1, 1 << len(ordered)):
-            ends = {ordered[b] for b in range(len(ordered)) if mask >> b & 1}
+        if t + 1 < max_ell:  # every nonempty subset of the open classes, by mask
+            ordered = sorted(open_)
+            tries = ({c for b, c in enumerate(ordered) if mask >> b & 1} for mask in range(1, 1 << len(ordered)))
+        else:  # every unstarted class starts at t, so exactly their open in-neighbors end
+            tries = [open_ & set().union(*[in_nbrs[c] for c in unstarted])]
+        for ends in tries:
+            spend()
             avail = closed | ends
             starts = {c for c in unstarted if in_nbrs[c] <= avail}
             if not starts:
@@ -322,52 +379,54 @@ def maximal_proper_preorders(
             stack.pop()
             continue
         t, _, open_, unstarted = state
+        if t + bool(unstarted) > max_ell:
+            continue
         if unstarted:
             stack.append(children(*state))
             continue
+        spend()
         for c in open_:
             p_plus[c] = t
         yield TypeEndpointPreorder(t, tuple(p_minus), tuple(p_plus))
 
 
 class _Subsets(dict):
-    """Count-variable subsets of the classes, memoized per active class mask.
+    """Count-variable class sets, memoized per active class mask.
 
-    ``self[active]`` lists, ascending, each nonempty submask of ``active``
-    that holds no class edge, with its classes. These are the only subsets a
-    preorder program counts colors of; one instance serves every preorder of
-    a decide call.
+    ``self[active]`` lists, ascending, each maximal independent set of the
+    classes in ``active`` under the class edges, as a mask with its classes;
+    the empty ``active`` has none. These are the only sets a preorder program
+    counts colors of, and one instance serves every preorder of a decide
+    call, so it holds one entry per maximal independent set per distinct
+    active mask.
     """
 
     def __init__(self, m: int, class_edges: frozenset[frozenset[int]]) -> None:
         super().__init__()
-        self.conflict = [0] * m  # bit j of conflict[i]: classes i and j share an edge
+        conflict = [0] * m  # bit j of conflict[i]: classes i and j share an edge
         for i, j in map(tuple, class_edges):
-            self.conflict[i] |= 1 << j
-            self.conflict[j] |= 1 << i
+            conflict[i] |= 1 << j
+            conflict[j] |= 1 << i
+        self.keep = [~(conflict[i] | 1 << i) for i in range(m)]
 
     def __missing__(self, active: int) -> list[tuple[int, list[int]]]:
-        subs, sub = [], active
-        while sub:  # every submask, descending
-            subs.append(sub)
-            sub = (sub - 1) & active
-        entries = self[active] = []
-        for mask in reversed(subs):
-            classes = list(set_bits(mask))
-            if not any(self.conflict[c] & mask for c in classes):
-                entries.append((mask, classes))
+        masks = sorted(_mis_masks(active, self.keep))
+        entries = self[active] = [(mask, list(set_bits(mask))) for mask in masks if mask]
         return entries
 
 
 def preorder_program(pre: TypeEndpointPreorder, sizes: tuple[int, ...], subsets: _Subsets, k: int) -> Rows:
-    """The interval/color-count feasibility program for one proper preorder.
+    """The interval/color-cover feasibility program for one proper preorder.
 
     Variables ``('c', i)`` are the ascending interval endpoints, in
     ``1..k + 1`` since intervals are half-open, and ``('x', i, mask)`` counts
-    the colors in interval i used by exactly the classes of ``mask``, for the
-    subsets ``subsets`` gives for the classes active in interval i. Rows come
-    per interval, its ordering and capacity rows, then per class the two rows
-    of its count EQ over its span.
+    the colors in interval i given to the classes of ``mask``, one variable
+    per set ``subsets`` gives for the classes active in interval i, bounded
+    by k and by the largest class size in the set. Rows come per interval,
+    its ordering and capacity rows, then per class its covering row
+    ``-sum(x) <= -size`` over its span. A class may get more colors than its
+    size: it keeps any ``size`` of them, so the decision is that of exact
+    counts over every independent set.
     """
     m, ell, p_minus, p_plus = len(sizes), pre.ell, pre.p_minus, pre.p_plus
     names: list = [("c", i) for i in range(1, ell + 1)]
@@ -380,17 +439,16 @@ def preorder_program(pre: TypeEndpointPreorder, sizes: tuple[int, ...], subsets:
         first = len(names)
         for x, (mask, classes) in enumerate(subsets[active], first):
             names.append(("x", i, mask))
+            hi.append(min(k, max([sizes[c] for c in classes])))
             for c in classes:
                 inside[c].append(x)
         lo += [0] * (len(names) - first)
-        hi += [k] * (len(names) - first)
         rows.append(((i - 1, 1), (i, -1)))
         rows.append(tuple([(x, 1) for x in range(first, len(names))]) + ((i, -1), (i - 1, 1)))
         rhs += [-1, 0]
     for c in range(m):
-        rows.append(tuple([(x, 1) for x in inside[c]]))
         rows.append(tuple([(x, -1) for x in inside[c]]))
-        rhs += [sizes[c], -sizes[c]]
+        rhs.append(-sizes[c])
     return Rows(names, lo, hi, rows, rhs)
 
 
@@ -439,16 +497,14 @@ def ndm_programs(
     """The programs the ndm route searches for k colors, in its order.
 
     Nothing if the class-DAG chain weight already exceeds k; otherwise one per
-    maximal proper preorder of the classes, raising BudgetExceeded at the
-    preorder past ``budget``.
+    maximal proper preorder of the classes with at most k + 1 positions (each
+    of its intervals holds a color), enumerated within ``budget``.
     """
     if _chain_weight_bound(struct) > k:
         return
     m = len(struct.sizes)
     subsets = _Subsets(m, struct.class_edges)
-    for count, pre in enumerate(maximal_proper_preorders(m, struct.class_arcs), 1):
-        if count > budget:
-            raise BudgetExceeded(f"preorder enumeration exceeded {budget} preorders")
+    for pre in maximal_proper_preorders(m, struct.class_arcs, k + 1, budget):
         yield pre, preorder_program(pre, struct.sizes, subsets, k)
 
 
@@ -458,8 +514,9 @@ def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> 
     Solves on the classes of the transitive closure, whose colorings are those
     of g; independent-set types are merged into single representatives. The
     rows of each program from ``ndm_programs`` are searched until one has a
-    solution, which is rebuilt into a witness coloring. The preorder count and
-    each feasibility search's nodes count against ``budget``.
+    solution, which is rebuilt into a witness coloring. The preorders with
+    the end masks tried to reach them, and each feasibility search's nodes,
+    count against ``budget``.
     """
     stats = {"classes": 0, "preorders": 0, "feasibility_nodes": 0}
     if g.n == 0:
@@ -483,41 +540,6 @@ def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> 
 # ---------------------------------------------------------------------------
 # inrank-0 branching
 # ---------------------------------------------------------------------------
-
-def _mis_masks(cand: int, keep: list[int]) -> list[int]:
-    """Maximal independent subsets of the nonempty vertex mask ``cand``.
-
-    ``keep[i]`` is the complement of bit i and its edge neighborhood, so
-    ``p & keep[i]`` is what stays compatible after choosing i. Bron–Kerbosch
-    on the complement graph with Tomita pivoting, over an explicit stack.
-    """
-    out: list[int] = []
-    stack = [(0, cand, 0)]
-    while stack:
-        r, p, x = stack.pop()
-        if not p:
-            if not x:
-                out.append(r)
-            continue
-        pivot, best = 0, -1
-        rest = p | x
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            size = (p & keep[u]).bit_count()
-            if size > best:
-                pivot, best = u, size
-        branch = p & ~keep[pivot]
-        while branch:
-            low = branch & -branch
-            branch ^= low
-            v = low.bit_length() - 1
-            stack.append((r | low, p & keep[v], x & keep[v]))
-            p ^= low
-            x |= low
-    return out
-
 
 def maximal_independent_sets(vertices: list[int], edge_adj: dict[int, set[int]]) -> list[frozenset[int]]:
     """All maximal independent sets of the graph induced on ``vertices``, sorted."""

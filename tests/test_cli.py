@@ -104,11 +104,11 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(graph), "--k", "70", "--method", "ndm", "--dump-ilp")
         assert time.perf_counter() - started < 2
         assert code == 0 and out.count("# preorder") == 1
-        assert "var x[70,{70}] in [0,70]" in out and "x[70,{}]" not in out
+        assert "var x[70,{70}] in [0,1]" in out and "x[70,{}]" not in out
 
     @pytest.mark.parametrize("text, k, budget", [
-        (NDM48, "3", "47"),
-        ("p mixed 8 0 4\na 1 2\na 3 4\na 5 6\na 7 8\n", "2", "1"),
+        (NDM48, "3", "13"),
+        ("p mixed 8 0 4\na 1 2\na 3 4\na 5 6\na 7 8\n", "3", "43"),
     ], ids=["ndm48", "four_arcs"])
     def test_dump_ilp_follows_the_budget(self, capsys, tmp_path, text, k, budget):
         graph = tmp_path / "dump.graph"
@@ -117,7 +117,7 @@ class TestSolve:
             capsys, "solve", str(graph), "--k", k, "--method", "ndm", "--dump-ilp", "--budget", budget
         )
         assert code == 2 and out.count("# preorder") <= int(budget)
-        assert f"BudgetExceeded: preorder enumeration exceeded {budget} preorders" in err
+        assert f"BudgetExceeded: preorder enumeration exceeded {budget} preorders and end masks" in err
 
     def test_dump_ilp_prints_the_rows_the_route_searches(self, capsys, tmp_path, monkeypatch):
         graph = str(tmp_path / "t4.graph")
@@ -201,13 +201,13 @@ class TestSolve:
 
     def test_ndm_reports_feasibility_nodes(self, capsys, tmp_path):
         # the route solves on the transitive closure, where tripartite(4) has
-        # 6 classes instead of 12; its one preorder takes 10 search nodes
+        # 6 classes instead of 12; its one preorder is decided at the root
         graph = str(tmp_path / "t4.graph")
         run(capsys, "gen", "tripartite", "4", "--out", graph)
         code, out, _ = run(capsys, "solve", graph, "--k", "3", "--method", "ndm")
         fields = report_dict(out)
         assert code == 0 and fields["decision"] == "yes"
-        assert (fields["preorders"], fields["feasibility_nodes"]) == ("1", "10")
+        assert (fields["preorders"], fields["feasibility_nodes"]) == ("1", "1")
 
     def test_bag_line_without_id_exit_two(self, capsys, path4, tmp_path):
         td_file = tmp_path / "bare.td"
@@ -312,15 +312,33 @@ class TestBudget:
         assert "BudgetExceeded: tree decomposition DP exceeded 2 table entries" in err
 
     def test_ndm_budget_counts_preorders(self, capsys, tmp_path):
-        # k = 3 is refuted over 48 preorders, each searched in one node
+        # k = 3 is refuted over 2 preorders of at most 4 positions, each
+        # searched in one node; reaching them tries 12 end masks
         graph = tmp_path / "ndm48.graph"
         graph.write_text(NDM48)
-        code, out, err = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "47")
+        code, out, err = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "13")
         assert code == 2 and out == ""
-        assert "BudgetExceeded: preorder enumeration exceeded 47 preorders" in err
-        code, out, _ = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "48")
+        assert "BudgetExceeded: preorder enumeration exceeded 13 preorders and end masks" in err
+        code, out, _ = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "14")
         assert code == 1
-        assert (report_dict(out)["preorders"], report_dict(out)["feasibility_nodes"]) == ("48", "48")
+        assert (report_dict(out)["preorders"], report_dict(out)["feasibility_nodes"]) == ("2", "2")
+
+    def test_ndm_budget_counts_end_masks(self, capsys, tmp_path):
+        # six sources, each with a private edge, point at vertex 13: its one
+        # preorder ends the six together, and the dump tries all 4,095 end
+        # masks of the 12 source classes, so the masks exhaust the budget
+        graph = tmp_path / "star.graph"
+        graph.write_text(
+            "p mixed 13 6 6\n"
+            + "".join(f"e {v} {v + 6}\n" for v in range(1, 7))
+            + "".join(f"a {v} 13\n" for v in range(1, 7))
+        )
+        argv = ["solve", str(graph), "--method", "ndm", "--k", "4", "--dump-ilp", "--budget"]
+        code, out, err = run(capsys, *argv, "4095")
+        assert code == 2 and out.count("# preorder") == 1
+        assert "BudgetExceeded: preorder enumeration exceeded 4095 preorders and end masks" in err
+        code, out, _ = run(capsys, *argv, "4096")
+        assert code == 0 and out.count("# preorder") == 1 and report_dict(out)["preorders"] == "1"
 
 
 class TestBoundsParams:

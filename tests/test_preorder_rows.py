@@ -1,12 +1,17 @@
-"""The row builder of the ndm route against a named reference program.
+"""The row builder of the ndm route against named reference programs.
 
-``reference_program`` restates the tuple-named program builder the route
-used before it built rows directly, loop for loop. ``preorder_program`` must
-emit exactly the rows that compiling the reference gives, and searching
-those rows must take the same nodes as solving the named program. Examples
-are derandomized so every run of the suite sees the same structures.
+``reference_program`` restates the covering program by brute force over
+submasks: per interval one count per maximal independent set of the active
+classes, and per class one covering row. ``preorder_program`` must emit
+exactly the rows that compiling it gives, and searching those rows must take
+the same nodes as solving the named program. ``exact_count_program`` is the
+program the route searched before, with one count per independent subset and
+an exact count per class; it serves as the oracle that the covering rows
+keep every decision. Examples are derandomized so every run of the suite
+sees the same structures.
 """
 
+import time
 from itertools import combinations
 
 import pytest
@@ -14,50 +19,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcolor import maximal_proper_preorders, solve_feasibility
+from mixedcolor.bounds import check_proper
 from mixedcolor.feasibility import EQ, LE, Constraint, FeasibilityProgram, Rows, search
-from mixedcolor.solvers import _Subsets, preorder_program
+from mixedcolor.graphs import mixed_graph
+from mixedcolor.solvers import _Subsets, ndm_fpt_decide, preorder_program
 
 from test_feasibility import programs
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
-def reference_program(pre, sizes, class_edges, k):
-    m = len(sizes)
-    ell = pre.ell
+def _independent_submasks(pre, m, class_edges, i):
+    """Each nonempty submask of the classes active in interval i without a class edge."""
+    active = sum(1 << c for c in range(m) if pre.p_minus[c] <= i < pre.p_plus[c])
     conflict = [0] * m
     for pair in class_edges:
-        i, j = sorted(pair)
-        conflict[i] |= 1 << j
-        conflict[j] |= 1 << i
+        a, b = sorted(pair)
+        conflict[a] |= 1 << b
+        conflict[b] |= 1 << a
+    return [
+        s for s in range(1, active + 1)
+        if s & ~active == 0 and not any(conflict[b] & s for b in range(m) if s >> b & 1)
+    ]
 
-    def independent(mask):
-        return not any(conflict[b] & mask for b in range(m) if mask >> b & 1)
 
-    variables = [(("c", i), 1, k + 1) for i in range(1, ell + 1)]
-    masks_by_interval = {}
-    for i in range(1, ell):
-        active = sum(1 << c for c in range(m) if pre.p_minus[c] <= i < pre.p_plus[c])
-        masks = [s for s in range(1, active + 1) if s & ~active == 0 and independent(s)]
-        masks_by_interval[i] = masks
-        variables += [(("x", i, mask), 0, k) for mask in masks]
+def _interval_rows(ell, masks_by_interval):
     constraints = []
     for i in range(1, ell):
         constraints.append(Constraint(((("c", i), 1), (("c", i + 1), -1)), LE, -1))
         coeffs = [(("x", i, mask), 1) for mask in masks_by_interval[i]]
         coeffs += [(("c", i + 1), -1), (("c", i), 1)]
         constraints.append(Constraint(tuple(coeffs), LE, 0))
+    return constraints
 
-    def counts(c, intervals):
-        return tuple(
-            (("x", i, mask), 1)
-            for i in intervals
-            for mask in masks_by_interval.get(i, [])
-            if mask >> c & 1
-        )
 
+def _counts(c, span, masks_by_interval, coef):
+    return tuple((("x", i, mask), coef) for i in span for mask in masks_by_interval.get(i, []) if mask >> c & 1)
+
+
+def reference_program(pre, sizes, class_edges, k):
+    m, ell = len(sizes), pre.ell
+    variables = [(("c", i), 1, k + 1) for i in range(1, ell + 1)]
+    masks_by_interval = {}
+    for i in range(1, ell):
+        subs = _independent_submasks(pre, m, class_edges, i)
+        masks = [s for s in subs if not any(s != t and s & t == s for t in subs)]
+        masks_by_interval[i] = masks
+        for mask in masks:
+            top = max(sizes[b] for b in range(m) if mask >> b & 1)
+            variables.append((("x", i, mask), 0, min(k, top)))
+    constraints = _interval_rows(ell, masks_by_interval)
     for c in range(m):
-        constraints.append(Constraint(counts(c, range(pre.p_minus[c], pre.p_plus[c])), EQ, sizes[c]))
+        span = range(pre.p_minus[c], pre.p_plus[c])
+        constraints.append(Constraint(_counts(c, span, masks_by_interval, -1), LE, -sizes[c]))
+    return FeasibilityProgram(tuple(variables), tuple(constraints))
+
+
+def exact_count_program(pre, sizes, class_edges, k):
+    m, ell = len(sizes), pre.ell
+    variables = [(("c", i), 1, k + 1) for i in range(1, ell + 1)]
+    masks_by_interval = {}
+    for i in range(1, ell):
+        masks = _independent_submasks(pre, m, class_edges, i)
+        masks_by_interval[i] = masks
+        variables += [(("x", i, mask), 0, k) for mask in masks]
+    constraints = _interval_rows(ell, masks_by_interval)
+    for c in range(m):
+        span = range(pre.p_minus[c], pre.p_plus[c])
+        constraints.append(Constraint(_counts(c, span, masks_by_interval, 1), EQ, sizes[c]))
     return FeasibilityProgram(tuple(variables), tuple(constraints))
 
 
@@ -99,6 +128,36 @@ def test_builder_emits_the_compiled_reference(structure):
             values = search(built, stats=searched)
             assert named["nodes"] == searched["nodes"]
             assert assignment == (None if values is None else dict(zip(built.names, values)))
+
+
+@PROPERTY
+@given(class_structures())
+def test_covering_rows_decide_as_exact_counts(structure):
+    sizes, edges, arcs = structure
+    subsets = _Subsets(len(sizes), edges)
+    for pre in maximal_proper_preorders(len(sizes), arcs):
+        for k in range(1, 7):
+            covering = search(preorder_program(pre, sizes, subsets, k)) is not None
+            exact = solve_feasibility(exact_count_program(pre, sizes, edges, k)) is not None
+            assert covering == exact, (pre, k)
+
+
+@PROPERTY
+@given(class_structures(max_m=6), st.integers(2, 12))
+def test_bounded_enumeration_is_the_filtered_one(structure, max_ell):
+    sizes, _, arcs = structure
+    every = list(maximal_proper_preorders(len(sizes), arcs))
+    assert list(maximal_proper_preorders(len(sizes), arcs, max_ell)) == [pre for pre in every if pre.ell <= max_ell]
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_disjoint_arcs_take_one_preorder_at_two_colors(m):
+    g = mixed_graph(2 * m, arcs=[(2 * i + 1, 2 * i + 2) for i in range(m)])
+    started = time.perf_counter()
+    result = ndm_fpt_decide(g, 2, budget=1000)
+    assert time.perf_counter() - started < 1
+    assert result.decision and result.stats["preorders"] == 1
+    assert check_proper(g, result.witness)[0] and result.witness.max_color() <= 2
 
 
 @PROPERTY

@@ -230,6 +230,15 @@ class TestPreorders:
         arcs = frozenset({(0, 1), (2, 3)})
         assert len(list(maximal_proper_preorders(4, arcs))) == 3
 
+    def test_end_masks_count_against_the_budget(self):
+        # classes 0..11 are sources and only 0..5 point at class 12: one of
+        # the 4,095 end masks over the sources starts it, all are tried, and
+        # the one preorder makes 4,096 units of work
+        arcs = frozenset((c, 12) for c in range(6))
+        assert len(list(maximal_proper_preorders(13, arcs, budget=4096))) == 1
+        with pytest.raises(BudgetExceeded, match="exceeded 4095 preorders and end masks"):
+            list(maximal_proper_preorders(13, arcs, budget=4095))
+
     def test_maximal_enumeration_equals_full_enumeration(self):
         # the restricted enumeration must reach the same decision as trying
         # every proper weak order of the endpoint tokens
