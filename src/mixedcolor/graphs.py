@@ -109,6 +109,18 @@ class MixedGraph:
         """Vertices that reach each vertex along arcs, self excluded."""
         return _reach_masks(self.n, self.order, self.preds)
 
+    @cached_property
+    def floor(self) -> tuple[int, ...]:
+        """Lower bound on the colors each vertex's ancestors need: every
+        proper coloring gives v a color above ``floor[v]``."""
+        return _needs(self.n, self.order, self.preds, self.adjacent_masks)
+
+    @cached_property
+    def ceiling(self) -> tuple[int, ...]:
+        """Lower bound on the colors each vertex's descendants need: every
+        proper coloring with colors 1..k gives v at most ``k - ceiling[v]``."""
+        return _needs(self.n, reversed(self.order), self.succs, self.adjacent_masks)
+
     def in_neighbors(self, v: int) -> frozenset[int]:
         return self.preds[v]
 
@@ -169,6 +181,30 @@ def _reach_masks(n: int, order: Iterable[int], step: tuple[frozenset[int], ...])
         for w in step[v]:
             masks[v] |= 1 << w | masks[w]
     return tuple(masks)
+
+
+def _needs(
+    n: int, order: Iterable[int], step: tuple[frozenset[int], ...], adjacent: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Per vertex, how many colors must lie on the ``step`` side of its own.
+
+    The colors of ``step[v]`` all lie on one side of v's: below it for
+    in-neighbors, above it for out-neighbors. A greedy clique grows among
+    them on ``adjacent``, taken by need descending, then id. When u joins as
+    the j-th member, the j members have distinct colors, each with at least
+    ``need[u]`` colors beyond it on that side, so at least ``need[u] + j``
+    colors lie there beyond v's. ``need[v]`` is the largest such value, and
+    0 without ``step`` neighbors.
+    """
+    need = [0] * (n + 1)
+    for v in order:  # every step[v] comes before v
+        clique = size = 0
+        for u in sorted(step[v], key=lambda u: (-need[u], u)):
+            if clique & ~adjacent[u] == 0:
+                clique |= 1 << u
+                size += 1
+                need[v] = max(need[v], need[u] + size)
+    return tuple(need)
 
 
 def arc_order(n: int, arcs: Iterable[Arc]) -> list[int]:

@@ -116,19 +116,26 @@ def tw_dp_decide(
     """Decide k-colorability with the nice-decomposition table DP.
 
     A table holds the proper colorings of a node's bag, as tuples in bag
-    order, that extend to its subtree. An introduce node gives the new
-    vertex every color of the window its bagged in- and out-neighbors leave
-    open that no bagged edge neighbor uses; join nodes intersect tables on
-    equal bags. Only forget tables outlive their parent: each maps a
-    reduced key to the forgotten vertex's color in one witness extension.
-    The table entries built so far count against ``budget``, checked once
-    per node.
+    order, that extend to its subtree. Every vertex v has the color window
+    ``1 + g.floor[v]`` .. ``k - g.ceiling[v]``, which holds in every proper
+    coloring: an empty window answers no before any table is built. An
+    introduce node gives the new vertex every color of its window that its
+    bagged in- and out-neighbors leave open and no bagged edge neighbor
+    uses; join nodes intersect tables on equal bags. The first empty table
+    answers no, as every table above it would be empty too. Only forget
+    tables outlive their parent: each maps a reduced key to the forgotten
+    vertex's color in one witness extension.
+
+    ``stats["nodes"]`` counts the table entries built (0 when a window is
+    empty) and ``stats["max_table"]`` the largest table; the entries count
+    against ``budget``, checked once per node.
     """
     if validate:
         validate_decomposition(td, g)
     if g.n == 0:
         return SolveResult(True, Coloring({}), {"nodes": 0, "max_table": 1})
-    if k < 1:
+    floor, ceiling = g.floor, g.ceiling
+    if any(floor[v] + ceiling[v] >= k for v in g.vertices):  # also every k < 1
         return SolveResult(False, None, {"nodes": 0, "max_table": 0})
     root = make_nice(td)
 
@@ -164,11 +171,15 @@ def tw_dp_decide(
             in_colors = itemgetter(*ins, ins[0]) if ins else None
             out_colors = itemgetter(*outs, outs[0]) if outs else None
             ne_colors = itemgetter(*nes, nes[0]) if nes else None
+            first, last = 1 + floor[v], k - ceiling[v]
             table = {}
             for key in child_table:
-                # key colors lie in 1..k, so the out-neighbors keep hi below k
-                lo = max(in_colors(key)) + 1 if ins else 1
-                hi = min(out_colors(key)) - 1 if outs else k
+                lo = max(in_colors(key)) + 1 if ins else first
+                hi = min(out_colors(key)) - 1 if outs else last
+                if lo < first:
+                    lo = first
+                if hi > last:
+                    hi = last
                 if lo > hi:
                     continue
                 used = ne_colors(key) if nes else ()
@@ -193,12 +204,12 @@ def tw_dp_decide(
         if entries > budget:
             raise BudgetExceeded(f"tree decomposition DP exceeded {budget} table entries")
         max_table = max(max_table, len(table))
+        if not table:
+            return SolveResult(False, None, {"nodes": entries, "max_table": max_table})
         pending.append(table)
 
     root_table = pending.pop()
     stats = {"nodes": entries, "max_table": max_table}
-    if not root_table:
-        return SolveResult(False, None, stats)
 
     # witness reconstruction: walk down from the root entry, right join
     # branches waiting on a stack until the left branch reaches its leaf

@@ -4,11 +4,12 @@ conversion to nice (leaf/introduce/forget/join) form for the coloring DP.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import TextIO
 
 from .errors import InvalidDecomposition, ParseError
-from .graphs import MixedGraph, normalize_edge
+from .graphs import MixedGraph, normalize_edge, set_bits
 
 
 @dataclass(frozen=True)
@@ -47,63 +48,80 @@ def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
                 stack.append(y)
     if len(seen) != b or len(td.tree_edges) != b - 1:
         raise InvalidDecomposition("bag graph is not a tree")
-    covered = set().union(*td.bags) if td.bags else set()
-    if covered != set(g.vertices):
+    held: dict[int, int] = {}  # vertex -> mask of the bags holding it
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            held[v] = held.get(v, 0) | 1 << i
+    if held.keys() != set(g.vertices):
         raise InvalidDecomposition("bags do not cover the vertex set")
     rel = [normalize_edge(u, v) for u, v in g.edges]
     rel += [normalize_edge(u, v) for u, v in g.arcs]
     for u, v in rel:
-        if not any(u in bag and v in bag for bag in td.bags):
+        if not held[u] & held[v]:
             raise InvalidDecomposition(f"relation {{{u},{v}}} not contained in any bag")
+    # the bags holding v span a subforest of the tree, which is connected
+    # exactly when it has one tree edge fewer than bags
+    shared = dict.fromkeys(held, 0)
+    for i, j in td.tree_edges:
+        for v in td.bags[i] & td.bags[j]:
+            shared[v] += 1
     for v in g.vertices:
-        holding = [i for i, bag in enumerate(td.bags) if v in bag]
-        hold = set(holding)
-        seen = {holding[0]}
-        stack = [holding[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in hold and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != hold:
+        if shared[v] != held[v].bit_count() - 1:
             raise InvalidDecomposition(f"bags containing vertex {v} are disconnected")
 
 
 def min_fill_decomposition(g: MixedGraph) -> TreeDecomposition:
-    """Heuristic decomposition by min-fill elimination on the underlying graph."""
+    """Heuristic decomposition by min-fill elimination on the underlying graph.
+
+    Each step eliminates the vertex with the least ``(fill, degree, id)``,
+    where fill counts the missing edges among its remaining neighbors. Only
+    vertices within distance two of the eliminated vertex can change fill or
+    degree, so only they are rescored; a heap with lazy deletion keeps the
+    order.
+    """
     if g.n == 0:
         return TreeDecomposition(0, (frozenset(),), ())
     # elimination adds fill edges, so it works on a mutable copy
-    adj = {v: set(g.adjacent[v]) for v in g.vertices}
+    adj = list(g.adjacent_masks)
 
-    def fill_cost(v: int) -> int:
-        nbrs = sorted(adj[v])
-        return sum(
-            1
-            for i, a in enumerate(nbrs)
-            for b in nbrs[i + 1:]
-            if b not in adj[a]
-        )
+    def key(v: int) -> tuple[int, int, int]:
+        nbrs = adj[v]
+        degree = nbrs.bit_count()
+        linked = 0  # twice the edges among the neighbors
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            linked += (adj[low.bit_length() - 1] & nbrs).bit_count()
+            rest ^= low
+        return ((degree * (degree - 1) - linked) // 2, degree, v)
 
-    remaining = set(g.vertices)
+    current = [None] + [key(v) for v in g.vertices]  # None once eliminated
+    heap = current[1:]
+    heapq.heapify(heap)
     order: list[int] = []
-    bag_of: dict[int, frozenset[int]] = {}
-    while remaining:
-        v = min(remaining, key=lambda u: (fill_cost(u), len(adj[u]), u))
-        bag_of[v] = frozenset(adj[v] | {v})
-        nbrs = sorted(adj[v])
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in nbrs:
-            adj[a].discard(v)
-        del adj[v]
-        remaining.remove(v)
+    bags: list[frozenset[int]] = []  # bags[i] is order[i] with its neighbors then
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if current[v] != entry:  # stale, or v already eliminated
+            continue
+        current[v] = None
+        nbrs = adj[v]
+        members = list(set_bits(nbrs))
+        bags.append(frozenset(members).union((v,)))
+        # the neighbors become a clique without v; they and their neighbors
+        # are the vertices within distance two
+        gone = ~(1 << v)
+        near = nbrs
+        for a in members:
+            adj[a] = (adj[a] | nbrs) & ~(1 << a) & gone
+            near |= adj[a]
+        adj[v] = 0
         order.append(v)
+        for u in set_bits(near):
+            current[u] = key(u)
+            heapq.heappush(heap, current[u])
     pos = {v: i for i, v in enumerate(order)}
-    bags = [bag_of[v] for v in order]
     edges = []
     for i, v in enumerate(order[:-1]):
         later = [w for w in bags[i] if w != v]

@@ -20,6 +20,7 @@ from mixedcolor import (
 )
 from mixedcolor.graphs import normalize_edge, underlying_undirected
 from mixedcolor.partitions import class_relations
+from mixedcolor.reductions import family_layered_cliques
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -169,3 +170,11 @@ def test_construction_rejects_directed_cycles(g, data):
     arcs = frozenset(a for a in g.arcs if normalize_edge(*a) not in touched) | closing
     with pytest.raises(DirectedCycleError):
         MixedGraph(g.n, edges, arcs)
+
+
+def test_color_windows_of_layered_cliques():
+    # three stacked K4 with complete arc bundles: each layer needs the four
+    # colors of every layer before it (floor) and after it (ceiling)
+    g = family_layered_cliques(2, 4)
+    assert g.floor == (0,) + (0,) * 4 + (4,) * 4 + (8,) * 4
+    assert g.ceiling == (0,) + (8,) * 4 + (4,) * 4 + (0,) * 4

@@ -129,11 +129,16 @@ class TestTreewidthDP:
             assert result.stats["max_table"] <= k ** (td.width + 1)
 
     @pytest.mark.parametrize(
-        "k, decision, nodes, max_table", [(9, False, 27_058, 5_184), (12, True, 629_298, 285_120)]
+        "k, decision, nodes, max_table",
+        [(8, False, 0, 0), (9, False, 2, 1), (12, True, 5_146, 576)],
+        ids=("k8", "k9", "k12"),
     )
     def test_pinned_tables(self, k, decision, nodes, max_table):
-        # the tables the plain try-every-color DP builds; a faster kernel must
-        # build the same ones
+        # the tables the windowed DP builds; a faster kernel must build the
+        # same ones. The windows are 1..k-8 on the first layer, 5..k-4 on
+        # the second and 9..k on the third: k = 8 leaves the middle layer no
+        # color, and k = 9 leaves one color per layer, so the second vertex
+        # of a clique empties its table.
         g = family_layered_cliques(2, 4)
         result = tw_dp_decide(g, min_fill_decomposition(g), k)
         assert result.decision == decision
@@ -388,12 +393,12 @@ class TestChiExact:
 
 class TestBudget:
     def test_twdp_counts_table_entries(self):
-        # k = 9 builds 27,058 entries in all (pinned above)
+        # k = 12 builds 5,146 entries in all (pinned above)
         g = family_layered_cliques(2, 4)
         td = min_fill_decomposition(g)
-        with pytest.raises(BudgetExceeded, match="exceeded 27057 table entries"):
-            tw_dp_decide(g, td, 9, budget=27_057)
-        assert tw_dp_decide(g, td, 9, budget=27_058).stats["nodes"] == 27_058
+        with pytest.raises(BudgetExceeded, match="exceeded 5145 table entries"):
+            tw_dp_decide(g, td, 12, budget=5_145)
+        assert tw_dp_decide(g, td, 12, budget=5_146).stats["nodes"] == 5_146
 
     def test_brute_counts_loop_steps(self):
         g = mixed_graph(4, edges=[(u, v) for u in range(1, 5) for v in range(u + 1, 5)])

@@ -2,11 +2,13 @@
 
 A traced name only measures something if the package calls it through the
 module attribute the tracer rebinds. The ndm route must build each preorder's
-program through ``solvers.preorder_program``.
+program through ``solvers.preorder_program``, and the twdp route must build
+its decomposition through ``solvers.min_fill_decomposition`` and each nice
+form through ``solvers.make_nice``.
 """
 
 from mixedcolor import solvers
-from mixedcolor.reductions import family_tripartite
+from mixedcolor.reductions import family_layered_cliques, family_tripartite
 
 
 def test_ndm_route_calls_preorder_program_once_per_preorder(monkeypatch):
@@ -15,3 +17,16 @@ def test_ndm_route_calls_preorder_program_once_per_preorder(monkeypatch):
     result = solvers.ndm_fpt_decide(family_tripartite(4), 3)
     assert result.decision
     assert len(calls) == result.stats["preorders"] == 1
+
+
+def test_twdp_route_calls_min_fill_once_and_make_nice_per_windowed_decide(monkeypatch):
+    fills, nices = [], []
+    min_fill, make_nice = solvers.min_fill_decomposition, solvers.make_nice
+    monkeypatch.setattr(solvers, "min_fill_decomposition", lambda g: fills.append(g) or min_fill(g))
+    monkeypatch.setattr(solvers, "make_nice", lambda td: nices.append(td) or make_nice(td))
+    # chi is 12; the color windows refute every k below 9 before any table
+    decide = solvers.ROUTES["twdp"](family_layered_cliques(2, 4), None, 10**6)
+    results = [decide(k) for k in range(13)]
+    assert [r.decision for r in results] == [False] * 12 + [True]
+    assert len(fills) == 1
+    assert len(nices) == sum(r.stats["nodes"] > 0 for r in results) == 4

@@ -2,7 +2,8 @@
 
 Examples are derandomized so every run of the suite sees the same graphs.
 Each graph is decided on its min-fill decomposition and on a star whose
-bags all hold every vertex, so joins of full bags are exercised too.
+bags all hold every vertex, so joins of full bags are exercised too. The
+color windows the DP clamps to are checked against every proper coloring.
 """
 
 from hypothesis import given, settings
@@ -46,3 +47,32 @@ def test_min_fill_dp_matches_brute_force(g):
 @given(mixed_graphs(max_n=6))
 def test_full_bag_star_dp_matches_brute_force(g):
     assert_matches_brute_force(g, full_bag_star(g))
+
+
+def proper_colorings(g, k):
+    """Every proper coloring of g with colors 1..k, as vertex -> color dicts."""
+    colors = {}
+
+    def extend(i):
+        if i == g.n:
+            yield dict(colors)
+            return
+        v = g.order[i]  # in-neighbors come first
+        for color in range(max((colors[u] for u in g.preds[v]), default=0) + 1, k + 1):
+            if all(colors.get(u) != color for u in g.nbrs[v]):
+                colors[v] = color
+                yield from extend(i + 1)
+                del colors[v]
+
+    return extend(0)
+
+
+# The DP clamps every vertex to its window, so the windows must hold in every
+# proper coloring; the tests above check the clamped DP's decisions.
+@PROPERTY
+@given(mixed_graphs(max_n=6))
+def test_color_windows_hold_in_every_proper_coloring(g):
+    for colors in proper_colorings(g, g.n):
+        top = max(colors.values(), default=0)
+        for v in g.vertices:
+            assert 1 + g.floor[v] <= colors[v] <= top - g.ceiling[v]
