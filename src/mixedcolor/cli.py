@@ -56,6 +56,8 @@ from .reductions import (
 )
 from .treedecomp import load_td
 
+REDUCTIONS = ("superstring", "scheduling", "list_coloring", "multicolored_clique")
+
 
 class Report:
     def __init__(self, command: str, as_json: bool):
@@ -189,6 +191,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     report = Report("gen", args.json)
     name = args.kind
     params = args.params
+    if name in REDUCTIONS:
+        if len(params) != 1:
+            raise MixedColorError(f"{name} takes one instance JSON path")
+        spec = _load_json(params[0])
     if name in FAMILIES:
         func, arity = FAMILIES[name]
         if len(params) != arity:
@@ -203,13 +209,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         report.add("family", "random")
         report.add("seed", args.seed)
     elif name == "superstring":
-        spec = _load_json(params[0])
         inst = SuperstringInstance(tuple(spec["strings"]), int(spec["k"]))
         g, k = reduce_superstring(inst, split=args.split)
         report.add("reduction", "superstring")
         report.add("k", k)
     elif name == "scheduling":
-        spec = _load_json(params[0])
         inst = SchedulingInstance(
             tuple(spec["tasks_m1"]),
             tuple(spec["tasks_m2"]),
@@ -220,7 +224,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         report.add("reduction", "scheduling")
         report.add("k", k)
     elif name == "list_coloring":
-        spec = _load_json(params[0])
         base = mixed_graph(int(spec["n"]), [tuple(e) for e in spec.get("edges", [])])
         lists = {int(v): frozenset(cs) for v, cs in spec["lists"].items()}
         inst = ListColoringInstance(base, lists, int(spec["num_colors"]))
@@ -228,7 +231,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         report.add("reduction", "list_coloring")
         report.add("k", k)
     elif name == "multicolored_clique":
-        spec = _load_json(params[0])
         base = mixed_graph(int(spec["n"]), [tuple(e) for e in spec.get("edges", [])])
         classes = tuple(frozenset(c) for c in spec["classes"])
         inst = reduce_multicolored_clique(base, classes)
@@ -259,9 +261,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_expr(args: argparse.Namespace) -> int:
     report = Report(f"expr-{args.action}", args.json)
-    if args.action == "eval":
+    if args.action == "from-ndm":
+        expr = ndm_expression(_read_graph(args.source))
+    else:
         with open(args.source, "r", encoding="utf-8") as fh:
             expr = parse_expression(fh.read())
+    if args.action == "eval":
         labeled = evaluate(expr)
         report.add("width", width(expr))
         report.add("n", labeled.graph.n)
@@ -271,23 +276,11 @@ def cmd_expr(args: argparse.Namespace) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 save_graph(labeled.graph, fh)
             report.add("out", args.out)
-    elif args.action == "from-ndm":
-        g = _read_graph(args.source)
-        expr = ndm_expression(g)
+    else:
+        if args.action == "tc":
+            expr = tc_expression(expr)
         report.add("width", width(expr))
         text = format_expression(expr)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            report.add("out", args.out)
-        else:
-            sys.stdout.write(text + "\n")
-    else:  # tc
-        with open(args.source, "r", encoding="utf-8") as fh:
-            expr = parse_expression(fh.read())
-        closed = tc_expression(expr)
-        report.add("width", width(closed))
-        text = format_expression(closed)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -229,83 +229,44 @@ def format_expression(e: MixedExpression) -> str:
     return text
 
 
+# operation -> (node type, integer labels, subexpressions); every node type
+# lists its labels before its subexpressions, so cls(*fields) builds it
+_OPS = {
+    "intro": (Introduce, 1, 0),
+    "union": (Union, 0, 2),
+    "edge": (AddEdge, 2, 1),
+    "arc": (AddArc, 2, 1),
+    "relabel": (Relabel, 2, 1),
+}
+
+
 def parse_expression(text: str) -> MixedExpression:
+    """Read one s-expression; malformed text raises ParseError."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def need(kind: str) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of expression")
+    # frames [node type, field count, fields so far]; the bottom one is the text
+    frames: list[list] = [[None, 1, []]]
+    pos, end = 0, len(tokens)
+    while pos < end:
         tok = tokens[pos]
-        pos += 1
-        if kind == "int":
-            try:
-                int(tok)
-            except ValueError as exc:
-                raise ParseError(f"expected integer, got {tok!r}") from exc
-        return tok
-
-    # iterative shift-reduce over the s-expression
-    work: list[list] = []
-    result: MixedExpression | None = None
-
-    def reduce_frame(frame: list) -> MixedExpression:
-        head = frame[0]
-        if head == "union":
-            if len(frame) != 3:
-                raise ParseError("union needs exactly two children")
-            return Union(frame[1], frame[2])
-        if head in ("edge", "arc", "relabel"):
-            if len(frame) != 4:
-                raise ParseError(f"{head} needs two labels and one child")
-            i, j, child = int(frame[1]), int(frame[2]), frame[3]
-            if head == "edge":
-                return AddEdge(i, j, child)
-            if head == "arc":
-                return AddArc(i, j, child)
-            return Relabel(i, j, child)
-        raise ParseError(f"unknown operator {head!r}")
-
-    while pos < len(tokens):
-        tok = tokens[pos]
-        pos += 1
         if tok == "(":
-            op = need("sym")
-            if op == "intro":
-                label = int(need("int"))
-                if need("sym") != ")":
-                    raise ParseError("intro takes one label")
-                node: MixedExpression = Introduce(label)
-                if work:
-                    work[-1].append(node)
-                else:
-                    if result is not None:
-                        raise ParseError("multiple top-level expressions")
-                    result = node
-            else:
-                frame = [op]
-                if op in ("edge", "arc", "relabel"):
-                    frame.append(need("int"))
-                    frame.append(need("int"))
-                elif op != "union":
-                    raise ParseError(f"unknown operator {op!r}")
-                work.append(frame)
-        elif tok == ")":
-            if not work:
-                raise ParseError("unbalanced ')'")
-            node = reduce_frame(work.pop())
-            if work:
-                work[-1].append(node)
-            else:
-                if result is not None:
-                    raise ParseError("multiple top-level expressions")
-                result = node
+            try:
+                cls, labels, children = _OPS[tokens[pos + 1]]
+                fields = [int(tokens[pos + 2 + f]) for f in range(labels)]
+            except (IndexError, KeyError, ValueError) as exc:
+                raise ParseError(f"expected an operation and its integer labels at token {pos + 1}") from exc
+            frames.append([cls, labels + children, fields])
+            pos += 2 + labels
+        elif tok == ")" and len(frames) > 1:
+            cls, count, fields = frames.pop()
+            if len(fields) != count:
+                raise ParseError(f"{cls.__name__} takes {count} fields, got {len(fields)}")
+            frames[-1][2].append(cls(*fields))
+            pos += 1
         else:
             raise ParseError(f"unexpected token {tok!r}")
-    if work or result is None:
-        raise ParseError("unbalanced or empty expression")
-    return result
+    if len(frames) != 1 or len(frames[0][2]) != 1:
+        raise ParseError("unbalanced, empty or multiple top-level expressions")
+    return frames[0][2][0]
 
 
 # ---------------------------------------------------------------------------

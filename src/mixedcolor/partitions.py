@@ -178,8 +178,6 @@ def clique_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     if g.n == 0:
         raise ValueError("clique number of the empty graph is undefined")
     bits = g.adjacent_masks
-    best = [1]
-    nodes = [0]
 
     def greedy_order(cand: list[int]) -> tuple[list[int], list[int]]:
         # vertices grouped by greedy color class; returned colors ascend
@@ -201,20 +199,28 @@ def clique_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
             colors.extend([i + 1] * len(members))
         return order, colors
 
-    def expand(cand: list[int], size: int) -> None:
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded(f"clique search exceeded {budget} nodes")
-        order, colors = greedy_order(cand)
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= best[0]:
-                return
-            v = order[i]
-            if size + 1 > best[0]:
-                best[0] = size + 1
-            nxt = [w for w in order[:i] if bits[v] >> w & 1]
-            if nxt:
-                expand(nxt, size + 1)
-
-    expand(sorted(g.vertices), 0)
-    return best[0]
+    # depth first from a stack of frames [colour order, colours, next index,
+    # clique size]; a nonempty cand is the next child to expand
+    best, nodes = 1, 0
+    stack: list[list] = []
+    cand, size = sorted(g.vertices), 0
+    while cand or stack:
+        if cand:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"clique search exceeded {budget} nodes")
+            order, colors = greedy_order(cand)
+            stack.append([order, colors, len(order) - 1, size])
+        frame = stack[-1]
+        order, colors, i, size = frame
+        if i < 0 or size + colors[i] <= best:
+            stack.pop()
+            cand = None
+            continue
+        frame[2] = i - 1
+        v = order[i]
+        size += 1
+        if size > best:
+            best = size
+        cand = [w for w in order[:i] if bits[v] >> w & 1]
+    return best

@@ -130,8 +130,6 @@ def min_fill_decomposition(g: MixedGraph) -> TreeDecomposition:
             edges.append((i, pos[parent]))
         else:
             edges.append((i, len(order) - 1))
-    # deduplicate self-loops from isolated tail vertices
-    edges = [(i, j) for i, j in edges if i != j]
     td = TreeDecomposition(g.n, tuple(bags), tuple(edges))
     validate_decomposition(td, g)
     return td

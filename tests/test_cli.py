@@ -425,6 +425,15 @@ class TestGen:
         code, _, err = run(capsys, "gen", "nonsense", "--out", str(tmp_path / "x"))
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["superstring", "scheduling", "list_coloring", "multicolored_clique"])
+    @pytest.mark.parametrize("paths", [0, 2])
+    def test_reduction_needs_one_instance_path(self, capsys, tmp_path, kind, paths):
+        spec = tmp_path / "inst.json"
+        spec.write_text("{}")
+        code, _, err = run(capsys, "gen", kind, *[str(spec)] * paths, "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err == f"error: MixedColorError: {kind} takes one instance JSON path\n"
+
 
 class TestExpr:
     def test_eval_and_from_ndm(self, capsys, path4, tmp_path):

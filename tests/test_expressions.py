@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedcolor import (
     AddArc,
@@ -122,6 +124,56 @@ class TestSerialization:
                     "(intro 1) (intro 2)"):
             with pytest.raises(ParseError):
                 parse_expression(bad)
+
+
+labels = st.integers(-3, 9)
+expressions = st.recursive(
+    st.builds(Introduce, labels),
+    lambda inner: st.builds(Union, inner, inner)
+    | st.builds(AddEdge, labels, labels, inner)
+    | st.builds(AddArc, labels, labels, inner)
+    | st.builds(Relabel, labels, labels, inner),
+    max_leaves=12,
+)
+EDITS = ["(", ")", "((", "))", "intro", "union", "edge", "arc", "relabel", "1", "2", "3", "-3", "x", "foo"]
+
+
+def tokens(text):
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
+@st.composite
+def mutated_texts(draw):
+    """A formatted expression with one to three token insertions, deletions or replacements."""
+    words = tokens(format_expression(draw(expressions)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("insert", "delete", "replace") if words else ("insert",)))
+        pos = draw(st.integers(0, len(words) - (kind != "insert")))
+        if kind == "insert":
+            words.insert(pos, draw(st.sampled_from(EDITS)))
+        elif kind == "delete":
+            del words[pos]
+        else:
+            words[pos] = draw(st.sampled_from(EDITS))
+    return " ".join(words)
+
+
+class TestParseProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(expressions)
+    def test_formatted_text_parses_back(self, expr):
+        text = format_expression(expr)
+        assert format_expression(parse_expression(text)) == text
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(mutated_texts())
+    def test_mutated_text_parses_or_raises_parse_error(self, text):
+        try:
+            expr = parse_expression(text)
+        except ParseError:
+            return
+        # an accepted text is read token for token
+        assert tokens(format_expression(expr)) == tokens(text)
 
 
 class TestNdmExpression:

@@ -185,6 +185,20 @@ class TestCliqueNumber:
                     edges.append((ids[(r, c)], ids[(r + 1, c)]))
         assert clique_number(mixed_graph(9, edges)) == 2
 
+    def test_no_recursion_per_clique_vertex(self):
+        # the clique of K150 is 150 nested branchings; a search that recursed
+        # once per clique vertex would exceed this limit
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            omega = clique_number(complete(150))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert omega == 150
+
     def test_exact_against_enumeration(self, small_corpus):
         for g in small_corpus:
             if g.n > 8:
