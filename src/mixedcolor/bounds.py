@@ -16,9 +16,9 @@ from .graphs import (
     coloring_total_on,
     layering,
     maxrank,
-    underlying_undirected,
+    set_bits,
 )
-from .partitions import clique_number
+from .partitions import clique_number, max_clique
 
 Violation = tuple[str, int, int]  # ("edge"|"arc", u, v)
 
@@ -50,30 +50,33 @@ def chi_u_exact(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, 
     """
     if not (g.edges or g.arcs):
         return min(g.n, 1), dict.fromkeys(g.vertices, 1)
-    return _dsatur(g, clique_number(g, budget=budget), budget)
+    return _dsatur(g.adjacent_masks, (1 << (g.n + 1)) - 2, clique_number(g, budget=budget), budget)
 
 
-def _dsatur(g: MixedGraph, k: int, budget: int) -> tuple[int, dict[int, int]]:
-    """Smallest k' >= k that colors every component of the underlying graph.
+def _dsatur(adj: tuple[int, ...], vertices: int, k: int, budget: int) -> tuple[int, dict[int, int]]:
+    """Smallest k' >= k, with a coloring, for every component of the graph
+    that the adjacency masks ``adj`` induce on the vertex mask ``vertices``.
 
     Components go largest first, each decided from the running k'. The
     search is DSATUR backtracking over an explicit stack: the next vertex
-    has the most distinct neighbor colors, then the highest degree, then the
-    smallest id, and tries its free colors ascending, at most one above
-    those in use; neighbor color counts are undone on backtrack. Every node
-    entered counts against ``budget``. At k = n the first descent never
-    backtracks: it is the greedy DSATUR coloring.
+    has the most distinct neighbor colors, then the highest degree within
+    ``vertices``, then the smallest id, and tries its free colors ascending,
+    at most one above those in use; neighbor color counts are undone on
+    backtrack. Every node entered counts against ``budget``. At k =
+    |vertices| the first descent never backtracks: it is the greedy DSATUR
+    coloring.
     """
-    adj = g.adjacent
-    deg = list(map(len, adj))
-    colors = [0] * (g.n + 1)  # 0 while uncolored
-    sat = [0] * (g.n + 1)  # distinct colors among the neighbors
+    members = list(set_bits(vertices))  # searched by position: positions ascend with ids
+    position = {v: i for i, v in enumerate(members)}
+    nbrs = [[position[w] for w in set_bits(adj[v] & vertices)] for v in members]
+    colors = [0] * len(members)  # 0 while uncolored
+    sat = [0] * len(members)  # distinct colors among the neighbors
+    by_degree = sorted(range(len(members)), key=lambda i: len(nbrs[i]), reverse=True)  # stable
     # colors stay within max degree + 1: from that k on, the first descent succeeds
-    width = max(deg) + 2
-    counts = [[0] * width for _ in adj]
+    width = max(map(len, nbrs), default=0) + 2
+    counts = [[0] * width for _ in members]
     nodes = 0
-    by_degree = sorted(g.vertices, key=deg.__getitem__, reverse=True)  # stable: ids ascend
-    for ranked in _components(adj, by_degree):
+    for ranked in _components(nbrs, by_degree):
         frames: list[tuple[int, int]] = []  # (vertex, colors in use before it)
         used = 0
         while True:
@@ -91,7 +94,7 @@ def _dsatur(g: MixedGraph, k: int, budget: int) -> tuple[int, dict[int, int]]:
                 v, before = frames[-1]
                 color = colors[v]
                 if color:
-                    for w in adj[v]:
+                    for w in nbrs[v]:
                         row = counts[w]
                         row[color] -= 1
                         if not row[color]:
@@ -103,7 +106,7 @@ def _dsatur(g: MixedGraph, k: int, budget: int) -> tuple[int, dict[int, int]]:
                     color += 1
                 if color <= last:
                     colors[v] = color
-                    for w in adj[v]:
+                    for w in nbrs[v]:
                         row = counts[w]
                         if not row[color]:
                             sat[w] += 1
@@ -115,19 +118,19 @@ def _dsatur(g: MixedGraph, k: int, budget: int) -> tuple[int, dict[int, int]]:
             else:
                 k += 1  # every count is back to zero: retry with one more color
                 used = 0
-    return k, dict(zip(g.vertices, colors[1:]))
+    return k, dict(zip(members, colors))
 
 
-def _components(adj: tuple[frozenset[int], ...], ranked: list[int]) -> list[list[int]]:
+def _components(nbrs: list[list[int]], ranked: list[int]) -> list[list[int]]:
     """Connected components, largest first, each listed in ``ranked`` order."""
-    label = [0] * len(adj)
+    label = [0] * len(nbrs)
     count = 0
     for s in ranked:
         if not label[s]:
             label[s] = count = count + 1
             reached = [s]
             for v in reached:
-                for w in adj[v]:
+                for w in nbrs[v]:
                     if not label[w]:
                         label[w] = count
                         reached.append(w)
@@ -167,25 +170,20 @@ def lower_bounds(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> LowerBound
 def layering_coloring(g: MixedGraph) -> Coloring:
     """Proper coloring from the layering: each layer gets a fresh color block.
 
-    Layers of at most ``EXACT_LAYER_CAP`` vertices are colored optimally,
-    larger ones greedily by the first descent of the same DSATUR search;
-    either way the result is proper.
+    Arcs always leave a layer, so each layer is colored on ``g.adjacent_masks``
+    restricted to its vertex mask. Layers of at most ``EXACT_LAYER_CAP``
+    vertices are colored optimally, larger ones greedily by the first descent
+    of the same DSATUR search; either way the result is proper.
     """
-    lay = layering(g)
     assignment: dict[int, int] = {}
     offset = 0
-    for layer in lay.layers:
-        # arcs always leave a layer, so the layer's subgraph has edges only
-        sub, remap = g.induced(layer)
-        if sub.n <= EXACT_LAYER_CAP:
-            _, local = chi_u_exact(sub)
-        else:
-            _, local = _dsatur(sub, sub.n, DEFAULT_NODE_BUDGET)
-        back = {new: old for old, new in remap.items()}
-        used = max(local.values(), default=0)
-        for new_id, color in local.items():
-            assignment[back[new_id]] = offset + color
-        offset += used
+    for layer in layering(g).layers:
+        mask = sum(1 << v for v in layer)
+        start = max_clique(g.adjacent_masks, mask) if len(layer) <= EXACT_LAYER_CAP else len(layer)
+        _, local = _dsatur(g.adjacent_masks, mask, start, DEFAULT_NODE_BUDGET)
+        for v, color in local.items():
+            assignment[v] = offset + color
+        offset += max(local.values(), default=0)
     return Coloring(assignment)
 
 
@@ -197,10 +195,9 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
     one more than the largest color among its in-neighbors (odd, and wedged
     strictly between its in- and out-neighbors).
     """
-    und = underlying_undirected(g)
-    for u, v in und.edges:
-        if u not in cover and v not in cover:
-            raise InvalidCover(f"edge {{{u},{v}}} has no endpoint in the cover")
+    uncovered = min(((u, v) for u, v in (*g.edges, *g.arcs) if u not in cover and v not in cover), default=None)
+    if uncovered:
+        raise InvalidCover(f"pair {{{uncovered[0]},{uncovered[1]}}} has no endpoint in the cover")
     cover = frozenset(cover)
     cover_sorted = sorted(cover)
     closure_arcs = [

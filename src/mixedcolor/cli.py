@@ -175,7 +175,7 @@ def cmd_params(args: argparse.Namespace) -> int:
     report.add("ndu", len(undirected_neighborhood_partition(g)))
     vc, _ = vertex_cover_number(g)
     report.add("vc", vc)
-    report.add("omega", clique_number(g) if g.n else 0)
+    report.add("omega", clique_number(g))
     report.add("maxrank", maxrank(g))
     report.add("layers", len(layering(g).layers) if g.n else 0)
     report.emit()

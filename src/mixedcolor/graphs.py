@@ -83,11 +83,6 @@ class MixedGraph:
         return _neighbor_sets(self.n, _both_ways(self.edges))
 
     @cached_property
-    def adjacent(self) -> tuple[frozenset[int], ...]:
-        """Neighbors in the underlying undirected graph."""
-        return tuple(p | s | e for p, s, e in zip(self.preds, self.succs, self.nbrs))
-
-    @cached_property
     def pred_masks(self) -> tuple[int, ...]:
         return _masks(self.n, ((v, u) for u, v in self.arcs))
 

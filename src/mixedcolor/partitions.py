@@ -49,7 +49,7 @@ def _partition_by_signature(g: MixedGraph, signatures: list, kind: str) -> Neigh
     classes += closed.values()
     classes.sort(key=lambda members: members[0])
     kinds = tuple(
-        "clique" if len(m) >= 2 and m[1] in g.adjacent[m[0]] else "independent" for m in classes
+        "clique" if len(m) >= 2 and g.adjacent_masks[m[0]] >> m[1] & 1 else "independent" for m in classes
     )
     return NeighborhoodPartition(tuple(map(frozenset, classes)), kind, kinds)
 
@@ -174,10 +174,12 @@ def _matching_bound(adj: tuple[int, ...], rem: int) -> int:
 
 
 def clique_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact maximum clique size of the underlying graph (nonempty g)."""
-    if g.n == 0:
-        raise ValueError("clique number of the empty graph is undefined")
-    bits = g.adjacent_masks
+    """Exact maximum clique size of the underlying graph (0 for the empty graph)."""
+    return max_clique(g.adjacent_masks, (1 << (g.n + 1)) - 2, budget)
+
+
+def max_clique(bits: tuple[int, ...], vertices: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Exact maximum clique size of the graph ``bits`` induces on the vertex mask ``vertices``."""
 
     def greedy_order(cand: list[int]) -> tuple[list[int], list[int]]:
         # vertices grouped by greedy color class; returned colors ascend
@@ -201,9 +203,9 @@ def clique_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
 
     # depth first from a stack of frames [colour order, colours, next index,
     # clique size]; a nonempty cand is the next child to expand
-    best, nodes = 1, 0
+    best, nodes = (1 if vertices else 0), 0
     stack: list[list] = []
-    cand, size = sorted(g.vertices), 0
+    cand, size = list(set_bits(vertices)), 0
     while cand or stack:
         if cand:
             nodes += 1

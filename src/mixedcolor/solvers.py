@@ -128,12 +128,15 @@ def tw_dp_decide(
 
     ``stats["nodes"]`` counts the table entries built (0 when a window is
     empty) and ``stats["max_table"]`` the largest table; the entries count
-    against ``budget``, checked once per node.
+    against ``budget``, checked after each child entry of an introduce node
+    and after every other node. k is clamped to n: the arc order colors any
+    graph here with n colors.
     """
     if validate:
         validate_decomposition(td, g)
     if g.n == 0:
         return SolveResult(True, Coloring({}), {"nodes": 0, "max_table": 1})
+    k = min(k, g.n)
     floor, ceiling = g.floor, g.ceiling
     if any(floor[v] + ceiling[v] >= k for v in g.vertices):  # also every k < 1
         return SolveResult(False, None, {"nodes": 0, "max_table": 0})
@@ -187,6 +190,8 @@ def tw_dp_decide(
                 for color in range(lo, hi + 1):
                     if color not in used:
                         table[head + (color,) + tail] = None
+                if entries + len(table) > budget:
+                    break  # raised below
         elif node.kind == "forget":
             child_table = pending.pop()
             vi = node.children[0].bag.index(node.vertex)

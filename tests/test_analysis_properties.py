@@ -153,7 +153,7 @@ def reference_vertex_cover(g, budget=10**9):
         nbrs = set(adj[v])
         branch(without(adj, nbrs | {v}), chosen | nbrs)
 
-    branch({v: set(g.adjacent[v]) for v in g.vertices}, set())
+    branch({v: set(g.preds[v] | g.succs[v] | g.nbrs[v]) for v in g.vertices}, set())
     return best[0], best[1], nodes[0]
 
 

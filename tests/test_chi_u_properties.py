@@ -2,21 +2,25 @@
 
 ``chi_u_exact`` is checked against an ascending brute-force search on the
 underlying graph, and the greedy first descent against a copy of the
-greedy DSATUR coloring it replaced. Examples are derandomized so every run
-of the suite sees the same graphs.
+greedy DSATUR coloring it replaced. The mask kernels are checked against
+the same searches run on induced subgraphs: ``layering_coloring`` against
+a per-layer subgraph construction, and ``max_clique`` against
+``clique_number``. Examples are derandomized so every run of the suite sees
+the same graphs.
 """
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedcolor import lower_bounds, mixed_graph
-from mixedcolor.bounds import _dsatur, chi_u_exact
-from mixedcolor.errors import BudgetExceeded
+from mixedcolor import layering, layering_coloring, lower_bounds, mixed_graph
+from mixedcolor.bounds import EXACT_LAYER_CAP, _dsatur, chi_u_exact
+from mixedcolor.errors import DEFAULT_NODE_BUDGET, BudgetExceeded
 from mixedcolor.graphs import underlying_undirected
-from mixedcolor.partitions import clique_number
+from mixedcolor.partitions import clique_number, max_clique
 from mixedcolor.solvers import brute_force_decide
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -59,6 +63,27 @@ def disjoint_unions(draw, max_n=9):
     return mixed_graph(offset, [(new[u], new[v]) for u, v in edges], [(new[u], new[v]) for u, v in arcs])
 
 
+@st.composite
+def layered_graphs(draw):
+    """A source layer of 21-28 vertices with sparse or dense edges, then up to
+    three more groups that take arcs from earlier ones; ids are shuffled."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sizes = [draw(st.integers(EXACT_LAYER_CAP + 1, 28))] + draw(st.lists(st.integers(1, 12), max_size=3))
+    edge_p = draw(st.sampled_from((0.03, 0.08, 0.2, 0.5)))
+    groups, start = [], 1
+    for size in sizes:
+        groups.append(range(start, start + size))
+        start += size
+    n = start - 1
+    ids = rng.sample(range(1, n + 1), n)
+    edges, arcs = [], []
+    for i, group in enumerate(groups):
+        edges += [(u, v) for u, v in combinations(group, 2) if rng.random() < edge_p]
+        for later in groups[i + 1:]:
+            arcs += [(u, v) for u in group for v in later if rng.random() < 0.1]
+    return mixed_graph(n, [(ids[u - 1], ids[v - 1]) for u, v in edges], [(ids[u - 1], ids[v - 1]) for u, v in arcs])
+
+
 def chromatic_number(g):
     """Smallest k with a proper k-coloring of the underlying graph, by brute force."""
     und = underlying_undirected(g)
@@ -91,7 +116,7 @@ def test_chi_u_of_disjoint_unions(g):
 
 def reference_greedy(g):
     """The greedy DSATUR coloring as it was before the shared search."""
-    adj = g.adjacent
+    adj = [p | s | e for p, s, e in zip(g.preds, g.succs, g.nbrs)]
     colors = {}
     uncolored = set(g.vertices)
     while uncolored:
@@ -113,7 +138,38 @@ def reference_greedy(g):
 @given(st.one_of(mixed_graphs(max_n=24), disjoint_unions()))
 def test_first_descent_is_the_greedy_coloring(g):
     if g.n:
-        assert _dsatur(g, g.n, budget=2 * g.n)[1] == reference_greedy(g)
+        assert _dsatur(g.adjacent_masks, (1 << (g.n + 1)) - 2, g.n, budget=2 * g.n)[1] == reference_greedy(g)
+
+
+def subgraph_layering_coloring(g):
+    """The layering coloring built as it was before the mask kernels: one
+    induced subgraph per layer, renumbered, colored and mapped back."""
+    assignment, offset = {}, 0
+    for layer in layering(g).layers:
+        sub, remap = g.induced(layer)
+        if sub.n <= EXACT_LAYER_CAP:
+            _, local = chi_u_exact(sub)
+        else:
+            _, local = _dsatur(sub.adjacent_masks, (1 << (sub.n + 1)) - 2, sub.n, DEFAULT_NODE_BUDGET)
+        back = {new: old for old, new in remap.items()}
+        for new, color in local.items():
+            assignment[back[new]] = offset + color
+        offset += max(local.values(), default=0)
+    return assignment
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(layered_graphs(), disjoint_unions(), mixed_graphs()))
+def test_layering_coloring_matches_the_subgraph_construction(g):
+    assert layering_coloring(g).colors == subgraph_layering_coloring(g)
+
+
+@PROPERTY
+@given(mixed_graphs(), st.data())
+def test_mask_clique_matches_the_induced_subgraph(g, data):
+    subset = data.draw(st.sets(st.sampled_from(list(g.vertices)))) if g.n else set()
+    mask = sum(1 << v for v in subset)
+    assert max_clique(g.adjacent_masks, mask) == clique_number(g.induced(subset)[0])
 
 
 def grotzsch():

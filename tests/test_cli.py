@@ -303,6 +303,14 @@ class TestBudget:
         assert code == 2 and out == ""
         assert "BudgetExceeded: brute force exceeded 1000 steps" in err
 
+    @pytest.mark.parametrize("method", solvers.METHODS)
+    def test_huge_k_answers_yes(self, capsys, tmp_path, method):
+        # twdp clamps k to n: its first introduce table used to take every color up to k
+        graph = tmp_path / "edge_arc.graph"
+        graph.write_text("p mixed 3 1 1\ne 1 2\na 2 3\n")
+        code, out, err = run(capsys, "solve", str(graph), "--k", "1000000000", "--method", method)
+        assert code == 0 and "decision=yes" in out.splitlines()
+
     @pytest.mark.parametrize("k", [None, "5"])
     def test_twdp_budget_counts_table_entries(self, capsys, path4, k):
         # without --k the ascent's lower bound needs 2 clique-search nodes of the same budget

@@ -5,8 +5,9 @@ a few token edits to it and runs ``cli.main`` on the result. Whatever the
 input, the exit code is 0, 1 or 2; 1 comes only from a ``solve`` that
 answers ``decision=no`` or a ``verify`` that answers ``proper=no``; and no
 traceback reaches stderr. Every number an edit writes stays below 64, so no
-header asks for a huge graph. Examples are derandomized so every run of the
-suite sees the same inputs.
+header asks for a huge graph, but ``solve`` also runs at k = ``HUGE_K``, where
+every route must answer or stop within its budget. Examples are derandomized
+so every run of the suite sees the same inputs.
 """
 
 import io
@@ -26,6 +27,7 @@ from mixedcolor.treedecomp import min_fill_decomposition, save_td
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
 
+HUGE_K = 10**9
 NUMBERS = [str(i) for i in range(64)] + ["-1", "-3"]
 GRAPH_TOKENS = ["p", "mixed", "e", "a", "#", "\n", "x"] + NUMBERS
 TD_TOKENS = ["s", "td", "b", "c", "\n", "x"] + NUMBERS
@@ -102,7 +104,7 @@ def graph_texts(draw):
 
 
 @FUZZ
-@given(graph_texts(), st.sampled_from(solvers.METHODS), st.none() | st.integers(-1, 8), budgets)
+@given(graph_texts(), st.sampled_from(solvers.METHODS), st.none() | st.integers(-1, 8) | st.just(HUGE_K), budgets)
 def test_solve(text, method, k, budget):
     argv = ["solve", "g", "--method", method, "--budget", budget]
     run_cli({"g": text}, argv + ([] if k is None else ["--k", str(k)]))
@@ -122,7 +124,7 @@ def graph_and_td(draw):
 
 
 @FUZZ
-@given(graph_and_td(), st.none() | st.integers(0, 8), budgets)
+@given(graph_and_td(), st.none() | st.integers(0, 8) | st.just(HUGE_K), budgets)
 def test_solve_with_tree_decomposition(texts, k, budget):
     argv = ["solve", "g", "--method", "twdp", "--td", "td", "--budget", budget]
     run_cli(dict(zip(("g", "td"), texts)), argv + ([] if k is None else ["--k", str(k)]))

@@ -171,6 +171,9 @@ class TestCliqueNumber:
     def test_triangle(self):
         assert clique_number(complete(3)) == 3
 
+    def test_empty_graph(self):
+        assert clique_number(complete(0)) == 0
+
     def test_tournament_underlying_complete(self):
         assert clique_number(tournament(5)) == 5
 

@@ -400,6 +400,16 @@ class TestBudget:
             tw_dp_decide(g, td, 12, budget=5_145)
         assert tw_dp_decide(g, td, 12, budget=5_146).stats["nodes"] == 5_146
 
+    def test_twdp_budget_stops_inside_an_introduce_node(self):
+        # ten isolated vertices in one bag: the fifth introduce node would take
+        # the table from 10^4 to 10^5 entries, but the budget is checked after
+        # each child entry, and one child entry adds at most n = 10 entries
+        g = mixed_graph(10)
+        td = TreeDecomposition(10, (frozenset(g.vertices),), ())
+        with pytest.raises(BudgetExceeded, match="exceeded 20000 table entries") as info:
+            tw_dp_decide(g, td, 10**9, budget=20_000)
+        assert 20_000 < info.traceback[-1].frame.f_locals["entries"] <= 20_000 + g.n
+
     def test_brute_counts_loop_steps(self):
         g = mixed_graph(4, edges=[(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
         with pytest.raises(BudgetExceeded, match="exceeded 3 steps"):
