@@ -177,7 +177,7 @@ def cmd_params(args: argparse.Namespace) -> int:
     report.add("vc", vc)
     report.add("omega", clique_number(g))
     report.add("maxrank", maxrank(g))
-    report.add("layers", len(layering(g).layers) if g.n else 0)
+    report.add("layers", len(layering(g).layers))
     report.emit()
     return 0
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import (
     DirectedCycleError,
@@ -115,6 +116,18 @@ class MixedGraph:
         """Lower bound on the colors each vertex's descendants need: every
         proper coloring with colors 1..k gives v at most ``k - ceiling[v]``."""
         return _needs(self.n, reversed(self.order), self.succs, self.adjacent_masks)
+
+    @cached_property
+    def layering(self) -> Layering:
+        """Partition by inrank (longest-path DP over ``order``)."""
+        inrank = dict.fromkeys(self.vertices, 0)
+        for v in self.order:
+            if self.preds[v]:
+                inrank[v] = max(inrank[u] + 1 for u in self.preds[v])
+        layers: list[list[int]] = [[] for _ in range(max(inrank.values(), default=-1) + 1)]
+        for v in self.vertices:
+            layers[inrank[v]].append(v)
+        return Layering(tuple(map(frozenset, layers)), MappingProxyType(inrank))
 
     def in_neighbors(self, v: int) -> frozenset[int]:
         return self.preds[v]
@@ -247,10 +260,13 @@ class Coloring:
 
 @dataclass(frozen=True)
 class Layering:
-    """Partition of the vertices by inrank; arcs always point to higher layers."""
+    """Partition of the vertices by inrank; arcs always point to higher layers.
+
+    The empty graph has no layers.
+    """
 
     layers: tuple[frozenset[int], ...]
-    inrank: dict[int, int]
+    inrank: Mapping[int, int]  # read-only: the graph index shares it
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +403,13 @@ def transitive_closure(g: MixedGraph) -> MixedGraph:
 
 
 def layering(g: MixedGraph) -> Layering:
-    """Partition by inrank (longest-path DP over a topological order)."""
-    inrank = {v: 0 for v in g.vertices}
-    for v in g.order:
-        if g.preds[v]:
-            inrank[v] = max(inrank[u] + 1 for u in g.preds[v])
-    top = max(inrank.values(), default=0)
-    layers: list[set[int]] = [set() for _ in range(top + 1)]
-    for v in g.vertices:
-        layers[inrank[v]].add(v)
-    return Layering(tuple(map(frozenset, layers)), inrank)
+    """Partition by inrank; the graph index part ``g.layering``."""
+    return g.layering
 
 
 def maxrank(g: MixedGraph) -> int:
     """Length of the longest directed path (0 for arc-free graphs)."""
-    lay = layering(g)
-    return len(lay.layers) - 1 if g.n else 0
+    return max(layering(g).inrank.values(), default=0)
 
 
 def underlying_undirected(g: MixedGraph) -> MixedGraph:

@@ -55,9 +55,15 @@ def _partition_by_signature(g: MixedGraph, signatures: list, kind: str) -> Neigh
 
 
 def mixed_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
-    """Coarsest partition under equal in-, out-, and undirected neighborhoods."""
-    signatures = list(zip(g.preds, g.succs, g.nbr_masks))
-    return _partition_by_signature(g, signatures, "mixed")
+    """Coarsest partition under equal in-, out-, and undirected neighborhoods.
+
+    Built once per graph and kept on it.
+    """
+    memo = vars(g)
+    if "mixed_partition" not in memo:
+        signatures = list(zip(g.preds, g.succs, g.nbr_masks))
+        memo["mixed_partition"] = _partition_by_signature(g, signatures, "mixed")
+    return memo["mixed_partition"]
 
 
 def closure_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
@@ -174,55 +180,80 @@ def _matching_bound(adj: tuple[int, ...], rem: int) -> int:
 
 
 def clique_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact maximum clique size of the underlying graph (0 for the empty graph)."""
-    return max_clique(g.adjacent_masks, (1 << (g.n + 1)) - 2, budget)
+    """Exact maximum clique size of the underlying graph (0 for the empty graph).
+
+    The first search that finishes is kept on g with the nodes it used, so
+    no search runs twice: a later call with at least that budget answers
+    from it, and one with less raises as a fresh search would. A search that
+    runs out of budget keeps nothing.
+    """
+    memo = vars(g)
+    if "clique" not in memo:
+        stats: dict = {}
+        omega = max_clique(g.adjacent_masks, (1 << (g.n + 1)) - 2, budget, stats)
+        memo["clique"] = omega, stats["nodes"]
+    omega, nodes = memo["clique"]
+    if nodes > budget:
+        raise BudgetExceeded(f"clique search exceeded {budget} nodes")
+    return omega
 
 
-def max_clique(bits: tuple[int, ...], vertices: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact maximum clique size of the graph ``bits`` induces on the vertex mask ``vertices``."""
+def max_clique(
+    bits: tuple[int, ...], vertices: int, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None = None
+) -> int:
+    """Exact maximum clique size of the graph ``bits`` induces on the vertex mask ``vertices``.
 
-    def greedy_order(cand: list[int]) -> tuple[list[int], list[int]]:
-        # vertices grouped by greedy color class; returned colors ascend
-        color_classes: list[list[int]] = []
-        class_masks: list[int] = []
-        for v in cand:
-            for i, mask in enumerate(class_masks):
-                if not (mask & bits[v]):
-                    class_masks[i] |= 1 << v
-                    color_classes[i].append(v)
-                    break
-            else:
-                class_masks.append(1 << v)
-                color_classes.append([v])
-        order: list[int] = []
-        colors: list[int] = []
-        for i, members in enumerate(color_classes):
-            order.extend(members)
-            colors.extend([i + 1] * len(members))
-        return order, colors
-
-    # depth first from a stack of frames [colour order, colours, next index,
-    # clique size]; a nonempty cand is the next child to expand
+    Branch and bound with a greedy colouring bound (Tomita's MCQ), coloured
+    on bitsets (San Segundo's BBMC): each colour class takes the lowest
+    uncoloured candidate, drops its neighbours from the class mask, and
+    repeats until that mask is empty. Candidates are expanded from the last
+    coloured back, and a frame is dropped once its clique size plus the
+    colour of its next candidate cannot beat the best. Each frame keeps the
+    mask of its candidates not yet expanded, so a child's candidates are
+    that mask within the expanded vertex's neighbours. Every nonempty
+    candidate mask counts one node against ``budget``; ``stats["nodes"]``
+    gets the count of a search that finishes.
+    """
     best, nodes = (1 if vertices else 0), 0
+    # depth first from a stack of frames [colour order, colours, unexpanded
+    # candidates, clique size]; a nonempty cand is the next child to expand
     stack: list[list] = []
-    cand, size = list(set_bits(vertices)), 0
+    cand, size = vertices, 0
     while cand or stack:
         if cand:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"clique search exceeded {budget} nodes")
-            order, colors = greedy_order(cand)
-            stack.append([order, colors, len(order) - 1, size])
+            # candidates coloured at most best - size can never be expanded
+            order: list[int] = []
+            colors: list[int] = []
+            uncolored, color, floor = cand, 0, best - size
+            while uncolored:
+                color += 1
+                free = uncolored
+                while free:
+                    low = free & -free
+                    v = low.bit_length() - 1
+                    uncolored ^= low
+                    free &= ~(bits[v] | low)
+                    if color > floor:
+                        order.append(v)
+                        colors.append(color)
+            stack.append([order, colors, cand, size])
         frame = stack[-1]
-        order, colors, i, size = frame
-        if i < 0 or size + colors[i] <= best:
+        order, colors, rest, size = frame
+        if not order or size + colors[-1] <= best:
             stack.pop()
-            cand = None
+            cand = 0
             continue
-        frame[2] = i - 1
-        v = order[i]
+        v = order.pop()
+        colors.pop()
+        rest ^= 1 << v
+        frame[2] = rest
         size += 1
         if size > best:
             best = size
-        cand = [w for w in order[:i] if bits[v] >> w & 1]
+        cand = rest & bits[v]
+    if stats is not None:
+        stats["nodes"] = nodes
     return best

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional
 from .bounds import layering_coloring, lower_bounds  # noqa: F401
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, CapExceeded
 from .feasibility import Rows, search, solve_feasibility  # noqa: F401
-from .graphs import Coloring, MixedGraph, set_bits
+from .graphs import Coloring, MixedGraph, arc_order, set_bits
 # perfbench's tracer wraps solve_feasibility and mixed_neighborhood_partition in this module
 from .partitions import closure_neighborhood_partition, mixed_neighborhood_partition  # noqa: F401
 from .treedecomp import (
@@ -499,11 +499,14 @@ def coloring_from_preorder_solution(
 
 def _chain_weight_bound(struct: ClassStructure) -> int:
     """Longest class-DAG chain weighted by class sizes: a chromatic lower bound."""
-    arcs = frozenset((i + 1, j + 1) for i, j in struct.class_arcs)
-    dag = MixedGraph(len(struct.sizes), frozenset(), arcs)
-    best = [0] * (dag.n + 1)
-    for c in dag.order:
-        best[c] = struct.sizes[c - 1] + max((best[p] for p in dag.preds[c]), default=0)
+    arcs = [(i + 1, j + 1) for i, j in struct.class_arcs]  # classes numbered from 1
+    heads: list[list[int]] = [[] for _ in range(len(struct.sizes) + 1)]
+    for i, j in arcs:
+        heads[i].append(j)
+    best = [0, *struct.sizes]  # heaviest chain ending at each class
+    for c in arc_order(len(struct.sizes), arcs):
+        for d in heads[c]:
+            best[d] = max(best[d], best[c] + struct.sizes[d - 1])
     return max(best)
 
 

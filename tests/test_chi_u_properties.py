@@ -5,7 +5,7 @@ underlying graph, and the greedy first descent against a copy of the
 greedy DSATUR coloring it replaced. The mask kernels are checked against
 the same searches run on induced subgraphs: ``layering_coloring`` against
 a per-layer subgraph construction, and ``max_clique`` against
-``clique_number``. Examples are derandomized so every run of the suite sees
+``clique_number`` and against subset enumeration. Examples are derandomized so every run of the suite sees
 the same graphs.
 """
 
@@ -170,6 +170,24 @@ def test_mask_clique_matches_the_induced_subgraph(g, data):
     subset = data.draw(st.sets(st.sampled_from(list(g.vertices)))) if g.n else set()
     mask = sum(1 << v for v in subset)
     assert max_clique(g.adjacent_masks, mask) == clique_number(g.induced(subset)[0])
+
+
+def brute_force_clique(g, subset):
+    """Largest subset of ``subset`` whose pairs are all related, by enumeration."""
+    related = underlying_undirected(g).edges
+    for size in range(len(subset), 1, -1):
+        for cand in combinations(sorted(subset), size):
+            if all((u, v) in related for u, v in combinations(cand, 2)):
+                return size
+    return len(subset) and 1
+
+
+@PROPERTY
+@given(mixed_graphs(max_n=12), st.data())
+def test_mask_clique_matches_enumeration(g, data):
+    subset = data.draw(st.sets(st.sampled_from(list(g.vertices)))) if g.n else set()
+    mask = sum(1 << v for v in subset)
+    assert max_clique(g.adjacent_masks, mask) == brute_force_clique(g, subset)
 
 
 def grotzsch():

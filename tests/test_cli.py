@@ -379,6 +379,14 @@ class TestBoundsParams:
         code, out, _ = run(capsys, "solve", out_file, "--k", "3", "--method", "ndm")
         assert code == 0 and report_dict(out)["classes"] == "6"
 
+    def test_params_empty_graph(self, capsys, tmp_path):
+        graph = tmp_path / "empty.graph"
+        graph.write_text("p mixed 0 0 0\n")
+        code, out, _ = run(capsys, "params", str(graph))
+        fields = report_dict(out)
+        assert code == 0
+        assert (fields["maxrank"], fields["layers"]) == ("0", "0")
+
     def test_verify_rejects(self, capsys, path4, tmp_path):
         cert = tmp_path / "bad.txt"
         cert.write_text("1 1\n2 1\n3 2\n4 3\n5 4\n")

@@ -132,6 +132,15 @@ class TestLayering:
         lay = layering(g)
         assert lay.layers == (frozenset({1, 2, 3, 4}),)
 
+    def test_empty_graph_has_no_layers(self):
+        g = mixed_graph(0)
+        assert layering(g).layers == ()
+        assert maxrank(g) == 0
+
+    def test_built_once_per_graph(self):
+        g = mixed_graph(3, arcs=[(1, 2)])
+        assert layering(g) is layering(g) is g.layering
+
     def test_directed_path_singleton_layers(self):
         g = mixed_graph(4, arcs=[(1, 2), (2, 3), (3, 4)])
         assert [sorted(layer) for layer in layering(g).layers] == [[1], [2], [3], [4]]

@@ -3,19 +3,26 @@
 import itertools
 import sys
 
+import pytest
+
 from mixedcolor import (
+    BudgetExceeded,
     clique_number,
+    evaluate,
+    lower_bounds,
     maxrank,
     mixed_graph,
     mixed_neighborhood_partition,
     ndm,
+    ndm_expression,
     ndu,
     transitive_closure,
     undirected_neighborhood_partition,
     underlying_undirected,
     vertex_cover_number,
 )
-from mixedcolor.reductions import family_tripartite
+from mixedcolor import partitions
+from mixedcolor.reductions import family_hamiltonian_tournament, family_layered_cliques, family_tripartite
 
 
 def complete(n):
@@ -221,6 +228,58 @@ class TestCliqueNumber:
                 default=0,
             )
             assert clique_number(g) == best
+
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 150])
+    def test_complete_graph_takes_one_node_per_vertex(self, n):
+        # each node's colouring gives every vertex its own class: the search
+        # runs straight down to the whole clique and prunes everything else
+        assert clique_number(family_hamiltonian_tournament(n), budget=n) == n
+        with pytest.raises(BudgetExceeded, match=f"clique search exceeded {n - 1} nodes"):
+            clique_number(family_hamiltonian_tournament(n), budget=n - 1)
+
+
+class TestComputedOnce:
+    """The clique number and the mixed partition are computed once per graph."""
+
+    def test_smaller_budget_after_success_raises_as_fresh(self):
+        g = family_hamiltonian_tournament(40)
+        assert clique_number(g, budget=40) == 40
+        assert clique_number(g, budget=10**6) == 40
+        for budget in (39, 1):
+            with pytest.raises(BudgetExceeded) as fresh:
+                clique_number(family_hamiltonian_tournament(40), budget=budget)
+            with pytest.raises(BudgetExceeded) as cached:
+                clique_number(g, budget=budget)
+            assert str(cached.value) == str(fresh.value) == f"clique search exceeded {budget} nodes"
+
+    def test_failed_search_keeps_nothing(self, monkeypatch):
+        searches, max_clique = [], partitions.max_clique
+        monkeypatch.setattr(partitions, "max_clique", lambda *args: searches.append(args[2]) or max_clique(*args))
+        g = family_hamiltonian_tournament(12)
+        with pytest.raises(BudgetExceeded):
+            clique_number(g, budget=11)
+        assert clique_number(g, budget=12) == 12
+        assert clique_number(g) == 12
+        assert searches == [11, 12]
+
+    def test_lower_bounds_fallback_runs_no_second_search(self, monkeypatch):
+        searches, max_clique = [], partitions.max_clique
+        monkeypatch.setattr(partitions, "max_clique", lambda *args: searches.append(args[2]) or max_clique(*args))
+        # six nodes finish the clique search but not the coloring
+        lb = lower_bounds(family_layered_cliques(1, 3), budget=6)
+        assert (lb.chi_u, lb.chi_u_exact) == (6, False)
+        assert searches == [6]
+
+    def test_ndm_expression_reuses_the_partition(self, monkeypatch):
+        g = family_tripartite(3)
+        part = mixed_neighborhood_partition(g)
+        builds, build = [], partitions._partition_by_signature
+        monkeypatch.setattr(partitions, "_partition_by_signature", lambda *args: builds.append(args) or build(*args))
+        expr = ndm_expression(g)
+        assert mixed_neighborhood_partition(g) is part
+        assert builds == []
+        assert evaluate(expr).graph.n == g.n
 
 
 class TestParameterInequalities:

@@ -22,7 +22,7 @@ from mixedcolor import maximal_proper_preorders, solve_feasibility
 from mixedcolor.bounds import check_proper
 from mixedcolor.feasibility import EQ, LE, Constraint, FeasibilityProgram, Rows, search
 from mixedcolor.graphs import mixed_graph
-from mixedcolor.solvers import _Subsets, ndm_fpt_decide, preorder_program
+from mixedcolor.solvers import ClassStructure, _chain_weight_bound, _Subsets, ndm_fpt_decide, preorder_program
 
 from test_feasibility import programs
 
@@ -148,6 +148,23 @@ def test_bounded_enumeration_is_the_filtered_one(structure, max_ell):
     sizes, _, arcs = structure
     every = list(maximal_proper_preorders(len(sizes), arcs))
     assert list(maximal_proper_preorders(len(sizes), arcs, max_ell)) == [pre for pre in every if pre.ell <= max_ell]
+
+
+def reference_chain_weight(sizes, arcs):
+    """The chain bound as the route first computed it: on a validated class DAG."""
+    dag = mixed_graph(len(sizes), arcs=[(i + 1, j + 1) for i, j in arcs])
+    best = [0] * (dag.n + 1)
+    for c in dag.order:
+        best[c] = sizes[c - 1] + max((best[p] for p in dag.preds[c]), default=0)
+    return max(best)
+
+
+@PROPERTY
+@given(class_structures(max_m=8))
+def test_chain_weight_bound_matches_the_class_dag(structure):
+    sizes, edges, arcs = structure
+    struct = ClassStructure(sizes, tuple((c,) for c in range(len(sizes))), (False,) * len(sizes), edges, arcs)
+    assert _chain_weight_bound(struct) == reference_chain_weight(sizes, arcs)
 
 
 @pytest.mark.parametrize("m", [8, 12, 16])
