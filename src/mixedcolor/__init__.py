@@ -59,6 +59,7 @@ from .feasibility import (
 from .treedecomp import (
     TreeDecomposition,
     load_td,
+    make_nice,
     min_fill_decomposition,
     save_td,
     validate_decomposition,

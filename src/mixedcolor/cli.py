@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--method", choices=solvers.METHODS, default="branch")
-    p.add_argument("--td", default=None, help="tree decomposition file (PACE .td)")
+    p.add_argument("--td", default=None, help="tree decomposition file (PACE .td; needs --method twdp)")
     p.add_argument("--cert", default=None, help="write the witness coloring here")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                    help="work budget of every method's search (default %(default)s)")
@@ -364,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "solve" and args.dump_ilp and (args.k is None or args.method != "ndm"):
             parser.error("--dump-ilp needs --k and --method ndm")
+        if args.command == "solve" and args.td and args.method != "twdp":
+            parser.error("--td needs --method twdp")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

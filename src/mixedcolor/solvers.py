@@ -15,6 +15,7 @@ Four routes, cross-validated against each other in the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
@@ -110,19 +111,18 @@ def brute_force_chi(
 # treewidth dynamic programming
 # ---------------------------------------------------------------------------
 
-def tw_dp_decide(
-    g: MixedGraph, td: TreeDecomposition, k: int, validate: bool = True, budget: int = DEFAULT_NODE_BUDGET
-) -> SolveResult:
+def tw_dp_decide(g: MixedGraph, nice: list[NiceNode], k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Decide k-colorability with the nice-decomposition table DP.
 
-    A table holds the proper colorings of a node's bag, as tuples in bag
-    order, that extend to its subtree. Every vertex v has the color window
-    ``1 + g.floor[v]`` .. ``k - g.ceiling[v]``, which holds in every proper
-    coloring: an empty window answers no before any table is built. An
-    introduce node gives the new vertex every color of its window that its
-    bagged in- and out-neighbors leave open and no bagged edge neighbor
-    uses; join nodes intersect tables on equal bags. The first empty table
-    answers no, as every table above it would be empty too. Only forget
+    ``nice`` is ``make_nice`` of a decomposition validated against g; the twdp
+    route builds it once per graph. A table holds the proper colorings of a
+    node's bag, as tuples in bag order, that extend to its subtree. Every
+    vertex v has the color window ``1 + g.floor[v]`` .. ``k - g.ceiling[v]``,
+    which holds in every proper coloring: an empty window answers no before any
+    table is built. An introduce node gives the new vertex every color of its
+    window that its bagged in- and out-neighbors leave open and no bagged edge
+    neighbor uses; join nodes intersect tables on equal bags. The first empty
+    table answers no, as every table above it would be empty too. Only forget
     tables outlive their parent: each maps a reduced key to the forgotten
     vertex's color in one witness extension.
 
@@ -132,33 +132,17 @@ def tw_dp_decide(
     and after every other node. k is clamped to n: the arc order colors any
     graph here with n colors.
     """
-    if validate:
-        validate_decomposition(td, g)
     if g.n == 0:
         return SolveResult(True, Coloring({}), {"nodes": 0, "max_table": 1})
     k = min(k, g.n)
     floor, ceiling = g.floor, g.ceiling
     if any(floor[v] + ceiling[v] >= k for v in g.vertices):  # also every k < 1
         return SolveResult(False, None, {"nodes": 0, "max_table": 0})
-    root = make_nice(td)
-
-    # post-order linearization
-    post: list[NiceNode] = []
-    stack: list[tuple[NiceNode, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            post.append(node)
-        else:
-            stack.append((node, True))
-            for child in node.children:
-                stack.append((child, False))
-
     forgets: dict[int, dict] = {}  # id(forget node) -> its table
     entries = 0
     max_table = 0
     pending: list[dict] = []  # tables not yet consumed by their parent
-    for node in post:
+    for node in nice:
         if node.kind == "leaf":
             table: dict = {(): None}
         elif node.kind == "introduce":
@@ -213,13 +197,10 @@ def tw_dp_decide(
             return SolveResult(False, None, {"nodes": entries, "max_table": max_table})
         pending.append(table)
 
-    root_table = pending.pop()
-    stats = {"nodes": entries, "max_table": max_table}
-
     # witness reconstruction: walk down from the root entry, right join
     # branches waiting on a stack until the left branch reaches its leaf
     colors: dict[int, int] = {}
-    branches: list[tuple[NiceNode, tuple[int, ...]]] = [(root, next(iter(root_table)))]
+    branches: list[tuple[NiceNode, tuple[int, ...]]] = [(nice[-1], next(iter(pending.pop())))]
     while branches:
         node, key = branches.pop()
         while node.kind != "leaf":
@@ -233,8 +214,7 @@ def tw_dp_decide(
             else:  # join
                 branches.append((node.children[1], key))
             node = node.children[0]
-    witness = Coloring(colors)
-    return SolveResult(True, witness, stats)
+    return SolveResult(True, Coloring(colors), {"nodes": entries, "max_table": max_table})
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +295,43 @@ class ClassStructure:
     class_edges: frozenset[frozenset[int]]
     class_arcs: frozenset[tuple[int, int]]
 
+    @cached_property
+    def subsets(self) -> _Subsets:
+        """The count-variable class sets of every preorder program, for every k."""
+        return _Subsets(len(self.sizes), self.class_edges)
+
+    @cached_property
+    def chain_weight(self) -> int:
+        """Longest class-DAG chain weighted by class sizes: a chromatic lower bound."""
+        arcs = [(i + 1, j + 1) for i, j in self.class_arcs]  # classes numbered from 1
+        heads: list[list[int]] = [[] for _ in range(len(self.sizes) + 1)]
+        for i, j in arcs:
+            heads[i].append(j)
+        best = [0, *self.sizes]  # heaviest chain ending at each class
+        for c in arc_order(len(self.sizes), arcs):
+            for d in heads[c]:
+                best[d] = max(best[d], best[c] + self.sizes[d - 1])
+        return max(best)
+
 
 def class_structure(g: MixedGraph) -> ClassStructure:
-    """The class structure of ``transitive_closure(g)``, without building the closure."""
-    part = closure_neighborhood_partition(g)
-    members = tuple(tuple(sorted(cls)) for cls in part.classes)
-    independent = tuple(kind == "independent" for kind in part.class_kinds)
-    sizes = tuple(1 if independent[i] else len(members[i]) for i in range(len(members)))
-    class_of = {v: i for i, cls in enumerate(members) for v in cls}
-    class_edges = frozenset(
-        frozenset((class_of[u], class_of[v]))
-        for u, v in g.edges
-        if class_of[u] != class_of[v] and not (g.anc_masks[u] | g.desc_masks[u]) >> v & 1
-    )
-    class_arcs = frozenset((class_of[u], class_of[v]) for u, v in g.arcs)
-    return ClassStructure(sizes, members, independent, class_edges, class_arcs)
+    """The class structure of ``transitive_closure(g)``, without building the
+    closure; built once per graph and kept on it, with its ``subsets`` memo."""
+    memo = vars(g)
+    if "class_structure" not in memo:
+        part = closure_neighborhood_partition(g)
+        members = tuple(tuple(sorted(cls)) for cls in part.classes)
+        independent = tuple(kind == "independent" for kind in part.class_kinds)
+        sizes = tuple(1 if independent[i] else len(members[i]) for i in range(len(members)))
+        class_of = {v: i for i, cls in enumerate(members) for v in cls}
+        class_edges = frozenset(
+            frozenset((class_of[u], class_of[v]))
+            for u, v in g.edges
+            if class_of[u] != class_of[v] and not (g.anc_masks[u] | g.desc_masks[u]) >> v & 1
+        )
+        class_arcs = frozenset((class_of[u], class_of[v]) for u, v in g.arcs)
+        memo["class_structure"] = ClassStructure(sizes, members, independent, class_edges, class_arcs)
+    return memo["class_structure"]
 
 
 def maximal_proper_preorders(
@@ -412,9 +414,9 @@ class _Subsets(dict):
     ``self[active]`` lists, ascending, each maximal independent set of the
     classes in ``active`` under the class edges, as a mask with its classes;
     the empty ``active`` has none. These are the only sets a preorder program
-    counts colors of, and one instance serves every preorder of a decide
-    call, so it holds one entry per maximal independent set per distinct
-    active mask.
+    counts colors of, and a class structure's one instance serves every
+    preorder for every k, so it holds one entry per maximal independent set
+    per distinct active mask.
     """
 
     def __init__(self, m: int, class_edges: frozenset[frozenset[int]]) -> None:
@@ -497,19 +499,6 @@ def coloring_from_preorder_solution(
     return Coloring(colors)
 
 
-def _chain_weight_bound(struct: ClassStructure) -> int:
-    """Longest class-DAG chain weighted by class sizes: a chromatic lower bound."""
-    arcs = [(i + 1, j + 1) for i, j in struct.class_arcs]  # classes numbered from 1
-    heads: list[list[int]] = [[] for _ in range(len(struct.sizes) + 1)]
-    for i, j in arcs:
-        heads[i].append(j)
-    best = [0, *struct.sizes]  # heaviest chain ending at each class
-    for c in arc_order(len(struct.sizes), arcs):
-        for d in heads[c]:
-            best[d] = max(best[d], best[c] + struct.sizes[d - 1])
-    return max(best)
-
-
 def ndm_programs(
     struct: ClassStructure, k: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> Iterator[tuple[TypeEndpointPreorder, Rows]]:
@@ -519,12 +508,10 @@ def ndm_programs(
     maximal proper preorder of the classes with at most k + 1 positions (each
     of its intervals holds a color), enumerated within ``budget``.
     """
-    if _chain_weight_bound(struct) > k:
+    if struct.chain_weight > k:
         return
-    m = len(struct.sizes)
-    subsets = _Subsets(m, struct.class_edges)
-    for pre in maximal_proper_preorders(m, struct.class_arcs, k + 1, budget):
-        yield pre, preorder_program(pre, struct.sizes, subsets, k)
+    for pre in maximal_proper_preorders(len(struct.sizes), struct.class_arcs, k + 1, budget):
+        yield pre, preorder_program(pre, struct.sizes, struct.subsets, k)
 
 
 def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
@@ -584,16 +571,16 @@ class _BranchingSearch:
     each child colors one maximal independent set of the state's sources
     (vertices without an incoming arc from the state) with the next color.
     A state only ever loses sources, so it is closed under arc successors and
-    its longest arc chain starts at its tallest vertex: it needs more than j
-    colors as soon as it meets ``tall[j]``. ``refuted`` maps an expanded
-    state to the largest color count shown insufficient for it; it stays
-    valid across ``decide`` calls with different k, and it holds at most one
-    entry per counted node.
+    holds every descendant of its vertices: it needs more than j colors as soon
+    as it meets ``tall[j]``, the vertices whose descendants need j colors above
+    their own (``g.ceiling``). ``refuted`` maps an expanded state to the
+    largest color count shown insufficient for it; it stays valid across
+    ``decide`` calls with different k, and it holds at most one entry per
+    counted node.
     """
 
     def __init__(self, g: MixedGraph, budget: int, fanout_log: list | None = None):
-        n = g.n
-        self.n = n
+        self.n = n = g.n
         self.budget = budget
         self.fanout_log = fanout_log
         self.nodes = 0
@@ -602,25 +589,23 @@ class _BranchingSearch:
         self.keep = [~(g.nbr_masks[v] >> 1 | 1 << (v - 1)) for v in g.vertices]
         self.arc_in = [g.pred_masks[v] >> 1 for v in g.vertices]
         self.arc_out = [[w - 1 for w in g.succs[v]] for v in g.vertices]
-        # arc height: arcs on the longest directed path leaving the vertex
-        height = [0] * n
-        for v in reversed(g.order):
-            height[v - 1] = max((height[w] + 1 for w in self.arc_out[v - 1]), default=0)
-        # tall[j]: vertices of arc height at least j; j ranges over 0..n
+        # tall[j]: vertices of ceiling at least j; j ranges over 0..n
         self.tall = [0] * (n + 2)
-        for i, h in enumerate(height):
-            self.tall[h] |= 1 << i
+        for v in g.vertices:
+            self.tall[g.ceiling[v]] |= 1 << (v - 1)
         for j in range(n, -1, -1):
             self.tall[j] |= self.tall[j + 1]
-        self.lower_bound = max(height, default=-1) + 1
+        # every proper coloring gives v a color in 1 + floor[v] .. k - ceiling[v]
+        self.lower_bound = max([g.floor[v] + g.ceiling[v] + 1 for v in g.vertices], default=0)
 
     def _expand(self, state: int, sources: int, j: int) -> list:
         """Count a node and build its frame: state, sources, colors, children, next child.
 
-        The state fits under the chain cut for j colors, so a vertex of arc
-        height j - 1 in it has no arc predecessor left and is a source. A
-        child that leaves one uncolored is cut, so the children are only the
-        maximal independent sets of the sources that contain all of them.
+        The state fits under the cut for j colors, and an arc (u, v) gives
+        ``ceiling[u] > ceiling[v]``, so a vertex of ceiling j - 1 in it has no
+        arc predecessor left and is a source. A child that leaves one uncolored
+        is cut, so the children are only the maximal independent sets of the
+        sources that contain all of them.
         """
         self.nodes += 1
         if self.nodes > self.budget:
@@ -694,7 +679,7 @@ def branching_decide(
 def branching_chi(
     g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, fanout_log: list | None = None
 ) -> tuple[int, Coloring]:
-    """Exact chromatic number by ascending k from the longest arc chain.
+    """Exact chromatic number by ascending k from the graph's color windows.
 
     All k share one search, so states refuted for a smaller k are not
     searched again.
@@ -720,7 +705,8 @@ def _twdp_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Dec
         td = min_fill_decomposition(g)  # validated where it is built
     else:
         validate_decomposition(td, g)
-    return lambda k: tw_dp_decide(g, td, k, validate=False, budget=budget)
+    nice = make_nice(td)
+    return lambda k: tw_dp_decide(g, nice, k, budget)
 
 
 def _ndm_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
@@ -746,9 +732,10 @@ def chi_exact(
     """Minimum k with a proper k-coloring, via the chosen route.
 
     brute goes through ``brute_force_chi``, capped at ``DEFAULT_BRUTE_CAP``
-    vertices, and branch through ``branching_chi``, which ascends from its
-    search's arc-height bound; twdp and ndm ascend from the combined lower
-    bound. ``budget`` bounds the lower bound's search and every decide call.
+    vertices, and branch through ``branching_chi``, which ascends from the
+    largest ``floor[v] + ceiling[v] + 1``; twdp and ndm ascend from the
+    combined lower bound. ``budget`` bounds the lower bound's search and every
+    decide call.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")

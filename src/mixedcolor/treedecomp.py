@@ -217,8 +217,9 @@ def _chain(from_bag: frozenset[int], to_bag: frozenset[int], below: NiceNode) ->
     return node
 
 
-def make_nice(td: TreeDecomposition) -> NiceNode:
-    """Rooted nice decomposition with an empty root bag and empty leaf bags."""
+def make_nice(td: TreeDecomposition) -> list[NiceNode]:
+    """Rooted nice decomposition with an empty root bag and empty leaf bags,
+    listed in post-order with each node's children last to first: root last."""
     b = len(td.bags)
     adj: dict[int, list[int]] = {i: [] for i in range(b)}
     for i, j in td.tree_edges:
@@ -253,4 +254,11 @@ def make_nice(td: TreeDecomposition) -> NiceNode:
             left = subtrees.pop()
             subtrees.append(NiceNode("join", tuple(sorted(bag)), None, [left, right]))
         built[node] = subtrees[0]
-    return _chain(td.bags[0], frozenset(), built[0])
+    # a pre-order taking children first to last, reversed
+    post = []
+    stack = [_chain(td.bags[0], frozenset(), built[0])]
+    while stack:
+        node = stack.pop()
+        post.append(node)
+        stack.extend(reversed(node.children))
+    return post[::-1]

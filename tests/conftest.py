@@ -1,6 +1,8 @@
-"""Shared corpus builders for the test suite.
+"""Shared corpus builders and the Hypothesis profile of the test suite.
 
-All randomness is seeded so every run sees the same instances.
+All randomness is seeded so every run sees the same instances. Property
+tests are derandomized, so every run draws the same examples, and have no
+deadline; each test sets only its own ``max_examples``.
 """
 
 from __future__ import annotations
@@ -8,8 +10,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from mixedcolor import MixedGraph, random_mixed_graph
+
+settings.register_profile("mixedcolor", deadline=None, derandomize=True)
+settings.load_profile("mixedcolor")
 
 DENSITY_SWEEP = [
     (0.00, 0.25),

@@ -62,7 +62,7 @@ from mixedcolor import (
 from mixedcolor.errors import UnsupportedClosureExpression
 from mixedcolor.feasibility import EQ, LE
 from mixedcolor.graphs import MixedGraph, normalize_edge
-from mixedcolor.treedecomp import min_fill_decomposition
+from mixedcolor.treedecomp import make_nice, min_fill_decomposition
 
 from conftest import graph_corpus
 
@@ -267,7 +267,7 @@ def test_criterion_6_reduction_equivalences():
         }
         inst = ListColoringInstance(base, lists, ell)
         g, k = reduce_list_coloring(inst)
-        got = tw_dp_decide(g, min_fill_decomposition(g), k).decision
+        got = tw_dp_decide(g, make_nice(min_fill_decomposition(g)), k).decision
         if got != list_coloring_exists(inst):
             failures.append(("list", i))
 
@@ -292,7 +292,7 @@ def test_criterion_6_reduction_equivalences():
             failures.append(("split maxrank", strings))
         plain, _ = reduce_superstring(inst)
         want = brute_force_decide(plain, k) is not None
-        got = tw_dp_decide(split, min_fill_decomposition(split), k).decision
+        got = tw_dp_decide(split, make_nice(min_fill_decomposition(split)), k).decision
         if want != got:
             failures.append(("split agreement", strings))
     # exactly eight undirected types in the closure needs both machines

@@ -31,7 +31,7 @@ from mixedcolor.expressions import (
 from mixedcolor.graphs import MixedGraph, normalize_edge
 from mixedcolor.partitions import vertex_cover_number
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=300)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from mixedcolor import (
 )
 from mixedcolor.solvers import maximal_independent_sets
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=150)
 
 
 @st.composite

@@ -23,7 +23,7 @@ from mixedcolor.graphs import underlying_undirected
 from mixedcolor.partitions import clique_number, max_clique
 from mixedcolor.solvers import brute_force_decide
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=150)
 
 
 @st.composite
@@ -158,7 +158,7 @@ def subgraph_layering_coloring(g):
     return assignment
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.one_of(layered_graphs(), disjoint_unions(), mixed_graphs()))
 def test_layering_coloring_matches_the_subgraph_construction(g):
     assert layering_coloring(g).colors == subgraph_layering_coloring(g)

@@ -230,6 +230,17 @@ class TestSolve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("method", ["brute", "ndm", "branch"])
+    def test_td_without_twdp_is_usage_error(self, capsys, path4, tmp_path, method):
+        # bags that miss vertex 5: twdp rejects the file, no other method reads it
+        td_file = tmp_path / "short.td"
+        td_file.write_text("s td 3 2 5\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n")
+        code, _, err = run(capsys, "solve", path4, "--method", "twdp", "--td", str(td_file))
+        assert code == 2 and "InvalidDecomposition" in err
+        code, out, err = run(capsys, "solve", path4, "--method", method, "--td", str(td_file))
+        assert code == 2 and out == ""
+        assert "--td needs --method twdp" in err
+
 
 # the stats lines each route prints after its decision, sorted by key
 ROUTE_STATS = {

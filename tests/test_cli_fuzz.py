@@ -25,7 +25,7 @@ from mixedcolor.expressions import format_expression, ndm_expression
 from mixedcolor.graphs import Coloring, mixed_graph, save_coloring, save_graph
 from mixedcolor.treedecomp import min_fill_decomposition, save_td
 
-FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+FUZZ = settings(max_examples=100)
 
 HUGE_K = 10**9
 NUMBERS = [str(i) for i in range(64)] + ["-1", "-3"]

@@ -23,7 +23,7 @@ from mixedcolor import (
 from mixedcolor.partitions import class_relations, closure_neighborhood_partition
 from mixedcolor.solvers import class_structure
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=300)
 
 
 @st.composite

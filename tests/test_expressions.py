@@ -159,13 +159,13 @@ def mutated_texts(draw):
 
 
 class TestParseProperties:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(expressions)
     def test_formatted_text_parses_back(self, expr):
         text = format_expression(expr)
         assert format_expression(parse_expression(text)) == text
 
-    @settings(max_examples=500, deadline=None, derandomize=True)
+    @settings(max_examples=500)
     @given(mutated_texts())
     def test_mutated_text_parses_or_raises_parse_error(self, text):
         try:

@@ -156,7 +156,7 @@ class TestAgainstEnumeration:
 # Examples are derandomized so every run of the suite sees the same programs.
 # ---------------------------------------------------------------------------
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=300)
 
 
 def reference_propagate(bounds, constraints):

@@ -22,7 +22,7 @@ from mixedcolor.graphs import normalize_edge, underlying_undirected
 from mixedcolor.partitions import class_relations
 from mixedcolor.reductions import family_layered_cliques
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=150)
 
 
 @st.composite

@@ -22,11 +22,11 @@ from mixedcolor import maximal_proper_preorders, solve_feasibility
 from mixedcolor.bounds import check_proper
 from mixedcolor.feasibility import EQ, LE, Constraint, FeasibilityProgram, Rows, search
 from mixedcolor.graphs import mixed_graph
-from mixedcolor.solvers import ClassStructure, _chain_weight_bound, _Subsets, ndm_fpt_decide, preorder_program
+from mixedcolor.solvers import ClassStructure, _Subsets, ndm_fpt_decide, preorder_program
 
 from test_feasibility import programs
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=200)
 
 
 def _independent_submasks(pre, m, class_edges, i):
@@ -164,7 +164,7 @@ def reference_chain_weight(sizes, arcs):
 def test_chain_weight_bound_matches_the_class_dag(structure):
     sizes, edges, arcs = structure
     struct = ClassStructure(sizes, tuple((c,) for c in range(len(sizes))), (False,) * len(sizes), edges, arcs)
-    assert _chain_weight_bound(struct) == reference_chain_weight(sizes, arcs)
+    assert struct.chain_weight == reference_chain_weight(sizes, arcs)
 
 
 @pytest.mark.parametrize("m", [8, 12, 16])

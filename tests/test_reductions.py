@@ -43,7 +43,7 @@ from mixedcolor import (
     width,
 )
 from mixedcolor.graphs import MixedGraph, normalize_edge
-from mixedcolor.treedecomp import min_fill_decomposition
+from mixedcolor.treedecomp import make_nice, min_fill_decomposition
 
 
 def relabel_to(g, order):
@@ -95,7 +95,7 @@ class TestSuperstring:
             plain, _ = reduce_superstring(inst)
             split, _ = reduce_superstring(inst, split=True)
             expected = brute_force_decide(plain, k) is not None
-            got = tw_dp_decide(split, min_fill_decomposition(split), k).decision
+            got = tw_dp_decide(split, make_nice(min_fill_decomposition(split)), k).decision
             assert got == expected
 
     def test_split_expression_matches_graph(self):
@@ -207,7 +207,7 @@ class TestListColoring:
             inst = ListColoringInstance(base, lists, ell)
             g, k = reduce_list_coloring(inst)
             td = min_fill_decomposition(g)
-            assert tw_dp_decide(g, td, k).decision == list_coloring_exists(inst)
+            assert tw_dp_decide(g, make_nice(td), k).decision == list_coloring_exists(inst)
 
 
 class TestMulticoloredClique:

@@ -34,7 +34,7 @@ from mixedcolor.reductions import (
     family_layered_cliques,
     reduce_scheduling,
 )
-from mixedcolor.treedecomp import load_td
+from mixedcolor.treedecomp import load_td, make_nice
 
 import importlib
 import inspect
@@ -101,15 +101,15 @@ class TestTreewidthDP:
         text = "s td 4 2 5\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 4 5\n1 2\n2 3\n3 4\n"
         td = load_td(io.StringIO(text))
         assert td.width == 1
-        assert tw_dp_decide(g, td, 5).decision
-        assert not tw_dp_decide(g, td, 4).decision
+        assert tw_dp_decide(g, make_nice(td), 5).decision
+        assert not tw_dp_decide(g, make_nice(td), 4).decision
 
     def test_k_equals_n_always_yes(self, small_corpus):
         for g in small_corpus[:25]:
             if g.n == 0:
                 continue
             td = min_fill_decomposition(g)
-            result = tw_dp_decide(g, td, g.n)
+            result = tw_dp_decide(g, make_nice(td), g.n)
             assert result.decision
             assert check_proper(g, result.witness)[0]
 
@@ -117,7 +117,7 @@ class TestTreewidthDP:
         g = mixed_graph(3, edges=[(1, 2), (2, 3)])
         td = TreeDecomposition(3, (frozenset({1, 2}),), ())
         with pytest.raises(InvalidDecomposition):
-            tw_dp_decide(g, td, 2)
+            solvers.ROUTES["twdp"](g, td, DEFAULT_NODE_BUDGET)
 
     def test_table_size_bound(self, small_corpus):
         for g in small_corpus[:25]:
@@ -125,7 +125,7 @@ class TestTreewidthDP:
                 continue
             td = min_fill_decomposition(g)
             k = max(1, g.n - 1)
-            result = tw_dp_decide(g, td, k)
+            result = tw_dp_decide(g, make_nice(td), k)
             assert result.stats["max_table"] <= k ** (td.width + 1)
 
     @pytest.mark.parametrize(
@@ -140,7 +140,7 @@ class TestTreewidthDP:
         # color, and k = 9 leaves one color per layer, so the second vertex
         # of a clique empties its table.
         g = family_layered_cliques(2, 4)
-        result = tw_dp_decide(g, min_fill_decomposition(g), k)
+        result = tw_dp_decide(g, make_nice(min_fill_decomposition(g)), k)
         assert result.decision == decision
         assert (result.stats["nodes"], result.stats["max_table"]) == (nodes, max_table)
         if decision:
@@ -151,11 +151,11 @@ class TestTreewidthDP:
         g = mixed_graph(n, edges=[(i, i + 1) for i in range(1, n)])
         bags = tuple(frozenset({i, i + 1}) for i in range(1, n))
         td = TreeDecomposition(n, bags, tuple((i, i + 1) for i in range(n - 2)))
-        result = tw_dp_decide(g, td, 2)
+        result = tw_dp_decide(g, make_nice(td), 2)
         assert result.decision
         assert check_proper(g, result.witness)[0]
         assert result.witness.max_color() == 2
-        assert not tw_dp_decide(g, td, 1).decision
+        assert not tw_dp_decide(g, make_nice(td), 1).decision
 
 
 class TestNdmFpt:
@@ -354,6 +354,14 @@ class TestBranching:
                 bound = (clique_number(sub) + 1) ** ndu(sub)
                 assert count <= bound
 
+    def test_search_starts_at_the_color_windows(self):
+        # the first layer's descendants need 8 colors above its own, so the
+        # search starts at 9 and refutes k = 8 before any node
+        g = family_layered_cliques(2, 4)
+        assert solvers._BranchingSearch(g, DEFAULT_NODE_BUDGET).lower_bound == 9
+        result = solvers.ROUTES["branch"](g, None, DEFAULT_NODE_BUDGET)(8)
+        assert not result.decision and result.stats["nodes"] == 0
+
     def test_mis_enumeration_matches_definition(self):
         adj = {1: {2}, 2: {1, 3}, 3: {2}, 4: set()}
         sets = maximal_independent_sets([1, 2, 3, 4], adj)
@@ -377,7 +385,7 @@ class TestChiExact:
             td = min_fill_decomposition(g)
             for k in range(1, g.n + 2):
                 expected = brute_force_decide(g, k) is not None
-                assert tw_dp_decide(g, td, k).decision == expected
+                assert tw_dp_decide(g, make_nice(td), k).decision == expected
                 assert ndm_fpt_decide(g, k).decision == expected
                 assert branching_decide(g, k).decision == expected
 
@@ -397,8 +405,8 @@ class TestBudget:
         g = family_layered_cliques(2, 4)
         td = min_fill_decomposition(g)
         with pytest.raises(BudgetExceeded, match="exceeded 5145 table entries"):
-            tw_dp_decide(g, td, 12, budget=5_145)
-        assert tw_dp_decide(g, td, 12, budget=5_146).stats["nodes"] == 5_146
+            tw_dp_decide(g, make_nice(td), 12, budget=5_145)
+        assert tw_dp_decide(g, make_nice(td), 12, budget=5_146).stats["nodes"] == 5_146
 
     def test_twdp_budget_stops_inside_an_introduce_node(self):
         # ten isolated vertices in one bag: the fifth introduce node would take
@@ -407,7 +415,7 @@ class TestBudget:
         g = mixed_graph(10)
         td = TreeDecomposition(10, (frozenset(g.vertices),), ())
         with pytest.raises(BudgetExceeded, match="exceeded 20000 table entries") as info:
-            tw_dp_decide(g, td, 10**9, budget=20_000)
+            tw_dp_decide(g, make_nice(td), 10**9, budget=20_000)
         assert 20_000 < info.traceback[-1].frame.f_locals["entries"] <= 20_000 + g.n
 
     def test_brute_counts_loop_steps(self):
@@ -429,7 +437,7 @@ class TestBudget:
 
         monkeypatch.setattr(solvers, "lower_bounds", spy)
         assert chi_exact(triangle(), method, budget=1000)[0] == 3
-        assert seen == ([] if method == "branch" else [1000])  # branch starts from its arc-height bound
+        assert seen == ([] if method == "branch" else [1000])  # branch starts from the graph's color windows
 
     def test_every_budget_defaults_to_the_one_constant(self):
         defaults = {}

@@ -2,16 +2,26 @@
 
 A traced name only measures something if the package calls it through the
 module attribute the tracer rebinds. The ndm route must build each preorder's
-program through ``solvers.preorder_program``, and the twdp route must build
-its decomposition through ``solvers.min_fill_decomposition`` and each nice
-form through ``solvers.make_nice``. The bounds spans nest the same way:
+program through ``solvers.preorder_program`` and its class structure once per
+graph, and the twdp route must build its decomposition through
+``solvers.min_fill_decomposition`` and its nice form through
+``solvers.make_nice``, once per route set-up. The bounds spans nest the same way:
 ``lower_bounds`` calls ``bounds.chi_u_exact``, which calls
 ``bounds.clique_number`` for the start that the tracer's ``bounds.k_tried``
 counts from, and ``layering_coloring`` calls ``bounds.layering``.
 """
 
-from mixedcolor import bounds, solvers
+from mixedcolor import bounds, mixed_graph, solvers
+from mixedcolor.cli import main
+from mixedcolor.graphs import save_graph
 from mixedcolor.reductions import family_layered_cliques, family_tripartite
+
+# combined lower bound 4, chi 6: the ndm ascent decides k = 4, 5 and 6
+ASCENT = mixed_graph(
+    7,
+    edges=[(1, 2), (1, 3), (1, 7), (2, 6), (2, 7), (3, 5), (3, 6), (5, 6)],
+    arcs=[(1, 4), (2, 3), (4, 2), (4, 5), (4, 6), (7, 3), (7, 4)],
+)
 
 
 def test_ndm_route_calls_preorder_program_once_per_preorder(monkeypatch):
@@ -22,23 +32,39 @@ def test_ndm_route_calls_preorder_program_once_per_preorder(monkeypatch):
     assert len(calls) == result.stats["preorders"] == 1
 
 
-def test_twdp_route_calls_min_fill_once_and_make_nice_per_windowed_decide(monkeypatch):
-    fills, nices = [], []
-    min_fill, make_nice = solvers.min_fill_decomposition, solvers.make_nice
-    monkeypatch.setattr(solvers, "min_fill_decomposition", lambda g: fills.append(g) or min_fill(g))
-    monkeypatch.setattr(solvers, "make_nice", lambda td: nices.append(td) or make_nice(td))
-    # chi is 12; the color windows refute every k below 9 before any table
-    decide = solvers.ROUTES["twdp"](family_layered_cliques(2, 4), None, 10**6)
-    results = [decide(k) for k in range(13)]
-    assert [r.decision for r in results] == [False] * 12 + [True]
-    assert len(fills) == 1
-    assert len(nices) == sum(r.stats["nodes"] > 0 for r in results) == 4
-
-
 def spy(monkeypatch, module, name):
     calls, real = [], getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     return calls
+
+
+def test_twdp_route_calls_min_fill_and_make_nice_once(monkeypatch):
+    fills = spy(monkeypatch, solvers, "min_fill_decomposition")
+    nices = spy(monkeypatch, solvers, "make_nice")
+    # chi is 12; the color windows refute every k below 9 before any table
+    decide = solvers.ROUTES["twdp"](family_layered_cliques(2, 4), None, 10**6)
+    results = [decide(k) for k in range(13)]
+    assert [r.decision for r in results] == [False] * 12 + [True]
+    assert sum(r.stats["nodes"] > 0 for r in results) == 4
+    assert len(fills) == len(nices) == 1
+
+
+def test_ndm_ascent_builds_the_closure_partition_once(monkeypatch):
+    partitions = spy(monkeypatch, solvers, "closure_neighborhood_partition")
+    decides = spy(monkeypatch, solvers, "ndm_fpt_decide")
+    assert solvers.chi_exact(ASCENT, "ndm")[0] == 6
+    assert [k for _, k, _ in decides] == [4, 5, 6]
+    assert len(partitions) == 1
+
+
+def test_dump_ilp_shares_the_routes_class_structure(monkeypatch, tmp_path, capsys):
+    partitions = spy(monkeypatch, solvers, "closure_neighborhood_partition")
+    path = tmp_path / "ascent.graph"
+    with open(path, "w", encoding="utf-8") as fh:
+        save_graph(ASCENT, fh)
+    assert main(["solve", str(path), "--k", "6", "--method", "ndm", "--dump-ilp"]) == 0
+    assert "# preorder 1" in capsys.readouterr().out
+    assert len(partitions) == 1
 
 
 def test_lower_bounds_calls_chi_u_exact_once(monkeypatch):

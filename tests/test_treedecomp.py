@@ -129,13 +129,19 @@ class TestNiceForm:
             if g.n == 0:
                 continue
             td = min_fill_decomposition(g)
-            root = make_nice(td)
+            nice = make_nice(td)
+            root = nice[-1]
             assert root.bag == ()
+            position = {id(node): i for i, node in enumerate(nice)}
+            assert len(position) == len(nice)
             seen_vertices = set()
             stack = [root]
             while stack:
                 node = stack.pop()
                 stack.extend(node.children)
+                # every node is listed once, after its children
+                assert all(position[id(child)] < position[id(node)] for child in node.children)
+                del position[id(node)]
                 if node.kind == "leaf":
                     assert node.bag == () and not node.children
                 elif node.kind == "join":
@@ -149,13 +155,14 @@ class TestNiceForm:
                     (child,) = node.children
                     assert set(child.bag) - set(node.bag) == {node.vertex}
             assert seen_vertices == set(g.vertices)
+            assert not position
 
     def test_long_path_decomposition(self):
         # 1500 bags {i, i+1}: one leaf, and a chain far deeper than the
         # interpreter's recursion limit
         bags = tuple(frozenset({i, i + 1}) for i in range(1, 1501))
         td = TreeDecomposition(1501, bags, tuple((i, i + 1) for i in range(1499)))
-        root = make_nice(td)
+        root = make_nice(td)[-1]
         kinds = {"leaf": 0, "introduce": 0, "forget": 0, "join": 0}
         stack = [root]
         while stack:

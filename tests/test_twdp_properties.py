@@ -15,10 +15,11 @@ from mixedcolor import (
     min_fill_decomposition,
     tw_dp_decide,
 )
+from mixedcolor.treedecomp import make_nice
 
 from test_branching_properties import mixed_graphs
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=150)
 
 
 def full_bag_star(g, leaves=3):
@@ -27,8 +28,9 @@ def full_bag_star(g, leaves=3):
 
 
 def assert_matches_brute_force(g, td):
+    nice = make_nice(td)
     for k in range(g.n + 2):
-        result = tw_dp_decide(g, td, k)
+        result = tw_dp_decide(g, nice, k)
         assert result.decision == (brute_force_decide(g, k) is not None)
         if result.decision:
             assert check_proper(g, result.witness)[0]
