@@ -1,10 +1,11 @@
-"""Chromatic-number bounds: properness checking, lower bounds, and the two
-constructive upper-bound colorings (per-layer coloring and the vertex-cover
-coloring with odd/even color slots).
+"""Chromatic-number bounds: properness checking, lower bounds, and the three
+constructive upper-bound colorings (critical-path schedule coloring,
+per-layer coloring and the vertex-cover coloring with odd/even color slots).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -185,6 +186,31 @@ def layering_coloring(g: MixedGraph) -> Coloring:
             assignment[v] = offset + color
         offset += max(local.values(), default=0)
     return Coloring(assignment)
+
+
+def schedule_coloring(g: MixedGraph) -> Coloring:
+    """Proper coloring by critical-path list scheduling (Hu, 1961); needs no budget.
+
+    Of the vertices whose in-neighbors are all colored it takes the largest
+    ``g.ceiling``, then the most edge neighbors, then the smallest id, and gives
+    it the smallest color above its in-neighbors' that no edge neighbor uses.
+    A color skipped is an edge neighbor's or at most an in-neighbor's, so the
+    colors used are always 1..max."""
+    waiting = [len(preds) for preds in g.preds]
+    ready = sorted((-g.ceiling[v], -len(g.nbrs[v]), v) for v in g.vertices if not waiting[v])  # sorted, so a heap
+    colors: dict[int, int] = {}
+    while ready:
+        v = heapq.heappop(ready)[2]
+        color = max([colors[u] for u in g.preds[v]], default=0) + 1
+        used = {colors.get(u) for u in g.nbrs[v]}
+        while color in used:
+            color += 1
+        colors[v] = color
+        for w in g.succs[v]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                heapq.heappush(ready, (-g.ceiling[w], -len(g.nbrs[w]), w))
+    return Coloring(colors)
 
 
 def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:

@@ -128,8 +128,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         report.add("k", args.k)
         report.add("decision", "yes" if result.decision else "no")
     else:
-        chi, witness = solvers.chi_exact(g, method=args.method, td=td, budget=args.budget)
-        result = solvers.SolveResult(True, witness)
+        stats: dict = {}
+        chi, witness = solvers.chi_exact(g, method=args.method, td=td, budget=args.budget, stats=stats)
+        result = solvers.SolveResult(True, witness, stats)
         report.add("chi", chi)
     for key, value in sorted(result.stats.items()):
         report.add(key, value)

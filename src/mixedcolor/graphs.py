@@ -206,12 +206,16 @@ def _needs(
     """
     need = [0] * (n + 1)
     for v in order:  # every step[v] comes before v
-        clique = size = 0
-        for u in sorted(step[v], key=lambda u: (-need[u], u)):
-            if clique & ~adjacent[u] == 0:
-                clique |= 1 << u
-                size += 1
-                need[v] = max(need[v], need[u] + size)
+        if step[v]:
+            clique = size = best = 0
+            # by need descending, then id: reverse=True keeps the id order of ties
+            for u in sorted(sorted(step[v]), key=need.__getitem__, reverse=True):
+                if clique & ~adjacent[u] == 0:
+                    clique |= 1 << u
+                    size += 1
+                    if need[u] + size > best:
+                        best = need[u] + size
+            need[v] = best
     return tuple(need)
 
 

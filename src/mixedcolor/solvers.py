@@ -15,13 +15,13 @@ Four routes, cross-validated against each other in the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 # perfbench's tracer wraps layering_coloring in this module
-from .bounds import layering_coloring, lower_bounds  # noqa: F401
+from .bounds import layering_coloring, lower_bounds, schedule_coloring  # noqa: F401
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, CapExceeded
 from .feasibility import Rows, search, solve_feasibility  # noqa: F401
 from .graphs import Coloring, MixedGraph, arc_order, set_bits
@@ -48,13 +48,24 @@ class SolveResult:
 Decide = Callable[[int], SolveResult]
 
 
-def _ascend(decide: Decide, first_k: int, n: int) -> tuple[int, Coloring]:
-    """The first k in first_k..n that monotone ``decide`` accepts, with its witness."""
-    for k in range(first_k, n + 1):
+def _window(g: MixedGraph) -> int:
+    """Every proper coloring gives v a color in 1 + floor[v] .. k - ceiling[v],
+    so k is at least the largest ``floor[v] + ceiling[v] + 1``."""
+    return max([g.floor[v] + g.ceiling[v] + 1 for v in g.vertices], default=0)
+
+
+def _ascend(decide: Decide, first_k: int, upper: Coloring, stats: dict | None = None) -> tuple[int, Coloring]:
+    """The first k below upper's color count, from first_k on, that monotone ``decide``
+    accepts, with its witness, else that count and ``upper``. ``stats`` gets
+    ``first_k``, ``upper`` (the count) and the number of ``decides``."""
+    stats = {} if stats is None else stats
+    stats.update(first_k=first_k, upper=upper.num_colors(), decides=0)
+    for k in range(first_k, stats["upper"]):
+        stats["decides"] += 1
         result = decide(k)
         if result.decision:
             return k, result.witness
-    raise AssertionError("no coloring with n colors was found; the decider is unsound")
+    return stats["upper"], upper
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +110,13 @@ def brute_force_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET)
 
 
 def brute_force_chi(
-    g: MixedGraph, cap: int = DEFAULT_BRUTE_CAP, budget: int = DEFAULT_NODE_BUDGET
+    g: MixedGraph, cap: int = DEFAULT_BRUTE_CAP, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None = None
 ) -> tuple[int, Coloring]:
-    """Exact chromatic number by upward search from the combined lower bound."""
+    """Exact chromatic number by upward search, bracketed as in ``chi_exact``."""
     if g.n > cap:
         raise CapExceeded(f"brute force limited to {cap} vertices, got {g.n}")
-    return _ascend(ROUTES["brute"](g, None, budget), lower_bounds(g, budget).combined, g.n)
+    first_k = max(lower_bounds(g, budget).combined, _window(g))
+    return _ascend(ROUTES["brute"](g, None, budget), first_k, schedule_coloring(g), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +607,7 @@ class _BranchingSearch:
             self.tall[g.ceiling[v]] |= 1 << (v - 1)
         for j in range(n, -1, -1):
             self.tall[j] |= self.tall[j + 1]
-        # every proper coloring gives v a color in 1 + floor[v] .. k - ceiling[v]
-        self.lower_bound = max([g.floor[v] + g.ceiling[v] + 1 for v in g.vertices], default=0)
+        self.lower_bound = _window(g)
 
     def _expand(self, state: int, sources: int, j: int) -> list:
         """Count a node and build its frame: state, sources, colors, children, next child.
@@ -677,7 +688,7 @@ def branching_decide(
 
 
 def branching_chi(
-    g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, fanout_log: list | None = None
+    g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, fanout_log: list | None = None, stats: dict | None = None
 ) -> tuple[int, Coloring]:
     """Exact chromatic number by ascending k from the graph's color windows.
 
@@ -685,7 +696,7 @@ def branching_chi(
     searched again.
     """
     search = _BranchingSearch(g, budget, fanout_log)
-    return _ascend(search.solve, search.lower_bound, g.n)
+    return _ascend(search.solve, search.lower_bound, schedule_coloring(g), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +712,14 @@ def _brute_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> De
 
 
 def _twdp_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
-    if td is None:
-        td = min_fill_decomposition(g)  # validated where it is built
-    else:
+    if td is not None:
         validate_decomposition(td, g)
-    nice = make_nice(td)
-    return lambda k: tw_dp_decide(g, nice, k, budget)
+
+    @cache
+    def nice() -> list[NiceNode]:  # built on the first decide; min-fill validates its own
+        return make_nice(td if td is not None else min_fill_decomposition(g))
+
+    return lambda k: tw_dp_decide(g, nice(), k, budget)
 
 
 def _ndm_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
@@ -728,19 +741,23 @@ def chi_exact(
     method: str = "branch",
     td: TreeDecomposition | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
+    stats: dict | None = None,
 ) -> tuple[int, Coloring]:
     """Minimum k with a proper k-coloring, via the chosen route.
 
-    brute goes through ``brute_force_chi``, capped at ``DEFAULT_BRUTE_CAP``
-    vertices, and branch through ``branching_chi``, which ascends from the
-    largest ``floor[v] + ceiling[v] + 1``; twdp and ndm ascend from the
-    combined lower bound. ``budget`` bounds the lower bound's search and every
-    decide call.
+    Every route ascends k from a lower bound and answers with the color count
+    of ``schedule_coloring`` once every k below it is refuted (``_ascend``).
+    branch (through ``branching_chi``) starts from the largest
+    ``floor[v] + ceiling[v] + 1``; twdp, ndm and brute (``brute_force_chi``,
+    capped at ``DEFAULT_BRUTE_CAP`` vertices) from that or the combined lower
+    bound, whichever is larger, whose search ``budget`` bounds as it bounds
+    every decide call.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
     if method == "brute":
-        return brute_force_chi(g, budget=budget)
+        return brute_force_chi(g, budget=budget, stats=stats)
     if method == "branch":
-        return branching_chi(g, budget=budget)
-    return _ascend(ROUTES[method](g, td, budget), lower_bounds(g, budget).combined, g.n)
+        return branching_chi(g, budget=budget, stats=stats)
+    decide = ROUTES[method](g, td, budget)  # set up first: twdp validates a given td
+    return _ascend(decide, max(lower_bounds(g, budget).combined, _window(g)), schedule_coloring(g), stats)

@@ -40,6 +40,15 @@ def path4(tmp_path):
     return str(p)
 
 
+@pytest.fixture()
+def unscheduled(tmp_path):
+    # chi 2, but the schedule coloring takes 2, 1, 4, 3, 5 and gives 5 color 3,
+    # so the ascent decides k = 2 (found by a seeded search of random graphs)
+    p = tmp_path / "unscheduled.graph"
+    p.write_text("p mixed 5 3 1\ne 1 3\ne 1 4\ne 4 5\na 2 5\n")
+    return str(p)
+
+
 class TestSolve:
     def test_decide_yes(self, capsys, path4):
         code, out, _ = run(capsys, "solve", path4, "--k", "5", "--method", "branch")
@@ -282,10 +291,17 @@ class TestRoutes:
         assert lines[3:-1] == [("k", str(k)), ("decision", "yes"), *EMPTY_STATS[method]]
         assert lines[-1][0] == "wall_time"
 
+    def test_chi_reports_its_bracket(self, capsys, unscheduled, method):
+        code, out, _ = run(capsys, "solve", unscheduled, "--method", method)
+        assert code == 0
+        lines = report_lines(out)
+        assert lines[3:-1] == [("chi", "2"), ("decides", "1"), ("first_k", "2"), ("upper", "3")]
+        assert lines[-1][0] == "wall_time"
+
 
 class TestBudget:
-    def test_branch_chi_budget_exceeded(self, capsys, path4):
-        code, out, err = run(capsys, "solve", path4, "--method", "branch", "--budget", "1")
+    def test_branch_chi_budget_exceeded(self, capsys, unscheduled):
+        code, out, err = run(capsys, "solve", unscheduled, "--method", "branch", "--budget", "1")
         assert code == 2 and out == ""
         assert "BudgetExceeded" in err
 
@@ -323,10 +339,10 @@ class TestBudget:
         assert code == 0 and "decision=yes" in out.splitlines()
 
     @pytest.mark.parametrize("k", [None, "5"])
-    def test_twdp_budget_counts_table_entries(self, capsys, path4, k):
+    def test_twdp_budget_counts_table_entries(self, capsys, unscheduled, k):
         # without --k the ascent's lower bound needs 2 clique-search nodes of the same budget
         argv = ["--k", k] if k else []
-        code, out, err = run(capsys, "solve", path4, "--method", "twdp", "--budget", "2", *argv)
+        code, out, err = run(capsys, "solve", unscheduled, "--method", "twdp", "--budget", "2", *argv)
         assert code == 2 and out == ""
         assert "BudgetExceeded: tree decomposition DP exceeded 2 table entries" in err
 

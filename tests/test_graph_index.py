@@ -5,6 +5,7 @@ and both partitions with the pairwise definition of the type relation.
 Examples are derandomized so every run of the suite sees the same graphs.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from mixedcolor import (
     MixedGraph,
     mixed_graph,
     mixed_neighborhood_partition,
+    random_mixed_graph,
     undirected_neighborhood_partition,
 )
 from mixedcolor.graphs import normalize_edge, underlying_undirected
@@ -178,3 +180,32 @@ def test_color_windows_of_layered_cliques():
     g = family_layered_cliques(2, 4)
     assert g.floor == (0,) + (0,) * 4 + (4,) * 4 + (8,) * 4
     assert g.ceiling == (0,) + (8,) * 4 + (4,) * 4 + (0,) * 4
+
+
+def greedy_clique_needs(g, order, step):
+    """The color windows as first defined: per vertex, a greedy clique among
+    its ``step`` neighbors sorted by (need descending, id) on every vertex."""
+    need = [0] * (g.n + 1)
+    for v in order:
+        clique = size = 0
+        for u in sorted(step[v], key=lambda u: (-need[u], u)):
+            if clique & ~g.adjacent_masks[u] == 0:
+                clique |= 1 << u
+                size += 1
+                need[v] = max(need[v], need[u] + size)
+    return tuple(need)
+
+
+@PROPERTY
+@given(typed_graphs())
+def test_color_windows_match_the_greedy_clique_definition(g):
+    assert g.floor == greedy_clique_needs(g, g.order, g.preds)
+    assert g.ceiling == greedy_clique_needs(g, reversed(g.order), g.succs)
+
+
+def test_color_windows_match_the_greedy_clique_definition_on_random_graphs():
+    rng = random.Random(13)
+    for _ in range(200):
+        g = random_mixed_graph(rng, rng.randint(1, 24), rng.choice((0.1, 0.3)), rng.choice((0.1, 0.3, 0.6)))
+        assert g.floor == greedy_clique_needs(g, g.order, g.preds)
+        assert g.ceiling == greedy_clique_needs(g, reversed(g.order), g.succs)

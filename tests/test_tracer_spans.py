@@ -5,7 +5,8 @@ module attribute the tracer rebinds. The ndm route must build each preorder's
 program through ``solvers.preorder_program`` and its class structure once per
 graph, and the twdp route must build its decomposition through
 ``solvers.min_fill_decomposition`` and its nice form through
-``solvers.make_nice``, once per route set-up. The bounds spans nest the same way:
+``solvers.make_nice``, at most once per route set-up and only once a decide
+needs them. The bounds spans nest the same way:
 ``lower_bounds`` calls ``bounds.chi_u_exact``, which calls
 ``bounds.clique_number`` for the start that the tracer's ``bounds.k_tried``
 counts from, and ``layering_coloring`` calls ``bounds.layering``.
@@ -16,12 +17,16 @@ from mixedcolor.cli import main
 from mixedcolor.graphs import save_graph
 from mixedcolor.reductions import family_layered_cliques, family_tripartite
 
-# combined lower bound 4, chi 6: the ndm ascent decides k = 4, 5 and 6
+# combined lower bound 4, chi 6
 ASCENT = mixed_graph(
     7,
     edges=[(1, 2), (1, 3), (1, 7), (2, 6), (2, 7), (3, 5), (3, 6), (5, 6)],
     arcs=[(1, 4), (2, 3), (4, 2), (4, 5), (4, 6), (7, 3), (7, 4)],
 )
+
+# first k 3, chi 4, and the schedule coloring takes 5 colors: the ascent
+# decides k = 3 and 4
+TWO_DECIDES = mixed_graph(6, edges=[(1, 2), (1, 5), (2, 3), (3, 4)], arcs=[(1, 3), (2, 4), (5, 2)])
 
 
 def test_ndm_route_calls_preorder_program_once_per_preorder(monkeypatch):
@@ -49,11 +54,23 @@ def test_twdp_route_calls_min_fill_and_make_nice_once(monkeypatch):
     assert len(fills) == len(nices) == 1
 
 
+def test_twdp_ascent_builds_the_nice_form_only_for_a_decide(monkeypatch):
+    fills = spy(monkeypatch, solvers, "min_fill_decomposition")
+    nices = spy(monkeypatch, solvers, "make_nice")
+    decides = spy(monkeypatch, solvers, "tw_dp_decide")
+    # chi 6 is the first k and the schedule coloring's count: no decide
+    assert solvers.chi_exact(family_layered_cliques(1, 3), "twdp")[0] == 6
+    assert (len(fills), len(nices), len(decides)) == (0, 0, 0)
+    assert solvers.chi_exact(TWO_DECIDES, "twdp")[0] == 4
+    assert [k for _, _, k, _ in decides] == [3, 4]
+    assert (len(fills), len(nices)) == (1, 1)
+
+
 def test_ndm_ascent_builds_the_closure_partition_once(monkeypatch):
     partitions = spy(monkeypatch, solvers, "closure_neighborhood_partition")
     decides = spy(monkeypatch, solvers, "ndm_fpt_decide")
-    assert solvers.chi_exact(ASCENT, "ndm")[0] == 6
-    assert [k for _, k, _ in decides] == [4, 5, 6]
+    assert solvers.chi_exact(TWO_DECIDES, "ndm")[0] == 4
+    assert [k for _, k, _ in decides] == [3, 4]
     assert len(partitions) == 1
 
 
