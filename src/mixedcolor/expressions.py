@@ -11,8 +11,9 @@ used when comparing an evaluated expression against a target graph.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterator
+from functools import reduce
 
 from .errors import (
     ConflictingRelation,
@@ -25,36 +26,45 @@ from .graphs import MixedGraph, normalize_edge, transitive_closure
 from .partitions import class_relations, mixed_neighborhood_partition
 
 
-@dataclass(frozen=True, eq=False)
-class Introduce:
-    label: int
+class _Node:
+    """Identity equality and hashing for the node types below.
+
+    A node is a named tuple that lists its integer labels before its
+    subexpressions, so ``cls(*fields)`` builds it and the walkers read its
+    fields by position. Two operations with the same fields are still
+    different places in a tree, so a node is equal only to itself, never to
+    another node or a plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other
+
+    __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, eq=False)
-class Union:
-    left: "MixedExpression"
-    right: "MixedExpression"
+class Introduce(_Node, namedtuple("Introduce", "label")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class AddEdge:
-    i: int
-    j: int
-    child: "MixedExpression"
+class Union(_Node, namedtuple("Union", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class AddArc:
-    i: int
-    j: int
-    child: "MixedExpression"
+class AddEdge(_Node, namedtuple("AddEdge", "i j child")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Relabel:
-    old: int
-    new: int
-    child: "MixedExpression"
+class AddArc(_Node, namedtuple("AddArc", "i j child")):
+    __slots__ = ()
+
+
+class Relabel(_Node, namedtuple("Relabel", "old new child")):
+    __slots__ = ()
 
 
 MixedExpression = Introduce | Union | AddEdge | AddArc | Relabel
@@ -66,42 +76,45 @@ class LabeledGraph:
     labels: dict[int, int]
 
 
-def _walk_postorder(e: MixedExpression) -> Iterator[MixedExpression]:
-    stack: list[tuple[MixedExpression, bool]] = [(e, False)]
+def _walk_postorder(e: MixedExpression) -> list[MixedExpression]:
+    """Every node of e, children before parents and left before right.
+
+    This is the pre-order that visits the right subtree first, reversed:
+    each step follows right operands and single children down to a leaf,
+    leaving the left operands on the stack.
+    """
+    order: list[MixedExpression] = []
+    stack = [e]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-            continue
-        stack.append((node, True))
-        if isinstance(node, Union):
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        elif isinstance(node, (AddEdge, AddArc, Relabel)):
-            stack.append((node.child, False))
+        node = stack.pop()
+        while type(node) is not Introduce:
+            order.append(node)
+            if type(node) is Union:
+                stack.append(node[0])
+                node = node[1]
+            else:
+                node = node[2]
+        order.append(node)
+    order.reverse()
+    return order
 
 
-def _labels(e: MixedExpression) -> list[int]:
-    """The distinct labels appearing anywhere in the expression, ascending."""
+def _labels(e: MixedExpression) -> set[int]:
+    """The distinct labels appearing anywhere in the expression."""
     labels: set[int] = set()
     for node in _walk_postorder(e):
-        if isinstance(node, Introduce):
-            labels.add(node.label)
-        elif isinstance(node, (AddEdge, AddArc)):
-            labels.update((node.i, node.j))
-        elif isinstance(node, Relabel):
-            labels.update((node.old, node.new))
-    return sorted(labels)
+        kind = type(node)
+        if kind is Introduce:
+            labels.add(node[0])
+        elif kind is not Union:
+            labels.add(node[0])
+            labels.add(node[1])
+    return labels
 
 
 def width(e: MixedExpression) -> int:
     """Number of distinct labels appearing anywhere in the expression."""
     return len(_labels(e))
-
-
-def _validate_op_labels(i: int, j: int) -> None:
-    if i == j:
-        raise ConflictingRelation(f"operation needs distinct labels, got {i},{j}")
 
 
 def _evaluate(
@@ -122,29 +135,38 @@ def _evaluate(
     arcs: set[tuple[int, int]] = set()
     counter = 0
     for node in _walk_postorder(e):
-        if isinstance(node, Introduce):
+        kind = type(node)
+        if kind is Introduce:
             counter += 1
-            states.append({node.label: [counter]})
-        elif isinstance(node, Union):
+            states.append({node[0]: [counter]})
+            continue
+        if kind is Union:
             right = states.pop()
             left = states[-1]
             for lab, members in right.items():
-                left.setdefault(lab, []).extend(members)
-        elif isinstance(node, Relabel):
-            buckets = states[-1]
-            moved = buckets.pop(node.old, None)
+                if lab in left:
+                    left[lab] += members
+                else:
+                    left[lab] = members
+            continue
+        i, j, _ = node
+        buckets = states[-1]
+        if kind is Relabel:
+            moved = buckets.pop(i, None)
             if moved is not None:
-                kept = buckets.get(node.new)
-                buckets[node.new] = moved if kept is None else sorted(kept + moved)
-        elif isinstance(node, AddEdge):
-            _validate_op_labels(node.i, node.j)
+                kept = buckets.get(j)
+                buckets[j] = moved if kept is None else sorted(kept + moved)
+            continue
+        if i == j:
+            raise ConflictingRelation(f"operation needs distinct labels, got {i},{j}")
+        side_i = buckets.get(i, ())
+        side_j = buckets.get(j, ())
+        if kind is AddEdge:
             if allow_opposite:
                 raise ConflictingRelation("edge operations are not allowed in arc-only evaluation")
-            buckets = states[-1]
-            side_j = buckets.get(node.j, ())
-            for u in buckets.get(node.i, ()):
+            for u in side_i:
                 for w in side_j:
-                    pair = normalize_edge(u, w)
+                    pair = (u, w) if u < w else (w, u)
                     if pair in edges:
                         continue
                     if (u, w) in arcs or (w, u) in arcs:
@@ -152,24 +174,22 @@ def _evaluate(
                             f"edge {{{u},{w}}} would parallel an existing arc"
                         )
                     edges.add(pair)
-        else:  # AddArc
-            _validate_op_labels(node.i, node.j)
-            buckets = states[-1]
-            side_j = buckets.get(node.j, ())
-            for u in buckets.get(node.i, ()):
+        else:
+            for u in side_i:
                 for w in side_j:
-                    if (u, w) in arcs:
+                    pair = (u, w)
+                    if pair in arcs:
                         continue
                     if not allow_opposite:
                         if (w, u) in arcs:
                             raise ConflictingRelation(
                                 f"arc ({u},{w}) would oppose an existing arc"
                             )
-                        if normalize_edge(u, w) in edges:
+                        if (pair if u < w else (w, u)) in edges:
                             raise ConflictingRelation(
                                 f"arc ({u},{w}) would parallel an existing edge"
                             )
-                    arcs.add((u, w))
+                    arcs.add(pair)
     return counter, states.pop(), edges, arcs
 
 
@@ -201,34 +221,6 @@ def evaluate_arcs(e: MixedExpression) -> tuple[int, frozenset[tuple[int, int]]]:
 # serialization: s-expressions
 # ---------------------------------------------------------------------------
 
-def format_expression(e: MixedExpression) -> str:
-    out: list[str] = []
-    # iterative pre-order with explicit close markers
-    stack: list[object] = [e]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            out.append(")")
-            continue
-        if isinstance(node, Introduce):
-            out.append(f"(intro {node.label})")
-            continue
-        if isinstance(node, Union):
-            out.append("(union")
-            stack.extend([None, node.right, node.left])
-        elif isinstance(node, AddEdge):
-            out.append(f"(edge {node.i} {node.j}")
-            stack.extend([None, node.child])
-        elif isinstance(node, AddArc):
-            out.append(f"(arc {node.i} {node.j}")
-            stack.extend([None, node.child])
-        else:
-            out.append(f"(relabel {node.old} {node.new}")
-            stack.extend([None, node.child])
-    text = " ".join(out).replace("( ", "(").replace(" )", ")")
-    return text
-
-
 # operation -> (node type, integer labels, subexpressions); every node type
 # lists its labels before its subexpressions, so cls(*fields) builds it
 _OPS = {
@@ -238,6 +230,26 @@ _OPS = {
     "arc": (AddArc, 2, 1),
     "relabel": (Relabel, 2, 1),
 }
+
+
+# node type -> (operation, integer labels)
+_NAMES = {cls: (op, labels) for op, (cls, labels, _) in _OPS.items()}
+
+
+def format_expression(e: MixedExpression) -> str:
+    out: list[str] = []
+    # iterative pre-order with explicit close markers
+    stack: list[MixedExpression | None] = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            out.append(")")
+            continue
+        op, labels = _NAMES[type(node)]
+        out.append(" ".join(["(" + op, *map(str, node[:labels])]))
+        stack.append(None)
+        stack.extend(reversed(node[labels:]))
+    return " ".join(out).replace(" )", ")")
 
 
 def parse_expression(text: str) -> MixedExpression:
@@ -273,13 +285,6 @@ def parse_expression(text: str) -> MixedExpression:
 # constructive expressions
 # ---------------------------------------------------------------------------
 
-def _union_fold(parts: list[MixedExpression]) -> MixedExpression:
-    expr = parts[0]
-    for nxt in parts[1:]:
-        expr = Union(expr, nxt)
-    return expr
-
-
 def ndm_expression(g: MixedGraph) -> MixedExpression:
     """A (ndm+1)-label expression constructing g.
 
@@ -290,23 +295,17 @@ def ndm_expression(g: MixedGraph) -> MixedExpression:
     if g.n == 0:
         raise ValueError("cannot express the empty graph")
     part = mixed_neighborhood_partition(g)
-    w = len(part.classes)
-    aux = w + 1
+    aux = len(part.classes) + 1
     class_exprs: list[MixedExpression] = []
-    for idx, cls in enumerate(part.classes):
-        label = idx + 1
-        members = sorted(cls)
-        if part.class_kinds[idx] == "independent":
-            expr = _union_fold([Introduce(label) for _ in members])
+    for label, (cls, kind) in enumerate(zip(part.classes, part.class_kinds), 1):
+        if kind == "independent":
+            expr = reduce(Union, [Introduce(label) for _ in cls])
         else:
-            expr = None
-            for _ in members:
-                piece: MixedExpression = Introduce(aux)
-                grown = piece if expr is None else Union(expr, piece)
-                grown = AddEdge(label, aux, grown)
-                expr = Relabel(aux, label, grown)
+            expr = Relabel(aux, label, AddEdge(label, aux, Introduce(aux)))
+            for _ in range(len(cls) - 1):
+                expr = Relabel(aux, label, AddEdge(label, aux, Union(expr, Introduce(aux))))
         class_exprs.append(expr)
-    expr = _union_fold(class_exprs)
+    expr = reduce(Union, class_exprs)
     for kind, i, j in class_relations(g, part):
         expr = (AddEdge if kind == "edge" else AddArc)(i + 1, j + 1, expr)
     return expr
@@ -357,18 +356,16 @@ def mixed_to_directed(e: MixedExpression) -> MixedExpression:
     """Replace every edge operation by the two opposite arc operations."""
     rebuilt: list[MixedExpression] = []
     for node in _walk_postorder(e):
-        if isinstance(node, Introduce):
+        kind = type(node)
+        if kind is Introduce:
             rebuilt.append(Introduce(node.label))
-        elif isinstance(node, Union):
+        elif kind is Union:
             right = rebuilt.pop()
-            left = rebuilt.pop()
-            rebuilt.append(Union(left, right))
-        elif isinstance(node, Relabel):
-            rebuilt.append(Relabel(node.old, node.new, rebuilt.pop()))
-        elif isinstance(node, AddArc):
-            rebuilt.append(AddArc(node.i, node.j, rebuilt.pop()))
-        else:
+            rebuilt.append(Union(rebuilt.pop(), right))
+        elif kind is AddEdge:
             rebuilt.append(AddArc(node.j, node.i, AddArc(node.i, node.j, rebuilt.pop())))
+        else:
+            rebuilt.append(kind(node[0], node[1], rebuilt.pop()))
     return rebuilt.pop()
 
 
@@ -394,9 +391,10 @@ class _TcBuilder:
 
     def __init__(self, e: MixedExpression, cap: int):
         self.expr = e
-        self.base_labels = _labels(e)
-        if len(self.base_labels) > cap:
-            raise WidthCapExceeded(f"expression width {len(self.base_labels)} exceeds cap {cap}")
+        base_labels = sorted(_labels(e))
+        if len(base_labels) > cap:
+            raise WidthCapExceeded(f"expression width {len(base_labels)} exceeds cap {cap}")
+        self.position = {lab: pos for pos, lab in enumerate(base_labels)}
         self.closure = transitive_closure(evaluate(e).graph)
         # simulation state
         self.vertex_label: dict[int, tuple[int, frozenset[int], frozenset[int]]] = {}
@@ -408,11 +406,11 @@ class _TcBuilder:
     def enc(self, label: tuple[int, frozenset[int], frozenset[int]]) -> int:
         if label not in self.encoding:
             base, iset, oset = label
-            li = self.base_labels.index(base)
-            bits = len(self.base_labels)
-            imask = sum(1 << self.base_labels.index(x) for x in iset)
-            omask = sum(1 << self.base_labels.index(x) for x in oset)
-            self.encoding[label] = 1 + li * (1 << (2 * bits)) + (imask << bits) + omask
+            position = self.position
+            bits = len(position)
+            imask = sum(1 << position[x] for x in iset)
+            omask = sum(1 << position[x] for x in oset)
+            self.encoding[label] = 1 + position[base] * (1 << (2 * bits)) + (imask << bits) + omask
         return self.encoding[label]
 
     def occupied(self, scope: set[int]) -> dict[tuple[int, frozenset[int], frozenset[int]], list[int]]:
@@ -443,22 +441,22 @@ class _TcBuilder:
         rebuilt: list[MixedExpression] = []
         scopes: list[set[int]] = []
         for node in _walk_postorder(self.expr):
-            if isinstance(node, Introduce):
+            kind = type(node)
+            if kind is Introduce:
                 self.counter += 1
-                lab = (node.label, frozenset((node.label,)), frozenset((node.label,)))
+                base = node.label
+                lab = (base, frozenset((base,)), frozenset((base,)))
                 self.vertex_label[self.counter] = lab
                 rebuilt.append(Introduce(self.enc(lab)))
                 scopes.append({self.counter})
-            elif isinstance(node, Union):
+            elif kind is Union:
                 right = rebuilt.pop()
-                left = rebuilt.pop()
+                rebuilt.append(Union(rebuilt.pop(), right))
                 right_scope = scopes.pop()
-                left_scope = scopes.pop()
-                rebuilt.append(Union(left, right))
-                scopes.append(left_scope | right_scope)
-            elif isinstance(node, Relabel):
+                scopes.append(scopes.pop() | right_scope)
+            elif kind is Relabel:
                 rebuilt.append(self._rewrite_relabel(node, rebuilt.pop(), scopes[-1]))
-            elif isinstance(node, AddEdge):
+            elif kind is AddEdge:
                 rebuilt.append(self._rewrite_edge(node, rebuilt.pop(), scopes[-1]))
             else:
                 rebuilt.append(self._rewrite_arc(node, rebuilt.pop(), scopes[-1]))

@@ -90,14 +90,24 @@ def class_relations(g: MixedGraph, part: NeighborhoodPartition) -> list[tuple[st
     ``("arc", tail, head)``, ordered by their smaller and then their larger
     class index.
     """
-    class_of = {v: i for i, cls in enumerate(part.classes) for v in cls}
+    class_of = [0] * (g.n + 1)
+    for i, cls in enumerate(part.classes):
+        for v in cls:
+            class_of[v] = i
     relations = []
     for i, cls in enumerate(part.classes):
         u = min(cls)
-        found = {class_of[w]: ("edge", i, class_of[w]) for w in g.nbrs[u]}
-        found.update((class_of[w], ("arc", i, class_of[w])) for w in g.succs[u])
-        found.update((class_of[w], ("arc", class_of[w], i)) for w in g.preds[u])
-        relations += [found[j] for j in sorted(found) if j > i]
+        found = {}
+        for w in g.nbrs[u]:
+            if (j := class_of[w]) > i:
+                found[j] = ("edge", i, j)
+        for w in g.succs[u]:
+            if (j := class_of[w]) > i:
+                found[j] = ("arc", i, j)
+        for w in g.preds[u]:
+            if (j := class_of[w]) > i:
+                found[j] = ("arc", j, i)
+        relations += [found[j] for j in sorted(found)]
     return relations
 
 

@@ -23,7 +23,6 @@ from mixedcolor.expressions import (
     Introduce,
     Relabel,
     Union,
-    _validate_op_labels,
     _walk_postorder,
     evaluate,
     evaluate_arcs,
@@ -65,7 +64,8 @@ def _reference_fold(e, allow_opposite):
                 if lab == node.old:
                     s.labels[v] = node.new
         elif isinstance(node, AddEdge):
-            _validate_op_labels(node.i, node.j)
+            if node.i == node.j:
+                raise ConflictingRelation(f"operation needs distinct labels, got {node.i},{node.j}")
             s = states[-1]
             if allow_opposite:
                 raise ConflictingRelation("edge operations are not allowed in arc-only evaluation")
@@ -80,7 +80,8 @@ def _reference_fold(e, allow_opposite):
                         raise ConflictingRelation(f"edge {{{u},{w}}} would parallel an existing arc")
                     s.edges.add(pair)
         else:
-            _validate_op_labels(node.i, node.j)
+            if node.i == node.j:
+                raise ConflictingRelation(f"operation needs distinct labels, got {node.i},{node.j}")
             s = states[-1]
             side_i = [v for v, lab in s.labels.items() if lab == node.i]
             side_j = [v for v, lab in s.labels.items() if lab == node.j]
