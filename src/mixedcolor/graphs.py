@@ -129,15 +129,6 @@ class MixedGraph:
             layers[inrank[v]].append(v)
         return Layering(tuple(map(frozenset, layers)), MappingProxyType(inrank))
 
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        return self.preds[v]
-
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        return self.succs[v]
-
-    def undirected_neighbors(self, v: int) -> frozenset[int]:
-        return self.nbrs[v]
-
     def induced(self, vertices: Iterable[int]) -> tuple["MixedGraph", dict[int, int]]:
         """Induced subgraph with vertices renumbered 1..m; returns (graph, old->new map)."""
         keep = sorted(set(vertices))

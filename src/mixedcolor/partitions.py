@@ -19,14 +19,13 @@ class NeighborhoodPartition:
     """Equivalence classes of the (mixed or undirected) type relation."""
 
     classes: tuple[frozenset[int], ...]
-    kind: str  # "mixed" | "undirected"
     class_kinds: tuple[str, ...]  # per class: "clique" | "independent"
 
     def __len__(self) -> int:
         return len(self.classes)
 
 
-def _partition_by_signature(g: MixedGraph, signatures: list, kind: str) -> NeighborhoodPartition:
+def _partition_by_signature(g: MixedGraph, signatures: list) -> NeighborhoodPartition:
     """Classes of the type relation, found by hashing neighborhood signatures.
 
     ``signatures[v]`` ends with the mask of v's neighbors whose relation two
@@ -51,7 +50,7 @@ def _partition_by_signature(g: MixedGraph, signatures: list, kind: str) -> Neigh
     kinds = tuple(
         "clique" if len(m) >= 2 and g.adjacent_masks[m[0]] >> m[1] & 1 else "independent" for m in classes
     )
-    return NeighborhoodPartition(tuple(map(frozenset, classes)), kind, kinds)
+    return NeighborhoodPartition(tuple(map(frozenset, classes)), kinds)
 
 
 def mixed_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
@@ -62,7 +61,7 @@ def mixed_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
     memo = vars(g)
     if "mixed_partition" not in memo:
         signatures = list(zip(g.preds, g.succs, g.nbr_masks))
-        memo["mixed_partition"] = _partition_by_signature(g, signatures, "mixed")
+        memo["mixed_partition"] = _partition_by_signature(g, signatures)
     return memo["mixed_partition"]
 
 
@@ -74,12 +73,12 @@ def closure_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
     to it.
     """
     signatures = [(a, d, e & ~(a | d)) for a, d, e in zip(g.anc_masks, g.desc_masks, g.nbr_masks)]
-    return _partition_by_signature(g, signatures, "mixed")
+    return _partition_by_signature(g, signatures)
 
 
 def undirected_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
     """Type partition of the underlying undirected graph."""
-    return _partition_by_signature(g, [(mask,) for mask in g.adjacent_masks], "undirected")
+    return _partition_by_signature(g, [(mask,) for mask in g.adjacent_masks])
 
 
 def class_relations(g: MixedGraph, part: NeighborhoodPartition) -> list[tuple[str, int, int]]:

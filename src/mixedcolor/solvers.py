@@ -128,20 +128,21 @@ def tw_dp_decide(g: MixedGraph, nice: list[NiceNode], k: int, budget: int = DEFA
 
     ``nice`` is ``make_nice`` of a decomposition validated against g; the twdp
     route builds it once per graph. A table holds the proper colorings of a
-    node's bag, as tuples in bag order, that extend to its subtree. Every
-    vertex v has the color window ``1 + g.floor[v]`` .. ``k - g.ceiling[v]``,
+    step's bag, as tuples in bag order, that extend to the steps below it.
+    Every vertex v has the color window ``1 + g.floor[v]`` .. ``k - g.ceiling[v]``,
     which holds in every proper coloring: an empty window answers no before any
-    table is built. An introduce node gives the new vertex every color of its
+    table is built. An introduce step gives the new vertex every color of its
     window that its bagged in- and out-neighbors leave open and no bagged edge
-    neighbor uses; join nodes intersect tables on equal bags. The first empty
+    neighbor uses; a join intersects tables on equal bags. The first empty
     table answers no, as every table above it would be empty too. Only forget
-    tables outlive their parent: each maps a reduced key to the forgotten
-    vertex's color in one witness extension.
+    tables outlive the step that reads them: each maps a reduced key to the
+    forgotten vertex's color in one witness extension, which the steps run
+    backwards rebuild.
 
     ``stats["nodes"]`` counts the table entries built (0 when a window is
     empty) and ``stats["max_table"]`` the largest table; the entries count
-    against ``budget``, checked after each child entry of an introduce node
-    and after every other node. k is clamped to n: the arc order colors any
+    against ``budget``, checked after each operand entry of an introduce step
+    and after every other step. k is clamped to n: the arc order colors any
     graph here with n colors.
     """
     if g.n == 0:
@@ -150,18 +151,17 @@ def tw_dp_decide(g: MixedGraph, nice: list[NiceNode], k: int, budget: int = DEFA
     floor, ceiling = g.floor, g.ceiling
     if any(floor[v] + ceiling[v] >= k for v in g.vertices):  # also every k < 1
         return SolveResult(False, None, {"nodes": 0, "max_table": 0})
-    forgets: dict[int, dict] = {}  # id(forget node) -> its table
+    forgets: dict[int, dict] = {}  # forget step index -> its table
     entries = 0
     max_table = 0
-    pending: list[dict] = []  # tables not yet consumed by their parent
-    for node in nice:
+    pending: list[dict] = []  # tables no step has read yet
+    for step, node in enumerate(nice):
         if node.kind == "leaf":
             table: dict = {(): None}
         elif node.kind == "introduce":
             child_table = pending.pop()
-            v = node.vertex
-            vi = node.bag.index(v)
-            child_bag = node.children[0].bag
+            v, vi = node.vertex, node.pos
+            child_bag = node.bag[:vi] + node.bag[vi + 1:]
             # child-key positions of v's bagged in-, out- and edge neighbors;
             # each getter repeats its first position so it returns a tuple
             ins = [i for i, u in enumerate(child_bag) if u in g.preds[v]]
@@ -190,13 +190,13 @@ def tw_dp_decide(g: MixedGraph, nice: list[NiceNode], k: int, budget: int = DEFA
                     break  # raised below
         elif node.kind == "forget":
             child_table = pending.pop()
-            vi = node.children[0].bag.index(node.vertex)
+            vi = node.pos
             table = {}
             for key in child_table:
                 reduced = key[:vi] + key[vi + 1:]
                 if reduced not in table:
                     table[reduced] = key[vi]  # the color of one witness extension
-            forgets[id(node)] = table
+            forgets[step] = table
         else:  # join
             right_table = pending.pop()
             left_table = pending.pop()
@@ -209,23 +209,23 @@ def tw_dp_decide(g: MixedGraph, nice: list[NiceNode], k: int, budget: int = DEFA
             return SolveResult(False, None, {"nodes": entries, "max_table": max_table})
         pending.append(table)
 
-    # witness reconstruction: walk down from the root entry, right join
-    # branches waiting on a stack until the left branch reaches its leaf
+    # witness reconstruction: the steps backwards, from the root's one key;
+    # a join hands its key to both operands, and each leaf ends a branch
     colors: dict[int, int] = {}
-    branches: list[tuple[NiceNode, tuple[int, ...]]] = [(nice[-1], next(iter(pending.pop())))]
-    while branches:
-        node, key = branches.pop()
-        while node.kind != "leaf":
-            if node.kind == "introduce":
-                vi = node.bag.index(node.vertex)
-                colors[node.vertex] = key[vi]
-                key = key[:vi] + key[vi + 1:]
-            elif node.kind == "forget":
-                vi = node.children[0].bag.index(node.vertex)
-                key = key[:vi] + (forgets[id(node)][key],) + key[vi:]
-            else:  # join
-                branches.append((node.children[1], key))
-            node = node.children[0]
+    keys = [next(iter(pending.pop()))]
+    for step in reversed(range(len(nice))):
+        node = nice[step]
+        if node.kind == "leaf":
+            keys.pop()
+            continue
+        key, vi = keys.pop(), node.pos
+        if node.kind == "introduce":
+            colors[node.vertex] = key[vi]
+            keys.append(key[:vi] + key[vi + 1:])
+        elif node.kind == "forget":
+            keys.append(key[:vi] + (forgets[step][key],) + key[vi:])
+        else:  # join
+            keys += (key, key)
     return SolveResult(True, Coloring(colors), {"nodes": entries, "max_table": max_table})
 
 
@@ -579,9 +579,10 @@ def maximal_independent_sets(vertices: list[int], edge_adj: dict[int, set[int]])
 class _BranchingSearch:
     """Decide k-colorability by the inrank-0 recursion over vertex bitmasks.
 
-    Vertex v is bit v - 1. A state is the mask of vertices not yet colored;
-    each child colors one maximal independent set of the state's sources
-    (vertices without an incoming arc from the state) with the next color.
+    A state is the mask of vertices not yet colored, with bit v for vertex v
+    as in the graph index; each child colors one maximal independent set of
+    the state's sources (vertices without an incoming arc from the state) with
+    the next color.
     A state only ever loses sources, so it is closed under arc successors and
     holds every descendant of its vertices: it needs more than j colors as soon
     as it meets ``tall[j]``, the vertices whose descendants need j colors above
@@ -597,14 +598,13 @@ class _BranchingSearch:
         self.fanout_log = fanout_log
         self.nodes = 0
         self.refuted: dict[int, int] = {}
-        # the graph index keeps bit v for vertex v; the search uses bit v - 1
-        self.keep = [~(g.nbr_masks[v] >> 1 | 1 << (v - 1)) for v in g.vertices]
-        self.arc_in = [g.pred_masks[v] >> 1 for v in g.vertices]
-        self.arc_out = [[w - 1 for w in g.succs[v]] for v in g.vertices]
+        self.keep = [~(nbrs | 1 << v) for v, nbrs in enumerate(g.nbr_masks)]
+        self.arc_in = g.pred_masks
+        self.arc_out = g.succs
         # tall[j]: vertices of ceiling at least j; j ranges over 0..n
         self.tall = [0] * (n + 2)
         for v in g.vertices:
-            self.tall[g.ceiling[v]] |= 1 << (v - 1)
+            self.tall[g.ceiling[v]] |= 1 << v
         for j in range(n, -1, -1):
             self.tall[j] |= self.tall[j + 1]
         self.lower_bound = _window(g)
@@ -624,26 +624,26 @@ class _BranchingSearch:
         must = sources & self.tall[j - 1]
         free = sources
         children = [must]
-        for i in set_bits(must):
-            if must & ~self.keep[i] != 1 << i:
+        for v in set_bits(must):
+            if must & ~self.keep[v] != 1 << v:
                 children = []  # two of them share an edge
-            free &= self.keep[i]
+            free &= self.keep[v]
         if children and free:
             children = [must | indep for indep in _mis_masks(free, self.keep)]
             children.sort(key=int.bit_count, reverse=True)
         if self.fanout_log is not None:
-            self.fanout_log.append((frozenset(i + 1 for i in set_bits(state)), len(children)))
+            self.fanout_log.append((frozenset(set_bits(state)), len(children)))
         return [state, sources, j, children, 0]
 
     def decide(self, k: int) -> list[int] | None:
         """Color classes of a coloring with at most k colors, in color order, or None."""
-        state = (1 << self.n) - 1
+        state = (1 << self.n + 1) - 2  # bits 1..n
         if not state:
             return []
         k = min(k, self.n)
         if k < 1 or state & self.tall[k] or self.refuted.get(state, -1) >= k:
             return None
-        sources = sum(1 << i for i in range(self.n) if not self.arc_in[i])
+        sources = sum(1 << v for v in set_bits(state) if not self.arc_in[v])
         stack = [self._expand(state, sources, k)]
         while stack:
             frame = stack[-1]
@@ -672,7 +672,7 @@ class _BranchingSearch:
         classes = self.decide(k)
         if classes is None:
             return SolveResult(False, None, {"nodes": self.nodes})
-        colors = {i + 1: color for color, mask in enumerate(classes, 1) for i in set_bits(mask)}
+        colors = {v: color for color, mask in enumerate(classes, 1) for v in set_bits(mask)}
         return SolveResult(True, Coloring(colors), {"nodes": self.nodes})
 
 

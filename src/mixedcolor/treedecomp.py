@@ -5,7 +5,8 @@ conversion to nice (leaf/introduce/forget/join) form for the coloring DP.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import TextIO
 
 from .errors import InvalidDecomposition, ParseError
@@ -196,69 +197,63 @@ def save_td(td: TreeDecomposition, stream: TextIO) -> None:
 # nice form
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class NiceNode:
     kind: str  # "leaf" | "introduce" | "forget" | "join"
     bag: tuple[int, ...]  # sorted
-    vertex: int | None = None
-    children: list["NiceNode"] = field(default_factory=list)
+    vertex: int | None = None  # the vertex introduced or forgotten
+    pos: int | None = None  # its index in the larger of bag and the operand's bag
 
 
-def _chain(from_bag: frozenset[int], to_bag: frozenset[int], below: NiceNode) -> NiceNode:
-    """Forget (from - to), then introduce (to - from), above ``below``."""
-    node = below
-    current = set(from_bag)
+def _chain(steps: list[NiceNode], from_bag: frozenset[int], to_bag: frozenset[int]) -> None:
+    """Append the steps that forget (from - to), then introduce (to - from)."""
+    bag = sorted(from_bag)
     for v in sorted(from_bag - to_bag):
-        current.discard(v)
-        node = NiceNode("forget", tuple(sorted(current)), v, [node])
+        pos = bisect_left(bag, v)
+        del bag[pos]
+        steps.append(NiceNode("forget", tuple(bag), v, pos))
     for v in sorted(to_bag - from_bag):
-        current.add(v)
-        node = NiceNode("introduce", tuple(sorted(current)), v, [node])
-    return node
+        pos = bisect_left(bag, v)
+        bag.insert(pos, v)
+        steps.append(NiceNode("introduce", tuple(bag), v, pos))
 
 
 def make_nice(td: TreeDecomposition) -> list[NiceNode]:
-    """Rooted nice decomposition with an empty root bag and empty leaf bags,
-    listed in post-order with each node's children last to first: root last."""
-    b = len(td.bags)
-    adj: dict[int, list[int]] = {i: [] for i in range(b)}
+    """Nice decomposition rooted at bag 0, with an empty root bag and empty
+    leaf bags, as a post-order list of steps, root last: a step's operands
+    are the bags the steps before it leave on a stack, two for a join.
+
+    A bag's children are taken last to first, each followed by the chain to
+    the bag and each but the first taken by a join: children c1..cm give
+    join(c1, join(c2, ... cm)).
+    """
+    adj: list[list[int]] = [[] for _ in td.bags]
     for i, j in td.tree_edges:
         adj[i].append(j)
         adj[j].append(i)
-
-    # root the tree at bag 0; a parent precedes its children in ``order``
-    order: list[int] = []
-    kids: dict[int, list[int]] = {}
-    parent = {0: -1}
-    stack = [0]
+    steps: list[NiceNode] = []
+    seen = [False] * len(td.bags)
+    # (bag, parent, None): walk the bag; (bag, parent, join): its subtree is
+    # done, so the chain to the parent's bag (empty above the root) follows,
+    # and a join unless it is the first child taken
+    stack: list[tuple[int, int, bool | None]] = [(0, -1, False), (0, -1, None)]
     while stack:
-        node = stack.pop()
-        order.append(node)
-        kids[node] = [c for c in adj[node] if c != parent[node]]
-        for c in kids[node]:
-            if c in parent:
-                raise InvalidDecomposition("bag graph is not a tree")
-            parent[c] = node
-            stack.append(c)
-
-    # build bottom-up: every child's nice subtree exists before its parent's
-    built: dict[int, NiceNode] = {}
-    for node in reversed(order):
-        bag = td.bags[node]
-        if not kids[node]:
-            built[node] = _chain(frozenset(), bag, NiceNode("leaf", ()))
-            continue
-        subtrees = [_chain(td.bags[c], bag, built.pop(c)) for c in kids[node]]
-        while len(subtrees) > 1:
-            right = subtrees.pop()
-            left = subtrees.pop()
-            subtrees.append(NiceNode("join", tuple(sorted(bag)), None, [left, right]))
-        built[node] = subtrees[0]
-    # a pre-order taking children first to last, reversed
-    post = []
-    stack = [_chain(td.bags[0], frozenset(), built[0])]
-    while stack:
-        node = stack.pop()
-        post.append(node)
-        stack.extend(reversed(node.children))
-    return post[::-1]
+        node, parent, join = stack.pop()
+        if join is not None:
+            up = td.bags[parent] if parent >= 0 else frozenset()
+            _chain(steps, td.bags[node], up)
+            if join:
+                steps.append(NiceNode("join", tuple(sorted(up))))
+        elif seen[node]:
+            raise InvalidDecomposition("bag graph is not a tree")
+        else:
+            seen[node] = True
+            kids = [c for c in adj[node] if c != parent]
+            if not kids:
+                steps.append(NiceNode("leaf", ()))
+                _chain(steps, frozenset(), td.bags[node])
+            for i, child in enumerate(kids):
+                stack += [(child, node, i < len(kids) - 1), (child, node, None)]
+    if not all(seen):
+        raise InvalidDecomposition("bag graph is not a tree")
+    return steps

@@ -135,9 +135,9 @@ def test_class_relations_match_representative_pairs(g):
 def test_index_matches_direct_scans(g):
     ins, outs, nbrs = scanned(g)
     for v in g.vertices:
-        assert g.in_neighbors(v) == g.preds[v] == ins[v]
-        assert g.out_neighbors(v) == g.succs[v] == outs[v]
-        assert g.undirected_neighbors(v) == g.nbrs[v] == nbrs[v]
+        assert g.preds[v] == ins[v]
+        assert g.succs[v] == outs[v]
+        assert g.nbrs[v] == nbrs[v]
         for view, masks in ((ins, g.pred_masks), (nbrs, g.nbr_masks)):
             assert masks[v] == sum(1 << u for u in view[v])
         assert g.adjacent_masks[v] == sum(1 << u for u in ins[v] | outs[v] | nbrs[v])

@@ -157,7 +157,7 @@ class TestLayering:
     def test_inrank_is_longest_path_length(self):
         # independent oracle: enumerate all simple directed paths
         g = mixed_graph(5, arcs=[(1, 2), (2, 4), (1, 3), (3, 4), (4, 5), (1, 5)])
-        out = {v: sorted(g.out_neighbors(v)) for v in g.vertices}
+        out = {v: sorted(g.succs[v]) for v in g.vertices}
 
         def longest_ending_at(target):
             best = 0
@@ -190,7 +190,7 @@ class TestMaxrank:
     def test_acyclic_tournament_six_vertices(self):
         g = tournament(6)
         # oracle: longest simple directed path by exhaustive walk
-        out = {v: sorted(g.out_neighbors(v)) for v in g.vertices}
+        out = {v: sorted(g.succs[v]) for v in g.vertices}
         best = 0
         stack = [(v, 0, frozenset({v})) for v in g.vertices]
         while stack:

@@ -73,9 +73,9 @@ class TestMixedPartition:
         for g in small_corpus:
             if g.n > 7:
                 continue
-            nin = {v: g.in_neighbors(v) for v in g.vertices}
-            nout = {v: g.out_neighbors(v) for v in g.vertices}
-            nund = {v: g.undirected_neighbors(v) for v in g.vertices}
+            nin = {v: g.preds[v] for v in g.vertices}
+            nout = {v: g.succs[v] for v in g.vertices}
+            nund = {v: g.nbrs[v] for v in g.vertices}
 
             def same(u, v):
                 return (

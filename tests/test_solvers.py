@@ -32,6 +32,8 @@ from mixedcolor.solvers import (
 from mixedcolor.reductions import (
     SchedulingInstance,
     family_layered_cliques,
+    family_tripartite,
+    random_mixed_graph,
     reduce_scheduling,
 )
 from mixedcolor.treedecomp import load_td, make_nice
@@ -41,6 +43,7 @@ import inspect
 import io
 import math
 import pkgutil
+import random
 
 import mixedcolor
 from mixedcolor import solvers
@@ -397,6 +400,55 @@ class TestChiExact:
                 a = chi_exact(g, method)
                 b = chi_exact(g, method)
                 assert a == b
+
+
+# graph -> (its builder, chi, twdp witness and stats at chi, branch witness and
+# stats at chi); each witness is the first found in the route's fixed
+# enumeration order, so a change to that order, or to the work counted, shows here
+PINNED_WITNESSES = {
+    "layered_cliques(2, 4)": (
+        lambda: family_layered_cliques(2, 4),
+        12,
+        ([4, 3, 2, 1, 8, 7, 6, 5, 12, 11, 10, 9], {"nodes": 5146, "max_table": 576}),
+        ([4, 3, 2, 1, 8, 7, 6, 5, 12, 11, 10, 9], {"nodes": 12}),
+    ),
+    "tripartite(3)": (
+        lambda: family_tripartite(3),
+        3,
+        ([1, 1, 1, 2, 2, 2, 3, 3, 3, 2, 1, 1], {"nodes": 44, "max_table": 2}),
+        ([1, 1, 1, 2, 2, 2, 3, 3, 3, 2, 1, 1], {"nodes": 3}),
+    ),
+    "random seed 0": (
+        lambda: random_mixed_graph(random.Random(0), 10, 0.3, 0.2),
+        4,
+        ([3, 2, 3, 2, 1, 4, 1, 3, 1, 2], {"nodes": 386, "max_table": 40}),
+        ([4, 3, 3, 2, 1, 2, 2, 1, 1, 3], {"nodes": 6}),
+    ),
+    "random seed 1": (
+        lambda: random_mixed_graph(random.Random(1), 10, 0.3, 0.2),
+        6,
+        ([6, 2, 5, 4, 1, 3, 1, 2, 2, 1], {"nodes": 885, "max_table": 88}),
+        ([6, 2, 5, 4, 1, 3, 1, 2, 2, 1], {"nodes": 6}),
+    ),
+    "random seed 2": (
+        lambda: random_mixed_graph(random.Random(2), 10, 0.3, 0.2),
+        5,
+        ([2, 5, 4, 1, 1, 1, 2, 3, 2, 1], {"nodes": 124, "max_table": 13}),
+        ([2, 5, 4, 1, 1, 1, 2, 3, 2, 1], {"nodes": 5}),
+    ),
+}
+
+
+@pytest.mark.parametrize("method", ["twdp", "branch"])
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESSES))
+def test_route_witness_is_pinned(name, method):
+    build, chi, twdp, branch = PINNED_WITNESSES[name]
+    colors, stats = twdp if method == "twdp" else branch
+    g = build()
+    result = solvers.ROUTES[method](g, None, DEFAULT_NODE_BUDGET)(chi)
+    assert result.decision
+    assert result.witness.colors == dict(zip(g.vertices, colors))
+    assert result.stats == stats
 
 
 class TestBudget:

@@ -1,6 +1,7 @@
 """Tree decompositions: heuristic construction, PACE I/O, nice form."""
 
 import io
+from collections import Counter
 
 import pytest
 
@@ -128,51 +129,78 @@ class TestNiceForm:
         for g in small_corpus[:25]:
             if g.n == 0:
                 continue
-            td = min_fill_decomposition(g)
-            nice = make_nice(td)
-            root = nice[-1]
-            assert root.bag == ()
-            position = {id(node): i for i, node in enumerate(nice)}
-            assert len(position) == len(nice)
+            nice = make_nice(min_fill_decomposition(g))
+            assert nice[-1].bag == ()
+            # replay the steps on a stack of bags: every operand is a bag an
+            # earlier step left there, so each step comes after its operands
+            bags: list[tuple[int, ...]] = []
             seen_vertices = set()
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                stack.extend(node.children)
-                # every node is listed once, after its children
-                assert all(position[id(child)] < position[id(node)] for child in node.children)
-                del position[id(node)]
-                if node.kind == "leaf":
-                    assert node.bag == () and not node.children
-                elif node.kind == "join":
-                    left, right = node.children
-                    assert left.bag == node.bag == right.bag
-                elif node.kind == "introduce":
-                    (child,) = node.children
-                    assert set(node.bag) - set(child.bag) == {node.vertex}
-                    seen_vertices.add(node.vertex)
+            for step in nice:
+                if step.kind == "leaf":
+                    assert step.bag == ()
+                elif step.kind == "join":
+                    right, left = bags.pop(), bags.pop()
+                    assert left == step.bag == right
+                elif step.kind == "introduce":
+                    operand = bags.pop()
+                    assert set(step.bag) - set(operand) == {step.vertex}
+                    assert len(step.bag) == len(operand) + 1
+                    assert step.bag[step.pos] == step.vertex
+                    seen_vertices.add(step.vertex)
                 else:
-                    (child,) = node.children
-                    assert set(child.bag) - set(node.bag) == {node.vertex}
+                    operand = bags.pop()
+                    assert set(operand) - set(step.bag) == {step.vertex}
+                    assert len(operand) == len(step.bag) + 1
+                    assert operand[step.pos] == step.vertex
+                bags.append(step.bag)
+            assert bags == [()]
             assert seen_vertices == set(g.vertices)
-            assert not position
 
     def test_long_path_decomposition(self):
         # 1500 bags {i, i+1}: one leaf, and a chain far deeper than the
         # interpreter's recursion limit
         bags = tuple(frozenset({i, i + 1}) for i in range(1, 1501))
         td = TreeDecomposition(1501, bags, tuple((i, i + 1) for i in range(1499)))
-        root = make_nice(td)[-1]
-        kinds = {"leaf": 0, "introduce": 0, "forget": 0, "join": 0}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            kinds[node.kind] += 1
-            stack.extend(node.children)
-        assert kinds == {"leaf": 1, "introduce": 1501, "forget": 1501, "join": 0}
+        kinds = Counter(step.kind for step in make_nice(td))
+        assert kinds == Counter(leaf=1, introduce=1501, forget=1501, join=0)
+
+    def test_step_order_of_a_three_child_bag(self):
+        # bag 0 has children 1, 2, 3: they are taken last to first, each
+        # followed by its forget/introduce chain and all but the first by a
+        # join, so the joins nest as join(1, join(2, 3)); the join order sets
+        # which tables the DP intersects and so its table entry count
+        bags = (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 4}), frozenset({1, 2, 5}))
+        td = TreeDecomposition(5, bags, ((0, 1), (0, 2), (0, 3)))
+        assert [(step.kind, step.bag, step.vertex) for step in make_nice(td)] == [
+            ("leaf", (), None),
+            ("introduce", (1,), 1),
+            ("introduce", (1, 2), 2),
+            ("introduce", (1, 2, 5), 5),
+            ("forget", (1, 2), 5),
+            ("leaf", (), None),
+            ("introduce", (2,), 2),
+            ("introduce", (2, 4), 4),
+            ("forget", (2,), 4),
+            ("introduce", (1, 2), 1),
+            ("join", (1, 2), None),
+            ("leaf", (), None),
+            ("introduce", (1,), 1),
+            ("introduce", (1, 3), 3),
+            ("forget", (1,), 3),
+            ("introduce", (1, 2), 2),
+            ("join", (1, 2), None),
+            ("forget", (2,), 1),
+            ("forget", (), 2),
+        ]
 
     def test_cycle_in_bag_graph_rejected(self):
         bags = (frozenset({1}), frozenset({1}), frozenset({1}))
         td = TreeDecomposition(1, bags, ((0, 1), (1, 2), (2, 0)))
         with pytest.raises(InvalidDecomposition):
+            make_nice(td)
+
+    def test_disconnected_bag_graph_rejected(self):
+        # bag 1 cannot be reached from bag 0, so vertex 2 would go uncolored
+        td = TreeDecomposition(2, (frozenset({1}), frozenset({2})), ())
+        with pytest.raises(InvalidDecomposition, match="bag graph is not a tree"):
             make_nice(td)
