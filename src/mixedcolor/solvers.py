@@ -48,24 +48,27 @@ class SolveResult:
 Decide = Callable[[int], SolveResult]
 
 
-def _window(g: MixedGraph) -> int:
-    """Every proper coloring gives v a color in 1 + floor[v] .. k - ceiling[v],
-    so k is at least the largest ``floor[v] + ceiling[v] + 1``."""
-    return max([g.floor[v] + g.ceiling[v] + 1 for v in g.vertices], default=0)
-
-
-def _ascend(decide: Decide, first_k: int, upper: Coloring, stats: dict | None = None) -> tuple[int, Coloring]:
-    """The first k below upper's color count, from first_k on, that monotone ``decide``
-    accepts, with its witness, else that count and ``upper``. ``stats`` gets
-    ``first_k``, ``upper`` (the count) and the number of ``decides``."""
+def _ascend(g: MixedGraph, decide: Decide, budget: int | None, stats: dict | None = None) -> tuple[int, Coloring]:
+    """The first k that monotone ``decide`` accepts, with its witness, else the
+    color count of ``schedule_coloring`` and that coloring once every k below it
+    is refuted. k starts at the largest ``floor[v] + ceiling[v] + 1`` (every proper
+    coloring gives v a color in 1 + floor[v] .. k - ceiling[v]) or, if that is
+    below the count, at the combined lower bound when larger, its search bounded
+    by ``budget``; branch passes None, as its memo refutes small k for less.
+    ``stats`` gets ``first_k``, ``upper`` (the count) and the number of ``decides``."""
+    upper = schedule_coloring(g)
+    count = upper.num_colors()
+    first_k = max([g.floor[v] + g.ceiling[v] + 1 for v in g.vertices], default=0)
+    if budget is not None and first_k < count:
+        first_k = max(first_k, lower_bounds(g, budget).combined)
     stats = {} if stats is None else stats
-    stats.update(first_k=first_k, upper=upper.num_colors(), decides=0)
-    for k in range(first_k, stats["upper"]):
+    stats.update(first_k=first_k, upper=count, decides=0)
+    for k in range(first_k, count):
         stats["decides"] += 1
         result = decide(k)
         if result.decision:
             return k, result.witness
-    return stats["upper"], upper
+    return count, upper
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +115,10 @@ def brute_force_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET)
 def brute_force_chi(
     g: MixedGraph, cap: int = DEFAULT_BRUTE_CAP, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None = None
 ) -> tuple[int, Coloring]:
-    """Exact chromatic number by upward search, bracketed as in ``chi_exact``."""
+    """Exact chromatic number by upward search (``_ascend``)."""
     if g.n > cap:
         raise CapExceeded(f"brute force limited to {cap} vertices, got {g.n}")
-    first_k = max(lower_bounds(g, budget).combined, _window(g))
-    return _ascend(ROUTES["brute"](g, None, budget), first_k, schedule_coloring(g), stats)
+    return _ascend(g, ROUTES["brute"](g, None, budget), budget, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +609,6 @@ class _BranchingSearch:
             self.tall[g.ceiling[v]] |= 1 << v
         for j in range(n, -1, -1):
             self.tall[j] |= self.tall[j + 1]
-        self.lower_bound = _window(g)
 
     def _expand(self, state: int, sources: int, j: int) -> list:
         """Count a node and build its frame: state, sources, colors, children, next child.
@@ -695,8 +696,7 @@ def branching_chi(
     All k share one search, so states refuted for a smaller k are not
     searched again.
     """
-    search = _BranchingSearch(g, budget, fanout_log)
-    return _ascend(search.solve, search.lower_bound, schedule_coloring(g), stats)
+    return _ascend(g, _BranchingSearch(g, budget, fanout_log).solve, None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +745,10 @@ def chi_exact(
 ) -> tuple[int, Coloring]:
     """Minimum k with a proper k-coloring, via the chosen route.
 
-    Every route ascends k from a lower bound and answers with the color count
-    of ``schedule_coloring`` once every k below it is refuted (``_ascend``).
-    branch (through ``branching_chi``) starts from the largest
-    ``floor[v] + ceiling[v] + 1``; twdp, ndm and brute (``brute_force_chi``,
-    capped at ``DEFAULT_BRUTE_CAP`` vertices) from that or the combined lower
-    bound, whichever is larger, whose search ``budget`` bounds as it bounds
-    every decide call.
+    Every route ascends k as ``_ascend`` brackets it; ``budget`` bounds every
+    decide call and the lower-bound search. brute goes through
+    ``brute_force_chi``, capped at ``DEFAULT_BRUTE_CAP`` vertices, and branch
+    through ``branching_chi``.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
@@ -759,5 +756,4 @@ def chi_exact(
         return brute_force_chi(g, budget=budget, stats=stats)
     if method == "branch":
         return branching_chi(g, budget=budget, stats=stats)
-    decide = ROUTES[method](g, td, budget)  # set up first: twdp validates a given td
-    return _ascend(decide, max(lower_bounds(g, budget).combined, _window(g)), schedule_coloring(g), stats)
+    return _ascend(g, ROUTES[method](g, td, budget), budget, stats)  # set up first: twdp validates a given td

@@ -227,6 +227,8 @@ def make_nice(td: TreeDecomposition) -> list[NiceNode]:
     the bag and each but the first taken by a join: children c1..cm give
     join(c1, join(c2, ... cm)).
     """
+    if not td.bags:
+        raise InvalidDecomposition("decomposition has no bags")
     adj: list[list[int]] = [[] for _ in td.bags]
     for i, j in td.tree_edges:
         adj[i].append(j)

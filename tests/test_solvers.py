@@ -361,7 +361,9 @@ class TestBranching:
         # the first layer's descendants need 8 colors above its own, so the
         # search starts at 9 and refutes k = 8 before any node
         g = family_layered_cliques(2, 4)
-        assert solvers._BranchingSearch(g, DEFAULT_NODE_BUDGET).lower_bound == 9
+        stats: dict = {}
+        chi_exact(g, "branch", stats=stats)
+        assert stats["first_k"] == 9
         result = solvers.ROUTES["branch"](g, None, DEFAULT_NODE_BUDGET)(8)
         assert not result.decision and result.stats["nodes"] == 0
 
@@ -489,7 +491,10 @@ class TestBudget:
 
         monkeypatch.setattr(solvers, "lower_bounds", spy)
         assert chi_exact(triangle(), method, budget=1000)[0] == 3
-        assert seen == ([] if method == "branch" else [1000])  # branch starts from the graph's color windows
+        assert seen == ([] if method == "branch" else [1000])  # branch never runs the chi_u search
+        # the windows meet the schedule coloring's 5 colors: no route needs the bound
+        assert chi_exact(directed_path(4), method, budget=1000)[0] == 5
+        assert seen == ([] if method == "branch" else [1000])
 
     def test_every_budget_defaults_to_the_one_constant(self):
         defaults = {}

@@ -10,6 +10,8 @@ needs them. The bounds spans nest the same way:
 ``lower_bounds`` calls ``bounds.chi_u_exact``, which calls
 ``bounds.clique_number`` for the start that the tracer's ``bounds.k_tried``
 counts from, and ``layering_coloring`` calls ``bounds.layering``.
+``chi_exact`` reaches the branch and brute ascents through
+``solvers.branching_chi`` and ``solvers.brute_force_chi``.
 """
 
 from mixedcolor import bounds, mixed_graph, solvers
@@ -100,3 +102,12 @@ def test_layering_coloring_calls_layering_once(monkeypatch):
     calls = spy(monkeypatch, bounds, "layering")
     assert bounds.layering_coloring(family_layered_cliques(2, 3)).num_colors() == 9
     assert len(calls) == 1
+
+
+def test_chi_exact_dispatches_branch_and_brute_through_their_chi(monkeypatch):
+    branch = spy(monkeypatch, solvers, "branching_chi")
+    brute = spy(monkeypatch, solvers, "brute_force_chi")
+    assert solvers.chi_exact(TWO_DECIDES, "branch")[0] == 4
+    assert (len(branch), len(brute)) == (1, 0)
+    assert solvers.chi_exact(TWO_DECIDES, "brute")[0] == 4
+    assert (len(branch), len(brute)) == (1, 1)

@@ -199,6 +199,10 @@ class TestNiceForm:
         with pytest.raises(InvalidDecomposition):
             make_nice(td)
 
+    def test_no_bags_rejected(self):
+        with pytest.raises(InvalidDecomposition, match="decomposition has no bags"):
+            make_nice(TreeDecomposition(0, (), ()))
+
     def test_disconnected_bag_graph_rejected(self):
         # bag 1 cannot be reached from bag 0, so vertex 2 would go uncolored
         td = TreeDecomposition(2, (frozenset({1}), frozenset({2})), ())
