@@ -15,9 +15,9 @@ Four routes, cross-validated against each other in the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import count
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Iterator, Optional
 
 # perfbench's tracer wraps layering_coloring in this module
@@ -357,67 +357,64 @@ def maximal_proper_preorders(
     correspondence of any coloring, until each lower endpoint sits at the
     latest ending in-neighbor (or position 1) and each upper endpoint at the
     earliest starting out-neighbor (or the final position). Enumerating only
-    these widened preorders therefore preserves the decision. A state at
-    position t ends at ell >= t + 1 while a class is unstarted, so it is
-    dropped once that passes ``max_ell`` (default 2m, which no preorder
-    exceeds); at t + 1 == max_ell only the end set that starts every
-    unstarted class is tried. Each end set tried and each preorder yielded
+    these widened preorders therefore preserves the decision. A class is
+    ready once none of its in-neighbors is unstarted, and it starts where
+    its last open in-neighbor ends, so the end sets at a position are the
+    distinct unions of the open in-neighbor sets of some ready classes; they
+    are visited in ascending class-mask order. A class unstarted at position
+    t ends at t + 1 or later, so with ell <= ``max_ell`` (default 2m, which
+    no preorder exceeds) every unstarted class must start at t = max_ell - 1:
+    there only the union of every ready set is built, and only if every
+    unstarted class is ready. Each end set built and each preorder yielded
     counts against ``budget``.
     """
-    if m == 0:
-        return
     max_ell = 2 * m if max_ell is None else max_ell
-    in_nbrs: list[set[int]] = [set() for _ in range(m)]
-    out_nbrs: list[set[int]] = [set() for _ in range(m)]
+    ins = [0] * m  # bit i of ins[j]: class arc i -> j
     for i, j in class_arcs:
-        in_nbrs[j].add(i)
-        out_nbrs[i].add(j)
-    p_minus = [0] * m
+        ins[j] |= 1 << i
+    sources = sum([1 << c for c in range(m) if not ins[c]])
+    p_minus = [sources >> c & 1 for c in range(m)]
     p_plus = [0] * m
-    sources = [c for c in range(m) if not in_nbrs[c]]
-    for c in sources:
-        p_minus[c] = 1
-    steps = count(1)  # end masks tried plus preorders yielded
+    steps = count(1)  # end sets built plus preorders yielded
 
     def spend() -> None:
         if next(steps) > budget:
             raise BudgetExceeded(f"preorder enumeration exceeded {budget} preorders and end masks")
 
-    def children(t: int, closed: set[int], open_: set[int], unstarted: set[int]):
-        if t + 1 < max_ell:  # every nonempty subset of the open classes, by mask
-            ordered = sorted(open_)
-            tries = ({c for b, c in enumerate(ordered) if mask >> b & 1} for mask in range(1, 1 << len(ordered)))
-        else:  # every unstarted class starts at t, so exactly their open in-neighbors end
-            tries = [open_ & set().union(*[in_nbrs[c] for c in unstarted])]
-        for ends in tries:
+    def children(t: int, open_: int, unstarted: int):
+        ready = [(c, ins[c] & open_) for c in set_bits(unstarted) if not ins[c] & unstarted]
+        unions = {0}
+        if t + 1 < max_ell:
+            for _, need in ready:
+                unions |= {u | need for u in unions}
+        elif len(ready) == unstarted.bit_count():  # the one end set that starts them all
+            unions.add(reduce(or_, [need for _, need in ready]))
+        for ends in sorted(unions)[1:]:
             spend()
-            avail = closed | ends
-            starts = {c for c in unstarted if in_nbrs[c] <= avail}
-            if not starts:
-                continue
-            if any(not (out_nbrs[c] & starts) for c in ends):
-                continue
-            for c in ends:
+            starts = 0
+            for c, need in ready:
+                if not need & ~ends:
+                    starts |= 1 << c
+                    p_minus[c] = t
+            for c in set_bits(ends):
                 p_plus[c] = t
-            for c in starts:
-                p_minus[c] = t
-            yield t + 1, closed | ends, (open_ - ends) | starts, unstarted - starts
+            yield t + 1, open_ & ~ends | starts, unstarted & ~starts
 
-    # depth first over an explicit stack of child generators
-    stack = [iter([(2, set(), set(sources), set(range(m)) - set(sources))])]
+    # depth first over an explicit stack of child generators; the sources
+    # start at position 1 and the first end set ends at position 2
+    unstarted = (1 << m) - 1 & ~sources
+    stack = [iter([(2, sources, unstarted)])] if m and 2 + bool(unstarted) <= max_ell else []
     while stack:
         state = next(stack[-1], None)
         if state is None:
             stack.pop()
             continue
-        t, _, open_, unstarted = state
-        if t + bool(unstarted) > max_ell:
-            continue
+        t, open_, unstarted = state
         if unstarted:
             stack.append(children(*state))
             continue
         spend()
-        for c in open_:
+        for c in set_bits(open_):
             p_plus[c] = t
         yield TypeEndpointPreorder(t, tuple(p_minus), tuple(p_plus))
 
@@ -535,7 +532,7 @@ def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> 
     of g; independent-set types are merged into single representatives. The
     rows of each program from ``ndm_programs`` are searched until one has a
     solution, which is rebuilt into a witness coloring. The preorders with
-    the end masks tried to reach them, and each feasibility search's nodes,
+    the end sets built to reach them, and each feasibility search's nodes,
     count against ``budget``.
     """
     stats = {"classes": 0, "preorders": 0, "feasibility_nodes": 0}

@@ -26,19 +26,26 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=1) - 1
 
 
-def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
-    """Raise InvalidDecomposition on any coverage/connectivity violation."""
+def _bag_adjacency(td: TreeDecomposition) -> list[list[int]]:
+    """The neighbor bags of each bag; raises InvalidDecomposition on a tree
+    edge whose bag index is out of range and on a decomposition with no bags."""
     b = len(td.bags)
+    adj: list[list[int]] = [[] for _ in range(b)]
     for i, j in td.tree_edges:
         if not (0 <= i < b and 0 <= j < b):
             raise InvalidDecomposition(f"tree edge ({i},{j}) out of range")
-    # the tree must be a tree
+        adj[i].append(j)
+        adj[j].append(i)
     if b == 0:
         raise InvalidDecomposition("decomposition has no bags")
-    adj: dict[int, set[int]] = {i: set() for i in range(b)}
-    for i, j in td.tree_edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    return adj
+
+
+def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
+    """Raise InvalidDecomposition on any coverage/connectivity violation."""
+    b = len(td.bags)
+    adj = _bag_adjacency(td)
+    # the tree must be a tree
     seen = {0}
     stack = [0]
     while stack:
@@ -227,12 +234,7 @@ def make_nice(td: TreeDecomposition) -> list[NiceNode]:
     the bag and each but the first taken by a join: children c1..cm give
     join(c1, join(c2, ... cm)).
     """
-    if not td.bags:
-        raise InvalidDecomposition("decomposition has no bags")
-    adj: list[list[int]] = [[] for _ in td.bags]
-    for i, j in td.tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = _bag_adjacency(td)
     steps: list[NiceNode] = []
     seen = [False] * len(td.bags)
     # (bag, parent, None): walk the bag; (bag, parent, join): its subtree is

@@ -116,7 +116,7 @@ class TestSolve:
         assert "var x[70,{70}] in [0,1]" in out and "x[70,{}]" not in out
 
     @pytest.mark.parametrize("text, k, budget", [
-        (NDM48, "3", "13"),
+        (NDM48, "3", "8"),
         ("p mixed 8 0 4\na 1 2\na 3 4\na 5 6\na 7 8\n", "3", "43"),
     ], ids=["ndm48", "four_arcs"])
     def test_dump_ilp_follows_the_budget(self, capsys, tmp_path, text, k, budget):
@@ -348,20 +348,22 @@ class TestBudget:
 
     def test_ndm_budget_counts_preorders(self, capsys, tmp_path):
         # k = 3 is refuted over 2 preorders of at most 4 positions, each
-        # searched in one node; reaching them tries 12 end masks
+        # searched in one node; reaching them builds 7 end sets
         graph = tmp_path / "ndm48.graph"
         graph.write_text(NDM48)
-        code, out, err = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "13")
+        code, out, err = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "8")
         assert code == 2 and out == ""
-        assert "BudgetExceeded: preorder enumeration exceeded 13 preorders and end masks" in err
-        code, out, _ = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "14")
+        assert "BudgetExceeded: preorder enumeration exceeded 8 preorders and end masks" in err
+        code, out, _ = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "9")
         assert code == 1
         assert (report_dict(out)["preorders"], report_dict(out)["feasibility_nodes"]) == ("2", "2")
 
     def test_ndm_budget_counts_end_masks(self, capsys, tmp_path):
         # six sources, each with a private edge, point at vertex 13: its one
-        # preorder ends the six together, and the dump tries all 4,095 end
-        # masks of the 12 source classes, so the masks exhaust the budget
+        # preorder ends the six together, so the dump builds that one end set
+        # of the 12 source classes and yields the preorder within 2 units; a
+        # budget of 1 stops the enumeration at the preorder, and the least
+        # passing budget is set by the feasibility search's 67 nodes
         graph = tmp_path / "star.graph"
         graph.write_text(
             "p mixed 13 6 6\n"
@@ -369,10 +371,13 @@ class TestBudget:
             + "".join(f"a {v} 13\n" for v in range(1, 7))
         )
         argv = ["solve", str(graph), "--method", "ndm", "--k", "4", "--dump-ilp", "--budget"]
-        code, out, err = run(capsys, *argv, "4095")
+        code, out, err = run(capsys, *argv, "1")
+        assert code == 2 and out.count("# preorder") == 0
+        assert "BudgetExceeded: preorder enumeration exceeded 1 preorders and end masks" in err
+        code, out, err = run(capsys, *argv, "66")
         assert code == 2 and out.count("# preorder") == 1
-        assert "BudgetExceeded: preorder enumeration exceeded 4095 preorders and end masks" in err
-        code, out, _ = run(capsys, *argv, "4096")
+        assert "BudgetExceeded: feasibility search exceeded 66 nodes" in err
+        code, out, _ = run(capsys, *argv, "67")
         assert code == 0 and out.count("# preorder") == 1 and report_dict(out)["preorders"] == "1"
 
 

@@ -196,6 +196,51 @@ class TestNdmFpt:
                 assert ndm_fpt_decide(g, k).decision == ndm_fpt_decide(merged, k).decision
 
 
+def reference_preorders(m, class_arcs, max_ell=None):
+    """The preorders, in order, and the budget units of the filter rule.
+
+    At each position before the last it tries every nonempty subset of the
+    open classes, by ascending mask over the sorted open classes, and keeps
+    one that starts some class and in which every class has an out-neighbor
+    among those starts; at the last position it tries only the open
+    in-neighbors of every unstarted class. Each subset tried and each
+    preorder found is one unit.
+    """
+    max_ell = 2 * m if max_ell is None else max_ell
+    ins = [{i for i, j in class_arcs if j == c} for c in range(m)]
+    outs = [{j for i, j in class_arcs if i == c} for c in range(m)]
+    found, units = [], 0
+
+    def walk(t, closed, open_, unstarted, p_minus, p_plus):
+        nonlocal units
+        if t + bool(unstarted) > max_ell:
+            return
+        if not unstarted:
+            units += 1
+            p_plus = [t if c in open_ else p for c, p in enumerate(p_plus)]
+            found.append(TypeEndpointPreorder(t, tuple(p_minus), tuple(p_plus)))
+            return
+        ordered = sorted(open_)
+        if t + 1 < max_ell:
+            tries = [{c for b, c in enumerate(ordered) if mask >> b & 1} for mask in range(1, 1 << len(ordered))]
+        else:
+            tries = [open_ & set().union(*[ins[c] for c in unstarted])]
+        for ends in tries:
+            units += 1
+            starts = {c for c in unstarted if ins[c] <= closed | ends}
+            if starts and all(outs[c] & starts for c in ends):
+                walk(
+                    t + 1, closed | ends, (open_ - ends) | starts, unstarted - starts,
+                    [t if c in starts else p for c, p in enumerate(p_minus)],
+                    [t if c in ends else p for c, p in enumerate(p_plus)],
+                )
+
+    if m:
+        sources = {c for c in range(m) if not ins[c]}
+        walk(2, set(), sources, set(range(m)) - sources, [int(c in sources) for c in range(m)], [0] * m)
+    return found, units
+
+
 class TestPreorders:
     def test_all_enumerated_are_proper(self, small_corpus):
         for g in small_corpus[:30]:
@@ -239,13 +284,29 @@ class TestPreorders:
         assert len(list(maximal_proper_preorders(4, arcs))) == 3
 
     def test_end_masks_count_against_the_budget(self):
-        # classes 0..11 are sources and only 0..5 point at class 12: one of
-        # the 4,095 end masks over the sources starts it, all are tried, and
-        # the one preorder makes 4,096 units of work
+        # classes 0..11 are sources and only 0..5 point at class 12: the one
+        # end set built is class 12's open in-neighbors 0..5, and with the
+        # one preorder that makes 2 units of work
         arcs = frozenset((c, 12) for c in range(6))
-        assert len(list(maximal_proper_preorders(13, arcs, budget=4096))) == 1
-        with pytest.raises(BudgetExceeded, match="exceeded 4095 preorders and end masks"):
-            list(maximal_proper_preorders(13, arcs, budget=4095))
+        assert len(list(maximal_proper_preorders(13, arcs, budget=2))) == 1
+        with pytest.raises(BudgetExceeded, match="exceeded 1 preorders and end masks"):
+            list(maximal_proper_preorders(13, arcs, budget=1))
+
+    def test_same_preorders_in_the_same_order_as_the_filter_rule(self):
+        # every ndm witness depends on the order; the end sets built must
+        # also never cost more units than the filter rule's subsets tried
+        rng = random.Random(2201)
+        for _ in range(1000):
+            m = rng.randint(0, 9)
+            density = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
+            rank = rng.sample(range(m), m)
+            arcs = frozenset(
+                (i, j) if rank[i] < rank[j] else (j, i)
+                for i in range(m) for j in range(i + 1, m) if rng.random() < density
+            )
+            for max_ell in (None, 2, 3, m, m + 1, 2 * m):
+                expected, units = reference_preorders(m, arcs, max_ell)
+                assert list(maximal_proper_preorders(m, arcs, max_ell, budget=units)) == expected, (m, arcs, max_ell)
 
     def test_maximal_enumeration_equals_full_enumeration(self):
         # the restricted enumeration must reach the same decision as trying

@@ -2,8 +2,9 @@
 
 A traced name only measures something if the package calls it through the
 module attribute the tracer rebinds. The ndm route must build each preorder's
-program through ``solvers.preorder_program`` and its class structure once per
-graph, and the twdp route must build its decomposition through
+program through ``solvers.preorder_program``, enumerate the preorders through
+``solvers.maximal_proper_preorders`` once per decide and build its class
+structure once per graph, and the twdp route must build its decomposition through
 ``solvers.min_fill_decomposition`` and its nice form through
 ``solvers.make_nice``, at most once per route set-up and only once a decide
 needs them. The bounds spans nest the same way:
@@ -74,6 +75,13 @@ def test_ndm_ascent_builds_the_closure_partition_once(monkeypatch):
     assert solvers.chi_exact(TWO_DECIDES, "ndm")[0] == 4
     assert [k for _, k, _ in decides] == [3, 4]
     assert len(partitions) == 1
+
+
+def test_ndm_decide_enumerates_preorders_once(monkeypatch):
+    enumerations = spy(monkeypatch, solvers, "maximal_proper_preorders")
+    assert solvers.chi_exact(TWO_DECIDES, "ndm")[0] == 4
+    # one enumeration per decide, k = 3 and 4, each with at most k + 1 positions
+    assert [max_ell for _, _, max_ell, _ in enumerations] == [4, 5]
 
 
 def test_dump_ilp_shares_the_routes_class_structure(monkeypatch, tmp_path, capsys):

@@ -203,6 +203,17 @@ class TestNiceForm:
         with pytest.raises(InvalidDecomposition, match="decomposition has no bags"):
             make_nice(TreeDecomposition(0, (), ()))
 
+    def test_tree_edge_past_the_last_bag_rejected(self):
+        td = TreeDecomposition(2, (frozenset({1}), frozenset({2})), ((0, 5),))
+        with pytest.raises(InvalidDecomposition, match=r"tree edge \(0,5\) out of range"):
+            make_nice(td)
+
+    def test_negative_tree_edge_rejected(self):
+        # -1 must not wrap around to the last bag, which would make a tree
+        td = TreeDecomposition(3, (frozenset({1, 2}), frozenset({2, 3}), frozenset({3})), ((0, 1), (1, -1)))
+        with pytest.raises(InvalidDecomposition, match=r"tree edge \(1,-1\) out of range"):
+            make_nice(td)
+
     def test_disconnected_bag_graph_rejected(self):
         # bag 1 cannot be reached from bag 0, so vertex 2 would go uncolored
         td = TreeDecomposition(2, (frozenset({1}), frozenset({2})), ())
