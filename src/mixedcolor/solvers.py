@@ -15,9 +15,10 @@ Four routes, cross-validated against each other in the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
+from heapq import heappop, heappush
 from itertools import count
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 # perfbench's tracer wraps layering_coloring in this module
@@ -360,13 +361,14 @@ def maximal_proper_preorders(
     these widened preorders therefore preserves the decision. A class is
     ready once none of its in-neighbors is unstarted, and it starts where
     its last open in-neighbor ends, so the end sets at a position are the
-    distinct unions of the open in-neighbor sets of some ready classes; they
-    are visited in ascending class-mask order. A class unstarted at position
-    t ends at t + 1 or later, so with ell <= ``max_ell`` (default 2m, which
-    no preorder exceeds) every unstarted class must start at t = max_ell - 1:
-    there only the union of every ready set is built, and only if every
-    unstarted class is ready. Each end set built and each preorder yielded
-    counts against ``budget``.
+    distinct unions of the open in-neighbor sets of some ready classes,
+    visited in ascending class-mask order, each built when a smaller one it
+    extends is visited. A class unstarted at position t ends at t + 1 or
+    later, so with ell <= ``max_ell`` (default 2m, which no preorder
+    exceeds) every unstarted class must start at t = max_ell - 1: there only
+    the union of every ready set is built, and only if every unstarted class
+    is ready. Each end set built and each preorder yielded counts against
+    ``budget``.
     """
     max_ell = 2 * m if max_ell is None else max_ell
     ins = [0] * m  # bit i of ins[j]: class arc i -> j
@@ -383,13 +385,15 @@ def maximal_proper_preorders(
 
     def children(t: int, open_: int, unstarted: int):
         ready = [(c, ins[c] & open_) for c in set_bits(unstarted) if not ins[c] & unstarted]
-        unions = {0}
-        if t + 1 < max_ell:
-            for _, need in ready:
-                unions |= {u | need for u in unions}
-        elif len(ready) == unstarted.bit_count():  # the one end set that starts them all
-            unions.add(reduce(or_, [need for _, need in ready]))
-        for ends in sorted(unions)[1:]:
+        needs = sorted({need for _, need in ready})
+        if t + 1 == max_ell:  # only the union of every ready set can start them all
+            full = 0
+            for need in needs:
+                full |= need
+            needs = [full] if len(ready) == unstarted.bit_count() else []
+        heap, built = needs[:], set(needs)
+        while heap:
+            ends = heappop(heap)
             spend()
             starts = 0
             for c, need in ready:
@@ -399,6 +403,9 @@ def maximal_proper_preorders(
             for c in set_bits(ends):
                 p_plus[c] = t
             yield t + 1, open_ & ~ends | starts, unstarted & ~starts
+            for union in {ends | need for need in needs} - built:
+                built.add(union)
+                heappush(heap, union)
 
     # depth first over an explicit stack of child generators; the sources
     # start at position 1 and the first end set ends at position 2

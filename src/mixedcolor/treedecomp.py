@@ -27,8 +27,8 @@ class TreeDecomposition:
 
 
 def _bag_adjacency(td: TreeDecomposition) -> list[list[int]]:
-    """The neighbor bags of each bag; raises InvalidDecomposition on a tree
-    edge whose bag index is out of range and on a decomposition with no bags."""
+    """The neighbor bags of each bag; raises InvalidDecomposition unless
+    there are bags and the tree edges, each within range, make them a tree."""
     b = len(td.bags)
     adj: list[list[int]] = [[] for _ in range(b)]
     for i, j in td.tree_edges:
@@ -38,24 +38,21 @@ def _bag_adjacency(td: TreeDecomposition) -> list[list[int]]:
         adj[j].append(i)
     if b == 0:
         raise InvalidDecomposition("decomposition has no bags")
-    return adj
-
-
-def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
-    """Raise InvalidDecomposition on any coverage/connectivity violation."""
-    b = len(td.bags)
-    adj = _bag_adjacency(td)
-    # the tree must be a tree
     seen = {0}
     stack = [0]
     while stack:
-        x = stack.pop()
-        for y in adj[x]:
+        for y in adj[stack.pop()]:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
     if len(seen) != b or len(td.tree_edges) != b - 1:
         raise InvalidDecomposition("bag graph is not a tree")
+    return adj
+
+
+def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
+    """Raise InvalidDecomposition on any coverage/connectivity violation."""
+    _bag_adjacency(td)
     held: dict[int, int] = {}  # vertex -> mask of the bags holding it
     for i, bag in enumerate(td.bags):
         for v in bag:
@@ -236,7 +233,6 @@ def make_nice(td: TreeDecomposition) -> list[NiceNode]:
     """
     adj = _bag_adjacency(td)
     steps: list[NiceNode] = []
-    seen = [False] * len(td.bags)
     # (bag, parent, None): walk the bag; (bag, parent, join): its subtree is
     # done, so the chain to the parent's bag (empty above the root) follows,
     # and a join unless it is the first child taken
@@ -248,16 +244,11 @@ def make_nice(td: TreeDecomposition) -> list[NiceNode]:
             _chain(steps, td.bags[node], up)
             if join:
                 steps.append(NiceNode("join", tuple(sorted(up))))
-        elif seen[node]:
-            raise InvalidDecomposition("bag graph is not a tree")
         else:
-            seen[node] = True
             kids = [c for c in adj[node] if c != parent]
             if not kids:
                 steps.append(NiceNode("leaf", ()))
                 _chain(steps, frozenset(), td.bags[node])
             for i, child in enumerate(kids):
                 stack += [(child, node, i < len(kids) - 1), (child, node, None)]
-    if not all(seen):
-        raise InvalidDecomposition("bag graph is not a tree")
     return steps

@@ -44,6 +44,7 @@ import io
 import math
 import pkgutil
 import random
+import time
 
 import mixedcolor
 from mixedcolor import solvers
@@ -291,6 +292,20 @@ class TestPreorders:
         assert len(list(maximal_proper_preorders(13, arcs, budget=2))) == 1
         with pytest.raises(BudgetExceeded, match="exceeded 1 preorders and end masks"):
             list(maximal_proper_preorders(13, arcs, budget=1))
+
+    def test_end_sets_are_built_within_the_budget(self):
+        # 24 disjoint arcs at k = 3: position 2 has 2^24 unions of the heads'
+        # tail sets, but the first preorder needs one end set there and one
+        # at position 3, and a budget of 100 must stop the enumeration after
+        # about 100 end sets, not after all of them are built
+        arcs = frozenset((2 * i, 2 * i + 1) for i in range(24))
+        start = time.process_time()
+        first = next(maximal_proper_preorders(48, arcs, 4, budget=3))
+        with pytest.raises(BudgetExceeded):
+            list(maximal_proper_preorders(48, arcs, 4, budget=100))
+        assert ndm_fpt_decide(mixed_graph(48, arcs=[(2 * i + 1, 2 * i + 2) for i in range(24)]), 3, budget=100).decision
+        assert time.process_time() - start < 1
+        assert first.ell == 4 and first.p_minus[:2] == (1, 2) and first.p_plus[:2] == (2, 4)
 
     def test_same_preorders_in_the_same_order_as_the_filter_rule(self):
         # every ndm witness depends on the order; the end sets built must
