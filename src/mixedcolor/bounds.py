@@ -168,6 +168,48 @@ def lower_bounds(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> LowerBound
     return LowerBounds(chi_u, rank, max(chi_u, rank + 1), exact)
 
 
+def window_clique_bound(g: MixedGraph, stop: int) -> int:
+    """Chromatic lower bound from the colour windows of underlying cliques; needs no budget.
+
+    Every proper colouring gives v a colour in ``1 + floor[v] .. k - ceiling[v]``.
+    The members of a clique Q get distinct colours, and those with
+    ``floor >= a`` and ``ceiling >= b`` all lie in ``1 + a .. k - b``, so k is at
+    least a + b + their number: Hall's condition for unit jobs with release
+    times and deadlines (Jackson, 1955; Horn, 1974), exact for Q's windows.
+    From each vertex, in id order, Q grows greedily among its neighbours on
+    ``g.adjacent_masks``, taken by ``floor + ceiling`` descending, then id.
+    Starts at the windows alone (the largest ``floor[v] + ceiling[v] + 1``) and
+    returns as soon as the bound reaches ``stop``.
+    """
+    floor, ceiling, adjacent = g.floor, g.ceiling, g.adjacent_masks
+    key = [f + c for f, c in zip(floor, ceiling)]
+    best = 1 + max(key[1:], default=-1)  # the windows alone; entry 0 is no vertex
+    seen = set()  # cliques grown from several vertices are scored once
+    for v in g.vertices:
+        if best >= stop:
+            break
+        clique, members = 1 << v, [v]
+        # by floor + ceiling descending, then id: reverse=True keeps the id order of ties
+        for u in sorted(set_bits(adjacent[v]), key=key.__getitem__, reverse=True):
+            if clique & ~adjacent[u] == 0:
+                clique |= 1 << u
+                members.append(u)
+        if clique in seen:
+            continue
+        seen.add(clique)
+        # by ceiling descending: the c-th member u with floor >= a makes c of
+        # them with colours in 1 + a .. k - ceiling[u]
+        members.sort(key=ceiling.__getitem__, reverse=True)
+        for a in {floor[u] for u in members}:
+            c = 0
+            for u in members:
+                if floor[u] >= a:
+                    c += 1
+                    if a + ceiling[u] + c > best:
+                        best = a + ceiling[u] + c
+    return best
+
+
 def layering_coloring(g: MixedGraph) -> Coloring:
     """Proper coloring from the layering: each layer gets a fresh color block.
 

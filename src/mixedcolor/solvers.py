@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 # perfbench's tracer wraps layering_coloring in this module
-from .bounds import layering_coloring, lower_bounds, schedule_coloring  # noqa: F401
+from .bounds import layering_coloring, lower_bounds, schedule_coloring, window_clique_bound  # noqa: F401
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, CapExceeded
 from .feasibility import Rows, search, solve_feasibility  # noqa: F401
 from .graphs import Coloring, MixedGraph, arc_order, set_bits
@@ -53,15 +53,19 @@ def _ascend(g: MixedGraph, decide: Decide, budget: int | None, stats: dict | Non
     """The first k that monotone ``decide`` accepts, with its witness, else the
     color count of ``schedule_coloring`` and that coloring once every k below it
     is refuted. k starts at the largest ``floor[v] + ceiling[v] + 1`` (every proper
-    coloring gives v a color in 1 + floor[v] .. k - ceiling[v]) or, if that is
-    below the count, at the combined lower bound when larger, its search bounded
-    by ``budget``; branch passes None, as its memo refutes small k for less.
-    ``stats`` gets ``first_k``, ``upper`` (the count) and the number of ``decides``."""
+    coloring gives v a color in 1 + floor[v] .. k - ceiling[v]). If that is below
+    the count, k starts at ``window_clique_bound`` instead, and if that still
+    leaves a gap, at the combined lower bound when larger, its search bounded
+    by ``budget``. Branch passes None and keeps the windows start, as its memo
+    refutes small k for less than either bound costs. ``stats`` gets
+    ``first_k``, ``upper`` (the count) and the number of ``decides``."""
     upper = schedule_coloring(g)
     count = upper.num_colors()
     first_k = max([g.floor[v] + g.ceiling[v] + 1 for v in g.vertices], default=0)
     if budget is not None and first_k < count:
-        first_k = max(first_k, lower_bounds(g, budget).combined)
+        first_k = window_clique_bound(g, count)
+        if first_k < count:
+            first_k = max(first_k, lower_bounds(g, budget).combined)
     stats = {} if stats is None else stats
     stats.update(first_k=first_k, upper=count, decides=0)
     for k in range(first_k, count):
@@ -359,8 +363,10 @@ def maximal_proper_preorders(
     latest ending in-neighbor (or position 1) and each upper endpoint at the
     earliest starting out-neighbor (or the final position). Enumerating only
     these widened preorders therefore preserves the decision. A class is
-    ready once none of its in-neighbors is unstarted, and it starts where
-    its last open in-neighbor ends, so the end sets at a position are the
+    ready once none of its in-neighbors is unstarted, which only a start of
+    its last unstarted in-neighbor can bring about, so the ready set is kept
+    up to date from the starts. A ready class starts where its last open
+    in-neighbor ends, so the end sets at a position are the
     distinct unions of the open in-neighbor sets of some ready classes,
     visited in ascending class-mask order, each built when a smaller one it
     extends is visited. A class unstarted at position t ends at t + 1 or
@@ -372,8 +378,10 @@ def maximal_proper_preorders(
     """
     max_ell = 2 * m if max_ell is None else max_ell
     ins = [0] * m  # bit i of ins[j]: class arc i -> j
+    outs = [0] * m  # bit j of outs[i]: the same arc, read only to find the classes a start makes ready
     for i, j in class_arcs:
         ins[j] |= 1 << i
+        outs[i] |= 1 << j
     sources = sum([1 << c for c in range(m) if not ins[c]])
     p_minus = [sources >> c & 1 for c in range(m)]
     p_plus = [0] * m
@@ -383,26 +391,31 @@ def maximal_proper_preorders(
         if next(steps) > budget:
             raise BudgetExceeded(f"preorder enumeration exceeded {budget} preorders and end masks")
 
-    def children(t: int, open_: int, unstarted: int):
-        ready = [(c, ins[c] & open_) for c in set_bits(unstarted) if not ins[c] & unstarted]
-        needs = sorted({need for _, need in ready})
+    def children(t: int, open_: int, unstarted: int, ready: int):
+        waiting = [(c, ins[c] & open_) for c in set_bits(ready)]
+        needs = sorted({need for _, need in waiting})
         if t + 1 == max_ell:  # only the union of every ready set can start them all
             full = 0
             for need in needs:
                 full |= need
-            needs = [full] if len(ready) == unstarted.bit_count() else []
+            needs = [full] if ready == unstarted else []
         heap, built = needs[:], set(needs)
         while heap:
             ends = heappop(heap)
             spend()
-            starts = 0
-            for c, need in ready:
+            starts = woken = 0
+            for c, need in waiting:
                 if not need & ~ends:
                     starts |= 1 << c
+                    woken |= outs[c]
                     p_minus[c] = t
             for c in set_bits(ends):
                 p_plus[c] = t
-            yield t + 1, open_ & ~ends | starts, unstarted & ~starts
+            rest, now_ready = unstarted & ~starts, ready & ~starts
+            for c in set_bits(woken):  # only an out-neighbor of a start can become ready
+                if not ins[c] & rest:
+                    now_ready |= 1 << c
+            yield t + 1, open_ & ~ends | starts, rest, now_ready
             for union in {ends | need for need in needs} - built:
                 built.add(union)
                 heappush(heap, union)
@@ -410,13 +423,14 @@ def maximal_proper_preorders(
     # depth first over an explicit stack of child generators; the sources
     # start at position 1 and the first end set ends at position 2
     unstarted = (1 << m) - 1 & ~sources
-    stack = [iter([(2, sources, unstarted)])] if m and 2 + bool(unstarted) <= max_ell else []
+    ready = sum([1 << c for c in set_bits(unstarted) if not ins[c] & unstarted])
+    stack = [iter([(2, sources, unstarted, ready)])] if m and 2 + bool(unstarted) <= max_ell else []
     while stack:
         state = next(stack[-1], None)
         if state is None:
             stack.pop()
             continue
-        t, open_, unstarted = state
+        t, open_, unstarted, _ = state
         if unstarted:
             stack.append(children(*state))
             continue

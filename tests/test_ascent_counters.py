@@ -1,0 +1,54 @@
+"""The ascent's counters on the benchmark's seed-1 solve pools.
+
+``perfbench/workloads.py`` builds each solve workload's pool; it is loaded by
+path, as ``test_tracer_targets.py`` loads the tracer, and runs here without a
+benchmark process. Each pool is pinned by its size, the sum of the ``decides``
+that ``chi_exact`` reports and a hash of the chromatic numbers in pool order, so
+a change to the ascent's bounds shows as a changed decide count with
+unchanged answers.
+"""
+
+import hashlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from mixedcolor import graphs, solvers
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+SECONDS = 12  # the benchmark's run length, which sizes each pool
+
+# pool: (graphs, decides, sha256 of the comma-joined chromatic numbers, first 16 digits)
+PINNED = {
+    "dense-twdp": (901, 316, "c0c5ada7a56d5d4f"),
+    "ndm-fpt": (725, 121, "a448a48c5d581e79"),
+    "sparse-branch": (384, 386, "70516c7d26fb35c9"),
+}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("pool", PINNED)
+def test_seed_one_pool_counters(workloads, pool):
+    workload = workloads.WORKLOADS[pool]
+    texts = workloads.materialize(workload.plan(1, SECONDS))
+    chis, decides = [], 0
+    for text in texts:
+        stats = {}
+        chis.append(solvers.chi_exact(graphs.load_graph(io.StringIO(text)), workload.method, stats=stats)[0])
+        decides += stats["decides"]
+    digest = hashlib.sha256(",".join(map(str, chis)).encode()).hexdigest()[:16]
+    assert (len(texts), decides, digest) == PINNED[pool]

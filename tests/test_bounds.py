@@ -1,6 +1,7 @@
 """Properness checking, chromatic lower bounds, and the constructive colorings."""
 
 import pytest
+from hypothesis import given, settings
 
 from mixedcolor import (
     Coloring,
@@ -8,6 +9,7 @@ from mixedcolor import (
     InvalidCover,
     check_proper,
     chromatic_bounds,
+    clique_number,
     layering,
     layering_coloring,
     lower_bounds,
@@ -16,7 +18,7 @@ from mixedcolor import (
     vertex_cover_number,
 )
 from mixedcolor import bounds
-from mixedcolor.bounds import chi_u_exact
+from mixedcolor.bounds import chi_u_exact, window_clique_bound
 from mixedcolor.errors import BudgetExceeded
 from mixedcolor.reductions import (
     SuperstringInstance,
@@ -25,6 +27,8 @@ from mixedcolor.reductions import (
     superstring_coloring,
 )
 from mixedcolor.solvers import brute_force_chi
+
+from test_branching_properties import mixed_graphs
 
 
 def directed_path(length):
@@ -96,6 +100,40 @@ class TestLowerBounds:
         assert lb.chi_u == 6  # adjacent layers induce K_6; the clique is found
         full = lower_bounds(g)
         assert full.chi_u_exact and full.chi_u >= lb.chi_u
+
+
+def windows(g):
+    return max([g.floor[v] + g.ceiling[v] + 1 for v in g.vertices], default=0)
+
+
+def assert_window_clique_bound_holds(g):
+    chi = brute_force_chi(g)[0]
+    bound = window_clique_bound(g, g.n + 1)  # no bound exceeds n
+    assert windows(g) <= bound <= chi
+    for stop in range(bound + 1):  # stops early at stop, never above the full bound
+        assert min(stop, bound) <= window_clique_bound(g, stop) <= bound
+
+
+class TestWindowCliqueBound:
+    def test_beats_the_windows_and_the_clique_number(self):
+        # vertices 1 and 2 share an edge and each needs a colour above it, so
+        # both lie in 1 .. k - 1 with distinct colours: k >= 3
+        g = mixed_graph(4, edges=[(1, 2)], arcs=[(1, 3), (2, 4)])
+        assert (windows(g), clique_number(g)) == (2, 2)
+        assert window_clique_bound(g, 10) == brute_force_chi(g)[0] == 3
+        assert window_clique_bound(g, 2) == 2  # the windows alone reach the stop
+
+    def test_empty_graph(self):
+        assert window_clique_bound(mixed_graph(0), 1) == 0
+
+    @settings(max_examples=150)
+    @given(mixed_graphs())
+    def test_between_the_windows_and_chi(self, g):
+        assert_window_clique_bound_holds(g)
+
+    def test_between_the_windows_and_chi_on_the_corpus(self, small_corpus):
+        for g in small_corpus:
+            assert_window_clique_bound_holds(g)
 
 
 class TestLayeringColoring:

@@ -549,11 +549,13 @@ class TestBudget:
         assert 20_000 < info.traceback[-1].frame.f_locals["entries"] <= 20_000 + g.n
 
     def test_brute_counts_loop_steps(self):
-        g = mixed_graph(4, edges=[(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
+        # chi 4: vertex 1 sees all of the path 4 -> 2 -> 3; the bounds stop at
+        # 3, so the ascent decides k = 3, and k = 4 takes one step per vertex
+        g = mixed_graph(4, edges=[(1, 2), (1, 3), (1, 4)], arcs=[(2, 3), (4, 2)])
         with pytest.raises(BudgetExceeded, match="exceeded 3 steps"):
             brute_force_decide(g, 4, budget=3)
         assert brute_force_decide(g, 4, budget=4) is not None
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="brute force exceeded 3 steps"):
             brute_force_chi(g, budget=3)
 
     @pytest.mark.parametrize("method", ["brute", "twdp", "ndm", "branch"])
@@ -566,7 +568,9 @@ class TestBudget:
             return real(g, budget)
 
         monkeypatch.setattr(solvers, "lower_bounds", spy)
-        assert chi_exact(triangle(), method, budget=1000)[0] == 3
+        # the odd cycle's largest clique is an edge: only the chi_u search finds its 3
+        five_cycle = mixed_graph(5, edges=[(i, i % 5 + 1) for i in range(1, 6)])
+        assert chi_exact(five_cycle, method, budget=1000)[0] == 3
         assert seen == ([] if method == "branch" else [1000])  # branch never runs the chi_u search
         # the windows meet the schedule coloring's 5 colors: no route needs the bound
         assert chi_exact(directed_path(4), method, budget=1000)[0] == 5

@@ -27,9 +27,11 @@ ASCENT = mixed_graph(
     arcs=[(1, 4), (2, 3), (4, 2), (4, 5), (4, 6), (7, 3), (7, 4)],
 )
 
-# first k 3, chi 4, and the schedule coloring takes 5 colors: the ascent
-# decides k = 3 and 4
-TWO_DECIDES = mixed_graph(6, edges=[(1, 2), (1, 5), (2, 3), (3, 4)], arcs=[(1, 3), (2, 4), (5, 2)])
+# first k 3 (window cliques and the combined bound), chi 4, and the schedule
+# coloring takes 5 colors: the ascent decides k = 3 and 4
+TWO_DECIDES = mixed_graph(
+    6, edges=[(1, 2), (1, 4), (1, 5), (2, 4), (2, 6), (4, 5), (4, 6)], arcs=[(2, 3), (3, 1), (6, 5)]
+)
 
 
 def test_ndm_route_calls_preorder_program_once_per_preorder(monkeypatch):
