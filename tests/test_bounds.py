@@ -1,7 +1,7 @@
 """Properness checking, chromatic lower bounds, and the constructive colorings."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mixedcolor import (
     Coloring,
@@ -123,11 +123,9 @@ class TestWindowCliqueBound:
         assert window_clique_bound(g, 10) == brute_force_chi(g)[0] == 3
         assert window_clique_bound(g, 2) == 2  # the windows alone reach the stop
 
-    def test_empty_graph(self):
-        assert window_clique_bound(mixed_graph(0), 1) == 0
-
     @settings(max_examples=150)
     @given(mixed_graphs())
+    @example(mixed_graph(0))
     def test_between_the_windows_and_chi(self, g):
         assert_window_clique_bound_holds(g)
 
