@@ -235,20 +235,20 @@ def schedule_coloring(g: MixedGraph) -> Coloring:
 
     Of the vertices whose in-neighbors are all colored it takes the largest
     ``g.ceiling``, then the most edge neighbors, then the smallest id, and gives
-    it the smallest color above its in-neighbors' that no edge neighbor uses.
-    A color skipped is an edge neighbor's or at most an in-neighbor's, so the
-    colors used are always 1..max."""
+    it the lowest color its mask leaves free: coloring v with c sets bit c in its
+    edge neighbors' masks and bits 0..c in its out-neighbors'. A color skipped is
+    an edge neighbor's or at most an in-neighbor's, so the colors used are 1..max."""
     waiting = [len(preds) for preds in g.preds]
+    taken = [1] * (g.n + 1)  # bit c: color c is ruled out; color 0 always is
     ready = sorted((-g.ceiling[v], -len(g.nbrs[v]), v) for v in g.vertices if not waiting[v])  # sorted, so a heap
     colors: dict[int, int] = {}
     while ready:
         v = heapq.heappop(ready)[2]
-        color = max([colors[u] for u in g.preds[v]], default=0) + 1
-        used = {colors.get(u) for u in g.nbrs[v]}
-        while color in used:
-            color += 1
-        colors[v] = color
+        colors[v] = color = (taken[v] ^ (taken[v] + 1)).bit_length() - 1  # lowest zero bit
+        for u in g.nbrs[v]:
+            taken[u] |= 1 << color
         for w in g.succs[v]:
+            taken[w] |= (2 << color) - 1
             waiting[w] -= 1
             if not waiting[w]:
                 heapq.heappush(ready, (-g.ceiling[w], -len(g.nbrs[w]), w))

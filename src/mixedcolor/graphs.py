@@ -30,6 +30,41 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+class _Adjacency:
+    """An adjacency part of the graph index: its first read on a graph builds all
+    six parts in one pass into the instance dict, where later reads find them."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, g: MixedGraph | None, owner: type | None = None):
+        if g is None:
+            return self
+        preds, succs, nbrs = ([[] for _ in range(g.n + 1)] for _ in range(3))
+        pred_masks, nbr_masks = [0] * (g.n + 1), [0] * (g.n + 1)
+        for u, v in g.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+            nbr_masks[u] |= 1 << v
+            nbr_masks[v] |= 1 << u
+        adjacent = nbr_masks.copy()
+        for u, v in g.arcs:
+            succs[u].append(v)
+            preds[v].append(u)
+            pred_masks[v] |= 1 << u
+            adjacent[u] |= 1 << v
+            adjacent[v] |= 1 << u
+        g.__dict__.update(
+            preds=tuple(map(frozenset, preds)),
+            succs=tuple(map(frozenset, succs)),
+            nbrs=tuple(map(frozenset, nbrs)),
+            pred_masks=tuple(pred_masks),
+            nbr_masks=tuple(nbr_masks),
+            adjacent_masks=tuple(adjacent),
+        )
+        return g.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class MixedGraph:
     """An immutable simple mixed graph on vertices 1..n without directed cycles."""
@@ -62,38 +97,21 @@ class MixedGraph:
         return range(1, self.n + 1)
 
     # The graph index. Each part is built on first use and then shared by
-    # every caller. Per-vertex tuples are indexed by vertex id (entry 0 is
-    # empty); bit v of a mask stands for vertex v.
+    # every caller; the first use of any adjacency part builds all six in one
+    # pass. Per-vertex tuples are indexed by vertex id (entry 0 is empty); bit
+    # v of a mask stands for vertex v.
 
     @cached_property
     def order(self) -> tuple[int, ...]:
         """Arc-respecting vertex order, ties broken by smallest id first."""
         return tuple(arc_order(self.n, self.arcs))
 
-    @cached_property
-    def preds(self) -> tuple[frozenset[int], ...]:
-        return _neighbor_sets(self.n, ((v, u) for u, v in self.arcs))
-
-    @cached_property
-    def succs(self) -> tuple[frozenset[int], ...]:
-        return _neighbor_sets(self.n, self.arcs)
-
-    @cached_property
-    def nbrs(self) -> tuple[frozenset[int], ...]:
-        """Undirected (edge) neighbors."""
-        return _neighbor_sets(self.n, _both_ways(self.edges))
-
-    @cached_property
-    def pred_masks(self) -> tuple[int, ...]:
-        return _masks(self.n, ((v, u) for u, v in self.arcs))
-
-    @cached_property
-    def nbr_masks(self) -> tuple[int, ...]:
-        return _masks(self.n, _both_ways(self.edges))
-
-    @cached_property
-    def adjacent_masks(self) -> tuple[int, ...]:
-        return _masks(self.n, _both_ways([*self.edges, *self.arcs]))
+    preds = _Adjacency()  # per vertex: in-neighbors
+    succs = _Adjacency()  # out-neighbors
+    nbrs = _Adjacency()  # undirected (edge) neighbors
+    pred_masks = _Adjacency()
+    nbr_masks = _Adjacency()
+    adjacent_masks = _Adjacency()  # neighbors along edges and arcs
 
     @cached_property
     def desc_masks(self) -> tuple[int, ...]:
@@ -145,25 +163,6 @@ class MixedGraph:
 def mixed_graph(n: int, edges: Iterable[tuple[int, int]] = (), arcs: Iterable[tuple[int, int]] = ()) -> MixedGraph:
     """Build a validated MixedGraph, normalizing edge orientation."""
     return MixedGraph(n, frozenset(normalize_edge(u, v) for u, v in edges), frozenset(tuple(a) for a in arcs))
-
-
-def _both_ways(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    pairs = list(pairs)
-    return pairs + [(v, u) for u, v in pairs]
-
-
-def _neighbor_sets(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[frozenset[int], ...]:
-    sets: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in pairs:
-        sets[u].append(v)
-    return tuple(map(frozenset, sets))
-
-
-def _masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    masks = [0] * (n + 1)
-    for u, v in pairs:
-        masks[u] |= 1 << v
-    return tuple(masks)
 
 
 def set_bits(mask: int) -> Iterator[int]:

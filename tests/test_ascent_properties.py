@@ -7,12 +7,14 @@ brute-force oracle, on graphs where the schedule is optimal and where it is
 not. Examples are derandomized so every run of the suite sees the same graphs.
 """
 
+import heapq
 import random
 
 from hypothesis import example, given, settings
 
 from mixedcolor import brute_force_chi, check_proper, chi_exact, mixed_graph, random_mixed_graph, schedule_coloring
 from mixedcolor.errors import DEFAULT_NODE_BUDGET
+from mixedcolor.reductions import family_layered_cliques, family_oriented_grid
 from mixedcolor.solvers import METHODS, ROUTES
 
 from test_branching_properties import mixed_graphs
@@ -45,6 +47,48 @@ def test_schedule_coloring_is_proper_and_gap_free(g):
     assert check_proper(g, coloring)[0]
     assert set(coloring.colors.values()) == set(range(1, coloring.max_color() + 1))
     assert coloring.num_colors() >= brute_force_chi(g)[0]
+
+
+def set_based_schedule(g):
+    """The schedule coloring by its set-based rule, with the same ready heap and
+    key: one above the largest in-neighbor color, then past every color an
+    edge neighbor uses. Returns the colors in the order they were given."""
+    waiting = [len(preds) for preds in g.preds]
+    ready = [(-g.ceiling[v], -len(g.nbrs[v]), v) for v in g.vertices if not waiting[v]]
+    heapq.heapify(ready)
+    colors = {}
+    while ready:
+        v = heapq.heappop(ready)[2]
+        color = max([colors[u] for u in g.preds[v]], default=0) + 1
+        used = {colors.get(u) for u in g.nbrs[v]}
+        while color in used:
+            color += 1
+        colors[v] = color
+        for w in g.succs[v]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                heapq.heappush(ready, (-g.ceiling[w], -len(g.nbrs[w]), w))
+    return list(colors.items())
+
+
+@PROPERTY
+@given(mixed_graphs(max_n=16))
+@example(UNSCHEDULED)
+@example(TWO_DECIDES)
+def test_schedule_coloring_matches_the_set_based_rule(g):
+    assert list(schedule_coloring(g).colors.items()) == set_based_schedule(g)
+
+
+def test_schedule_coloring_matches_the_set_based_rule_past_64_colors():
+    rng = random.Random(24)
+    graphs = [
+        random_mixed_graph(rng, rng.randint(20, 90), rng.choice((0.1, 0.4)), rng.choice((0.2, 0.6)))
+        for _ in range(40)
+    ]
+    graphs += [family_oriented_grid(9), family_layered_cliques(16, 5)]  # 81 and 85 colors
+    assert max(schedule_coloring(g).max_color() for g in graphs) > 64
+    for g in graphs:
+        assert list(schedule_coloring(g).colors.items()) == set_based_schedule(g)
 
 
 @PROPERTY

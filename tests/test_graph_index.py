@@ -5,6 +5,7 @@ and both partitions with the pairwise definition of the type relation.
 Examples are derandomized so every run of the suite sees the same graphs.
 """
 
+import io
 import random
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from mixedcolor import (
     DirectedCycleError,
     MixedGraph,
+    load_graph,
     mixed_graph,
     mixed_neighborhood_partition,
     random_mixed_graph,
@@ -158,6 +160,35 @@ def test_index_matches_direct_scans(g):
                     seen.add(u)
                     todo.extend(step[u])
             assert masks[v] == sum(1 << u for u in seen)
+
+
+ADJACENCY = ("preds", "succs", "nbrs", "pred_masks", "nbr_masks", "adjacent_masks")
+
+
+def test_construction_builds_no_adjacency_part():
+    built = mixed_graph(4, edges=[(2, 1)], arcs=[(2, 3), (3, 4)])
+    loaded = load_graph(io.StringIO("p mixed 4 1 2\ne 1 2\na 2 3\na 3 4\n"))
+    for g in (built, loaded):
+        assert not set(ADJACENCY) & set(vars(g))
+
+
+@PROPERTY
+@given(typed_graphs(), st.permutations(ADJACENCY))
+def test_any_adjacency_read_fills_all_six_parts(g, reads):
+    ins, outs, nbrs = scanned(g)
+    sets = {"preds": ins, "succs": outs, "nbrs": nbrs}
+    views = {
+        "pred_masks": ins,
+        "nbr_masks": nbrs,
+        "adjacent_masks": {v: ins[v] | outs[v] | nbrs[v] for v in g.vertices},
+    }
+    expected = {name: (frozenset(),) + tuple(view[v] for v in g.vertices) for name, view in sets.items()}
+    expected |= {name: (0,) + tuple(sum(1 << u for u in view[v]) for v in g.vertices) for name, view in views.items()}
+    assert not set(ADJACENCY) & set(vars(g))
+    getattr(g, reads[0])
+    assert {name: vars(g)[name] for name in ADJACENCY} == expected
+    # later reads are the stored parts, not rebuilds
+    assert all(getattr(g, name) is vars(g)[name] for name in reads)
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Core graph model: validation, file formats, order/reachability primitives."""
 
 import io
+import re
 
 import pytest
 
@@ -80,6 +81,43 @@ class TestLoadGraph:
         buf = io.StringIO()
         save_coloring(c, buf)
         assert load_coloring(io.StringIO(buf.getvalue())) == c
+
+
+# One malformed relation each: the relations as handed to ``MixedGraph``, the
+# error it raises, then the relation lines of a file and the error
+# ``load_graph`` raises, whose line numbers count the comment line above the header.
+MALFORMED = {
+    "edge loop": ({(1, 1)}, set(), LoopError("edge (1,1) is a loop"),
+                  "e 1 1", LoopError("line 3: loop at vertex 1")),
+    "arc loop": (set(), {(2, 2)}, LoopError("arc (2,2) is a loop"),
+                 "a 2 2", LoopError("line 3: loop at vertex 2")),
+    "edge out of range": ({(1, 3)}, set(), ValueError("edge (1,3) not normalized or out of range"),
+                          "e 1 3", ParseError("line 3: vertex out of range 1..2")),
+    "arc out of range": (set(), {(0, 1)}, ValueError("arc (0,1) out of range"),
+                         "a 0 1", ParseError("line 3: vertex out of range 1..2")),
+    "unnormalized edge": ({(2, 1)}, set(), ValueError("edge (2,1) not normalized or out of range"),
+                          "e 2 1", ParseError("line 3: edge must satisfy u < v")),
+    "arc after parallel edge": ({(1, 2)}, {(2, 1)}, DuplicateRelation("pair {2,1} carries an edge and an arc"),
+                                "e 1 2\na 2 1", DuplicateRelation("line 4: pair {2,1} already related")),
+    "edge after parallel arc": ({(1, 2)}, {(1, 2)}, DuplicateRelation("pair {1,2} carries an edge and an arc"),
+                                "a 1 2\ne 1 2", DuplicateRelation("line 4: pair {1,2} already related")),
+    "opposite arcs": (set(), {(1, 2), (2, 1)}, DirectedCycleError("arc set induces a directed cycle"),
+                      "a 1 2\na 2 1", DirectedCycleError("arc set induces a directed cycle")),
+}
+
+
+def raises_exactly(error: Exception):
+    return pytest.raises(type(error), match=f"^{re.escape(str(error))}$")
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_construction_errors(case):
+    edges, arcs, error, lines, load_error = MALFORMED[case]
+    with raises_exactly(error):
+        MixedGraph(2, frozenset(edges), frozenset(arcs))
+    header = f"p mixed 2 {lines.count('e ')} {lines.count('a ')}"
+    with raises_exactly(load_error):
+        parse(f"# one malformed relation\n{header}\n{lines}\n")
 
 
 class TestTopologicalOrder:
