@@ -43,4 +43,4 @@ target = transitive_closure(graph)
 print(f"  closure of the length-4 path has {len(closure_graph.arcs)} arcs"
       f" (an acyclic tournament on 5 vertices)")
 print(f"  matches transitive_closure(): {closure_graph == target}")
-print(f"  composite labels used: {width(closed)} (bound 4^3 * 3 = 192)")
+print(f"  composite labels used: {width(closed)} (at most 3 * 4^2 = 48)")

@@ -17,7 +17,6 @@ from functools import reduce
 
 from .errors import (
     ConflictingRelation,
-    DirectedCycleError,
     ParseError,
     UnsupportedClosureExpression,
     WidthCapExceeded,
@@ -379,29 +378,28 @@ TC_WIDTH_CAP = 3
 class _TcBuilder:
     """Rewrites an expression so it constructs the transitive closure.
 
-    Composite labels (base, I, O) track, per vertex, the base labels with a
-    directed path to it (I) and reachable from it (O); arc operations then
-    eagerly add every transitive arc between occupied label pairs. Label
-    occupancy is simulated during the rewrite, so vacuous operations are
-    elided and edges destined to be overridden by closure arcs are never
-    added. If two vertices share a composite label but disagree on whether a
-    relation survives in the closure, no label-uniform expression exists and
-    UnsupportedClosureExpression is raised.
+    A composite label (base, I, O) holds the base labels with a directed path
+    to a vertex (I) and reachable from it (O); both hold the vertex's own
+    base. The tree folds as in ``_evaluate``, into ``composite label ->
+    vertices`` groups. A relabel or arc operation is then one idempotent map
+    of composite labels, applied by one ``Relabel`` per group that it moves;
+    an arc operation first adds every transitive arc between occupied groups.
+    Vacuous operations are elided, and edges destined to be overridden by
+    closure arcs are never added. If two vertices share a composite label but
+    disagree on whether an edge survives in the closure, no label-uniform
+    expression exists and UnsupportedClosureExpression is raised.
     """
 
-    def __init__(self, e: MixedExpression, cap: int):
+    def __init__(self, e: MixedExpression):
         self.expr = e
         base_labels = sorted(_labels(e))
-        if len(base_labels) > cap:
-            raise WidthCapExceeded(f"expression width {len(base_labels)} exceeds cap {cap}")
+        if len(base_labels) > TC_WIDTH_CAP:
+            raise WidthCapExceeded(f"expression width {len(base_labels)} exceeds cap {TC_WIDTH_CAP}")
         self.position = {lab: pos for pos, lab in enumerate(base_labels)}
         self.closure = transitive_closure(evaluate(e).graph)
-        # simulation state
-        self.vertex_label: dict[int, tuple[int, frozenset[int], frozenset[int]]] = {}
         self.arcs: set[tuple[int, int]] = set()
         self.edges: set[tuple[int, int]] = set()
-        self.counter = 0
-        self.encoding: dict[tuple[int, frozenset[int], frozenset[int]], int] = {}
+        self.encoding: dict[tuple, int] = {}
 
     def enc(self, label: tuple[int, frozenset[int], frozenset[int]]) -> int:
         if label not in self.encoding:
@@ -413,166 +411,96 @@ class _TcBuilder:
             self.encoding[label] = 1 + position[base] * (1 << (2 * bits)) + (imask << bits) + omask
         return self.encoding[label]
 
-    def occupied(self, scope: set[int]) -> dict[tuple[int, frozenset[int], frozenset[int]], list[int]]:
-        groups: dict[tuple[int, frozenset[int], frozenset[int]], list[int]] = {}
-        for v in sorted(scope):
-            groups.setdefault(self.vertex_label[v], []).append(v)
-        return groups
-
-    def _relabel_groups(
-        self,
-        expr: MixedExpression,
-        updates: list[tuple[tuple, tuple]],
-        scope: set[int],
-    ) -> MixedExpression:
-        # updates are (source, target) with idempotent targets; identity skipped
-        for src, dst in sorted(updates, key=lambda p: self.enc(p[0])):
-            if src == dst:
-                continue
-            expr = Relabel(self.enc(src), self.enc(dst), expr)
-            for v in scope:
-                if self.vertex_label[v] == src:
-                    self.vertex_label[v] = dst
-        return expr
-
     def build(self) -> MixedExpression:
-        # operations act on the vertices of their own subtree only, so the
-        # rebuilt expressions carry their vertex scopes alongside
-        rebuilt: list[MixedExpression] = []
-        scopes: list[set[int]] = []
+        # each subexpression folds to (its rebuilt expression, its groups)
+        states: list[tuple[MixedExpression, dict[tuple, list[int]]]] = []
+        rewrites = {Relabel: self._relabel, AddEdge: self._add_edges, AddArc: self._add_arcs}
+        counter = 0
         for node in _walk_postorder(self.expr):
             kind = type(node)
             if kind is Introduce:
-                self.counter += 1
-                base = node.label
-                lab = (base, frozenset((base,)), frozenset((base,)))
-                self.vertex_label[self.counter] = lab
-                rebuilt.append(Introduce(self.enc(lab)))
-                scopes.append({self.counter})
+                counter += 1
+                own = frozenset((node.label,))
+                lab = (node.label, own, own)
+                states.append((Introduce(self.enc(lab)), {lab: [counter]}))
             elif kind is Union:
-                right = rebuilt.pop()
-                rebuilt.append(Union(rebuilt.pop(), right))
-                right_scope = scopes.pop()
-                scopes.append(scopes.pop() | right_scope)
-            elif kind is Relabel:
-                rebuilt.append(self._rewrite_relabel(node, rebuilt.pop(), scopes[-1]))
-            elif kind is AddEdge:
-                rebuilt.append(self._rewrite_edge(node, rebuilt.pop(), scopes[-1]))
+                right, right_groups = states.pop()
+                left, groups = states.pop()
+                for lab, members in right_groups.items():
+                    groups.setdefault(lab, []).extend(members)
+                states.append((Union(left, right), groups))
             else:
-                rebuilt.append(self._rewrite_arc(node, rebuilt.pop(), scopes[-1]))
-        return rebuilt.pop()
+                expr, groups = states.pop()
+                states.append((rewrites[kind](node[0], node[1], expr, groups), groups))
+        return states.pop()[0]
 
-    def _rewrite_relabel(
-        self, node: Relabel, expr: MixedExpression, scope: set[int]
-    ) -> MixedExpression:
-        i, j = node.old, node.new
-        # pass 1: base component
-        updates = [
-            (lab, (j, lab[1], lab[2]))
-            for lab in self.occupied(scope)
-            if lab[0] == i
-        ]
-        expr = self._relabel_groups(expr, updates, scope)
-        # pass 2: reaching sets
-        updates = [
-            (lab, (lab[0], lab[1] - {i} | {j}, lab[2]))
-            for lab in self.occupied(scope)
-            if i in lab[1]
-        ]
-        expr = self._relabel_groups(expr, updates, scope)
-        # pass 3: reachable sets
-        updates = [
-            (lab, (lab[0], lab[1], lab[2] - {i} | {j}))
-            for lab in self.occupied(scope)
-            if i in lab[2]
-        ]
-        return self._relabel_groups(expr, updates, scope)
+    def _move(self, expr: MixedExpression, groups: dict[tuple, list[int]], f) -> MixedExpression:
+        """Relabel every group to f(its label), in ``enc`` order.
 
-    def _rewrite_edge(
-        self, node: AddEdge, expr: MixedExpression, scope: set[int]
-    ) -> MixedExpression:
-        groups = self.occupied(scope)
-        pairs = [
-            (a, b)
-            for a in groups
-            if a[0] == node.i
-            for b in groups
-            if b[0] == node.j
-        ]
-        for a, b in sorted(pairs, key=lambda p: (self.enc(p[0]), self.enc(p[1]))):
-            keep = drop = fresh = 0
-            for u in groups[a]:
-                for w in groups[b]:
-                    pair = normalize_edge(u, w)
-                    if pair in self.closure.edges:
-                        keep += 1
-                        if pair not in self.edges:
-                            fresh += 1
-                    else:
-                        drop += 1
-            if keep and drop:
-                raise UnsupportedClosureExpression(
-                    f"labels {a} / {b} mix surviving and overridden edges"
-                )
-            if not fresh:
-                continue  # nothing surviving, or all already added
-            for u in groups[a]:
-                for w in groups[b]:
-                    self.edges.add(normalize_edge(u, w))
-            expr = AddEdge(self.enc(a), self.enc(b), expr)
+        f is idempotent, so a target label is a fixed point: no group moves
+        twice, and groups sent to one label merge there.
+        """
+        for src in sorted(groups, key=self.enc):
+            dst = f(src)
+            if dst != src:
+                expr = Relabel(self.enc(src), self.enc(dst), expr)
+                groups.setdefault(dst, []).extend(groups.pop(src))
         return expr
 
-    def _rewrite_arc(
-        self, node: AddArc, expr: MixedExpression, scope: set[int]
-    ) -> MixedExpression:
-        i, j = node.i, node.j
-        groups = self.occupied(scope)
-        # arcs between every reaches-i group and every reached-from-j group
-        sources = [a for a in groups if i in a[2]]
-        targets = [b for b in groups if j in b[1]]
-        ops: list[tuple[tuple, tuple]] = []
+    def _relabel(self, i: int, j: int, expr: MixedExpression, groups: dict) -> MixedExpression:
+        # i becomes j in the base and in both sets, so no i is left anywhere
+        def rename(labels: frozenset[int]) -> frozenset[int]:
+            return labels - {i} | {j} if i in labels else labels
+
+        return self._move(expr, groups, lambda lab: (j if lab[0] == i else lab[0], rename(lab[1]), rename(lab[2])))
+
+    def _add_edges(self, i: int, j: int, expr: MixedExpression, groups: dict) -> MixedExpression:
+        order = sorted(groups, key=self.enc)
+        for a in (a for a in order if a[0] == i):
+            for b in (b for b in order if b[0] == j):
+                joined = {normalize_edge(u, w) for u in groups[a] for w in groups[b]}
+                kept = joined & self.closure.edges
+                if kept and kept != joined:
+                    raise UnsupportedClosureExpression(f"labels {a} / {b} mix surviving and overridden edges")
+                if kept - self.edges:  # else nothing survives, or all were added
+                    self.edges |= kept
+                    expr = AddEdge(self.enc(a), self.enc(b), expr)
+        return expr
+
+    def _add_arcs(self, i: int, j: int, expr: MixedExpression, groups: dict) -> MixedExpression:
+        # arcs from every group that reaches an i-vertex to every group reached
+        # from a j-vertex. No group is both, as the arc would close a cycle,
+        # which evaluate rejected; and every added arc is a closure arc, so it
+        # meets no emitted edge. tc_expression's final check guards both.
+        order = sorted(groups, key=self.enc)
+        sources = [a for a in order if i in a[2]]
+        targets = [b for b in order if j in b[1]]
         for a in sources:
             for b in targets:
-                if a == b:
-                    raise DirectedCycleError("arc operation closes a directed cycle")
-                fresh = [
-                    (u, w)
-                    for u in groups[a]
-                    for w in groups[b]
-                    if (u, w) not in self.arcs
-                ]
-                if not fresh:
-                    continue  # redundant piece elided
-                for u, w in fresh:
-                    if normalize_edge(u, w) in self.edges:
-                        raise UnsupportedClosureExpression(
-                            f"transitive arc ({u},{w}) collides with an emitted edge"
-                        )
-                    self.arcs.add((u, w))
-                ops.append((a, b))
-        for a, b in sorted(ops, key=lambda p: (self.enc(p[0]), self.enc(p[1]))):
-            expr = AddArc(self.enc(a), self.enc(b), expr)
-        # label updates: reachability grew across the new arcs
-        u_o = frozenset().union(*(b[2] for b in targets)) if targets else frozenset()
-        u_i = frozenset().union(*(a[1] for a in sources)) if sources else frozenset()
-        updates = [(a, (a[0], a[1], a[2] | u_o)) for a in sources]
-        expr = self._relabel_groups(expr, updates, scope)
-        updates = [
-            (b, (b[0], b[1] | u_i, b[2]))
-            for b in self.occupied(scope)
-            if j in b[1]
-        ]
-        return self._relabel_groups(expr, updates, scope)
+                fresh = {(u, w) for u in groups[a] for w in groups[b]} - self.arcs
+                if fresh:  # else the piece is redundant and elided
+                    self.arcs |= fresh
+                    expr = AddArc(self.enc(a), self.enc(b), expr)
+        # reachability grows across the new arcs
+        u_i = frozenset().union(*(a[1] for a in sources))
+        u_o = frozenset().union(*(b[2] for b in targets))
+
+        def reached(lab: tuple) -> tuple:
+            base, iset, oset = lab
+            return base, iset | u_i if j in iset else iset, oset | u_o if i in oset else oset
+
+        return self._move(expr, groups, reached)
 
 
-def tc_expression(e: MixedExpression, cap: int = TC_WIDTH_CAP) -> MixedExpression:
+def tc_expression(e: MixedExpression) -> MixedExpression:
     """Expression constructing the transitive closure of evaluate(e).
 
-    Uses composite labels (base, reaching set, reachable set), at most
-    4^w * w of them for input width w. The result is verified against
-    ``transitive_closure`` before being returned.
+    Uses composite labels (base, reaching set, reachable set). Both sets hold
+    the base, so an input of width w has at most w * 4^(w-1) of them (48 at
+    ``TC_WIDTH_CAP``), encoded as ids up to w * 4^w (192). The result is
+    verified against ``transitive_closure`` before being returned.
     """
-    builder = _TcBuilder(e, cap)
+    builder = _TcBuilder(e)
     result = builder.build()
     built = evaluate(result).graph
     if built != builder.closure:

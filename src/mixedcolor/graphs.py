@@ -147,18 +147,6 @@ class MixedGraph:
             layers[inrank[v]].append(v)
         return Layering(tuple(map(frozenset, layers)), MappingProxyType(inrank))
 
-    def induced(self, vertices: Iterable[int]) -> tuple["MixedGraph", dict[int, int]]:
-        """Induced subgraph with vertices renumbered 1..m; returns (graph, old->new map)."""
-        keep = sorted(set(vertices))
-        remap = {v: i + 1 for i, v in enumerate(keep)}
-        # only the kept vertices' own relations are read; ids outside 1..n have none
-        inside = [v for v in keep if 1 <= v <= self.n]
-        edges = frozenset(
-            (remap[u], remap[v]) for u in inside for v in self.nbrs[u] if u < v and v in remap
-        )
-        arcs = frozenset((remap[u], remap[v]) for u in inside for v in self.succs[u] if v in remap)
-        return MixedGraph(len(keep), edges, arcs), remap
-
 
 def mixed_graph(n: int, edges: Iterable[tuple[int, int]] = (), arcs: Iterable[tuple[int, int]] = ()) -> MixedGraph:
     """Build a validated MixedGraph, normalizing edge orientation."""
@@ -384,16 +372,10 @@ def topological_order(g: MixedGraph) -> list[int]:
 
 def transitive_closure(g: MixedGraph) -> MixedGraph:
     """Add every transitive arc and drop edges now parallel to an arc."""
-    arcs = set()
-    for u in g.vertices:
-        bits = g.desc_masks[u]
-        while bits:
-            low = bits & -bits
-            arcs.add((u, low.bit_length() - 1))
-            bits ^= low
+    arcs = frozenset((u, v) for u in g.vertices for v in set_bits(g.desc_masks[u]))
     covered = {normalize_edge(u, v) for (u, v) in arcs}
     edges = frozenset(e for e in g.edges if e not in covered)
-    return MixedGraph(g.n, edges, frozenset(arcs))
+    return MixedGraph(g.n, edges, arcs)
 
 
 def layering(g: MixedGraph) -> Layering:

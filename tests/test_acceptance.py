@@ -65,6 +65,7 @@ from mixedcolor.graphs import MixedGraph, normalize_edge
 from mixedcolor.treedecomp import make_nice, min_fill_decomposition
 
 from conftest import graph_corpus
+from subgraphs import induced_subgraph
 
 
 def verdict(number: str, description: str, failures: list) -> None:
@@ -380,7 +381,7 @@ def test_criterion_8_branching_fanout():
         log: list = []
         branching_chi(g, fanout_log=log)
         for remaining, count in log:
-            sub, _ = g.induced(remaining)
+            sub, _ = induced_subgraph(g, remaining)
             bound = (clique_number(sub) + 1) ** ndu(sub)
             nodes_checked += 1
             if count > bound:

@@ -28,6 +28,7 @@ from mixedcolor.reductions import (
 )
 from mixedcolor.solvers import brute_force_chi
 
+from subgraphs import induced_subgraph
 from test_branching_properties import mixed_graphs
 
 
@@ -158,7 +159,7 @@ class TestLayeringColoring:
             lay = layering(g)
             total = 0
             for layer in lay.layers:
-                sub, _ = g.induced(layer)
+                sub, _ = induced_subgraph(g, layer)
                 total += chi_u_exact(sub)[0]
             assert coloring.num_colors() <= total
 

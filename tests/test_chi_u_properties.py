@@ -23,6 +23,8 @@ from mixedcolor.graphs import underlying_undirected
 from mixedcolor.partitions import clique_number, max_clique
 from mixedcolor.solvers import brute_force_decide
 
+from subgraphs import induced_subgraph
+
 PROPERTY = settings(max_examples=150)
 
 
@@ -146,7 +148,7 @@ def subgraph_layering_coloring(g):
     induced subgraph per layer, renumbered, colored and mapped back."""
     assignment, offset = {}, 0
     for layer in layering(g).layers:
-        sub, remap = g.induced(layer)
+        sub, remap = induced_subgraph(g, layer)
         if sub.n <= EXACT_LAYER_CAP:
             _, local = chi_u_exact(sub)
         else:
@@ -169,7 +171,7 @@ def test_layering_coloring_matches_the_subgraph_construction(g):
 def test_mask_clique_matches_the_induced_subgraph(g, data):
     subset = data.draw(st.sets(st.sampled_from(list(g.vertices)))) if g.n else set()
     mask = sum(1 << v for v in subset)
-    assert max_clique(g.adjacent_masks, mask) == clique_number(g.induced(subset)[0])
+    assert max_clique(g.adjacent_masks, mask) == clique_number(induced_subgraph(g, subset)[0])
 
 
 def brute_force_clique(g, subset):

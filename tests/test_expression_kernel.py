@@ -161,6 +161,9 @@ def assert_agrees(e):
         return
     assert expected[0] == "ok"
     assert ref_evaluate(closed)[0] == transitive_closure(expected[1][0])
+    # every composite label holds its base in both of its sets
+    w = len(ref_labels(e))
+    assert width(closed) <= w * 4 ** (w - 1)
 
 
 def test_random_expressions_agree_with_reference():

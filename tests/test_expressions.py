@@ -336,3 +336,20 @@ class TestTcExpression:
         evaluate(expr)  # the input itself is a valid mixed graph
         with pytest.raises(UnsupportedClosureExpression):
             tc_expression(expr)
+
+
+@pytest.mark.parametrize(
+    "expr, closed_width, relabels",
+    [
+        (directed_path_expression(4), 10, 21),
+        (directed_path_expression(10), 10, 69),
+        (tournament_expression(6), 4, 20),
+    ],
+    ids=["path-4", "path-10", "tournament-6"],
+)
+def test_closure_expansion_moves_each_group_once(expr, closed_width, relabels):
+    # a relabel or arc operation moves each group straight to its final
+    # composite label, so no intermediate label is ever used
+    closed = tc_expression(expr)
+    assert width(closed) == closed_width
+    assert format_expression(closed).count("(relabel ") == relabels

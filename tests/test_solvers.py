@@ -48,6 +48,7 @@ import time
 
 import mixedcolor
 from mixedcolor import solvers
+from subgraphs import induced_subgraph
 
 
 def directed_path(length):
@@ -192,7 +193,7 @@ class TestNdmFpt:
             keep = []
             for members, indep in zip(struct.members, struct.independent):
                 keep.extend(members[:1] if indep else members)
-            merged, _ = g.induced(keep)
+            merged, _ = induced_subgraph(g, keep)
             for k in (1, 2, g.n):
                 assert ndm_fpt_decide(g, k).decision == ndm_fpt_decide(merged, k).decision
 
@@ -429,7 +430,7 @@ class TestBranching:
             log: list = []
             branching_chi(g, fanout_log=log)
             for remaining, count in log:
-                sub, _ = g.induced(remaining)
+                sub, _ = induced_subgraph(g, remaining)
                 bound = (clique_number(sub) + 1) ** ndu(sub)
                 assert count <= bound
 
