@@ -30,7 +30,7 @@ banner("Stacked cliques: three layers of K_3 need 9 colors")
 g = family_layered_cliques(2, 3)
 bounds = chromatic_bounds(g)
 print(f"  lower bound {bounds.lower} (from {bounds.lower_witness}),"
-      f" layering upper bound {bounds.upper}")
+      f" schedule-coloring upper bound {bounds.upper}")
 chi, witness = chi_exact(g, method="branch")
 ok, _ = check_proper(g, witness)
 print(f"  exact chi = {chi}, witness proper = {ok}")

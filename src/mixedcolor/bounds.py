@@ -286,20 +286,32 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
     return Coloring(colors)
 
 
+def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[int, Coloring, int]:
+    """Lower bound on chi, the schedule coloring as the upper witness, and the chi_u bound.
+
+    The lower bound is ``window_clique_bound`` stopped at the schedule's color count; on a
+    gap it rises to the combined bound of ``lower_bounds``, whose search ``budget`` bounds.
+    ``budget=None`` keeps the color windows alone. The chi_u bound is 0 unless its search ran.
+    """
+    upper = schedule_coloring(g)
+    count = upper.num_colors()
+    lower, chi_u = window_clique_bound(g, 0 if budget is None else count), 0
+    if lower < count and budget is not None:
+        lb = lower_bounds(g, budget)
+        lower, chi_u = max(lower, lb.combined), lb.chi_u
+    return lower, upper, chi_u
+
+
 @dataclass(frozen=True)
 class ChromaticBounds:
     lower: int
     upper: int
-    lower_witness: str  # "undirected_clique" | "maxrank"
-    upper_witness: Coloring
+    lower_witness: str  # "maxrank", else "undirected_clique" (chi_u), else "window_clique"
+    upper_witness: Coloring  # the schedule coloring
 
 
 def chromatic_bounds(g: MixedGraph) -> ChromaticBounds:
-    """Combined lower bound and the layering upper bound with its coloring."""
-    lb = lower_bounds(g)
-    witness = layering_coloring(g)
-    upper = witness.num_colors()
-    if g.n == 0:
-        return ChromaticBounds(0, 0, "undirected_clique", witness)
-    source = "maxrank" if lb.maxrank + 1 > lb.chi_u else "undirected_clique"
-    return ChromaticBounds(lb.combined, upper, source, witness)
+    """``bracket`` with the default budget, and the bound that set its lower end."""
+    lower, upper, chi_u = bracket(g)
+    source = "maxrank" if lower == maxrank(g) + 1 else "undirected_clique" if lower == chi_u else "window_clique"
+    return ChromaticBounds(lower, upper.num_colors(), source, upper)

@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the rows the ndm route searches per preorder (needs --k, --method ndm)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bounds", help="chromatic lower/upper bounds with a witness coloring")
+    p = sub.add_parser("bounds", help="the ascent's chromatic bracket, with the schedule coloring as upper witness")
     p.add_argument("graph")
     p.add_argument("--cert", default=None)
     p.set_defaults(func=cmd_bounds)

@@ -461,7 +461,8 @@ class _TcBuilder:
                 joined = {normalize_edge(u, w) for u in groups[a] for w in groups[b]}
                 kept = joined & self.closure.edges
                 if kept and kept != joined:
-                    raise UnsupportedClosureExpression(f"labels {a} / {b} mix surviving and overridden edges")
+                    shown = [(lab[0], sorted(lab[1]), sorted(lab[2])) for lab in (a, b)]
+                    raise UnsupportedClosureExpression(f"labels {shown[0]} / {shown[1]} mix surviving and overridden edges")
                 if kept - self.edges:  # else nothing survives, or all were added
                     self.edges |= kept
                     expr = AddEdge(self.enc(a), self.enc(b), expr)
@@ -502,7 +503,6 @@ def tc_expression(e: MixedExpression) -> MixedExpression:
     """
     builder = _TcBuilder(e)
     result = builder.build()
-    built = evaluate(result).graph
-    if built != builder.closure:
+    if evaluate(result).graph != builder.closure:
         raise AssertionError("closure construction produced a different graph")
     return result

@@ -21,8 +21,8 @@ from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-# perfbench's tracer wraps layering_coloring in this module
-from .bounds import layering_coloring, lower_bounds, schedule_coloring, window_clique_bound  # noqa: F401
+# lower_bounds and layering_coloring stay only because perfbench/tracing.py TARGETS name them here
+from .bounds import bracket, layering_coloring, lower_bounds  # noqa: F401
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, CapExceeded
 from .feasibility import Rows, search, solve_feasibility  # noqa: F401
 from .graphs import Coloring, MixedGraph, arc_order, set_bits
@@ -50,22 +50,10 @@ Decide = Callable[[int], SolveResult]
 
 
 def _ascend(g: MixedGraph, decide: Decide, budget: int | None, stats: dict | None = None) -> tuple[int, Coloring]:
-    """The first k that monotone ``decide`` accepts, with its witness, else the
-    color count of ``schedule_coloring`` and that coloring once every k below it
-    is refuted. k starts at the largest ``floor[v] + ceiling[v] + 1`` (every proper
-    coloring gives v a color in 1 + floor[v] .. k - ceiling[v]). If that is below
-    the count, k starts at ``window_clique_bound`` instead, and if that still
-    leaves a gap, at the combined lower bound when larger, its search bounded
-    by ``budget``. Branch passes None and keeps the windows start, as its memo
-    refutes small k for less than either bound costs. ``stats`` gets
-    ``first_k``, ``upper`` (the count) and the number of ``decides``."""
-    upper = schedule_coloring(g)
+    """The first k from ``bracket``'s lower bound up that monotone ``decide`` accepts, with its
+    witness, else the bracket's upper coloring and its count. ``stats`` gets ``first_k``, ``upper`` and ``decides``."""
+    first_k, upper, _ = bracket(g, budget)
     count = upper.num_colors()
-    first_k = max([g.floor[v] + g.ceiling[v] + 1 for v in g.vertices], default=0)
-    if budget is not None and first_k < count:
-        first_k = window_clique_bound(g, count)
-        if first_k < count:
-            first_k = max(first_k, lower_bounds(g, budget).combined)
     stats = {} if stats is None else stats
     stats.update(first_k=first_k, upper=count, decides=0)
     for k in range(first_k, count):
@@ -711,8 +699,8 @@ def branching_chi(
 ) -> tuple[int, Coloring]:
     """Exact chromatic number by ascending k from the graph's color windows.
 
-    All k share one search, so states refuted for a smaller k are not
-    searched again.
+    All k share one search, so states refuted for a smaller k are not searched
+    again; the bracket gets no budget, as that refutes small k for less than its bounds cost.
     """
     return _ascend(g, _BranchingSearch(g, budget, fanout_log).solve, None, stats)
 

@@ -13,6 +13,7 @@ import random
 from hypothesis import example, given, settings
 
 from mixedcolor import brute_force_chi, check_proper, chi_exact, mixed_graph, random_mixed_graph, schedule_coloring
+from mixedcolor.bounds import bracket
 from mixedcolor.errors import DEFAULT_NODE_BUDGET
 from mixedcolor.reductions import family_layered_cliques, family_oriented_grid
 from mixedcolor.solvers import METHODS, ROUTES
@@ -118,3 +119,17 @@ def test_every_route_accepts_the_schedule_count(g):
         result = ROUTES[method](g, None, DEFAULT_NODE_BUDGET)(upper)
         assert result.decision
         assert check_proper(g, result.witness)[0]
+
+
+@PROPERTY
+@given(mixed_graphs())
+@example(UNSCHEDULED)
+@example(TWO_DECIDES)
+@example(mixed_graph(0))
+def test_every_route_ascends_the_one_bracket(g):
+    # branch passes no budget, so its bracket stops at the windows
+    for method in METHODS:
+        stats = {}
+        chi_exact(g, method, stats=stats)
+        lower, upper, _ = bracket(g, None if method == "branch" else DEFAULT_NODE_BUDGET)
+        assert (stats["first_k"], stats["upper"]) == (lower, upper.num_colors())

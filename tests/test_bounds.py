@@ -13,6 +13,7 @@ from mixedcolor import (
     layering,
     layering_coloring,
     lower_bounds,
+    maxrank,
     mixed_graph,
     vc_coloring,
     vertex_cover_number,
@@ -206,8 +207,13 @@ class TestBracketing:
                 continue
             chi, _ = brute_force_chi(g)
             result = chromatic_bounds(g)
-            assert result.lower <= chi <= result.upper
-            assert check_proper(g, result.upper_witness)[0] or g.n == 0
+            assert max(clique_number(g), maxrank(g) + 1) <= result.lower <= chi <= result.upper
+            assert check_proper(g, result.upper_witness)[0]
+            assert len(set(result.upper_witness.colors.values())) == result.upper
+
+    def test_empty_graph(self):
+        result = chromatic_bounds(mixed_graph(0))
+        assert (result.lower, result.upper, result.lower_witness) == (0, 0, "undirected_clique")
 
     def test_maxrank_plus_one_lower_bound(self, small_corpus):
         # strengthened form of the rank bound, checked against the oracle

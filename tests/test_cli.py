@@ -392,6 +392,18 @@ class TestBoundsParams:
         code, out, _ = run(capsys, "verify", path4, cert)
         assert code == 0
 
+    def test_bounds_window_clique(self, capsys, tmp_path):
+        # edge 1-2, both with an out-neighbour: maxrank + 1 and chi_u are 2
+        graph = tmp_path / "window.graph"
+        graph.write_text("p mixed 4 1 2\ne 1 2\na 1 3\na 2 4\n")
+        cert = str(tmp_path / "upper.txt")
+        code, out, _ = run(capsys, "bounds", str(graph), "--cert", cert)
+        fields = report_dict(out)
+        assert code == 0
+        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("3", "3", "window_clique")
+        code, out, _ = run(capsys, "verify", str(graph), cert)
+        assert code == 0
+
     def test_params_tripartite(self, capsys, tmp_path):
         out_file = str(tmp_path / "t2.graph")
         code, _, _ = run(capsys, "gen", "tripartite", "2", "--out", out_file)

@@ -47,7 +47,7 @@ import random
 import time
 
 import mixedcolor
-from mixedcolor import solvers
+from mixedcolor import bounds, solvers
 from subgraphs import induced_subgraph
 
 
@@ -562,13 +562,13 @@ class TestBudget:
     @pytest.mark.parametrize("method", ["brute", "twdp", "ndm", "branch"])
     def test_chi_exact_passes_budget_to_lower_bounds(self, monkeypatch, method):
         seen = []
-        real = solvers.lower_bounds
+        real = bounds.lower_bounds
 
         def spy(g, budget=DEFAULT_NODE_BUDGET):
             seen.append(budget)
             return real(g, budget)
 
-        monkeypatch.setattr(solvers, "lower_bounds", spy)
+        monkeypatch.setattr(bounds, "lower_bounds", spy)
         # the odd cycle's largest clique is an edge: only the chi_u search finds its 3
         five_cycle = mixed_graph(5, edges=[(i, i % 5 + 1) for i in range(1, 6)])
         assert chi_exact(five_cycle, method, budget=1000)[0] == 3
