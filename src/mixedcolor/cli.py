@@ -92,6 +92,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _format_program(prog) -> str:
     """The variables of ``prog`` with their bounds, then its ``<=`` rows in order."""
 
@@ -319,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide k-colorability or compute the chromatic number")
     p.add_argument("graph")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_non_negative_int, default=None)
     p.add_argument("--method", choices=solvers.METHODS, default="branch")
     p.add_argument("--td", default=None, help="tree decomposition file (PACE .td; needs --method twdp)")
     p.add_argument("--cert", default=None, help="write the witness coloring here")

@@ -7,7 +7,8 @@ Four routes, cross-validated against each other in the test suite:
 * ``ndm_fpt_decide`` — enumeration of proper type-endpoint preorders over the
   mixed neighborhood partition, one bounded-integer feasibility program each.
 * ``branching_decide`` — recursion over maximal independent sets among the
-  vertices without incoming arcs.
+  vertices without incoming arcs, from ``maximal_independent_sets``, the one
+  bitmask kernel, which also gives the ndm route its class sets.
 
 ``ROUTES`` maps each method to a per-graph set-up returning ``decide(k) -> SolveResult``.
 """
@@ -228,17 +229,19 @@ def tw_dp_decide(g: MixedGraph, nice: list[NiceNode], k: int, budget: int = DEFA
 # maximal independent sets over bitmasks
 # ---------------------------------------------------------------------------
 
-def _mis_masks(cand: int, keep: list[int]) -> list[int]:
-    """Maximal independent subsets of the vertex mask ``cand``.
+def maximal_independent_sets(cand: int, keep: list[int], required: int = 0) -> list[int]:
+    """Maximal independent subsets of the vertex mask ``cand`` that contain ``required``.
 
     ``keep[i]`` is the complement of bit i and its edge neighborhood, so
     ``p & keep[i]`` is what stays compatible after choosing i. Bron–Kerbosch
-    on the complement graph with Tomita pivoting, over an explicit stack.
-    The empty mask has one maximal independent subset, itself: ``[0]``.
-    Serves the ndm route's class sets and the branch route's source sets.
+    on the complement graph with Tomita pivoting, over an explicit stack,
+    from ``required`` (independent) and the candidates it keeps. The empty
+    mask has one maximal independent subset, itself: ``[0]``.
     """
+    for v in set_bits(required):
+        cand &= keep[v]
     out: list[int] = []
-    stack = [(0, cand, 0)]
+    stack = [(required, cand, 0)]
     while stack:
         r, p, x = stack.pop()
         if not p:
@@ -263,6 +266,10 @@ def _mis_masks(cand: int, keep: list[int]) -> list[int]:
             p ^= low
             x |= low
     return out
+
+
+# bound at import, so the ndm route's class sets stay outside the tracer's branch span
+_class_sets = maximal_independent_sets
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +455,7 @@ class _Subsets(dict):
         self.keep = [~(conflict[i] | 1 << i) for i in range(m)]
 
     def __missing__(self, active: int) -> list[tuple[int, list[int]]]:
-        masks = sorted(_mis_masks(active, self.keep))
+        masks = sorted(_class_sets(active, self.keep))
         entries = self[active] = [(mask, list(set_bits(mask))) for mask in masks if mask]
         return entries
 
@@ -567,23 +574,6 @@ def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> 
 # inrank-0 branching
 # ---------------------------------------------------------------------------
 
-def maximal_independent_sets(vertices: list[int], edge_adj: dict[int, set[int]]) -> list[frozenset[int]]:
-    """All maximal independent sets of the graph induced on ``vertices``, sorted."""
-    vs = sorted(vertices)
-    if not vs:
-        return []
-    index = {v: i for i, v in enumerate(vs)}
-    keep = []
-    for i, v in enumerate(vs):
-        nbrs = 1 << i
-        for u in edge_adj[v]:
-            if u in index:
-                nbrs |= 1 << index[u]
-        keep.append(~nbrs)
-    sets = [frozenset(vs[i] for i in set_bits(m)) for m in _mis_masks((1 << len(vs)) - 1, keep)]
-    return sorted(sets, key=sorted)
-
-
 class _BranchingSearch:
     """Decide k-colorability by the inrank-0 recursion over vertex bitmasks.
 
@@ -629,15 +619,9 @@ class _BranchingSearch:
         if self.nodes > self.budget:
             raise BudgetExceeded(f"branching exceeded {self.budget} nodes")
         must = sources & self.tall[j - 1]
-        free = sources
-        children = [must]
-        for v in set_bits(must):
-            if must & ~self.keep[v] != 1 << v:
-                children = []  # two of them share an edge
-            free &= self.keep[v]
-        if children and free:
-            children = [must | indep for indep in _mis_masks(free, self.keep)]
-            children.sort(key=int.bit_count, reverse=True)
+        children = []
+        if all(must & ~self.keep[v] == 1 << v for v in set_bits(must)):  # no two share an edge
+            children = sorted(maximal_independent_sets(sources, self.keep, must), key=int.bit_count, reverse=True)
         if self.fanout_log is not None:
             self.fanout_log.append((frozenset(set_bits(state)), len(children)))
         return [state, sources, j, children, 0]

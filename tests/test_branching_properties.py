@@ -65,18 +65,24 @@ def undirected_graphs(draw, max_n=10):
 
 
 @PROPERTY
-@given(undirected_graphs())
-def test_maximal_independent_sets_match_definition(graph):
+@given(undirected_graphs(), st.data())
+def test_maximal_independent_sets_match_definition(graph, data):
     n, edges = graph
     adj = {v: set() for v in range(n)}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
     expected = [
-        frozenset(subset)
-        for size in range(1, n + 1)
+        sum(1 << v for v in subset)
+        for size in range(n + 1)
         for subset in combinations(range(n), size)
         if all(v not in adj[u] for u, v in combinations(subset, 2))
         and all(adj[v] & set(subset) for v in range(n) if v not in subset)
     ]
-    assert maximal_independent_sets(list(range(n)), adj) == sorted(expected, key=sorted)
+    keep = [~sum(1 << u for u in adj[v] | {v}) for v in range(n)]
+    everything = (1 << n) - 1
+    assert sorted(maximal_independent_sets(everything, keep)) == sorted(expected)
+    # the independent sets are exactly the parts of the maximal ones
+    required = data.draw(st.sampled_from(expected)) & data.draw(st.integers(0, everything))
+    containing = [mask for mask in expected if mask & required == required]
+    assert sorted(maximal_independent_sets(everything, keep, required)) == sorted(containing)

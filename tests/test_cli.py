@@ -291,6 +291,14 @@ class TestRoutes:
         assert lines[3:-1] == [("k", str(k)), ("decision", "yes"), *EMPTY_STATS[method]]
         assert lines[-1][0] == "wall_time"
 
+    @pytest.mark.parametrize("text, k", [("p mixed 0 0 0\n", "-1"), ("p mixed 2 1 0\ne 1 2\n", "-2")])
+    def test_negative_k_is_usage_error(self, capsys, tmp_path, method, text, k):
+        graph = tmp_path / "small.graph"
+        graph.write_text(text)
+        code, out, err = run(capsys, "solve", str(graph), "--k", k, "--method", method)
+        assert code == 2 and out == ""
+        assert "--k: expected a non-negative integer" in err
+
     def test_chi_reports_its_bracket(self, capsys, unscheduled, method):
         code, out, _ = run(capsys, "solve", unscheduled, "--method", method)
         assert code == 0

@@ -445,9 +445,10 @@ class TestBranching:
         assert not result.decision and result.stats["nodes"] == 0
 
     def test_mis_enumeration_matches_definition(self):
-        adj = {1: {2}, 2: {1, 3}, 3: {2}, 4: set()}
-        sets = maximal_independent_sets([1, 2, 3, 4], adj)
-        assert sets == [frozenset({1, 3, 4}), frozenset({2, 4})]
+        # the path 1 - 2 - 3 and the isolated vertex 4, bit v for vertex v
+        keep = [~(nbrs | 1 << v) for v, nbrs in enumerate([0, 1 << 2, 1 << 1 | 1 << 3, 1 << 2, 0])]
+        sets = maximal_independent_sets(0b11110, keep)
+        assert sorted(sets) == [1 << 2 | 1 << 4, 1 << 1 | 1 << 3 | 1 << 4]
 
 
 class TestChiExact:

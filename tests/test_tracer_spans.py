@@ -13,6 +13,8 @@ needs them. The bounds spans nest the same way:
 counts from, and ``layering_coloring`` calls ``bounds.layering``.
 ``chi_exact`` reaches the branch and brute ascents through
 ``solvers.branching_chi`` and ``solvers.brute_force_chi``.
+The branch route enumerates its children through
+``solvers.maximal_independent_sets``; the ndm route's class sets do not.
 """
 
 from mixedcolor import bounds, mixed_graph, solvers
@@ -121,3 +123,18 @@ def test_chi_exact_dispatches_branch_and_brute_through_their_chi(monkeypatch):
     assert (len(branch), len(brute)) == (1, 0)
     assert solvers.chi_exact(TWO_DECIDES, "brute")[0] == 4
     assert (len(branch), len(brute)) == (1, 1)
+
+
+def test_branch_route_calls_the_mis_kernel(monkeypatch):
+    kernel = solvers.maximal_independent_sets
+    calls = spy(monkeypatch, solvers, "maximal_independent_sets")
+    assert solvers.chi_exact(TWO_DECIDES, "branch")[0] == 4
+    assert any(len(kernel(*args)) > 1 for args in calls)  # some state branches
+
+
+def test_ndm_class_sets_bypass_the_mis_kernel(monkeypatch):
+    calls = spy(monkeypatch, solvers, "maximal_independent_sets")
+    g = family_tripartite(4)
+    assert solvers.ndm_fpt_decide(g, 3).decision
+    assert len(solvers.class_structure(g).subsets) > 0
+    assert calls == []
