@@ -7,7 +7,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .errors import InvalidDecomposition, ParseError
 from .graphs import MixedGraph, normalize_edge, set_bits
@@ -51,7 +51,9 @@ def _bag_adjacency(td: TreeDecomposition) -> list[list[int]]:
 
 
 def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
-    """Raise InvalidDecomposition on any coverage/connectivity violation."""
+    """Raise InvalidDecomposition on any vertex-count/coverage/connectivity violation."""
+    if td.n != g.n:
+        raise InvalidDecomposition(f"decomposition is for {td.n} vertices, the graph has {g.n}")
     _bag_adjacency(td)
     held: dict[int, int] = {}  # vertex -> mask of the bags holding it
     for i, bag in enumerate(td.bags):
@@ -82,7 +84,9 @@ def min_fill_decomposition(g: MixedGraph) -> TreeDecomposition:
     where fill counts the missing edges among its remaining neighbors. Only
     vertices within distance two of the eliminated vertex can change fill or
     degree, so only they are rescored; a heap with lazy deletion keeps the
-    order.
+    order. Of the bags the elimination leaves, one per vertex, only the
+    maximal ones are kept (a bag inside its child is contracted into it), so
+    bag 0 is still the first-eliminated vertex's bag.
     """
     if g.n == 0:
         return TreeDecomposition(0, (frozenset(),), ())
@@ -126,16 +130,20 @@ def min_fill_decomposition(g: MixedGraph) -> TreeDecomposition:
         for u in set_bits(near):
             current[u] = key(u)
             heapq.heappush(heap, current[u])
+    # bag i's parent is the bag of its earliest-eliminated later neighbor (the
+    # last bag if none), which holds all of bag i but order[i]; a parent inside
+    # its child is contracted into it, and taking the children in elimination
+    # order folds a chain of such bags into one
     pos = {v: i for i, v in enumerate(order)}
-    edges = []
-    for i, v in enumerate(order[:-1]):
-        later = [w for w in bags[i] if w != v]
-        if later:
-            parent = min(later, key=lambda w: pos[w])
-            edges.append((i, pos[parent]))
-        else:
-            edges.append((i, len(order) - 1))
-    td = TreeDecomposition(g.n, tuple(bags), tuple(edges))
+    parent = [min((pos[w] for w in bags[i] if w != v), default=len(order) - 1) for i, v in enumerate(order[:-1])]
+    into = list(range(len(order)))  # the kept bag each bag folds into
+    for i, p in enumerate(parent):
+        if into[p] == p and bags[p] < bags[i]:
+            into[p] = into[i]
+    kept = [i for i in range(len(order)) if into[i] == i]
+    new = {b: j for j, b in enumerate(kept)}
+    edges = [(new[into[i]], new[into[p]]) for i, p in enumerate(parent) if into[i] != into[p]]
+    td = TreeDecomposition(g.n, tuple(bags[i] for i in kept), tuple(edges))
     validate_decomposition(td, g)
     return td
 
@@ -162,7 +170,7 @@ def load_td(stream: TextIO) -> TreeDecomposition:
                 raise ParseError(f"line {lineno}: duplicate solution line")
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(f"line {lineno}: bad 's td' line")
-            header = tuple(ints(parts[2:], lineno))
+            header, header_line = tuple(ints(parts[2:], lineno)), lineno
         elif parts[0] == "b":
             if header is None:
                 raise ParseError(f"line {lineno}: bag before header")
@@ -181,12 +189,15 @@ def load_td(stream: TextIO) -> TreeDecomposition:
             edges.append(tuple(ints(parts, lineno)))
     if header is None:
         raise ParseError("missing 's td' line")
-    num_bags, _, n = header
+    num_bags, size, n = header
     if set(bags) != set(range(1, num_bags + 1)):
         raise ParseError("bag ids must be 1..num_bags")
     ordered = tuple(bags[i] for i in range(1, num_bags + 1))
     tree_edges = tuple((i - 1, j - 1) for i, j in edges)
-    return TreeDecomposition(n, ordered, tree_edges)
+    td = TreeDecomposition(n, ordered, tree_edges)
+    if size != td.width + 1:
+        raise ParseError(f"line {header_line}: header gives largest bag {size}, the bags give {td.width + 1}")
+    return td
 
 
 def save_td(td: TreeDecomposition, stream: TextIO) -> None:
@@ -201,8 +212,9 @@ def save_td(td: TreeDecomposition, stream: TextIO) -> None:
 # nice form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
+    """One step of a nice decomposition; a named tuple, cheap to build and to read."""
+
     kind: str  # "leaf" | "introduce" | "forget" | "join"
     bag: tuple[int, ...]  # sorted
     vertex: int | None = None  # the vertex introduced or forgotten

@@ -239,6 +239,18 @@ class TestSolve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "header, error",
+        [("s td 1 9 99", "ParseError: line 1: header gives largest bag 9"),
+         ("s td 1 5 99", "InvalidDecomposition: decomposition is for 99 vertices")],
+    )
+    def test_td_header_disagreeing_with_its_bags_or_graph_exit_two(self, capsys, path4, tmp_path, header, error):
+        td_file = tmp_path / "one.td"
+        td_file.write_text(header + "\nb 1 1 2 3 4 5\n")
+        code, out, err = run(capsys, "solve", path4, "--k", "5", "--method", "twdp", "--td", str(td_file))
+        assert code == 2 and out == ""
+        assert error in err
+
     @pytest.mark.parametrize("method", ["brute", "ndm", "branch"])
     def test_td_without_twdp_is_usage_error(self, capsys, path4, tmp_path, method):
         # bags that miss vertex 5: twdp rejects the file, no other method reads it

@@ -2,11 +2,14 @@
 
 import io
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from mixedcolor import (
     InvalidDecomposition,
+    ParseError,
     TreeDecomposition,
     load_td,
     mixed_graph,
@@ -16,6 +19,31 @@ from mixedcolor import (
 )
 from mixedcolor.reductions import family_tripartite
 from mixedcolor.treedecomp import make_nice
+
+from test_branching_properties import mixed_graphs
+
+
+def elimination_bags(g):
+    """The min-fill bags before contraction, one per vertex, recomputed without
+    a heap: each step eliminates the vertex of least (fill, degree, id), and its
+    bag is it and its neighbors, which then become a clique."""
+    adj = {v: set() for v in g.vertices}
+    for u, v in [*g.edges, *g.arcs]:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def key(v):
+        fill = sum(b not in adj[a] for a, b in combinations(sorted(adj[v]), 2))
+        return fill, len(adj[v]), v
+
+    bags = []
+    while adj:
+        v = min(adj, key=key)
+        nbrs = adj.pop(v)
+        for a in nbrs:
+            adj[a] = (adj[a] | nbrs) - {a, v}
+        bags.append(frozenset(nbrs | {v}))
+    return bags
 
 
 class TestMinFill:
@@ -33,20 +61,22 @@ class TestMinFill:
         assert min_fill_decomposition(g).width == 4
 
     # bags (sorted) and tree edges; ties on (fill, degree) go to the smaller id,
-    # so a change in which vertices are rescored shows here
+    # so a change in which vertices are rescored shows here, and a bag inside
+    # its child is gone: grid3x3's {6, 8} folds into {6, 8, 9}, the child that
+    # comes first in elimination order, not into {5, 6, 8}
     PINNED = {
         "grid3x3": (
-            [(1, 2, 4), (2, 3, 6), (4, 7, 8), (6, 8, 9), (2, 4, 5, 6), (4, 5, 6, 8), (5, 6, 8), (6, 8), (8,)],
-            ((0, 4), (1, 4), (2, 5), (3, 7), (4, 5), (5, 6), (6, 7), (7, 8)),
+            [(1, 2, 4), (2, 3, 6), (4, 7, 8), (6, 8, 9), (2, 4, 5, 6), (4, 5, 6, 8)],
+            ((0, 4), (1, 4), (2, 5), (4, 5), (5, 3)),
         ),
         "tripartite3": (
             [(1, 2, 3, 10), (4, 5, 6, 11), (1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 8), (7, 8, 9, 12),
-             (3, 4, 5, 6, 7, 8, 9), (4, 5, 6, 7, 8, 9), (5, 6, 7, 8, 9), (6, 7, 8, 9), (7, 8, 9), (8, 9), (9,)],
-            ((0, 2), (1, 6), (2, 3), (3, 5), (4, 9), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11)),
+             (3, 4, 5, 6, 7, 8, 9)],
+            ((0, 2), (1, 5), (2, 3), (3, 5), (5, 4)),
         ),
         "mixed7": (
-            [(1, 2, 5, 6), (2, 3, 5, 6), (3, 4, 5, 6), (3, 5, 6, 7), (5, 6, 7), (6, 7), (7,)],
-            ((0, 1), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)),
+            [(1, 2, 5, 6), (2, 3, 5, 6), (3, 4, 5, 6), (3, 5, 6, 7)],
+            ((0, 1), (1, 3), (2, 3)),
         ),
     }
 
@@ -71,14 +101,34 @@ class TestMinFill:
         assert td.tree_edges == tree_edges
 
     def test_long_path(self):
-        # eliminates from the low end: bags {i, i+1}, then {1500}, in a chain
+        # eliminates from the low end: bags {i, i+1} in a chain; the last
+        # vertex's bag {1500} lies inside {1499, 1500} and is contracted
         n = 1500
         td = min_fill_decomposition(mixed_graph(n, edges=[(i, i + 1) for i in range(1, n)]))
-        assert td.bags == tuple(frozenset({i, i + 1}) for i in range(1, n)) + (frozenset({n}),)
-        assert td.tree_edges == tuple((i, i + 1) for i in range(n - 1))
+        assert td.bags == tuple(frozenset({i, i + 1}) for i in range(1, n))
+        assert td.tree_edges == tuple((i, i + 1) for i in range(n - 2))
+
+
+@settings(max_examples=200)
+@given(mixed_graphs(max_n=12))
+def test_min_fill_keeps_only_the_maximal_elimination_bags(g):
+    td = min_fill_decomposition(g)
+    validate_decomposition(td, g)
+    for i, j in td.tree_edges:
+        assert not td.bags[i] <= td.bags[j] and not td.bags[j] <= td.bags[i]
+    assert len(td.bags) <= max(g.n, 1)  # the empty graph has one empty bag
+    bags = elimination_bags(g) or [frozenset()]
+    assert td.width == max(map(len, bags)) - 1
+    assert set(td.bags) == {bag for bag in bags if not any(bag < other for other in bags)}
 
 
 class TestValidation:
+    def test_vertex_count_differs_from_graph(self):
+        g = mixed_graph(3, edges=[(1, 2), (2, 3)])
+        td = TreeDecomposition(99, (frozenset({1, 2, 3}),), ())
+        with pytest.raises(InvalidDecomposition, match="decomposition is for 99 vertices, the graph has 3"):
+            validate_decomposition(td, g)
+
     def test_missing_vertex(self):
         g = mixed_graph(3, edges=[(1, 2)])
         td = TreeDecomposition(3, (frozenset({1, 2}),), ())
@@ -122,6 +172,12 @@ class TestPaceFormat:
         td = load_td(io.StringIO(text))
         assert td.bags == (frozenset({1, 2}), frozenset({2, 3}))
         assert td.tree_edges == ((0, 1),)
+
+
+    def test_header_bag_size_differs_from_bags(self):
+        text = "c a comment\ns td 1 2 3\nb 1 1 2 3\n"
+        with pytest.raises(ParseError, match="line 2: header gives largest bag 2, the bags give 3"):
+            load_td(io.StringIO(text))
 
 
 class TestNiceForm:
