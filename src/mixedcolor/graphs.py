@@ -9,6 +9,7 @@ relations) and its arc set is acyclic; both properties are enforced when a
 from __future__ import annotations
 
 import heapq
+import io
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -19,6 +20,7 @@ from .errors import (
     DuplicateRelation,
     IncompleteColoring,
     LoopError,
+    MixedColorError,
     ParseError,
 )
 
@@ -74,22 +76,23 @@ class MixedGraph:
     arcs: frozenset[Arc]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n, edges = self.n, self.edges
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if u == v:
-                raise LoopError(f"edge ({u},{v}) is a loop")
-            if not (1 <= u < v <= self.n):
+        for u, v in edges:
+            if not 1 <= u < v <= n:
+                if u == v:
+                    raise LoopError(f"edge ({u},{v}) is a loop")
                 raise ValueError(f"edge ({u},{v}) not normalized or out of range")
         for u, v in self.arcs:
-            if u == v:
-                raise LoopError(f"arc ({u},{v}) is a loop")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
+            if not (1 <= u <= n and 1 <= v <= n and u != v):
+                if u == v:
+                    raise LoopError(f"arc ({u},{v}) is a loop")
                 raise ValueError(f"arc ({u},{v}) out of range")
-            if normalize_edge(u, v) in self.edges:
+            if (u, v) in edges or (v, u) in edges:
                 raise DuplicateRelation(f"pair {{{u},{v}}} carries an edge and an arc")
         # opposite arcs are a directed 2-cycle and reported as such
-        if len(self.order) < self.n:
+        if len(self.order) < n:
             raise DirectedCycleError("arc set induces a directed cycle")
 
     @property
@@ -259,8 +262,54 @@ def load_graph(stream: TextIO) -> MixedGraph:
     """Parse the extended-DIMACS mixed graph format.
 
     Header ``p mixed <n> <edges> <arcs>``, relation lines ``e u v`` (u < v)
-    and ``a u v``; ``#`` starts a comment.
+    and ``a u v``; ``#`` starts a comment. A text in the layout ``save_graph``
+    writes loads in one pass over its tokens; every other text, and every
+    text whose graph is rejected, goes through the line reader, so its errors
+    and their line numbers come from one place.
     """
+    text = stream.read()
+    g = _load_saved(text)
+    # io.StringIO, not str.splitlines: only "\n" may end a line
+    return g if g is not None else _load_lines(io.StringIO(text))
+
+
+def _load_saved(text: str) -> MixedGraph | None:
+    """The graph of a text in exactly ``save_graph``'s layout, else None.
+
+    Whole-text counts prove the layout: with a final newline, each of the
+    other E + A newlines starts a line with an ``e`` or ``a`` token. Those
+    kind tokens can only be tokens 5, 8, 11, ..., because the five header
+    tokens are not kinds and every other token must be an integer; so the
+    header line has exactly five tokens and each relation line three.
+    """
+    tokens = text.split()
+    if tokens[:2] != ["p", "mixed"] or not text.endswith("\n"):
+        return None
+    try:  # from int() or MixedGraph: the line reader words the error
+        n, e, a = map(int, tokens[2:5])
+        if (
+            min(n, e, a) < 0
+            or len(tokens) != 5 + 3 * (e + a)
+            or text.count("\n") != 1 + e + a
+            or text.count("\ne ") != e
+            or text.count("\na ") != a
+            or tokens[5::3] != ["e"] * e + ["a"] * a
+        ):
+            return None
+        tails = list(map(int, tokens[6::3]))
+        heads = list(map(int, tokens[7::3]))
+        del tokens  # one string per token: drop them before the sets are built
+        edges = frozenset(zip(tails[:e], heads[:e]))
+        arcs = frozenset(zip(tails[e:], heads[e:]))
+        if len(edges) != e or len(arcs) != a:  # a repeated relation
+            return None
+        return MixedGraph(n, edges, arcs)
+    except (MixedColorError, ValueError):
+        return None
+
+
+def _load_lines(stream: TextIO) -> MixedGraph:
+    """The line reader: checks each line as it reads it and words every error."""
     n = -1
     expected_edges = expected_arcs = 0
     edges: set[Edge] = set()

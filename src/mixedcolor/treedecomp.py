@@ -128,8 +128,10 @@ def min_fill_decomposition(g: MixedGraph) -> TreeDecomposition:
         adj[v] = 0
         order.append(v)
         for u in set_bits(near):
-            current[u] = key(u)
-            heapq.heappush(heap, current[u])
+            rescored = key(u)
+            if rescored != current[u]:  # else u's live entry is still in the heap
+                current[u] = rescored
+                heapq.heappush(heap, rescored)
     # bag i's parent is the bag of its earliest-eliminated later neighbor (the
     # last bag if none), which holds all of bag i but order[i]; a parent inside
     # its child is contracted into it, and taking the children in elimination

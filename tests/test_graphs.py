@@ -4,6 +4,8 @@ import io
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixedcolor import (
     DirectedCycleError,
@@ -23,6 +25,8 @@ from mixedcolor import (
     transitive_closure,
     underlying_undirected,
 )
+from mixedcolor import graphs as graphs_module
+from mixedcolor.errors import MixedColorError
 from mixedcolor.graphs import Coloring
 from mixedcolor.reductions import family_layered_cliques
 
@@ -118,6 +122,106 @@ def test_construction_errors(case):
     header = f"p mixed 2 {lines.count('e ')} {lines.count('a ')}"
     with raises_exactly(load_error):
         parse(f"# one malformed relation\n{header}\n{lines}\n")
+
+
+def saved(g: MixedGraph) -> str:
+    buf = io.StringIO()
+    save_graph(g, buf)
+    return buf.getvalue()
+
+
+def outcome(load, text: str):
+    """The graph ``load`` reads from ``text``, or its error's type and message."""
+    try:
+        return load(io.StringIO(text))
+    except MixedColorError as exc:
+        return type(exc), str(exc)
+
+
+# Tokens, whitespace and lines the agreement property splices into saved
+# texts: int() accepts "+1", "01" and "1_0", and str.split() and str.strip()
+# take "\r", "\x0c", "\x85", "\u2028" and the rest for whitespace, but only "\n" ends a
+# line of an io.StringIO.
+FUZZ_TOKENS = (
+    ["p", "mixed", "e", "a", "#", "x", "-1", "+1", "01", "1_0"]
+    + [str(i) for i in range(8)]
+    + ["\n", " ", "\t", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+)
+FUZZ_LINES = ["", "# note", "p mixed 3 1 1", "e 1 2", "a 2 1", "a 1 3", "e 1 2 3", "a 1", " e 1 2"]
+
+
+@st.composite
+def saved_texts(draw):
+    """``save_graph`` texts, mutated by whole lines and then by tokens."""
+    n = draw(st.integers(0, 6))
+    rank = draw(st.permutations(range(n)))  # arcs point up this order, so they are acyclic
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    kinds = draw(st.lists(st.sampled_from("nea"), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kind in zip(pairs, kinds) if kind == "e"]
+    arcs = [(u, v) if rank[u - 1] < rank[v - 1] else (v, u) for (u, v), kind in zip(pairs, kinds) if kind == "a"]
+    lines = saved(mixed_graph(n, edges, arcs)).split("\n")
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "repeat", "swap", "insert")))
+        if op == "delete":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines.insert(i, draw(st.sampled_from(FUZZ_LINES)))
+    pieces = re.findall(r"\S+|\s", "\n".join(lines))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 1, 2, 3)))):
+        op = draw(st.sampled_from(("insert", "delete", "replace", "renumber") if pieces else ("insert",)))
+        i = draw(st.integers(0, len(pieces) - (op != "insert")))
+        if op == "insert":
+            pieces.insert(i, draw(st.sampled_from(FUZZ_TOKENS)))
+        elif op == "delete":
+            del pieces[i]
+        elif op == "replace":
+            pieces[i] = draw(st.sampled_from(FUZZ_TOKENS))
+        elif pieces[i].isdigit():  # keeps the layout, may break the graph
+            pieces[i] = str(draw(st.integers(0, 7)))
+    return "".join(pieces)
+
+
+class TestOnePassLoad:
+    """``load_graph`` reads ``save_graph``'s layout in one pass and every
+    other text with the line reader; both must give the same graph or error."""
+
+    @settings(max_examples=300)
+    @given(saved_texts())
+    # each passes every layout check but one
+    @example("p mixed 3\n1 0\ne 1 2")  # no final newline
+    @example("p mixed 3 1 0\ne 1\n2\n")  # a newline inside a relation
+    @example("p mixed 3 1 0 e 1\n2\n")  # a relation line not starting with its kind
+    @example("p mixed 3 1 1\na 1 2\ne 1 3\n")  # an arc before an edge
+    @example("p mixed 3 2 0\ne 1 2\ne 1 2\n")  # a repeated relation
+    @example("p mixed 2 0 2\na 1 2\na 2 1\n")  # a graph that MixedGraph rejects
+    def test_agrees_with_the_line_reader(self, text):
+        assert outcome(load_graph, text) == outcome(graphs_module._load_lines, text)
+
+    def test_saved_texts_take_the_one_pass_path(self, small_corpus, monkeypatch):
+        def line_reader(stream):
+            raise AssertionError("line reader used")
+
+        monkeypatch.setattr(graphs_module, "_load_lines", line_reader)
+        for g in small_corpus + [mixed_graph(0), mixed_graph(3), tournament(4)]:
+            assert parse(saved(g)) == g
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        g = mixed_graph(4, edges=[(1, 2), (3, 4)], arcs=[(2, 3), (4, 1)])
+        path.write_bytes(saved(g).replace("\n", "\r\n").encode())
+        with open(path, encoding="utf-8") as fh:
+            assert load_graph(fh) == g
+        for *_, lines, load_error in MALFORMED.values():
+            header = f"p mixed 2 {lines.count('e ')} {lines.count('a ')}"
+            path.write_bytes(f"# one malformed relation\n{header}\n{lines}\n".replace("\n", "\r\n").encode())
+            with open(path, encoding="utf-8") as fh, raises_exactly(load_error):
+                load_graph(fh)
 
 
 class TestTopologicalOrder:
