@@ -13,7 +13,6 @@ from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, InvalidCover
 from .graphs import (
     Coloring,
     MixedGraph,
-    arc_order,
     coloring_total_on,
     layering,
     maxrank,
@@ -258,31 +257,21 @@ def schedule_coloring(g: MixedGraph) -> Coloring:
 def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
     """Proper coloring with at most 2|cover| + 1 colors from a vertex cover.
 
-    Cover vertices take even colors 2, 4, ... in topological order of the
-    transitive closure restricted to the cover; every other vertex v takes
-    one more than the largest color among its in-neighbors (odd, and wedged
-    strictly between its in- and out-neighbors).
+    Cover vertices take even colors 2, 4, ... in ``g.order``, a topological
+    order of the closure restricted to the cover; every other vertex v takes
+    one more than the largest color among its in-neighbors: odd, and below
+    each out-neighbor's, which every in-neighbor of v reaches.
     """
     uncovered = min(((u, v) for u, v in (*g.edges, *g.arcs) if u not in cover and v not in cover), default=None)
     if uncovered:
         raise InvalidCover(f"pair {{{uncovered[0]},{uncovered[1]}}} has no endpoint in the cover")
-    cover = frozenset(cover)
-    cover_sorted = sorted(cover)
-    closure_arcs = [
-        (u, v)
-        for u in cover_sorted
-        for v in cover_sorted
-        if u != v and (g.desc_masks[u] >> v) & 1
-    ]
     colors: dict[int, int] = {}
-    cover_order = [v for v in arc_order(g.n, closure_arcs) if v in cover]
-    for idx, v in enumerate(cover_order, start=1):
-        colors[v] = 2 * idx
-    for v in g.vertices:
+    even = 0
+    for v in g.order:  # in-neighbors first
         if v in cover:
-            continue
-        preds = [colors[u] for u in g.preds[v]]
-        colors[v] = (max(preds) if preds else 0) + 1
+            even = colors[v] = even + 2
+        else:
+            colors[v] = max((colors[u] for u in g.preds[v]), default=0) + 1
     return Coloring(colors)
 
 

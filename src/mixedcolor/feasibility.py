@@ -54,11 +54,16 @@ class FeasibilityProgram:
                 if coef != int(coef):
                     raise ValueError("coefficients must be integral")
 
+    @cached_property
+    def rows(self) -> "Rows":
+        """``Rows.compile(self)``, built on first use; its bounds must not be tightened in place."""
+        return Rows.compile(self)
+
     def check(self, assignment: dict[VarName, int]) -> bool:
         """Evaluate every bound and constraint on a full assignment."""
         if any(name not in assignment or not lo <= assignment[name] <= hi for name, lo, hi in self.variables):
             return False
-        return Rows.compile(self).satisfied([assignment[name] for name, _, _ in self.variables])
+        return self.rows.satisfied([assignment[name] for name, _, _ in self.variables])
 
 
 class Rows:
@@ -170,8 +175,8 @@ class Rows:
 
 def propagate_bounds(program: FeasibilityProgram) -> Optional[FeasibilityProgram]:
     """Interval (bounds) consistency; returns the tightened program or None if infeasible."""
-    comp = Rows.compile(program)
-    lo, hi = comp.lo, comp.hi
+    comp = program.rows
+    lo, hi = comp.lo[:], comp.hi[:]
     if any(a > b for a, b in zip(lo, hi)) or not comp.propagate(lo, hi, range(len(comp.rows))):
         return None
     variables = tuple(zip(comp.names, lo, hi))
@@ -224,6 +229,6 @@ def solve_feasibility(
     program: FeasibilityProgram, budget: int = DEFAULT_NODE_BUDGET, stats: Optional[dict] = None
 ) -> Optional[dict[VarName, int]]:
     """Find a satisfying integral assignment, or None: ``search`` on the compiled program."""
-    prog = Rows.compile(program)
+    prog = program.rows
     values = search(prog, budget, stats)
     return None if values is None else dict(zip(prog.names, values))

@@ -422,8 +422,7 @@ def topological_order(g: MixedGraph) -> list[int]:
 def transitive_closure(g: MixedGraph) -> MixedGraph:
     """Add every transitive arc and drop edges now parallel to an arc."""
     arcs = frozenset((u, v) for u in g.vertices for v in set_bits(g.desc_masks[u]))
-    covered = {normalize_edge(u, v) for (u, v) in arcs}
-    edges = frozenset(e for e in g.edges if e not in covered)
+    edges = frozenset((u, v) for u, v in g.edges if not (g.desc_masks[u] >> v | g.desc_masks[v] >> u) & 1)
     return MixedGraph(g.n, edges, arcs)
 
 

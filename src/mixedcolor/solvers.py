@@ -229,14 +229,17 @@ def tw_dp_decide(g: MixedGraph, nice: list[NiceNode], k: int, budget: int = DEFA
 # maximal independent sets over bitmasks
 # ---------------------------------------------------------------------------
 
-def maximal_independent_sets(cand: int, keep: list[int], required: int = 0) -> list[int]:
+def maximal_independent_sets(
+    cand: int, keep: list[int], required: int = 0, budget: int = DEFAULT_NODE_BUDGET
+) -> list[int]:
     """Maximal independent subsets of the vertex mask ``cand`` that contain ``required``.
 
     ``keep[i]`` is the complement of bit i and its edge neighborhood, so
     ``p & keep[i]`` is what stays compatible after choosing i. Bron–Kerbosch
     on the complement graph with Tomita pivoting, over an explicit stack,
     from ``required`` (independent) and the candidates it keeps. The empty
-    mask has one maximal independent subset, itself: ``[0]``.
+    mask has one maximal independent subset, itself: ``[0]``. Raises
+    BudgetExceeded rather than build more than ``budget`` sets.
     """
     for v in set_bits(required):
         cand &= keep[v]
@@ -246,6 +249,8 @@ def maximal_independent_sets(cand: int, keep: list[int], required: int = 0) -> l
         r, p, x = stack.pop()
         if not p:
             if not x:
+                if len(out) >= budget:
+                    raise BudgetExceeded(f"maximal independent sets exceeded the {budget} left of the budget")
                 out.append(r)
             continue
         pivot, best = 0, -1
@@ -613,7 +618,7 @@ class _BranchingSearch:
         ``ceiling[u] > ceiling[v]``, so a vertex of ceiling j - 1 in it has no
         arc predecessor left and is a source. A child that leaves one uncolored
         is cut, so the children are only the maximal independent sets of the
-        sources that contain all of them.
+        sources that contain all of them, at most one per node left in the budget.
         """
         self.nodes += 1
         if self.nodes > self.budget:
@@ -621,7 +626,8 @@ class _BranchingSearch:
         must = sources & self.tall[j - 1]
         children = []
         if all(must & ~self.keep[v] == 1 << v for v in set_bits(must)):  # no two share an edge
-            children = sorted(maximal_independent_sets(sources, self.keep, must), key=int.bit_count, reverse=True)
+            sets = maximal_independent_sets(sources, self.keep, must, self.budget - self.nodes)
+            children = sorted(sets, key=int.bit_count, reverse=True)
         if self.fanout_log is not None:
             self.fanout_log.append((frozenset(set_bits(state)), len(children)))
         return [state, sources, j, children, 0]

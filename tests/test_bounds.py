@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixedcolor import (
     Coloring,
@@ -198,6 +199,19 @@ class TestVcColoring:
             coloring = vc_coloring(g, cover)
             assert check_proper(g, coloring)[0]
             assert coloring.max_color() <= 2 * size + 1
+
+    @settings(max_examples=300)
+    @given(mixed_graphs(), st.data())
+    def test_bound_for_any_valid_cover(self, g, data):
+        # a random vertex set, grown by one drawn endpoint of each uncovered relation
+        cover = {v for v in g.vertices if data.draw(st.booleans())}
+        for u, v in sorted((*g.edges, *g.arcs)):
+            if u not in cover and v not in cover:
+                cover.add(data.draw(st.sampled_from((u, v))))
+        coloring = vc_coloring(g, cover)
+        assert check_proper(g, coloring)[0]
+        assert coloring.max_color() <= 2 * len(cover) + 1
+        assert all((color % 2 == 0) == (v in cover) for v, color in coloring.colors.items())
 
 
 class TestBracketing:

@@ -19,8 +19,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedcolor import graphs as graphs_module
 from mixedcolor import solvers
 from mixedcolor.cli import main
+from mixedcolor.errors import MixedColorError
 from mixedcolor.expressions import format_expression, ndm_expression
 from mixedcolor.graphs import Coloring, mixed_graph, save_coloring, save_graph
 from mixedcolor.treedecomp import min_fill_decomposition, save_td
@@ -67,7 +69,7 @@ def mutated(draw, text, pool):
             del tokens[pos]
         else:
             tokens[pos] = draw(st.sampled_from(pool))
-    return " ".join(tokens)
+    return " ".join(tokens).replace(" \n", "\n").replace("\n ", "\n")  # newlines unpadded
 
 
 def written(write, value) -> str:
@@ -101,6 +103,34 @@ def run_cli(files: dict[str, str], argv: list[str]) -> None:
 @st.composite
 def graph_texts(draw):
     return draw(mutated(written(save_graph, draw(graphs())), GRAPH_TOKENS))
+
+
+def test_graph_texts_reach_the_one_pass_loader(monkeypatch):
+    """Unmutated and lightly mutated graph files keep ``save_graph``'s layout,
+    so the fuzz reaches ``load_graph``'s one-pass path with edges and arcs."""
+    line_reads = []
+    line_reader = graphs_module._load_lines
+
+    def counted(stream):
+        line_reads.append(stream)
+        return line_reader(stream)
+
+    monkeypatch.setattr(graphs_module, "_load_lines", counted)
+    hits = []
+
+    @settings(max_examples=300)
+    @given(graph_texts())
+    def load(text):
+        before = len(line_reads)
+        try:
+            g = graphs_module.load_graph(io.StringIO(text))
+        except MixedColorError:
+            return
+        if len(line_reads) == before and (g.edges or g.arcs):
+            hits.append(text)
+
+    load()
+    assert len(hits) >= 30
 
 
 @FUZZ

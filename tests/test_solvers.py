@@ -444,6 +444,33 @@ class TestBranching:
         result = solvers.ROUTES["branch"](g, None, DEFAULT_NODE_BUDGET)(8)
         assert not result.decision and result.stats["nodes"] == 0
 
+    def test_mis_kernel_builds_at_most_its_budget(self):
+        # six disjoint triangles: 3**6 maximal independent sets
+        g = mixed_graph(18, edges=[e for t in range(1, 18, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))])
+        keep = [~(nbrs | 1 << v) for v, nbrs in enumerate(g.nbr_masks)]
+        everything = (1 << 19) - 2
+        assert len(maximal_independent_sets(everything, keep, budget=729)) == 729
+        with pytest.raises(BudgetExceeded):
+            maximal_independent_sets(everything, keep, budget=728)
+
+    def test_branch_mis_enumeration_is_bounded_by_the_budget(self, monkeypatch):
+        # eleven disjoint triangles and a K4: the second node's sources have
+        # 4 * 3**11 = 708,588 maximal independent sets
+        triangles = [e for t in range(1, 33, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))]
+        g = mixed_graph(37, edges=triangles + [(u, v) for u in range(34, 38) for v in range(u + 1, 38)])
+        kernel, budgets = solvers.maximal_independent_sets, []
+
+        def counted(cand, keep, required=0, budget=DEFAULT_NODE_BUDGET):
+            budgets.append(budget)
+            return kernel(cand, keep, required, budget)
+
+        monkeypatch.setattr(solvers, "maximal_independent_sets", counted)
+        start = time.process_time()
+        with pytest.raises(BudgetExceeded, match="maximal independent sets exceeded the 998 left of the budget"):
+            chi_exact(g, "branch", budget=1000)
+        assert time.process_time() - start < 0.5
+        assert budgets and max(budgets) <= 1000
+
     def test_mis_enumeration_matches_definition(self):
         # the path 1 - 2 - 3 and the isolated vertex 4, bit v for vertex v
         keep = [~(nbrs | 1 << v) for v, nbrs in enumerate([0, 1 << 2, 1 << 1 | 1 << 3, 1 << 2, 0])]
