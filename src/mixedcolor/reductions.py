@@ -376,8 +376,7 @@ def reduce_list_coloring(inst: ListColoringInstance) -> tuple[MixedGraph, int]:
 
 def multicolored_clique_exists(g: MixedGraph, classes: tuple[frozenset[int], ...]) -> bool:
     """Exhaustive search for one vertex per class forming a clique."""
-    und = g if not g.arcs else None
-    if und is None:
+    if g.arcs:
         raise ValueError("multicolored clique instances are undirected")
     for pick in itertools.product(*(sorted(c) for c in classes)):
         if all(

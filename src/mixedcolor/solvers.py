@@ -69,41 +69,48 @@ def _ascend(g: MixedGraph, decide: Decide, budget: int | None, stats: dict | Non
 # brute force oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Optional[Coloring]:
+def brute_force_decide(
+    g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None = None
+) -> Optional[Coloring]:
     """Backtracking k-colorability check; returns a witness or None.
 
     Vertices are processed in topological order and each vertex tries its
     feasible colors in increasing order, so the first witness found is
     canonical. Each step of the backtracking loop counts against ``budget``.
+    If ``stats`` is given, its ``steps`` key is set to the number of steps.
     """
-    if g.n == 0:
-        return Coloring({})
-    if k < 1:
-        return None
-    order = g.order
-    colors: dict[int, int] = {}
-    i = 0  # colors holds order[:i]; order[i] is next to color
     steps = 0
-    while i < len(order):
-        steps += 1
-        if steps > budget:
-            raise BudgetExceeded(f"brute force exceeded {budget} steps")
-        v = order[i]
-        if v in colors:  # back from a failed extension: try the next color
-            color = colors.pop(v) + 1
-        else:  # in-neighbors precede v
-            color = max((colors[u] + 1 for u in g.preds[v]), default=1)
-        forbidden = {colors[u] for u in g.nbrs[v] if u in colors}
-        while color in forbidden:
-            color += 1
-        if color <= k:
-            colors[v] = color
-            i += 1
-        elif i == 0:
+    try:
+        if g.n == 0:
+            return Coloring({})
+        if k < 1:
             return None
-        else:
-            i -= 1
-    return Coloring(colors)
+        order = g.order
+        colors: dict[int, int] = {}
+        i = 0  # colors holds order[:i]; order[i] is next to color
+        while i < len(order):
+            steps += 1
+            if steps > budget:
+                raise BudgetExceeded(f"brute force exceeded {budget} steps")
+            v = order[i]
+            if v in colors:  # back from a failed extension: try the next color
+                color = colors.pop(v) + 1
+            else:  # in-neighbors precede v
+                color = max((colors[u] + 1 for u in g.preds[v]), default=1)
+            forbidden = {colors[u] for u in g.nbrs[v] if u in colors}
+            while color in forbidden:
+                color += 1
+            if color <= k:
+                colors[v] = color
+                i += 1
+            elif i == 0:
+                return None
+            else:
+                i -= 1
+        return Coloring(colors)
+    finally:
+        if stats is not None:
+            stats["steps"] = steps
 
 
 def brute_force_chi(
@@ -701,8 +708,9 @@ def branching_chi(
 
 def _brute_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
     def decide(k: int) -> SolveResult:
-        witness = brute_force_decide(g, k, budget)
-        return SolveResult(witness is not None, witness)
+        stats: dict = {}
+        witness = brute_force_decide(g, k, budget, stats)
+        return SolveResult(witness is not None, witness, stats)
 
     return decide
 
@@ -712,7 +720,7 @@ def _twdp_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Dec
         validate_decomposition(td, g)
 
     @cache
-    def nice() -> list[NiceNode]:  # built on the first decide; min-fill validates its own
+    def nice() -> list[NiceNode]:  # built on the first decide; min-degree validates its own
         return make_nice(td if td is not None else min_fill_decomposition(g))
 
     return lambda k: tw_dp_decide(g, nice(), k, budget)

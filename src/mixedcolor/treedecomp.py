@@ -1,4 +1,4 @@
-"""Tree decompositions: PACE 2017 I/O, validation, min-fill heuristic, and
+"""Tree decompositions: PACE 2017 I/O, validation, min-degree heuristic, and
 conversion to nice (leaf/introduce/forget/join) form for the coloring DP.
 """
 
@@ -78,31 +78,24 @@ def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
 
 
 def min_fill_decomposition(g: MixedGraph) -> TreeDecomposition:
-    """Heuristic decomposition by min-fill elimination on the underlying graph.
+    """Heuristic decomposition by min-degree elimination on the underlying graph.
 
-    Each step eliminates the vertex with the least ``(fill, degree, id)``,
-    where fill counts the missing edges among its remaining neighbors. Only
-    vertices within distance two of the eliminated vertex can change fill or
-    degree, so only they are rescored; a heap with lazy deletion keeps the
-    order. Of the bags the elimination leaves, one per vertex, only the
-    maximal ones are kept (a bag inside its child is contracted into it), so
-    bag 0 is still the first-eliminated vertex's bag.
+    Each step eliminates the vertex with the least ``(degree, id)``; its
+    neighbors then become a clique. Only their degrees change, so only they
+    are rescored; a heap with lazy deletion keeps the order. Of the bags the
+    elimination leaves, one per vertex, only the maximal ones are kept (a bag
+    inside its child is contracted into it), so bag 0 is still the
+    first-eliminated vertex's bag. The name is from the min-fill heuristic
+    this replaced, and stays because the tracer's ``treedecomp.min_fill``
+    span wraps ``solvers.min_fill_decomposition``.
     """
     if g.n == 0:
         return TreeDecomposition(0, (frozenset(),), ())
     # elimination adds fill edges, so it works on a mutable copy
     adj = list(g.adjacent_masks)
 
-    def key(v: int) -> tuple[int, int, int]:
-        nbrs = adj[v]
-        degree = nbrs.bit_count()
-        linked = 0  # twice the edges among the neighbors
-        rest = nbrs
-        while rest:
-            low = rest & -rest
-            linked += (adj[low.bit_length() - 1] & nbrs).bit_count()
-            rest ^= low
-        return ((degree * (degree - 1) - linked) // 2, degree, v)
+    def key(v: int) -> tuple[int, int]:
+        return adj[v].bit_count(), v
 
     current = [None] + [key(v) for v in g.vertices]  # None once eliminated
     heap = current[1:]
@@ -111,27 +104,21 @@ def min_fill_decomposition(g: MixedGraph) -> TreeDecomposition:
     bags: list[frozenset[int]] = []  # bags[i] is order[i] with its neighbors then
     while heap:
         entry = heapq.heappop(heap)
-        v = entry[2]
+        v = entry[1]
         if current[v] != entry:  # stale, or v already eliminated
             continue
         current[v] = None
         nbrs = adj[v]
         members = list(set_bits(nbrs))
         bags.append(frozenset(members).union((v,)))
-        # the neighbors become a clique without v; they and their neighbors
-        # are the vertices within distance two
         gone = ~(1 << v)
-        near = nbrs
-        for a in members:
+        for a in members:  # the neighbors become a clique without v
             adj[a] = (adj[a] | nbrs) & ~(1 << a) & gone
-            near |= adj[a]
-        adj[v] = 0
-        order.append(v)
-        for u in set_bits(near):
-            rescored = key(u)
-            if rescored != current[u]:  # else u's live entry is still in the heap
-                current[u] = rescored
+            rescored = key(a)
+            if rescored != current[a]:  # else a's live entry is still in the heap
+                current[a] = rescored
                 heapq.heappush(heap, rescored)
+        order.append(v)
     # bag i's parent is the bag of its earliest-eliminated later neighbor (the
     # last bag if none), which holds all of bag i but order[i]; a parent inside
     # its child is contracted into it, and taking the children in elimination

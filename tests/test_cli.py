@@ -265,13 +265,13 @@ class TestSolve:
 
 # the stats lines each route prints after its decision, sorted by key
 ROUTE_STATS = {
-    "brute": [],
+    "brute": ["steps"],
     "twdp": ["max_table", "nodes"],
     "ndm": ["classes", "feasibility_nodes", "preorders"],
     "branch": ["nodes"],
 }
 EMPTY_STATS = {
-    "brute": [],
+    "brute": [("steps", "0")],
     "twdp": [("max_table", "1"), ("nodes", "0")],
     "ndm": [("classes", "0"), ("feasibility_nodes", "0"), ("preorders", "0")],
     "branch": [("nodes", "0")],

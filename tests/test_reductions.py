@@ -219,6 +219,12 @@ class TestMulticoloredClique:
         inst = reduce_multicolored_clique(g, classes)
         assert list_coloring_exists(inst)
 
+    @pytest.mark.parametrize("check", [multicolored_clique_exists, reduce_multicolored_clique])
+    def test_arcs_rejected(self, check):
+        g = mixed_graph(2, arcs=[(1, 2)])
+        with pytest.raises(ValueError, match="multicolored clique instances are undirected"):
+            check(g, (frozenset({1}), frozenset({2})))
+
     def test_complete_multipartite_trivial(self):
         g = mixed_graph(
             4, edges=[(1, 3), (1, 4), (2, 3), (2, 4)]

@@ -540,7 +540,7 @@ PINNED_WITNESSES = {
     "random seed 2": (
         lambda: random_mixed_graph(random.Random(2), 10, 0.3, 0.2),
         5,
-        ([2, 5, 4, 1, 1, 1, 2, 3, 2, 1], {"nodes": 112, "max_table": 13}),
+        ([2, 5, 4, 1, 1, 1, 2, 3, 2, 1], {"nodes": 366, "max_table": 104}),
         ([2, 5, 4, 1, 1, 1, 2, 3, 2, 1], {"nodes": 5}),
     ),
 }
@@ -583,7 +583,9 @@ class TestBudget:
         g = mixed_graph(4, edges=[(1, 2), (1, 3), (1, 4)], arcs=[(2, 3), (4, 2)])
         with pytest.raises(BudgetExceeded, match="exceeded 3 steps"):
             brute_force_decide(g, 4, budget=3)
-        assert brute_force_decide(g, 4, budget=4) is not None
+        stats = {}
+        assert brute_force_decide(g, 4, budget=4, stats=stats) is not None
+        assert stats == {"steps": 4}
         with pytest.raises(BudgetExceeded, match="brute force exceeded 3 steps"):
             brute_force_chi(g, budget=3)
 

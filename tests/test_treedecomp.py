@@ -2,7 +2,6 @@
 
 import io
 from collections import Counter
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,24 +16,28 @@ from mixedcolor import (
     min_fill_decomposition,
     validate_decomposition,
 )
-from mixedcolor.reductions import family_tripartite
+from mixedcolor.reductions import (
+    family_grid_arc_vertices,
+    family_grid_hamiltonian,
+    family_oriented_star,
+    family_tripartite,
+)
 from mixedcolor.treedecomp import make_nice
 
 from test_branching_properties import mixed_graphs
 
 
 def elimination_bags(g):
-    """The min-fill bags before contraction, one per vertex, recomputed without
-    a heap: each step eliminates the vertex of least (fill, degree, id), and its
-    bag is it and its neighbors, which then become a clique."""
+    """The min-degree bags before contraction, one per vertex, recomputed without
+    a heap: each step eliminates the vertex of least (degree, id), and its bag
+    is it and its neighbors, which then become a clique."""
     adj = {v: set() for v in g.vertices}
     for u, v in [*g.edges, *g.arcs]:
         adj[u].add(v)
         adj[v].add(u)
 
     def key(v):
-        fill = sum(b not in adj[a] for a, b in combinations(sorted(adj[v]), 2))
-        return fill, len(adj[v]), v
+        return len(adj[v]), v
 
     bags = []
     while adj:
@@ -60,7 +63,7 @@ class TestMinFill:
         g = mixed_graph(5, edges=[(i, j) for i in range(1, 6) for j in range(i + 1, 6)])
         assert min_fill_decomposition(g).width == 4
 
-    # bags (sorted) and tree edges; ties on (fill, degree) go to the smaller id,
+    # bags (sorted) and tree edges; ties on degree go to the smaller id,
     # so a change in which vertices are rescored shows here, and a bag inside
     # its child is gone: grid3x3's {6, 8} folds into {6, 8, 9}, the child that
     # comes first in elimination order, not into {5, 6, 8}
@@ -70,9 +73,9 @@ class TestMinFill:
             ((0, 4), (1, 4), (2, 5), (4, 5), (5, 3)),
         ),
         "tripartite3": (
-            [(1, 2, 3, 10), (4, 5, 6, 11), (1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 8), (7, 8, 9, 12),
+            [(1, 2, 3, 10), (4, 5, 6, 11), (7, 8, 9, 12), (1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 8),
              (3, 4, 5, 6, 7, 8, 9)],
-            ((0, 2), (1, 5), (2, 3), (3, 5), (5, 4)),
+            ((0, 3), (1, 5), (3, 4), (4, 5), (5, 2)),
         ),
         "mixed7": (
             [(1, 2, 5, 6), (2, 3, 5, 6), (3, 4, 5, 6), (3, 5, 6, 7)],
@@ -99,6 +102,19 @@ class TestMinFill:
         bags, tree_edges = self.PINNED[name]
         assert [tuple(sorted(bag)) for bag in td.bags] == bags
         assert td.tree_edges == tree_edges
+
+    # the widths on the analyze-large families, so a heuristic that grows them shows
+    @pytest.mark.parametrize(
+        "build, ell, width",
+        [
+            (family_tripartite, 60, 120),
+            (family_grid_hamiltonian, 20, 28),
+            (family_grid_arc_vertices, 6, 36),
+            (family_oriented_star, 150, 1),
+        ],
+    )
+    def test_family_width_is_pinned(self, build, ell, width):
+        assert min_fill_decomposition(build(ell)).width == width
 
     def test_long_path(self):
         # eliminates from the low end: bags {i, i+1} in a chain; the last

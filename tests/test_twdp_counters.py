@@ -3,8 +3,9 @@
 The seed-1 pool is built as ``test_ascent_counters.py`` builds it, from
 ``perfbench/workloads.py`` loaded by path. ``solvers.make_nice`` and
 ``solvers.tw_dp_decide`` are wrapped to sum the nice steps, the joins among
-them and the table entries of every decide, so a change that brings back bags
-nested in a neighbor (more steps, more joins, more entries) shows here.
+them and the table entries of every decide, and the width of every graph's
+decomposition, so a change that brings back bags nested in a neighbor (more
+steps, more joins, more entries) or a heuristic that grows the bags shows here.
 """
 
 import io
@@ -14,17 +15,20 @@ from mixedcolor import graphs, solvers
 
 from test_ascent_counters import SECONDS, workloads  # noqa: F401 (a fixture)
 
-# (nice steps, joins, table entries) over every decide of the pool
-PINNED = (10_148, 397, 40_087)
+# (nice steps, joins, table entries) over every decide of the pool, and the
+# decompositions' summed width
+PINNED = (10_078, 386, 35_651, 1_522)
 
 
 def test_seed_one_dense_twdp_steps_and_tables(workloads, monkeypatch):  # noqa: F811
     workload = workloads.WORKLOADS["dense-twdp"]
     kinds: Counter = Counter()
-    entries = 0
+    entries = width = 0
     make_nice, tw_dp_decide = solvers.make_nice, solvers.tw_dp_decide
 
     def counted_nice(td):
+        nonlocal width
+        width += td.width
         steps = make_nice(td)
         kinds.update(step.kind for step in steps)
         return steps
@@ -39,4 +43,4 @@ def test_seed_one_dense_twdp_steps_and_tables(workloads, monkeypatch):  # noqa: 
     monkeypatch.setattr(solvers, "tw_dp_decide", counted_decide)
     for text in workloads.materialize(workload.plan(1, SECONDS)):
         solvers.chi_exact(graphs.load_graph(io.StringIO(text)), workload.method)
-    assert (sum(kinds.values()), kinds["join"], entries) == PINNED
+    assert (sum(kinds.values()), kinds["join"], entries, width) == PINNED

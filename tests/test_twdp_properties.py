@@ -1,7 +1,7 @@
 """Property tests: the tree-decomposition DP against the brute-force oracle.
 
 Examples are derandomized so every run of the suite sees the same graphs.
-Each graph is decided on its min-fill decomposition and on a star whose
+Each graph is decided on its min-degree decomposition and on a star whose
 bags all hold every vertex, so joins of full bags are exercised too. The
 color windows the DP clamps to are checked against every proper coloring.
 """
@@ -44,7 +44,7 @@ def test_min_fill_dp_matches_brute_force(g):
 
 
 # A full bag of a sparse graph holds up to k**n colorings, so this runs on
-# fewer vertices than the min-fill case.
+# fewer vertices than the min-degree case.
 @PROPERTY
 @given(mixed_graphs(max_n=6))
 def test_full_bag_star_dp_matches_brute_force(g):
