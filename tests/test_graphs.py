@@ -114,6 +114,51 @@ def raises_exactly(error: Exception):
     return pytest.raises(type(error), match=f"^{re.escape(str(error))}$")
 
 
+# Every error the line reader words, by a text that reaches it; line numbers
+# count comment and blank lines. Relation errors are in MALFORMED.
+LINE_READER_ERRORS = {
+    "duplicate header": ("p mixed 1 0 0\np mixed 1 0 0\n", ParseError("line 2: duplicate header")),
+    "short header": ("# note\np mixed 1 0\n", ParseError("line 2: bad header 'p mixed 1 0'")),
+    "not mixed": ("p graph 1 0 0\n", ParseError("line 1: bad header 'p graph 1 0 0'")),
+    "header numbers": ("p mixed 1 x 0\n", ParseError("line 1: bad header numbers")),
+    "negative vertex count": ("p mixed -1 0 0\n", ParseError("line 1: negative counts")),
+    "negative edge count": ("\np mixed 2 -1 0\n", ParseError("line 2: negative counts")),
+    "negative arc count": ("p mixed 2 0 -3\n", ParseError("line 1: negative counts")),
+    "relation before header": ("e 1 2\np mixed 2 1 0\n", ParseError("line 1: relation before header")),
+    "short relation": ("p mixed 2 1 0\ne 1\n", ParseError("line 2: bad relation line 'e 1'")),
+    "long relation": ("p mixed 3 0 1\na 1 2 3  # c\n", ParseError("line 2: bad relation line 'a 1 2 3'")),
+    "vertex id": ("p mixed 2 1 0\ne 1 x\n", ParseError("line 2: bad vertex id")),
+    "line kind": ("p mixed 2 0 0\nq 1 2\n", ParseError("line 2: unknown line kind 'q'")),
+    "no header": ("# only a comment\n\n", ParseError("missing header line")),
+    "count mismatch": ("p mixed 3 1 1\ne 1 2\n", ParseError("header announced 1 edges / 1 arcs, found 1 / 0")),
+}
+
+
+@pytest.mark.parametrize("case", LINE_READER_ERRORS)
+def test_graph_loader_errors(case):
+    text, error = LINE_READER_ERRORS[case]
+    with raises_exactly(error):
+        parse(text)
+
+
+CERTIFICATE_ERRORS = {
+    "three tokens": ("1 1\n2 1 3\n", ParseError("line 2: expected '<vertex> <color>'")),
+    "one token": ("# c\n1\n", ParseError("line 2: expected '<vertex> <color>'")),
+    "bad integer": ("1 x\n", ParseError("line 1: bad integer")),
+    "bad vertex": ("\n1.5 2\n", ParseError("line 2: bad integer")),
+    "colored twice": ("1 1\n# c\n1 2\n", ParseError("line 3: vertex 1 colored twice")),
+    "zero color": ("1 0\n", ParseError("line 1: color must be positive")),
+    "negative color": ("1 1\n2 -2  # c\n", ParseError("line 2: color must be positive")),
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_ERRORS)
+def test_certificate_loader_errors(case):
+    text, error = CERTIFICATE_ERRORS[case]
+    with raises_exactly(error):
+        load_coloring(io.StringIO(text))
+
+
 @pytest.mark.parametrize("case", MALFORMED)
 def test_construction_errors(case):
     edges, arcs, error, lines, load_error = MALFORMED[case]

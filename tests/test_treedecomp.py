@@ -1,6 +1,7 @@
 """Tree decompositions: heuristic construction, PACE I/O, nice form."""
 
 import io
+import re
 from collections import Counter
 
 import pytest
@@ -194,6 +195,35 @@ class TestPaceFormat:
         text = "c a comment\ns td 1 2 3\nb 1 1 2 3\n"
         with pytest.raises(ParseError, match="line 2: header gives largest bag 2, the bags give 3"):
             load_td(io.StringIO(text))
+
+
+# Every error load_td words, by a text that reaches it; line numbers count
+# comment and blank lines.
+TD_ERRORS = {
+    "duplicate solution line": ("s td 1 1 1\nc c\ns td 1 1 1\nb 1 1\n", "line 3: duplicate solution line"),
+    "short solution line": ("s td 1 1\n", "line 1: bad 's td' line"),
+    "not td": ("c c\ns tw 1 1 1\n", "line 2: bad 's td' line"),
+    "header integers": ("s td 1 x 1\n", "line 1: expected integers in ['1', 'x', '1']"),
+    "bag before header": ("c c\nb 1 1\ns td 1 1 1\n", "line 2: bag before header"),
+    "bag without id": ("s td 1 1 1\nb\n", "line 2: bag line without a bag id"),
+    "bag integers": ("s td 1 1 1\nb 1 y\n", "line 2: expected integers in ['1', 'y']"),
+    "duplicate bag": ("s td 2 1 2\nb 1 1\n\nb 1 2\n", "line 4: duplicate bag 1"),
+    "edge before header": ("1 2\ns td 2 1 2\n", "line 1: edge before header"),
+    "long tree edge": ("s td 2 1 2\nb 1 1\nb 2 2\n1 2 3\n", "line 4: bad tree edge"),
+    "tree edge integers": ("s td 2 1 2\nb 1 1\nb 2 2\n1 z\n", "line 4: expected integers in ['1', 'z']"),
+    "missing solution line": ("c only a comment\n\n", "missing 's td' line"),
+    "bag id past num_bags": ("s td 2 1 2\nb 1 1\nb 3 2\n1 3\n", "bag ids must be 1..num_bags"),
+    "bag id zero": ("s td 1 1 1\nb 0 1\n", "bag ids must be 1..num_bags"),
+    "missing bag": ("s td 2 1 2\nb 2 2\n", "bag ids must be 1..num_bags"),
+    "header bag size": ("c c\ns td 1 2 3\nb 1 1 2 3\n", "line 2: header gives largest bag 2, the bags give 3"),
+}
+
+
+@pytest.mark.parametrize("case", TD_ERRORS)
+def test_td_loader_errors(case):
+    text, message = TD_ERRORS[case]
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_td(io.StringIO(text))
 
 
 class TestNiceForm:
