@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import random
 import sys
@@ -59,31 +60,19 @@ from .treedecomp import load_td
 REDUCTIONS = ("superstring", "scheduling", "list_coloring", "multicolored_clique")
 
 
-class Report:
-    def __init__(self, command: str, as_json: bool):
-        self.fields: dict[str, object] = {"command": command}
-        self.as_json = as_json
-
-    def add(self, key: str, value: object) -> None:
-        self.fields[key] = value
-
-    def emit(self, stream=None) -> None:
-        stream = stream or sys.stdout
-        if self.as_json:
-            stream.write(json.dumps(self.fields, sort_keys=True) + "\n")
-        else:
-            for key, value in self.fields.items():
-                stream.write(f"{key}={value}\n")
+def _emit(report: dict, as_json: bool) -> None:
+    if as_json:
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    else:
+        sys.stdout.writelines(f"{key}={value}\n" for key, value in report.items())
 
 
-def _digest(path: str) -> str:
+def _read_graph(path: str) -> tuple[MixedGraph, str]:
+    """The graph in ``path`` and its file's sha256 prefix, from one read.
+    ``newline=None`` turns CR and CRLF line ends into LF, as ``open`` does."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
-def _read_graph(path: str) -> MixedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh)
+        data = fh.read()
+    return load_graph(io.StringIO(data.decode("utf-8"), newline=None)), hashlib.sha256(data).hexdigest()[:16]
 
 
 def _positive_int(text: str) -> int:
@@ -115,10 +104,8 @@ def _format_program(prog) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    report = Report("solve", args.json)
-    report.add("input", args.graph)
-    report.add("input_sha256", _digest(args.graph))
+    g, digest = _read_graph(args.graph)
+    report = {"command": "solve", "input": args.graph, "input_sha256": digest}
     td = None
     if args.td:
         with open(args.td, "r", encoding="utf-8") as fh:
@@ -131,61 +118,62 @@ def cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.k is not None:
         result = solvers.ROUTES[args.method](g, td, args.budget)(args.k)
-        report.add("k", args.k)
-        report.add("decision", "yes" if result.decision else "no")
+        report.update(k=args.k, decision="yes" if result.decision else "no")
     else:
         stats: dict = {}
         chi, witness = solvers.chi_exact(g, method=args.method, td=td, budget=args.budget, stats=stats)
         result = solvers.SolveResult(True, witness, stats)
-        report.add("chi", chi)
-    for key, value in sorted(result.stats.items()):
-        report.add(key, value)
-    report.add("wall_time", f"{time.perf_counter() - started:.6f}")
+        report["chi"] = chi
+    report.update(sorted(result.stats.items()))
+    report["wall_time"] = f"{time.perf_counter() - started:.6f}"
     if result.witness is not None and args.cert:
         ok, _ = bounds_mod.check_proper(g, result.witness)
         if not ok:
             raise AssertionError("solver produced an improper witness")
         with open(args.cert, "w", encoding="utf-8") as fh:
             save_coloring(result.witness, fh)
-        report.add("certificate", args.cert)
-    report.emit()
+        report["certificate"] = args.cert
+    _emit(report, args.json)
     return 0 if result.decision else 1
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
+    g, digest = _read_graph(args.graph)
     result = bounds_mod.chromatic_bounds(g)
-    report = Report("bounds", args.json)
-    report.add("input", args.graph)
-    report.add("input_sha256", _digest(args.graph))
-    report.add("lower", result.lower)
-    report.add("upper", result.upper)
-    report.add("lower_witness", result.lower_witness)
+    report = {
+        "command": "bounds",
+        "input": args.graph,
+        "input_sha256": digest,
+        "lower": result.lower,
+        "upper": result.upper,
+        "lower_witness": result.lower_witness,
+    }
     if args.cert:
         with open(args.cert, "w", encoding="utf-8") as fh:
             save_coloring(result.upper_witness, fh)
-        report.add("certificate", args.cert)
-    report.emit()
+        report["certificate"] = args.cert
+    _emit(report, args.json)
     return 0
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    report = Report("params", args.json)
-    report.add("input", args.graph)
-    report.add("input_sha256", _digest(args.graph))
-    report.add("n", g.n)
-    report.add("edges", len(g.edges))
-    report.add("arcs", len(g.arcs))
-    report.add("ndm", len(mixed_neighborhood_partition(g)))
-    report.add("ndm_closure", len(closure_neighborhood_partition(g)))
-    report.add("ndu", len(undirected_neighborhood_partition(g)))
-    vc, _ = vertex_cover_number(g)
-    report.add("vc", vc)
-    report.add("omega", clique_number(g))
-    report.add("maxrank", maxrank(g))
-    report.add("layers", len(layering(g).layers))
-    report.emit()
+    g, digest = _read_graph(args.graph)
+    report = {
+        "command": "params",
+        "input": args.graph,
+        "input_sha256": digest,
+        "n": g.n,
+        "edges": len(g.edges),
+        "arcs": len(g.arcs),
+        "ndm": len(mixed_neighborhood_partition(g)),
+        "ndm_closure": len(closure_neighborhood_partition(g)),
+        "ndu": len(undirected_neighborhood_partition(g)),
+        "vc": vertex_cover_number(g)[0],
+        "omega": clique_number(g),
+        "maxrank": maxrank(g),
+        "layers": len(layering(g).layers),
+    }
+    _emit(report, args.json)
     return 0
 
 
@@ -195,7 +183,7 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    report = Report("gen", args.json)
+    report: dict[str, object] = {"command": "gen"}
     name = args.kind
     params = args.params
     if name in REDUCTIONS:
@@ -207,19 +195,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if len(params) != arity:
             raise MixedColorError(f"{name} takes {arity} integer parameter(s)")
         g = func(*(int(p) for p in params))
-        report.add("family", name)
+        report["family"] = name
     elif name == "random":
         if len(params) != 3:
             raise MixedColorError("random takes: n edge_p arc_p")
         rng = random.Random(args.seed)
         g = random_mixed_graph(rng, int(params[0]), float(params[1]), float(params[2]))
-        report.add("family", "random")
-        report.add("seed", args.seed)
+        report.update(family="random", seed=args.seed)
     elif name == "superstring":
         inst = SuperstringInstance(tuple(spec["strings"]), int(spec["k"]))
         g, k = reduce_superstring(inst, split=args.split)
-        report.add("reduction", "superstring")
-        report.add("k", k)
+        report.update(reduction="superstring", k=k)
     elif name == "scheduling":
         inst = SchedulingInstance(
             tuple(spec["tasks_m1"]),
@@ -228,15 +214,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
             int(spec["deadline"]),
         )
         g, k = reduce_scheduling(inst)
-        report.add("reduction", "scheduling")
-        report.add("k", k)
+        report.update(reduction="scheduling", k=k)
     elif name == "list_coloring":
         base = mixed_graph(int(spec["n"]), [tuple(e) for e in spec.get("edges", [])])
         lists = {int(v): frozenset(cs) for v, cs in spec["lists"].items()}
         inst = ListColoringInstance(base, lists, int(spec["num_colors"]))
         g, k = reduce_list_coloring(inst)
-        report.add("reduction", "list_coloring")
-        report.add("k", k)
+        report.update(reduction="list_coloring", k=k)
     elif name == "multicolored_clique":
         base = mixed_graph(int(spec["n"]), [tuple(e) for e in spec.get("edges", [])])
         classes = tuple(frozenset(c) for c in spec["classes"])
@@ -250,68 +234,70 @@ def cmd_gen(args: argparse.Namespace) -> int:
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
-        report.add("reduction", "multicolored_clique")
-        report.add("out", args.out)
-        report.emit()
+        report.update(reduction="multicolored_clique", out=args.out)
+        _emit(report, args.json)
         return 0
     else:
         raise MixedColorError(f"unknown generator {name!r}")
     with open(args.out, "w", encoding="utf-8") as fh:
         save_graph(g, fh)
-    report.add("out", args.out)
-    report.add("n", g.n)
-    report.add("edges", len(g.edges))
-    report.add("arcs", len(g.arcs))
-    report.emit()
+    report.update(out=args.out, n=g.n, edges=len(g.edges), arcs=len(g.arcs))
+    _emit(report, args.json)
     return 0
 
 
 def cmd_expr(args: argparse.Namespace) -> int:
-    report = Report(f"expr-{args.action}", args.json)
+    report: dict[str, object] = {"command": f"expr-{args.action}"}
     if args.action == "from-ndm":
-        expr = ndm_expression(_read_graph(args.source))
+        expr = ndm_expression(_read_graph(args.source)[0])
     else:
         with open(args.source, "r", encoding="utf-8") as fh:
             expr = parse_expression(fh.read())
     if args.action == "eval":
-        labeled = evaluate(expr)
-        report.add("width", width(expr))
-        report.add("n", labeled.graph.n)
-        report.add("edges", len(labeled.graph.edges))
-        report.add("arcs", len(labeled.graph.arcs))
+        g = evaluate(expr).graph
+        report.update(width=width(expr), n=g.n, edges=len(g.edges), arcs=len(g.arcs))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                save_graph(labeled.graph, fh)
-            report.add("out", args.out)
+                save_graph(g, fh)
+            report["out"] = args.out
     else:
         if args.action == "tc":
             expr = tc_expression(expr)
-        report.add("width", width(expr))
+        report["width"] = width(expr)
         text = format_expression(expr)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-            report.add("out", args.out)
+            report["out"] = args.out
         else:
             sys.stdout.write(text + "\n")
-    report.emit()
+    _emit(report, args.json)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
+    g, _ = _read_graph(args.graph)
     with open(args.cert, "r", encoding="utf-8") as fh:
         coloring = load_coloring(fh)
-    ok, violation = bounds_mod.check_proper(g, coloring)
-    report = Report("verify", args.json)
-    report.add("input", args.graph)
-    report.add("certificate", args.cert)
-    report.add("proper", "yes" if ok else "no")
-    report.add("colors", coloring.num_colors())
-    if violation is not None:
-        kind, u, v = violation
-        report.add("violation", f"{kind}({u},{v})")
-    report.emit()
+    # a certificate that misses a vertex or colors a non-vertex is rejected
+    # like an improper one, by its smallest missing vertex, else its smallest extra
+    missing = [v for v in g.vertices if v not in coloring.colors]
+    extra = sorted(v for v in coloring.colors if not 1 <= v <= g.n)
+    if missing or extra:
+        ok, violation = False, f"missing({missing[0]})" if missing else f"extra({extra[0]})"
+    else:
+        ok, found = bounds_mod.check_proper(g, coloring)
+        violation = None if ok else "%s(%d,%d)" % found
+    report = {
+        "command": "verify",
+        "input": args.graph,
+        "certificate": args.cert,
+        "proper": "yes" if ok else "no",
+        "colors": coloring.num_colors(),
+    }
+    if violation:
+        report["violation"] = violation
+    _emit(report, args.json)
     return 0 if ok else 1
 
 

@@ -308,37 +308,45 @@ def _load_saved(text: str) -> MixedGraph | None:
         return None
 
 
+def _lines(stream: TextIO, pace: bool = False) -> Iterator[tuple[int, list[str]]]:
+    """Each line's number and tokens, skipping empty lines and comments: the
+    text from ``#`` on, or under the PACE rule every line whose first token
+    starts with ``c``."""
+    for lineno, raw in enumerate(stream, start=1):
+        parts = raw.split() if pace else raw.split("#", 1)[0].split()
+        if parts and not (pace and parts[0].startswith("c")):
+            yield lineno, parts
+
+
+def _ints(lineno: int, tokens: list[str], what: str) -> list[int]:
+    """``tokens`` as integers, else ParseError "line N: " + ``what`` with ``{}`` as the tokens."""
+    try:
+        return list(map(int, tokens))
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: " + what.format(tokens)) from exc
+
+
 def _load_lines(stream: TextIO) -> MixedGraph:
     """The line reader: checks each line as it reads it and words every error."""
     n = -1
     expected_edges = expected_arcs = 0
     edges: set[Edge] = set()
     arcs: set[Arc] = set()
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(stream):
         if parts[0] == "p":
             if n >= 0:
                 raise ParseError(f"line {lineno}: duplicate header")
             if len(parts) != 5 or parts[1] != "mixed":
-                raise ParseError(f"line {lineno}: bad header {line!r}")
-            try:
-                n, expected_edges, expected_arcs = int(parts[2]), int(parts[3]), int(parts[4])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad header numbers") from exc
+                raise ParseError(f"line {lineno}: bad header {' '.join(parts)!r}")
+            n, expected_edges, expected_arcs = _ints(lineno, parts[2:], "bad header numbers")
             if n < 0 or expected_edges < 0 or expected_arcs < 0:
                 raise ParseError(f"line {lineno}: negative counts")
         elif parts[0] in ("e", "a"):
             if n < 0:
                 raise ParseError(f"line {lineno}: relation before header")
             if len(parts) != 3:
-                raise ParseError(f"line {lineno}: bad relation line {line!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad vertex id") from exc
+                raise ParseError(f"line {lineno}: bad relation line {' '.join(parts)!r}")
+            u, v = _ints(lineno, parts[1:], "bad vertex id")
             if u == v:
                 raise LoopError(f"line {lineno}: loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -378,17 +386,10 @@ def save_graph(g: MixedGraph, stream: TextIO) -> None:
 def load_coloring(stream: TextIO) -> Coloring:
     """Parse a coloring certificate: one ``<vertex> <color>`` line per vertex."""
     colors: dict[int, int] = {}
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(stream):
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected '<vertex> <color>'")
-        try:
-            v, c = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad integer") from exc
+        v, c = _ints(lineno, parts, "bad integer")
         if v in colors:
             raise ParseError(f"line {lineno}: vertex {v} colored twice")
         if c < 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expressions import (
     AddArc,
@@ -19,7 +20,8 @@ from .expressions import (
     Relabel,
     Union,
 )
-from .graphs import Coloring, MixedGraph, mixed_graph, normalize_edge
+from .errors import DirectedCycleError
+from .graphs import Coloring, MixedGraph, mixed_graph, normalize_edge, set_bits
 
 
 # ---------------------------------------------------------------------------
@@ -213,31 +215,22 @@ class SchedulingInstance:
                 raise ValueError(f"precedence over unknown task ({a},{b})")
             if a == b:
                 raise ValueError("precedence must be irreflexive")
-        # reject cyclic precedence via transitive closure
-        self.closed_precedence()
+        self.closed_precedence  # rejects a cyclic precedence
 
     def all_tasks(self) -> tuple[str, ...]:
         return self.tasks_m1 + self.tasks_m2
 
+    @cached_property
     def closed_precedence(self) -> frozenset[tuple[str, str]]:
-        """Transitive closure of the given pairs; raises on a cycle."""
-        succ: dict[str, set[str]] = {t: set() for t in self.all_tasks()}
-        for a, b in self.precedence:
-            succ[a].add(b)
-        closed: set[tuple[str, str]] = set()
-        for t in succ:
-            seen: set[str] = set()
-            stack = list(succ[t])
-            while stack:
-                x = stack.pop()
-                if x == t:
-                    raise ValueError("precedence contains a cycle")
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(succ[x])
-            closed.update((t, x) for x in seen)
-        return frozenset(closed)
+        """Transitive closure of the given pairs, read from the reachability
+        of the precedence digraph on task indices 1..n; raises on a cycle."""
+        tasks = self.all_tasks()
+        index = {t: i for i, t in enumerate(tasks, start=1)}
+        try:
+            desc = mixed_graph(len(tasks), arcs=[(index[a], index[b]) for a, b in self.precedence]).desc_masks
+        except DirectedCycleError as exc:
+            raise ValueError("precedence contains a cycle") from exc
+        return frozenset((t, tasks[j - 1]) for i, t in enumerate(tasks, start=1) for j in set_bits(desc[i]))
 
 
 def schedule_exists(inst: SchedulingInstance) -> bool:
@@ -245,7 +238,7 @@ def schedule_exists(inst: SchedulingInstance) -> bool:
     tasks = inst.all_tasks()
     machine = {t: 1 for t in inst.tasks_m1}
     machine.update({t: 2 for t in inst.tasks_m2})
-    prec = inst.closed_precedence()
+    prec = inst.closed_precedence
     for starts in itertools.product(range(inst.deadline), repeat=len(tasks)):
         sigma = dict(zip(tasks, starts))
         ok = True
@@ -292,15 +285,13 @@ def reduce_scheduling(inst: SchedulingInstance) -> tuple[MixedGraph, int]:
         for i in range(1, path_len + 1):
             if i % 4 != r:
                 edges.append((v, i))
-    prec = inst.closed_precedence()
-    for a, b in prec:
+    for a, b in inst.closed_precedence:
         arcs.append((end_of[a], start_of[b]))
     arc_pairs = {normalize_edge(u, v) for u, v in arcs}
-    task_vertices = [start_of[t] for t in tasks] + [end_of[t] for t in tasks]
-    for i, u in enumerate(sorted(task_vertices)):
-        for v in sorted(task_vertices)[i + 1:]:
-            if normalize_edge(u, v) not in arc_pairs:
-                edges.append((u, v))
+    # the task vertices are path_len + 1 .. nxt - 1, in id order
+    for u, v in itertools.combinations(range(path_len + 1, nxt), 2):
+        if (u, v) not in arc_pairs:
+            edges.append((u, v))
     return mixed_graph(nxt - 1, edges, arcs), 4 * d
 
 

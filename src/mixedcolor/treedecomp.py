@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 from .errors import InvalidDecomposition, ParseError
-from .graphs import MixedGraph, normalize_edge, set_bits
+from .graphs import MixedGraph, _ints, _lines, normalize_edge, set_bits
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
+        return max((len(b) for b in self.bags), default=0) - 1
 
 
 def _bag_adjacency(td: TreeDecomposition) -> list[list[int]]:
@@ -142,28 +142,18 @@ def load_td(stream: TextIO) -> TreeDecomposition:
     header = None
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
-
-    def ints(parts, lineno):
-        try:
-            return [int(x) for x in parts]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: expected integers in {parts}") from exc
-
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    bad_ints = "expected integers in {}"
+    for lineno, parts in _lines(stream, pace=True):
         if parts[0] == "s":
             if header is not None:
                 raise ParseError(f"line {lineno}: duplicate solution line")
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(f"line {lineno}: bad 's td' line")
-            header, header_line = tuple(ints(parts[2:], lineno)), lineno
+            header, header_line = _ints(lineno, parts[2:], bad_ints), lineno
         elif parts[0] == "b":
             if header is None:
                 raise ParseError(f"line {lineno}: bag before header")
-            values = ints(parts[1:], lineno)
+            values = _ints(lineno, parts[1:], bad_ints)
             if not values:
                 raise ParseError(f"line {lineno}: bag line without a bag id")
             idx = values[0]
@@ -175,7 +165,7 @@ def load_td(stream: TextIO) -> TreeDecomposition:
                 raise ParseError(f"line {lineno}: edge before header")
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: bad tree edge")
-            edges.append(tuple(ints(parts, lineno)))
+            edges.append(tuple(_ints(lineno, parts, bad_ints)))
     if header is None:
         raise ParseError("missing 's td' line")
     num_bags, size, n = header

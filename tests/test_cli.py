@@ -1,13 +1,15 @@
 """Command-line interface: reports, exit codes, certificates, generators."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
-from mixedcolor import solvers
+from mixedcolor import cli, solvers
 from mixedcolor.cli import main
-from mixedcolor.graphs import Coloring, set_bits
+from mixedcolor.graphs import Coloring, mixed_graph, set_bits
+from mixedcolor.reductions import multicolored_clique_exists
 
 
 def run(capsys, *argv):
@@ -251,6 +253,15 @@ class TestSolve:
         assert code == 2 and out == ""
         assert error in err
 
+    def test_td_without_bags_exit_two(self, capsys, path4, tmp_path):
+        # no bags is width -1, as one empty bag is, so the header passes and
+        # the decomposition check rejects the file
+        td_file = tmp_path / "none.td"
+        td_file.write_text("s td 0 0 5\n")
+        code, out, err = run(capsys, "solve", path4, "--k", "5", "--method", "twdp", "--td", str(td_file))
+        assert code == 2 and out == ""
+        assert err == "error: InvalidDecomposition: decomposition has no bags\n"
+
     @pytest.mark.parametrize("method", ["brute", "ndm", "branch"])
     def test_td_without_twdp_is_usage_error(self, capsys, path4, tmp_path, method):
         # bags that miss vertex 5: twdp rejects the file, no other method reads it
@@ -459,6 +470,64 @@ class TestBoundsParams:
         assert report_dict(out)["violation"] == "arc(1,2)"
 
 
+    @pytest.mark.parametrize("cert, violation", [
+        ("1 1\n2 2\n", "missing(3)"),
+        ("1 1\n2 2\n3 3\n4 1\n", "extra(4)"),
+        ("9 1\n1 1\n5 2\n2 2\n", "missing(3)"),
+        ("3 3\n9 1\n1 1\n5 2\n2 2\n", "extra(5)"),
+    ], ids=["missing", "extra", "missing_before_extra", "smallest_extra"])
+    def test_verify_rejects_incomplete_certificate(self, capsys, tmp_path, cert, violation):
+        graph = tmp_path / "edge_arc.graph"
+        graph.write_text("p mixed 3 1 1\ne 1 2\na 2 3\n")
+        cert_file = tmp_path / "cert.txt"
+        cert_file.write_text(cert)
+        code, out, err = run(capsys, "verify", str(graph), str(cert_file))
+        assert code == 1 and err == ""
+        fields = report_dict(out)
+        assert (fields["proper"], fields["violation"]) == ("no", violation)
+
+
+class TestOneRead:
+    """``solve``, ``bounds`` and ``params`` take the graph and its digest from
+    one read, and a CR or CRLF file reads as its LF form does under ``open``."""
+
+    @pytest.mark.parametrize("argv", [["solve", "--k", "5"], ["solve", "--method", "twdp"], ["bounds"], ["params"]])
+    def test_graph_file_opened_once(self, capsys, path4, monkeypatch, argv):
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        code, out, _ = run(capsys, argv[0], path4, *argv[1:])
+        assert code == 0 and opened == [path4]
+        with open(path4, "rb") as fh:
+            assert report_dict(out)["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("command", ["solve", "bounds", "params"])
+    def test_line_ends(self, capsys, tmp_path, command):
+        text = "# a comment\np mixed 4 2 2  # header\n\ne 1 2\ne 3 4\na 2 3\na 4 1\n"
+        reports = {}
+        for name, end in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+            graph = tmp_path / f"{name}.graph"
+            graph.write_bytes(text.replace("\n", end).encode())
+            code, out, _ = run(capsys, command, str(graph))
+            fields = report_dict(out)
+            del fields["input"], fields["input_sha256"]
+            fields.pop("wall_time", None)
+            reports[name] = (code, fields)
+        assert reports["crlf"] == reports["lf"] == reports["cr"]
+
+    def test_line_ends_in_errors(self, capsys, tmp_path):
+        text = "# a comment\np mixed 3 1 1\n\ne 1 2\na 3 3\n"
+        for end in ("\n", "\r\n", "\r"):
+            graph = tmp_path / "loop.graph"
+            graph.write_bytes(text.replace("\n", end).encode())
+            code, out, err = run(capsys, "params", str(graph))
+            assert (code, out, err) == (2, "", "error: LoopError: line 5: loop at vertex 3\n")
+
+
 class TestGen:
     def test_family_round_trip(self, capsys, tmp_path):
         out_file = str(tmp_path / "g.graph")
@@ -500,6 +569,34 @@ class TestGen:
         assert report_dict(out)["k"] == "8"
         code, _, _ = run(capsys, "solve", out_file, "--k", "8")
         assert code == 0
+
+    @pytest.mark.parametrize("edges, exists", [([[1, 3], [2, 4], [1, 4]], True), ([[1, 2], [3, 4]], False)])
+    def test_multicolored_clique_through_list_coloring(self, capsys, tmp_path, edges, exists):
+        spec = tmp_path / "mcc.json"
+        spec.write_text(json.dumps({"n": 4, "edges": edges, "classes": [[1, 2], [3, 4]]}))
+        lists, graph = str(tmp_path / "lists.json"), str(tmp_path / "lc.graph")
+        code, out, _ = run(capsys, "gen", "multicolored_clique", str(spec), "--out", lists)
+        assert code == 0 and report_dict(out)["out"] == lists
+        code, out, _ = run(capsys, "gen", "list_coloring", lists, "--out", graph)
+        assert code == 0
+        k = report_dict(out)["k"]
+        assert k == "4"
+        code, out, _ = run(capsys, "solve", graph, "--k", k)
+        assert code == (0 if exists else 1)
+        assert report_dict(out)["decision"] == ("yes" if exists else "no")
+        assert multicolored_clique_exists(mixed_graph(4, edges), (frozenset({1, 2}), frozenset({3, 4}))) == exists
+
+    @pytest.mark.parametrize("argv, error", [
+        (["tripartite"], "tripartite takes 1 integer parameter(s)"),
+        (["layered_cliques", "2"], "layered_cliques takes 2 integer parameter(s)"),
+        (["random", "7", "0.4"], "random takes: n edge_p arc_p"),
+        (["random", "7", "0.4", "0.3", "1"], "random takes: n edge_p arc_p"),
+    ])
+    def test_wrong_parameter_count(self, capsys, tmp_path, argv, error):
+        out_file = tmp_path / "x.graph"
+        code, out, err = run(capsys, "gen", *argv, "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == f"error: MixedColorError: {error}\n"
 
     def test_unknown_generator(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "nonsense", "--out", str(tmp_path / "x"))

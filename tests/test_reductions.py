@@ -155,6 +155,15 @@ class TestScheduling:
             g, _ = reduce_scheduling(inst)
             assert ndu(transitive_closure(g)) == 8
 
+    def test_closed_precedence(self):
+        inst = SchedulingInstance(("a", "c"), ("b", "d"), (("a", "b"), ("b", "c"), ("a", "b")), 2)
+        assert inst.closed_precedence == {("a", "b"), ("b", "c"), ("a", "c")}
+        assert inst.closed_precedence is inst.closed_precedence  # built once, in __post_init__
+
+    def test_long_cycle_rejected(self):
+        with pytest.raises(ValueError, match="^precedence contains a cycle$"):
+            SchedulingInstance(("a", "b"), ("c",), (("a", "b"), ("b", "c"), ("c", "a")), 2)
+
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             SchedulingInstance(("a", "b"), (), (("a", "b"), ("b", "a")), 2)

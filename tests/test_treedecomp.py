@@ -191,6 +191,14 @@ class TestPaceFormat:
         assert td.tree_edges == ((0, 1),)
 
 
+    def test_no_bags(self):
+        # no bags is width -1, as one empty bag is; validation rejects it
+        td = load_td(io.StringIO("s td 0 0 3\n"))
+        assert td == TreeDecomposition(3, (), ()) and td.width == -1
+        assert TreeDecomposition(0, (frozenset(),), ()).width == -1
+        with pytest.raises(InvalidDecomposition, match="decomposition has no bags"):
+            validate_decomposition(td, mixed_graph(3))
+
     def test_header_bag_size_differs_from_bags(self):
         text = "c a comment\ns td 1 2 3\nb 1 1 2 3\n"
         with pytest.raises(ParseError, match="line 2: header gives largest bag 2, the bags give 3"):
