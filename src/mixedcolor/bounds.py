@@ -43,14 +43,15 @@ def check_proper(g: MixedGraph, c: Coloring) -> tuple[bool, Optional[Violation]]
     return False, min(violations, key=lambda t: (t[1], t[2], t[0]))
 
 
-def chi_u_exact(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, dict[int, int]]:
-    """Exact chromatic number of the underlying undirected graph, with witness.
+def chi_u_exact(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, start: int = 0) -> tuple[int, dict[int, int]]:
+    """max(start, chromatic number of the underlying undirected graph), with witness.
 
-    ``_dsatur`` searches up from the clique number; both searches get ``budget``.
+    ``_dsatur`` searches up from the clique number or ``start``, whichever is
+    larger; both searches get ``budget``.
     """
     if not (g.edges or g.arcs):
-        return min(g.n, 1), dict.fromkeys(g.vertices, 1)
-    return _dsatur(g.adjacent_masks, (1 << (g.n + 1)) - 2, clique_number(g, budget=budget), budget)
+        return max(start, min(g.n, 1)), dict.fromkeys(g.vertices, 1)
+    return _dsatur(g.adjacent_masks, (1 << (g.n + 1)) - 2, max(start, clique_number(g, budget=budget)), budget)
 
 
 def _dsatur(adj: tuple[int, ...], vertices: int, k: int, budget: int) -> tuple[int, dict[int, int]]:
@@ -177,13 +178,17 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
     times and deadlines (Jackson, 1955; Horn, 1974), exact for Q's windows.
     From each vertex, in id order, Q grows greedily among its neighbours on
     ``g.adjacent_masks``, taken by ``floor + ceiling`` descending, then id.
+    Vertices joined by an arc path need distinct colours too, since adding the
+    transitive arcs keeps the proper colourings; so if these cliques leave the
+    bound below ``stop``, each grows again by the same rule among the vertices
+    adjacent, ancestral or descendant to all of its members, and is rescored.
     Starts at the windows alone (the largest ``floor[v] + ceiling[v] + 1``) and
     returns as soon as the bound reaches ``stop``.
     """
     floor, ceiling, adjacent = g.floor, g.ceiling, g.adjacent_masks
     key = [f + c for f, c in zip(floor, ceiling)]
     best = 1 + max(key[1:], default=-1)  # the windows alone; entry 0 is no vertex
-    seen = set()  # cliques grown from several vertices are scored once
+    seen: dict[int, list[int]] = {}  # clique -> members: cliques grown from several vertices are scored once
     for v in g.vertices:
         if best >= stop:
             break
@@ -195,7 +200,7 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
                 members.append(u)
         if clique in seen:
             continue
-        seen.add(clique)
+        seen[clique] = members
         # by ceiling descending: the c-th member u with floor >= a makes c of
         # them with colours in 1 + a .. k - ceiling[u]
         members.sort(key=ceiling.__getitem__, reverse=True)
@@ -206,6 +211,31 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
                     c += 1
                     if a + ceiling[u] + c > best:
                         best = a + ceiling[u] + c
+    if best >= stop:
+        return best
+    # the closure's underlying adjacency, built only when the plain cliques leave a gap
+    near = [a | b | d for a, b, d in zip(adjacent, g.anc_masks, g.desc_masks)]
+    for clique, members in seen.items():
+        common = ~clique
+        for u in members:
+            common &= near[u]
+        if not common:
+            continue  # the clique stays as it was scored
+        for u in sorted(set_bits(common), key=key.__getitem__, reverse=True):
+            if clique & ~near[u] == 0:
+                clique |= 1 << u
+                members.append(u)
+        # the Hall count above, again; a helper call per clique would cost the first pass
+        members.sort(key=ceiling.__getitem__, reverse=True)
+        for a in {floor[u] for u in members}:
+            c = 0
+            for u in members:
+                if floor[u] >= a:
+                    c += 1
+                    if a + ceiling[u] + c > best:
+                        best = a + ceiling[u] + c
+        if best >= stop:
+            break
     return best
 
 
@@ -229,28 +259,36 @@ def layering_coloring(g: MixedGraph) -> Coloring:
     return Coloring(assignment)
 
 
-def schedule_coloring(g: MixedGraph) -> Coloring:
+def schedule_coloring(g: MixedGraph, reverse: bool = False) -> Coloring:
     """Proper coloring by critical-path list scheduling (Hu, 1961); needs no budget.
 
     Of the vertices whose in-neighbors are all colored it takes the largest
     ``g.ceiling``, then the most edge neighbors, then the smallest id, and gives
     it the lowest color its mask leaves free: coloring v with c sets bit c in its
     edge neighbors' masks and bits 0..c in its out-neighbors'. A color skipped is
-    an edge neighbor's or at most an in-neighbor's, so the colors used are 1..max."""
-    waiting = [len(preds) for preds in g.preds]
+    an edge neighbor's or at most an in-neighbor's, so the colors used are 1..max.
+
+    ``reverse`` schedules the graph with every arc turned round (from the sinks,
+    by the largest ``g.floor``) and then turns the colors round, c -> max + 1 - c,
+    which makes every arc ascend again."""
+    preds, succs, ceiling = (g.succs, g.preds, g.floor) if reverse else (g.preds, g.succs, g.ceiling)
+    waiting = [len(before) for before in preds]
     taken = [1] * (g.n + 1)  # bit c: color c is ruled out; color 0 always is
-    ready = sorted((-g.ceiling[v], -len(g.nbrs[v]), v) for v in g.vertices if not waiting[v])  # sorted, so a heap
+    ready = sorted((-ceiling[v], -len(g.nbrs[v]), v) for v in g.vertices if not waiting[v])  # sorted, so a heap
     colors: dict[int, int] = {}
     while ready:
         v = heapq.heappop(ready)[2]
         colors[v] = color = (taken[v] ^ (taken[v] + 1)).bit_length() - 1  # lowest zero bit
         for u in g.nbrs[v]:
             taken[u] |= 1 << color
-        for w in g.succs[v]:
+        for w in succs[v]:
             taken[w] |= (2 << color) - 1
             waiting[w] -= 1
             if not waiting[w]:
-                heapq.heappush(ready, (-g.ceiling[w], -len(g.nbrs[w]), w))
+                heapq.heappush(ready, (-ceiling[w], -len(g.nbrs[w]), w))
+    if reverse:
+        top = max(colors.values(), default=0) + 1
+        colors = {v: top - c for v, c in colors.items()}
     return Coloring(colors)
 
 
@@ -276,18 +314,28 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
 
 
 def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[int, Coloring, int]:
-    """Lower bound on chi, the schedule coloring as the upper witness, and the chi_u bound.
+    """Lower bound on chi, a schedule coloring as the upper witness, and the chi_u bound.
 
-    The lower bound is ``window_clique_bound`` stopped at the schedule's color count; on a
-    gap it rises to the combined bound of ``lower_bounds``, whose search ``budget`` bounds.
-    ``budget=None`` keeps the color windows alone. The chi_u bound is 0 unless its search ran.
+    The lower bound is ``window_clique_bound`` stopped at the schedule's color count. On a
+    gap the reversed schedule replaces the upper witness if it uses fewer colors, and if a
+    gap is left the chi_u search, which ``budget`` bounds, asks from the lower bound whether
+    the underlying graph needs more colors (past the budget, its clique number).
+    ``budget=None`` keeps the forward schedule and the color windows alone. The chi_u bound
+    is 0 unless it raised the lower bound.
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()
     lower, chi_u = window_clique_bound(g, 0 if budget is None else count), 0
     if lower < count and budget is not None:
-        lb = lower_bounds(g, budget)
-        lower, chi_u = max(lower, lb.combined), lb.chi_u
+        upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
+        count = upper.num_colors()
+        if lower < count:
+            try:
+                found = chi_u_exact(g, budget, start=lower)[0]
+            except BudgetExceeded:
+                found = clique_number(g, budget)
+            if found > lower:
+                lower = chi_u = found
     return lower, upper, chi_u
 
 
@@ -296,7 +344,7 @@ class ChromaticBounds:
     lower: int
     upper: int
     lower_witness: str  # "maxrank", else "undirected_clique" (chi_u), else "window_clique"
-    upper_witness: Coloring  # the schedule coloring
+    upper_witness: Coloring  # the bracket's schedule coloring
 
 
 def chromatic_bounds(g: MixedGraph) -> ChromaticBounds:

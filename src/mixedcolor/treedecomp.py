@@ -51,7 +51,8 @@ def _bag_adjacency(td: TreeDecomposition) -> list[list[int]]:
 
 
 def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
-    """Raise InvalidDecomposition on any vertex-count/coverage/connectivity violation."""
+    """Raise InvalidDecomposition on a wrong vertex count, a bag vertex outside 1..n, or a
+    coverage or connectivity violation."""
     if td.n != g.n:
         raise InvalidDecomposition(f"decomposition is for {td.n} vertices, the graph has {g.n}")
     _bag_adjacency(td)
@@ -59,7 +60,10 @@ def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
     for i, bag in enumerate(td.bags):
         for v in bag:
             held[v] = held.get(v, 0) | 1 << i
-    if held.keys() != set(g.vertices):
+    stray = min(held.keys() - set(g.vertices), default=None)
+    if stray is not None:
+        raise InvalidDecomposition(f"bag vertex {stray} is not a vertex of the graph")
+    if len(held) != g.n:
         raise InvalidDecomposition("bags do not cover the vertex set")
     rel = [normalize_edge(u, v) for u, v in g.edges]
     rel += [normalize_edge(u, v) for u, v in g.arcs]

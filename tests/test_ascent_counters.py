@@ -5,7 +5,9 @@ path, as ``test_tracer_targets.py`` loads the tracer, and runs here without a
 benchmark process. Each pool is pinned by its size, the sum of the ``decides``
 that ``chi_exact`` reports and a hash of the chromatic numbers in pool order, so
 a change to the ascent's bounds shows as a changed decide count with
-unchanged answers.
+unchanged answers. The analysis pool pins the summed gap that
+``chromatic_bounds`` leaves, so a change that weakens the bounds fails here
+even where no solve route decides more.
 """
 
 import hashlib
@@ -16,17 +18,19 @@ from pathlib import Path
 
 import pytest
 
-from mixedcolor import graphs, solvers
+from mixedcolor import bounds, graphs, solvers
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SECONDS = 12  # the benchmark's run length, which sizes each pool
 
 # pool: (graphs, decides, sha256 of the comma-joined chromatic numbers, first 16 digits)
 PINNED = {
-    "dense-twdp": (901, 316, "c0c5ada7a56d5d4f"),
-    "ndm-fpt": (725, 121, "a448a48c5d581e79"),
+    "dense-twdp": (901, 167, "c0c5ada7a56d5d4f"),
+    "ndm-fpt": (725, 70, "a448a48c5d581e79"),
     "sparse-branch": (384, 386, "70516c7d26fb35c9"),
 }
+# analyze-large: (graphs, summed upper - lower of chromatic_bounds)
+ANALYZE_PINNED = (487, 120)
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +56,12 @@ def test_seed_one_pool_counters(workloads, pool):
         decides += stats["decides"]
     digest = hashlib.sha256(",".join(map(str, chis)).encode()).hexdigest()[:16]
     assert (len(texts), decides, digest) == PINNED[pool]
+
+
+def test_seed_one_analyze_bounds_gap(workloads):
+    texts = workloads.materialize(workloads.WORKLOADS["analyze-large"].plan(1, SECONDS))
+    gap = 0
+    for text in texts:
+        result = bounds.chromatic_bounds(graphs.load_graph(io.StringIO(text)))
+        gap += result.upper - result.lower
+    assert (len(texts), gap) == ANALYZE_PINNED

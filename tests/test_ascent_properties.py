@@ -22,7 +22,8 @@ from test_branching_properties import mixed_graphs
 
 PROPERTY = settings(max_examples=150)
 
-# chi 2; the schedule gives vertex 5 color 3, above 2's and beside 4's
+# chi 2; the schedule gives vertex 5 color 3, above 2's and beside 4's, and
+# the reversed schedule closes the bracket at 2
 UNSCHEDULED = mixed_graph(5, edges=[(1, 3), (1, 4), (4, 5)], arcs=[(2, 5)])
 # first k 3, chi 4, schedule 5 colors
 TWO_DECIDES = mixed_graph(6, edges=[(1, 2), (1, 5), (2, 3), (3, 4)], arcs=[(1, 3), (2, 4), (5, 2)])
@@ -36,7 +37,9 @@ def assert_routes_match_brute_force(g):
         assert got == chi
         assert check_proper(g, witness)[0]
         assert witness.num_colors() == chi
-        assert stats["first_k"] <= chi <= stats["upper"] == schedule_coloring(g).num_colors()
+        # branch's bracket keeps the forward schedule; the others take the reversed one if it is better
+        schedules = [schedule_coloring(g, reverse).num_colors() for reverse in (False, True)]
+        assert stats["first_k"] <= chi <= stats["upper"] == (schedules[0] if method == "branch" else min(schedules))
         assert stats["decides"] == min(chi + 1, stats["upper"]) - stats["first_k"]
 
 
@@ -44,10 +47,22 @@ def assert_routes_match_brute_force(g):
 @given(mixed_graphs())
 @example(UNSCHEDULED)
 def test_schedule_coloring_is_proper_and_gap_free(g):
-    coloring = schedule_coloring(g)
-    assert check_proper(g, coloring)[0]
-    assert set(coloring.colors.values()) == set(range(1, coloring.max_color() + 1))
-    assert coloring.num_colors() >= brute_force_chi(g)[0]
+    for reverse in (False, True):
+        coloring = schedule_coloring(g, reverse)
+        assert check_proper(g, coloring)[0]
+        assert set(coloring.colors.values()) == set(range(1, coloring.max_color() + 1))
+        assert coloring.num_colors() >= brute_force_chi(g)[0]
+
+
+@PROPERTY
+@given(mixed_graphs())
+@example(UNSCHEDULED)
+@example(TWO_DECIDES)
+def test_reversed_schedule_is_the_schedule_of_the_reversed_graph(g):
+    # the forward schedule of g with every arc turned round, its colors turned round
+    forward = schedule_coloring(mixed_graph(g.n, g.edges, [(v, u) for u, v in g.arcs])).colors
+    top = max(forward.values(), default=0) + 1
+    assert schedule_coloring(g, reverse=True).colors == {v: top - c for v, c in forward.items()}
 
 
 def set_based_schedule(g):

@@ -116,6 +116,18 @@ def test_chi_u_of_disjoint_unions(g):
     assert_exact(g)
 
 
+@PROPERTY
+@given(mixed_graphs())
+def test_chi_u_search_from_a_start(g):
+    chi = chi_u_exact(g)[0]
+    for start in range(g.n + 2):
+        found, witness = chi_u_exact(g, start=start)
+        assert found == max(start, chi)
+        assert sorted(witness) == list(g.vertices)
+        assert all(witness[u] != witness[v] for u, v in [*g.edges, *g.arcs])
+        assert set(witness.values()) <= set(range(1, found + 1))
+
+
 def reference_greedy(g):
     """The greedy DSATUR coloring as it was before the shared search."""
     adj = [p | s | e for p, s, e in zip(g.preds, g.succs, g.nbrs)]

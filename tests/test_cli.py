@@ -44,10 +44,11 @@ def path4(tmp_path):
 
 @pytest.fixture()
 def unscheduled(tmp_path):
-    # chi 2, but the schedule coloring takes 2, 1, 4, 3, 5 and gives 5 color 3,
+    # the path 7-2-8-3-6-5-4-1, whose pair 3 6 is an arc, has chi 2, but the
+    # schedule coloring gives 6 color 3 and the reversed schedule gives 2 color 3,
     # so the ascent decides k = 2 (found by a seeded search of random graphs)
     p = tmp_path / "unscheduled.graph"
-    p.write_text("p mixed 5 3 1\ne 1 3\ne 1 4\ne 4 5\na 2 5\n")
+    p.write_text("p mixed 8 6 1\ne 1 4\ne 2 7\ne 2 8\ne 3 8\ne 4 5\ne 5 6\na 3 6\n")
     return str(p)
 
 
@@ -252,6 +253,14 @@ class TestSolve:
         code, out, err = run(capsys, "solve", path4, "--k", "5", "--method", "twdp", "--td", str(td_file))
         assert code == 2 and out == ""
         assert error in err
+
+    def test_td_with_a_stray_bag_vertex_exit_two(self, capsys, path4, tmp_path):
+        # the bags cover 1..5; the fault is vertex 9, which the graph lacks
+        td_file = tmp_path / "stray.td"
+        td_file.write_text("s td 1 6 5\nb 1 1 2 3 4 5 9\n")
+        code, out, err = run(capsys, "solve", path4, "--k", "5", "--method", "twdp", "--td", str(td_file))
+        assert code == 2 and out == ""
+        assert err == "error: InvalidDecomposition: bag vertex 9 is not a vertex of the graph\n"
 
     def test_td_without_bags_exit_two(self, capsys, path4, tmp_path):
         # no bags is width -1, as one empty bag is, so the header passes and

@@ -578,27 +578,33 @@ class TestBudget:
         assert 20_000 < info.traceback[-1].frame.f_locals["entries"] <= 20_000 + g.n
 
     def test_brute_counts_loop_steps(self):
-        # chi 4: vertex 1 sees all of the path 4 -> 2 -> 3; the bounds stop at
-        # 3, so the ascent decides k = 3, and k = 4 takes one step per vertex
+        # chi 4: vertex 1 sees all of the path 4 -> 2 -> 3, and k = 4 takes one
+        # step per vertex (the closure makes the four a clique, so the
+        # ascent's bounds reach 4 and it decides nothing here)
         g = mixed_graph(4, edges=[(1, 2), (1, 3), (1, 4)], arcs=[(2, 3), (4, 2)])
         with pytest.raises(BudgetExceeded, match="exceeded 3 steps"):
             brute_force_decide(g, 4, budget=3)
         stats = {}
         assert brute_force_decide(g, 4, budget=4, stats=stats) is not None
         assert stats == {"steps": 4}
+        # chi 3: arcs 1 -> 3 and 2 -> 4 into the ends of the edge 3 - 4; no
+        # clique of the closure has three members and chi_u is 2, so the bounds
+        # stop at 2 below the schedule's 3, and brute runs out deciding k = 2
+        gap = mixed_graph(4, edges=[(3, 4)], arcs=[(1, 3), (2, 4)])
         with pytest.raises(BudgetExceeded, match="brute force exceeded 3 steps"):
-            brute_force_chi(g, budget=3)
+            brute_force_chi(gap, budget=3)
 
     @pytest.mark.parametrize("method", ["brute", "twdp", "ndm", "branch"])
     def test_chi_exact_passes_budget_to_lower_bounds(self, monkeypatch, method):
+        # the bracket's chi_u search is the one that takes the budget
         seen = []
-        real = bounds.lower_bounds
+        real = bounds.chi_u_exact
 
-        def spy(g, budget=DEFAULT_NODE_BUDGET):
+        def spy(g, budget=DEFAULT_NODE_BUDGET, start=0):
             seen.append(budget)
-            return real(g, budget)
+            return real(g, budget, start)
 
-        monkeypatch.setattr(bounds, "lower_bounds", spy)
+        monkeypatch.setattr(bounds, "chi_u_exact", spy)
         # the odd cycle's largest clique is an edge: only the chi_u search finds its 3
         five_cycle = mixed_graph(5, edges=[(i, i % 5 + 1) for i in range(1, 6)])
         assert chi_exact(five_cycle, method, budget=1000)[0] == 3

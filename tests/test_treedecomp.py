@@ -139,6 +139,29 @@ def test_min_fill_keeps_only_the_maximal_elimination_bags(g):
     assert set(td.bags) == {bag for bag in bags if not any(bag < other for other in bags)}
 
 
+# Every error validate_decomposition words, by a decomposition of the graph
+# 1 - 2 - 3 that reaches it: (vertex count, bags, tree edges, message)
+VALIDATION_ERRORS = {
+    "vertex count": (99, [{1, 2, 3}], [], "decomposition is for 99 vertices, the graph has 3"),
+    "tree edge range": (3, [{1, 2, 3}], [(0, 1)], "tree edge (0,1) out of range"),
+    "no bags": (3, [], [], "decomposition has no bags"),
+    "not a tree": (3, [{1, 2}, {2, 3}], [], "bag graph is not a tree"),
+    "stray vertex": (3, [{1, 2}, {2, 3, 9}], [(0, 1)], "bag vertex 9 is not a vertex of the graph"),
+    "smallest stray vertex": (3, [{0, 1, 2, 3}, {3, 7}], [(0, 1)], "bag vertex 0 is not a vertex of the graph"),
+    "missing vertex": (3, [{1, 2}], [], "bags do not cover the vertex set"),
+    "missing relation": (3, [{1, 2}, {3}], [(0, 1)], "relation {2,3} not contained in any bag"),
+    "disconnected": (3, [{1, 2}, {2, 3}, {1}], [(0, 1), (1, 2)], "bags containing vertex 1 are disconnected"),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATION_ERRORS)
+def test_validation_errors(case):
+    n, bags, tree_edges, message = VALIDATION_ERRORS[case]
+    td = TreeDecomposition(n, tuple(map(frozenset, bags)), tuple(tree_edges))
+    with pytest.raises(InvalidDecomposition, match=f"^{re.escape(message)}$"):
+        validate_decomposition(td, mixed_graph(3, edges=[(1, 2), (2, 3)]))
+
+
 class TestValidation:
     def test_vertex_count_differs_from_graph(self):
         g = mixed_graph(3, edges=[(1, 2), (2, 3)])
