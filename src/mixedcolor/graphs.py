@@ -27,6 +27,11 @@ from .errors import (
 Edge = tuple[int, int]  # normalized: u < v
 Arc = tuple[int, int]  # ordered: (tail, head)
 
+# The largest vertex count a graph file may announce. A graph costs about 120
+# bytes per vertex before any relation is read, so a header alone could
+# otherwise ask for any amount of memory.
+MAX_VERTICES = 100_000
+
 
 def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -289,6 +294,7 @@ def _load_saved(text: str) -> MixedGraph | None:
         n, e, a = map(int, tokens[2:5])
         if (
             min(n, e, a) < 0
+            or n > MAX_VERTICES
             or len(tokens) != 5 + 3 * (e + a)
             or text.count("\n") != 1 + e + a
             or text.count("\ne ") != e
@@ -341,6 +347,8 @@ def _load_lines(stream: TextIO) -> MixedGraph:
             n, expected_edges, expected_arcs = _ints(lineno, parts[2:], "bad header numbers")
             if n < 0 or expected_edges < 0 or expected_arcs < 0:
                 raise ParseError(f"line {lineno}: negative counts")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: {n} vertices, more than the {MAX_VERTICES} allowed")
         elif parts[0] in ("e", "a"):
             if n < 0:
                 raise ParseError(f"line {lineno}: relation before header")

@@ -244,12 +244,24 @@ def maximal_independent_sets(
     ``keep[i]`` is the complement of bit i and its edge neighborhood, so
     ``p & keep[i]`` is what stays compatible after choosing i. Bron–Kerbosch
     on the complement graph with Tomita pivoting, over an explicit stack,
-    from ``required`` (independent) and the candidates it keeps. The empty
-    mask has one maximal independent subset, itself: ``[0]``. Raises
-    BudgetExceeded rather than build more than ``budget`` sets.
+    from ``required`` (independent) and the candidates it keeps; a candidate
+    with no edge neighbor among them lies in every maximal set, so it joins
+    ``required`` first. The empty mask has one maximal independent subset,
+    itself: ``[0]``. Raises BudgetExceeded rather than build more than
+    ``budget`` sets.
     """
-    for v in set_bits(required):
-        cand &= keep[v]
+    rest = required
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cand &= keep[low.bit_length() - 1]
+    rest = cand
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if cand & ~keep[low.bit_length() - 1] == low:  # no edge neighbor among the candidates
+            required |= low
+            cand ^= low
     out: list[int] = []
     stack = [(required, cand, 0)]
     while stack:
@@ -596,10 +608,11 @@ class _BranchingSearch:
     A state only ever loses sources, so it is closed under arc successors and
     holds every descendant of its vertices: it needs more than j colors as soon
     as it meets ``tall[j]``, the vertices whose descendants need j colors above
-    their own (``g.ceiling``). ``refuted`` maps an expanded state to the
-    largest color count shown insufficient for it; it stays valid across
-    ``decide`` calls with different k, and it holds at most one entry per
-    counted node.
+    their own (``g.ceiling``). ``nodes`` counts the states visited: expanded,
+    or refuted in their parent without children. ``refuted`` maps a visited
+    state to the largest color count shown insufficient for it; it stays
+    valid across ``decide`` calls with different k, and it holds at most one
+    entry per counted node.
     """
 
     def __init__(self, g: MixedGraph, budget: int, fanout_log: list | None = None):
@@ -608,9 +621,12 @@ class _BranchingSearch:
         self.fanout_log = fanout_log
         self.nodes = 0
         self.refuted: dict[int, int] = {}
+        self.nbrs = g.nbr_masks
         self.keep = [~(nbrs | 1 << v) for v, nbrs in enumerate(g.nbr_masks)]
         self.arc_in = g.pred_masks
-        self.arc_out = g.succs
+        self.arc_out = [0] * (n + 1)  # bit w of arc_out[v]: the arc (v, w)
+        for u, v in g.arcs:
+            self.arc_out[u] |= 1 << v
         # tall[j]: vertices of ceiling at least j; j ranges over 0..n
         self.tall = [0] * (n + 2)
         for v in g.vertices:
@@ -618,23 +634,42 @@ class _BranchingSearch:
         for j in range(n, -1, -1):
             self.tall[j] |= self.tall[j + 1]
 
-    def _expand(self, state: int, sources: int, j: int) -> list:
-        """Count a node and build its frame: state, sources, colors, children, next child.
-
-        The state fits under the cut for j colors, and an arc (u, v) gives
-        ``ceiling[u] > ceiling[v]``, so a vertex of ceiling j - 1 in it has no
-        arc predecessor left and is a source. A child that leaves one uncolored
-        is cut, so the children are only the maximal independent sets of the
-        sources that contain all of them, at most one per node left in the budget.
-        """
+    def _count(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"branching exceeded {self.budget} nodes")
-        must = sources & self.tall[j - 1]
-        children = []
-        if all(must & ~self.keep[v] == 1 << v for v in set_bits(must)):  # no two share an edge
-            sets = maximal_independent_sets(sources, self.keep, must, self.budget - self.nodes)
-            children = sorted(sets, key=int.bit_count, reverse=True)
+
+    def _dead(self, state: int, j: int) -> bool:
+        """Whether two vertices of ``state`` that must take the next color share an edge.
+
+        The state fits under the cut for j colors, and an arc (u, v) gives
+        ``ceiling[u] > ceiling[v]``, so a vertex of ceiling j - 1 in it has no
+        arc predecessor left: it is a source, and a child that leaves it
+        uncolored is cut. A dead state is counted as a node without children
+        and refuted for j, as expanding it would have done, from its mask alone.
+        """
+        must = rest = state & self.tall[j - 1]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if must & self.nbrs[low.bit_length() - 1]:
+                self._count()
+                if self.fanout_log is not None:
+                    self.fanout_log.append((frozenset(set_bits(state)), 0))
+                self.refuted[state] = j
+                return True
+        return False
+
+    def _expand(self, state: int, sources: int, j: int) -> list:
+        """Count a live node and build its frame: state, sources, colors, children, next child.
+
+        The children are the maximal independent sets of the sources that
+        contain every vertex of ceiling j - 1 (see ``_dead``), at most one per
+        node left in the budget.
+        """
+        self._count()
+        sets = maximal_independent_sets(sources, self.keep, sources & self.tall[j - 1], self.budget - self.nodes)
+        children = sorted(sets, key=int.bit_count, reverse=True)
         if self.fanout_log is not None:
             self.fanout_log.append((frozenset(set_bits(state)), len(children)))
         return [state, sources, j, children, 0]
@@ -645,9 +680,10 @@ class _BranchingSearch:
         if not state:
             return []
         k = min(k, self.n)
-        if k < 1 or state & self.tall[k] or self.refuted.get(state, -1) >= k:
+        if k < 1 or state & self.tall[k] or self.refuted.get(state, -1) >= k or self._dead(state, k):
             return None
-        sources = sum(1 << v for v in set_bits(state) if not self.arc_in[v])
+        arc_in, arc_out = self.arc_in, self.arc_out
+        sources = sum(1 << v for v in set_bits(state) if not arc_in[v])
         stack = [self._expand(state, sources, k)]
         while stack:
             frame = stack[-1]
@@ -661,13 +697,19 @@ class _BranchingSearch:
             child = state & ~indep
             if not child:
                 return [f[3][f[4] - 1] for f in stack]
-            if self.refuted.get(child, -1) >= j - 1:
+            if self.refuted.get(child, -1) >= j - 1 or self._dead(child, j - 1):
                 continue
+            woke, rest = 0, indep  # the arc successors of indep, which may now be sources
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                woke |= arc_out[low.bit_length() - 1]
             child_sources = sources & ~indep
-            for v in set_bits(indep):
-                for w in self.arc_out[v]:
-                    if not self.arc_in[w] & child:
-                        child_sources |= 1 << w
+            while woke:
+                low = woke & -woke
+                woke ^= low
+                if not arc_in[low.bit_length() - 1] & child:
+                    child_sources |= low
             stack.append(self._expand(child, child_sources, j - 1))
         return None
 

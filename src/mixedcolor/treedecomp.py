@@ -173,7 +173,8 @@ def load_td(stream: TextIO) -> TreeDecomposition:
     if header is None:
         raise ParseError("missing 's td' line")
     num_bags, size, n = header
-    if set(bags) != set(range(1, num_bags + 1)):
+    # the ids are distinct, so these are 1..num_bags; no set of num_bags ids is built
+    if len(bags) != max(num_bags, 0) or not all(1 <= i <= num_bags for i in bags):
         raise ParseError("bag ids must be 1..num_bags")
     ordered = tuple(bags[i] for i in range(1, num_bags + 1))
     tree_edges = tuple((i - 1, j - 1) for i, j in edges)

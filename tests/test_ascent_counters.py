@@ -7,7 +7,9 @@ that ``chi_exact`` reports and a hash of the chromatic numbers in pool order, so
 a change to the ascent's bounds shows as a changed decide count with
 unchanged answers. The analysis pool pins the summed gap that
 ``chromatic_bounds`` leaves, so a change that weakens the bounds fails here
-even where no solve route decides more.
+even where no solve route decides more. The branch search's summed nodes
+and memo entries on its pool are pinned too, so work moved between counted
+and uncounted states shows even where the answers stay the same.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from mixedcolor import bounds, graphs, solvers
+from mixedcolor.errors import DEFAULT_NODE_BUDGET
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SECONDS = 12  # the benchmark's run length, which sizes each pool
@@ -29,6 +32,8 @@ PINNED = {
     "ndm-fpt": (725, 70, "a448a48c5d581e79"),
     "sparse-branch": (384, 386, "70516c7d26fb35c9"),
 }
+# sparse-branch: (summed nodes, summed memo entries) of the branch ascent
+BRANCH_WORK = (7_782, 7_274)
 # analyze-large: (graphs, summed upper - lower of chromatic_bounds)
 ANALYZE_PINNED = (487, 120)
 
@@ -56,6 +61,19 @@ def test_seed_one_pool_counters(workloads, pool):
         decides += stats["decides"]
     digest = hashlib.sha256(",".join(map(str, chis)).encode()).hexdigest()[:16]
     assert (len(texts), decides, digest) == PINNED[pool]
+
+
+def test_seed_one_branch_work(workloads):
+    texts = workloads.materialize(workloads.WORKLOADS["sparse-branch"].plan(1, SECONDS))
+    nodes = memo = 0
+    for text in texts:
+        g = graphs.load_graph(io.StringIO(text))
+        search = solvers._BranchingSearch(g, DEFAULT_NODE_BUDGET)
+        solvers._ascend(g, search.solve, None)  # as branching_chi runs it
+        assert len(search.refuted) <= search.nodes  # one memo entry per state at most
+        nodes += search.nodes
+        memo += len(search.refuted)
+    assert (nodes, memo) == BRANCH_WORK
 
 
 def test_seed_one_analyze_bounds_gap(workloads):

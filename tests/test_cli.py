@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from mixedcolor import cli, solvers
 from mixedcolor.cli import main
 from mixedcolor.graphs import Coloring, mixed_graph, set_bits
 from mixedcolor.reductions import multicolored_clique_exists
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -270,6 +276,33 @@ class TestSolve:
         code, out, err = run(capsys, "solve", path4, "--k", "5", "--method", "twdp", "--td", str(td_file))
         assert code == 2 and out == ""
         assert err == "error: InvalidDecomposition: decomposition has no bags\n"
+
+    @pytest.mark.parametrize(
+        "graph, td, message",
+        [
+            ("p mixed 2 1 0\ne 1 2\n", "s td 100000000 2 2\nb 1 1 2\n", "ParseError: bag ids must be 1..num_bags"),
+            ("p mixed 100000000 0 0\n", None, "ParseError: line 1: 100000000 vertices, more than the 100000 allowed"),
+        ],
+        ids=["bag count", "vertex count"],
+    )
+    def test_header_counts_allocate_nothing(self, tmp_path, graph, td, message):
+        # under a 1 GiB address-space cap a loader that allocated per announced
+        # bag or vertex would stop with MemoryError instead of this message
+        resource = pytest.importorskip("resource")
+        graph_file = tmp_path / "g.graph"
+        graph_file.write_text(graph)
+        argv = ["solve", str(graph_file), "--k", "2", "--method", "twdp"]
+        if td is not None:
+            (tmp_path / "g.td").write_text(td)
+            argv += ["--td", str(tmp_path / "g.td")]
+        cap = 1 << 30
+        code = (
+            f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from mixedcolor.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("method", ["brute", "ndm", "branch"])
     def test_td_without_twdp_is_usage_error(self, capsys, path4, tmp_path, method):
@@ -550,6 +583,16 @@ class TestGen:
         run(capsys, "gen", "random", "7", "0.4", "0.3", "--seed", "5", "--out", a)
         run(capsys, "gen", "random", "7", "0.4", "0.3", "--seed", "5", "--out", b)
         assert open(a).read() == open(b).read()
+
+    @pytest.mark.parametrize(
+        "edge_p, arc_p, message",
+        [("1.5", "0.2", "edge_p must lie in [0, 1], not 1.5"), ("0.5", "-0.2", "arc_p must lie in [0, 1], not -0.2")],
+    )
+    def test_random_rejects_impossible_probabilities(self, capsys, tmp_path, edge_p, arc_p, message):
+        out_file = tmp_path / "g.graph"
+        code, out, err = run(capsys, "gen", "random", "5", edge_p, arc_p, "--out", str(out_file))
+        assert (code, out, err) == (2, "", f"error: ValueError: {message}\n")
+        assert not out_file.exists()
 
     def test_reduction_from_json(self, capsys, tmp_path):
         spec = tmp_path / "inst.json"

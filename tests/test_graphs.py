@@ -124,6 +124,11 @@ LINE_READER_ERRORS = {
     "negative vertex count": ("p mixed -1 0 0\n", ParseError("line 1: negative counts")),
     "negative edge count": ("\np mixed 2 -1 0\n", ParseError("line 2: negative counts")),
     "negative arc count": ("p mixed 2 0 -3\n", ParseError("line 1: negative counts")),
+    # in save_graph's layout, so the one-pass path turns it down first
+    "vertex count over the cap": ("p mixed 100001 0 0\n", ParseError("line 1: 100001 vertices, more than the 100000 allowed")),
+    "vertex count over the cap, commented": (
+        "# c\np mixed 100001 0 0\n", ParseError("line 2: 100001 vertices, more than the 100000 allowed")
+    ),
     "relation before header": ("e 1 2\np mixed 2 1 0\n", ParseError("line 1: relation before header")),
     "short relation": ("p mixed 2 1 0\ne 1\n", ParseError("line 2: bad relation line 'e 1'")),
     "long relation": ("p mixed 3 0 1\na 1 2 3  # c\n", ParseError("line 2: bad relation line 'a 1 2 3'")),
@@ -139,6 +144,12 @@ def test_graph_loader_errors(case):
     text, error = LINE_READER_ERRORS[case]
     with raises_exactly(error):
         parse(text)
+
+
+@pytest.mark.parametrize("text", ["p mixed {} 0 0\n", "# c\np mixed {} 0 0\n"], ids=["one pass", "line reader"])
+def test_graph_loaders_take_the_largest_vertex_count(text):
+    cap = graphs_module.MAX_VERTICES
+    assert parse(text.format(cap)).n == cap
 
 
 CERTIFICATE_ERRORS = {

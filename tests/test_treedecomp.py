@@ -246,6 +246,8 @@ TD_ERRORS = {
     "bag id past num_bags": ("s td 2 1 2\nb 1 1\nb 3 2\n1 3\n", "bag ids must be 1..num_bags"),
     "bag id zero": ("s td 1 1 1\nb 0 1\n", "bag ids must be 1..num_bags"),
     "missing bag": ("s td 2 1 2\nb 2 2\n", "bag ids must be 1..num_bags"),
+    "bag count past the bags": ("s td 100000000 2 2\nb 1 1 2\n", "bag ids must be 1..num_bags"),
+    "negative bag count": ("s td -1 1 1\nb 1 1\n", "bag ids must be 1..num_bags"),
     "header bag size": ("c c\ns td 1 2 3\nb 1 1 2 3\n", "line 2: header gives largest bag 2, the bags give 3"),
 }
 
