@@ -159,13 +159,16 @@ def lower_bounds(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> LowerBound
     rank = maxrank(g)
     if g.n == 0:
         return LowerBounds(0, 0, 0, True)
-    try:
-        chi_u, _ = chi_u_exact(g, budget=budget)
-        exact = True
-    except BudgetExceeded:
-        chi_u = clique_number(g, budget)
-        exact = False
+    chi_u, exact = _chi_u_or_clique(g, budget)
     return LowerBounds(chi_u, rank, max(chi_u, rank + 1), exact)
+
+
+def _chi_u_or_clique(g: MixedGraph, budget: int, start: int = 0) -> tuple[int, bool]:
+    """``chi_u_exact``'s bound and True, or past ``budget`` the clique number and False."""
+    try:
+        return chi_u_exact(g, budget, start)[0], True
+    except BudgetExceeded:
+        return clique_number(g, budget), False
 
 
 def window_clique_bound(g: MixedGraph, stop: int) -> int:
@@ -264,28 +267,36 @@ def schedule_coloring(g: MixedGraph, reverse: bool = False) -> Coloring:
 
     Of the vertices whose in-neighbors are all colored it takes the largest
     ``g.ceiling``, then the most edge neighbors, then the smallest id, and gives
-    it the lowest color its mask leaves free: coloring v with c sets bit c in its
-    edge neighbors' masks and bits 0..c in its out-neighbors'. A color skipped is
-    an edge neighbor's or at most an in-neighbor's, so the colors used are 1..max.
+    it the lowest color above its in-neighbors' that no edge neighbor has: each
+    colored vertex raises its out-neighbors' lowest color, and the masks of the
+    color classes show the edge neighbors' colors. A color skipped is an edge
+    neighbor's or at most an in-neighbor's, so the colors used are 1..max.
 
     ``reverse`` schedules the graph with every arc turned round (from the sinks,
     by the largest ``g.floor``) and then turns the colors round, c -> max + 1 - c,
     which makes every arc ascend again."""
-    preds, succs, ceiling = (g.succs, g.preds, g.floor) if reverse else (g.preds, g.succs, g.ceiling)
-    waiting = [len(before) for before in preds]
-    taken = [1] * (g.n + 1)  # bit c: color c is ruled out; color 0 always is
-    ready = sorted((-ceiling[v], -len(g.nbrs[v]), v) for v in g.vertices if not waiting[v])  # sorted, so a heap
+    preds, succs, ceiling = (g.succ_masks, g.pred_masks, g.floor) if reverse else (g.pred_masks, g.succ_masks, g.ceiling)
+    nbrs = g.nbr_masks
+    ready = sorted((-ceiling[v], -nbrs[v].bit_count(), v) for v in g.vertices if not preds[v])  # sorted, so a heap
+    uncolored = (1 << g.n + 1) - 2
+    classes = [0] * (g.n + 2)  # bit v of classes[c]: v has color c; the colors stay within 1..n
+    lowest = [1] * (g.n + 1)
     colors: dict[int, int] = {}
     while ready:
         v = heapq.heappop(ready)[2]
-        colors[v] = color = (taken[v] ^ (taken[v] + 1)).bit_length() - 1  # lowest zero bit
-        for u in g.nbrs[v]:
-            taken[u] |= 1 << color
-        for w in succs[v]:
-            taken[w] |= (2 << color) - 1
-            waiting[w] -= 1
-            if not waiting[w]:
-                heapq.heappush(ready, (-ceiling[w], -len(g.nbrs[w]), w))
+        uncolored ^= 1 << v
+        color = lowest[v]
+        while classes[color] & nbrs[v]:
+            color += 1
+        classes[color] |= 1 << v
+        colors[v] = color
+        rest = succs[v]
+        while rest:  # an out-neighbor is ready once its last in-neighbor is colored
+            w = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            lowest[w] = max(lowest[w], color + 1)
+            if not preds[w] & uncolored:
+                heapq.heappush(ready, (-ceiling[w], -nbrs[w].bit_count(), w))
     if reverse:
         top = max(colors.values(), default=0) + 1
         colors = {v: top - c for v, c in colors.items()}
@@ -309,7 +320,7 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
         if v in cover:
             even = colors[v] = even + 2
         else:
-            colors[v] = max((colors[u] for u in g.preds[v]), default=0) + 1
+            colors[v] = max((colors[u] for u in set_bits(g.pred_masks[v])), default=0) + 1
     return Coloring(colors)
 
 
@@ -330,10 +341,7 @@ def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[in
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
         count = upper.num_colors()
         if lower < count:
-            try:
-                found = chi_u_exact(g, budget, start=lower)[0]
-            except BudgetExceeded:
-                found = clique_number(g, budget)
+            found = _chi_u_or_clique(g, budget, lower)[0]
             if found > lower:
                 lower = chi_u = found
     return lower, upper, chi_u
@@ -350,5 +358,5 @@ class ChromaticBounds:
 def chromatic_bounds(g: MixedGraph) -> ChromaticBounds:
     """``bracket`` with the default budget, and the bound that set its lower end."""
     lower, upper, chi_u = bracket(g)
-    source = "maxrank" if lower == maxrank(g) + 1 else "undirected_clique" if lower == chi_u else "window_clique"
+    source = "maxrank" if lower == maxrank(g) + 1 else "undirected_clique" if chi_u > 0 else "window_clique"
     return ChromaticBounds(lower, upper.num_colors(), source, upper)

@@ -199,8 +199,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif name == "random":
         if len(params) != 3:
             raise MixedColorError("random takes: n edge_p arc_p")
-        rng = random.Random(args.seed)
-        g = random_mixed_graph(rng, int(params[0]), float(params[1]), float(params[2]))
+        edge_p, arc_p = float(params[1]), float(params[2])
+        # a probability outside [0, 1] is worded by random_mixed_graph
+        if edge_p + arc_p > 1 and all(0 <= p <= 1 for p in (edge_p, arc_p)):
+            raise ValueError(f"edge_p + arc_p must be at most 1, not {edge_p + arc_p:g}")
+        g = random_mixed_graph(random.Random(args.seed), int(params[0]), edge_p, arc_p)
         report.update(family="random", seed=args.seed)
     elif name == "superstring":
         inst = SuperstringInstance(tuple(spec["strings"]), int(spec["k"]))

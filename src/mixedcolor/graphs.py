@@ -39,7 +39,7 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 class _Adjacency:
     """An adjacency part of the graph index: its first read on a graph builds all
-    six parts in one pass into the instance dict, where later reads find them."""
+    four parts in one pass into the instance dict, where later reads find them."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -47,27 +47,18 @@ class _Adjacency:
     def __get__(self, g: MixedGraph | None, owner: type | None = None):
         if g is None:
             return self
-        preds, succs, nbrs = ([[] for _ in range(g.n + 1)] for _ in range(3))
-        pred_masks, nbr_masks = [0] * (g.n + 1), [0] * (g.n + 1)
+        pred_masks, succ_masks, nbr_masks = ([0] * (g.n + 1) for _ in range(3))
         for u, v in g.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
             nbr_masks[u] |= 1 << v
             nbr_masks[v] |= 1 << u
-        adjacent = nbr_masks.copy()
         for u, v in g.arcs:
-            succs[u].append(v)
-            preds[v].append(u)
+            succ_masks[u] |= 1 << v
             pred_masks[v] |= 1 << u
-            adjacent[u] |= 1 << v
-            adjacent[v] |= 1 << u
         g.__dict__.update(
-            preds=tuple(map(frozenset, preds)),
-            succs=tuple(map(frozenset, succs)),
-            nbrs=tuple(map(frozenset, nbrs)),
             pred_masks=tuple(pred_masks),
+            succ_masks=tuple(succ_masks),
             nbr_masks=tuple(nbr_masks),
-            adjacent_masks=tuple(adjacent),
+            adjacent_masks=tuple(p | s | e for p, s, e in zip(pred_masks, succ_masks, nbr_masks)),
         )
         return g.__dict__[self.name]
 
@@ -105,51 +96,49 @@ class MixedGraph:
         return range(1, self.n + 1)
 
     # The graph index. Each part is built on first use and then shared by
-    # every caller; the first use of any adjacency part builds all six in one
+    # every caller; the first use of any adjacency part builds all four in one
     # pass. Per-vertex tuples are indexed by vertex id (entry 0 is empty); bit
-    # v of a mask stands for vertex v.
+    # v of a mask stands for vertex v, and ``set_bits`` walks a mask's vertices.
 
     @cached_property
     def order(self) -> tuple[int, ...]:
         """Arc-respecting vertex order, ties broken by smallest id first."""
         return tuple(arc_order(self.n, self.arcs))
 
-    preds = _Adjacency()  # per vertex: in-neighbors
-    succs = _Adjacency()  # out-neighbors
-    nbrs = _Adjacency()  # undirected (edge) neighbors
-    pred_masks = _Adjacency()
-    nbr_masks = _Adjacency()
+    pred_masks = _Adjacency()  # per vertex: in-neighbors
+    succ_masks = _Adjacency()  # out-neighbors
+    nbr_masks = _Adjacency()  # undirected (edge) neighbors
     adjacent_masks = _Adjacency()  # neighbors along edges and arcs
 
     @cached_property
     def desc_masks(self) -> tuple[int, ...]:
         """Vertices reachable from each vertex along arcs, self excluded."""
-        return _reach_masks(self.n, reversed(self.order), self.succs)
+        return _reach_masks(self.n, reversed(self.order), self.succ_masks)
 
     @cached_property
     def anc_masks(self) -> tuple[int, ...]:
         """Vertices that reach each vertex along arcs, self excluded."""
-        return _reach_masks(self.n, self.order, self.preds)
+        return _reach_masks(self.n, self.order, self.pred_masks)
 
     @cached_property
     def floor(self) -> tuple[int, ...]:
         """Lower bound on the colors each vertex's ancestors need: every
         proper coloring gives v a color above ``floor[v]``."""
-        return _needs(self.n, self.order, self.preds, self.adjacent_masks)
+        return _needs(self.n, self.order, self.pred_masks, self.adjacent_masks)
 
     @cached_property
     def ceiling(self) -> tuple[int, ...]:
         """Lower bound on the colors each vertex's descendants need: every
         proper coloring with colors 1..k gives v at most ``k - ceiling[v]``."""
-        return _needs(self.n, reversed(self.order), self.succs, self.adjacent_masks)
+        return _needs(self.n, reversed(self.order), self.succ_masks, self.adjacent_masks)
 
     @cached_property
     def layering(self) -> Layering:
         """Partition by inrank (longest-path DP over ``order``)."""
         inrank = dict.fromkeys(self.vertices, 0)
         for v in self.order:
-            if self.preds[v]:
-                inrank[v] = max(inrank[u] + 1 for u in self.preds[v])
+            if self.pred_masks[v]:
+                inrank[v] = max(inrank[u] + 1 for u in set_bits(self.pred_masks[v]))
         layers: list[list[int]] = [[] for _ in range(max(inrank.values(), default=-1) + 1)]
         for v in self.vertices:
             layers[inrank[v]].append(v)
@@ -169,17 +158,15 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _reach_masks(n: int, order: Iterable[int], step: tuple[frozenset[int], ...]) -> tuple[int, ...]:
+def _reach_masks(n: int, order: Iterable[int], step: tuple[int, ...]) -> tuple[int, ...]:
     masks = [0] * (n + 1)
-    for v in order:  # every step[v] comes before v
-        for w in step[v]:
+    for v in order:  # every vertex of step[v] comes before v
+        for w in set_bits(step[v]):
             masks[v] |= 1 << w | masks[w]
     return tuple(masks)
 
 
-def _needs(
-    n: int, order: Iterable[int], step: tuple[frozenset[int], ...], adjacent: tuple[int, ...]
-) -> tuple[int, ...]:
+def _needs(n: int, order: Iterable[int], step: tuple[int, ...], adjacent: tuple[int, ...]) -> tuple[int, ...]:
     """Per vertex, how many colors must lie on the ``step`` side of its own.
 
     The colors of ``step[v]`` all lie on one side of v's: below it for
@@ -191,11 +178,11 @@ def _needs(
     0 without ``step`` neighbors.
     """
     need = [0] * (n + 1)
-    for v in order:  # every step[v] comes before v
+    for v in order:  # every vertex of step[v] comes before v
         if step[v]:
             clique = size = best = 0
             # by need descending, then id: reverse=True keeps the id order of ties
-            for u in sorted(sorted(step[v]), key=need.__getitem__, reverse=True):
+            for u in sorted(set_bits(step[v]), key=need.__getitem__, reverse=True):
                 if clique & ~adjacent[u] == 0:
                     clique |= 1 << u
                     size += 1

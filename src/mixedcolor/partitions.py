@@ -60,7 +60,7 @@ def mixed_neighborhood_partition(g: MixedGraph) -> NeighborhoodPartition:
     """
     memo = vars(g)
     if "mixed_partition" not in memo:
-        signatures = list(zip(g.preds, g.succs, g.nbr_masks))
+        signatures = list(zip(g.pred_masks, g.succ_masks, g.nbr_masks))
         memo["mixed_partition"] = _partition_by_signature(g, signatures)
     return memo["mixed_partition"]
 
@@ -90,22 +90,26 @@ def class_relations(g: MixedGraph, part: NeighborhoodPartition) -> list[tuple[st
     class index.
     """
     class_of = [0] * (g.n + 1)
+    members = []  # per class: its vertex mask
     for i, cls in enumerate(part.classes):
+        mask = 0
         for v in cls:
             class_of[v] = i
+            mask |= 1 << v
+        members.append(mask)
+    adjacent, nbrs, succs = g.adjacent_masks, g.nbr_masks, g.succ_masks
+    later = (1 << g.n + 1) - 2  # the vertices of classes after i, once class i is out
     relations = []
     for i, cls in enumerate(part.classes):
+        later ^= members[i]
         u = min(cls)
         found = {}
-        for w in g.nbrs[u]:
-            if (j := class_of[w]) > i:
-                found[j] = ("edge", i, j)
-        for w in g.succs[u]:
-            if (j := class_of[w]) > i:
-                found[j] = ("arc", i, j)
-        for w in g.preds[u]:
-            if (j := class_of[w]) > i:
-                found[j] = ("arc", j, i)
+        rest = adjacent[u] & later
+        while rest:  # one neighbor per related class
+            low = rest & -rest
+            j = class_of[low.bit_length() - 1]
+            rest &= ~members[j]
+            found[j] = ("edge", i, j) if nbrs[u] & low else ("arc", i, j) if succs[u] & low else ("arc", j, i)
         relations += [found[j] for j in sorted(found)]
     return relations
 

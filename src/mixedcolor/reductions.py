@@ -320,14 +320,14 @@ class ListColoringInstance:
 def list_coloring_exists(inst: ListColoringInstance) -> bool:
     """Backtracking over vertices in id order, colors in list order."""
     vs = sorted(inst.graph.vertices)
-    adj = inst.graph.nbrs
+    adj = inst.graph.nbr_masks
     assignment: dict[int, int] = {}
 
     def extend(i: int) -> bool:
         if i == len(vs):
             return True
         v = vs[i]
-        taken = {assignment[u] for u in adj[v] if u in assignment}
+        taken = {assignment[u] for u in set_bits(adj[v]) if u in assignment}
         for color in sorted(inst.lists[v]):
             if color in taken:
                 continue

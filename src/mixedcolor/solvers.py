@@ -96,8 +96,8 @@ def brute_force_decide(
             if v in colors:  # back from a failed extension: try the next color
                 color = colors.pop(v) + 1
             else:  # in-neighbors precede v
-                color = max((colors[u] + 1 for u in g.preds[v]), default=1)
-            forbidden = {colors[u] for u in g.nbrs[v] if u in colors}
+                color = max((colors[u] + 1 for u in set_bits(g.pred_masks[v])), default=1)
+            forbidden = {colors[u] for u in set_bits(g.nbr_masks[v]) if u in colors}
             while color in forbidden:
                 color += 1
             if color <= k:
@@ -167,9 +167,9 @@ def tw_dp_decide(g: MixedGraph, nice: list[NiceNode], k: int, budget: int = DEFA
             child_bag = node.bag[:vi] + node.bag[vi + 1:]
             # child-key positions of v's bagged in-, out- and edge neighbors;
             # each getter repeats its first position so it returns a tuple
-            ins = [i for i, u in enumerate(child_bag) if u in g.preds[v]]
-            outs = [i for i, u in enumerate(child_bag) if u in g.succs[v]]
-            nes = [i for i, u in enumerate(child_bag) if u in g.nbrs[v]]
+            ins = [i for i, u in enumerate(child_bag) if g.pred_masks[v] >> u & 1]
+            outs = [i for i, u in enumerate(child_bag) if g.succ_masks[v] >> u & 1]
+            nes = [i for i, u in enumerate(child_bag) if g.nbr_masks[v] >> u & 1]
             in_colors = itemgetter(*ins, ins[0]) if ins else None
             out_colors = itemgetter(*outs, outs[0]) if outs else None
             ne_colors = itemgetter(*nes, nes[0]) if nes else None
@@ -623,10 +623,7 @@ class _BranchingSearch:
         self.refuted: dict[int, int] = {}
         self.nbrs = g.nbr_masks
         self.keep = [~(nbrs | 1 << v) for v, nbrs in enumerate(g.nbr_masks)]
-        self.arc_in = g.pred_masks
-        self.arc_out = [0] * (n + 1)  # bit w of arc_out[v]: the arc (v, w)
-        for u, v in g.arcs:
-            self.arc_out[u] |= 1 << v
+        self.arc_in, self.arc_out = g.pred_masks, g.succ_masks
         # tall[j]: vertices of ceiling at least j; j ranges over 0..n
         self.tall = [0] * (n + 2)
         for v in g.vertices:

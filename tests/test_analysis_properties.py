@@ -29,6 +29,7 @@ from mixedcolor.expressions import (
 )
 from mixedcolor.graphs import MixedGraph, normalize_edge
 from mixedcolor.partitions import vertex_cover_number
+from subgraphs import scanned
 
 PROPERTY = settings(max_examples=300)
 
@@ -154,7 +155,8 @@ def reference_vertex_cover(g, budget=10**9):
         nbrs = set(adj[v])
         branch(without(adj, nbrs | {v}), chosen | nbrs)
 
-    branch({v: set(g.preds[v] | g.succs[v] | g.nbrs[v]) for v in g.vertices}, set())
+    ins, outs, nbrs = scanned(g)
+    branch({v: set(ins[v] | outs[v] | nbrs[v]) for v in g.vertices}, set())
     return best[0], best[1], nodes[0]
 
 

@@ -18,6 +18,7 @@ from mixedcolor.errors import DEFAULT_NODE_BUDGET
 from mixedcolor.reductions import family_layered_cliques, family_oriented_grid
 from mixedcolor.solvers import METHODS, ROUTES
 
+from subgraphs import scanned
 from test_branching_properties import mixed_graphs
 
 PROPERTY = settings(max_examples=150)
@@ -69,21 +70,22 @@ def set_based_schedule(g):
     """The schedule coloring by its set-based rule, with the same ready heap and
     key: one above the largest in-neighbor color, then past every color an
     edge neighbor uses. Returns the colors in the order they were given."""
-    waiting = [len(preds) for preds in g.preds]
-    ready = [(-g.ceiling[v], -len(g.nbrs[v]), v) for v in g.vertices if not waiting[v]]
+    ins, outs, nbrs = scanned(g)
+    waiting = {v: len(ins[v]) for v in g.vertices}
+    ready = [(-g.ceiling[v], -len(nbrs[v]), v) for v in g.vertices if not waiting[v]]
     heapq.heapify(ready)
     colors = {}
     while ready:
         v = heapq.heappop(ready)[2]
-        color = max([colors[u] for u in g.preds[v]], default=0) + 1
-        used = {colors.get(u) for u in g.nbrs[v]}
+        color = max([colors[u] for u in ins[v]], default=0) + 1
+        used = {colors.get(u) for u in nbrs[v]}
         while color in used:
             color += 1
         colors[v] = color
-        for w in g.succs[v]:
+        for w in outs[v]:
             waiting[w] -= 1
             if not waiting[w]:
-                heapq.heappush(ready, (-g.ceiling[w], -len(g.nbrs[w]), w))
+                heapq.heappush(ready, (-g.ceiling[w], -len(nbrs[w]), w))
     return list(colors.items())
 
 

@@ -256,7 +256,7 @@ class TestBracketing:
 
     def test_empty_graph(self):
         result = chromatic_bounds(mixed_graph(0))
-        assert (result.lower, result.upper, result.lower_witness) == (0, 0, "undirected_clique")
+        assert (result.lower, result.upper, result.lower_witness) == (0, 0, "window_clique")
 
     def test_maxrank_plus_one_lower_bound(self, small_corpus):
         # strengthened form of the rank bound, checked against the oracle

@@ -23,7 +23,7 @@ from mixedcolor.graphs import underlying_undirected
 from mixedcolor.partitions import clique_number, max_clique
 from mixedcolor.solvers import brute_force_decide
 
-from subgraphs import induced_subgraph
+from subgraphs import induced_subgraph, scanned
 
 PROPERTY = settings(max_examples=150)
 
@@ -130,7 +130,8 @@ def test_chi_u_search_from_a_start(g):
 
 def reference_greedy(g):
     """The greedy DSATUR coloring as it was before the shared search."""
-    adj = [p | s | e for p, s, e in zip(g.preds, g.succs, g.nbrs)]
+    ins, outs, nbrs = scanned(g)
+    adj = {v: ins[v] | outs[v] | nbrs[v] for v in g.vertices}
     colors = {}
     uncolored = set(g.vertices)
     while uncolored:

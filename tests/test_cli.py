@@ -477,6 +477,15 @@ class TestBoundsParams:
         code, out, _ = run(capsys, "verify", str(graph), cert)
         assert code == 0
 
+    def test_bounds_empty_graph(self, capsys, tmp_path):
+        # no chi_u search runs, so the lower bound 0 is the window cliques'
+        graph = tmp_path / "empty.graph"
+        graph.write_text("p mixed 0 0 0\n")
+        code, out, _ = run(capsys, "bounds", str(graph))
+        fields = report_dict(out)
+        assert code == 0
+        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("0", "0", "window_clique")
+
     def test_params_tripartite(self, capsys, tmp_path):
         out_file = str(tmp_path / "t2.graph")
         code, _, _ = run(capsys, "gen", "tripartite", "2", "--out", out_file)
@@ -586,7 +595,11 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "edge_p, arc_p, message",
-        [("1.5", "0.2", "edge_p must lie in [0, 1], not 1.5"), ("0.5", "-0.2", "arc_p must lie in [0, 1], not -0.2")],
+        [
+            ("1.5", "0.2", "edge_p must lie in [0, 1], not 1.5"),
+            ("0.5", "-0.2", "arc_p must lie in [0, 1], not -0.2"),
+            ("0.8", "0.5", "edge_p + arc_p must be at most 1, not 1.3"),
+        ],
     )
     def test_random_rejects_impossible_probabilities(self, capsys, tmp_path, edge_p, arc_p, message):
         out_file = tmp_path / "g.graph"

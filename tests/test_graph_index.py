@@ -25,6 +25,7 @@ from mixedcolor import (
 from mixedcolor.graphs import normalize_edge, underlying_undirected
 from mixedcolor.partitions import class_relations
 from mixedcolor.reductions import family_layered_cliques
+from subgraphs import scanned
 
 PROPERTY = settings(max_examples=150)
 
@@ -82,14 +83,6 @@ def pairwise_partition(g, same_type):
     return tuple(frozenset(m) for m in classes), kinds
 
 
-def scanned(g):
-    """Per-vertex in-, out- and edge neighborhoods read straight off the relation sets."""
-    ins = {v: frozenset(u for u, w in g.arcs if w == v) for v in g.vertices}
-    outs = {v: frozenset(w for u, w in g.arcs if u == v) for v in g.vertices}
-    nbrs = {v: frozenset(a if b == v else b for a, b in g.edges if v in (a, b)) for v in g.vertices}
-    return ins, outs, nbrs
-
-
 @PROPERTY
 @given(typed_graphs())
 def test_mixed_partition_matches_pairwise_definition(g):
@@ -137,10 +130,7 @@ def test_class_relations_match_representative_pairs(g):
 def test_index_matches_direct_scans(g):
     ins, outs, nbrs = scanned(g)
     for v in g.vertices:
-        assert g.preds[v] == ins[v]
-        assert g.succs[v] == outs[v]
-        assert g.nbrs[v] == nbrs[v]
-        for view, masks in ((ins, g.pred_masks), (nbrs, g.nbr_masks)):
+        for view, masks in ((ins, g.pred_masks), (outs, g.succ_masks), (nbrs, g.nbr_masks)):
             assert masks[v] == sum(1 << u for u in view[v])
         assert g.adjacent_masks[v] == sum(1 << u for u in ins[v] | outs[v] | nbrs[v])
     # the order takes, at every step, the smallest vertex whose in-neighbors are all placed
@@ -162,7 +152,7 @@ def test_index_matches_direct_scans(g):
             assert masks[v] == sum(1 << u for u in seen)
 
 
-ADJACENCY = ("preds", "succs", "nbrs", "pred_masks", "nbr_masks", "adjacent_masks")
+ADJACENCY = ("pred_masks", "succ_masks", "nbr_masks", "adjacent_masks")
 
 
 def test_construction_builds_no_adjacency_part():
@@ -174,16 +164,15 @@ def test_construction_builds_no_adjacency_part():
 
 @PROPERTY
 @given(typed_graphs(), st.permutations(ADJACENCY))
-def test_any_adjacency_read_fills_all_six_parts(g, reads):
+def test_any_adjacency_read_fills_all_four_parts(g, reads):
     ins, outs, nbrs = scanned(g)
-    sets = {"preds": ins, "succs": outs, "nbrs": nbrs}
     views = {
         "pred_masks": ins,
+        "succ_masks": outs,
         "nbr_masks": nbrs,
         "adjacent_masks": {v: ins[v] | outs[v] | nbrs[v] for v in g.vertices},
     }
-    expected = {name: (frozenset(),) + tuple(view[v] for v in g.vertices) for name, view in sets.items()}
-    expected |= {name: (0,) + tuple(sum(1 << u for u in view[v]) for v in g.vertices) for name, view in views.items()}
+    expected = {name: (0,) + tuple(sum(1 << u for u in view[v]) for v in g.vertices) for name, view in views.items()}
     assert not set(ADJACENCY) & set(vars(g))
     getattr(g, reads[0])
     assert {name: vars(g)[name] for name in ADJACENCY} == expected
@@ -230,13 +219,15 @@ def greedy_clique_needs(g, order, step):
 @PROPERTY
 @given(typed_graphs())
 def test_color_windows_match_the_greedy_clique_definition(g):
-    assert g.floor == greedy_clique_needs(g, g.order, g.preds)
-    assert g.ceiling == greedy_clique_needs(g, reversed(g.order), g.succs)
+    ins, outs, _ = scanned(g)
+    assert g.floor == greedy_clique_needs(g, g.order, ins)
+    assert g.ceiling == greedy_clique_needs(g, reversed(g.order), outs)
 
 
 def test_color_windows_match_the_greedy_clique_definition_on_random_graphs():
     rng = random.Random(13)
     for _ in range(200):
         g = random_mixed_graph(rng, rng.randint(1, 24), rng.choice((0.1, 0.3)), rng.choice((0.1, 0.3, 0.6)))
-        assert g.floor == greedy_clique_needs(g, g.order, g.preds)
-        assert g.ceiling == greedy_clique_needs(g, reversed(g.order), g.succs)
+        ins, outs, _ = scanned(g)
+        assert g.floor == greedy_clique_needs(g, g.order, ins)
+        assert g.ceiling == greedy_clique_needs(g, reversed(g.order), outs)

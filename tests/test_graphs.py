@@ -29,6 +29,7 @@ from mixedcolor import graphs as graphs_module
 from mixedcolor.errors import MixedColorError
 from mixedcolor.graphs import Coloring
 from mixedcolor.reductions import family_layered_cliques
+from subgraphs import scanned
 
 
 def parse(text: str) -> MixedGraph:
@@ -355,7 +356,7 @@ class TestLayering:
     def test_inrank_is_longest_path_length(self):
         # independent oracle: enumerate all simple directed paths
         g = mixed_graph(5, arcs=[(1, 2), (2, 4), (1, 3), (3, 4), (4, 5), (1, 5)])
-        out = {v: sorted(g.succs[v]) for v in g.vertices}
+        out = {v: sorted(w) for v, w in scanned(g)[1].items()}
 
         def longest_ending_at(target):
             best = 0
@@ -388,7 +389,7 @@ class TestMaxrank:
     def test_acyclic_tournament_six_vertices(self):
         g = tournament(6)
         # oracle: longest simple directed path by exhaustive walk
-        out = {v: sorted(g.succs[v]) for v in g.vertices}
+        out = {v: sorted(w) for v, w in scanned(g)[1].items()}
         best = 0
         stack = [(v, 0, frozenset({v})) for v in g.vertices]
         while stack:

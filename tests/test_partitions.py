@@ -23,6 +23,7 @@ from mixedcolor import (
 )
 from mixedcolor import partitions
 from mixedcolor.reductions import family_hamiltonian_tournament, family_layered_cliques, family_tripartite
+from subgraphs import scanned
 
 
 def complete(n):
@@ -73,9 +74,7 @@ class TestMixedPartition:
         for g in small_corpus:
             if g.n > 7:
                 continue
-            nin = {v: g.preds[v] for v in g.vertices}
-            nout = {v: g.succs[v] for v in g.vertices}
-            nund = {v: g.nbrs[v] for v in g.vertices}
+            nin, nout, nund = scanned(g)
 
             def same(u, v):
                 return (

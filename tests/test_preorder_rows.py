@@ -24,6 +24,7 @@ from mixedcolor.feasibility import EQ, LE, Constraint, FeasibilityProgram, Rows,
 from mixedcolor.graphs import mixed_graph
 from mixedcolor.solvers import ClassStructure, _Subsets, ndm_fpt_decide, preorder_program
 
+from subgraphs import scanned
 from test_feasibility import programs
 
 PROPERTY = settings(max_examples=200)
@@ -153,9 +154,10 @@ def test_bounded_enumeration_is_the_filtered_one(structure, max_ell):
 def reference_chain_weight(sizes, arcs):
     """The chain bound as the route first computed it: on a validated class DAG."""
     dag = mixed_graph(len(sizes), arcs=[(i + 1, j + 1) for i, j in arcs])
+    ins, _, _ = scanned(dag)
     best = [0] * (dag.n + 1)
     for c in dag.order:
-        best[c] = sizes[c - 1] + max((best[p] for p in dag.preds[c]), default=0)
+        best[c] = sizes[c - 1] + max((best[p] for p in ins[c]), default=0)
     return max(best)
 
 

@@ -17,6 +17,7 @@ from mixedcolor import (
 )
 from mixedcolor.treedecomp import make_nice
 
+from subgraphs import scanned
 from test_branching_properties import mixed_graphs
 
 PROPERTY = settings(max_examples=150)
@@ -53,6 +54,7 @@ def test_full_bag_star_dp_matches_brute_force(g):
 
 def proper_colorings(g, k):
     """Every proper coloring of g with colors 1..k, as vertex -> color dicts."""
+    ins, _, nbrs = scanned(g)
     colors = {}
 
     def extend(i):
@@ -60,8 +62,8 @@ def proper_colorings(g, k):
             yield dict(colors)
             return
         v = g.order[i]  # in-neighbors come first
-        for color in range(max((colors[u] for u in g.preds[v]), default=0) + 1, k + 1):
-            if all(colors.get(u) != color for u in g.nbrs[v]):
+        for color in range(max((colors[u] for u in ins[v]), default=0) + 1, k + 1):
+            if all(colors.get(u) != color for u in nbrs[v]):
                 colors[v] = color
                 yield from extend(i + 1)
                 del colors[v]
