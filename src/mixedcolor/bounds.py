@@ -179,25 +179,36 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
     ``floor >= a`` and ``ceiling >= b`` all lie in ``1 + a .. k - b``, so k is at
     least a + b + their number: Hall's condition for unit jobs with release
     times and deadlines (Jackson, 1955; Horn, 1974), exact for Q's windows.
-    From each vertex, in id order, Q grows greedily among its neighbours on
+    From each vertex, Q grows greedily among its neighbours on
     ``g.adjacent_masks``, taken by ``floor + ceiling`` descending, then id.
     Vertices joined by an arc path need distinct colours too, since adding the
     transitive arcs keeps the proper colourings; so if these cliques leave the
     bound below ``stop``, each grows again by the same rule among the vertices
     adjacent, ancestral or descendant to all of its members, and is rescored.
     Starts at the windows alone (the largest ``floor[v] + ceiling[v] + 1``) and
-    returns as soon as the bound reaches ``stop``.
+    returns as soon as the bound reaches ``stop``. The cliques do not depend on
+    the order the start vertices are taken in, so with ``stop`` at least the
+    full bound the result is the full bound; taking them by ``floor + ceiling``
+    descending, then id, reaches a smaller ``stop`` sooner.
     """
     floor, ceiling, adjacent = g.floor, g.ceiling, g.adjacent_masks
     key = [f + c for f, c in zip(floor, ceiling)]
     best = 1 + max(key[1:], default=-1)  # the windows alone; entry 0 is no vertex
+    if best >= stop:
+        return best
     seen: dict[int, list[int]] = {}  # clique -> members: cliques grown from several vertices are scored once
-    for v in g.vertices:
+    # by floor + ceiling descending, then id: reverse=True keeps the id order of ties
+    for v in sorted(g.vertices, key=key.__getitem__, reverse=True):
         if best >= stop:
             break
         clique, members = 1 << v, [v]
-        # by floor + ceiling descending, then id: reverse=True keeps the id order of ties
-        for u in sorted(set_bits(adjacent[v]), key=key.__getitem__, reverse=True):
+        rest, candidates = adjacent[v], []
+        while rest:
+            low = rest & -rest
+            candidates.append(low.bit_length() - 1)
+            rest ^= low
+        candidates.sort(key=key.__getitem__, reverse=True)
+        for u in candidates:
             if clique & ~adjacent[u] == 0:
                 clique |= 1 << u
                 members.append(u)
@@ -277,7 +288,8 @@ def schedule_coloring(g: MixedGraph, reverse: bool = False) -> Coloring:
     which makes every arc ascend again."""
     preds, succs, ceiling = (g.succ_masks, g.pred_masks, g.floor) if reverse else (g.pred_masks, g.succ_masks, g.ceiling)
     nbrs = g.nbr_masks
-    ready = sorted((-ceiling[v], -nbrs[v].bit_count(), v) for v in g.vertices if not preds[v])  # sorted, so a heap
+    ready = [(-ceiling[v], -nbrs[v].bit_count(), v) for v in g.vertices if not preds[v]]
+    heapq.heapify(ready)
     uncolored = (1 << g.n + 1) - 2
     classes = [0] * (g.n + 2)  # bit v of classes[c]: v has color c; the colors stay within 1..n
     lowest = [1] * (g.n + 1)
@@ -285,8 +297,8 @@ def schedule_coloring(g: MixedGraph, reverse: bool = False) -> Coloring:
     while ready:
         v = heapq.heappop(ready)[2]
         uncolored ^= 1 << v
-        color = lowest[v]
-        while classes[color] & nbrs[v]:
+        color, edge = lowest[v], nbrs[v]
+        while classes[color] & edge:
             color += 1
         classes[color] |= 1 << v
         colors[v] = color
@@ -294,7 +306,8 @@ def schedule_coloring(g: MixedGraph, reverse: bool = False) -> Coloring:
         while rest:  # an out-neighbor is ready once its last in-neighbor is colored
             w = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            lowest[w] = max(lowest[w], color + 1)
+            if lowest[w] <= color:
+                lowest[w] = color + 1
             if not preds[w] & uncolored:
                 heapq.heappush(ready, (-ceiling[w], -nbrs[w].bit_count(), w))
     if reverse:

@@ -13,6 +13,7 @@ explicit stack.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Optional
@@ -117,15 +118,15 @@ class Rows:
         """Tighten lo/hi in place to interval consistency; False if infeasible.
 
         Only the rows in ``seeds`` are queued at first; a row is queued again
-        when a bound of one of its variables moves.
+        when a bound of one of its variables moves, at the back of the queue.
         """
         rows, rhs, watch = self.rows, self.rhs, self.watch
-        queue = list(seeds)
+        queue = deque(seeds)
         queued = bytearray(len(rows))
         for r in queue:
             queued[r] = 1
         while queue:
-            r = queue.pop()
+            r = queue.popleft()
             queued[r] = 0
             terms = rows[r]
             lo_sum = 0

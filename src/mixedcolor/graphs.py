@@ -47,7 +47,7 @@ class _Adjacency:
     def __get__(self, g: MixedGraph | None, owner: type | None = None):
         if g is None:
             return self
-        pred_masks, succ_masks, nbr_masks = ([0] * (g.n + 1) for _ in range(3))
+        pred_masks, succ_masks, nbr_masks = [0] * (g.n + 1), [0] * (g.n + 1), [0] * (g.n + 1)
         for u, v in g.edges:
             nbr_masks[u] |= 1 << v
             nbr_masks[v] |= 1 << u
@@ -58,7 +58,7 @@ class _Adjacency:
             pred_masks=tuple(pred_masks),
             succ_masks=tuple(succ_masks),
             nbr_masks=tuple(nbr_masks),
-            adjacent_masks=tuple(p | s | e for p, s, e in zip(pred_masks, succ_masks, nbr_masks)),
+            adjacent_masks=tuple([p | s | e for p, s, e in zip(pred_masks, succ_masks, nbr_masks)]),
         )
         return g.__dict__[self.name]
 
@@ -135,13 +135,21 @@ class MixedGraph:
     @cached_property
     def layering(self) -> Layering:
         """Partition by inrank (longest-path DP over ``order``)."""
-        inrank = dict.fromkeys(self.vertices, 0)
+        rank, preds = [0] * (self.n + 1), self.pred_masks
         for v in self.order:
-            if self.pred_masks[v]:
-                inrank[v] = max(inrank[u] + 1 for u in set_bits(self.pred_masks[v]))
-        layers: list[list[int]] = [[] for _ in range(max(inrank.values(), default=-1) + 1)]
+            rest = preds[v]
+            top = 0
+            while rest:
+                low = rest & -rest
+                r = rank[low.bit_length() - 1]
+                if r >= top:
+                    top = r + 1
+                rest ^= low
+            rank[v] = top
+        layers: list[list[int]] = [[] for _ in range(max(rank) + 1 if self.n else 0)]
         for v in self.vertices:
-            layers[inrank[v]].append(v)
+            layers[rank[v]].append(v)
+        inrank = dict(zip(self.vertices, rank[1:]))  # in id order
         return Layering(tuple(map(frozenset, layers)), MappingProxyType(inrank))
 
 
@@ -161,8 +169,12 @@ def set_bits(mask: int) -> Iterator[int]:
 def _reach_masks(n: int, order: Iterable[int], step: tuple[int, ...]) -> tuple[int, ...]:
     masks = [0] * (n + 1)
     for v in order:  # every vertex of step[v] comes before v
-        for w in set_bits(step[v]):
-            masks[v] |= 1 << w | masks[w]
+        rest = mask = step[v]
+        while rest:
+            low = rest & -rest
+            mask |= masks[low.bit_length() - 1]
+            rest ^= low
+        masks[v] = mask
     return tuple(masks)
 
 
@@ -179,16 +191,26 @@ def _needs(n: int, order: Iterable[int], step: tuple[int, ...], adjacent: tuple[
     """
     need = [0] * (n + 1)
     for v in order:  # every vertex of step[v] comes before v
-        if step[v]:
-            clique = size = best = 0
-            # by need descending, then id: reverse=True keeps the id order of ties
-            for u in sorted(set_bits(step[v]), key=need.__getitem__, reverse=True):
-                if clique & ~adjacent[u] == 0:
-                    clique |= 1 << u
-                    size += 1
-                    if need[u] + size > best:
-                        best = need[u] + size
-            need[v] = best
+        rest = step[v]
+        if not rest & (rest - 1):  # at most one step neighbor: it alone is the clique
+            if rest:
+                need[v] = need[rest.bit_length() - 1] + 1
+            continue
+        members = []
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        # by need descending, then id: reverse=True keeps the id order of ties
+        members.sort(key=need.__getitem__, reverse=True)
+        clique = size = best = 0
+        for u in members:
+            if clique & ~adjacent[u] == 0:
+                clique |= 1 << u
+                size += 1
+                if need[u] + size > best:
+                    best = need[u] + size
+        need[v] = best
     return tuple(need)
 
 

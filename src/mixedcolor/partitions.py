@@ -103,14 +103,14 @@ def class_relations(g: MixedGraph, part: NeighborhoodPartition) -> list[tuple[st
     for i, cls in enumerate(part.classes):
         later ^= members[i]
         u = min(cls)
-        found = {}
         rest = adjacent[u] & later
-        while rest:  # one neighbor per related class
+        # one neighbor per related class: u sees all of it, so the lowest is its
+        # smallest member, and classes are ordered by their smallest members
+        while rest:
             low = rest & -rest
             j = class_of[low.bit_length() - 1]
             rest &= ~members[j]
-            found[j] = ("edge", i, j) if nbrs[u] & low else ("arc", i, j) if succs[u] & low else ("arc", j, i)
-        relations += [found[j] for j in sorted(found)]
+            relations.append(("edge", i, j) if nbrs[u] & low else ("arc", i, j) if succs[u] & low else ("arc", j, i))
     return relations
 
 
@@ -143,12 +143,19 @@ def vertex_cover_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> tup
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"vertex cover search exceeded {budget} nodes")
+        # degree within rem per remaining vertex, ids ascending
+        degree = {}
+        leaves = 0
+        rest = rem
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            degree[u] = d = (adj[u] & rem).bit_count()
+            if d == 1:
+                leaves |= low
+            rest ^= low
         # degree-one reduction: the neighbor is always at least as good. A fold
         # changes only the degrees of the forced vertex's neighbors.
-        leaves = 0
-        for u in set_bits(rem):
-            if (adj[u] & rem).bit_count() == 1:
-                leaves |= 1 << u
         while leaves:
             leaf = leaves & -leaves
             forced = adj[leaf.bit_length() - 1] & rem
@@ -156,18 +163,23 @@ def vertex_cover_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> tup
             size += 1
             rem &= ~(leaf | forced)
             leaves &= rem
-            for u in set_bits(adj[forced.bit_length() - 1] & rem):
-                if (adj[u] & rem).bit_count() == 1:
-                    leaves |= 1 << u
+            del degree[leaf.bit_length() - 1], degree[forced.bit_length() - 1]
+            rest = adj[forced.bit_length() - 1] & rem
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                degree[u] -= 1
+                if degree[u] == 1:
+                    leaves |= low
                 else:
-                    leaves &= ~(1 << u)
+                    leaves &= ~low
+                rest ^= low
         if best_size is not None and size >= best_size:
             continue
         v, top = 0, 0
-        for u in set_bits(rem):
-            degree = (adj[u] & rem).bit_count()
-            if degree > top:
-                v, top = u, degree
+        for u, d in degree.items():  # the largest degree, smallest id first
+            if d > top:
+                v, top = u, d
         if not top:
             best_size, best = size, chosen
             continue
@@ -183,11 +195,13 @@ def _matching_bound(adj: tuple[int, ...], rem: int) -> int:
     """Size of the greedy matching on rem: each vertex, ascending, takes its smallest free neighbor."""
     free = rem
     size = 0
-    for u in set_bits(rem):
-        if free >> u & 1:
-            nbrs = adj[u] & free
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        if free & low:
+            nbrs = adj[low.bit_length() - 1] & free
             if nbrs:
-                free &= ~(1 << u | nbrs & -nbrs)
+                free &= ~(low | nbrs & -nbrs)
                 size += 1
     return size
 

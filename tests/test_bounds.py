@@ -136,6 +136,8 @@ def assert_window_clique_bound_holds(g):
     assert windows(g) <= plain_window_clique_bound(g) <= bound <= chi
     for stop in range(bound + 1):  # stops early at stop, never above the full bound
         assert min(stop, bound) <= window_clique_bound(g, stop) <= bound
+    for stop in range(bound, g.n + 2):  # the bracket's stops: a stop at or above the full bound returns it
+        assert window_clique_bound(g, stop) == bound
 
 
 class TestWindowCliqueBound:

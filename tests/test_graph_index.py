@@ -202,6 +202,32 @@ def test_color_windows_of_layered_cliques():
     assert g.ceiling == (0,) + (8,) * 4 + (4,) * 4 + (0,) * 4
 
 
+def test_color_windows_of_a_directed_path():
+    # every vertex has at most one in- and one out-neighbor
+    g = mixed_graph(30, arcs=[(v, v + 1) for v in range(1, 30)])
+    assert g.floor == (0,) + tuple(v - 1 for v in g.vertices)
+    assert g.ceiling == (0,) + tuple(30 - v for v in g.vertices)
+
+
+def test_color_windows_of_an_in_star_on_a_clique():
+    # the center's five in-neighbors form a clique: five colors lie below its own
+    g = mixed_graph(6, edges=combinations(range(1, 6), 2), arcs=[(v, 6) for v in range(1, 6)])
+    assert g.floor == (0, 0, 0, 0, 0, 0, 5)
+    assert g.ceiling == (0, 1, 1, 1, 1, 1, 0)
+
+
+@PROPERTY
+@given(typed_graphs())
+def test_layering_matches_a_longest_arc_path_dp(g):
+    rank = dict.fromkeys(g.vertices, 0)
+    for _ in range(g.n):  # round r settles every vertex whose longest arc path into it has r arcs
+        for u, v in g.arcs:
+            rank[v] = max(rank[v], rank[u] + 1)
+    assert list(g.layering.inrank.items()) == list(rank.items())  # in id order
+    depth = max(rank.values(), default=-1) + 1
+    assert g.layering.layers == tuple(frozenset(v for v in g.vertices if rank[v] == r) for r in range(depth))
+
+
 def greedy_clique_needs(g, order, step):
     """The color windows as first defined: per vertex, a greedy clique among
     its ``step`` neighbors sorted by (need descending, id) on every vertex."""
