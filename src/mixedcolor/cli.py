@@ -111,10 +111,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         with open(args.td, "r", encoding="utf-8") as fh:
             td = load_td(fh)
     if args.dump_ilp:
-        programs = solvers.ndm_programs(solvers.class_structure(g), args.k, args.budget)
-        for idx, (pre, prog) in enumerate(programs, 1):
-            sys.stdout.write(f"# preorder {idx}: ell={pre.ell} p-={pre.p_minus} p+={pre.p_plus}\n")
-            sys.stdout.write(_format_program(prog) + "\n")
+        struct = solvers.class_structure(g)
+        for idx, (pre, prog) in enumerate(solvers.ndm_programs(struct, args.k, args.budget), 1):
+            head = f"{idx}: ell={pre.ell} p-={pre.p_minus} p+={pre.p_plus}"
+            if prog is None:
+                mask, size, u = solvers.clique_screen(pre, struct.cliques, args.k)
+                clique = ",".join(str(c + 1) for c in set_bits(mask))
+                sys.stdout.write(
+                    f"# screened {head} clique={{{clique}}} needs {size} colors in {u} of {pre.ell - 1} intervals\n"
+                )
+            else:
+                sys.stdout.write(f"# preorder {head}\n" + _format_program(prog) + "\n")
     started = time.perf_counter()
     if args.k is not None:
         result = solvers.ROUTES[args.method](g, td, args.budget)(args.k)

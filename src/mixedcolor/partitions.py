@@ -143,6 +143,8 @@ def vertex_cover_number(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> tup
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"vertex cover search exceeded {budget} nodes")
+        if best_size is not None and size >= best_size:  # folds only add to size
+            continue
         # degree within rem per remaining vertex, ids ascending
         degree = {}
         leaves = 0

@@ -339,6 +339,21 @@ class ClassStructure:
         return _Subsets(len(self.sizes), self.class_edges)
 
     @cached_property
+    def cliques(self) -> list[tuple[int, int]]:
+        """Each maximal clique of the class edges as a class mask, ascending, with
+        its summed class size; ``clique_screen`` tests every preorder against them."""
+        out = []
+        # a class's edge neighborhood is what stays compatible in a clique
+        for mask in sorted(_class_sets((1 << len(self.sizes)) - 1, self.subsets.conflict)):
+            size, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                size += self.sizes[low.bit_length() - 1]
+                rest ^= low
+            out.append((mask, size))
+        return out
+
+    @cached_property
     def chain_weight(self) -> int:
         """Longest class-DAG chain weighted by class sizes: a chromatic lower bound."""
         arcs = [(i + 1, j + 1) for i, j in self.class_arcs]  # classes numbered from 1
@@ -411,7 +426,13 @@ def maximal_proper_preorders(
             raise BudgetExceeded(f"preorder enumeration exceeded {budget} preorders and end masks")
 
     def children(t: int, open_: int, unstarted: int, ready: int):
-        waiting = [(c, ins[c] & open_) for c in set_bits(ready)]
+        waiting = []
+        walk = ready
+        while walk:
+            low = walk & -walk
+            c = low.bit_length() - 1
+            waiting.append((c, ins[c] & open_))
+            walk ^= low
         needs = sorted({need for _, need in waiting})
         if t + 1 == max_ell:  # only the union of every ready set can start them all
             full = 0
@@ -428,12 +449,17 @@ def maximal_proper_preorders(
                     starts |= 1 << c
                     woken |= outs[c]
                     p_minus[c] = t
-            for c in set_bits(ends):
-                p_plus[c] = t
+            walk = ends
+            while walk:
+                low = walk & -walk
+                p_plus[low.bit_length() - 1] = t
+                walk ^= low
             rest, now_ready = unstarted & ~starts, ready & ~starts
-            for c in set_bits(woken):  # only an out-neighbor of a start can become ready
-                if not ins[c] & rest:
-                    now_ready |= 1 << c
+            while woken:  # only an out-neighbor of a start can become ready
+                low = woken & -woken
+                if not ins[low.bit_length() - 1] & rest:
+                    now_ready |= low
+                woken ^= low
             yield t + 1, open_ & ~ends | starts, rest, now_ready
             for union in {ends | need for need in needs} - built:
                 built.add(union)
@@ -454,8 +480,10 @@ def maximal_proper_preorders(
             stack.append(children(*state))
             continue
         spend()
-        for c in set_bits(open_):
-            p_plus[c] = t
+        while open_:
+            low = open_ & -open_
+            p_plus[low.bit_length() - 1] = t
+            open_ ^= low
         yield TypeEndpointPreorder(t, tuple(p_minus), tuple(p_plus))
 
 
@@ -472,15 +500,23 @@ class _Subsets(dict):
 
     def __init__(self, m: int, class_edges: frozenset[frozenset[int]]) -> None:
         super().__init__()
-        conflict = [0] * m  # bit j of conflict[i]: classes i and j share an edge
+        self.conflict = conflict = [0] * m  # bit j of conflict[i]: classes i and j share an edge
         for i, j in map(tuple, class_edges):
             conflict[i] |= 1 << j
             conflict[j] |= 1 << i
         self.keep = [~(conflict[i] | 1 << i) for i in range(m)]
 
     def __missing__(self, active: int) -> list[tuple[int, list[int]]]:
-        masks = sorted(_class_sets(active, self.keep))
-        entries = self[active] = [(mask, list(set_bits(mask))) for mask in masks if mask]
+        entries = []
+        for mask in sorted(_class_sets(active, self.keep)):
+            classes, rest = [], mask
+            while rest:
+                low = rest & -rest
+                classes.append(low.bit_length() - 1)
+                rest ^= low
+            if classes:
+                entries.append((mask, classes))
+        self[active] = entries
         return entries
 
 
@@ -535,8 +571,11 @@ def coloring_from_preorder_solution(
     start = {i: assignment[("c", i)] for i in range(1, pre.ell)}  # next color per interval
     for key in sorted(key for key in assignment if key[0] == "x"):  # by interval, then mask
         _, i, mask = key
-        for c in set_bits(mask):
-            class_colors[c].extend(range(start[i], start[i] + assignment[key]))
+        given = range(start[i], start[i] + assignment[key])
+        while mask:
+            low = mask & -mask
+            class_colors[low.bit_length() - 1].extend(given)
+            mask ^= low
         start[i] += assignment[key]
     colors: dict[int, int] = {}
     for c in range(m):
@@ -550,19 +589,48 @@ def coloring_from_preorder_solution(
     return Coloring(colors)
 
 
+def clique_screen(pre: TypeEndpointPreorder, cliques: list[tuple[int, int]], k: int) -> tuple[int, int, int] | None:
+    """The first of ``cliques`` that refutes ``pre`` for k colors, as its class
+    mask, its summed class size s and the number u of intervals its classes'
+    spans cover; None if none does.
+
+    A count variable's classes are independent, so they hold at most one
+    class of a clique: all s of its colors lie in those u intervals. Each of
+    the other ell - 1 - u intervals holds a color too, and there are at most
+    k colors, so ``s + ell - 1 - u > k`` leaves the preorder's program without
+    a solution.
+    """
+    spans = [(1 << b) - (1 << a) for a, b in zip(pre.p_minus, pre.p_plus)]  # bit i: interval i
+    slack = k + 1 - pre.ell  # the colors beyond one per interval
+    for mask, size in cliques:
+        covered, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            covered |= spans[low.bit_length() - 1]
+            rest ^= low
+        u = covered.bit_count()
+        if size - u > slack:
+            return mask, size, u
+    return None
+
+
 def ndm_programs(
     struct: ClassStructure, k: int, budget: int = DEFAULT_NODE_BUDGET
-) -> Iterator[tuple[TypeEndpointPreorder, Rows]]:
+) -> Iterator[tuple[TypeEndpointPreorder, Rows | None]]:
     """The programs the ndm route searches for k colors, in its order.
 
     Nothing if the class-DAG chain weight already exceeds k; otherwise one per
     maximal proper preorder of the classes with at most k + 1 positions (each
-    of its intervals holds a color), enumerated within ``budget``.
+    of its intervals holds a color), enumerated within ``budget``, with None
+    in place of the program of a preorder that ``clique_screen`` refutes.
     """
     if struct.chain_weight > k:
         return
     for pre in maximal_proper_preorders(len(struct.sizes), struct.class_arcs, k + 1, budget):
-        yield pre, preorder_program(pre, struct.sizes, struct.subsets, k)
+        if clique_screen(pre, struct.cliques, k):
+            yield pre, None
+        else:
+            yield pre, preorder_program(pre, struct.sizes, struct.subsets, k)
 
 
 def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
@@ -571,9 +639,10 @@ def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> 
     Solves on the classes of the transitive closure, whose colorings are those
     of g; independent-set types are merged into single representatives. The
     rows of each program from ``ndm_programs`` are searched until one has a
-    solution, which is rebuilt into a witness coloring. The preorders with
-    the end sets built to reach them, and each feasibility search's nodes,
-    count against ``budget``.
+    solution, which is rebuilt into a witness coloring; a screened preorder
+    counts in ``preorders`` but is neither built nor searched. The preorders
+    with the end sets built to reach them, and each feasibility search's
+    nodes, count against ``budget``.
     """
     stats = {"classes": 0, "preorders": 0, "feasibility_nodes": 0}
     if g.n == 0:
@@ -586,6 +655,8 @@ def ndm_fpt_decide(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> 
     witness = None
     for pre, prog in ndm_programs(struct, k, budget):
         stats["preorders"] += 1
+        if prog is None:
+            continue
         values = search(prog, budget=budget, stats=searched)
         stats["feasibility_nodes"] += searched["nodes"]
         if values is not None:

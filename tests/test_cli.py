@@ -124,6 +124,14 @@ class TestSolve:
         assert code == 0 and out.count("# preorder") == 1
         assert "var x[70,{70}] in [0,1]" in out and "x[70,{}]" not in out
 
+    def test_dump_ilp_names_screened_preorders(self, capsys, tmp_path):
+        graph = tmp_path / "ndm48.graph"
+        graph.write_text(NDM48)
+        code, out, _ = run(capsys, "solve", str(graph), "--k", "3", "--method", "ndm", "--dump-ilp")
+        assert code == 1 and "# preorder" not in out and "var " not in out
+        screened = [line for line in out.splitlines() if line.startswith("# screened ")]
+        assert [line.split(" clique=")[1] for line in screened] == ["{4,5} needs 2 colors in 1 of 3 intervals"] * 2
+
     @pytest.mark.parametrize("text, k, budget", [
         (NDM48, "3", "8"),
         ("p mixed 8 0 4\na 1 2\na 3 4\na 5 6\na 7 8\n", "3", "43"),
@@ -420,8 +428,9 @@ class TestBudget:
         assert "BudgetExceeded: tree decomposition DP exceeded 2 table entries" in err
 
     def test_ndm_budget_counts_preorders(self, capsys, tmp_path):
-        # k = 3 is refuted over 2 preorders of at most 4 positions, each
-        # searched in one node; reaching them builds 7 end sets
+        # k = 3 is refuted over 2 preorders of at most 4 positions, which the
+        # clique screen refutes unbuilt (classes 4 and 5 share an edge and
+        # interval 2); reaching them builds 7 end sets
         graph = tmp_path / "ndm48.graph"
         graph.write_text(NDM48)
         code, out, err = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "8")
@@ -429,7 +438,7 @@ class TestBudget:
         assert "BudgetExceeded: preorder enumeration exceeded 8 preorders and end masks" in err
         code, out, _ = run(capsys, "solve", str(graph), "--method", "ndm", "--k", "3", "--budget", "9")
         assert code == 1
-        assert (report_dict(out)["preorders"], report_dict(out)["feasibility_nodes"]) == ("2", "2")
+        assert (report_dict(out)["preorders"], report_dict(out)["feasibility_nodes"]) == ("2", "0")
 
     def test_ndm_budget_counts_end_masks(self, capsys, tmp_path):
         # six sources, each with a private edge, point at vertex 13: its one

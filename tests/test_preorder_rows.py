@@ -7,8 +7,9 @@ exactly the rows that compiling it gives, and searching those rows must take
 the same nodes as solving the named program. ``exact_count_program`` is the
 program the route searched before, with one count per independent subset and
 an exact count per class; it serves as the oracle that the covering rows
-keep every decision. Examples are derandomized so every run of the suite
-sees the same structures.
+keep every decision. ``reference_screen`` restates the clique screen over
+brute-force maximal cliques. Examples are derandomized so every run of the
+suite sees the same structures.
 """
 
 import time
@@ -22,7 +23,15 @@ from mixedcolor import maximal_proper_preorders, solve_feasibility
 from mixedcolor.bounds import check_proper
 from mixedcolor.feasibility import EQ, LE, Constraint, FeasibilityProgram, Rows, search
 from mixedcolor.graphs import mixed_graph
-from mixedcolor.solvers import ClassStructure, _Subsets, ndm_fpt_decide, preorder_program
+from mixedcolor.solvers import (
+    ClassStructure,
+    _Subsets,
+    class_structure,
+    clique_screen,
+    ndm_fpt_decide,
+    ndm_programs,
+    preorder_program,
+)
 
 from subgraphs import scanned
 from test_feasibility import programs
@@ -165,8 +174,58 @@ def reference_chain_weight(sizes, arcs):
 @given(class_structures(max_m=8))
 def test_chain_weight_bound_matches_the_class_dag(structure):
     sizes, edges, arcs = structure
-    struct = ClassStructure(sizes, tuple((c,) for c in range(len(sizes))), (False,) * len(sizes), edges, arcs)
-    assert struct.chain_weight == reference_chain_weight(sizes, arcs)
+    assert structure_of(sizes, edges, arcs).chain_weight == reference_chain_weight(sizes, arcs)
+
+
+def reference_screen(pre, sizes, class_edges, k):
+    """The first maximal clique of the class edges, by class mask, whose summed size s plus
+    one color per interval its spans miss exceeds k, as (mask, s, the intervals they cover)."""
+    m = len(sizes)
+    cliques = [
+        set(q) for r in range(1, m + 1) for q in combinations(range(m), r)
+        if all(frozenset(pair) in class_edges for pair in combinations(q, 2))
+    ]
+    maximal = sorted((sum(1 << c for c in q), q) for q in cliques if not any(q < other for other in cliques))
+    for mask, q in maximal:
+        size = sum(sizes[c] for c in q)
+        covered = {i for c in q for i in range(pre.p_minus[c], pre.p_plus[c])}
+        if size + pre.ell - 1 - len(covered) > k:
+            return mask, size, len(covered)
+    return None
+
+
+def structure_of(sizes, edges, arcs):
+    return ClassStructure(sizes, tuple((c,) for c in range(len(sizes))), (False,) * len(sizes), edges, arcs)
+
+
+@PROPERTY
+@given(class_structures())
+def test_clique_screen_refutes_only_programs_without_solution(structure):
+    sizes, edges, arcs = structure
+    struct = structure_of(sizes, edges, arcs)
+    for k in range(struct.chain_weight, sum(sizes) + 1):  # sum(sizes) colors always suffice
+        for pre in maximal_proper_preorders(len(sizes), arcs, k + 1):
+            refuted = clique_screen(pre, struct.cliques, k)
+            assert refuted == reference_screen(pre, sizes, edges, k), (pre, k)
+            if refuted:
+                assert search(preorder_program(pre, sizes, struct.subsets, k)) is None, (pre, k)
+
+
+def test_clique_screen_refutes_both_preorders_of_ndm48_at_three_colors():
+    # vertices 4 and 5 share an edge and both span only interval 2 of 3:
+    # they need 2 colors there and the other two intervals one each, 4 > 3
+    g = mixed_graph(
+        8,
+        [(1, 5), (1, 8), (2, 3), (2, 4), (2, 7), (2, 8), (3, 4), (4, 5), (5, 6)],
+        [(1, 2), (3, 5), (4, 7), (4, 8), (5, 7), (6, 2), (6, 4), (6, 7), (6, 8)],
+    )
+    struct = class_structure(g)
+    programs = list(ndm_programs(struct, 3))
+    assert len(programs) == 2 and all(prog is None for _, prog in programs)
+    assert [clique_screen(pre, struct.cliques, 3) for pre, _ in programs] == [(0b11000, 2, 1)] * 2
+    result = ndm_fpt_decide(g, 3)
+    assert not result.decision
+    assert (result.stats["preorders"], result.stats["feasibility_nodes"]) == (2, 0)
 
 
 @pytest.mark.parametrize("m", [8, 12, 16])
