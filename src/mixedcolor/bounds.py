@@ -67,9 +67,21 @@ def _dsatur(adj: tuple[int, ...], vertices: int, k: int, budget: int) -> tuple[i
     |vertices| the first descent never backtracks: it is the greedy DSATUR
     coloring.
     """
-    members = list(set_bits(vertices))  # searched by position: positions ascend with ids
+    members = []  # searched by position: positions ascend with ids
+    rest = vertices
+    while rest:
+        low = rest & -rest
+        members.append(low.bit_length() - 1)
+        rest ^= low
     position = {v: i for i, v in enumerate(members)}
-    nbrs = [[position[w] for w in set_bits(adj[v] & vertices)] for v in members]
+    nbrs = []
+    for v in members:
+        row, rest = [], adj[v] & vertices
+        while rest:
+            low = rest & -rest
+            row.append(position[low.bit_length() - 1])
+            rest ^= low
+        nbrs.append(row)
     colors = [0] * len(members)  # 0 while uncolored
     sat = [0] * len(members)  # distinct colors among the neighbors
     by_degree = sorted(range(len(members)), key=lambda i: len(nbrs[i]), reverse=True)  # stable
@@ -253,6 +265,58 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
     return best
 
 
+def windows_refute(g: MixedGraph, k: int) -> bool:
+    """True when forward checking on the colour windows proves that g has no k-colouring;
+    polynomial, and needs no budget.
+
+    Each vertex's domain is a bit mask of the colours in its window
+    ``1 + floor[v] .. k - ceiling[v]``. A queue of changed vertices drives the
+    propagation (Haralick & Elliott, 1980): a vertex's out-neighbours lose every colour
+    up to its smallest, its in-neighbours every colour from its largest up, and a vertex
+    left with one colour removes it from its edge neighbours. An empty domain refutes k.
+    The rules only remove colours, so the fixpoint does not depend on the queue order,
+    and a larger k only widens the domains.
+    """
+    floor, ceiling = g.floor, g.ceiling
+    domain = [0] * (g.n + 1)
+    queue = []
+    for v in g.vertices:
+        low, high = 1 + floor[v], k - ceiling[v]
+        if low > high:
+            return True
+        domain[v] = (2 << high) - (1 << low)
+        if low == high:
+            queue.append(v)
+    # floor rises and ceiling falls along every arc, so the windows already keep the arc
+    # rules: only a vertex with one colour starts the propagation
+    preds, succs, nbrs = g.pred_masks, g.succ_masks, g.nbr_masks
+    queued = sum(1 << v for v in queue)
+    for v in queue:  # the list grows as vertices change
+        queued ^= 1 << v
+        d = domain[v]
+        # (neighbours, the colours they keep): out-neighbours above v's smallest,
+        # in-neighbours below v's largest, edge neighbours all but v's one colour
+        rules = (
+            (succs[v], -(d & -d) << 1),
+            (preds[v], (1 << d.bit_length() - 1) - 1),
+            (0 if d & (d - 1) else nbrs[v], ~d),
+        )
+        for rest, keep in rules:
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                rest ^= low
+                old = domain[w]
+                if old & ~keep:
+                    if not old & keep:
+                        return True
+                    domain[w] = old & keep
+                    if not queued & low:
+                        queued |= low
+                        queue.append(w)
+    return False
+
+
 def layering_coloring(g: MixedGraph) -> Coloring:
     """Proper coloring from the layering: each layer gets a fresh color block.
 
@@ -337,39 +401,42 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
     return Coloring(colors)
 
 
-def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[int, Coloring, int]:
-    """Lower bound on chi, a schedule coloring as the upper witness, and the chi_u bound.
+def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[int, Coloring, str]:
+    """Lower bound on chi, a schedule coloring as the upper witness, and the bound that set
+    the lower end: ``window_clique``, ``window_propagation`` or ``undirected_clique``.
 
     The lower bound is ``window_clique_bound`` stopped at the schedule's color count. On a
-    gap the reversed schedule replaces the upper witness if it uses fewer colors, and if a
-    gap is left the chi_u search, which ``budget`` bounds, asks from the lower bound whether
-    the underlying graph needs more colors (past the budget, its clique number).
-    ``budget=None`` keeps the forward schedule and the color windows alone. The chi_u bound
-    is 0 unless it raised the lower bound.
+    gap the reversed schedule replaces the upper witness if it uses fewer colors. While a
+    gap is left, ``windows_refute`` raises the lower bound past every k it refutes. If a gap
+    is still left, the chi_u search, which ``budget`` bounds, asks from the lower bound
+    whether the underlying graph needs more colors (past the budget, its clique number).
+    ``budget=None`` keeps the forward schedule, the color windows alone and their
+    propagation.
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()
-    lower, chi_u = window_clique_bound(g, 0 if budget is None else count), 0
+    lower, source = window_clique_bound(g, 0 if budget is None else count), "window_clique"
     if lower < count and budget is not None:
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
         count = upper.num_colors()
-        if lower < count:
-            found = _chi_u_or_clique(g, budget, lower)[0]
-            if found > lower:
-                lower = chi_u = found
-    return lower, upper, chi_u
+    while lower < count and windows_refute(g, lower):
+        lower, source = lower + 1, "window_propagation"  # a larger k only widens the domains
+    if lower < count and budget is not None:
+        found = _chi_u_or_clique(g, budget, lower)[0]
+        if found > lower:
+            lower, source = found, "undirected_clique"
+    return lower, upper, source
 
 
 @dataclass(frozen=True)
 class ChromaticBounds:
     lower: int
     upper: int
-    lower_witness: str  # "maxrank", else "undirected_clique" (chi_u), else "window_clique"
+    lower_witness: str  # "maxrank", else the bracket's: "undirected_clique", "window_propagation" or "window_clique"
     upper_witness: Coloring  # the bracket's schedule coloring
 
 
 def chromatic_bounds(g: MixedGraph) -> ChromaticBounds:
     """``bracket`` with the default budget, and the bound that set its lower end."""
-    lower, upper, chi_u = bracket(g)
-    source = "maxrank" if lower == maxrank(g) + 1 else "undirected_clique" if chi_u > 0 else "window_clique"
-    return ChromaticBounds(lower, upper.num_colors(), source, upper)
+    lower, upper, source = bracket(g)
+    return ChromaticBounds(lower, upper.num_colors(), "maxrank" if lower == maxrank(g) + 1 else source, upper)

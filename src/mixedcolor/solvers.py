@@ -804,7 +804,7 @@ def branching_decide(
 def branching_chi(
     g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, fanout_log: list | None = None, stats: dict | None = None
 ) -> tuple[int, Coloring]:
-    """Exact chromatic number by ascending k from the graph's color windows.
+    """Exact chromatic number by ascending k from the graph's color windows and their propagation.
 
     All k share one search, so states refuted for a smaller k are not searched
     again; the bracket gets no budget, as that refutes small k for less than its bounds cost.

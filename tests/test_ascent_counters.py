@@ -28,14 +28,14 @@ SECONDS = 12  # the benchmark's run length, which sizes each pool
 
 # pool: (graphs, decides, sha256 of the comma-joined chromatic numbers, first 16 digits)
 PINNED = {
-    "dense-twdp": (901, 167, "c0c5ada7a56d5d4f"),
-    "ndm-fpt": (725, 70, "a448a48c5d581e79"),
-    "sparse-branch": (384, 386, "70516c7d26fb35c9"),
+    "dense-twdp": (901, 83, "c0c5ada7a56d5d4f"),
+    "ndm-fpt": (725, 17, "a448a48c5d581e79"),
+    "sparse-branch": (384, 141, "70516c7d26fb35c9"),
 }
 # sparse-branch: (summed nodes, summed memo entries) of the branch ascent
-BRANCH_WORK = (7_782, 7_274)
+BRANCH_WORK = (4_229, 3_774)
 # analyze-large: (graphs, summed upper - lower of chromatic_bounds)
-ANALYZE_PINNED = (487, 120)
+ANALYZE_PINNED = (487, 40)
 
 
 @pytest.fixture(scope="module")

@@ -26,8 +26,12 @@ PROPERTY = settings(max_examples=150)
 # chi 2; the schedule gives vertex 5 color 3, above 2's and beside 4's, and
 # the reversed schedule closes the bracket at 2
 UNSCHEDULED = mixed_graph(5, edges=[(1, 3), (1, 4), (4, 5)], arcs=[(2, 5)])
-# first k 3, chi 4, schedule 5 colors
-TWO_DECIDES = mixed_graph(6, edges=[(1, 2), (1, 5), (2, 3), (3, 4)], arcs=[(1, 3), (2, 4), (5, 2)])
+# first k 3 on every route, chi 4, both schedules 5 colors: two decides
+TWO_DECIDES = mixed_graph(
+    7,
+    edges=[(1, 2), (1, 5), (2, 3), (2, 6), (2, 7), (3, 4), (4, 5), (4, 6), (4, 7), (5, 6)],
+    arcs=[(4, 2), (5, 3), (6, 1), (7, 1)],
+)
 
 
 def assert_routes_match_brute_force(g):
@@ -144,7 +148,7 @@ def test_every_route_accepts_the_schedule_count(g):
 @example(TWO_DECIDES)
 @example(mixed_graph(0))
 def test_every_route_ascends_the_one_bracket(g):
-    # branch passes no budget, so its bracket stops at the windows
+    # branch passes no budget, so its bracket stops at the windows and their propagation
     for method in METHODS:
         stats = {}
         chi_exact(g, method, stats=stats)

@@ -1,5 +1,7 @@
 """Properness checking, chromatic lower bounds, and the constructive colorings."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,10 +27,11 @@ from mixedcolor.errors import BudgetExceeded
 from mixedcolor.reductions import (
     SuperstringInstance,
     family_layered_cliques,
+    random_mixed_graph,
     reduce_superstring,
     superstring_coloring,
 )
-from mixedcolor.solvers import brute_force_chi
+from mixedcolor.solvers import brute_force_chi, brute_force_decide
 
 from subgraphs import induced_subgraph
 from test_branching_properties import mixed_graphs
@@ -166,6 +169,58 @@ class TestWindowCliqueBound:
     def test_between_the_windows_and_chi_on_the_corpus(self, small_corpus):
         for g in small_corpus:
             assert_window_clique_bound_holds(g)
+
+
+def propagation_empties_a_domain(g, k):
+    """The window rules by plain sweeps over colour sets, to their fixpoint: True
+    when a domain empties. Across an arc u -> v, v keeps the colours above u's
+    smallest and u those below v's largest; a one-colour domain removes its colour
+    from the edge neighbours'."""
+    domain = {v: set(range(1 + g.floor[v], k - g.ceiling[v] + 1)) for v in g.vertices}
+    changed = True
+    while changed:
+        if not all(domain.values()):
+            return True
+        changed = False
+        for u, v in g.arcs:
+            if domain[u] and domain[v]:
+                tail, head = min(domain[u]), max(domain[v])
+                kept = ({c for c in domain[u] if c < head}, {c for c in domain[v] if c > tail})
+                changed |= kept != (domain[u], domain[v])
+                domain[u], domain[v] = kept
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if len(domain[a]) == 1 and domain[a] <= domain[b]:
+                    domain[b] = domain[b] - domain[a]
+                    changed = True
+    return False
+
+
+class TestWindowsRefute:
+    def test_an_edge_between_two_fixed_heads(self):
+        # at k = 2 the tails 1 and 2 are fixed at 1 and the heads 3 and 4 at 2,
+        # so the edge 3 - 4 empties one head; at k = 3 nothing is fixed
+        g = mixed_graph(4, edges=[(3, 4)], arcs=[(1, 3), (2, 4)])
+        assert window_clique_bound(g, 10) == 2
+        assert bounds.windows_refute(g, 2) and not bounds.windows_refute(g, 3)
+        assert brute_force_chi(g)[0] == 3
+
+    def test_sound_and_the_fixpoint_of_the_rules(self):
+        # chi from brute-force decides, which do not read the bracket
+        checks = below = refuted = 0
+        for seed in range(2000):
+            rng = random.Random(seed)
+            n = rng.randint(1, 10)
+            g = random_mixed_graph(rng, n, rng.random() * 0.7, rng.random() * 0.3)
+            chi = next(k for k in range(1, n + 1) if brute_force_decide(g, k) is not None)
+            for k in range(1, n + 2):
+                answer = bounds.windows_refute(g, k)
+                assert not (answer and k >= chi), (seed, k)
+                assert answer == propagation_empties_a_domain(g, k), (seed, k)
+                checks += 1
+                below += k < chi
+                refuted += answer
+        assert (checks, below, refuted) == (12_971, 3_955, 3_366)
 
 
 class TestLayeringColoring:

@@ -486,6 +486,16 @@ class TestBoundsParams:
         code, out, _ = run(capsys, "verify", str(graph), cert)
         assert code == 0
 
+    def test_bounds_window_propagation(self, capsys, tmp_path):
+        # arcs 1 -> 3 and 2 -> 4 into the edge 3 - 4: the greedy cliques stop at 2,
+        # and at k = 2 both heads are fixed at 2, so the edge empties one of them
+        graph = tmp_path / "propagation.graph"
+        graph.write_text("p mixed 4 1 2\ne 3 4\na 1 3\na 2 4\n")
+        code, out, _ = run(capsys, "bounds", str(graph))
+        fields = report_dict(out)
+        assert code == 0
+        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("3", "3", "window_propagation")
+
     def test_bounds_empty_graph(self, capsys, tmp_path):
         # no chi_u search runs, so the lower bound 0 is the window cliques'
         graph = tmp_path / "empty.graph"

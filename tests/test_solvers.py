@@ -436,11 +436,13 @@ class TestBranching:
 
     def test_search_starts_at_the_color_windows(self):
         # the first layer's descendants need 8 colors above its own, so the
-        # search starts at 9 and refutes k = 8 before any node
+        # windows start at 9 and the search refutes k = 8 before any node; the
+        # windows' propagation refutes k = 9 as well, so the ascent starts at 10
         g = family_layered_cliques(2, 4)
         stats: dict = {}
         chi_exact(g, "branch", stats=stats)
-        assert stats["first_k"] == 9
+        assert bounds.window_clique_bound(g, 0) == 9 and bounds.windows_refute(g, 9)
+        assert stats["first_k"] == 10
         result = solvers.ROUTES["branch"](g, None, DEFAULT_NODE_BUDGET)(8)
         assert not result.decision and result.stats["nodes"] == 0
 
@@ -454,7 +456,8 @@ class TestBranching:
             maximal_independent_sets(everything, keep, budget=728)
 
     def test_branch_mis_enumeration_is_bounded_by_the_budget(self, monkeypatch):
-        # eleven disjoint triangles and a K4: the second node's sources have
+        # eleven disjoint triangles and a K4: the windows' propagation refutes
+        # k = 1, so the first node is the root at k = 2, and its sources have
         # 4 * 3**11 = 708,588 maximal independent sets
         triangles = [e for t in range(1, 33, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))]
         g = mixed_graph(37, edges=triangles + [(u, v) for u in range(34, 38) for v in range(u + 1, 38)])
@@ -466,7 +469,7 @@ class TestBranching:
 
         monkeypatch.setattr(solvers, "maximal_independent_sets", counted)
         start = time.process_time()
-        with pytest.raises(BudgetExceeded, match="maximal independent sets exceeded the 998 left of the budget"):
+        with pytest.raises(BudgetExceeded, match="maximal independent sets exceeded the 999 left of the budget"):
             chi_exact(g, "branch", budget=1000)
         assert time.process_time() - start < 0.5
         assert budgets and max(budgets) <= 1000
@@ -587,10 +590,10 @@ class TestBudget:
         stats = {}
         assert brute_force_decide(g, 4, budget=4, stats=stats) is not None
         assert stats == {"steps": 4}
-        # chi 3: arcs 1 -> 3 and 2 -> 4 into the ends of the edge 3 - 4; no
-        # clique of the closure has three members and chi_u is 2, so the bounds
-        # stop at 2 below the schedule's 3, and brute runs out deciding k = 2
-        gap = mixed_graph(4, edges=[(3, 4)], arcs=[(1, 3), (2, 4)])
+        # chi 3: the triangle 2 - 3 - 5 under the arcs 1 -> 2, 1 -> 5 and
+        # 4 -> 5; the window cliques, their propagation and chi_u all stop at 3
+        # below the schedules' 4, and brute runs out deciding k = 3
+        gap = mixed_graph(5, edges=[(2, 3), (2, 5), (3, 4), (3, 5)], arcs=[(1, 2), (1, 5), (4, 5)])
         with pytest.raises(BudgetExceeded, match="brute force exceeded 3 steps"):
             brute_force_chi(gap, budget=3)
 

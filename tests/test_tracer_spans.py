@@ -29,10 +29,13 @@ ASCENT = mixed_graph(
     arcs=[(1, 4), (2, 3), (4, 2), (4, 5), (4, 6), (7, 3), (7, 4)],
 )
 
-# first k 3 (window cliques and the combined bound), chi 4, and the schedule
-# coloring takes 5 colors: the ascent decides k = 3 and 4
+# first k 3 (the window cliques; the window propagation refutes no k from 3 on
+# and chi_u is 3), chi 4, and both schedule colorings take 5 colors: the ascent
+# decides k = 3 and 4
 TWO_DECIDES = mixed_graph(
-    6, edges=[(1, 2), (1, 4), (1, 5), (2, 4), (2, 6), (4, 5), (4, 6)], arcs=[(2, 3), (3, 1), (6, 5)]
+    7,
+    edges=[(1, 2), (1, 5), (2, 3), (2, 6), (2, 7), (3, 4), (4, 5), (4, 6), (4, 7), (5, 6)],
+    arcs=[(4, 2), (5, 3), (6, 1), (7, 1)],
 )
 
 
