@@ -186,22 +186,22 @@ def _chi_u_or_clique(g: MixedGraph, budget: int, start: int = 0) -> tuple[int, b
 def window_clique_bound(g: MixedGraph, stop: int) -> int:
     """Chromatic lower bound from the colour windows of underlying cliques; needs no budget.
 
-    Every proper colouring gives v a colour in ``1 + floor[v] .. k - ceiling[v]``.
-    The members of a clique Q get distinct colours, and those with
-    ``floor >= a`` and ``ceiling >= b`` all lie in ``1 + a .. k - b``, so k is at
-    least a + b + their number: Hall's condition for unit jobs with release
-    times and deadlines (Jackson, 1955; Horn, 1974), exact for Q's windows.
-    From each vertex, Q grows greedily among its neighbours on
-    ``g.adjacent_masks``, taken by ``floor + ceiling`` descending, then id.
-    Vertices joined by an arc path need distinct colours too, since adding the
-    transitive arcs keeps the proper colourings; so if these cliques leave the
-    bound below ``stop``, each grows again by the same rule among the vertices
-    adjacent, ancestral or descendant to all of its members, and is rescored.
-    Starts at the windows alone (the largest ``floor[v] + ceiling[v] + 1``) and
-    returns as soon as the bound reaches ``stop``. The cliques do not depend on
-    the order the start vertices are taken in, so with ``stop`` at least the
-    full bound the result is the full bound; taking them by ``floor + ceiling``
-    descending, then id, reaches a smaller ``stop`` sooner.
+    Every proper colouring gives v a colour in ``1 + floor[v] .. k - ceiling[v]``. The
+    members of a clique Q get distinct colours, and those with ``floor >= a`` and
+    ``ceiling >= b`` all lie in ``1 + a .. k - b``, so k is at least a + b + their number:
+    Hall's condition for unit jobs with release times and deadlines (Jackson, 1955; Horn,
+    1974), exact for the windows of a given Q. The cliques are greedy and may miss the best
+    Q: from each vertex, Q grows among its neighbours on ``g.adjacent_masks``, taken by
+    ``floor + ceiling`` descending, then id, so on ``e 3 4, a 1 3, a 2 4`` each head takes
+    its tail first and the bound is 2, where {3, 4} would give 3. Vertices joined by an arc
+    path need distinct colours too, since adding the transitive arcs keeps the proper
+    colourings; so if these cliques leave the bound below ``stop``, each grows again by the
+    same rule among the vertices adjacent, ancestral or descendant to all of its members,
+    and is rescored. Starts at the windows alone (the largest ``floor[v] + ceiling[v] + 1``)
+    and returns as soon as the bound reaches ``stop``. The cliques do not depend on the
+    order the start vertices are taken in, so with ``stop`` at least the full bound the
+    result is the full bound; taking them by ``floor + ceiling`` descending, then id,
+    reaches a smaller ``stop`` sooner.
     """
     floor, ceiling, adjacent = g.floor, g.ceiling, g.adjacent_masks
     key = [f + c for f, c in zip(floor, ceiling)]
@@ -405,24 +405,25 @@ def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[in
     """Lower bound on chi, a schedule coloring as the upper witness, and the bound that set
     the lower end: ``window_clique``, ``window_propagation`` or ``undirected_clique``.
 
-    The lower bound is ``window_clique_bound`` stopped at the schedule's color count. On a
-    gap the reversed schedule replaces the upper witness if it uses fewer colors. While a
-    gap is left, ``windows_refute`` raises the lower bound past every k it refutes. If a gap
-    is still left, the chi_u search, which ``budget`` bounds, asks from the lower bound
-    whether the underlying graph needs more colors (past the budget, its clique number).
-    ``budget=None`` keeps the forward schedule, the color windows alone and their
-    propagation.
+    The bounds run cheapest first, each only while the lower end is below the upper witness's
+    color count, and each names the lower end only if it raises it: the color windows alone;
+    ``windows_refute`` past every k it refutes; the reversed schedule as the upper witness if
+    it uses fewer colors; then, with a ``budget`` only, ``window_clique_bound`` and the chi_u
+    search from the lower end, which ``budget`` bounds (past the budget, the clique number).
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()
-    lower, source = window_clique_bound(g, 0 if budget is None else count), "window_clique"
-    if lower < count and budget is not None:
+    lower, source = window_clique_bound(g, 0), "window_clique"  # stop 0: the windows alone
+    while lower < count and windows_refute(g, lower):  # a refuted k refutes every smaller one
+        lower, source = lower + 1, "window_propagation"
+    if lower < count:
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
         count = upper.num_colors()
-    while lower < count and windows_refute(g, lower):
-        lower, source = lower + 1, "window_propagation"  # a larger k only widens the domains
     if lower < count and budget is not None:
-        found = _chi_u_or_clique(g, budget, lower)[0]
+        found = window_clique_bound(g, count)
+        if found > lower:
+            lower, source = found, "window_clique"
+        found = _chi_u_or_clique(g, budget, lower)[0] if lower < count else lower
         if found > lower:
             lower, source = found, "undirected_clique"
     return lower, upper, source

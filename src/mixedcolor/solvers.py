@@ -806,8 +806,8 @@ def branching_chi(
 ) -> tuple[int, Coloring]:
     """Exact chromatic number by ascending k from the graph's color windows and their propagation.
 
-    All k share one search, so states refuted for a smaller k are not searched
-    again; the bracket gets no budget, as that refutes small k for less than its bounds cost.
+    All k share one search, so states refuted for a smaller k are not searched again. The
+    bracket gets no budget: the search refutes small k for less than its last two bounds cost.
     """
     return _ascend(g, _BranchingSearch(g, budget, fanout_log).solve, None, stats)
 

@@ -30,10 +30,10 @@ SECONDS = 12  # the benchmark's run length, which sizes each pool
 PINNED = {
     "dense-twdp": (901, 83, "c0c5ada7a56d5d4f"),
     "ndm-fpt": (725, 17, "a448a48c5d581e79"),
-    "sparse-branch": (384, 141, "70516c7d26fb35c9"),
+    "sparse-branch": (384, 79, "70516c7d26fb35c9"),
 }
 # sparse-branch: (summed nodes, summed memo entries) of the branch ascent
-BRANCH_WORK = (4_229, 3_774)
+BRANCH_WORK = (3_285, 3_090)
 # analyze-large: (graphs, summed upper - lower of chromatic_bounds)
 ANALYZE_PINNED = (487, 40)
 

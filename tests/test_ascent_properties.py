@@ -42,9 +42,9 @@ def assert_routes_match_brute_force(g):
         assert got == chi
         assert check_proper(g, witness)[0]
         assert witness.num_colors() == chi
-        # branch's bracket keeps the forward schedule; the others take the reversed one if it is better
+        # every route's bracket takes the reversed schedule where it is better
         schedules = [schedule_coloring(g, reverse).num_colors() for reverse in (False, True)]
-        assert stats["first_k"] <= chi <= stats["upper"] == (schedules[0] if method == "branch" else min(schedules))
+        assert stats["first_k"] <= chi <= stats["upper"] == min(schedules)
         assert stats["decides"] == min(chi + 1, stats["upper"]) - stats["first_k"]
 
 
@@ -148,7 +148,8 @@ def test_every_route_accepts_the_schedule_count(g):
 @example(TWO_DECIDES)
 @example(mixed_graph(0))
 def test_every_route_ascends_the_one_bracket(g):
-    # branch passes no budget, so its bracket stops at the windows and their propagation
+    # branch passes no budget, so its bracket stops after the windows, their propagation
+    # and the reversed schedule
     for method in METHODS:
         stats = {}
         chi_exact(g, method, stats=stats)

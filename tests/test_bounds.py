@@ -315,6 +315,24 @@ class TestBracketing:
         result = chromatic_bounds(mixed_graph(0))
         assert (result.lower, result.upper, result.lower_witness) == (0, 0, "window_clique")
 
+    def test_the_cheaper_bound_names_an_end_both_reach(self):
+        # edge 1-2, both with an out-neighbour: at k = 2 both tails are fixed at 1,
+        # and the clique {1, 2} has two members in 1 .. k - 1; the propagation runs first
+        g = mixed_graph(4, edges=[(1, 2)], arcs=[(1, 3), (2, 4)])
+        assert window_clique_bound(g, 0) == 2
+        assert window_clique_bound(g, 10) == 3 and bounds.windows_refute(g, 2)
+        lower, upper, source = bounds.bracket(g)
+        assert (lower, upper.num_colors(), source) == (3, 3, "window_propagation")
+
+    def test_a_later_bound_names_the_end_only_when_it_raises_it(self):
+        # the triangle 1 2 5 gives 3, and so does the propagation, as the tails 1 and 2
+        # of the arcs 1 -> 3 and 2 -> 4 are fixed at k = 2; both heads sit beside 5,
+        # so chi is 4 and the window cliques run, but leave the end where it was
+        g = mixed_graph(5, edges=[(1, 2), (1, 5), (2, 5), (3, 5), (4, 5)], arcs=[(1, 3), (2, 4)])
+        assert window_clique_bound(g, 10) == 3 and brute_force_chi(g)[0] == 4
+        lower, upper, source = bounds.bracket(g)
+        assert (lower, upper.num_colors(), source) == (3, 4, "window_propagation")
+
     def test_maxrank_plus_one_lower_bound(self, small_corpus):
         # strengthened form of the rank bound, checked against the oracle
         for g in small_corpus:

@@ -475,14 +475,15 @@ class TestBoundsParams:
         assert code == 0
 
     def test_bounds_window_clique(self, capsys, tmp_path):
-        # edge 1-2, both with an out-neighbour: maxrank + 1 and chi_u are 2
+        # edge 1-2, both into 3, then 3 -> 4: 3 needs two colours below it and one
+        # above, so its window alone gives 4, where maxrank + 1 and chi_u are 3
         graph = tmp_path / "window.graph"
-        graph.write_text("p mixed 4 1 2\ne 1 2\na 1 3\na 2 4\n")
+        graph.write_text("p mixed 4 1 3\ne 1 2\na 1 3\na 2 3\na 3 4\n")
         cert = str(tmp_path / "upper.txt")
         code, out, _ = run(capsys, "bounds", str(graph), "--cert", cert)
         fields = report_dict(out)
         assert code == 0
-        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("3", "3", "window_clique")
+        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("4", "4", "window_clique")
         code, out, _ = run(capsys, "verify", str(graph), cert)
         assert code == 0
 
