@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, InvalidCover
 from .graphs import (
@@ -183,8 +183,24 @@ def _chi_u_or_clique(g: MixedGraph, budget: int, start: int = 0) -> tuple[int, b
         return clique_number(g, budget), False
 
 
+def _grow(clique: int, members: list[int], rest: int, masks: Sequence[int], key: list[int]) -> int:
+    """Add to the clique mask and ``members`` the vertices of ``rest`` that ``masks`` joins to
+    every member so far, taken by ``key`` descending, then id; return the grown mask."""
+    candidates = []
+    while rest:
+        low = rest & -rest
+        candidates.append(low.bit_length() - 1)
+        rest ^= low
+    candidates.sort(key=key.__getitem__, reverse=True)
+    for u in candidates:
+        if clique & ~masks[u] == 0:
+            clique |= 1 << u
+            members.append(u)
+    return clique
+
+
 def window_clique_bound(g: MixedGraph, stop: int) -> int:
-    """Chromatic lower bound from the colour windows of underlying cliques; needs no budget.
+    """Chromatic lower bound from the colour windows of greedy cliques; needs no budget.
 
     Every proper colouring gives v a colour in ``1 + floor[v] .. k - ceiling[v]``. The
     members of a clique Q get distinct colours, and those with ``floor >= a`` and
@@ -195,38 +211,35 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
     ``floor + ceiling`` descending, then id, so on ``e 3 4, a 1 3, a 2 4`` each head takes
     its tail first and the bound is 2, where {3, 4} would give 3. Vertices joined by an arc
     path need distinct colours too, since adding the transitive arcs keeps the proper
-    colourings; so if these cliques leave the bound below ``stop``, each grows again by the
-    same rule among the vertices adjacent, ancestral or descendant to all of its members,
-    and is rescored. Starts at the windows alone (the largest ``floor[v] + ceiling[v] + 1``)
-    and returns as soon as the bound reaches ``stop``. The cliques do not depend on the
-    order the start vertices are taken in, so with ``stop`` at least the full bound the
-    result is the full bound; taking them by ``floor + ceiling`` descending, then id,
-    reaches a smaller ``stop`` sooner.
+    colourings; so each such clique grows again by the same rule among the vertices
+    adjacent, ancestral or descendant to all of its members before it is scored. Starts at
+    the windows alone (the largest ``floor[v] + ceiling[v] + 1``) and returns as soon as the
+    bound reaches ``stop``. The cliques do not depend on the order the start vertices are
+    taken in, so with ``stop`` at least the full bound the result is the full bound; taking
+    them by ``floor + ceiling`` descending, then id, reaches a smaller ``stop`` sooner.
     """
     floor, ceiling, adjacent = g.floor, g.ceiling, g.adjacent_masks
     key = [f + c for f, c in zip(floor, ceiling)]
     best = 1 + max(key[1:], default=-1)  # the windows alone; entry 0 is no vertex
     if best >= stop:
         return best
-    seen: dict[int, list[int]] = {}  # clique -> members: cliques grown from several vertices are scored once
+    near = [a | b | d for a, b, d in zip(adjacent, g.anc_masks, g.desc_masks)]  # the closure's underlying adjacency
+    seen: set[int] = set()  # underlying cliques grown from several vertices are scored once
     # by floor + ceiling descending, then id: reverse=True keeps the id order of ties
     for v in sorted(g.vertices, key=key.__getitem__, reverse=True):
         if best >= stop:
             break
-        clique, members = 1 << v, [v]
-        rest, candidates = adjacent[v], []
-        while rest:
-            low = rest & -rest
-            candidates.append(low.bit_length() - 1)
-            rest ^= low
-        candidates.sort(key=key.__getitem__, reverse=True)
-        for u in candidates:
-            if clique & ~adjacent[u] == 0:
-                clique |= 1 << u
-                members.append(u)
+        members = [v]
+        clique = _grow(1 << v, members, adjacent[v], adjacent, key)
         if clique in seen:
             continue
-        seen[clique] = members
+        seen.add(clique)
+        common = ~clique
+        for u in members:
+            common &= near[u]
+        # Hall's count only rises as members join, so the grown clique alone scores the
+        # larger of the underlying clique's score and its own
+        _grow(clique, members, common, near, key)
         # by ceiling descending: the c-th member u with floor >= a makes c of
         # them with colours in 1 + a .. k - ceiling[u]
         members.sort(key=ceiling.__getitem__, reverse=True)
@@ -237,31 +250,6 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
                     c += 1
                     if a + ceiling[u] + c > best:
                         best = a + ceiling[u] + c
-    if best >= stop:
-        return best
-    # the closure's underlying adjacency, built only when the plain cliques leave a gap
-    near = [a | b | d for a, b, d in zip(adjacent, g.anc_masks, g.desc_masks)]
-    for clique, members in seen.items():
-        common = ~clique
-        for u in members:
-            common &= near[u]
-        if not common:
-            continue  # the clique stays as it was scored
-        for u in sorted(set_bits(common), key=key.__getitem__, reverse=True):
-            if clique & ~near[u] == 0:
-                clique |= 1 << u
-                members.append(u)
-        # the Hall count above, again; a helper call per clique would cost the first pass
-        members.sort(key=ceiling.__getitem__, reverse=True)
-        for a in {floor[u] for u in members}:
-            c = 0
-            for u in members:
-                if floor[u] >= a:
-                    c += 1
-                    if a + ceiling[u] + c > best:
-                        best = a + ceiling[u] + c
-        if best >= stop:
-            break
     return best
 
 
@@ -403,19 +391,21 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
 
 def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[int, Coloring, str]:
     """Lower bound on chi, a schedule coloring as the upper witness, and the bound that set
-    the lower end: ``window_clique``, ``window_propagation`` or ``undirected_clique``.
+    the lower end: ``window_propagation``, ``window_clique`` or ``undirected_clique``.
 
     The bounds run cheapest first, each only while the lower end is below the upper witness's
-    color count, and each names the lower end only if it raises it: the color windows alone;
-    ``windows_refute`` past every k it refutes; the reversed schedule as the upper witness if
-    it uses fewer colors; then, with a ``budget`` only, ``window_clique_bound`` and the chi_u
-    search from the lower end, which ``budget`` bounds (past the budget, the clique number).
+    color count, and each names the lower end only if it raises it: the color windows alone
+    and ``windows_refute`` past every k it refutes, both named ``window_propagation`` (an
+    empty window is an empty domain, so the propagation refutes every k below the windows
+    alone); the reversed schedule as the upper witness if it uses fewer colors; then, with a
+    ``budget`` only, ``window_clique_bound`` and the chi_u search from the lower end, which
+    ``budget`` bounds (past the budget, the clique number).
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()
-    lower, source = window_clique_bound(g, 0), "window_clique"  # stop 0: the windows alone
+    lower, source = window_clique_bound(g, 0), "window_propagation"  # stop 0: the windows alone
     while lower < count and windows_refute(g, lower):  # a refuted k refutes every smaller one
-        lower, source = lower + 1, "window_propagation"
+        lower += 1
     if lower < count:
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
         count = upper.num_colors()
@@ -433,7 +423,9 @@ def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[in
 class ChromaticBounds:
     lower: int
     upper: int
-    lower_witness: str  # "maxrank", else the bracket's: "undirected_clique", "window_propagation" or "window_clique"
+    # "maxrank", else the bracket's: "undirected_clique", "window_clique", or "window_propagation"
+    # for the windows alone and their propagation
+    lower_witness: str
     upper_witness: Coloring  # the bracket's schedule coloring
 
 

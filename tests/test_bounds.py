@@ -18,6 +18,7 @@ from mixedcolor import (
     lower_bounds,
     maxrank,
     mixed_graph,
+    transitive_closure,
     vc_coloring,
     vertex_cover_number,
 )
@@ -112,31 +113,55 @@ def windows(g):
     return max([g.floor[v] + g.ceiling[v] + 1 for v in g.vertices], default=0)
 
 
+def joined_pairs(g):
+    """The pairs of vertices that an edge or an arc of g joins."""
+    return {frozenset(pair) for pair in g.edges | g.arcs}
+
+
+def greedy_clique(g, clique, pairs):
+    """Grow the vertex list ``clique`` greedily: every other vertex, by ``floor +
+    ceiling`` descending, then id, joins if ``pairs`` holds its pair with each member."""
+    key = [f + c for f, c in zip(g.floor, g.ceiling)]
+    for u in sorted(g.vertices, key=lambda u: (-key[u], u)):
+        if u not in clique and all(frozenset((u, w)) in pairs for w in clique):
+            clique.append(u)
+    return clique
+
+
+def hall_count(g, clique):
+    """The largest a + b + (members with floor >= a and ceiling >= b), over the a
+    and b where there are such members."""
+    best = 0
+    for a in {g.floor[u] for u in clique}:
+        for b in {g.ceiling[u] for u in clique}:
+            count = sum(g.floor[u] >= a and g.ceiling[u] >= b for u in clique)
+            if count:
+                best = max(best, a + b + count)
+    return best
+
+
 def plain_window_clique_bound(g):
     """The window-clique rule without the closure: from each vertex, in id
-    order, a clique grows greedily on ``g.adjacent_masks`` by ``floor +
-    ceiling`` descending, then id, and scores the largest a + b + (its members
-    with floor >= a and ceiling >= b), over the a and b where there are such
-    members; the windows alone are the start."""
-    key = [f + c for f, c in zip(g.floor, g.ceiling)]
-    best = windows(g)
-    for v in g.vertices:
-        clique = [v]
-        for u in sorted(g.vertices, key=lambda u: (-key[u], u)):
-            if all(g.adjacent_masks[u] >> w & 1 for w in clique):
-                clique.append(u)
-        for a in {g.floor[u] for u in clique}:
-            for b in {g.ceiling[u] for u in clique}:
-                count = sum(g.floor[u] >= a and g.ceiling[u] >= b for u in clique)
-                if count:
-                    best = max(best, a + b + count)
-    return best
+    order, a clique grows greedily on the underlying graph and scores its Hall
+    count; the windows alone are the start."""
+    pairs = joined_pairs(g)
+    return max([windows(g)] + [hall_count(g, greedy_clique(g, [v], pairs)) for v in g.vertices])
+
+
+def closure_window_clique_bound(g):
+    """The full rule in any start order: each plain greedy clique grows again on
+    the underlying graph of ``transitive_closure(g)`` and scores its Hall count;
+    the windows alone are the start."""
+    plain, closure = joined_pairs(g), joined_pairs(transitive_closure(g))
+    cliques = [greedy_clique(g, greedy_clique(g, [v], plain), closure) for v in g.vertices]
+    return max([windows(g)] + [hall_count(g, clique) for clique in cliques])
 
 
 def assert_window_clique_bound_holds(g):
     chi = brute_force_chi(g)[0]
     bound = window_clique_bound(g, g.n + 1)  # no bound exceeds n
     assert windows(g) <= plain_window_clique_bound(g) <= bound <= chi
+    assert bound == closure_window_clique_bound(g)
     for stop in range(bound + 1):  # stops early at stop, never above the full bound
         assert min(stop, bound) <= window_clique_bound(g, stop) <= bound
     for stop in range(bound, g.n + 2):  # the bracket's stops: a stop at or above the full bound returns it
@@ -313,7 +338,7 @@ class TestBracketing:
 
     def test_empty_graph(self):
         result = chromatic_bounds(mixed_graph(0))
-        assert (result.lower, result.upper, result.lower_witness) == (0, 0, "window_clique")
+        assert (result.lower, result.upper, result.lower_witness) == (0, 0, "window_propagation")
 
     def test_the_cheaper_bound_names_an_end_both_reach(self):
         # edge 1-2, both with an out-neighbour: at k = 2 both tails are fixed at 1,

@@ -476,16 +476,24 @@ class TestBoundsParams:
 
     def test_bounds_window_clique(self, capsys, tmp_path):
         # edge 1-2, both into 3, then 3 -> 4: 3 needs two colours below it and one
-        # above, so its window alone gives 4, where maxrank + 1 and chi_u are 3
+        # above, so its window alone gives 4, where maxrank + 1 and chi_u are 3; the
+        # propagation refutes every k below the windows, so it names the end
         graph = tmp_path / "window.graph"
         graph.write_text("p mixed 4 1 3\ne 1 2\na 1 3\na 2 3\na 3 4\n")
         cert = str(tmp_path / "upper.txt")
         code, out, _ = run(capsys, "bounds", str(graph), "--cert", cert)
         fields = report_dict(out)
         assert code == 0
-        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("4", "4", "window_clique")
+        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("4", "4", "window_propagation")
         code, out, _ = run(capsys, "verify", str(graph), cert)
         assert code == 0
+        # a triangle: the windows give 1 and the propagation 2, the clique 3
+        graph = tmp_path / "triangle.graph"
+        graph.write_text("p mixed 3 3 0\ne 1 2\ne 1 3\ne 2 3\n")
+        code, out, _ = run(capsys, "bounds", str(graph))
+        fields = report_dict(out)
+        assert code == 0
+        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("3", "3", "window_clique")
 
     def test_bounds_window_propagation(self, capsys, tmp_path):
         # arcs 1 -> 3 and 2 -> 4 into the edge 3 - 4: the greedy cliques stop at 2,
@@ -498,13 +506,13 @@ class TestBoundsParams:
         assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("3", "3", "window_propagation")
 
     def test_bounds_empty_graph(self, capsys, tmp_path):
-        # no chi_u search runs, so the lower bound 0 is the window cliques'
+        # no chi_u search runs, so the lower bound 0 is the windows alone
         graph = tmp_path / "empty.graph"
         graph.write_text("p mixed 0 0 0\n")
         code, out, _ = run(capsys, "bounds", str(graph))
         fields = report_dict(out)
         assert code == 0
-        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("0", "0", "window_clique")
+        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("0", "0", "window_propagation")
 
     def test_params_tripartite(self, capsys, tmp_path):
         out_file = str(tmp_path / "t2.graph")
