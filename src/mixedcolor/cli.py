@@ -3,6 +3,9 @@
 Reports are ``key=value`` lines (or one JSON document with ``--json``).
 Exit codes: 0 = colorable / success, 1 = not colorable / certificate
 rejected, 2 = usage or runtime error.
+
+Only ``gen`` imports ``reductions`` and only ``expr`` imports ``expressions``,
+so the other commands start without compiling either.
 """
 
 from __future__ import annotations
@@ -11,21 +14,12 @@ import argparse
 import hashlib
 import io
 import json
-import random
 import sys
 import time
 
 from . import bounds as bounds_mod
 from . import solvers
 from .errors import DEFAULT_NODE_BUDGET, MixedColorError
-from .expressions import (
-    evaluate,
-    format_expression,
-    ndm_expression,
-    parse_expression,
-    tc_expression,
-    width,
-)
 from .graphs import (
     MixedGraph,
     layering,
@@ -43,17 +37,6 @@ from .partitions import (
     mixed_neighborhood_partition,
     undirected_neighborhood_partition,
     vertex_cover_number,
-)
-from .reductions import (
-    FAMILIES,
-    ListColoringInstance,
-    SchedulingInstance,
-    SuperstringInstance,
-    random_mixed_graph,
-    reduce_list_coloring,
-    reduce_multicolored_clique,
-    reduce_scheduling,
-    reduce_superstring,
 )
 from .treedecomp import load_td
 
@@ -190,6 +173,20 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    import random
+
+    from .reductions import (
+        FAMILIES,
+        ListColoringInstance,
+        SchedulingInstance,
+        SuperstringInstance,
+        random_mixed_graph,
+        reduce_list_coloring,
+        reduce_multicolored_clique,
+        reduce_scheduling,
+        reduce_superstring,
+    )
+
     report: dict[str, object] = {"command": "gen"}
     name = args.kind
     params = args.params
@@ -257,6 +254,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_expr(args: argparse.Namespace) -> int:
+    from .expressions import evaluate, format_expression, ndm_expression, parse_expression, tc_expression, width
+
     report: dict[str, object] = {"command": f"expr-{args.action}"}
     if args.action == "from-ndm":
         expr = ndm_expression(_read_graph(args.source)[0])

@@ -183,7 +183,19 @@ class TestWindowCliqueBound:
         g = mixed_graph(4, edges=[(1, 2), (1, 3), (1, 4)], arcs=[(2, 3), (4, 2)])
         assert plain_window_clique_bound(g) == 3
         assert window_clique_bound(g, 10) == brute_force_chi(g)[0] == 4
-        assert window_clique_bound(g, 3) == 3  # the plain cliques reach the stop
+        assert window_clique_bound(g, 3) == 3  # the windows alone reach the stop
+
+        # here the windows alone give 3, short of the stop 4: the first grown
+        # clique reaches 4 and ends the loop, so the clique giving 5 is never grown
+        h = mixed_graph(
+            6,
+            edges=[(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 5)],
+            arcs=[(2, 3), (2, 6), (6, 1)],
+        )
+        assert window_clique_bound(h, 0) == 3
+        assert plain_window_clique_bound(h) == 4
+        assert window_clique_bound(h, 10) == brute_force_chi(h)[0] == 5
+        assert window_clique_bound(h, 4) == 4
 
     @settings(max_examples=150)
     @given(mixed_graphs(max_n=10))
