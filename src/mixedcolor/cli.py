@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 
@@ -173,8 +174,6 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    import random
-
     from .reductions import (
         FAMILIES,
         ListColoringInstance,
@@ -254,7 +253,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_expr(args: argparse.Namespace) -> int:
-    from .expressions import evaluate, format_expression, ndm_expression, parse_expression, tc_expression, width
+    from .expressions import (
+        evaluate,
+        format_expression,
+        ndm_expression,
+        parse_expression,
+        tc_expression,
+        width,
+    )
 
     report: dict[str, object] = {"command": f"expr-{args.action}"}
     if args.action == "from-ndm":
