@@ -49,7 +49,7 @@ def chi_u_exact(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, start: int = 0
     ``_dsatur`` searches up from the clique number or ``start``, whichever is
     larger; both searches get ``budget``.
     """
-    if not (g.edges or g.arcs):
+    if not any(g.adjacent_masks):
         return max(start, min(g.n, 1)), dict.fromkeys(g.vertices, 1)
     return _dsatur(g.adjacent_masks, (1 << (g.n + 1)) - 2, max(start, clique_number(g, budget=budget)), budget)
 

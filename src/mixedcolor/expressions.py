@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedClosureExpression,
     WidthCapExceeded,
 )
-from .graphs import MixedGraph, normalize_edge, transitive_closure
+from .graphs import MixedGraph, _pairs, normalize_edge, transitive_closure
 from .partitions import class_relations, mixed_neighborhood_partition
 
 
@@ -118,26 +118,28 @@ def width(e: MixedExpression) -> int:
 
 def _evaluate(
     e: MixedExpression, allow_opposite: bool
-) -> tuple[int, dict[int, list[int]], set[tuple[int, int]], set[tuple[int, int]]]:
-    """Fold e bottom-up; returns the vertex count, the label buckets, the edges and the arcs.
+) -> tuple[int, dict[int, list[int]], list[int], list[int], list[int]]:
+    """Fold e bottom-up; returns the vertex count, the label buckets, and the
+    pred, succ and edge masks of the vertices (indexed by id, entry 0 empty).
 
     A subexpression's state is its ``label -> vertices`` buckets, ids
     ascending, so a relabel moves one bucket and an edge or arc operation
     reads only the two buckets it joins. The right operand of a union was
     introduced later, so its ids exceed the left's and appending keeps every
-    bucket ascending. Relations are kept in one edge set and one arc set:
-    a relation between two vertices was added below the lowest operation
-    that holds both, so the sets answer for every subexpression.
+    bucket ascending. Relations are kept in one set of masks: a relation
+    between two vertices was added below the lowest operation that holds
+    both, so the masks answer for every subexpression. An operation ORs each
+    side's mask into the other side's vertices; a conflict names its first pair.
     """
     states: list[dict[int, list[int]]] = []
-    edges: set[tuple[int, int]] = set()
-    arcs: set[tuple[int, int]] = set()
-    counter = 0
+    pred, succ, nbr = [0], [0], [0]
     for node in _walk_postorder(e):
         kind = type(node)
         if kind is Introduce:
-            counter += 1
-            states.append({node[0]: [counter]})
+            states.append({node[0]: [len(nbr)]})
+            pred.append(0)
+            succ.append(0)
+            nbr.append(0)
             continue
         if kind is Union:
             right = states.pop()
@@ -160,36 +162,34 @@ def _evaluate(
             raise ConflictingRelation(f"operation needs distinct labels, got {i},{j}")
         side_i = buckets.get(i, ())
         side_j = buckets.get(j, ())
+        mask_i = mask_j = 0
+        for u in side_i:
+            mask_i |= 1 << u
+        for w in side_j:
+            mask_j |= 1 << w
         if kind is AddEdge:
             if allow_opposite:
                 raise ConflictingRelation("edge operations are not allowed in arc-only evaluation")
             for u in side_i:
-                for w in side_j:
-                    pair = (u, w) if u < w else (w, u)
-                    if pair in edges:
-                        continue
-                    if (u, w) in arcs or (w, u) in arcs:
-                        raise ConflictingRelation(
-                            f"edge {{{u},{w}}} would parallel an existing arc"
-                        )
-                    edges.add(pair)
+                clash = (pred[u] | succ[u]) & mask_j
+                if clash:
+                    w = (clash & -clash).bit_length() - 1
+                    raise ConflictingRelation(f"edge {{{u},{w}}} would parallel an existing arc")
+                nbr[u] |= mask_j
+            for w in side_j:
+                nbr[w] |= mask_i
         else:
             for u in side_i:
-                for w in side_j:
-                    pair = (u, w)
-                    if pair in arcs:
-                        continue
-                    if not allow_opposite:
-                        if (w, u) in arcs:
-                            raise ConflictingRelation(
-                                f"arc ({u},{w}) would oppose an existing arc"
-                            )
-                        if (pair if u < w else (w, u)) in edges:
-                            raise ConflictingRelation(
-                                f"arc ({u},{w}) would parallel an existing edge"
-                            )
-                    arcs.add(pair)
-    return counter, states.pop(), edges, arcs
+                clash = 0 if allow_opposite else (pred[u] | nbr[u]) & mask_j
+                if clash:
+                    w = (clash & -clash).bit_length() - 1
+                    if pred[u] >> w & 1:
+                        raise ConflictingRelation(f"arc ({u},{w}) would oppose an existing arc")
+                    raise ConflictingRelation(f"arc ({u},{w}) would parallel an existing edge")
+                succ[u] |= mask_j
+            for w in side_j:
+                pred[w] |= mask_i
+    return len(nbr) - 1, states.pop(), pred, succ, nbr
 
 
 def evaluate(e: MixedExpression) -> LabeledGraph:
@@ -200,8 +200,8 @@ def evaluate(e: MixedExpression) -> LabeledGraph:
     accumulate, so a directed cycle closed by any operation is still there at
     the end, where building the graph rejects it.
     """
-    n, buckets, edges, arcs = _evaluate(e, allow_opposite=False)
-    graph = MixedGraph(n, frozenset(edges), frozenset(arcs))
+    n, buckets, pred, succ, nbr = _evaluate(e, allow_opposite=False)
+    graph = MixedGraph(n, tuple(pred), tuple(succ), tuple(nbr))
     labels = sorted((v, lab) for lab, members in buckets.items() for v in members)
     return LabeledGraph(graph, dict(labels))
 
@@ -212,8 +212,8 @@ def evaluate_arcs(e: MixedExpression) -> tuple[int, frozenset[tuple[int, int]]]:
     Used to check arc-only conversions, whose output may contain the two
     opposite arcs that encode an edge.
     """
-    n, _, _, arcs = _evaluate(e, allow_opposite=True)
-    return n, frozenset(arcs)
+    n, _, _, succ, _ = _evaluate(e, allow_opposite=True)
+    return n, frozenset(_pairs(succ))
 
 
 # ---------------------------------------------------------------------------

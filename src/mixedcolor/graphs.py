@@ -2,34 +2,37 @@
 
 A mixed graph has undirected edges and directed arcs over vertices 1..n.
 Every graph handled here is simple (no loops, no parallel or opposite
-relations) and its arc set is acyclic; both properties are enforced when a
-``MixedGraph`` is constructed. Instances are immutable and safe to share.
+relations) and its arc set is acyclic: ``mixed_graph`` and the loaders check
+the relations, and constructing a ``MixedGraph`` checks the arcs for a
+directed cycle. Instances are immutable and safe to share.
 """
 
 from __future__ import annotations
 
 import heapq
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import (
     DirectedCycleError,
     DuplicateRelation,
     IncompleteColoring,
     LoopError,
-    MixedColorError,
     ParseError,
 )
 
 Edge = tuple[int, int]  # normalized: u < v
 Arc = tuple[int, int]  # ordered: (tail, head)
 
-# The largest vertex count a graph file may announce. A graph costs about 120
-# bytes per vertex before any relation is read, so a header alone could
-# otherwise ask for any amount of memory.
+# The largest vertex count a graph file may announce. A header alone costs
+# about 100 bytes per vertex while the graph is built (the three mask tuples
+# and ``order``), so it could otherwise ask for any amount of memory. Relations
+# cost more: a mask takes about (largest neighbor id) / 8 bytes, so a long
+# sparse graph costs memory quadratic in n; the directed path on 100,000
+# vertices takes about 1.3 GiB.
 MAX_VERTICES = 100_000
 
 
@@ -37,78 +40,65 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-class _Adjacency:
-    """An adjacency part of the graph index: its first read on a graph builds all
-    four parts in one pass into the instance dict, where later reads find them."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, g: MixedGraph | None, owner: type | None = None):
-        if g is None:
-            return self
-        pred_masks, succ_masks, nbr_masks = [0] * (g.n + 1), [0] * (g.n + 1), [0] * (g.n + 1)
-        for u, v in g.edges:
-            nbr_masks[u] |= 1 << v
-            nbr_masks[v] |= 1 << u
-        for u, v in g.arcs:
-            succ_masks[u] |= 1 << v
-            pred_masks[v] |= 1 << u
-        g.__dict__.update(
-            pred_masks=tuple(pred_masks),
-            succ_masks=tuple(succ_masks),
-            nbr_masks=tuple(nbr_masks),
-            adjacent_masks=tuple([p | s | e for p, s, e in zip(pred_masks, succ_masks, nbr_masks)]),
-        )
-        return g.__dict__[self.name]
-
-
 @dataclass(frozen=True)
 class MixedGraph:
-    """An immutable simple mixed graph on vertices 1..n without directed cycles."""
+    """An immutable simple mixed graph on vertices 1..n without directed cycles.
+
+    The fields are adjacency masks, one per vertex id (entry 0 is empty):
+    bit v of ``pred_masks[u]`` stands for the arc (v, u), of ``succ_masks[u]``
+    for the arc (u, v) and of ``nbr_masks[u]`` for the edge {u, v}. Build a
+    graph with ``mixed_graph`` or a loader, which check the relations and fill
+    consistent masks; construction runs the Kahn pass that rejects a directed
+    cycle and gives ``order``.
+    """
 
     n: int
-    edges: frozenset[Edge]
-    arcs: frozenset[Arc]
+    pred_masks: tuple[int, ...]  # per vertex: in-neighbors
+    succ_masks: tuple[int, ...]  # out-neighbors
+    nbr_masks: tuple[int, ...]  # undirected (edge) neighbors
+    # arc-respecting vertex order, ties broken by smallest id first
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, edges = self.n, self.edges
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        for u, v in edges:
-            if not 1 <= u < v <= n:
-                if u == v:
-                    raise LoopError(f"edge ({u},{v}) is a loop")
-                raise ValueError(f"edge ({u},{v}) not normalized or out of range")
-        for u, v in self.arcs:
-            if not (1 <= u <= n and 1 <= v <= n and u != v):
-                if u == v:
-                    raise LoopError(f"arc ({u},{v}) is a loop")
-                raise ValueError(f"arc ({u},{v}) out of range")
-            if (u, v) in edges or (v, u) in edges:
-                raise DuplicateRelation(f"pair {{{u},{v}}} carries an edge and an arc")
+        indeg = [mask.bit_count() for mask in self.pred_masks]
+        heap = [v for v in range(1, self.n + 1) if not indeg[v]]  # ascending, so a heap
+        order, succ = [], self.succ_masks
+        while heap:
+            v = heapq.heappop(heap)
+            order.append(v)
+            rest = succ[v]
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                indeg[w] -= 1
+                if not indeg[w]:
+                    heapq.heappush(heap, w)
+                rest ^= low
+        # every vertex on or behind a directed cycle is left out of the order;
         # opposite arcs are a directed 2-cycle and reported as such
-        if len(self.order) < n:
+        if len(order) < self.n:
             raise DirectedCycleError("arc set induces a directed cycle")
+        object.__setattr__(self, "order", tuple(order))
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    # The graph index. Each part is built on first use and then shared by
-    # every caller; the first use of any adjacency part builds all four in one
-    # pass. Per-vertex tuples are indexed by vertex id (entry 0 is empty); bit
-    # v of a mask stands for vertex v, and ``set_bits`` walks a mask's vertices.
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(_pairs(self.nbr_masks, upper=True))
 
     @cached_property
-    def order(self) -> tuple[int, ...]:
-        """Arc-respecting vertex order, ties broken by smallest id first."""
-        return tuple(arc_order(self.n, self.arcs))
+    def arcs(self) -> frozenset[Arc]:
+        return frozenset(_pairs(self.succ_masks))
 
-    pred_masks = _Adjacency()  # per vertex: in-neighbors
-    succ_masks = _Adjacency()  # out-neighbors
-    nbr_masks = _Adjacency()  # undirected (edge) neighbors
-    adjacent_masks = _Adjacency()  # neighbors along edges and arcs
+    # The graph index: each part is derived from the masks on first use and
+    # then shared by every caller; ``set_bits`` walks a mask's vertices.
+
+    @cached_property
+    def adjacent_masks(self) -> tuple[int, ...]:
+        """Neighbors along edges and arcs."""
+        return tuple([p | s | e for p, s, e in zip(self.pred_masks, self.succ_masks, self.nbr_masks)])
 
     @cached_property
     def desc_masks(self) -> tuple[int, ...]:
@@ -154,8 +144,30 @@ class MixedGraph:
 
 
 def mixed_graph(n: int, edges: Iterable[tuple[int, int]] = (), arcs: Iterable[tuple[int, int]] = ()) -> MixedGraph:
-    """Build a validated MixedGraph, normalizing edge orientation."""
-    return MixedGraph(n, frozenset(normalize_edge(u, v) for u, v in edges), frozenset(tuple(a) for a in arcs))
+    """Build a validated MixedGraph: an edge may come in either orientation,
+    and a repeated pair is kept once."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    pred, succ, nbr = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for u, v in edges:
+        if u > v:
+            u, v = v, u
+        if not 1 <= u < v <= n:
+            if u == v:
+                raise LoopError(f"edge ({u},{v}) is a loop")
+            raise ValueError(f"edge ({u},{v}) not normalized or out of range")
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    for u, v in arcs:
+        if not (1 <= u <= n and 1 <= v <= n and u != v):
+            if u == v:
+                raise LoopError(f"arc ({u},{v}) is a loop")
+            raise ValueError(f"arc ({u},{v}) out of range")
+        if nbr[u] >> v & 1:
+            raise DuplicateRelation(f"pair {{{u},{v}}} carries an edge and an arc")
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    return MixedGraph(n, tuple(pred), tuple(succ), tuple(nbr))
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -214,29 +226,18 @@ def _needs(n: int, order: Iterable[int], step: tuple[int, ...], adjacent: tuple[
     return tuple(need)
 
 
-def arc_order(n: int, arcs: Iterable[Arc]) -> list[int]:
-    """Kahn's algorithm: vertices 1..n in an arc-respecting order, taking the
-    smallest ready id first.
-
-    The order leaves out every vertex on or behind a directed cycle, so it is
-    shorter than n exactly when the arcs are cyclic. Vertices without arcs
-    do not change the relative order of the others.
-    """
-    out: list[list[int]] = [[] for _ in range(n + 1)]
-    indeg = [0] * (n + 1)
-    for u, v in arcs:
-        out[u].append(v)
-        indeg[v] += 1
-    heap = [v for v in range(1, n + 1) if indeg[v] == 0]  # sorted, so a heap
-    order: list[int] = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    return order
+def _pairs(masks: Sequence[int], upper: bool = False) -> list[tuple[int, int]]:
+    """Each (u, v) with bit v set in ``masks[u]``, by u, then v; with ``upper``
+    only those with u < v, which list a symmetric relation once."""
+    pairs = []
+    for u, mask in enumerate(masks):
+        if upper:
+            mask = mask >> u << u  # bit u itself is clear: no loops
+        while mask:
+            low = mask & -mask
+            pairs.append((u, low.bit_length() - 1))
+            mask ^= low
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ def _load_saved(text: str) -> MixedGraph | None:
     tokens = text.split()
     if tokens[:2] != ["p", "mixed"] or not text.endswith("\n"):
         return None
-    try:  # from int() or MixedGraph: the line reader words the error
+    try:
         n, e, a = map(int, tokens[2:5])
         if (
             min(n, e, a) < 0
@@ -313,13 +314,22 @@ def _load_saved(text: str) -> MixedGraph | None:
             return None
         tails = list(map(int, tokens[6::3]))
         heads = list(map(int, tokens[7::3]))
-        del tokens  # one string per token: drop them before the sets are built
-        edges = frozenset(zip(tails[:e], heads[:e]))
-        arcs = frozenset(zip(tails[e:], heads[e:]))
-        if len(edges) != e or len(arcs) != a:  # a repeated relation
-            return None
-        return MixedGraph(n, edges, arcs)
-    except (MixedColorError, ValueError):
+        del tokens  # one string per token: drop them before the masks are built
+        pred, succ, nbr = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+        # a relation out of range, a loop, a repeat or an edge-arc pair returns
+        # None, and so does a directed cycle: the line reader words the error
+        for u, v in zip(tails[:e], heads[:e]):
+            if not 0 < u < v <= n or nbr[u] >> v & 1:
+                return None
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        for u, v in zip(tails[e:], heads[e:]):
+            if not (0 < u <= n and 0 < v <= n) or u == v or (nbr[u] | succ[u]) >> v & 1:
+                return None
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+        return MixedGraph(n, tuple(pred), tuple(succ), tuple(nbr))
+    except (ValueError, DirectedCycleError):  # from int() or the Kahn pass
         return None
 
 
@@ -344,9 +354,7 @@ def _ints(lineno: int, tokens: list[str], what: str) -> list[int]:
 def _load_lines(stream: TextIO) -> MixedGraph:
     """The line reader: checks each line as it reads it and words every error."""
     n = -1
-    expected_edges = expected_arcs = 0
-    edges: set[Edge] = set()
-    arcs: set[Arc] = set()
+    expected_edges = expected_arcs = edges = arcs = 0
     for lineno, parts in _lines(stream):
         if parts[0] == "p":
             if n >= 0:
@@ -358,6 +366,7 @@ def _load_lines(stream: TextIO) -> MixedGraph:
                 raise ParseError(f"line {lineno}: negative counts")
             if n > MAX_VERTICES:
                 raise ParseError(f"line {lineno}: {n} vertices, more than the {MAX_VERTICES} allowed")
+            pred, succ, nbr = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
         elif parts[0] in ("e", "a"):
             if n < 0:
                 raise ParseError(f"line {lineno}: relation before header")
@@ -368,36 +377,37 @@ def _load_lines(stream: TextIO) -> MixedGraph:
                 raise LoopError(f"line {lineno}: loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"line {lineno}: vertex out of range 1..{n}")
-            pair = normalize_edge(u, v)
             if parts[0] == "e":
                 if u >= v:
                     raise ParseError(f"line {lineno}: edge must satisfy u < v")
-                if pair in edges or (u, v) in arcs or (v, u) in arcs:
+                if (nbr[u] | succ[u] | pred[u]) >> v & 1:
                     raise DuplicateRelation(f"line {lineno}: pair {{{u},{v}}} already related")
-                edges.add(pair)
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+                edges += 1
             else:
-                if pair in edges or (u, v) in arcs:
+                if (nbr[u] | succ[u]) >> v & 1:
                     raise DuplicateRelation(f"line {lineno}: pair {{{u},{v}}} already related")
-                # an opposite arc is a directed 2-cycle; graph validation reports it
-                arcs.add((u, v))
+                # an opposite arc is a directed 2-cycle; graph construction reports it
+                succ[u] |= 1 << v
+                pred[v] |= 1 << u
+                arcs += 1
         else:
             raise ParseError(f"line {lineno}: unknown line kind {parts[0]!r}")
     if n < 0:
         raise ParseError("missing header line")
-    if len(edges) != expected_edges or len(arcs) != expected_arcs:
+    if edges != expected_edges or arcs != expected_arcs:
         raise ParseError(
             f"header announced {expected_edges} edges / {expected_arcs} arcs, "
-            f"found {len(edges)} / {len(arcs)}"
+            f"found {edges} / {arcs}"
         )
-    return MixedGraph(n, frozenset(edges), frozenset(arcs))
+    return MixedGraph(n, tuple(pred), tuple(succ), tuple(nbr))
 
 
 def save_graph(g: MixedGraph, stream: TextIO) -> None:
-    stream.write(f"p mixed {g.n} {len(g.edges)} {len(g.arcs)}\n")
-    for u, v in sorted(g.edges):
-        stream.write(f"e {u} {v}\n")
-    for u, v in sorted(g.arcs):
-        stream.write(f"a {u} {v}\n")
+    edges, arcs = _pairs(g.nbr_masks, upper=True), _pairs(g.succ_masks)
+    stream.write(f"p mixed {g.n} {len(edges)} {len(arcs)}\n")
+    stream.write("".join([f"e {u} {v}\n" for u, v in edges] + [f"a {u} {v}\n" for u, v in arcs]))
 
 
 def load_coloring(stream: TextIO) -> Coloring:
@@ -439,9 +449,8 @@ def topological_order(g: MixedGraph) -> list[int]:
 
 def transitive_closure(g: MixedGraph) -> MixedGraph:
     """Add every transitive arc and drop edges now parallel to an arc."""
-    arcs = frozenset((u, v) for u in g.vertices for v in set_bits(g.desc_masks[u]))
-    edges = frozenset((u, v) for u, v in g.edges if not (g.desc_masks[u] >> v | g.desc_masks[v] >> u) & 1)
-    return MixedGraph(g.n, edges, arcs)
+    desc, anc = g.desc_masks, g.anc_masks
+    return MixedGraph(g.n, anc, desc, tuple([e & ~(d | a) for e, d, a in zip(g.nbr_masks, desc, anc)]))
 
 
 def layering(g: MixedGraph) -> Layering:
@@ -456,15 +465,10 @@ def maxrank(g: MixedGraph) -> int:
 
 def underlying_undirected(g: MixedGraph) -> MixedGraph:
     """Replace every arc with an edge."""
-    edges = set(g.edges)
-    edges.update(normalize_edge(u, v) for (u, v) in g.arcs)
-    return MixedGraph(g.n, frozenset(edges), frozenset())
+    empty = (0,) * (g.n + 1)
+    return MixedGraph(g.n, empty, empty, g.adjacent_masks)
 
 
 def corresponding_digraph(g: MixedGraph) -> frozenset[Arc]:
     """Arc set of the digraph with each edge replaced by two opposite arcs."""
-    arcs = set(g.arcs)
-    for u, v in g.edges:
-        arcs.add((u, v))
-        arcs.add((v, u))
-    return frozenset(arcs)
+    return frozenset(_pairs([s | e for s, e in zip(g.succ_masks, g.nbr_masks)]))

@@ -11,17 +11,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .expressions import (
-    AddArc,
-    AddEdge,
-    Introduce,
-    MixedExpression,
-    Relabel,
-    Union,
-)
 from .errors import DirectedCycleError
 from .graphs import Coloring, MixedGraph, mixed_graph, normalize_edge, set_bits
+
+if TYPE_CHECKING:
+    from .expressions import MixedExpression
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +123,9 @@ def split_superstring_expression(inst: SuperstringInstance) -> tuple[MixedExpres
     construction, 5 the incoming sibling, 6 the outgoing sibling; a finished
     path is shifted to labels 4..6 while cross-path edges are added.
     """
+    # here, not at module level: generating a graph needs no expressions
+    from .expressions import AddArc, AddEdge, Introduce, Relabel, Union
+
     k = inst.k
     char_label = {"0": 1, "1": 2}
     order: list[int] = []

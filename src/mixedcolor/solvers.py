@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional
 from .bounds import bracket, layering_coloring, lower_bounds  # noqa: F401
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, CapExceeded
 from .feasibility import Rows, search, solve_feasibility  # noqa: F401
-from .graphs import Coloring, MixedGraph, arc_order, set_bits
+from .graphs import Coloring, MixedGraph, mixed_graph, set_bits
 # perfbench's tracer wraps solve_feasibility and mixed_neighborhood_partition in this module
 from .partitions import closure_neighborhood_partition, mixed_neighborhood_partition  # noqa: F401
 from .treedecomp import (
@@ -356,13 +356,10 @@ class ClassStructure:
     @cached_property
     def chain_weight(self) -> int:
         """Longest class-DAG chain weighted by class sizes: a chromatic lower bound."""
-        arcs = [(i + 1, j + 1) for i, j in self.class_arcs]  # classes numbered from 1
-        heads: list[list[int]] = [[] for _ in range(len(self.sizes) + 1)]
-        for i, j in arcs:
-            heads[i].append(j)
+        dag = mixed_graph(len(self.sizes), arcs=[(i + 1, j + 1) for i, j in self.class_arcs])  # classes from 1
         best = [0, *self.sizes]  # heaviest chain ending at each class
-        for c in arc_order(len(self.sizes), arcs):
-            for d in heads[c]:
+        for c in dag.order:
+            for d in set_bits(dag.succ_masks[c]):
                 best[d] = max(best[d], best[c] + self.sizes[d - 1])
         return max(best)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 from .errors import InvalidDecomposition, ParseError
-from .graphs import MixedGraph, _ints, _lines, normalize_edge, set_bits
+from .graphs import MixedGraph, _ints, _lines, set_bits
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,10 @@ def validate_decomposition(td: TreeDecomposition, g: MixedGraph) -> None:
         raise InvalidDecomposition(f"bag vertex {stray} is not a vertex of the graph")
     if len(held) != g.n:
         raise InvalidDecomposition("bags do not cover the vertex set")
-    rel = [normalize_edge(u, v) for u, v in g.edges]
-    rel += [normalize_edge(u, v) for u, v in g.arcs]
-    for u, v in rel:
-        if not held[u] & held[v]:
-            raise InvalidDecomposition(f"relation {{{u},{v}}} not contained in any bag")
+    for u in g.vertices:
+        for v in set_bits(g.adjacent_masks[u] >> u << u):  # each relation {u, v} once, u < v
+            if not held[u] & held[v]:
+                raise InvalidDecomposition(f"relation {{{u},{v}}} not contained in any bag")
     # the bags holding v span a subforest of the tree, which is connected
     # exactly when it has one tree edge fewer than bags
     shared = dict.fromkeys(held, 0)

@@ -1,7 +1,7 @@
 """Reference views for the tests: the induced subgraph, renumbered, and the
 neighborhoods read straight off the relation sets."""
 
-from mixedcolor.graphs import MixedGraph
+from mixedcolor.graphs import mixed_graph
 
 
 def induced_subgraph(g, vertices):
@@ -13,7 +13,7 @@ def induced_subgraph(g, vertices):
     remap = {v: i + 1 for i, v in enumerate(keep)}
     edges = frozenset((remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap)
     arcs = frozenset((remap[u], remap[v]) for u, v in g.arcs if u in remap and v in remap)
-    return MixedGraph(len(keep), edges, arcs), remap
+    return mixed_graph(len(keep), edges, arcs), remap
 
 
 def scanned(g):

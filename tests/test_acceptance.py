@@ -61,7 +61,7 @@ from mixedcolor import (
 )
 from mixedcolor.errors import UnsupportedClosureExpression
 from mixedcolor.feasibility import EQ, LE
-from mixedcolor.graphs import MixedGraph, normalize_edge
+from mixedcolor.graphs import normalize_edge
 from mixedcolor.treedecomp import make_nice, min_fill_decomposition
 
 from conftest import graph_corpus
@@ -82,7 +82,7 @@ def relabel_to(g, order):
     remap = {i + 1: order[i] for i in range(g.n)}
     edges = frozenset(normalize_edge(remap[u], remap[v]) for u, v in g.edges)
     arcs = frozenset((remap[u], remap[v]) for u, v in g.arcs)
-    return MixedGraph(g.n, edges, arcs)
+    return mixed_graph(g.n, edges, arcs)
 
 
 def test_criterion_1_oracle_equivalence():

@@ -27,7 +27,7 @@ from mixedcolor.expressions import (
     evaluate,
     evaluate_arcs,
 )
-from mixedcolor.graphs import MixedGraph, normalize_edge
+from mixedcolor.graphs import normalize_edge
 from mixedcolor.partitions import vertex_cover_number
 from subgraphs import scanned
 
@@ -101,7 +101,7 @@ def _reference_fold(e, allow_opposite):
 
 def reference_evaluate(e):
     s = _reference_fold(e, allow_opposite=False)
-    graph = MixedGraph(len(s.labels), frozenset(s.edges), frozenset(s.arcs))
+    graph = mixed_graph(len(s.labels), s.edges, s.arcs)
     return graph, dict(s.labels)
 
 

@@ -548,6 +548,19 @@ class TestBoundsParams:
         assert code == 1
         assert report_dict(out)["violation"] == "arc(1,2)"
 
+    def test_verify_deep_chain(self, capsys, tmp_path):
+        # a long sparse graph: each vertex's masks reach its largest neighbor id
+        n = 1500
+        chain, cert = tmp_path / "chain.graph", tmp_path / "cert.txt"
+        chain.write_text(f"p mixed {n} 0 {n - 1}\n" + "".join(f"a {v} {v + 1}\n" for v in range(1, n)))
+        cert.write_text("".join(f"{v} {v}\n" for v in range(1, n + 1)))
+        code, out, _ = run(capsys, "verify", str(chain), str(cert))
+        assert (code, report_dict(out)["proper"]) == (0, "yes")
+        cert.write_text("".join(f"{v} {750 if v == 751 else v}\n" for v in range(1, n + 1)))
+        code, out, _ = run(capsys, "verify", str(chain), str(cert))
+        assert code == 1
+        assert report_dict(out)["violation"] == "arc(750,751)"
+
 
     @pytest.mark.parametrize("cert, violation", [
         ("1 1\n2 2\n", "missing(3)"),

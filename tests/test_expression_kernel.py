@@ -37,7 +37,7 @@ from mixedcolor import (
     width,
 )
 from mixedcolor.expressions import TC_WIDTH_CAP
-from mixedcolor.graphs import MixedGraph, normalize_edge
+from mixedcolor.graphs import mixed_graph, normalize_edge
 
 # ---------------------------------------------------------------------------
 # recursive reference
@@ -82,7 +82,7 @@ def ref_fold(e, allow_opposite, counter):
 
 def ref_evaluate(e):
     labels, edges, arcs = ref_fold(e, False, [0])
-    return MixedGraph(len(labels), frozenset(edges), frozenset(arcs)), dict(sorted(labels.items()))
+    return mixed_graph(len(labels), edges, arcs), dict(sorted(labels.items()))
 
 
 def ref_evaluate_arcs(e):

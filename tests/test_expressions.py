@@ -35,7 +35,7 @@ from mixedcolor import (
     transitive_closure,
     width,
 )
-from mixedcolor.graphs import MixedGraph, normalize_edge
+from mixedcolor.graphs import normalize_edge
 from mixedcolor.reductions import family_tripartite
 
 
@@ -44,7 +44,7 @@ def relabel_to(g, order):
     remap = {i + 1: order[i] for i in range(g.n)}
     edges = frozenset(normalize_edge(remap[u], remap[v]) for u, v in g.edges)
     arcs = frozenset((remap[u], remap[v]) for u, v in g.arcs)
-    return MixedGraph(g.n, edges, arcs)
+    return mixed_graph(g.n, edges, arcs)
 
 
 def inline_three_label_expression():

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 
 from mixedcolor import (
     DirectedCycleError,
-    MixedGraph,
     load_graph,
     mixed_graph,
     mixed_neighborhood_partition,
     random_mixed_graph,
     undirected_neighborhood_partition,
 )
-from mixedcolor.graphs import normalize_edge, underlying_undirected
+from mixedcolor.graphs import normalize_edge, save_graph, transitive_closure, underlying_undirected
 from mixedcolor.partitions import class_relations
 from mixedcolor.reductions import family_layered_cliques
 from subgraphs import scanned
@@ -31,8 +30,9 @@ PROPERTY = settings(max_examples=150)
 
 
 @st.composite
-def typed_graphs(draw, max_n=14):
-    """Blow-ups of a random type graph with a few relations changed afterwards.
+def typed_relations(draw, max_n=14):
+    """The vertex count, edges (u < v) and arcs of a blow-up of a random
+    type graph with a few relations changed afterwards.
 
     Vertices get a random type; a type is a clique or an independent set and
     relates uniformly to each other type. Arcs follow one drawn vertex order,
@@ -58,7 +58,11 @@ def typed_graphs(draw, max_n=14):
     arcs = [
         (u, v) if rank[u] < rank[v] else (v, u) for (u, v), kind in relation.items() if kind == "arc"
     ]
-    return mixed_graph(n, edges, arcs)
+    return n, edges, arcs
+
+
+def typed_graphs(max_n=14):
+    return typed_relations(max_n).map(lambda relations: mixed_graph(*relations))
 
 
 def pairwise_partition(g, same_type):
@@ -152,32 +156,57 @@ def test_index_matches_direct_scans(g):
             assert masks[v] == sum(1 << u for u in seen)
 
 
-ADJACENCY = ("pred_masks", "succ_masks", "nbr_masks", "adjacent_masks")
+# what construction leaves for the first read: the relation sets and every
+# index part but the order
+DERIVED = ("edges", "arcs", "adjacent_masks", "anc_masks", "desc_masks", "floor", "ceiling", "layering")
 
 
-def test_construction_builds_no_adjacency_part():
+def test_construction_computes_no_derived_part():
     built = mixed_graph(4, edges=[(2, 1)], arcs=[(2, 3), (3, 4)])
     loaded = load_graph(io.StringIO("p mixed 4 1 2\ne 1 2\na 2 3\na 3 4\n"))
-    for g in (built, loaded):
-        assert not set(ADJACENCY) & set(vars(g))
+    read = load_graph(io.StringIO("# by the line reader\np mixed 4 1 2\ne 1 2\na 2 3\na 3 4\n"))
+    assert built == loaded == read
+    for g in (built, loaded, read):
+        assert set(vars(g)) == {"n", "pred_masks", "succ_masks", "nbr_masks", "order"}
 
 
 @PROPERTY
-@given(typed_graphs(), st.permutations(ADJACENCY))
-def test_any_adjacency_read_fills_all_four_parts(g, reads):
-    ins, outs, nbrs = scanned(g)
-    views = {
-        "pred_masks": ins,
-        "succ_masks": outs,
-        "nbr_masks": nbrs,
-        "adjacent_masks": {v: ins[v] | outs[v] | nbrs[v] for v in g.vertices},
+@given(typed_graphs(), st.permutations(("edges", "arcs", "adjacent_masks")))
+def test_each_relation_part_is_built_on_its_first_read(g, reads):
+    def bits(mask):
+        return {v for v in g.vertices if mask >> v & 1}
+
+    expected = {
+        "edges": {(u, v) for u in g.vertices for v in bits(g.nbr_masks[u]) if u < v},
+        "arcs": {(u, v) for u in g.vertices for v in bits(g.succ_masks[u])},
+        "adjacent_masks": tuple(p | s | e for p, s, e in zip(g.pred_masks, g.succ_masks, g.nbr_masks)),
     }
-    expected = {name: (0,) + tuple(sum(1 << u for u in view[v]) for v in g.vertices) for name, view in views.items()}
-    assert not set(ADJACENCY) & set(vars(g))
-    getattr(g, reads[0])
-    assert {name: vars(g)[name] for name in ADJACENCY} == expected
+    for i, name in enumerate(reads):
+        assert not set(reads[i:]) & set(vars(g))
+        assert getattr(g, name) == expected[name]
     # later reads are the stored parts, not rebuilds
     assert all(getattr(g, name) is vars(g)[name] for name in reads)
+
+
+@PROPERTY
+@given(typed_relations(), st.data())
+def test_relation_sets_are_the_input_pairs(relations, data):
+    n, edges, arcs = relations
+    # each edge in a drawn orientation, and some pairs given twice
+    flipped = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+    again = data.draw(st.lists(st.sampled_from(flipped + arcs), max_size=3)) if edges or arcs else []
+    g = mixed_graph(n, flipped + [e for e in again if e in flipped], arcs + [a for a in again if a in arcs])
+    assert g.edges == frozenset(edges) and g.arcs == frozenset(arcs)
+    for v in g.vertices:
+        assert g.pred_masks[v] == sum(1 << u for u, w in arcs if w == v)
+        assert g.succ_masks[v] == sum(1 << w for u, w in arcs if u == v)
+        assert g.nbr_masks[v] == sum(1 << (u + w - v) for u, w in edges if v in (u, w))
+    # every constructor gives an equal graph with an equal hash
+    buf = io.StringIO()
+    save_graph(g, buf)
+    closed = transitive_closure(g)
+    for other, same in ((load_graph(io.StringIO(buf.getvalue())), g), (transitive_closure(closed), closed)):
+        assert other == same and hash(other) == hash(same)
 
 
 @PROPERTY
@@ -191,7 +220,7 @@ def test_construction_rejects_directed_cycles(g, data):
     edges = frozenset(e for e in g.edges if e not in touched)
     arcs = frozenset(a for a in g.arcs if normalize_edge(*a) not in touched) | closing
     with pytest.raises(DirectedCycleError):
-        MixedGraph(g.n, edges, arcs)
+        mixed_graph(g.n, edges, arcs)
 
 
 def test_color_windows_of_layered_cliques():

@@ -1,5 +1,6 @@
 """Core graph model: validation, file formats, order/reachability primitives."""
 
+import hashlib
 import io
 import re
 
@@ -30,6 +31,7 @@ from mixedcolor.errors import MixedColorError
 from mixedcolor.graphs import Coloring
 from mixedcolor.reductions import family_layered_cliques
 from subgraphs import scanned
+from test_ascent_counters import SECONDS, workloads  # noqa: F401 (a fixture)
 
 
 def parse(text: str) -> MixedGraph:
@@ -88,9 +90,10 @@ class TestLoadGraph:
         assert load_coloring(io.StringIO(buf.getvalue())) == c
 
 
-# One malformed relation each: the relations as handed to ``MixedGraph``, the
-# error it raises, then the relation lines of a file and the error
-# ``load_graph`` raises, whose line numbers count the comment line above the header.
+# One malformed relation each: the relations as handed to ``mixed_graph``, the
+# error it raises (None: it takes an edge in either orientation), then the
+# relation lines of a file and the error ``load_graph`` raises, whose line
+# numbers count the comment line above the header.
 MALFORMED = {
     "edge loop": ({(1, 1)}, set(), LoopError("edge (1,1) is a loop"),
                   "e 1 1", LoopError("line 3: loop at vertex 1")),
@@ -100,7 +103,7 @@ MALFORMED = {
                           "e 1 3", ParseError("line 3: vertex out of range 1..2")),
     "arc out of range": (set(), {(0, 1)}, ValueError("arc (0,1) out of range"),
                          "a 0 1", ParseError("line 3: vertex out of range 1..2")),
-    "unnormalized edge": ({(2, 1)}, set(), ValueError("edge (2,1) not normalized or out of range"),
+    "unnormalized edge": ({(2, 1)}, set(), None,
                           "e 2 1", ParseError("line 3: edge must satisfy u < v")),
     "arc after parallel edge": ({(1, 2)}, {(2, 1)}, DuplicateRelation("pair {2,1} carries an edge and an arc"),
                                 "e 1 2\na 2 1", DuplicateRelation("line 4: pair {2,1} already related")),
@@ -174,8 +177,11 @@ def test_certificate_loader_errors(case):
 @pytest.mark.parametrize("case", MALFORMED)
 def test_construction_errors(case):
     edges, arcs, error, lines, load_error = MALFORMED[case]
-    with raises_exactly(error):
-        MixedGraph(2, frozenset(edges), frozenset(arcs))
+    if error is None:
+        assert mixed_graph(2, edges, arcs).edges == {(1, 2)}
+    else:
+        with raises_exactly(error):
+            mixed_graph(2, edges, arcs)
     header = f"p mixed 2 {lines.count('e ')} {lines.count('a ')}"
     with raises_exactly(load_error):
         parse(f"# one malformed relation\n{header}\n{lines}\n")
@@ -279,6 +285,22 @@ class TestOnePassLoad:
             path.write_bytes(f"# one malformed relation\n{header}\n{lines}\n".replace("\n", "\r\n").encode())
             with open(path, encoding="utf-8") as fh, raises_exactly(load_error):
                 load_graph(fh)
+
+
+# sha256 (first 16 digits) of each benchmark pool's seed-1 texts, joined:
+# generation builds every graph with mixed_graph and writes it with save_graph
+POOL_TEXTS = {
+    "ndm-fpt": "2dfce814ba514dc3",
+    "sparse-branch": "87bca5e7d11e0c42",
+    "dense-twdp": "9c97d047d83adaa0",
+    "analyze-large": "0ad7b45843071a9a",
+}
+
+
+@pytest.mark.parametrize("pool", POOL_TEXTS)
+def test_benchmark_pool_texts_are_pinned(workloads, pool):
+    texts = workloads.materialize(workloads.WORKLOADS[pool].plan(1, SECONDS))
+    assert hashlib.sha256("".join(texts).encode()).hexdigest()[:16] == POOL_TEXTS[pool]
 
 
 class TestTopologicalOrder:

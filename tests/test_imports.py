@@ -1,6 +1,6 @@
 """Cold start: ``import mixedcolor`` loads no submodule until a name is read,
-and the CLI commands solve, bounds, params and verify load neither
-expressions nor reductions. Each check runs in a fresh interpreter, since
+the CLI commands solve, bounds, params and verify load neither expressions
+nor reductions, and gen does not load expressions. Each check runs in a fresh interpreter, since
 this process has already imported everything."""
 
 import json
@@ -101,6 +101,18 @@ def test_solve_bounds_params_and_verify_skip_expressions_and_reductions(tmp_path
     assert "mixedcolor.solvers" in loaded
     assert "mixedcolor.expressions" not in loaded
     assert "mixedcolor.reductions" not in loaded
+
+
+def test_gen_skips_expressions(tmp_path):
+    code = (
+        "from mixedcolor.cli import main\n"
+        "code = main(['gen', 'random', '12', '0.3', '0.2', '--seed', '1', '--out', sys.argv[1]])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('mixedcolor'))]))"
+    )
+    code, loaded = run_python(code, str(tmp_path / "g.txt"))
+    assert code == 0
+    assert "mixedcolor.reductions" in loaded
+    assert "mixedcolor.expressions" not in loaded
 
 
 def test_all_names_the_public_api():

@@ -42,7 +42,7 @@ from mixedcolor import (
     vertex_cover_number,
     width,
 )
-from mixedcolor.graphs import MixedGraph, normalize_edge
+from mixedcolor.graphs import normalize_edge
 from mixedcolor.treedecomp import make_nice, min_fill_decomposition
 
 
@@ -50,7 +50,7 @@ def relabel_to(g, order):
     remap = {i + 1: order[i] for i in range(g.n)}
     edges = frozenset(normalize_edge(remap[u], remap[v]) for u, v in g.edges)
     arcs = frozenset((remap[u], remap[v]) for u, v in g.arcs)
-    return MixedGraph(g.n, edges, arcs)
+    return mixed_graph(g.n, edges, arcs)
 
 
 FIG_STRINGS = ("01", "100", "11")
