@@ -9,10 +9,11 @@ directed cycle. Instances are immutable and safe to share.
 
 from __future__ import annotations
 
-import heapq
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
+from operator import lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -21,18 +22,17 @@ from .errors import (
     DuplicateRelation,
     IncompleteColoring,
     LoopError,
+    MixedColorError,
     ParseError,
 )
 
 Edge = tuple[int, int]  # normalized: u < v
 Arc = tuple[int, int]  # ordered: (tail, head)
 
-# The largest vertex count a graph file may announce. A header alone costs
-# about 100 bytes per vertex while the graph is built (the three mask tuples
-# and ``order``), so it could otherwise ask for any amount of memory. Relations
-# cost more: a mask takes about (largest neighbor id) / 8 bytes, so a long
-# sparse graph costs memory quadratic in n; the directed path on 100,000
-# vertices takes about 1.3 GiB.
+# The largest vertex count a graph file may announce: a header alone costs about
+# 100 bytes per vertex (the mask tuples and ``order``). Relations cost more, as a
+# mask takes about (largest neighbor id) / 8 bytes: a long sparse graph costs
+# memory quadratic in n, and the directed path on 100,000 vertices about 1.3 GiB.
 MAX_VERTICES = 100_000
 
 
@@ -40,7 +40,16 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+class _derived(cached_property):
+    """A graph part derived on its first read: ``cached_property`` without the lock that
+    Python 3.11 takes on every fill (two threads may both derive it, to equal values)."""
+
+    def __get__(self, g, owner=None):
+        value = g.__dict__[self.attrname] = self.func(g)
+        return value
+
+
+@dataclass(frozen=True, init=False)
 class MixedGraph:
     """An immutable simple mixed graph on vertices 1..n without directed cycles.
 
@@ -56,73 +65,70 @@ class MixedGraph:
     pred_masks: tuple[int, ...]  # per vertex: in-neighbors
     succ_masks: tuple[int, ...]  # out-neighbors
     nbr_masks: tuple[int, ...]  # undirected (edge) neighbors
-    # arc-respecting vertex order, ties broken by smallest id first
-    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        indeg = [mask.bit_count() for mask in self.pred_masks]
-        heap = [v for v in range(1, self.n + 1) if not indeg[v]]  # ascending, so a heap
-        order, succ = [], self.succ_masks
+    def __init__(self, n: int, pred_masks: tuple[int, ...], succ_masks: tuple[int, ...], nbr_masks: tuple[int, ...]):
+        indeg = [mask.bit_count() for mask in pred_masks]
+        heap = [v for v in range(1, n + 1) if not indeg[v]]  # ascending, so a heap
+        order = []
         while heap:
-            v = heapq.heappop(heap)
+            v = heappop(heap)
             order.append(v)
-            rest = succ[v]
+            rest = succ_masks[v]
             while rest:
                 low = rest & -rest
                 w = low.bit_length() - 1
                 indeg[w] -= 1
                 if not indeg[w]:
-                    heapq.heappush(heap, w)
+                    heappush(heap, w)
                 rest ^= low
-        # every vertex on or behind a directed cycle is left out of the order;
-        # opposite arcs are a directed 2-cycle and reported as such
-        if len(order) < self.n:
+        # a vertex on or behind a directed cycle (opposite arcs are a 2-cycle) is never ready
+        if len(order) < n:
             raise DirectedCycleError("arc set induces a directed cycle")
-        object.__setattr__(self, "order", tuple(order))
+        # frozen: the fields and ``order`` (arc-respecting, smallest ready id first) go into the dict
+        self.__dict__.update(n=n, pred_masks=pred_masks, succ_masks=succ_masks, nbr_masks=nbr_masks, order=tuple(order))
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    @cached_property
+    @_derived
     def edges(self) -> frozenset[Edge]:
         return frozenset(_pairs(self.nbr_masks, upper=True))
 
-    @cached_property
+    @_derived
     def arcs(self) -> frozenset[Arc]:
         return frozenset(_pairs(self.succ_masks))
 
-    # The graph index: each part is derived from the masks on first use and
-    # then shared by every caller; ``set_bits`` walks a mask's vertices.
+    # The graph index, each part derived once and then shared; ``set_bits`` walks a mask.
 
-    @cached_property
+    @_derived
     def adjacent_masks(self) -> tuple[int, ...]:
         """Neighbors along edges and arcs."""
         return tuple([p | s | e for p, s, e in zip(self.pred_masks, self.succ_masks, self.nbr_masks)])
 
-    @cached_property
+    @_derived
     def desc_masks(self) -> tuple[int, ...]:
         """Vertices reachable from each vertex along arcs, self excluded."""
         return _reach_masks(self.n, reversed(self.order), self.succ_masks)
 
-    @cached_property
+    @_derived
     def anc_masks(self) -> tuple[int, ...]:
         """Vertices that reach each vertex along arcs, self excluded."""
         return _reach_masks(self.n, self.order, self.pred_masks)
 
-    @cached_property
+    @_derived
     def floor(self) -> tuple[int, ...]:
         """Lower bound on the colors each vertex's ancestors need: every
         proper coloring gives v a color above ``floor[v]``."""
         return _needs(self.n, self.order, self.pred_masks, self.adjacent_masks)
 
-    @cached_property
+    @_derived
     def ceiling(self) -> tuple[int, ...]:
         """Lower bound on the colors each vertex's descendants need: every
         proper coloring with colors 1..k gives v at most ``k - ceiling[v]``."""
         return _needs(self.n, reversed(self.order), self.succ_masks, self.adjacent_masks)
 
-    @cached_property
+    @_derived
     def layering(self) -> Layering:
         """Partition by inrank (longest-path DP over ``order``)."""
         rank, preds = [0] * (self.n + 1), self.pred_masks
@@ -315,22 +321,15 @@ def _load_saved(text: str) -> MixedGraph | None:
         tails = list(map(int, tokens[6::3]))
         heads = list(map(int, tokens[7::3]))
         del tokens  # one string per token: drop them before the masks are built
-        pred, succ, nbr = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-        # a relation out of range, a loop, a repeat or an edge-arc pair returns
-        # None, and so does a directed cycle: the line reader words the error
-        for u, v in zip(tails[:e], heads[:e]):
-            if not 0 < u < v <= n or nbr[u] >> v & 1:
-                return None
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        for u, v in zip(tails[e:], heads[e:]):
-            if not (0 < u <= n and 0 < v <= n) or u == v or (nbr[u] | succ[u]) >> v & 1:
-                return None
-            succ[u] |= 1 << v
-            pred[v] |= 1 << u
-        return MixedGraph(n, tuple(pred), tuple(succ), tuple(nbr))
-    except (ValueError, DirectedCycleError):  # from int() or the Kahn pass
-        return None
+        if not all(map(lt, tails[:e], heads[:e])):  # mixed_graph would turn an edge line "e v u" round
+            return None
+        g = mixed_graph(n, zip(tails[:e], heads[:e]), zip(tails[e:], heads[e:]))
+        # mixed_graph keeps a repeated relation once, so the masks hold fewer bits
+        if sum(map(int.bit_count, g.nbr_masks)) == 2 * e and sum(map(int.bit_count, g.succ_masks)) == a:
+            return g
+    except (ValueError, MixedColorError):  # from int() or mixed_graph
+        pass
+    return None  # the line reader words the error
 
 
 def _lines(stream: TextIO, pace: bool = False) -> Iterator[tuple[int, list[str]]]:
