@@ -1,6 +1,8 @@
-"""Chromatic-number bounds: properness checking, lower bounds, and the three
-constructive upper-bound colorings (critical-path schedule coloring,
-per-layer coloring and the vertex-cover coloring with odd/even color slots).
+"""Chromatic-number bounds: properness checking, lower bounds (among them the
+propagation of the color windows and bounds shaving on it), the constructive
+upper-bound colorings (critical-path schedule coloring, per-layer coloring, the
+vertex-cover coloring with odd/even color slots and the propagation dive), and
+the bracket that the ascent and the ``bounds`` command share.
 """
 
 from __future__ import annotations
@@ -253,30 +255,35 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
     return best
 
 
-def windows_refute(g: MixedGraph, k: int) -> bool:
-    """True when forward checking on the colour windows proves that g has no k-colouring;
-    polynomial, and needs no budget.
+def _windows(g: MixedGraph, k: int) -> tuple[list[int], list[int]] | None:
+    """Each vertex's domain, a bit mask of the colours in its window ``1 + floor[v] .. k -
+    ceiling[v]``, and the vertices left with one colour; None when a window is empty.
 
-    Each vertex's domain is a bit mask of the colours in its window
-    ``1 + floor[v] .. k - ceiling[v]``. A queue of changed vertices drives the
-    propagation (Haralick & Elliott, 1980): a vertex's out-neighbours lose every colour
-    up to its smallest, its in-neighbours every colour from its largest up, and a vertex
-    left with one colour removes it from its edge neighbours. An empty domain refutes k.
-    The rules only remove colours, so the fixpoint does not depend on the queue order,
-    and a larger k only widens the domains.
+    floor rises and ceiling falls along every arc, so the windows already keep the arc
+    rules of ``_propagate``: only a vertex with one colour needs to start it.
     """
     floor, ceiling = g.floor, g.ceiling
     domain = [0] * (g.n + 1)
-    queue = []
+    fixed = []
     for v in g.vertices:
         low, high = 1 + floor[v], k - ceiling[v]
         if low > high:
-            return True
+            return None
         domain[v] = (2 << high) - (1 << low)
         if low == high:
-            queue.append(v)
-    # floor rises and ceiling falls along every arc, so the windows already keep the arc
-    # rules: only a vertex with one colour starts the propagation
+            fixed.append(v)
+    return domain, fixed
+
+
+def _propagate(g: MixedGraph, domain: list[int], queue: list[int]) -> bool:
+    """Forward checking from the changed vertices in ``queue`` (Haralick & Elliott, 1980):
+    True when a domain empties. Edits ``domain`` in place and extends ``queue``.
+
+    A vertex's out-neighbours lose every colour up to its smallest, its in-neighbours every
+    colour from its largest up, and a vertex left with one colour removes it from its edge
+    neighbours. The rules only remove colours, so the fixpoint does not depend on the queue
+    order.
+    """
     preds, succs, nbrs = g.pred_masks, g.succ_masks, g.nbr_masks
     queued = sum(1 << v for v in queue)
     for v in queue:  # the list grows as vertices change
@@ -302,6 +309,80 @@ def windows_refute(g: MixedGraph, k: int) -> bool:
                     if not queued & low:
                         queued |= low
                         queue.append(w)
+    return False
+
+
+def windows_refute(g: MixedGraph, k: int) -> bool:
+    """True when forward checking on the colour windows proves that g has no k-colouring;
+    polynomial, and needs no budget.
+
+    ``_propagate`` runs from the ``_windows`` domains; an empty domain refutes k. A larger
+    k only widens the domains.
+    """
+    start = _windows(g, k)
+    return start is None or _propagate(g, *start)
+
+
+def dive(g: MixedGraph, k: int) -> Coloring | None:
+    """A proper colouring with colours 1..k found without search, else None; needs no budget.
+
+    From the windows propagated to their fixpoint, the vertex with the fewest colours left
+    (then the most ``adjacent_masks`` neighbours, then the lowest id) is fixed to its
+    lowest colour and the propagation runs again, until every domain holds one colour.
+    It never backtracks, so it makes at most n fixes, and None means only that this descent
+    emptied a domain. At the fixpoint every arc ascends and no edge joins two equal
+    colours, so the fixed colours are proper.
+    """
+    start = _windows(g, k)
+    if start is None or _propagate(g, *start):
+        return None
+    domain = start[0]
+    degree = [mask.bit_count() for mask in g.adjacent_masks]
+    # by degree descending, then id (reverse=True keeps the id order of ties), so the
+    # first vertex with the fewest colours is the one to fix
+    open_ = sorted([v for v in g.vertices if domain[v] & (domain[v] - 1)], key=degree.__getitem__, reverse=True)
+    while open_:
+        v = min(open_, key=lambda u: domain[u].bit_count())
+        domain[v] &= -domain[v]
+        if _propagate(g, domain, [v]):
+            return None
+        open_ = [u for u in open_ if domain[u] & (domain[u] - 1)]
+    return Coloring({v: domain[v].bit_length() - 1 for v in g.vertices})
+
+
+def windows_shave(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """True when bounds shaving on the propagated windows proves that g has no k-colouring.
+
+    Shaving (Martin & Shmoys, 1996) trial-fixes each vertex's smallest and largest colour on
+    a copy of the domains and propagates; a trial that empties a domain removes that colour
+    for good, and the removal is propagated. The passes repeat until no trial removes a
+    colour; the rules only remove colours, so that fixpoint does not depend on the order.
+    Each trial spends one unit of ``budget``; past it the shaving stops, and k counts as not
+    refuted.
+    """
+    start = _windows(g, k)
+    if start is None or _propagate(g, *start):
+        return True
+    domain = start[0]
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices:
+            for largest in (False, True):
+                d = domain[v]
+                if not d & (d - 1):
+                    break  # one colour left: nothing to shave
+                budget -= 1
+                if budget < 0:
+                    return False
+                colour = 1 << d.bit_length() - 1 if largest else d & -d
+                trial = domain.copy()
+                trial[v] = colour
+                if _propagate(g, trial, [v]):
+                    domain[v] = d ^ colour
+                    if _propagate(g, domain, [v]):
+                        return True
+                    changed = True
     return False
 
 
@@ -390,16 +471,19 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
 
 
 def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[int, Coloring, str]:
-    """Lower bound on chi, a schedule coloring as the upper witness, and the bound that set
-    the lower end: ``window_propagation``, ``window_clique`` or ``undirected_clique``.
+    """Lower bound on chi, a proper coloring as the upper witness, and the bound that set the
+    lower end: ``window_propagation``, ``window_clique``, ``window_shaving`` or
+    ``undirected_clique``.
 
-    The bounds run cheapest first, each only while the lower end is below the upper witness's
-    color count, and each names the lower end only if it raises it: the color windows alone
-    and ``windows_refute`` past every k it refutes, both named ``window_propagation`` (an
-    empty window is an empty domain, so the propagation refutes every k below the windows
-    alone); the reversed schedule as the upper witness if it uses fewer colors; then, with a
-    ``budget`` only, ``window_clique_bound`` and the chi_u search from the lower end, which
-    ``budget`` bounds (past the budget, the clique number).
+    The steps run cheapest first, each only while the lower end is below the upper witness's
+    color count, and each names the lower end only if it raises it: the schedule coloring;
+    the color windows alone and ``windows_refute`` past every k it refutes, both named
+    ``window_propagation`` (an empty window is an empty domain, so the propagation refutes
+    every k below the windows alone); the reversed schedule as the upper witness if it uses
+    fewer colors; the ``dive`` at the lower end, whose coloring closes the bracket; then,
+    with a ``budget`` only, ``window_clique_bound``, ``windows_shave`` past every k it
+    refutes, and the chi_u search from the lower end. ``budget`` bounds each shaving and the
+    search; past it a shaving refutes nothing more and the search gives the clique number.
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()
@@ -409,10 +493,16 @@ def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[in
     if lower < count:
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
         count = upper.num_colors()
+    if lower < count:
+        dived = dive(g, lower)
+        if dived is not None:
+            upper, count = dived, lower
     if lower < count and budget is not None:
         found = window_clique_bound(g, count)
         if found > lower:
             lower, source = found, "window_clique"
+        while lower < count and windows_shave(g, lower, budget):
+            lower, source = lower + 1, "window_shaving"
         found = _chi_u_or_clique(g, budget, lower)[0] if lower < count else lower
         if found > lower:
             lower, source = found, "undirected_clique"
@@ -423,10 +513,10 @@ def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[in
 class ChromaticBounds:
     lower: int
     upper: int
-    # "maxrank", else the bracket's: "undirected_clique", "window_clique", or "window_propagation"
-    # for the windows alone and their propagation
+    # "maxrank", else the bracket's: "undirected_clique", "window_shaving", "window_clique", or
+    # "window_propagation" for the windows alone and their propagation
     lower_witness: str
-    upper_witness: Coloring  # the bracket's schedule coloring
+    upper_witness: Coloring  # the bracket's: a schedule coloring or the dive's coloring
 
 
 def chromatic_bounds(g: MixedGraph) -> ChromaticBounds:

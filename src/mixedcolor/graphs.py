@@ -30,10 +30,14 @@ Edge = tuple[int, int]  # normalized: u < v
 Arc = tuple[int, int]  # ordered: (tail, head)
 
 # The largest vertex count a graph file may announce: a header alone costs about
-# 100 bytes per vertex (the mask tuples and ``order``). Relations cost more, as a
-# mask takes about (largest neighbor id) / 8 bytes: a long sparse graph costs
-# memory quadratic in n, and the directed path on 100,000 vertices about 1.3 GiB.
+# 100 bytes per vertex (the mask tuples and ``order``).
 MAX_VERTICES = 100_000
+# The most mask bits a graph file's relations may ask for. A mask takes about
+# (largest neighbor id) / 8 bytes, so a relation (u, v) adds at most u + v bits:
+# a long sparse graph costs memory quadratic in n, and the directed path on
+# 100,000 vertices would take about 1.3 GiB. The loaders sum u + v over the
+# relations and refuse a text past this cap (256 MiB of masks) before building any.
+MAX_MASK_BITS = 1 << 31
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -323,6 +327,8 @@ def _load_saved(text: str) -> MixedGraph | None:
         del tokens  # one string per token: drop them before the masks are built
         if not all(map(lt, tails[:e], heads[:e])):  # mixed_graph would turn an edge line "e v u" round
             return None
+        if sum(tails) + sum(heads) > MAX_MASK_BITS:
+            return None
         g = mixed_graph(n, zip(tails[:e], heads[:e]), zip(tails[e:], heads[e:]))
         # mixed_graph keeps a repeated relation once, so the masks hold fewer bits
         if sum(map(int.bit_count, g.nbr_masks)) == 2 * e and sum(map(int.bit_count, g.succ_masks)) == a:
@@ -351,9 +357,14 @@ def _ints(lineno: int, tokens: list[str], what: str) -> list[int]:
 
 
 def _load_lines(stream: TextIO) -> MixedGraph:
-    """The line reader: checks each line as it reads it and words every error."""
+    """The line reader: checks each line as it reads it and words every error.
+
+    The relations are kept as read and go into the masks only once their mask size is
+    known to be within ``MAX_MASK_BITS``, so a repeated pair is reported after every
+    error that a line shows by itself."""
     n = -1
-    expected_edges = expected_arcs = edges = arcs = 0
+    expected_edges = expected_arcs = bits = 0
+    relations = []  # (line number, is an edge, u, v)
     for lineno, parts in _lines(stream):
         if parts[0] == "p":
             if n >= 0:
@@ -365,7 +376,6 @@ def _load_lines(stream: TextIO) -> MixedGraph:
                 raise ParseError(f"line {lineno}: negative counts")
             if n > MAX_VERTICES:
                 raise ParseError(f"line {lineno}: {n} vertices, more than the {MAX_VERTICES} allowed")
-            pred, succ, nbr = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
         elif parts[0] in ("e", "a"):
             if n < 0:
                 raise ParseError(f"line {lineno}: relation before header")
@@ -376,29 +386,37 @@ def _load_lines(stream: TextIO) -> MixedGraph:
                 raise LoopError(f"line {lineno}: loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"line {lineno}: vertex out of range 1..{n}")
-            if parts[0] == "e":
-                if u >= v:
-                    raise ParseError(f"line {lineno}: edge must satisfy u < v")
-                if (nbr[u] | succ[u] | pred[u]) >> v & 1:
-                    raise DuplicateRelation(f"line {lineno}: pair {{{u},{v}}} already related")
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
-                edges += 1
-            else:
-                if (nbr[u] | succ[u]) >> v & 1:
-                    raise DuplicateRelation(f"line {lineno}: pair {{{u},{v}}} already related")
-                # an opposite arc is a directed 2-cycle; graph construction reports it
-                succ[u] |= 1 << v
-                pred[v] |= 1 << u
-                arcs += 1
+            if parts[0] == "e" and u >= v:
+                raise ParseError(f"line {lineno}: edge must satisfy u < v")
+            relations.append((lineno, parts[0] == "e", u, v))
+            bits += u + v
         else:
             raise ParseError(f"line {lineno}: unknown line kind {parts[0]!r}")
     if n < 0:
         raise ParseError("missing header line")
-    if edges != expected_edges or arcs != expected_arcs:
+    if bits > MAX_MASK_BITS:
+        raise ParseError(
+            f"relations need {bits >> 23} MiB of adjacency masks, more than the {MAX_MASK_BITS >> 23} MiB allowed"
+        )
+    pred, succ, nbr = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    edges = 0
+    for lineno, is_edge, u, v in relations:
+        if is_edge:
+            if (nbr[u] | succ[u] | pred[u]) >> v & 1:
+                raise DuplicateRelation(f"line {lineno}: pair {{{u},{v}}} already related")
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+            edges += 1
+        else:
+            if (nbr[u] | succ[u]) >> v & 1:
+                raise DuplicateRelation(f"line {lineno}: pair {{{u},{v}}} already related")
+            # an opposite arc is a directed 2-cycle; graph construction reports it
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+    if edges != expected_edges or len(relations) - edges != expected_arcs:
         raise ParseError(
             f"header announced {expected_edges} edges / {expected_arcs} arcs, "
-            f"found {edges} / {arcs}"
+            f"found {edges} / {len(relations) - edges}"
         )
     return MixedGraph(n, tuple(pred), tuple(succ), tuple(nbr))
 

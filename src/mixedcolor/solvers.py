@@ -52,11 +52,12 @@ Decide = Callable[[int], SolveResult]
 
 def _ascend(g: MixedGraph, decide: Decide, budget: int | None, stats: dict | None = None) -> tuple[int, Coloring]:
     """The first k from ``bracket``'s lower bound up that monotone ``decide`` accepts, with its
-    witness, else the bracket's upper coloring and its count. ``stats`` gets ``first_k``, ``upper`` and ``decides``."""
-    first_k, upper, _ = bracket(g, budget)
+    witness, else the bracket's upper coloring and its count. ``stats`` gets ``first_k``, ``upper``,
+    ``decides`` and the bracket's label as ``lower_witness``."""
+    first_k, upper, source = bracket(g, budget)
     count = upper.num_colors()
     stats = {} if stats is None else stats
-    stats.update(first_k=first_k, upper=count, decides=0)
+    stats.update(first_k=first_k, upper=count, decides=0, lower_witness=source)
     for k in range(first_k, count):
         stats["decides"] += 1
         result = decide(k)

@@ -28,14 +28,14 @@ SECONDS = 12  # the benchmark's run length, which sizes each pool
 
 # pool: (graphs, decides, sha256 of the comma-joined chromatic numbers, first 16 digits)
 PINNED = {
-    "dense-twdp": (901, 83, "c0c5ada7a56d5d4f"),
-    "ndm-fpt": (725, 17, "a448a48c5d581e79"),
-    "sparse-branch": (384, 79, "70516c7d26fb35c9"),
+    "dense-twdp": (901, 18, "c0c5ada7a56d5d4f"),
+    "ndm-fpt": (725, 5, "a448a48c5d581e79"),
+    "sparse-branch": (384, 47, "70516c7d26fb35c9"),
 }
 # sparse-branch: (summed nodes, summed memo entries) of the branch ascent
-BRANCH_WORK = (3_285, 3_090)
+BRANCH_WORK = (2_634, 2_570)
 # analyze-large: (graphs, summed upper - lower of chromatic_bounds)
-ANALYZE_PINNED = (487, 40)
+ANALYZE_PINNED = (487, 7)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import random
 from hypothesis import example, given, settings
 
 from mixedcolor import brute_force_chi, check_proper, chi_exact, mixed_graph, random_mixed_graph, schedule_coloring
-from mixedcolor.bounds import bracket
+from mixedcolor.bounds import bracket, dive
 from mixedcolor.errors import DEFAULT_NODE_BUDGET
 from mixedcolor.reductions import family_layered_cliques, family_oriented_grid
 from mixedcolor.solvers import METHODS, ROUTES
@@ -26,8 +26,16 @@ PROPERTY = settings(max_examples=150)
 # chi 2; the schedule gives vertex 5 color 3, above 2's and beside 4's, and
 # the reversed schedule closes the bracket at 2
 UNSCHEDULED = mixed_graph(5, edges=[(1, 3), (1, 4), (4, 5)], arcs=[(2, 5)])
-# first k 3 on every route, chi 4, both schedules 5 colors: two decides
+# first k 5 on every route (the windows' propagation; the dive at 5 fails and the
+# shaving refutes nothing), chi 6, both schedules 7 colors: two decides
 TWO_DECIDES = mixed_graph(
+    7,
+    edges=[(1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7)],
+    arcs=[(2, 5), (2, 7), (4, 1), (5, 6), (7, 6)],
+)
+# first k 3 without a budget and 4 with one (the shaving), chi 4, both schedules 5
+# colors: two decides on branch, one on the other routes
+SHAVED = mixed_graph(
     7,
     edges=[(1, 2), (1, 5), (2, 3), (2, 6), (2, 7), (3, 4), (4, 5), (4, 6), (4, 7), (5, 6)],
     arcs=[(4, 2), (5, 3), (6, 1), (7, 1)],
@@ -42,9 +50,12 @@ def assert_routes_match_brute_force(g):
         assert got == chi
         assert check_proper(g, witness)[0]
         assert witness.num_colors() == chi
-        # every route's bracket takes the reversed schedule where it is better
+        # every route's bracket takes the reversed schedule where it is better, and the
+        # dive's coloring where the dive at the propagated lower end finds one
         schedules = [schedule_coloring(g, reverse).num_colors() for reverse in (False, True)]
-        assert stats["first_k"] <= chi <= stats["upper"] == min(schedules)
+        propagated = bracket(g, None)[0]  # no budget: the windows and their propagation alone
+        dived = propagated < min(schedules) and dive(g, propagated) is not None
+        assert stats["first_k"] <= chi <= stats["upper"] == (propagated if dived else min(schedules))
         assert stats["decides"] == min(chi + 1, stats["upper"]) - stats["first_k"]
 
 
@@ -63,6 +74,7 @@ def test_schedule_coloring_is_proper_and_gap_free(g):
 @given(mixed_graphs())
 @example(UNSCHEDULED)
 @example(TWO_DECIDES)
+@example(SHAVED)
 def test_reversed_schedule_is_the_schedule_of_the_reversed_graph(g):
     # the forward schedule of g with every arc turned round, its colors turned round
     forward = schedule_coloring(mixed_graph(g.n, g.edges, [(v, u) for u, v in g.arcs])).colors
@@ -97,6 +109,7 @@ def set_based_schedule(g):
 @given(mixed_graphs(max_n=16))
 @example(UNSCHEDULED)
 @example(TWO_DECIDES)
+@example(SHAVED)
 def test_schedule_coloring_matches_the_set_based_rule(g):
     assert list(schedule_coloring(g).colors.items()) == set_based_schedule(g)
 
@@ -117,6 +130,7 @@ def test_schedule_coloring_matches_the_set_based_rule_past_64_colors():
 @given(mixed_graphs())
 @example(UNSCHEDULED)
 @example(TWO_DECIDES)
+@example(SHAVED)
 def test_chi_exact_routes_match_brute_force(g):
     assert_routes_match_brute_force(g)
 
@@ -146,6 +160,7 @@ def test_every_route_accepts_the_schedule_count(g):
 @given(mixed_graphs())
 @example(UNSCHEDULED)
 @example(TWO_DECIDES)
+@example(SHAVED)
 @example(mixed_graph(0))
 def test_every_route_ascends_the_one_bracket(g):
     # branch passes no budget, so its bracket stops after the windows, their propagation

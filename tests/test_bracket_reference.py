@@ -1,18 +1,22 @@
 """``bounds.bracket`` against the bracket as it stood before its bounds ran
-cheapest first.
+cheapest first, with the dive and the shaving added.
 
 The reference below computes the window cliques before the colour windows'
 propagation, on every graph, and takes the reversed schedule only with a
 budget. Neither order changes a budgeted answer: the propagation refutes every
 k below its first unrefuted one, whatever k it starts from, and the reversed
 schedule uses fewer colours only on a graph that no lower bound closes at the
-forward count. So a budgeted bracket gives the reference's lower end and upper
-witness, and only its label may move from ``window_clique`` to
-``window_propagation`` where both bounds reach the same end. Without a budget
-the lower end is the reference's too, and where the propagation leaves a gap
-the upper witness is the schedule with fewer colours (a tie keeps the forward
-one). The graphs are derandomized ``mixed_graphs()`` and the benchmark's four
-seed-1 pools.
+forward count. The dive runs at the lower end the propagation alone reaches,
+as in the bracket: where it succeeds that end is chi, so no clique raises it,
+and where the cliques raise the end past it the dive cannot succeed. The
+shaving then runs from the larger end, as in the bracket. So a budgeted bracket
+gives the reference's lower end and upper witness, and only its label may move
+from ``window_clique`` to ``window_propagation`` where both bounds reach the
+same end. Without a budget the lower end is the reference's too, and where the
+propagation leaves a gap the upper witness is the schedule with fewer colours
+(a tie keeps the forward one), or the dive's colouring where the schedules
+leave a gap and the dive finds one. The graphs are derandomized
+``mixed_graphs()`` and the benchmark's four seed-1 pools.
 """
 
 import io
@@ -21,18 +25,26 @@ import pytest
 from hypothesis import example, given, settings
 
 from mixedcolor import bounds, graphs
-from mixedcolor.bounds import schedule_coloring, window_clique_bound, windows_refute
+from mixedcolor.bounds import dive, schedule_coloring, window_clique_bound, windows_refute, windows_shave
 from mixedcolor.errors import DEFAULT_NODE_BUDGET
 from mixedcolor.graphs import Coloring, mixed_graph
 
 from test_ascent_counters import SECONDS, workloads  # noqa: F401 (a fixture)
-from test_ascent_properties import TWO_DECIDES, UNSCHEDULED
+from test_ascent_properties import SHAVED, TWO_DECIDES, UNSCHEDULED
 from test_branching_properties import mixed_graphs
 
 
+def propagated_end(g):
+    """The lower end of the colour windows and their propagation alone."""
+    lower = window_clique_bound(g, 0)
+    while windows_refute(g, lower):
+        lower += 1
+    return lower
+
+
 def reference_bracket(g, budget=DEFAULT_NODE_BUDGET):
-    """The bracket with the window cliques first and the reversed schedule only
-    under a budget: (lower, upper coloring, label)."""
+    """The bracket with the window cliques first, the reversed schedule only
+    under a budget, then the dive, the shaving and chi_u: (lower, upper coloring, label)."""
     upper = schedule_coloring(g)
     count = upper.num_colors()
     lower, source = window_clique_bound(g, 0 if budget is None else count), "window_clique"
@@ -41,6 +53,12 @@ def reference_bracket(g, budget=DEFAULT_NODE_BUDGET):
         count = upper.num_colors()
     while lower < count and windows_refute(g, lower):
         lower, source = lower + 1, "window_propagation"
+    if lower < count:
+        found = dive(g, propagated_end(g))
+        if found is not None:
+            upper, count = found, found.num_colors()
+    while lower < count and budget is not None and windows_shave(g, lower, budget):
+        lower, source = lower + 1, "window_shaving"
     if lower < count and budget is not None:
         found = bounds._chi_u_or_clique(g, budget, lower)[0]
         if found > lower:
@@ -60,6 +78,8 @@ def assert_matches_reference(g):
     assert lower == expected[0]
     if lower < forward.num_colors():  # the propagation left a gap
         forward = min(forward, schedule_coloring(g, reverse=True), key=Coloring.num_colors)
+    if lower < forward.num_colors():  # the schedules left a gap
+        forward = dive(g, lower) or forward
     assert upper.colors == forward.colors
 
 
@@ -67,6 +87,7 @@ def assert_matches_reference(g):
 @given(mixed_graphs())
 @example(UNSCHEDULED)
 @example(TWO_DECIDES)
+@example(SHAVED)
 @example(mixed_graph(0))
 def test_bracket_matches_the_reference(g):
     assert_matches_reference(g)

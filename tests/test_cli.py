@@ -50,11 +50,13 @@ def path4(tmp_path):
 
 @pytest.fixture()
 def unscheduled(tmp_path):
-    # the path 7-2-8-3-6-5-4-1, whose pair 3 6 is an arc, has chi 2, but the
-    # schedule coloring gives 6 color 3 and the reversed schedule gives 2 color 3,
-    # so the ascent decides k = 2 (found by a seeded search of random graphs)
+    # chi 3 (3 4 5 is a triangle through the arc 3 -> 5), but both schedule colorings
+    # use 4 colors, and the dive at k = 3 gives 5 its colour 2 first, which leaves
+    # the edge 3 - 4 one colour, so the ascent decides k = 3 (found by a seeded
+    # search of random graphs; the dive finds a 2-coloring wherever one exists, so
+    # no graph of chi 2 serves)
     p = tmp_path / "unscheduled.graph"
-    p.write_text("p mixed 8 6 1\ne 1 4\ne 2 7\ne 2 8\ne 3 8\ne 4 5\ne 5 6\na 3 6\n")
+    p.write_text("p mixed 5 5 2\ne 1 3\ne 1 5\ne 2 5\ne 3 4\ne 4 5\na 3 5\na 4 2\n")
     return str(p)
 
 
@@ -376,7 +378,9 @@ class TestRoutes:
         code, out, _ = run(capsys, "solve", unscheduled, "--method", method)
         assert code == 0
         lines = report_lines(out)
-        assert lines[3:-1] == [("chi", "2"), ("decides", "1"), ("first_k", "2"), ("upper", "3")]
+        assert lines[3:-1] == [
+            ("chi", "3"), ("decides", "1"), ("first_k", "3"), ("lower_witness", "window_propagation"), ("upper", "4")
+        ]
         assert lines[-1][0] == "wall_time"
 
 
@@ -421,11 +425,11 @@ class TestBudget:
 
     @pytest.mark.parametrize("k", [None, "5"])
     def test_twdp_budget_counts_table_entries(self, capsys, unscheduled, k):
-        # without --k the ascent's lower bound needs 2 clique-search nodes of the same budget
+        # without --k the ascent's lower bound needs 3 clique-search nodes of the same budget
         argv = ["--k", k] if k else []
-        code, out, err = run(capsys, "solve", unscheduled, "--method", "twdp", "--budget", "2", *argv)
+        code, out, err = run(capsys, "solve", unscheduled, "--method", "twdp", "--budget", "3", *argv)
         assert code == 2 and out == ""
-        assert "BudgetExceeded: tree decomposition DP exceeded 2 table entries" in err
+        assert "BudgetExceeded: tree decomposition DP exceeded 3 table entries" in err
 
     def test_ndm_budget_counts_preorders(self, capsys, tmp_path):
         # k = 3 is refuted over 2 preorders of at most 4 positions, which the

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -154,6 +155,22 @@ def test_graph_loader_errors(case):
 def test_graph_loaders_take_the_largest_vertex_count(text):
     cap = graphs_module.MAX_VERTICES
     assert parse(text.format(cap)).n == cap
+
+
+@pytest.mark.parametrize("head", ["", "# c\n"], ids=["one pass", "line reader"])
+def test_graph_loaders_cap_the_mask_size_before_building_masks(head):
+    # the directed path on 100,000 vertices is a 1.3 MB text whose masks would take
+    # about 1.2 GiB: both loaders turn it down from the relations' summed ends
+    n = graphs_module.MAX_VERTICES
+    text = head + f"p mixed {n} 0 {n - 1}\n" + "".join([f"a {v} {v + 1}\n" for v in range(1, n)])
+    tracemalloc.start()
+    try:
+        with raises_exactly(ParseError("relations need 1192 MiB of adjacency masks, more than the 256 MiB allowed")):
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 CERTIFICATE_ERRORS = {

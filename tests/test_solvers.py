@@ -608,9 +608,11 @@ class TestBudget:
             return real(g, budget, start)
 
         monkeypatch.setattr(bounds, "chi_u_exact", spy)
-        # the odd cycle's largest clique is an edge: only the chi_u search finds its 3
-        five_cycle = mixed_graph(5, edges=[(i, i % 5 + 1) for i in range(1, 6)])
-        assert chi_exact(five_cycle, method, budget=1000)[0] == 3
+        # the wheel's largest clique is a triangle, and neither the dive nor the shaving
+        # passes it: fixing one colour leaves every neighbour two, so only the chi_u
+        # search finds its 4
+        wheel = mixed_graph(6, edges=[(i, i % 5 + 1) for i in range(1, 6)] + [(i, 6) for i in range(1, 6)])
+        assert chi_exact(wheel, method, budget=1000)[0] == 4
         assert seen == ([] if method == "branch" else [1000])  # branch never runs the chi_u search
         # the windows meet the schedule coloring's 5 colors: no route needs the bound
         assert chi_exact(directed_path(4), method, budget=1000)[0] == 5

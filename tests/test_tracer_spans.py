@@ -29,13 +29,13 @@ ASCENT = mixed_graph(
     arcs=[(1, 4), (2, 3), (4, 2), (4, 5), (4, 6), (7, 3), (7, 4)],
 )
 
-# first k 3 (the window cliques; the window propagation refutes no k from 3 on
-# and chi_u is 3), chi 4, and both schedule colorings take 5 colors: the ascent
-# decides k = 3 and 4
+# first k 5 (the window propagation; the dive at 5 fails, and neither the window
+# cliques, the shaving nor chi_u raise it), chi 6, and both schedule colorings
+# take 7 colors: the ascent decides k = 5 and 6
 TWO_DECIDES = mixed_graph(
     7,
-    edges=[(1, 2), (1, 5), (2, 3), (2, 6), (2, 7), (3, 4), (4, 5), (4, 6), (4, 7), (5, 6)],
-    arcs=[(4, 2), (5, 3), (6, 1), (7, 1)],
+    edges=[(1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7)],
+    arcs=[(2, 5), (2, 7), (4, 1), (5, 6), (7, 6)],
 )
 
 
@@ -71,24 +71,24 @@ def test_twdp_ascent_builds_the_nice_form_only_for_a_decide(monkeypatch):
     # chi 6 is the first k and the schedule coloring's count: no decide
     assert solvers.chi_exact(family_layered_cliques(1, 3), "twdp")[0] == 6
     assert (len(fills), len(nices), len(decides)) == (0, 0, 0)
-    assert solvers.chi_exact(TWO_DECIDES, "twdp")[0] == 4
-    assert [k for _, _, k, _ in decides] == [3, 4]
+    assert solvers.chi_exact(TWO_DECIDES, "twdp")[0] == 6
+    assert [k for _, _, k, _ in decides] == [5, 6]
     assert (len(fills), len(nices)) == (1, 1)
 
 
 def test_ndm_ascent_builds_the_closure_partition_once(monkeypatch):
     partitions = spy(monkeypatch, solvers, "closure_neighborhood_partition")
     decides = spy(monkeypatch, solvers, "ndm_fpt_decide")
-    assert solvers.chi_exact(TWO_DECIDES, "ndm")[0] == 4
-    assert [k for _, k, _ in decides] == [3, 4]
+    assert solvers.chi_exact(TWO_DECIDES, "ndm")[0] == 6
+    assert [k for _, k, _ in decides] == [5, 6]
     assert len(partitions) == 1
 
 
 def test_ndm_decide_enumerates_preorders_once(monkeypatch):
     enumerations = spy(monkeypatch, solvers, "maximal_proper_preorders")
-    assert solvers.chi_exact(TWO_DECIDES, "ndm")[0] == 4
-    # one enumeration per decide, k = 3 and 4, each with at most k + 1 positions
-    assert [max_ell for _, _, max_ell, _ in enumerations] == [4, 5]
+    assert solvers.chi_exact(TWO_DECIDES, "ndm")[0] == 6
+    # one enumeration per decide, k = 5 and 6, each with at most k + 1 positions
+    assert [max_ell for _, _, max_ell, _ in enumerations] == [6, 7]
 
 
 def test_dump_ilp_shares_the_routes_class_structure(monkeypatch, tmp_path, capsys):
@@ -122,16 +122,16 @@ def test_layering_coloring_calls_layering_once(monkeypatch):
 def test_chi_exact_dispatches_branch_and_brute_through_their_chi(monkeypatch):
     branch = spy(monkeypatch, solvers, "branching_chi")
     brute = spy(monkeypatch, solvers, "brute_force_chi")
-    assert solvers.chi_exact(TWO_DECIDES, "branch")[0] == 4
+    assert solvers.chi_exact(TWO_DECIDES, "branch")[0] == 6
     assert (len(branch), len(brute)) == (1, 0)
-    assert solvers.chi_exact(TWO_DECIDES, "brute")[0] == 4
+    assert solvers.chi_exact(TWO_DECIDES, "brute")[0] == 6
     assert (len(branch), len(brute)) == (1, 1)
 
 
 def test_branch_route_calls_the_mis_kernel(monkeypatch):
     kernel = solvers.maximal_independent_sets
     calls = spy(monkeypatch, solvers, "maximal_independent_sets")
-    assert solvers.chi_exact(TWO_DECIDES, "branch")[0] == 4
+    assert solvers.chi_exact(TWO_DECIDES, "branch")[0] == 6
     assert any(len(kernel(*args)) > 1 for args in calls)  # some state branches
 
 

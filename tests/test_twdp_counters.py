@@ -17,7 +17,7 @@ from test_ascent_counters import SECONDS, workloads  # noqa: F401 (a fixture)
 
 # (nice steps, joins, table entries) over every decide of the pool, and the
 # decompositions' summed width
-PINNED = (2_695, 103, 14_085, 409)
+PINNED = (567, 19, 4_219, 91)
 
 
 def test_seed_one_dense_twdp_steps_and_tables(workloads, monkeypatch):  # noqa: F811
