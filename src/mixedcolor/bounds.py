@@ -255,26 +255,6 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
     return best
 
 
-def _windows(g: MixedGraph, k: int) -> tuple[list[int], list[int]] | None:
-    """Each vertex's domain, a bit mask of the colours in its window ``1 + floor[v] .. k -
-    ceiling[v]``, and the vertices left with one colour; None when a window is empty.
-
-    floor rises and ceiling falls along every arc, so the windows already keep the arc
-    rules of ``_propagate``: only a vertex with one colour needs to start it.
-    """
-    floor, ceiling = g.floor, g.ceiling
-    domain = [0] * (g.n + 1)
-    fixed = []
-    for v in g.vertices:
-        low, high = 1 + floor[v], k - ceiling[v]
-        if low > high:
-            return None
-        domain[v] = (2 << high) - (1 << low)
-        if low == high:
-            fixed.append(v)
-    return domain, fixed
-
-
 def _propagate(g: MixedGraph, domain: list[int], queue: list[int]) -> bool:
     """Forward checking from the changed vertices in ``queue`` (Haralick & Elliott, 1980):
     True when a domain empties. Edits ``domain`` in place and extends ``queue``.
@@ -312,15 +292,33 @@ def _propagate(g: MixedGraph, domain: list[int], queue: list[int]) -> bool:
     return False
 
 
+def _propagated(g: MixedGraph, k: int) -> list[int] | None:
+    """Each vertex's domain, a bit mask of the colours in its window ``1 + floor[v] .. k -
+    ceiling[v]``, propagated to its fixpoint; None when a domain empties.
+
+    floor rises and ceiling falls along every arc, so the windows already keep the arc
+    rules of ``_propagate``: only a vertex with one colour needs to start it.
+    """
+    floor, ceiling = g.floor, g.ceiling
+    domain = [0] * (g.n + 1)
+    fixed = []
+    for v in g.vertices:
+        low, high = 1 + floor[v], k - ceiling[v]
+        if low > high:
+            return None
+        domain[v] = (2 << high) - (1 << low)
+        if low == high:
+            fixed.append(v)
+    return None if _propagate(g, domain, fixed) else domain
+
+
 def windows_refute(g: MixedGraph, k: int) -> bool:
     """True when forward checking on the colour windows proves that g has no k-colouring;
     polynomial, and needs no budget.
 
-    ``_propagate`` runs from the ``_windows`` domains; an empty domain refutes k. A larger
-    k only widens the domains.
+    An empty domain in ``_propagated`` refutes k. A larger k only widens the domains.
     """
-    start = _windows(g, k)
-    return start is None or _propagate(g, *start)
+    return _propagated(g, k) is None
 
 
 def dive(g: MixedGraph, k: int) -> Coloring | None:
@@ -333,10 +331,9 @@ def dive(g: MixedGraph, k: int) -> Coloring | None:
     emptied a domain. At the fixpoint every arc ascends and no edge joins two equal
     colours, so the fixed colours are proper.
     """
-    start = _windows(g, k)
-    if start is None or _propagate(g, *start):
+    domain = _propagated(g, k)
+    if domain is None:
         return None
-    domain = start[0]
     degree = [mask.bit_count() for mask in g.adjacent_masks]
     # by degree descending, then id (reverse=True keeps the id order of ties), so the
     # first vertex with the fewest colours is the one to fix
@@ -360,10 +357,9 @@ def windows_shave(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> b
     Each trial spends one unit of ``budget``; past it the shaving stops, and k counts as not
     refuted.
     """
-    start = _windows(g, k)
-    if start is None or _propagate(g, *start):
+    domain = _propagated(g, k)
+    if domain is None:
         return True
-    domain = start[0]
     changed = True
     while changed:
         changed = False

@@ -33,10 +33,11 @@ Arc = tuple[int, int]  # ordered: (tail, head)
 # 100 bytes per vertex (the mask tuples and ``order``).
 MAX_VERTICES = 100_000
 # The most mask bits a graph file's relations may ask for. A mask takes about
-# (largest neighbor id) / 8 bytes, so a relation (u, v) adds at most u + v bits:
-# a long sparse graph costs memory quadratic in n, and the directed path on
-# 100,000 vertices would take about 1.3 GiB. The loaders sum u + v over the
-# relations and refuse a text past this cap (256 MiB of masks) before building any.
+# (largest neighbor id) / 8 bytes, so a long sparse graph costs memory quadratic
+# in n: the directed path on 100,000 vertices would take about 1.3 GiB. The
+# loaders refuse a text past this cap (256 MiB of masks) before building any.
+# A relation (u, v) adds at most u + v bits; only when that sum passes the cap
+# do they count the masks' real lengths, which on a dense graph are far shorter.
 MAX_MASK_BITS = 1 << 31
 
 
@@ -327,7 +328,11 @@ def _load_saved(text: str) -> MixedGraph | None:
         del tokens  # one string per token: drop them before the masks are built
         if not all(map(lt, tails[:e], heads[:e])):  # mixed_graph would turn an edge line "e v u" round
             return None
-        if sum(tails) + sum(heads) > MAX_MASK_BITS:
+        if sum(tails) + sum(heads) > MAX_MASK_BITS and (
+            min(tails + heads) < 1
+            or max(tails + heads) > n
+            or _mask_bits(n, zip(tails[:e], heads[:e]), zip(tails[e:], heads[e:])) > MAX_MASK_BITS
+        ):
             return None
         g = mixed_graph(n, zip(tails[:e], heads[:e]), zip(tails[e:], heads[e:]))
         # mixed_graph keeps a repeated relation once, so the masks hold fewer bits
@@ -336,6 +341,19 @@ def _load_saved(text: str) -> MixedGraph | None:
     except (ValueError, MixedColorError):  # from int() or mixed_graph
         pass
     return None  # the line reader words the error
+
+
+def _mask_bits(n: int, edges: Iterable[Edge], arcs: Iterable[Arc]) -> int:
+    """The bits of the adjacency masks these relations fill, with ids in 1..n: each
+    vertex's neighbor, successor and predecessor mask is as long as its largest id."""
+    nbr, succ, pred = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for u, v in edges:
+        nbr[u] = max(nbr[u], v)
+        nbr[v] = max(nbr[v], u)
+    for u, v in arcs:
+        succ[u] = max(succ[u], v)
+        pred[v] = max(pred[v], u)
+    return sum(nbr) + sum(succ) + sum(pred)
 
 
 def _lines(stream: TextIO, pace: bool = False) -> Iterator[tuple[int, list[str]]]:
@@ -394,6 +412,12 @@ def _load_lines(stream: TextIO) -> MixedGraph:
             raise ParseError(f"line {lineno}: unknown line kind {parts[0]!r}")
     if n < 0:
         raise ParseError("missing header line")
+    if bits > MAX_MASK_BITS:
+        bits = _mask_bits(
+            n,
+            ((u, v) for _, is_edge, u, v in relations if is_edge),
+            ((u, v) for _, is_edge, u, v in relations if not is_edge),
+        )
     if bits > MAX_MASK_BITS:
         raise ParseError(
             f"relations need {bits >> 23} MiB of adjacency masks, more than the {MAX_MASK_BITS >> 23} MiB allowed"

@@ -173,6 +173,21 @@ def test_graph_loaders_cap_the_mask_size_before_building_masks(head):
     assert peak < 64 << 20
 
 
+@pytest.mark.parametrize("head", ["", "# c\n"], ids=["one pass", "line reader"])
+def test_graph_loaders_cap_the_real_mask_size(head, monkeypatch):
+    # on K_20 the relations' ends sum to 19 * 210 = 3990, but the masks hold 19 * 20 + 19
+    # = 399 bits: a cap between the two takes the graph, one bit below 399 turns it down
+    n = 20
+    text = head + f"p mixed {n} {n * (n - 1) // 2} 0\n" + "".join(
+        [f"e {u} {v}\n" for u in range(1, n) for v in range(u + 1, n + 1)]
+    )
+    monkeypatch.setattr(graphs_module, "MAX_MASK_BITS", 399)
+    assert len(parse(text).edges) == n * (n - 1) // 2
+    monkeypatch.setattr(graphs_module, "MAX_MASK_BITS", 398)
+    with pytest.raises(ParseError, match="of adjacency masks, more than the"):
+        parse(text)
+
+
 CERTIFICATE_ERRORS = {
     "three tokens": ("1 1\n2 1 3\n", ParseError("line 2: expected '<vertex> <color>'")),
     "one token": ("# c\n1\n", ParseError("line 2: expected '<vertex> <color>'")),
