@@ -1,8 +1,9 @@
 """Chromatic-number bounds: properness checking, lower bounds (among them the
 propagation of the color windows and bounds shaving on it), the constructive
-upper-bound colorings (critical-path schedule coloring, per-layer coloring, the
-vertex-cover coloring with odd/even color slots and the propagation dive), and
-the bracket that the ascent and the ``bounds`` command share.
+upper-bound colorings (critical-path schedule coloring, per-layer coloring and the
+vertex-cover coloring with odd/even color slots), the forward-checking search on
+the propagated windows, which refutes k or colors with k, and the bracket that the
+ascent and the ``bounds`` command share.
 """
 
 from __future__ import annotations
@@ -255,9 +256,10 @@ def window_clique_bound(g: MixedGraph, stop: int) -> int:
     return best
 
 
-def _propagate(g: MixedGraph, domain: list[int], queue: list[int]) -> bool:
+def _propagate(g: MixedGraph, domain: list[int], queue: list[int], trail: list | None = None) -> bool:
     """Forward checking from the changed vertices in ``queue`` (Haralick & Elliott, 1980):
-    True when a domain empties. Edits ``domain`` in place and extends ``queue``.
+    True when a domain empties. Edits ``domain`` in place, extends ``queue``, and appends
+    each changed vertex with its old domain to ``trail``, if given.
 
     A vertex's out-neighbours lose every colour up to its smallest, its in-neighbours every
     colour from its largest up, and a vertex left with one colour removes it from its edge
@@ -285,6 +287,8 @@ def _propagate(g: MixedGraph, domain: list[int], queue: list[int]) -> bool:
                 if old & ~keep:
                     if not old & keep:
                         return True
+                    if trail is not None:
+                        trail.append((w, old))
                     domain[w] = old & keep
                     if not queued & low:
                         queued |= low
@@ -321,30 +325,54 @@ def windows_refute(g: MixedGraph, k: int) -> bool:
     return _propagated(g, k) is None
 
 
-def dive(g: MixedGraph, k: int) -> Coloring | None:
-    """A proper colouring with colours 1..k found without search, else None; needs no budget.
+def window_search(g: MixedGraph, k: int, nodes: int) -> tuple[Coloring | None, int]:
+    """A proper colouring with colours 1..k, or None, and the nodes left of ``nodes``.
 
-    From the windows propagated to their fixpoint, the vertex with the fewest colours left
-    (then the most ``adjacent_masks`` neighbours, then the lowest id) is fixed to its
-    lowest colour and the propagation runs again, until every domain holds one colour.
-    It never backtracks, so it makes at most n fixes, and None means only that this descent
-    emptied a domain. At the fixpoint every arc ascends and no edge joins two equal
-    colours, so the fixed colours are proper.
+    Depth-first forward checking on the propagated windows: the open vertex with the fewest
+    colours left (then the most ``adjacent_masks`` neighbours, then the lowest id) tries its
+    colours ascending, each fixed colour propagated again. Each fix is a node; the first
+    descent makes at most n of them and never backtracks while no domain empties. None with
+    nodes left refutes k: every branch emptied a domain; None with -1 left means the search
+    gave up past ``nodes``. One domain list is kept, and a backtrack undoes a trail of
+    (vertex, old domain) pairs, so memory stays linear in n plus the removals on the path.
+    At the fixpoint every arc ascends and no edge joins two equal colours, so the fixed
+    colours are proper.
     """
     domain = _propagated(g, k)
     if domain is None:
-        return None
+        return None, nodes
     degree = [mask.bit_count() for mask in g.adjacent_masks]
     # by degree descending, then id (reverse=True keeps the id order of ties), so the
     # first vertex with the fewest colours is the one to fix
-    open_ = sorted([v for v in g.vertices if domain[v] & (domain[v] - 1)], key=degree.__getitem__, reverse=True)
+    ranked = sorted([v for v in g.vertices if domain[v] & (domain[v] - 1)], key=degree.__getitem__, reverse=True)
+    open_ = ranked
+    trail: list[tuple[int, int]] = []
+    frames: list[list[int]] = []  # [vertex, colours not yet tried, trail length before it]
     while open_:
         v = min(open_, key=lambda u: domain[u].bit_count())
-        domain[v] &= -domain[v]
-        if _propagate(g, domain, [v]):
-            return None
+        frames.append([v, domain[v], len(trail)])
+        while frames:
+            frame = frames[-1]
+            v, left, mark = frame
+            while len(trail) > mark:
+                w, old = trail.pop()
+                domain[w] = old
+            if not left:
+                frames.pop()
+                open_ = ranked  # a backtrack reopens vertices
+                continue
+            nodes -= 1
+            if nodes < 0:
+                return None, nodes
+            frame[1] = left & (left - 1)  # the lowest colour is tried now
+            trail.append((v, domain[v]))
+            domain[v] = left & -left
+            if not _propagate(g, domain, [v], trail):
+                break
+        else:
+            return None, nodes
         open_ = [u for u in open_ if domain[u] & (domain[u] - 1)]
-    return Coloring({v: domain[v].bit_length() - 1 for v in g.vertices})
+    return Coloring({v: domain[v].bit_length() - 1 for v in g.vertices}), nodes
 
 
 def windows_shave(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -466,20 +494,25 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
     return Coloring(colors)
 
 
-def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[int, Coloring, str]:
+def bracket(
+    g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET, stats: dict | None = None
+) -> tuple[int, Coloring, str]:
     """Lower bound on chi, a proper coloring as the upper witness, and the bound that set the
-    lower end: ``window_propagation``, ``window_clique``, ``window_shaving`` or
-    ``undirected_clique``.
+    lower end: ``window_propagation``, ``window_clique``, ``window_search``, ``window_shaving``
+    or ``undirected_clique``.
 
     The steps run cheapest first, each only while the lower end is below the upper witness's
     color count, and each names the lower end only if it raises it: the schedule coloring;
     the color windows alone and ``windows_refute`` past every k it refutes, both named
     ``window_propagation`` (an empty window is an empty domain, so the propagation refutes
     every k below the windows alone); the reversed schedule as the upper witness if it uses
-    fewer colors; the ``dive`` at the lower end, whose coloring closes the bracket; then,
-    with a ``budget`` only, ``window_clique_bound``, ``windows_shave`` past every k it
-    refutes, and the chi_u search from the lower end. ``budget`` bounds each shaving and the
-    search; past it a shaving refutes nothing more and the search gives the clique number.
+    fewer colors; with a ``budget``, ``window_clique_bound``; then ``window_search`` from the
+    lower end, on every route, with n nodes in all: a coloring closes the bracket and a
+    refutation raises the lower end by one. Only if the search gives up, and with a
+    ``budget`` only, ``windows_shave`` past every k it refutes and the chi_u search from the
+    lower end follow. ``budget`` bounds each shaving and the chi_u search; past it a shaving
+    refutes nothing more and the chi_u search gives the clique number. ``stats``, if given,
+    gets the search's nodes as ``search_nodes``.
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()
@@ -489,14 +522,20 @@ def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[in
     if lower < count:
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
         count = upper.num_colors()
-    if lower < count:
-        dived = dive(g, lower)
-        if dived is not None:
-            upper, count = dived, lower
     if lower < count and budget is not None:
         found = window_clique_bound(g, count)
         if found > lower:
             lower, source = found, "window_clique"
+    nodes = g.n  # the first descent's own bound
+    while lower < count and nodes >= 0:
+        searched, nodes = window_search(g, lower, nodes)
+        if searched is not None:
+            upper, count = searched, lower
+        elif nodes >= 0:
+            lower, source = lower + 1, "window_search"
+    if stats is not None:
+        stats["search_nodes"] = g.n - max(nodes, 0)
+    if lower < count and budget is not None:
         while lower < count and windows_shave(g, lower, budget):
             lower, source = lower + 1, "window_shaving"
         found = _chi_u_or_clique(g, budget, lower)[0] if lower < count else lower
@@ -509,10 +548,10 @@ def bracket(g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET) -> tuple[in
 class ChromaticBounds:
     lower: int
     upper: int
-    # "maxrank", else the bracket's: "undirected_clique", "window_shaving", "window_clique", or
-    # "window_propagation" for the windows alone and their propagation
+    # "maxrank", else the bracket's: "undirected_clique", "window_shaving", "window_search",
+    # "window_clique", or "window_propagation" for the windows alone and their propagation
     lower_witness: str
-    upper_witness: Coloring  # the bracket's: a schedule coloring or the dive's coloring
+    upper_witness: Coloring  # the bracket's: a schedule coloring or the search's coloring
 
 
 def chromatic_bounds(g: MixedGraph) -> ChromaticBounds:

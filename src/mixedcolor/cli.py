@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
-        "bounds", help="the ascent's chromatic bracket, with a schedule or dive coloring as upper witness"
+        "bounds", help="the ascent's chromatic bracket, with a schedule or search coloring as upper witness"
     )
     p.add_argument("graph")
     p.add_argument("--cert", default=None)

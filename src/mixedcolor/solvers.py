@@ -53,10 +53,10 @@ Decide = Callable[[int], SolveResult]
 def _ascend(g: MixedGraph, decide: Decide, budget: int | None, stats: dict | None = None) -> tuple[int, Coloring]:
     """The first k from ``bracket``'s lower bound up that monotone ``decide`` accepts, with its
     witness, else the bracket's upper coloring and its count. ``stats`` gets ``first_k``, ``upper``,
-    ``decides`` and the bracket's label as ``lower_witness``."""
-    first_k, upper, source = bracket(g, budget)
-    count = upper.num_colors()
+    ``decides``, the bracket's label as ``lower_witness`` and its search's ``search_nodes``."""
     stats = {} if stats is None else stats
+    first_k, upper, source = bracket(g, budget, stats)
+    count = upper.num_colors()
     stats.update(first_k=first_k, upper=count, decides=0, lower_witness=source)
     for k in range(first_k, count):
         stats["decides"] += 1

@@ -13,7 +13,7 @@ import random
 from hypothesis import example, given, settings
 
 from mixedcolor import brute_force_chi, check_proper, chi_exact, mixed_graph, random_mixed_graph, schedule_coloring
-from mixedcolor.bounds import bracket, dive
+from mixedcolor.bounds import bracket
 from mixedcolor.errors import DEFAULT_NODE_BUDGET
 from mixedcolor.reductions import family_layered_cliques, family_oriented_grid
 from mixedcolor.solvers import METHODS, ROUTES
@@ -26,19 +26,21 @@ PROPERTY = settings(max_examples=150)
 # chi 2; the schedule gives vertex 5 color 3, above 2's and beside 4's, and
 # the reversed schedule closes the bracket at 2
 UNSCHEDULED = mixed_graph(5, edges=[(1, 3), (1, 4), (4, 5)], arcs=[(2, 5)])
-# first k 5 on every route (the windows' propagation; the dive at 5 fails and the
-# shaving refutes nothing), chi 6, both schedules 7 colors: two decides
+# first k 5 on every route (the windows' propagation; the window search gives up on
+# 5 past its 7 nodes and the shaving refutes nothing), chi 6, both schedules 7
+# colors: two decides
 TWO_DECIDES = mixed_graph(
     7,
     edges=[(1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7)],
     arcs=[(2, 5), (2, 7), (4, 1), (5, 6), (7, 6)],
 )
-# first k 3 without a budget and 4 with one (the shaving), chi 4, both schedules 5
-# colors: two decides on branch, one on the other routes
+# first k 3 without a budget and 4 with one (the window search gives up on 3 past
+# its 8 nodes, and the shaving refutes it), chi 4, both schedules 4 colors: one
+# decide on branch, none on the other routes
 SHAVED = mixed_graph(
-    7,
-    edges=[(1, 2), (1, 5), (2, 3), (2, 6), (2, 7), (3, 4), (4, 5), (4, 6), (4, 7), (5, 6)],
-    arcs=[(4, 2), (5, 3), (6, 1), (7, 1)],
+    8,
+    edges=[(1, 3), (1, 5), (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (5, 8), (6, 8)],
+    arcs=[(6, 3)],
 )
 
 
@@ -51,11 +53,12 @@ def assert_routes_match_brute_force(g):
         assert check_proper(g, witness)[0]
         assert witness.num_colors() == chi
         # every route's bracket takes the reversed schedule where it is better, and the
-        # dive's coloring where the dive at the propagated lower end finds one
+        # search's coloring where the search finds one; that coloring has as many colors
+        # as the lower end, so it closes the bracket at chi
         schedules = [schedule_coloring(g, reverse).num_colors() for reverse in (False, True)]
-        propagated = bracket(g, None)[0]  # no budget: the windows and their propagation alone
-        dived = propagated < min(schedules) and dive(g, propagated) is not None
-        assert stats["first_k"] <= chi <= stats["upper"] == (propagated if dived else min(schedules))
+        searched = stats["upper"] != min(schedules)
+        assert stats["first_k"] <= chi <= stats["upper"]
+        assert not searched or stats["first_k"] == stats["upper"] == chi < min(schedules)
         assert stats["decides"] == min(chi + 1, stats["upper"]) - stats["first_k"]
 
 
@@ -135,10 +138,19 @@ def test_chi_exact_routes_match_brute_force(g):
     assert_routes_match_brute_force(g)
 
 
+def bracket_stays_open(g):
+    """True when the bracket leaves a gap with a budget and without one, so every route decides."""
+    return all(lower < upper.num_colors() for lower, upper, _ in (bracket(g), bracket(g, None)))
+
+
 def test_chi_exact_routes_match_brute_force_where_the_schedule_is_not_optimal():
+    # the search closes nearly every small bracket, so the graphs are drawn dense and
+    # kept only where the bracket stays open
     rng = random.Random(18)
-    graphs = [random_mixed_graph(rng, rng.randint(5, 9), 0.3, 0.15) for _ in range(300)]
-    unscheduled = [g for g in graphs if brute_force_chi(g)[0] < schedule_coloring(g).num_colors()]
+    graphs = [random_mixed_graph(rng, rng.randint(8, 10), 0.5, 0.2) for _ in range(1000)]
+    unscheduled = [
+        g for g in graphs if bracket_stays_open(g) and brute_force_chi(g)[0] < schedule_coloring(g).num_colors()
+    ]
     assert len(unscheduled) >= 10
     for g in unscheduled:
         assert_routes_match_brute_force(g)

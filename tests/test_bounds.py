@@ -1,6 +1,7 @@
 """Properness checking, chromatic lower bounds, and the constructive colorings."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from mixedcolor import (
 )
 from mixedcolor import bounds
 from mixedcolor.bounds import chi_u_exact, window_clique_bound
-from mixedcolor.errors import BudgetExceeded
+from mixedcolor.errors import DEFAULT_NODE_BUDGET, BudgetExceeded
 from mixedcolor.reductions import (
     SuperstringInstance,
     family_layered_cliques,
@@ -260,6 +261,31 @@ def shaving_empties_a_domain(g, k):
     return False
 
 
+UNBOUNDED = 1 << 62
+
+
+def reference_dive(g, k):
+    """The search's first descent without backtracking, as ``bounds.dive`` ran it before the
+    search replaced it: (a colouring or None, the fixes it made). The open vertex with the
+    fewest colours left, then the most neighbours, then the lowest id, takes its lowest
+    colour, and the propagation runs again until a domain empties or every domain holds one
+    colour."""
+    domain = bounds._propagated(g, k)
+    if domain is None:
+        return None, 0
+    degree = [mask.bit_count() for mask in g.adjacent_masks]
+    open_ = sorted([v for v in g.vertices if domain[v] & (domain[v] - 1)], key=degree.__getitem__, reverse=True)
+    fixes = 0
+    while open_:
+        v = min(open_, key=lambda u: domain[u].bit_count())
+        domain[v] &= -domain[v]
+        fixes += 1
+        if bounds._propagate(g, domain, [v]):
+            return None, fixes
+        open_ = [u for u in open_ if domain[u] & (domain[u] - 1)]
+    return Coloring({v: domain[v].bit_length() - 1 for v in g.vertices}), fixes
+
+
 class TestWindowsRefute:
     def test_an_edge_between_two_fixed_heads(self):
         # at k = 2 the tails 1 and 2 are fixed at 1 and the heads 3 and 4 at 2,
@@ -272,8 +298,9 @@ class TestWindowsRefute:
     def test_sound_and_the_fixpoint_of_the_rules(self):
         # chi from brute-force decides, which do not read the bracket; the shaving
         # refutes every k the propagation does and 459 more, of the 589 below chi that
-        # it leaves, and the dive colours 8,779 of the 9,016 k from chi up
-        checks = below = refuted = shaved = dived = 0
+        # it leaves; the search decides every k as brute does, and under a cap of n
+        # nodes it leaves 218 of them open
+        checks = below = refuted = shaved = capped = 0
         for seed in range(2000):
             rng = random.Random(seed)
             n = rng.randint(1, 10)
@@ -286,15 +313,44 @@ class TestWindowsRefute:
                 shaving = bounds.windows_shave(g, k)
                 assert not (shaving and k >= chi) and shaving >= answer, (seed, k)
                 assert shaving == shaving_empties_a_domain(g, k), (seed, k)
-                coloring = bounds.dive(g, k)
+                coloring, left = bounds.window_search(g, k, UNBOUNDED)
+                assert left >= 0 and (coloring is not None) == (k >= chi), (seed, k)
                 if coloring is not None:
                     assert check_proper(g, coloring)[0] and coloring.max_color() <= k, (seed, k)
+                capped_coloring, left = bounds.window_search(g, k, n)
+                assert left >= 0 or capped_coloring is None, (seed, k)
+                assert not (capped_coloring is None and left >= 0 and k >= chi), (seed, k)
+                if capped_coloring is not None:
+                    assert check_proper(g, capped_coloring)[0] and capped_coloring.max_color() <= k, (seed, k)
+                dived, fixes = reference_dive(g, k)
+                if dived is not None:  # the first descent is the dive, and makes its fixes
+                    assert bounds.window_search(g, k, fixes) == (dived, 0), (seed, k)
+                else:  # the windows refute k at the root, or the search needs one node more
+                    assert bounds.window_search(g, k, fixes) == (None, 0 if answer else -1), (seed, k)
                 checks += 1
                 below += k < chi
                 refuted += answer
                 shaved += shaving
-                dived += coloring is not None
-        assert (checks, below, refuted, shaved, dived) == (12_971, 3_955, 3_366, 3_825, 8_779)
+                capped += left < 0
+        assert (checks, below, refuted, shaved, capped) == (12_971, 3_955, 3_366, 3_825, 218)
+
+    def test_the_search_keeps_one_domain_list_and_a_trail(self):
+        # 500 disjoint stars K_1,3 and a triangle at k = 2: the centres have the most
+        # neighbours, so the search fixes all 500 (each fix settles its leaves) before the
+        # triangle empties a domain, then backtracks until its nodes run out; a copy of
+        # the domains per level would hold 500 * 2,003 slots, about 8 MB
+        stars = 500
+        n = 4 * stars + 3
+        edges = [(c, c + i) for c in range(1, 4 * stars, 4) for i in (1, 2, 3)]
+        g = mixed_graph(n, edges=edges + [(n - 2, n - 1), (n - 1, n), (n - 2, n)])
+        g.adjacent_masks, g.floor, g.ceiling  # derived on first read, before the trace
+        tracemalloc.start()
+        try:
+            assert bounds.window_search(g, 2, stars + 10) == (None, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * n
 
     def test_a_budget_of_one_stops_the_shaving(self):
         # at k = 2 both trials on the lone vertex 1 leave every domain, and the first
@@ -406,16 +462,33 @@ class TestBracketing:
         lower, upper, source = bounds.bracket(g)
         assert (lower, upper.num_colors(), source) == (3, 3, "window_propagation")
 
-    def test_a_later_bound_names_the_end_only_when_it_raises_it(self):
+    def test_the_search_names_the_end_it_raises(self):
         # the triangle 1 2 5 gives 3, and so does the propagation, as the tails 1 and 2
         # of the arcs 1 -> 3 and 2 -> 4 are fixed at k = 2; both heads sit beside 5,
-        # so chi is 4 and the window cliques run, but leave the end where it was; the
-        # shaving then raises it, and names it
+        # so chi is 4: on every route the window search refutes 3 in two nodes and names
+        # the end, which meets the schedules' 4
         g = mixed_graph(5, edges=[(1, 2), (1, 5), (2, 5), (3, 5), (4, 5)], arcs=[(1, 3), (2, 4)])
         assert window_clique_bound(g, 10) == 3 and brute_force_chi(g)[0] == 4
+        for budget in (DEFAULT_NODE_BUDGET, None):
+            stats = {}
+            lower, upper, source = bounds.bracket(g, budget, stats)
+            assert (lower, upper.num_colors(), source, stats) == (4, 4, "window_search", {"search_nodes": 2})
+
+    def test_a_later_bound_names_the_end_only_when_it_raises_it(self):
+        # the propagation gives 3 and so do the window cliques, which run but leave the
+        # end where it was; the window search gives up on 3 past its 8 nodes, and the
+        # shaving then raises the end to chi = 4, and names it (found by a seeded search
+        # of random graphs)
+        g = mixed_graph(
+            8,
+            edges=[(1, 3), (1, 5), (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (5, 8), (6, 8)],
+            arcs=[(6, 3)],
+        )
+        assert window_clique_bound(g, 10) == 3 and brute_force_chi(g)[0] == 4
+        assert not bounds.windows_refute(g, 3) and bounds.window_search(g, 3, g.n) == (None, -1)
         lower, upper, source = bounds.bracket(g)
         assert (lower, upper.num_colors(), source) == (4, 4, "window_shaving")
-        # without a budget neither runs, and the dive at 3 finds no colouring
+        # without a budget neither runs, and the search gives up the same way
         lower, upper, source = bounds.bracket(g, None)
         assert (lower, upper.num_colors(), source) == (3, 4, "window_propagation")
 

@@ -1,22 +1,23 @@
 """``bounds.bracket`` against the bracket as it stood before its bounds ran
-cheapest first, with the dive and the shaving added.
+cheapest first, with the window search and the shaving added.
 
 The reference below computes the window cliques before the colour windows'
 propagation, on every graph, and takes the reversed schedule only with a
 budget. Neither order changes a budgeted answer: the propagation refutes every
 k below its first unrefuted one, whatever k it starts from, and the reversed
 schedule uses fewer colours only on a graph that no lower bound closes at the
-forward count. The dive runs at the lower end the propagation alone reaches,
-as in the bracket: where it succeeds that end is chi, so no clique raises it,
-and where the cliques raise the end past it the dive cannot succeed. The
-shaving then runs from the larger end, as in the bracket. So a budgeted bracket
-gives the reference's lower end and upper witness, and only its label may move
-from ``window_clique`` to ``window_propagation`` where both bounds reach the
-same end. Without a budget the lower end is the reference's too, and where the
-propagation leaves a gap the upper witness is the schedule with fewer colours
-(a tie keeps the forward one), or the dive's colouring where the schedules
-leave a gap and the dive finds one. The graphs are derandomized
-``mixed_graphs()`` and the benchmark's four seed-1 pools.
+forward count. So both reach the window search at the same lower end wherever
+a gap is left, and the search, with the same n nodes, makes the same steps;
+the shaving then runs from the same end. A budgeted bracket gives the
+reference's lower end and upper witness, and only its label may move from
+``window_clique`` to ``window_propagation`` where both bounds reach the same
+end. Without a budget the lower end is the reference's too: the reference may
+search on past an end that meets the reversed schedule, but that end is chi,
+which no search refutes. Its upper witness is the schedule with fewer colours
+(a tie keeps the forward one), or the search's colouring where that has fewer
+colours still; the reference finds the same colouring, as its search makes the
+same steps up to it. The graphs are derandomized ``mixed_graphs()`` and the
+benchmark's four seed-1 pools.
 """
 
 import io
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from mixedcolor import bounds, graphs
-from mixedcolor.bounds import dive, schedule_coloring, window_clique_bound, windows_refute, windows_shave
+from mixedcolor.bounds import schedule_coloring, window_clique_bound, window_search, windows_refute, windows_shave
 from mixedcolor.errors import DEFAULT_NODE_BUDGET
 from mixedcolor.graphs import Coloring, mixed_graph
 
@@ -34,17 +35,9 @@ from test_ascent_properties import SHAVED, TWO_DECIDES, UNSCHEDULED
 from test_branching_properties import mixed_graphs
 
 
-def propagated_end(g):
-    """The lower end of the colour windows and their propagation alone."""
-    lower = window_clique_bound(g, 0)
-    while windows_refute(g, lower):
-        lower += 1
-    return lower
-
-
 def reference_bracket(g, budget=DEFAULT_NODE_BUDGET):
     """The bracket with the window cliques first, the reversed schedule only
-    under a budget, then the dive, the shaving and chi_u: (lower, upper coloring, label)."""
+    under a budget, then the search, the shaving and chi_u: (lower, upper coloring, label)."""
     upper = schedule_coloring(g)
     count = upper.num_colors()
     lower, source = window_clique_bound(g, 0 if budget is None else count), "window_clique"
@@ -53,10 +46,13 @@ def reference_bracket(g, budget=DEFAULT_NODE_BUDGET):
         count = upper.num_colors()
     while lower < count and windows_refute(g, lower):
         lower, source = lower + 1, "window_propagation"
-    if lower < count:
-        found = dive(g, propagated_end(g))
+    nodes = g.n
+    while lower < count and nodes >= 0:
+        found, nodes = window_search(g, lower, nodes)
         if found is not None:
             upper, count = found, found.num_colors()
+        elif nodes >= 0:
+            lower, source = lower + 1, "window_search"
     while lower < count and budget is not None and windows_shave(g, lower, budget):
         lower, source = lower + 1, "window_shaving"
     if lower < count and budget is not None:
@@ -78,8 +74,8 @@ def assert_matches_reference(g):
     assert lower == expected[0]
     if lower < forward.num_colors():  # the propagation left a gap
         forward = min(forward, schedule_coloring(g, reverse=True), key=Coloring.num_colors)
-    if lower < forward.num_colors():  # the schedules left a gap
-        forward = dive(g, lower) or forward
+    if expected[1].num_colors() < forward.num_colors():  # the search's colouring
+        forward = expected[1]
     assert upper.colors == forward.colors
 
 

@@ -50,13 +50,13 @@ def path4(tmp_path):
 
 @pytest.fixture()
 def unscheduled(tmp_path):
-    # chi 3 (3 4 5 is a triangle through the arc 3 -> 5), but both schedule colorings
-    # use 4 colors, and the dive at k = 3 gives 5 its colour 2 first, which leaves
-    # the edge 3 - 4 one colour, so the ascent decides k = 3 (found by a seeded
-    # search of random graphs; the dive finds a 2-coloring wherever one exists, so
-    # no graph of chi 2 serves)
+    # chi 4, but both schedule colorings use 5 colors, and the window search at k = 4
+    # needs 8 nodes, past its cap of n = 6, so the ascent decides k = 4 (found by a
+    # seeded search of random graphs; the search closes nearly every smaller bracket)
     p = tmp_path / "unscheduled.graph"
-    p.write_text("p mixed 5 5 2\ne 1 3\ne 1 5\ne 2 5\ne 3 4\ne 4 5\na 3 5\na 4 2\n")
+    p.write_text(
+        "p mixed 6 9 3\ne 1 3\ne 1 5\ne 1 6\ne 2 3\ne 2 4\ne 2 5\ne 2 6\ne 3 5\ne 3 6\na 2 1\na 4 3\na 4 5\n"
+    )
     return str(p)
 
 
@@ -379,7 +379,12 @@ class TestRoutes:
         assert code == 0
         lines = report_lines(out)
         assert lines[3:-1] == [
-            ("chi", "3"), ("decides", "1"), ("first_k", "3"), ("lower_witness", "window_propagation"), ("upper", "4")
+            ("chi", "4"),
+            ("decides", "1"),
+            ("first_k", "4"),
+            ("lower_witness", "window_propagation"),
+            ("search_nodes", "6"),
+            ("upper", "5"),
         ]
         assert lines[-1][0] == "wall_time"
 
@@ -425,11 +430,11 @@ class TestBudget:
 
     @pytest.mark.parametrize("k", [None, "5"])
     def test_twdp_budget_counts_table_entries(self, capsys, unscheduled, k):
-        # without --k the ascent's lower bound needs 3 clique-search nodes of the same budget
+        # without --k the ascent's lower bound needs 4 clique-search nodes of the same budget
         argv = ["--k", k] if k else []
-        code, out, err = run(capsys, "solve", unscheduled, "--method", "twdp", "--budget", "3", *argv)
+        code, out, err = run(capsys, "solve", unscheduled, "--method", "twdp", "--budget", "4", *argv)
         assert code == 2 and out == ""
-        assert "BudgetExceeded: tree decomposition DP exceeded 3 table entries" in err
+        assert "BudgetExceeded: tree decomposition DP exceeded 4 table entries" in err
 
     def test_ndm_budget_counts_preorders(self, capsys, tmp_path):
         # k = 3 is refuted over 2 preorders of at most 4 positions, which the

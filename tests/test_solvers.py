@@ -49,6 +49,7 @@ import time
 import mixedcolor
 from mixedcolor import bounds, solvers
 from subgraphs import induced_subgraph
+from test_chi_u_properties import grotzsch
 
 
 def directed_path(length):
@@ -435,15 +436,19 @@ class TestBranching:
                 assert count <= bound
 
     def test_search_starts_at_the_color_windows(self):
-        # the first layer's descendants need 8 colors above its own, so the
-        # windows start at 9 and the search refutes k = 8 before any node; the
-        # windows' propagation refutes k = 9 as well, so the ascent starts at 10
-        g = family_layered_cliques(2, 4)
+        # the Grötzsch graph beside the arcs 12 -> 14 and 13 -> 15 and the edge 14 - 15:
+        # the heads need a color above their tails, so the windows start at 2 and the
+        # search refutes k = 1 before any node; the windows' propagation refutes k = 2
+        # as well (both heads are fixed at 2), and the window search gives up on k = 3
+        # past its 15 nodes, as the Grötzsch graph alone takes 45 to refute it, so the
+        # ascent starts at 3
+        g = mixed_graph(15, edges=[*grotzsch().edges, (14, 15)], arcs=[(12, 14), (13, 15)])
         stats: dict = {}
         chi_exact(g, "branch", stats=stats)
-        assert bounds.window_clique_bound(g, 0) == 9 and bounds.windows_refute(g, 9)
-        assert stats["first_k"] == 10
-        result = solvers.ROUTES["branch"](g, None, DEFAULT_NODE_BUDGET)(8)
+        assert bounds.window_clique_bound(g, 0) == 2 and bounds.windows_refute(g, 2)
+        assert bounds.window_search(g, 3, g.n) == (None, -1)
+        assert stats["first_k"] == 3
+        result = solvers.ROUTES["branch"](g, None, DEFAULT_NODE_BUDGET)(1)
         assert not result.decision and result.stats["nodes"] == 0
 
     def test_mis_kernel_builds_at_most_its_budget(self):
@@ -456,11 +461,13 @@ class TestBranching:
             maximal_independent_sets(everything, keep, budget=728)
 
     def test_branch_mis_enumeration_is_bounded_by_the_budget(self, monkeypatch):
-        # eleven disjoint triangles and a K4: the windows' propagation refutes
-        # k = 1, so the first node is the root at k = 2, and its sources have
-        # 4 * 3**11 = 708,588 maximal independent sets
+        # eleven disjoint triangles and the Grötzsch graph: the windows' propagation
+        # refutes k = 1 and the window search k = 2, but it gives up on k = 3 past its
+        # 44 nodes, as the Grötzsch graph alone takes 45 to refute it; so the first node
+        # is the root at k = 3, and its sources have 16 * 3**11 = 2,834,352 maximal
+        # independent sets
         triangles = [e for t in range(1, 33, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))]
-        g = mixed_graph(37, edges=triangles + [(u, v) for u in range(34, 38) for v in range(u + 1, 38)])
+        g = mixed_graph(44, edges=triangles + [(u + 33, v + 33) for u, v in grotzsch().edges])
         kernel, budgets = solvers.maximal_independent_sets, []
 
         def counted(cand, keep, required=0, budget=DEFAULT_NODE_BUDGET):
@@ -590,12 +597,18 @@ class TestBudget:
         stats = {}
         assert brute_force_decide(g, 4, budget=4, stats=stats) is not None
         assert stats == {"steps": 4}
-        # chi 3: the triangle 2 - 3 - 5 under the arcs 1 -> 2, 1 -> 5 and
-        # 4 -> 5; the window cliques, their propagation and chi_u all stop at 3
-        # below the schedules' 4, and brute runs out deciding k = 3
-        gap = mixed_graph(5, edges=[(2, 3), (2, 5), (3, 4), (3, 5)], arcs=[(1, 2), (1, 5), (4, 5)])
-        with pytest.raises(BudgetExceeded, match="brute force exceeded 3 steps"):
-            brute_force_chi(gap, budget=3)
+        # chi 4: the window cliques, their propagation and chi_u all stop at 4 below the
+        # schedules' 5, the window search gives up on k = 4 past its 6 nodes, and the
+        # clique search under chi_u takes 4 nodes of the budget, so brute runs out
+        # deciding k = 4
+        gap = mixed_graph(
+            6,
+            edges=[(1, 3), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6)],
+            arcs=[(2, 1), (4, 3), (4, 5)],
+        )
+        assert bounds.bracket(gap, 4)[0] == 4 and bounds.window_search(gap, 4, gap.n) == (None, -1)
+        with pytest.raises(BudgetExceeded, match="brute force exceeded 4 steps"):
+            brute_force_chi(gap, budget=4)
 
     @pytest.mark.parametrize("method", ["brute", "twdp", "ndm", "branch"])
     def test_chi_exact_passes_budget_to_lower_bounds(self, monkeypatch, method):
@@ -608,9 +621,9 @@ class TestBudget:
             return real(g, budget, start)
 
         monkeypatch.setattr(bounds, "chi_u_exact", spy)
-        # the wheel's largest clique is a triangle, and neither the dive nor the shaving
-        # passes it: fixing one colour leaves every neighbour two, so only the chi_u
-        # search finds its 4
+        # the wheel's largest clique is a triangle, and neither the window search within
+        # its 6 nodes nor the shaving passes it: fixing one colour leaves every neighbour
+        # two, so only the chi_u search finds its 4
         wheel = mixed_graph(6, edges=[(i, i % 5 + 1) for i in range(1, 6)] + [(i, 6) for i in range(1, 6)])
         assert chi_exact(wheel, method, budget=1000)[0] == 4
         assert seen == ([] if method == "branch" else [1000])  # branch never runs the chi_u search

@@ -29,8 +29,9 @@ ASCENT = mixed_graph(
     arcs=[(1, 4), (2, 3), (4, 2), (4, 5), (4, 6), (7, 3), (7, 4)],
 )
 
-# first k 5 (the window propagation; the dive at 5 fails, and neither the window
-# cliques, the shaving nor chi_u raise it), chi 6, and both schedule colorings
+# first k 5 (the window propagation; the window search gives up on 5 past its 7
+# nodes, and neither the window cliques, the shaving nor chi_u raise it), chi 6, and
+# both schedule colorings
 # take 7 colors: the ascent decides k = 5 and 6
 TWO_DECIDES = mixed_graph(
     7,
