@@ -27,6 +27,11 @@ Violation = tuple[str, int, int]  # ("edge"|"arc", u, v)
 
 EXACT_LAYER_CAP = 20
 
+# without a budget the bracket runs the window cliques only on a gap of at least this many
+# colours, where the search alone may spend its n nodes refuting one k after another; a
+# narrower gap the search or the branch memo closes for less than the cliques cost
+CLIQUE_GAP = 3
+
 
 def check_proper(g: MixedGraph, c: Coloring) -> tuple[bool, Optional[Violation]]:
     """True iff c respects every edge (distinct) and arc (increasing).
@@ -325,7 +330,7 @@ def windows_refute(g: MixedGraph, k: int) -> bool:
     return _propagated(g, k) is None
 
 
-def window_search(g: MixedGraph, k: int, nodes: int) -> tuple[Coloring | None, int]:
+def window_search(g: MixedGraph, k: int, nodes: int, domain: list[int] | None = None) -> tuple[Coloring | None, int]:
     """A proper colouring with colours 1..k, or None, and the nodes left of ``nodes``.
 
     Depth-first forward checking on the propagated windows: the open vertex with the fewest
@@ -336,9 +341,11 @@ def window_search(g: MixedGraph, k: int, nodes: int) -> tuple[Coloring | None, i
     gave up past ``nodes``. One domain list is kept, and a backtrack undoes a trail of
     (vertex, old domain) pairs, so memory stays linear in n plus the removals on the path.
     At the fixpoint every arc ascends and no edge joins two equal colours, so the fixed
-    colours are proper.
+    colours are proper. ``domain``, if given, is ``_propagated(g, k)``, which the search
+    then edits in place instead of propagating k again.
     """
-    domain = _propagated(g, k)
+    if domain is None:
+        domain = _propagated(g, k)
     if domain is None:
         return None, nodes
     degree = [mask.bit_count() for mask in g.adjacent_masks]
@@ -506,8 +513,9 @@ def bracket(
     the color windows alone and ``windows_refute`` past every k it refutes, both named
     ``window_propagation`` (an empty window is an empty domain, so the propagation refutes
     every k below the windows alone); the reversed schedule as the upper witness if it uses
-    fewer colors; with a ``budget``, ``window_clique_bound``; then ``window_search`` from the
-    lower end, on every route, with n nodes in all: a coloring closes the bracket and a
+    fewer colors; ``window_clique_bound``, with a ``budget`` or on a gap of at least
+    ``CLIQUE_GAP`` colors; then ``window_search`` from the lower end, on every route, with n
+    nodes in all, its first k not propagated again: a coloring closes the bracket and a
     refutation raises the lower end by one. Only if the search gives up, and with a
     ``budget`` only, ``windows_shave`` past every k it refutes and the chi_u search from the
     lower end follow. ``budget`` bounds each shaving and the chi_u search; past it a shaving
@@ -517,18 +525,20 @@ def bracket(
     upper = schedule_coloring(g)
     count = upper.num_colors()
     lower, source = window_clique_bound(g, 0), "window_propagation"  # stop 0: the windows alone
-    while lower < count and windows_refute(g, lower):  # a refuted k refutes every smaller one
-        lower += 1
+    domain = None  # _propagated(g, lower) where the loop stops below count, for the search
+    while lower < count and (domain := _propagated(g, lower)) is None:
+        lower += 1  # a refuted k refutes every smaller one
     if lower < count:
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
         count = upper.num_colors()
-    if lower < count and budget is not None:
+    if lower < count and (budget is not None or count - lower >= CLIQUE_GAP):
         found = window_clique_bound(g, count)
         if found > lower:
-            lower, source = found, "window_clique"
+            lower, source, domain = found, "window_clique", None
     nodes = g.n  # the first descent's own bound
     while lower < count and nodes >= 0:
-        searched, nodes = window_search(g, lower, nodes)
+        searched, nodes = window_search(g, lower, nodes, domain)
+        domain = None
         if searched is not None:
             upper, count = searched, lower
         elif nodes >= 0:

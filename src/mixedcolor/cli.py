@@ -4,8 +4,9 @@ Reports are ``key=value`` lines (or one JSON document with ``--json``).
 Exit codes: 0 = colorable / success, 1 = not colorable / certificate
 rejected, 2 = usage or runtime error.
 
-Only ``gen`` imports ``reductions`` and only ``expr`` imports ``expressions``,
-so the other commands start without compiling either.
+Each command imports the modules it runs when it runs: only ``gen`` imports
+``reductions`` and only ``expr`` imports ``expressions``, and ``gen`` loads
+none of ``bounds``, ``solvers``, ``partitions`` and ``treedecomp``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import random
 import sys
 import time
 
-from . import bounds as bounds_mod
-from . import solvers
 from .errors import DEFAULT_NODE_BUDGET, MixedColorError
 from .graphs import (
     MixedGraph,
@@ -32,16 +31,9 @@ from .graphs import (
     save_graph,
     set_bits,
 )
-from .partitions import (
-    clique_number,
-    closure_neighborhood_partition,
-    mixed_neighborhood_partition,
-    undirected_neighborhood_partition,
-    vertex_cover_number,
-)
-from .treedecomp import load_td
 
 REDUCTIONS = ("superstring", "scheduling", "list_coloring", "multicolored_clique")
+METHODS = ("brute", "twdp", "ndm", "branch")  # solvers.METHODS, without importing the solvers
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -88,6 +80,10 @@ def _format_program(prog) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from . import solvers
+    from .bounds import check_proper
+    from .treedecomp import load_td
+
     g, digest = _read_graph(args.graph)
     report = {"command": "solve", "input": args.graph, "input_sha256": digest}
     td = None
@@ -118,7 +114,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report.update(sorted(result.stats.items()))
     report["wall_time"] = f"{time.perf_counter() - started:.6f}"
     if result.witness is not None and args.cert:
-        ok, _ = bounds_mod.check_proper(g, result.witness)
+        ok, _ = check_proper(g, result.witness)
         if not ok:
             raise AssertionError("solver produced an improper witness")
         with open(args.cert, "w", encoding="utf-8") as fh:
@@ -129,8 +125,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import chromatic_bounds
+
     g, digest = _read_graph(args.graph)
-    result = bounds_mod.chromatic_bounds(g)
+    result = chromatic_bounds(g)
     report = {
         "command": "bounds",
         "input": args.graph,
@@ -148,6 +146,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
+    from . import partitions
+
     g, digest = _read_graph(args.graph)
     report = {
         "command": "params",
@@ -156,11 +156,11 @@ def cmd_params(args: argparse.Namespace) -> int:
         "n": g.n,
         "edges": len(g.edges),
         "arcs": len(g.arcs),
-        "ndm": len(mixed_neighborhood_partition(g)),
-        "ndm_closure": len(closure_neighborhood_partition(g)),
-        "ndu": len(undirected_neighborhood_partition(g)),
-        "vc": vertex_cover_number(g)[0],
-        "omega": clique_number(g),
+        "ndm": len(partitions.mixed_neighborhood_partition(g)),
+        "ndm_closure": len(partitions.closure_neighborhood_partition(g)),
+        "ndu": len(partitions.undirected_neighborhood_partition(g)),
+        "vc": partitions.vertex_cover_number(g)[0],
+        "omega": partitions.clique_number(g),
         "maxrank": maxrank(g),
         "layers": len(layering(g).layers),
     }
@@ -291,6 +291,8 @@ def cmd_expr(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .bounds import check_proper
+
     g, _ = _read_graph(args.graph)
     with open(args.cert, "r", encoding="utf-8") as fh:
         coloring = load_coloring(fh)
@@ -301,7 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if missing or extra:
         ok, violation = False, f"missing({missing[0]})" if missing else f"extra({extra[0]})"
     else:
-        ok, found = bounds_mod.check_proper(g, coloring)
+        ok, found = check_proper(g, coloring)
         violation = None if ok else "%s(%d,%d)" % found
     report = {
         "command": "verify",
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide k-colorability or compute the chromatic number")
     p.add_argument("graph")
     p.add_argument("--k", type=_non_negative_int, default=None)
-    p.add_argument("--method", choices=solvers.METHODS, default="branch")
+    p.add_argument("--method", choices=METHODS, default="branch")
     p.add_argument("--td", default=None, help="tree decomposition file (PACE .td; needs --method twdp)")
     p.add_argument("--cert", default=None, help="write the witness coloring here")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,

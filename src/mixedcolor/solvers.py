@@ -16,7 +16,7 @@ Four routes, cross-validated against each other in the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
 from operator import itemgetter
@@ -805,9 +805,12 @@ def branching_chi(
     """Exact chromatic number by ascending k from the graph's color windows and their propagation.
 
     All k share one search, so states refuted for a smaller k are not searched again. The
-    bracket gets no budget: the search refutes small k for less than its last two bounds cost.
+    bracket gets no budget, so it runs no shaving and no chi_u search: the search refutes
+    small k for less than they cost. It runs the window cliques only on a gap of at least
+    ``bounds.CLIQUE_GAP`` colors, where the window search alone may spend its n nodes
+    refuting one k at a time; on ``oriented_grid(12)`` the cliques close it at once.
     """
-    return _ascend(g, _BranchingSearch(g, budget, fanout_log).solve, None, stats)
+    return _ascend(g, _branch_route(g, None, budget, fanout_log), None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -826,23 +829,37 @@ def _brute_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> De
 def _twdp_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
     if td is not None:
         validate_decomposition(td, g)
+    nice: list[NiceNode] | None = None
 
-    @cache
-    def nice() -> list[NiceNode]:  # built on the first decide; min-degree validates its own
-        return make_nice(td if td is not None else min_fill_decomposition(g))
+    def decide(k: int) -> SolveResult:
+        nonlocal nice
+        if nice is None:  # built on the first decide; min-degree validates its own
+            nice = make_nice(td if td is not None else min_fill_decomposition(g))
+        return tw_dp_decide(g, nice, k, budget)
 
-    return lambda k: tw_dp_decide(g, nice(), k, budget)
+    return decide
 
 
 def _ndm_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
     return lambda k: ndm_fpt_decide(g, k, budget)
 
 
-def _branch_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
-    return _BranchingSearch(g, budget).solve  # one search serves every k
+def _branch_route(
+    g: MixedGraph, td: TreeDecomposition | None, budget: int, fanout_log: list | None = None
+) -> Decide:
+    search: _BranchingSearch | None = None
+
+    def decide(k: int) -> SolveResult:
+        nonlocal search
+        if search is None:  # built on the first decide; one search serves every k
+            search = _BranchingSearch(g, budget, fanout_log)
+        return search.solve(k)
+
+    return decide
 
 
-# method -> set-up(g, td, budget), run once per graph, returning decide(k);
+# method -> set-up(g, td, budget), run once per graph, returning decide(k); a route's
+# search state is built on its first decide, so a bracket that closes builds none;
 # td is read by twdp only, and every route counts its work against the budget
 ROUTES = {"brute": _brute_route, "twdp": _twdp_route, "ndm": _ndm_route, "branch": _branch_route}
 METHODS = tuple(ROUTES)

@@ -8,7 +8,8 @@ a change to the ascent's bounds shows as a changed decide count with
 unchanged answers. The analysis pool pins the summed gap that
 ``chromatic_bounds`` leaves, so a change that weakens the bounds fails here
 even where no solve route decides more. The bracket closes on every graph of
-these pools, so the ascent reaches no route; the routes' own work is pinned by
+these pools, so the ascent reaches no route and builds no route's search state;
+the routes' own work is pinned by
 driving each graph's route set-up at k = chi - 1 and at k = chi. The branch
 search's summed nodes and memo entries and the ndm route's preorders and
 feasibility nodes are pinned so, and so is the twdp route's work in
@@ -26,6 +27,8 @@ import pytest
 
 from mixedcolor import bounds, graphs, solvers
 from mixedcolor.errors import DEFAULT_NODE_BUDGET
+
+from test_tracer_spans import spy
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SECONDS = 12  # the benchmark's run length, which sizes each pool
@@ -58,7 +61,14 @@ def workloads():
 
 
 @pytest.mark.parametrize("pool", PINNED)
-def test_seed_one_pool_counters(workloads, pool):
+def test_seed_one_pool_counters(workloads, pool, monkeypatch):
+    # the route set-ups' search state: the branch search, the twdp decomposition
+    # and the ndm class structure's partition
+    builds = [
+        spy(monkeypatch, solvers._BranchingSearch, "__init__"),
+        spy(monkeypatch, solvers, "min_fill_decomposition"),
+        spy(monkeypatch, solvers, "closure_neighborhood_partition"),
+    ]
     workload = workloads.WORKLOADS[pool]
     texts = workloads.materialize(workload.plan(1, SECONDS))
     chis, decides = [], 0
@@ -68,6 +78,7 @@ def test_seed_one_pool_counters(workloads, pool):
         decides += stats["decides"]
     digest = hashlib.sha256(",".join(map(str, chis)).encode()).hexdigest()[:16]
     assert (len(texts), decides, digest) == PINNED[pool]
+    assert [len(calls) for calls in builds] == [0, 0, 0]
 
 
 def graphs_at_chi(workloads, pool):

@@ -2,13 +2,16 @@
 cheapest first, with the window search and the shaving added.
 
 The reference below computes the window cliques before the colour windows'
-propagation, on every graph, and takes the reversed schedule only with a
-budget. Neither order changes a budgeted answer: the propagation refutes every
-k below its first unrefuted one, whatever k it starts from, and the reversed
-schedule uses fewer colours only on a graph that no lower bound closes at the
-forward count. So both reach the window search at the same lower end wherever
-a gap is left, and the search, with the same n nodes, makes the same steps;
-the shaving then runs from the same end. A budgeted bracket gives the
+propagation, on every graph with a budget, and takes the reversed schedule only
+with a budget. Without a budget it runs the cliques after the propagation, as
+the bracket does, where the fewer colours of the two schedules lie at least
+``bounds.CLIQUE_GAP`` above the propagation's end. Neither order changes a
+budgeted answer: the propagation refutes every k below its first unrefuted one,
+whatever k it starts from, and the reversed schedule uses fewer colours only on
+a graph that no lower bound closes at the forward count. So both reach the
+window search at the same lower end wherever a gap is left, and the search,
+with the same n nodes, makes the same steps; the shaving then runs from the
+same end. A budgeted bracket gives the
 reference's lower end and upper witness, and only its label may move from
 ``window_clique`` to ``window_propagation`` where both bounds reach the same
 end. Without a budget the lower end is the reference's too: the reference may
@@ -46,6 +49,12 @@ def reference_bracket(g, budget=DEFAULT_NODE_BUDGET):
         count = upper.num_colors()
     while lower < count and windows_refute(g, lower):
         lower, source = lower + 1, "window_propagation"
+    if budget is None and lower < count:
+        fewer = min(count, schedule_coloring(g, reverse=True).num_colors())
+        if fewer - lower >= bounds.CLIQUE_GAP:
+            found = window_clique_bound(g, count)
+            if found > lower:
+                lower, source = found, "window_clique"
     nodes = g.n
     while lower < count and nodes >= 0:
         found, nodes = window_search(g, lower, nodes)

@@ -316,7 +316,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["brute", "ndm", "branch"])
     def test_td_without_twdp_is_usage_error(self, capsys, path4, tmp_path, method):
-        # bags that miss vertex 5: twdp rejects the file, no other method reads it
+        # bags that miss vertex 5: twdp rejects the file, though the color windows
+        # close path4's bracket and no decide runs; no other method reads it
         td_file = tmp_path / "short.td"
         td_file.write_text("s td 3 2 5\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n")
         code, _, err = run(capsys, "solve", path4, "--method", "twdp", "--td", str(td_file))
@@ -387,6 +388,11 @@ class TestRoutes:
             ("upper", "5"),
         ]
         assert lines[-1][0] == "wall_time"
+
+
+def test_method_choices_are_the_routes():
+    # the parser lists the methods without importing the solvers
+    assert cli.METHODS == solvers.METHODS
 
 
 class TestBudget:

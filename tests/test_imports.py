@@ -1,7 +1,8 @@
 """Cold start: ``import mixedcolor`` loads no submodule until a name is read,
 the CLI commands solve, bounds, params and verify load neither expressions
-nor reductions, and gen does not load expressions. Each check runs in a fresh interpreter, since
-this process has already imported everything."""
+nor reductions, and gen loads none of expressions, bounds, solvers, partitions and
+treedecomp. Each check runs in a fresh interpreter, since this process has already
+imported everything."""
 
 import json
 import os
@@ -113,6 +114,8 @@ def test_gen_skips_expressions(tmp_path):
     assert code == 0
     assert "mixedcolor.reductions" in loaded
     assert "mixedcolor.expressions" not in loaded
+    for name in ("bounds", "solvers", "partitions", "treedecomp"):
+        assert f"mixedcolor.{name}" not in loaded
 
 
 def test_all_names_the_public_api():

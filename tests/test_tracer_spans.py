@@ -7,7 +7,8 @@ program through ``solvers.preorder_program``, enumerate the preorders through
 structure once per graph, and the twdp route must build its decomposition through
 ``solvers.min_fill_decomposition`` and its nice form through
 ``solvers.make_nice``, at most once per route set-up and only once a decide
-needs them. The bounds spans nest the same way:
+needs them; the branch route builds its search once per set-up, on its first
+decide. The bounds spans nest the same way:
 ``lower_bounds`` calls ``bounds.chi_u_exact``, which calls
 ``bounds.clique_number`` for the start that the tracer's ``bounds.k_tried``
 counts from, and ``layering_coloring`` calls ``bounds.layering``.
@@ -17,9 +18,15 @@ The branch route enumerates its children through
 ``solvers.maximal_independent_sets``; the ndm route's class sets do not.
 """
 
+import io
+
+import pytest
+
 from mixedcolor import bounds, mixed_graph, solvers
 from mixedcolor.cli import main
+from mixedcolor.errors import InvalidDecomposition
 from mixedcolor.graphs import save_graph
+from mixedcolor.treedecomp import load_td
 from mixedcolor.reductions import family_layered_cliques, family_tripartite
 
 # combined lower bound 4, chi 6
@@ -75,6 +82,25 @@ def test_twdp_ascent_builds_the_nice_form_only_for_a_decide(monkeypatch):
     assert solvers.chi_exact(TWO_DECIDES, "twdp")[0] == 6
     assert [k for _, _, k, _ in decides] == [5, 6]
     assert (len(fills), len(nices)) == (1, 1)
+
+
+def test_twdp_ascent_checks_a_given_td_where_the_bracket_closes(monkeypatch):
+    decides = spy(monkeypatch, solvers, "tw_dp_decide")
+    path = mixed_graph(5, arcs=[(1, 2), (2, 3), (3, 4), (4, 5)])  # the windows give chi 5
+    short = load_td(io.StringIO("s td 3 2 5\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n"))  # misses 5
+    assert solvers.chi_exact(path, "twdp")[0] == 5
+    with pytest.raises(InvalidDecomposition):
+        solvers.chi_exact(path, "twdp", td=short)
+    assert decides == []
+
+
+def test_branch_ascent_builds_its_search_once(monkeypatch):
+    builds = spy(monkeypatch, solvers._BranchingSearch, "__init__")
+    stats = {}
+    assert solvers.chi_exact(family_layered_cliques(1, 3), "branch", stats=stats)[0] == 6
+    assert (stats["decides"], len(builds)) == (0, 0)
+    assert solvers.chi_exact(TWO_DECIDES, "branch", stats=stats)[0] == 6
+    assert (stats["decides"], len(builds)) == (2, 1)
 
 
 def test_ndm_ascent_builds_the_closure_partition_once(monkeypatch):
