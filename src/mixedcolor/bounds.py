@@ -8,7 +8,6 @@ ascent and the ``bounds`` command share.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -272,7 +271,9 @@ def _propagate(g: MixedGraph, domain: list[int], queue: list[int], trail: list |
     order.
     """
     preds, succs, nbrs = g.pred_masks, g.succ_masks, g.nbr_masks
-    queued = sum(1 << v for v in queue)
+    queued = 0
+    for v in queue:
+        queued |= 1 << v
     for v in queue:  # the list grows as vertices change
         queued ^= 1 << v
         d = domain[v]
@@ -447,33 +448,30 @@ def schedule_coloring(g: MixedGraph, reverse: bool = False) -> Coloring:
     color classes show the edge neighbors' colors. A color skipped is an edge
     neighbor's or at most an in-neighbor's, so the colors used are 1..max.
 
+    ``g.ceiling`` falls along every arc, so every in-neighbor comes first in that
+    order over all vertices and one sort gives the list schedule.
+
     ``reverse`` schedules the graph with every arc turned round (from the sinks,
-    by the largest ``g.floor``) and then turns the colors round, c -> max + 1 - c,
-    which makes every arc ascend again."""
-    preds, succs, ceiling = (g.succ_masks, g.pred_masks, g.floor) if reverse else (g.pred_masks, g.succ_masks, g.ceiling)
-    nbrs = g.nbr_masks
-    ready = [(-ceiling[v], -nbrs[v].bit_count(), v) for v in g.vertices if not preds[v]]
-    heapq.heapify(ready)
-    uncolored = (1 << g.n + 1) - 2
-    classes = [0] * (g.n + 2)  # bit v of classes[c]: v has color c; the colors stay within 1..n
-    lowest = [1] * (g.n + 1)
+    by the largest ``g.floor``, which rises along every arc) and then turns the
+    colors round, c -> max + 1 - c, which makes every arc ascend again."""
+    succs, ceiling = (g.pred_masks, g.floor) if reverse else (g.succ_masks, g.ceiling)
+    n, nbrs = g.n, g.nbr_masks
+    key = [c * (n + 1) + e.bit_count() for c, e in zip(ceiling, nbrs)]
+    classes = [0] * (n + 2)  # bit v of classes[c]: v has color c; the colors stay within 1..n
+    lowest = [1] * (n + 1)
     colors: dict[int, int] = {}
-    while ready:
-        v = heapq.heappop(ready)[2]
-        uncolored ^= 1 << v
+    for v in sorted(g.vertices, key=key.__getitem__, reverse=True):  # stable: ties by id
         color, edge = lowest[v], nbrs[v]
         while classes[color] & edge:
             color += 1
         classes[color] |= 1 << v
         colors[v] = color
         rest = succs[v]
-        while rest:  # an out-neighbor is ready once its last in-neighbor is colored
+        while rest:
             w = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             if lowest[w] <= color:
                 lowest[w] = color + 1
-            if not preds[w] & uncolored:
-                heapq.heappush(ready, (-ceiling[w], -nbrs[w].bit_count(), w))
     if reverse:
         top = max(colors.values(), default=0) + 1
         colors = {v: top - c for v, c in colors.items()}

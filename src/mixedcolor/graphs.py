@@ -124,13 +124,14 @@ class MixedGraph:
     @_derived
     def floor(self) -> tuple[int, ...]:
         """Lower bound on the colors each vertex's ancestors need: every
-        proper coloring gives v a color above ``floor[v]``."""
+        proper coloring gives v a color above ``floor[v]``; it rises along every arc."""
         return _needs(self.n, self.order, self.pred_masks, self.adjacent_masks)
 
     @_derived
     def ceiling(self) -> tuple[int, ...]:
         """Lower bound on the colors each vertex's descendants need: every
-        proper coloring with colors 1..k gives v at most ``k - ceiling[v]``."""
+        proper coloring with colors 1..k gives v at most ``k - ceiling[v]``; it
+        falls along every arc."""
         return _needs(self.n, reversed(self.order), self.succ_masks, self.adjacent_masks)
 
     @_derived

@@ -18,7 +18,6 @@ from mixedcolor.errors import DEFAULT_NODE_BUDGET
 from mixedcolor.reductions import family_layered_cliques, family_oriented_grid
 from mixedcolor.solvers import METHODS, ROUTES
 
-from subgraphs import scanned
 from test_branching_properties import mixed_graphs
 
 PROPERTY = settings(max_examples=150)
@@ -85,13 +84,25 @@ def test_reversed_schedule_is_the_schedule_of_the_reversed_graph(g):
     assert schedule_coloring(g, reverse=True).colors == {v: top - c for v, c in forward.items()}
 
 
-def set_based_schedule(g):
-    """The schedule coloring by its set-based rule, with the same ready heap and
-    key: one above the largest in-neighbor color, then past every color an
-    edge neighbor uses. Returns the colors in the order they were given."""
-    ins, outs, nbrs = scanned(g)
+def set_based_schedule(g, reverse=False):
+    """The schedule coloring by its set-based rule, with a ready heap: of the vertices
+    whose in-neighbors are all colored, the largest ceiling, then the most edge
+    neighbors, then the smallest id, takes one above the largest in-neighbor color,
+    then past every color an edge neighbor uses. ``reverse`` turns every arc round,
+    keys by the floor and turns the colors round. Returns the colors in the order
+    they were given."""
+    ins, outs, nbrs = ({v: set() for v in g.vertices} for _ in range(3))
+    for u, w in g.arcs:
+        if reverse:
+            u, w = w, u
+        outs[u].add(w)
+        ins[w].add(u)
+    for u, w in g.edges:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    ceiling = g.floor if reverse else g.ceiling
     waiting = {v: len(ins[v]) for v in g.vertices}
-    ready = [(-g.ceiling[v], -len(nbrs[v]), v) for v in g.vertices if not waiting[v]]
+    ready = [(-ceiling[v], -len(nbrs[v]), v) for v in g.vertices if not waiting[v]]
     heapq.heapify(ready)
     colors = {}
     while ready:
@@ -104,7 +115,10 @@ def set_based_schedule(g):
         for w in outs[v]:
             waiting[w] -= 1
             if not waiting[w]:
-                heapq.heappush(ready, (-g.ceiling[w], -len(nbrs[w]), w))
+                heapq.heappush(ready, (-ceiling[w], -len(nbrs[w]), w))
+    if reverse:
+        top = max(colors.values(), default=0) + 1
+        colors = {v: top - c for v, c in colors.items()}
     return list(colors.items())
 
 
@@ -115,6 +129,7 @@ def set_based_schedule(g):
 @example(SHAVED)
 def test_schedule_coloring_matches_the_set_based_rule(g):
     assert list(schedule_coloring(g).colors.items()) == set_based_schedule(g)
+    assert list(schedule_coloring(g, True).colors.items()) == set_based_schedule(g, True)
 
 
 def test_schedule_coloring_matches_the_set_based_rule_past_64_colors():
@@ -127,6 +142,16 @@ def test_schedule_coloring_matches_the_set_based_rule_past_64_colors():
     assert max(schedule_coloring(g).max_color() for g in graphs) > 64
     for g in graphs:
         assert list(schedule_coloring(g).colors.items()) == set_based_schedule(g)
+        assert list(schedule_coloring(g, True).colors.items()) == set_based_schedule(g, True)
+
+
+def test_schedule_coloring_matches_the_set_based_rule_on_a_long_directed_path():
+    # 3,000 colors, one per vertex, in both directions
+    g = mixed_graph(3000, arcs=[(v, v + 1) for v in range(1, 3000)])
+    for reverse in (False, True):
+        colors = list(schedule_coloring(g, reverse).colors.items())
+        assert colors == set_based_schedule(g, reverse)
+        assert colors == sorted(((v, v) for v in g.vertices), reverse=reverse)
 
 
 @PROPERTY

@@ -286,3 +286,18 @@ def test_color_windows_match_the_greedy_clique_definition_on_random_graphs():
         ins, outs, _ = scanned(g)
         assert g.floor == greedy_clique_needs(g, g.order, ins)
         assert g.ceiling == greedy_clique_needs(g, reversed(g.order), outs)
+        assert_windows_step_along_every_arc(g)
+
+
+def assert_windows_step_along_every_arc(g):
+    # the greedy clique's first member has the largest need and joins as member 1,
+    # so a vertex needs at least one more than each of its step neighbors
+    for u, w in g.arcs:
+        assert g.floor[w] > g.floor[u]
+        assert g.ceiling[u] > g.ceiling[w]
+
+
+@PROPERTY
+@given(typed_graphs())
+def test_color_windows_step_along_every_arc(g):
+    assert_windows_step_along_every_arc(g)
