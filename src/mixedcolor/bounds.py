@@ -26,9 +26,10 @@ Violation = tuple[str, int, int]  # ("edge"|"arc", u, v)
 
 EXACT_LAYER_CAP = 20
 
-# without a budget the bracket runs the window cliques only on a gap of at least this many
-# colours, where the search alone may spend its n nodes refuting one k after another; a
-# narrower gap the search or the branch memo closes for less than the cliques cost
+# the bracket runs the window cliques before its first search round only on a gap of at
+# least this many colours, where the search alone may spend its n nodes refuting one k
+# after another; a narrower gap the search closes for less than the cliques cost, and
+# the cliques wait until the first round gives up
 CLIQUE_GAP = 3
 
 
@@ -499,26 +500,25 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
     return Coloring(colors)
 
 
-def bracket(
-    g: MixedGraph, budget: int | None = DEFAULT_NODE_BUDGET, stats: dict | None = None
-) -> tuple[int, Coloring, str]:
+def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None = None) -> tuple[int, Coloring, str]:
     """Lower bound on chi, a proper coloring as the upper witness, and the bound that set the
     lower end: ``window_propagation``, ``window_clique``, ``window_search``, ``window_shaving``
     or ``undirected_clique``.
 
     The steps run cheapest first, each only while the lower end is below the upper witness's
-    color count, and each names the lower end only if it raises it: the schedule coloring;
-    the color windows alone and ``windows_refute`` past every k it refutes, both named
-    ``window_propagation`` (an empty window is an empty domain, so the propagation refutes
-    every k below the windows alone); the reversed schedule as the upper witness if it uses
-    fewer colors; ``window_clique_bound``, with a ``budget`` or on a gap of at least
-    ``CLIQUE_GAP`` colors; then ``window_search`` from the lower end, on every route, with n
-    nodes in all, its first k not propagated again: a coloring closes the bracket and a
-    refutation raises the lower end by one. Only if the search gives up, and with a
-    ``budget`` only, ``windows_shave`` past every k it refutes and the chi_u search from the
-    lower end follow. ``budget`` bounds each shaving and the chi_u search; past it a shaving
-    refutes nothing more and the chi_u search gives the clique number. ``stats``, if given,
-    gets the search's nodes as ``search_nodes``.
+    color count, and each names the lower end only if it raises it: the schedule coloring; the
+    color windows alone and ``windows_refute`` past every k it refutes, both named
+    ``window_propagation`` (an empty window is an empty domain, so the propagation refutes every
+    k below the windows alone); the reversed schedule as the upper witness if it uses fewer
+    colors; then at most two rounds of ``window_search`` from the lower end, n nodes each, the
+    first k of the first not propagated again: a coloring closes the bracket and a refutation
+    raises the lower end by one. ``window_clique_bound`` runs once, before the first round on a
+    gap of at least ``CLIQUE_GAP`` colors, else before the second, which runs only where the
+    first gives up and something raised the lower end since the first began: from the same k it
+    would make the same steps. Only if both rounds give up, ``windows_shave`` past every k it
+    refutes and the chi_u search from the lower end follow. ``budget`` bounds each shaving and
+    the chi_u search; past it a shaving refutes nothing more and the chi_u search gives the
+    clique number. ``stats``, if given, gets the nodes of both rounds as ``search_nodes``.
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()
@@ -529,26 +529,32 @@ def bracket(
     if lower < count:
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
         count = upper.num_colors()
-    if lower < count and (budget is not None or count - lower >= CLIQUE_GAP):
-        found = window_clique_bound(g, count)
-        if found > lower:
-            lower, source, domain = found, "window_clique", None
-    nodes = g.n  # the first descent's own bound
-    while lower < count and nodes >= 0:
-        searched, nodes = window_search(g, lower, nodes, domain)
-        domain = None
-        if searched is not None:
-            upper, count = searched, lower
-        elif nodes >= 0:
-            lower, source = lower + 1, "window_search"
+    wide, spent = count - lower >= CLIQUE_GAP, 0
+    for first in (True, False):
+        if lower < count and first == wide:
+            found = window_clique_bound(g, count)
+            if found > lower:
+                lower, source, domain = found, "window_clique", None
+        if not first and lower == start:
+            break  # the second round would repeat the first one's steps
+        start, nodes = lower, g.n  # n: the first descent's own bound
+        while lower < count and nodes >= 0:
+            searched, nodes = window_search(g, lower, nodes, domain)
+            domain = None
+            if searched is not None:
+                upper, count = searched, lower
+            elif nodes >= 0:
+                lower, source = lower + 1, "window_search"
+        spent += g.n - max(nodes, 0)
+        if nodes >= 0:
+            break
     if stats is not None:
-        stats["search_nodes"] = g.n - max(nodes, 0)
-    if lower < count and budget is not None:
-        while lower < count and windows_shave(g, lower, budget):
-            lower, source = lower + 1, "window_shaving"
-        found = _chi_u_or_clique(g, budget, lower)[0] if lower < count else lower
-        if found > lower:
-            lower, source = found, "undirected_clique"
+        stats["search_nodes"] = spent
+    while lower < count and windows_shave(g, lower, budget):
+        lower, source = lower + 1, "window_shaving"
+    found = _chi_u_or_clique(g, budget, lower)[0] if lower < count else lower
+    if found > lower:
+        lower, source = found, "undirected_clique"
     return lower, upper, source
 
 

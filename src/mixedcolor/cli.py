@@ -202,11 +202,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif name == "random":
         if len(params) != 3:
             raise MixedColorError("random takes: n edge_p arc_p")
-        edge_p, arc_p = float(params[1]), float(params[2])
-        # a probability outside [0, 1] is worded by random_mixed_graph
-        if edge_p + arc_p > 1 and all(0 <= p <= 1 for p in (edge_p, arc_p)):
-            raise ValueError(f"edge_p + arc_p must be at most 1, not {edge_p + arc_p:g}")
-        g = random_mixed_graph(random.Random(args.seed), int(params[0]), edge_p, arc_p)
+        g = random_mixed_graph(random.Random(args.seed), int(params[0]), float(params[1]), float(params[2]))
         report.update(family="random", seed=args.seed)
     elif name == "superstring":
         inst = SuperstringInstance(tuple(spec["strings"]), int(spec["k"]))
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--td", default=None, help="tree decomposition file (PACE .td; needs --method twdp)")
     p.add_argument("--cert", default=None, help="write the witness coloring here")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
-                   help="work budget of every method's search (default %(default)s)")
+                   help="work budget of every method's search, its bracket's too (default %(default)s)")
     p.add_argument("--dump-ilp", action="store_true",
                    help="print the rows the ndm route searches per preorder (needs --k, --method ndm)")
     p.set_defaults(func=cmd_solve)

@@ -581,11 +581,13 @@ FAMILIES = {
 def random_mixed_graph(rng: random.Random, n: int, edge_p: float, arc_p: float) -> MixedGraph:
     """Random valid mixed graph; arcs follow a hidden random topological order,
     so the result never contains a directed cycle. Each pair is an edge with
-    probability ``edge_p`` and an arc with ``arc_p`` (less if the two sum past
-    1); a probability outside [0, 1] raises ValueError."""
+    probability ``edge_p`` and an arc with ``arc_p``; a probability outside
+    [0, 1], or two that sum past 1, raises ValueError."""
     for name, p in (("edge_p", edge_p), ("arc_p", arc_p)):
         if not 0 <= p <= 1:
             raise ValueError(f"{name} must lie in [0, 1], not {p}")
+    if edge_p + arc_p > 1:
+        raise ValueError(f"edge_p + arc_p must be at most 1, not {edge_p + arc_p:g}")
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     pos = {v: i for i, v in enumerate(perm)}

@@ -50,7 +50,7 @@ class SolveResult:
 Decide = Callable[[int], SolveResult]
 
 
-def _ascend(g: MixedGraph, decide: Decide, budget: int | None, stats: dict | None = None) -> tuple[int, Coloring]:
+def _ascend(g: MixedGraph, decide: Decide, budget: int, stats: dict | None = None) -> tuple[int, Coloring]:
     """The first k from ``bracket``'s lower bound up that monotone ``decide`` accepts, with its
     witness, else the bracket's upper coloring and its count. ``stats`` gets ``first_k``, ``upper``,
     ``decides``, the bracket's label as ``lower_witness`` and its search's ``search_nodes``."""
@@ -802,15 +802,11 @@ def branching_decide(
 def branching_chi(
     g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, fanout_log: list | None = None, stats: dict | None = None
 ) -> tuple[int, Coloring]:
-    """Exact chromatic number by ascending k from the graph's color windows and their propagation.
+    """Exact chromatic number by ascending k from ``bounds.bracket``, as every route does.
 
-    All k share one search, so states refuted for a smaller k are not searched again. The
-    bracket gets no budget, so it runs no shaving and no chi_u search: the search refutes
-    small k for less than they cost. It runs the window cliques only on a gap of at least
-    ``bounds.CLIQUE_GAP`` colors, where the window search alone may spend its n nodes
-    refuting one k at a time; on ``oriented_grid(12)`` the cliques close it at once.
+    All k share one search, so states refuted for a smaller k are not searched again.
     """
-    return _ascend(g, _branch_route(g, None, budget, fanout_log), None, stats)
+    return _ascend(g, _branch_route(g, None, budget, fanout_log), budget, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ def test_criterion_5_parameter_inequalities():
     rng = random.Random(31)
     for _ in range(100):
         n = rng.randint(1, 10)
-        instances.append(random_mixed_graph(rng, n, rng.random() * 0.7, rng.random() * 0.5))
+        edge_p = rng.random() * 0.7
+        instances.append(random_mixed_graph(rng, n, edge_p, min(rng.random() * 0.5, 1 - edge_p)))
     for idx, g in enumerate(instances):
         nd_mixed = ndm(g)
         nd_und = ndu(g)

@@ -33,9 +33,8 @@ TWO_DECIDES = mixed_graph(
     edges=[(1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7)],
     arcs=[(2, 5), (2, 7), (4, 1), (5, 6), (7, 6)],
 )
-# first k 3 without a budget and 4 with one (the window search gives up on 3 past
-# its 8 nodes, and the shaving refutes it), chi 4, both schedules 4 colors: one
-# decide on branch, none on the other routes
+# first k 4 on every route (the window search gives up on 3 past its 8 nodes, and
+# the shaving refutes it), chi 4, both schedules 4 colors: no decide
 SHAVED = mixed_graph(
     8,
     edges=[(1, 3), (1, 5), (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (5, 8), (6, 8)],
@@ -164,8 +163,9 @@ def test_chi_exact_routes_match_brute_force(g):
 
 
 def bracket_stays_open(g):
-    """True when the bracket leaves a gap with a budget and without one, so every route decides."""
-    return all(lower < upper.num_colors() for lower, upper, _ in (bracket(g), bracket(g, None)))
+    """True when the bracket leaves a gap, so every route decides."""
+    lower, upper, _ = bracket(g)
+    return lower < upper.num_colors()
 
 
 def test_chi_exact_routes_match_brute_force_where_the_schedule_is_not_optimal():
@@ -200,10 +200,9 @@ def test_every_route_accepts_the_schedule_count(g):
 @example(SHAVED)
 @example(mixed_graph(0))
 def test_every_route_ascends_the_one_bracket(g):
-    # branch passes no budget, so its bracket stops after the windows, their propagation
-    # and the reversed schedule
+    # every route, branch too, passes its budget to the same bracket
+    lower, upper, _ = bracket(g)
     for method in METHODS:
         stats = {}
         chi_exact(g, method, stats=stats)
-        lower, upper, _ = bracket(g, None if method == "branch" else DEFAULT_NODE_BUDGET)
         assert (stats["first_k"], stats["upper"]) == (lower, upper.num_colors())

@@ -1,5 +1,6 @@
 """Properness checking, chromatic lower bounds, and the constructive colorings."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -465,20 +466,19 @@ class TestBracketing:
     def test_the_search_names_the_end_it_raises(self):
         # the triangle 1 2 5 gives 3, and so does the propagation, as the tails 1 and 2
         # of the arcs 1 -> 3 and 2 -> 4 are fixed at k = 2; both heads sit beside 5,
-        # so chi is 4: on every route the window search refutes 3 in two nodes and names
-        # the end, which meets the schedules' 4
+        # so chi is 4: the window search refutes 3 in two nodes and names the end, which
+        # meets the schedules' 4
         g = mixed_graph(5, edges=[(1, 2), (1, 5), (2, 5), (3, 5), (4, 5)], arcs=[(1, 3), (2, 4)])
         assert window_clique_bound(g, 10) == 3 and brute_force_chi(g)[0] == 4
-        for budget in (DEFAULT_NODE_BUDGET, None):
-            stats = {}
-            lower, upper, source = bounds.bracket(g, budget, stats)
-            assert (lower, upper.num_colors(), source, stats) == (4, 4, "window_search", {"search_nodes": 2})
+        stats = {}
+        lower, upper, source = bounds.bracket(g, DEFAULT_NODE_BUDGET, stats)
+        assert (lower, upper.num_colors(), source, stats) == (4, 4, "window_search", {"search_nodes": 2})
 
     def test_a_later_bound_names_the_end_only_when_it_raises_it(self):
-        # the propagation gives 3 and so do the window cliques, which run but leave the
-        # end where it was; the window search gives up on 3 past its 8 nodes, and the
-        # shaving then raises the end to chi = 4, and names it (found by a seeded search
-        # of random graphs)
+        # the propagation gives 3; the window search gives up on 3 past its 8 nodes, the
+        # window cliques then run but leave the end where it was, so a second round would
+        # repeat the first and does not run; the shaving then raises the end to chi = 4,
+        # and names it (found by a seeded search of random graphs)
         g = mixed_graph(
             8,
             edges=[(1, 3), (1, 5), (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (5, 8), (6, 8)],
@@ -486,11 +486,26 @@ class TestBracketing:
         )
         assert window_clique_bound(g, 10) == 3 and brute_force_chi(g)[0] == 4
         assert not bounds.windows_refute(g, 3) and bounds.window_search(g, 3, g.n) == (None, -1)
-        lower, upper, source = bounds.bracket(g)
-        assert (lower, upper.num_colors(), source) == (4, 4, "window_shaving")
-        # without a budget neither runs, and the search gives up the same way
-        lower, upper, source = bounds.bracket(g, None)
-        assert (lower, upper.num_colors(), source) == (3, 4, "window_propagation")
+        stats = {}
+        lower, upper, source = bounds.bracket(g, DEFAULT_NODE_BUDGET, stats)
+        assert (lower, upper.num_colors(), source, stats) == (4, 4, "window_shaving", {"search_nodes": 8})
+
+    def test_split_superstring_brackets_keep_their_ends(self):
+        # the paper's split reduction, 2-3 binary strings of length 2-3: at budget 10**4,
+        # 133 of 200 brackets stay open; running the window cliques only after the
+        # search gives up, with no second search round, would leave 141 open
+        pairs = []
+        for i in range(200):
+            rng = random.Random(1000 + i)
+            strings = tuple(
+                "".join(rng.choice("01") for _ in range(rng.randint(2, 3))) for _ in range(rng.randint(2, 3))
+            )
+            k = rng.randint(max(map(len, strings)), sum(map(len, strings)))
+            g, _ = reduce_superstring(SuperstringInstance(strings, k), split=True)
+            lower, upper, _ = bounds.bracket(g, 10**4)
+            pairs.append((lower, upper.num_colors()))
+        assert sum(lower < upper for lower, upper in pairs) == 133
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == "0ec0b6e85883f972"
 
     def test_maxrank_plus_one_lower_bound(self, small_corpus):
         # strengthened form of the rank bound, checked against the oracle

@@ -1,25 +1,14 @@
-"""``bounds.bracket`` against the bracket as it stood before its bounds ran
-cheapest first, with the window search and the shaving added.
+"""``bounds.bracket`` against the bracket as its steps read, without its shortcuts.
 
-The reference below computes the window cliques before the colour windows'
-propagation, on every graph with a budget, and takes the reversed schedule only
-with a budget. Without a budget it runs the cliques after the propagation, as
-the bracket does, where the fewer colours of the two schedules lie at least
-``bounds.CLIQUE_GAP`` above the propagation's end. Neither order changes a
-budgeted answer: the propagation refutes every k below its first unrefuted one,
-whatever k it starts from, and the reversed schedule uses fewer colours only on
-a graph that no lower bound closes at the forward count. So both reach the
-window search at the same lower end wherever a gap is left, and the search,
-with the same n nodes, makes the same steps; the shaving then runs from the
-same end. A budgeted bracket gives the
-reference's lower end and upper witness, and only its label may move from
-``window_clique`` to ``window_propagation`` where both bounds reach the same
-end. Without a budget the lower end is the reference's too: the reference may
-search on past an end that meets the reversed schedule, but that end is chi,
-which no search refutes. Its upper witness is the schedule with fewer colours
-(a tie keeps the forward one), or the search's colouring where that has fewer
-colours still; the reference finds the same colouring, as its search makes the
-same steps up to it. The graphs are derandomized ``mixed_graphs()`` and the
+The reference below decides the colour windows' propagation by ``windows_refute``
+alone, so its window search propagates its first k again, where the bracket hands
+the search the propagation's last domain list; and it runs the second search
+round wherever the first gives up, where the bracket skips a second round that
+would start from the first one's k with the same n nodes and so make the same
+steps. The window cliques run once in both: before the first round on a gap of
+at least ``bounds.CLIQUE_GAP`` colours, else before the second. Neither shortcut
+changes an answer, so the bracket gives the reference's lower end, upper witness
+and label on every graph. The graphs are derandomized ``mixed_graphs()`` and the
 benchmark's four seed-1 pools.
 """
 
@@ -39,32 +28,30 @@ from test_branching_properties import mixed_graphs
 
 
 def reference_bracket(g, budget=DEFAULT_NODE_BUDGET):
-    """The bracket with the window cliques first, the reversed schedule only
-    under a budget, then the search, the shaving and chi_u: (lower, upper coloring, label)."""
+    """The propagation, the schedules, two full search rounds with the window cliques
+    before one of them, then the shaving and chi_u: (lower, upper coloring, label)."""
     upper = schedule_coloring(g)
-    count = upper.num_colors()
-    lower, source = window_clique_bound(g, 0 if budget is None else count), "window_clique"
-    if lower < count and budget is not None:
+    lower, source = window_clique_bound(g, 0), "window_propagation"
+    while lower < upper.num_colors() and windows_refute(g, lower):
+        lower += 1
+    if lower < upper.num_colors():
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)
-        count = upper.num_colors()
-    while lower < count and windows_refute(g, lower):
-        lower, source = lower + 1, "window_propagation"
-    if budget is None and lower < count:
-        fewer = min(count, schedule_coloring(g, reverse=True).num_colors())
-        if fewer - lower >= bounds.CLIQUE_GAP:
-            found = window_clique_bound(g, count)
-            if found > lower:
-                lower, source = found, "window_clique"
-    nodes = g.n
-    while lower < count and nodes >= 0:
-        found, nodes = window_search(g, lower, nodes)
-        if found is not None:
-            upper, count = found, found.num_colors()
-        elif nodes >= 0:
-            lower, source = lower + 1, "window_search"
-    while lower < count and budget is not None and windows_shave(g, lower, budget):
+    count = upper.num_colors()
+    for cliques in (True, False) if count - lower >= bounds.CLIQUE_GAP else (False, True):
+        if cliques and lower < count and (found := window_clique_bound(g, count)) > lower:
+            lower, source = found, "window_clique"
+        nodes = g.n
+        while lower < count and nodes >= 0:
+            found, nodes = window_search(g, lower, nodes)
+            if found is not None:
+                upper, count = found, found.num_colors()
+            elif nodes >= 0:
+                lower, source = lower + 1, "window_search"
+        if nodes >= 0:  # the round closed the bracket
+            break
+    while lower < count and windows_shave(g, lower, budget):
         lower, source = lower + 1, "window_shaving"
-    if lower < count and budget is not None:
+    if lower < count:
         found = bounds._chi_u_or_clique(g, budget, lower)[0]
         if found > lower:
             lower, source = found, "undirected_clique"
@@ -74,18 +61,7 @@ def reference_bracket(g, budget=DEFAULT_NODE_BUDGET):
 def assert_matches_reference(g):
     lower, upper, source = bounds.bracket(g)
     expected = reference_bracket(g)
-    assert (lower, upper.colors) == (expected[0], expected[1].colors)
-    # where the propagation and the cliques reach the same end, the propagation names it
-    assert source == expected[2] or (expected[2], source) == ("window_clique", "window_propagation")
-
-    lower, upper, _ = bounds.bracket(g, None)
-    expected, forward = reference_bracket(g, None), schedule_coloring(g)
-    assert lower == expected[0]
-    if lower < forward.num_colors():  # the propagation left a gap
-        forward = min(forward, schedule_coloring(g, reverse=True), key=Coloring.num_colors)
-    if expected[1].num_colors() < forward.num_colors():  # the search's colouring
-        forward = expected[1]
-    assert upper.colors == forward.colors
+    assert (lower, upper.colors, source) == (expected[0], expected[1].colors, expected[2])
 
 
 @settings(max_examples=300)

@@ -396,6 +396,16 @@ def test_method_choices_are_the_routes():
 
 
 class TestBudget:
+    def test_default_route_solves_an_arc_free_graph(self, capsys, tmp_path):
+        # 229 edges, no arcs: the window search gives up, the chi_u search closes the
+        # bracket at 8, so branch, like every route, decides nothing
+        graph = str(tmp_path / "r30.graph")
+        assert run(capsys, "gen", "random", "30", "0.5", "0", "--seed", "7", "--out", graph)[0] == 0
+        code, out, _ = run(capsys, "solve", graph, "--budget", "100000")
+        fields = report_dict(out)
+        assert code == 0
+        assert (fields["chi"], fields["decides"], fields["lower_witness"]) == ("8", "0", "undirected_clique")
+
     def test_branch_chi_budget_exceeded(self, capsys, unscheduled):
         code, out, err = run(capsys, "solve", unscheduled, "--method", "branch", "--budget", "1")
         assert code == 2 and out == ""
@@ -502,13 +512,23 @@ class TestBoundsParams:
         assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("4", "4", "window_propagation")
         code, out, _ = run(capsys, "verify", str(graph), cert)
         assert code == 0
-        # a triangle: the windows give 1 and the propagation 2, the clique 3
+        # a triangle: the windows give 1 and the propagation 2, one colour below the
+        # schedule's 3, so the window search runs before the cliques and refutes 2
         graph = tmp_path / "triangle.graph"
         graph.write_text("p mixed 3 3 0\ne 1 2\ne 1 3\ne 2 3\n")
         code, out, _ = run(capsys, "bounds", str(graph))
         fields = report_dict(out)
         assert code == 0
-        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("3", "3", "window_clique")
+        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("3", "3", "window_search")
+        # K5: the propagation's 2 lies CLIQUE_GAP or more below the schedule's 5, so the
+        # cliques run first and give 5
+        graph = tmp_path / "k5.graph"
+        pairs = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
+        graph.write_text("p mixed 5 10 0\n" + "".join(f"e {u} {v}\n" for u, v in pairs))
+        code, out, _ = run(capsys, "bounds", str(graph))
+        fields = report_dict(out)
+        assert code == 0
+        assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("5", "5", "window_clique")
 
     def test_bounds_window_propagation(self, capsys, tmp_path):
         # arcs 1 -> 3 and 2 -> 4 into the edge 3 - 4: the greedy cliques stop at 2,

@@ -440,16 +440,23 @@ class TestBranching:
         # the heads need a color above their tails, so the windows start at 2 and the
         # search refutes k = 1 before any node; the windows' propagation refutes k = 2
         # as well (both heads are fixed at 2), and the window search gives up on k = 3
-        # past its 15 nodes, as the Grötzsch graph alone takes 45 to refute it, so the
-        # ascent starts at 3
+        # past its 15 nodes, as the Grötzsch graph alone takes 45 to refute it; the
+        # chi_u search then finds the Grötzsch graph's 4, so the ascent starts at chi
         g = mixed_graph(15, edges=[*grotzsch().edges, (14, 15)], arcs=[(12, 14), (13, 15)])
         stats: dict = {}
         chi_exact(g, "branch", stats=stats)
         assert bounds.window_clique_bound(g, 0) == 2 and bounds.windows_refute(g, 2)
         assert bounds.window_search(g, 3, g.n) == (None, -1)
-        assert stats["first_k"] == 3
+        assert (stats["first_k"], stats["lower_witness"], stats["decides"]) == (4, "undirected_clique", 0)
         result = solvers.ROUTES["branch"](g, None, DEFAULT_NODE_BUDGET)(1)
         assert not result.decision and result.stats["nodes"] == 0
+
+    def test_branch_answers_arc_free_graphs(self):
+        # an arc-free graph's chi is its chi_u, which the bracket's chi_u search finds
+        # within the budget where the branching search would run past it
+        for i in range(40):
+            g = random_mixed_graph(random.Random(i), 24, 0.5, 0.0)
+            assert chi_exact(g, "branch", budget=10**5)[0] == bounds.chi_u_exact(g)[0]
 
     def test_mis_kernel_builds_at_most_its_budget(self):
         # six disjoint triangles: 3**6 maximal independent sets
@@ -461,10 +468,9 @@ class TestBranching:
             maximal_independent_sets(everything, keep, budget=728)
 
     def test_branch_mis_enumeration_is_bounded_by_the_budget(self, monkeypatch):
-        # eleven disjoint triangles and the Grötzsch graph: the windows' propagation
-        # refutes k = 1 and the window search k = 2, but it gives up on k = 3 past its
-        # 44 nodes, as the Grötzsch graph alone takes 45 to refute it; so the first node
-        # is the root at k = 3, and its sources have 16 * 3**11 = 2,834,352 maximal
+        # eleven disjoint triangles and the Grötzsch graph: the bracket's chi_u search
+        # closes it at 4, so the branch route decides k = 3 here directly; its first node
+        # is the root, and the root's sources have 16 * 3**11 = 2,834,352 maximal
         # independent sets
         triangles = [e for t in range(1, 33, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))]
         g = mixed_graph(44, edges=triangles + [(u + 33, v + 33) for u, v in grotzsch().edges])
@@ -477,7 +483,7 @@ class TestBranching:
         monkeypatch.setattr(solvers, "maximal_independent_sets", counted)
         start = time.process_time()
         with pytest.raises(BudgetExceeded, match="maximal independent sets exceeded the 999 left of the budget"):
-            chi_exact(g, "branch", budget=1000)
+            solvers.ROUTES["branch"](g, None, 1000)(3)
         assert time.process_time() - start < 0.5
         assert budgets and max(budgets) <= 1000
 
@@ -626,10 +632,10 @@ class TestBudget:
         # two, so only the chi_u search finds its 4
         wheel = mixed_graph(6, edges=[(i, i % 5 + 1) for i in range(1, 6)] + [(i, 6) for i in range(1, 6)])
         assert chi_exact(wheel, method, budget=1000)[0] == 4
-        assert seen == ([] if method == "branch" else [1000])  # branch never runs the chi_u search
+        assert seen == [1000]
         # the windows meet the schedule coloring's 5 colors: no route needs the bound
         assert chi_exact(directed_path(4), method, budget=1000)[0] == 5
-        assert seen == ([] if method == "branch" else [1000])
+        assert seen == [1000]
 
     def test_every_budget_defaults_to_the_one_constant(self):
         defaults = {}
