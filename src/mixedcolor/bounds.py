@@ -3,7 +3,9 @@ propagation of the color windows and bounds shaving on it), the constructive
 upper-bound colorings (critical-path schedule coloring, per-layer coloring and the
 vertex-cover coloring with odd/even color slots), the forward-checking search on
 the propagated windows, which refutes k or colors with k, and the bracket that the
-ascent and the ``bounds`` command share.
+ascent and the ``bounds`` command share. That search is the bounds' one color search:
+``chi_u_exact`` and ``layering_coloring`` run it on the underlying graph, one connected
+component at a time, where the colors are interchangeable and the search breaks their symmetry.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .graphs import (
     coloring_total_on,
     layering,
     maxrank,
+    mixed_graph,
     set_bits,
 )
 from .partitions import clique_number, max_clique
@@ -54,111 +57,50 @@ def check_proper(g: MixedGraph, c: Coloring) -> tuple[bool, Optional[Violation]]
 def chi_u_exact(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, start: int = 0) -> tuple[int, dict[int, int]]:
     """max(start, chromatic number of the underlying undirected graph), with witness.
 
-    ``_dsatur`` searches up from the clique number or ``start``, whichever is
-    larger; both searches get ``budget``.
+    ``_underlying_search`` searches up from the clique number or ``start``, whichever
+    is larger; both searches get ``budget``.
     """
-    if not any(g.adjacent_masks):
-        return max(start, min(g.n, 1)), dict.fromkeys(g.vertices, 1)
-    return _dsatur(g.adjacent_masks, (1 << (g.n + 1)) - 2, max(start, clique_number(g, budget=budget)), budget)
+    return _underlying_search(g.adjacent_masks, (1 << (g.n + 1)) - 2, max(start, clique_number(g, budget=budget)), budget)
 
 
-def _dsatur(adj: tuple[int, ...], vertices: int, k: int, budget: int) -> tuple[int, dict[int, int]]:
-    """Smallest k' >= k, with a coloring, for every component of the graph
-    that the adjacency masks ``adj`` induce on the vertex mask ``vertices``.
+def _underlying_search(adj: Sequence[int], vertices: int, k: int, budget: int) -> tuple[int, dict[int, int]]:
+    """Smallest k' >= k, with a coloring, for the graph that the adjacency masks ``adj``
+    induce on the vertex mask ``vertices``; ``k`` is at least that graph's clique number.
 
-    Components go largest first, each decided from the running k'. The
-    search is DSATUR backtracking over an explicit stack: the next vertex
-    has the most distinct neighbor colors, then the highest degree within
-    ``vertices``, then the smallest id, and tries its free colors ascending,
-    at most one above those in use; neighbor color counts are undone on
-    backtrack. Every node entered counts against ``budget``. At k =
-    |vertices| the first descent never backtracks: it is the greedy DSATUR
-    coloring.
+    Its connected components go largest first (of equal size, the one reached first from
+    the highest degree, then the smallest id), each decided from the running k' by
+    ``window_search`` on the component alone, renumbered 1..m in id order so that the
+    search breaks its ties as it would on ``adj``; one component at a time, a refutation in
+    one never retries another. A lone vertex keeps color 1 without a search. Every fix
+    counts against ``budget``; past it ``BudgetExceeded``. At k' = |vertices| the first
+    descent never backtracks: it is the greedy DSATUR coloring.
     """
-    members = []  # searched by position: positions ascend with ids
-    rest = vertices
-    while rest:
-        low = rest & -rest
-        members.append(low.bit_length() - 1)
-        rest ^= low
-    position = {v: i for i, v in enumerate(members)}
-    nbrs = []
-    for v in members:
-        row, rest = [], adj[v] & vertices
-        while rest:
-            low = rest & -rest
-            row.append(position[low.bit_length() - 1])
-            rest ^= low
-        nbrs.append(row)
-    colors = [0] * len(members)  # 0 while uncolored
-    sat = [0] * len(members)  # distinct colors among the neighbors
-    by_degree = sorted(range(len(members)), key=lambda i: len(nbrs[i]), reverse=True)  # stable
-    # colors stay within max degree + 1: from that k on, the first descent succeeds
-    width = max(map(len, nbrs), default=0) + 2
-    counts = [[0] * width for _ in members]
-    nodes = 0
-    for ranked in _components(nbrs, by_degree):
-        frames: list[tuple[int, int]] = []  # (vertex, colors in use before it)
-        used = 0
+    inner = [a & vertices for a in adj]
+    comps, rest = [], vertices
+    for s in sorted(set_bits(vertices), key=lambda v: inner[v].bit_count(), reverse=True):  # stable: ties by id
+        if rest >> s & 1 and inner[s]:
+            comp = frontier = 1 << s
+            while frontier:
+                for v in set_bits(frontier):  # the walk reads the frontier it started from
+                    frontier |= inner[v]
+                frontier &= ~comp
+                comp |= frontier
+            rest ^= comp
+            comps.append(comp)
+    colors, left = dict.fromkeys(set_bits(vertices), 1), budget
+    for comp in sorted(comps, key=int.bit_count, reverse=True):  # stable
+        members = list(set_bits(comp))
+        index = {v: i for i, v in enumerate(members, 1)}
+        part = mixed_graph(len(members), [(index[v], index[w]) for v in members for w in set_bits(inner[v]) if v < w])
         while True:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"chi_u search exceeded {budget} nodes")
-            if len(frames) == len(ranked):
+            found, left = window_search(part, k, left)
+            if found is not None:
                 break
-            v, top = 0, -1
-            for u in ranked:
-                if not colors[u] and sat[u] > top:
-                    v, top = u, sat[u]
-            frames.append((v, used))
-            while frames:
-                v, before = frames[-1]
-                color = colors[v]
-                if color:
-                    for w in nbrs[v]:
-                        row = counts[w]
-                        row[color] -= 1
-                        if not row[color]:
-                            sat[w] -= 1
-                row = counts[v]
-                last = before + 1 if before < k else k
-                color += 1
-                while color <= last and row[color]:
-                    color += 1
-                if color <= last:
-                    colors[v] = color
-                    for w in nbrs[v]:
-                        row = counts[w]
-                        if not row[color]:
-                            sat[w] += 1
-                        row[color] += 1
-                    used = color if color > before else before
-                    break
-                colors[v] = 0
-                frames.pop()
-            else:
-                k += 1  # every count is back to zero: retry with one more color
-                used = 0
-    return k, dict(zip(members, colors))
-
-
-def _components(nbrs: list[list[int]], ranked: list[int]) -> list[list[int]]:
-    """Connected components, largest first, each listed in ``ranked`` order."""
-    label = [0] * len(nbrs)
-    count = 0
-    for s in ranked:
-        if not label[s]:
-            label[s] = count = count + 1
-            reached = [s]
-            for v in reached:
-                for w in nbrs[v]:
-                    if not label[w]:
-                        label[w] = count
-                        reached.append(w)
-    comps: list[list[int]] = [[] for _ in range(count)]
-    for v in ranked:
-        comps[label[v] - 1].append(v)
-    return sorted(comps, key=len, reverse=True)
+            if left < 0:
+                raise BudgetExceeded(f"chi_u search exceeded {budget} nodes")
+            k += 1
+        colors.update((v, found.colors[i]) for v, i in index.items())
+    return k, colors
 
 
 @dataclass(frozen=True)
@@ -179,16 +121,16 @@ def lower_bounds(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> LowerBound
     rank = maxrank(g)
     if g.n == 0:
         return LowerBounds(0, 0, 0, True)
-    chi_u, exact = _chi_u_or_clique(g, budget)
-    return LowerBounds(chi_u, rank, max(chi_u, rank + 1), exact)
+    chi_u, witness = _chi_u_or_clique(g, budget)
+    return LowerBounds(chi_u, rank, max(chi_u, rank + 1), witness is not None)
 
 
-def _chi_u_or_clique(g: MixedGraph, budget: int, start: int = 0) -> tuple[int, bool]:
-    """``chi_u_exact``'s bound and True, or past ``budget`` the clique number and False."""
+def _chi_u_or_clique(g: MixedGraph, budget: int, start: int = 0) -> tuple[int, dict[int, int] | None]:
+    """``chi_u_exact``'s bound and coloring, or past ``budget`` the clique number and None."""
     try:
-        return chi_u_exact(g, budget, start)[0], True
+        return chi_u_exact(g, budget, start)
     except BudgetExceeded:
-        return clique_number(g, budget), False
+        return clique_number(g, budget), None
 
 
 def _grow(clique: int, members: list[int], rest: int, masks: Sequence[int], key: list[int]) -> int:
@@ -335,16 +277,25 @@ def windows_refute(g: MixedGraph, k: int) -> bool:
 def window_search(g: MixedGraph, k: int, nodes: int, domain: list[int] | None = None) -> tuple[Coloring | None, int]:
     """A proper colouring with colours 1..k, or None, and the nodes left of ``nodes``.
 
-    Depth-first forward checking on the propagated windows: the open vertex with the fewest
-    colours left (then the most ``adjacent_masks`` neighbours, then the lowest id) tries its
-    colours ascending, each fixed colour propagated again. Each fix is a node; the first
-    descent makes at most n of them and never backtracks while no domain empties. None with
-    nodes left refutes k: every branch emptied a domain; None with -1 left means the search
-    gave up past ``nodes``. One domain list is kept, and a backtrack undoes a trail of
-    (vertex, old domain) pairs, so memory stays linear in n plus the removals on the path.
-    At the fixpoint every arc ascends and no edge joins two equal colours, so the fixed
+    DSATUR (Brélaz, 1979) with forward checking on the propagated windows: the open vertex
+    with the fewest colours left (then the most ``adjacent_masks`` neighbours, then the
+    lowest id) tries its colours ascending, each fixed colour propagated again. Each fix is a
+    node; the first descent makes at most n of them and never backtracks while no domain
+    empties. None with nodes left refutes k: every branch emptied a domain; None with -1 left
+    means the search gave up past ``nodes``. One domain list is kept, and a backtrack undoes a
+    trail of (vertex, old domain) pairs, so memory stays linear in n plus the removals on the
+    path. At the fixpoint every arc ascends and no edge joins two equal colours, so the fixed
     colours are proper. ``domain``, if given, is ``_propagated(g, k)``, which the search
     then edits in place instead of propagating k again.
+
+    Where g has no arc, every window is 1..k and the colours are interchangeable, and a fix
+    tries only colours up to one above the largest that a fix before it on the path took.
+    That loses no colouring: propagation then removes only colours that are already fixed, so
+    while k is at least two above that largest colour, every vertex still open keeps the
+    colours above it, none is fixed by propagation alone, and swapping two of those colours
+    maps the colourings below one fix to those below the other; at k one above it the cap
+    allows every colour anyway. With arcs the windows and the arcs order the colours, and the
+    rule is off.
     """
     if domain is None:
         domain = _propagated(g, k)
@@ -354,33 +305,42 @@ def window_search(g: MixedGraph, k: int, nodes: int, domain: list[int] | None = 
     # by degree descending, then id (reverse=True keeps the id order of ties), so the
     # first vertex with the fewest colours is the one to fix
     ranked = sorted([v for v in g.vertices if domain[v] & (domain[v] - 1)], key=degree.__getitem__, reverse=True)
-    open_ = ranked
+    # the colours a fix may take: bit c + 1 joins when a fix takes c, or every colour
+    cap = -1 if any(g.succ_masks) else 2
     trail: list[tuple[int, int]] = []
-    frames: list[list[int]] = []  # [vertex, colours not yet tried, trail length before it]
-    while open_:
-        v = min(open_, key=lambda u: domain[u].bit_count())
-        frames.append([v, domain[v], len(trail)])
+    frames: list[list[int]] = []  # [vertex, colours not yet tried, trail length before it, cap before it]
+    while True:
+        v, fewest = 0, k + 1
+        for u in ranked:
+            size = domain[u].bit_count()
+            if 1 < size < fewest:
+                v, fewest = u, size
+                if size == 2:
+                    break  # no open vertex has fewer
+        if not v:
+            break  # every vertex is fixed
+        frames.append([v, domain[v] & cap, len(trail), cap])
         while frames:
             frame = frames[-1]
-            v, left, mark = frame
+            v, left, mark, cap = frame
             while len(trail) > mark:
                 w, old = trail.pop()
                 domain[w] = old
             if not left:
                 frames.pop()
-                open_ = ranked  # a backtrack reopens vertices
                 continue
             nodes -= 1
             if nodes < 0:
                 return None, nodes
-            frame[1] = left & (left - 1)  # the lowest colour is tried now
+            colour = left & -left  # the lowest colour is tried now
+            frame[1] = left ^ colour
             trail.append((v, domain[v]))
-            domain[v] = left & -left
+            domain[v] = colour
             if not _propagate(g, domain, [v], trail):
+                cap |= colour << 1
                 break
         else:
             return None, nodes
-        open_ = [u for u in open_ if domain[u] & (domain[u] - 1)]
     return Coloring({v: domain[v].bit_length() - 1 for v in g.vertices}), nodes
 
 
@@ -425,14 +385,14 @@ def layering_coloring(g: MixedGraph) -> Coloring:
     Arcs always leave a layer, so each layer is colored on ``g.adjacent_masks``
     restricted to its vertex mask. Layers of at most ``EXACT_LAYER_CAP``
     vertices are colored optimally, larger ones greedily by the first descent
-    of the same DSATUR search; either way the result is proper.
+    of the same search, ``_underlying_search``; either way the result is proper.
     """
     assignment: dict[int, int] = {}
     offset = 0
     for layer in layering(g).layers:
         mask = sum(1 << v for v in layer)
         start = max_clique(g.adjacent_masks, mask) if len(layer) <= EXACT_LAYER_CAP else len(layer)
-        _, local = _dsatur(g.adjacent_masks, mask, start, DEFAULT_NODE_BUDGET)
+        _, local = _underlying_search(g.adjacent_masks, mask, start, DEFAULT_NODE_BUDGET)
         for v, color in local.items():
             assignment[v] = offset + color
         offset += max(local.values(), default=0)
@@ -516,8 +476,9 @@ def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None
     gap of at least ``CLIQUE_GAP`` colors, else before the second, which runs only where the
     first gives up and something raised the lower end since the first began: from the same k it
     would make the same steps. Only if both rounds give up, ``windows_shave`` past every k it
-    refutes and the chi_u search from the lower end follow. ``budget`` bounds each shaving and
-    the chi_u search; past it a shaving refutes nothing more and the chi_u search gives the
+    refutes and the chi_u search from the lower end follow; where g has no arc, chi_u is chi,
+    and the chi_u search's coloring becomes the upper witness. ``budget`` bounds each shaving
+    and the chi_u search; past it a shaving refutes nothing more and the chi_u search gives the
     clique number. ``stats``, if given, gets the nodes of both rounds as ``search_nodes``.
     """
     upper = schedule_coloring(g)
@@ -552,7 +513,9 @@ def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None
         stats["search_nodes"] = spent
     while lower < count and windows_shave(g, lower, budget):
         lower, source = lower + 1, "window_shaving"
-    found = _chi_u_or_clique(g, budget, lower)[0] if lower < count else lower
+    found, witness = _chi_u_or_clique(g, budget, lower) if lower < count else (lower, None)
+    if witness is not None and found < count and not any(g.succ_masks):  # no arc: a proper coloring of g
+        upper = Coloring(witness)
     if found > lower:
         lower, source = found, "undirected_clique"
     return lower, upper, source
@@ -565,7 +528,7 @@ class ChromaticBounds:
     # "maxrank", else the bracket's: "undirected_clique", "window_shaving", "window_search",
     # "window_clique", or "window_propagation" for the windows alone and their propagation
     lower_witness: str
-    upper_witness: Coloring  # the bracket's: a schedule coloring or the search's coloring
+    upper_witness: Coloring  # the bracket's: a schedule coloring, the window search's or chi_u's
 
 
 def chromatic_bounds(g: MixedGraph) -> ChromaticBounds:

@@ -96,13 +96,13 @@ class TestLowerBounds:
         assert lower_bounds(mixed_graph(0)).combined == 0
 
     def test_budget_falls_back_to_clique_number(self, monkeypatch):
-        g = family_layered_cliques(1, 3)
+        g = family_layered_cliques(2, 3)
         # one node does not finish the clique search, so there is nothing to fall back on
         with pytest.raises(BudgetExceeded, match="clique search exceeded 1 nodes"):
             lower_bounds(g, budget=1)
         budgets, clique_number = [], bounds.clique_number
         monkeypatch.setattr(bounds, "clique_number", lambda g, budget: budgets.append(budget) or clique_number(g, budget))
-        # six nodes finish the clique search but not the coloring
+        # six nodes finish the clique search but not the coloring, which takes seven
         lb = lower_bounds(g, budget=6)
         assert budgets == [6, 6]  # the fallback keeps the caller's budget
         assert not lb.chi_u_exact
@@ -300,7 +300,7 @@ class TestWindowsRefute:
         # chi from brute-force decides, which do not read the bracket; the shaving
         # refutes every k the propagation does and 459 more, of the 589 below chi that
         # it leaves; the search decides every k as brute does, and under a cap of n
-        # nodes it leaves 218 of them open
+        # nodes it leaves 172 of them open
         checks = below = refuted = shaved = capped = 0
         for seed in range(2000):
             rng = random.Random(seed)
@@ -314,8 +314,8 @@ class TestWindowsRefute:
                 shaving = bounds.windows_shave(g, k)
                 assert not (shaving and k >= chi) and shaving >= answer, (seed, k)
                 assert shaving == shaving_empties_a_domain(g, k), (seed, k)
-                coloring, left = bounds.window_search(g, k, UNBOUNDED)
-                assert left >= 0 and (coloring is not None) == (k >= chi), (seed, k)
+                coloring, unspent = bounds.window_search(g, k, UNBOUNDED)
+                assert unspent >= 0 and (coloring is not None) == (k >= chi), (seed, k)
                 if coloring is not None:
                     assert check_proper(g, coloring)[0] and coloring.max_color() <= k, (seed, k)
                 capped_coloring, left = bounds.window_search(g, k, n)
@@ -326,14 +326,17 @@ class TestWindowsRefute:
                 dived, fixes = reference_dive(g, k)
                 if dived is not None:  # the first descent is the dive, and makes its fixes
                     assert bounds.window_search(g, k, fixes) == (dived, 0), (seed, k)
-                else:  # the windows refute k at the root, or the search needs one node more
-                    assert bounds.window_search(g, k, fixes) == (None, 0 if answer else -1), (seed, k)
+                else:  # the windows refute k at the root, the symmetry rule leaves an arc-free
+                    # dive no other branch, so the search refutes k with its fixes, or the
+                    # search needs one node more
+                    refuted_by_dive = answer or (not g.arcs and UNBOUNDED - unspent == fixes)
+                    assert bounds.window_search(g, k, fixes) == (None, 0 if refuted_by_dive else -1), (seed, k)
                 checks += 1
                 below += k < chi
                 refuted += answer
                 shaved += shaving
                 capped += left < 0
-        assert (checks, below, refuted, shaved, capped) == (12_971, 3_955, 3_366, 3_825, 218)
+        assert (checks, below, refuted, shaved, capped) == (12_971, 3_955, 3_366, 3_825, 172)
 
     def test_the_search_keeps_one_domain_list_and_a_trail(self):
         # 500 disjoint stars K_1,3 and a triangle at k = 2: the centres have the most
@@ -506,6 +509,16 @@ class TestBracketing:
             pairs.append((lower, upper.num_colors()))
         assert sum(lower < upper for lower, upper in pairs) == 133
         assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == "0ec0b6e85883f972"
+
+    def test_an_arc_free_bracket_keeps_the_chi_u_coloring(self):
+        # no arc: chi_u is chi, so where both search rounds and the shaving give up, the
+        # chi_u search's coloring closes the bracket that the schedules leave at 9 colors
+        g = random_mixed_graph(random.Random(24), 30, 0.5, 0.0)
+        assert min(bounds.schedule_coloring(g).num_colors(), bounds.schedule_coloring(g, True).num_colors()) == 9
+        stats = {}
+        lower, upper, source = bounds.bracket(g, 10**5, stats)
+        assert (lower, upper.num_colors(), source, stats) == (7, 7, "undirected_clique", {"search_nodes": 60})
+        assert upper.colors == chi_u_exact(g, 10**5, 7)[1] and check_proper(g, upper)[0]
 
     def test_maxrank_plus_one_lower_bound(self, small_corpus):
         # strengthened form of the rank bound, checked against the oracle

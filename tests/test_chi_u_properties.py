@@ -1,7 +1,8 @@
 """Property tests for the DSATUR coloring core in ``mixedcolor.bounds``.
 
 ``chi_u_exact`` is checked against an ascending brute-force search on the
-underlying graph, and the greedy first descent against a copy of the
+underlying graph, ``window_search``'s symmetry rule on arc-free graphs against
+the same search, and the greedy first descent against a copy of the
 greedy DSATUR coloring it replaced. The mask kernels are checked against
 the same searches run on induced subgraphs: ``layering_coloring`` against
 a per-layer subgraph construction, and ``max_clique`` against
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcolor import layering, layering_coloring, lower_bounds, mixed_graph
-from mixedcolor.bounds import EXACT_LAYER_CAP, _dsatur, chi_u_exact
-from mixedcolor.errors import DEFAULT_NODE_BUDGET, BudgetExceeded
+from mixedcolor.bounds import EXACT_LAYER_CAP, check_proper, chi_u_exact, window_search
+from mixedcolor.errors import BudgetExceeded
 from mixedcolor.graphs import underlying_undirected
 from mixedcolor.partitions import clique_number, max_clique
 from mixedcolor.solvers import brute_force_decide
@@ -128,6 +129,19 @@ def test_chi_u_search_from_a_start(g):
         assert set(witness.values()) <= set(range(1, found + 1))
 
 
+@PROPERTY
+@given(mixed_graphs().map(underlying_undirected))
+def test_the_symmetry_rule_keeps_the_window_search_exact(g):
+    # no arc: the window search tries at most one color above those its fixes took,
+    # and still refutes exactly the k below chi and colors properly from chi on
+    chi = chromatic_number(g)
+    for k in range(1, g.n + 2):
+        coloring, left = window_search(g, k, 1 << 62)
+        assert left >= 0 and (coloring is None) == (k < chi), k
+        if coloring is not None:
+            assert check_proper(g, coloring)[0] and coloring.max_color() <= k, k
+
+
 def reference_greedy(g):
     """The greedy DSATUR coloring as it was before the shared search."""
     ins, outs, nbrs = scanned(g)
@@ -153,7 +167,7 @@ def reference_greedy(g):
 @given(st.one_of(mixed_graphs(max_n=24), disjoint_unions()))
 def test_first_descent_is_the_greedy_coloring(g):
     if g.n:
-        assert _dsatur(g.adjacent_masks, (1 << (g.n + 1)) - 2, g.n, budget=2 * g.n)[1] == reference_greedy(g)
+        assert chi_u_exact(g, budget=2 * g.n, start=g.n)[1] == reference_greedy(g)
 
 
 def subgraph_layering_coloring(g):
@@ -165,7 +179,7 @@ def subgraph_layering_coloring(g):
         if sub.n <= EXACT_LAYER_CAP:
             _, local = chi_u_exact(sub)
         else:
-            _, local = _dsatur(sub.adjacent_masks, (1 << (sub.n + 1)) - 2, sub.n, DEFAULT_NODE_BUDGET)
+            _, local = chi_u_exact(sub, start=sub.n)
         back = {new: old for old, new in remap.items()}
         for new, color in local.items():
             assignment[back[new]] = offset + color
@@ -214,22 +228,22 @@ def grotzsch():
 
 def test_coloring_search_exceeds_budget():
     g = grotzsch()
-    assert clique_number(g, budget=20) == 2  # the clique search stays under 20 nodes
+    assert clique_number(g, budget=18) == 2  # the clique search stays under 18 nodes
     with pytest.raises(BudgetExceeded, match="chi_u search"):
-        chi_u_exact(g, budget=20)
-    lb = lower_bounds(g, budget=20)
+        chi_u_exact(g, budget=18)
+    lb = lower_bounds(g, budget=18)
     assert (lb.chi_u, lb.chi_u_exact) == (2, False)
     lb = lower_bounds(g)
     assert (lb.chi_u, lb.chi_u_exact) == (4, True)
 
 
 def test_grotzsch_node_count():
-    # pinned: the saturation order refutes 2 and 3 colors and finds 4 in 44
-    # nodes; saturations left stale on backtrack take 82
+    # pinned: the saturation order with forward checking and the symmetry rule
+    # refutes 2 and 3 colors and finds 4 in 19 fixes
     g = grotzsch()
     with pytest.raises(BudgetExceeded):
-        chi_u_exact(g, budget=43)
-    assert chi_u_exact(g, budget=44)[0] == 4
+        chi_u_exact(g, budget=18)
+    assert chi_u_exact(g, budget=19)[0] == 4
 
 
 def test_paths_beside_a_five_cycle_are_exact():

@@ -265,8 +265,8 @@ class TestComputedOnce:
     def test_lower_bounds_fallback_runs_no_second_search(self, monkeypatch):
         searches, max_clique = [], partitions.max_clique
         monkeypatch.setattr(partitions, "max_clique", lambda *args: searches.append(args[2]) or max_clique(*args))
-        # six nodes finish the clique search but not the coloring
-        lb = lower_bounds(family_layered_cliques(1, 3), budget=6)
+        # six nodes finish the clique search but not the coloring, which takes seven
+        lb = lower_bounds(family_layered_cliques(2, 3), budget=6)
         assert (lb.chi_u, lb.chi_u_exact) == (6, False)
         assert searches == [6]
 

@@ -458,6 +458,16 @@ class TestBranching:
             g = random_mixed_graph(random.Random(i), 24, 0.5, 0.0)
             assert chi_exact(g, "branch", budget=10**5)[0] == bounds.chi_u_exact(g)[0]
 
+    def test_arc_free_brackets_close_without_a_decide(self):
+        # no arcs, the schedules 1-2 colors above chi, and a branch search that runs past
+        # the budget: the window search's symmetry rule closes these brackets, and on 24
+        # and 25 the chi_u search's coloring does
+        for i in (9, 11, 12, 19, 23, 30, 33, 24, 25):
+            g = random_mixed_graph(random.Random(i), 30, 0.5, 0.0)
+            stats: dict = {}
+            assert chi_exact(g, "branch", budget=10**5, stats=stats)[0] == bounds.chi_u_exact(g)[0], i
+            assert stats["decides"] == 0, i
+
     def test_mis_kernel_builds_at_most_its_budget(self):
         # six disjoint triangles: 3**6 maximal independent sets
         g = mixed_graph(18, edges=[e for t in range(1, 18, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))])
@@ -627,11 +637,13 @@ class TestBudget:
             return real(g, budget, start)
 
         monkeypatch.setattr(bounds, "chi_u_exact", spy)
-        # the wheel's largest clique is a triangle, and neither the window search within
-        # its 6 nodes nor the shaving passes it: fixing one colour leaves every neighbour
-        # two, so only the chi_u search finds its 4
-        wheel = mixed_graph(6, edges=[(i, i % 5 + 1) for i in range(1, 6)] + [(i, 6) for i in range(1, 6)])
-        assert chi_exact(wheel, method, budget=1000)[0] == 4
+        # the graph's largest clique is a triangle, and neither the window search within
+        # its 9 nodes nor the shaving passes it, so only the chi_u search finds its 4
+        # (random_mixed_graph's draw 9160 of 9 vertices)
+        edges = [(1, 3), (1, 5), (1, 7), (1, 9), (2, 3), (2, 4), (2, 6), (2, 9), (3, 9), (4, 9), (5, 6), (6, 7)]
+        g = mixed_graph(9, edges=edges + [(6, 8), (6, 9)], arcs=[(7, 5)])
+        assert bounds.window_clique_bound(g, 10) == 3 and bounds.window_search(g, 3, g.n) == (None, -1)
+        assert chi_exact(g, method, budget=1000)[0] == 4
         assert seen == [1000]
         # the windows meet the schedule coloring's 5 colors: no route needs the bound
         assert chi_exact(directed_path(4), method, budget=1000)[0] == 5
