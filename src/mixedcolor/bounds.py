@@ -127,10 +127,11 @@ def lower_bounds(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> LowerBound
 
 def _chi_u_or_clique(g: MixedGraph, budget: int, start: int = 0) -> tuple[int, dict[int, int] | None]:
     """``chi_u_exact``'s bound and coloring, or past ``budget`` the clique number and None."""
+    omega = clique_number(g, budget)  # first, so a clique search past budget raises without a rerun
     try:
         return chi_u_exact(g, budget, start)
     except BudgetExceeded:
-        return clique_number(g, budget), None
+        return omega, None
 
 
 def _grow(clique: int, members: list[int], rest: int, masks: Sequence[int], key: list[int]) -> int:
@@ -479,7 +480,8 @@ def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None
     refutes and the chi_u search from the lower end follow; where g has no arc, chi_u is chi,
     and the chi_u search's coloring becomes the upper witness. ``budget`` bounds each shaving
     and the chi_u search; past it a shaving refutes nothing more and the chi_u search gives the
-    clique number. ``stats``, if given, gets the nodes of both rounds as ``search_nodes``.
+    clique number, but a budget below what the clique search itself needs raises
+    ``BudgetExceeded``. ``stats``, if given, gets the nodes of both rounds as ``search_nodes``.
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()

@@ -50,19 +50,22 @@ class SolveResult:
 Decide = Callable[[int], SolveResult]
 
 
-def _ascend(g: MixedGraph, decide: Decide, budget: int, stats: dict | None = None) -> tuple[int, Coloring]:
-    """The first k from ``bracket``'s lower bound up that monotone ``decide`` accepts, with its
-    witness, else the bracket's upper coloring and its count. ``stats`` gets ``first_k``, ``upper``,
-    ``decides``, the bracket's label as ``lower_witness`` and its search's ``search_nodes``."""
+def _ascend(g: MixedGraph, setup: Callable[[], Decide], budget: int, stats: dict | None = None) -> tuple[int, Coloring]:
+    """The first k from ``bracket``'s lower bound up that monotone ``setup()`` accepts, with its
+    witness, else the bracket's upper coloring and its count; ``setup`` runs only where a gap is
+    left. ``stats`` gets ``first_k``, ``upper``, ``decides``, the bracket's label as
+    ``lower_witness`` and its search's ``search_nodes``."""
     stats = {} if stats is None else stats
     first_k, upper, source = bracket(g, budget, stats)
     count = upper.num_colors()
     stats.update(first_k=first_k, upper=count, decides=0, lower_witness=source)
-    for k in range(first_k, count):
-        stats["decides"] += 1
-        result = decide(k)
-        if result.decision:
-            return k, result.witness
+    if first_k < count:
+        decide = setup()
+        for k in range(first_k, count):
+            stats["decides"] += 1
+            result = decide(k)
+            if result.decision:
+                return k, result.witness
     return count, upper
 
 
@@ -120,7 +123,7 @@ def brute_force_chi(
     """Exact chromatic number by upward search (``_ascend``)."""
     if g.n > cap:
         raise CapExceeded(f"brute force limited to {cap} vertices, got {g.n}")
-    return _ascend(g, ROUTES["brute"](g, None, budget), budget, stats)
+    return _ascend(g, lambda: _brute_route(g, None, budget), budget, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -789,10 +792,7 @@ class _BranchingSearch:
 
 
 def branching_decide(
-    g: MixedGraph,
-    k: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-    fanout_log: list | None = None,
+    g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET, fanout_log: list | None = None
 ) -> SolveResult:
     """Decide k-colorability via chi(G) = 1 + min over inrank-0 maximal
     independent sets I of chi(G - I), as a depth-first search that cuts at k."""
@@ -806,7 +806,7 @@ def branching_chi(
 
     All k share one search, so states refuted for a smaller k are not searched again.
     """
-    return _ascend(g, _branch_route(g, None, budget, fanout_log), budget, stats)
+    return _ascend(g, lambda: _branch_route(g, None, budget, fanout_log), budget, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -825,15 +825,8 @@ def _brute_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> De
 def _twdp_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
     if td is not None:
         validate_decomposition(td, g)
-    nice: list[NiceNode] | None = None
-
-    def decide(k: int) -> SolveResult:
-        nonlocal nice
-        if nice is None:  # built on the first decide; min-degree validates its own
-            nice = make_nice(td if td is not None else min_fill_decomposition(g))
-        return tw_dp_decide(g, nice, k, budget)
-
-    return decide
+    nice = make_nice(td or min_fill_decomposition(g))  # min-degree validates its own
+    return lambda k: tw_dp_decide(g, nice, k, budget)
 
 
 def _ndm_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Decide:
@@ -843,20 +836,11 @@ def _ndm_route(g: MixedGraph, td: TreeDecomposition | None, budget: int) -> Deci
 def _branch_route(
     g: MixedGraph, td: TreeDecomposition | None, budget: int, fanout_log: list | None = None
 ) -> Decide:
-    search: _BranchingSearch | None = None
-
-    def decide(k: int) -> SolveResult:
-        nonlocal search
-        if search is None:  # built on the first decide; one search serves every k
-            search = _BranchingSearch(g, budget, fanout_log)
-        return search.solve(k)
-
-    return decide
+    return _BranchingSearch(g, budget, fanout_log).solve  # one search serves every k
 
 
-# method -> set-up(g, td, budget), run once per graph, returning decide(k); a route's
-# search state is built on its first decide, so a bracket that closes builds none;
-# td is read by twdp only, and every route counts its work against the budget
+# method -> set-up(g, td, budget), run once per graph, returning decide(k); td is read
+# by twdp only, and every route counts its work against the budget
 ROUTES = {"brute": _brute_route, "twdp": _twdp_route, "ndm": _ndm_route, "branch": _branch_route}
 METHODS = tuple(ROUTES)
 
@@ -873,12 +857,14 @@ def chi_exact(
     Every route ascends k as ``_ascend`` brackets it; ``budget`` bounds every
     decide call and the lower-bound search. brute goes through
     ``brute_force_chi``, capped at ``DEFAULT_BRUTE_CAP`` vertices, and branch
-    through ``branching_chi``.
+    through ``branching_chi``. A given ``td`` is checked before the bracket.
     """
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
+    if td is not None:
+        validate_decomposition(td, g)
     if method == "brute":
         return brute_force_chi(g, budget=budget, stats=stats)
     if method == "branch":
         return branching_chi(g, budget=budget, stats=stats)
-    return _ascend(g, ROUTES[method](g, td, budget), budget, stats)  # set up first: twdp validates a given td
+    return _ascend(g, lambda: ROUTES[method](g, td, budget), budget, stats)

@@ -270,6 +270,14 @@ class TestComputedOnce:
         assert (lb.chi_u, lb.chi_u_exact) == (6, False)
         assert searches == [6]
 
+    def test_failed_clique_search_runs_once(self, monkeypatch):
+        searches, max_clique = [], partitions.max_clique
+        monkeypatch.setattr(partitions, "max_clique", lambda *args: searches.append(args[2]) or max_clique(*args))
+        # one node does not finish the clique search; the fallback has nothing to rerun it for
+        with pytest.raises(BudgetExceeded, match="clique search exceeded 1 nodes"):
+            lower_bounds(family_tripartite(3), budget=1)
+        assert searches == [1]
+
     def test_ndm_expression_reuses_the_partition(self, monkeypatch):
         g = family_tripartite(3)
         part = mixed_neighborhood_partition(g)
