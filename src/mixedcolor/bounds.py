@@ -1,11 +1,13 @@
 """Chromatic-number bounds: properness checking, lower bounds (among them the
-propagation of the color windows and bounds shaving on it), the constructive
-upper-bound colorings (critical-path schedule coloring, per-layer coloring and the
-vertex-cover coloring with odd/even color slots), the forward-checking search on
-the propagated windows, which refutes k or colors with k, and the bracket that the
-ascent and the ``bounds`` command share. That search is the bounds' one color search:
-``chi_u_exact`` and ``layering_coloring`` run it on the underlying graph, one connected
-component at a time, where the colors are interchangeable and the search breaks their symmetry.
+propagation of the color windows), the constructive upper-bound colorings
+(critical-path schedule coloring, per-layer coloring and the vertex-cover coloring
+with odd/even color slots), the forward-checking search on the propagated windows,
+which refutes k or colors with k, and the bracket that the ascent and the ``bounds``
+command share. That search is the bounds' one color search. Run one weakly connected
+component at a time, ascending from a lower bound under one budget, it is
+``chi_u_exact`` on the underlying graph, ``layering_coloring`` on each layer, and the
+end of the bracket on the graph itself; where a component has no arc its colors are
+interchangeable and the search breaks their symmetry.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .graphs import (
     maxrank,
     mixed_graph,
     set_bits,
+    underlying_undirected,
 )
 from .partitions import clique_number, max_clique
 
@@ -57,25 +60,32 @@ def check_proper(g: MixedGraph, c: Coloring) -> tuple[bool, Optional[Violation]]
 def chi_u_exact(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, start: int = 0) -> tuple[int, dict[int, int]]:
     """max(start, chromatic number of the underlying undirected graph), with witness.
 
-    ``_underlying_search`` searches up from the clique number or ``start``, whichever
-    is larger; both searches get ``budget``.
+    ``_component_search`` searches the underlying graph up from the clique number or
+    ``start``, whichever is larger; both searches get ``budget``, and past it the search
+    raises ``BudgetExceeded``.
     """
-    return _underlying_search(g.adjacent_masks, (1 << (g.n + 1)) - 2, max(start, clique_number(g, budget=budget)), budget)
+    start = max(start, clique_number(g, budget=budget))
+    k, colors, _ = _component_search(underlying_undirected(g), (1 << (g.n + 1)) - 2, start, budget)
+    if colors is None:
+        raise BudgetExceeded(f"chi_u search exceeded {budget} nodes")
+    return k, colors
 
 
-def _underlying_search(adj: Sequence[int], vertices: int, k: int, budget: int) -> tuple[int, dict[int, int]]:
-    """Smallest k' >= k, with a coloring, for the graph that the adjacency masks ``adj``
-    induce on the vertex mask ``vertices``; ``k`` is at least that graph's clique number.
+def _component_search(g: MixedGraph, vertices: int, k: int, budget: int) -> tuple[int, dict[int, int] | None, int]:
+    """Smallest k' >= k, a coloring with colors 1..k' of what g induces on the vertex mask
+    ``vertices``, and the nodes left of ``budget``; ``k`` is a lower bound on that graph's
+    chromatic number.
 
-    Its connected components go largest first (of equal size, the one reached first from
-    the highest degree, then the smallest id), each decided from the running k' by
-    ``window_search`` on the component alone, renumbered 1..m in id order so that the
-    search breaks its ties as it would on ``adj``; one component at a time, a refutation in
-    one never retries another. A lone vertex keeps color 1 without a search. Every fix
-    counts against ``budget``; past it ``BudgetExceeded``. At k' = |vertices| the first
-    descent never backtracks: it is the greedy DSATUR coloring.
+    Its weakly connected components on ``g.adjacent_masks`` go largest first (of equal size,
+    the one reached first from the highest degree, then the smallest id), each decided from
+    the running k' by ``window_search`` on the component alone, with its edges and arcs,
+    renumbered 1..m in id order so that the search breaks its ties as it would on g; one
+    component at a time, a refutation in one never retries another. A lone vertex keeps color
+    1 without a search. Every fix counts against ``budget``; past it the k' reached, still a
+    lower bound, with no coloring and -1 left. At k' = |vertices| on a graph with no arc the
+    first descent never backtracks: it is the greedy DSATUR coloring.
     """
-    inner = [a & vertices for a in adj]
+    inner = [a & vertices for a in g.adjacent_masks]
     comps, rest = [], vertices
     for s in sorted(set_bits(vertices), key=lambda v: inner[v].bit_count(), reverse=True):  # stable: ties by id
         if rest >> s & 1 and inner[s]:
@@ -91,16 +101,18 @@ def _underlying_search(adj: Sequence[int], vertices: int, k: int, budget: int) -
     for comp in sorted(comps, key=int.bit_count, reverse=True):  # stable
         members = list(set_bits(comp))
         index = {v: i for i, v in enumerate(members, 1)}
-        part = mixed_graph(len(members), [(index[v], index[w]) for v in members for w in set_bits(inner[v]) if v < w])
+        edges = [(index[v], index[w]) for v in members for w in set_bits(g.nbr_masks[v] & comp) if v < w]
+        arcs = [(index[v], index[w]) for v in members for w in set_bits(g.succ_masks[v] & comp)]
+        part = mixed_graph(len(members), edges, arcs)
         while True:
             found, left = window_search(part, k, left)
             if found is not None:
                 break
             if left < 0:
-                raise BudgetExceeded(f"chi_u search exceeded {budget} nodes")
+                return k, None, left
             k += 1
         colors.update((v, found.colors[i]) for v, i in index.items())
-    return k, colors
+    return k, colors, left
 
 
 @dataclass(frozen=True)
@@ -121,17 +133,12 @@ def lower_bounds(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET) -> LowerBound
     rank = maxrank(g)
     if g.n == 0:
         return LowerBounds(0, 0, 0, True)
-    chi_u, witness = _chi_u_or_clique(g, budget)
-    return LowerBounds(chi_u, rank, max(chi_u, rank + 1), witness is not None)
-
-
-def _chi_u_or_clique(g: MixedGraph, budget: int, start: int = 0) -> tuple[int, dict[int, int] | None]:
-    """``chi_u_exact``'s bound and coloring, or past ``budget`` the clique number and None."""
     omega = clique_number(g, budget)  # first, so a clique search past budget raises without a rerun
     try:
-        return chi_u_exact(g, budget, start)
+        chi_u, exact = chi_u_exact(g, budget)[0], True
     except BudgetExceeded:
-        return omega, None
+        chi_u, exact = omega, False
+    return LowerBounds(chi_u, rank, max(chi_u, rank + 1), exact)
 
 
 def _grow(clique: int, members: list[int], rest: int, masks: Sequence[int], key: list[int]) -> int:
@@ -345,55 +352,23 @@ def window_search(g: MixedGraph, k: int, nodes: int, domain: list[int] | None = 
     return Coloring({v: domain[v].bit_length() - 1 for v in g.vertices}), nodes
 
 
-def windows_shave(g: MixedGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """True when bounds shaving on the propagated windows proves that g has no k-colouring.
-
-    Shaving (Martin & Shmoys, 1996) trial-fixes each vertex's smallest and largest colour on
-    a copy of the domains and propagates; a trial that empties a domain removes that colour
-    for good, and the removal is propagated. The passes repeat until no trial removes a
-    colour; the rules only remove colours, so that fixpoint does not depend on the order.
-    Each trial spends one unit of ``budget``; past it the shaving stops, and k counts as not
-    refuted.
-    """
-    domain = _propagated(g, k)
-    if domain is None:
-        return True
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            for largest in (False, True):
-                d = domain[v]
-                if not d & (d - 1):
-                    break  # one colour left: nothing to shave
-                budget -= 1
-                if budget < 0:
-                    return False
-                colour = 1 << d.bit_length() - 1 if largest else d & -d
-                trial = domain.copy()
-                trial[v] = colour
-                if _propagate(g, trial, [v]):
-                    domain[v] = d ^ colour
-                    if _propagate(g, domain, [v]):
-                        return True
-                    changed = True
-    return False
-
-
 def layering_coloring(g: MixedGraph) -> Coloring:
     """Proper coloring from the layering: each layer gets a fresh color block.
 
     Arcs always leave a layer, so each layer is colored on ``g.adjacent_masks``
     restricted to its vertex mask. Layers of at most ``EXACT_LAYER_CAP``
     vertices are colored optimally, larger ones greedily by the first descent
-    of the same search, ``_underlying_search``; either way the result is proper.
+    of the same search, ``_component_search``; either way the result is proper.
+    A search past ``DEFAULT_NODE_BUDGET`` raises ``BudgetExceeded``.
     """
     assignment: dict[int, int] = {}
     offset = 0
     for layer in layering(g).layers:
         mask = sum(1 << v for v in layer)
         start = max_clique(g.adjacent_masks, mask) if len(layer) <= EXACT_LAYER_CAP else len(layer)
-        _, local = _underlying_search(g.adjacent_masks, mask, start, DEFAULT_NODE_BUDGET)
+        _, local, _ = _component_search(g, mask, start, DEFAULT_NODE_BUDGET)
+        if local is None:
+            raise BudgetExceeded(f"layer search exceeded {DEFAULT_NODE_BUDGET} nodes")
         for v, color in local.items():
             assignment[v] = offset + color
         offset += max(local.values(), default=0)
@@ -463,8 +438,7 @@ def vc_coloring(g: MixedGraph, cover: frozenset[int] | set[int]) -> Coloring:
 
 def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None = None) -> tuple[int, Coloring, str]:
     """Lower bound on chi, a proper coloring as the upper witness, and the bound that set the
-    lower end: ``window_propagation``, ``window_clique``, ``window_search``, ``window_shaving``
-    or ``undirected_clique``.
+    lower end: ``window_propagation``, ``window_clique`` or ``window_search``.
 
     The steps run cheapest first, each only while the lower end is below the upper witness's
     color count, and each names the lower end only if it raises it: the schedule coloring; the
@@ -476,12 +450,12 @@ def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None
     raises the lower end by one. ``window_clique_bound`` runs once, before the first round on a
     gap of at least ``CLIQUE_GAP`` colors, else before the second, which runs only where the
     first gives up and something raised the lower end since the first began: from the same k it
-    would make the same steps. Only if both rounds give up, ``windows_shave`` past every k it
-    refutes and the chi_u search from the lower end follow; where g has no arc, chi_u is chi,
-    and the chi_u search's coloring becomes the upper witness. ``budget`` bounds each shaving
-    and the chi_u search; past it a shaving refutes nothing more and the chi_u search gives the
-    clique number, but a budget below what the clique search itself needs raises
-    ``BudgetExceeded``. ``stats``, if given, gets the nodes of both rounds as ``search_nodes``.
+    would make the same steps. Only if both rounds give up, ``_component_search`` ascends from
+    the lower end under ``budget``, one weakly connected component of g at a time: its coloring
+    becomes the upper witness, and a refutation raises the lower end, named ``window_search``;
+    past the budget the k it reached stays the lower end and the ascent goes on from there.
+    ``stats``, if given, gets as ``search_nodes`` every node the bracket spent: both rounds'
+    nodes, at most n each, and the component search's, at most ``budget``.
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()
@@ -511,15 +485,15 @@ def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None
         spent += g.n - max(nodes, 0)
         if nodes >= 0:
             break
+    if lower < count:
+        found, colors, left = _component_search(g, (1 << (g.n + 1)) - 2, lower, budget)
+        spent += budget - max(left, 0)
+        if colors is not None:
+            upper = Coloring(colors)
+        if found > lower:
+            lower, source = found, "window_search"
     if stats is not None:
         stats["search_nodes"] = spent
-    while lower < count and windows_shave(g, lower, budget):
-        lower, source = lower + 1, "window_shaving"
-    found, witness = _chi_u_or_clique(g, budget, lower) if lower < count else (lower, None)
-    if witness is not None and found < count and not any(g.succ_masks):  # no arc: a proper coloring of g
-        upper = Coloring(witness)
-    if found > lower:
-        lower, source = found, "undirected_clique"
     return lower, upper, source
 
 
@@ -527,10 +501,10 @@ def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None
 class ChromaticBounds:
     lower: int
     upper: int
-    # "maxrank", else the bracket's: "undirected_clique", "window_shaving", "window_search",
-    # "window_clique", or "window_propagation" for the windows alone and their propagation
+    # "maxrank", else the bracket's: "window_search", "window_clique", or
+    # "window_propagation" for the windows alone and their propagation
     lower_witness: str
-    upper_witness: Coloring  # the bracket's: a schedule coloring, the window search's or chi_u's
+    upper_witness: Coloring  # the bracket's: a schedule coloring or the window search's
 
 
 def chromatic_bounds(g: MixedGraph) -> ChromaticBounds:

@@ -25,17 +25,17 @@ PROPERTY = settings(max_examples=150)
 # chi 2; the schedule gives vertex 5 color 3, above 2's and beside 4's, and
 # the reversed schedule closes the bracket at 2
 UNSCHEDULED = mixed_graph(5, edges=[(1, 3), (1, 4), (4, 5)], arcs=[(2, 5)])
-# first k 5 on every route (the windows' propagation; the window search gives up on
-# 5 past its 7 nodes and the shaving refutes nothing), chi 6, both schedules 7
-# colors: two decides
+# chi 6, both schedules 7 colors, and the windows' propagation gives 5: the window
+# search gives up on 5 past its 7 nodes, so where the bracket's budgeted search gave up
+# too, every route would decide twice; the budgeted search closes it at 6
 TWO_DECIDES = mixed_graph(
     7,
     edges=[(1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7)],
     arcs=[(2, 5), (2, 7), (4, 1), (5, 6), (7, 6)],
 )
 # first k 4 on every route (the window search gives up on 3 past its 8 nodes, and
-# the shaving refutes it), chi 4, both schedules 4 colors: no decide
-SHAVED = mixed_graph(
+# the budgeted search refutes it), chi 4, both schedules 4 colors: no decide
+BUDGETED = mixed_graph(
     8,
     edges=[(1, 3), (1, 5), (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (5, 8), (6, 8)],
     arcs=[(6, 3)],
@@ -75,7 +75,7 @@ def test_schedule_coloring_is_proper_and_gap_free(g):
 @given(mixed_graphs())
 @example(UNSCHEDULED)
 @example(TWO_DECIDES)
-@example(SHAVED)
+@example(BUDGETED)
 def test_reversed_schedule_is_the_schedule_of_the_reversed_graph(g):
     # the forward schedule of g with every arc turned round, its colors turned round
     forward = schedule_coloring(mixed_graph(g.n, g.edges, [(v, u) for u, v in g.arcs])).colors
@@ -125,7 +125,7 @@ def set_based_schedule(g, reverse=False):
 @given(mixed_graphs(max_n=16))
 @example(UNSCHEDULED)
 @example(TWO_DECIDES)
-@example(SHAVED)
+@example(BUDGETED)
 def test_schedule_coloring_matches_the_set_based_rule(g):
     assert list(schedule_coloring(g).colors.items()) == set_based_schedule(g)
     assert list(schedule_coloring(g, True).colors.items()) == set_based_schedule(g, True)
@@ -157,28 +157,37 @@ def test_schedule_coloring_matches_the_set_based_rule_on_a_long_directed_path():
 @given(mixed_graphs())
 @example(UNSCHEDULED)
 @example(TWO_DECIDES)
-@example(SHAVED)
+@example(BUDGETED)
 def test_chi_exact_routes_match_brute_force(g):
     assert_routes_match_brute_force(g)
 
 
-def bracket_stays_open(g):
-    """True when the bracket leaves a gap, so every route decides."""
-    lower, upper, _ = bracket(g)
+def rounds_leave_a_gap(g):
+    """True when the bracket leaves a gap with its budgeted search cut to one node."""
+    lower, upper, _ = bracket(g, 1)
     return lower < upper.num_colors()
 
 
 def test_chi_exact_routes_match_brute_force_where_the_schedule_is_not_optimal():
     # the search closes nearly every small bracket, so the graphs are drawn dense and
-    # kept only where the bracket stays open
+    # kept only where its two n-node rounds leave a gap; the budgeted search closes
+    # each of those at the default budget, so every route is also called on its own
+    # at chi - 1 and chi, as the ascent calls it where the bracket stays open
     rng = random.Random(18)
     graphs = [random_mixed_graph(rng, rng.randint(8, 10), 0.5, 0.2) for _ in range(1000)]
     unscheduled = [
-        g for g in graphs if bracket_stays_open(g) and brute_force_chi(g)[0] < schedule_coloring(g).num_colors()
+        g for g in graphs if rounds_leave_a_gap(g) and brute_force_chi(g)[0] < schedule_coloring(g).num_colors()
     ]
     assert len(unscheduled) >= 10
     for g in unscheduled:
         assert_routes_match_brute_force(g)
+        chi = brute_force_chi(g)[0]
+        for method in METHODS:
+            decide = ROUTES[method](g, None, DEFAULT_NODE_BUDGET)
+            assert not decide(chi - 1).decision
+            result = decide(chi)
+            assert result.decision and check_proper(g, result.witness)[0]
+            assert result.witness.max_color() <= chi
 
 
 @PROPERTY
@@ -197,7 +206,7 @@ def test_every_route_accepts_the_schedule_count(g):
 @given(mixed_graphs())
 @example(UNSCHEDULED)
 @example(TWO_DECIDES)
-@example(SHAVED)
+@example(BUDGETED)
 @example(mixed_graph(0))
 def test_every_route_ascends_the_one_bracket(g):
     # every route, branch too, passes its budget to the same bracket

@@ -38,6 +38,7 @@ from mixedcolor.solvers import brute_force_chi, brute_force_decide
 
 from subgraphs import induced_subgraph
 from test_branching_properties import mixed_graphs
+from test_chi_u_properties import grotzsch
 
 
 def directed_path(length):
@@ -214,12 +215,12 @@ def window_sets(g, k):
     return {v: set(range(1 + g.floor[v], k - g.ceiling[v] + 1)) for v in g.vertices}
 
 
-def propagation_empties_a_domain(g, k, domain=None):
+def propagation_empties_a_domain(g, k):
     """The window rules by plain sweeps over colour sets, to their fixpoint: True
     when a domain empties. Across an arc u -> v, v keeps the colours above u's
     smallest and u those below v's largest; a one-colour domain removes its colour
-    from the edge neighbours'. A given ``domain`` is swept in place of the windows."""
-    domain = window_sets(g, k) if domain is None else domain
+    from the edge neighbours'."""
+    domain = window_sets(g, k)
     changed = True
     while changed:
         if not all(domain.values()):
@@ -236,29 +237,6 @@ def propagation_empties_a_domain(g, k, domain=None):
                 if len(domain[a]) == 1 and domain[a] <= domain[b]:
                     domain[b] = domain[b] - domain[a]
                     changed = True
-    return False
-
-
-def shaving_empties_a_domain(g, k):
-    """Bounds shaving by plain sets: each vertex's smallest and largest colour is fixed
-    on a copy of the swept domains, a trial that empties a domain removes its colour,
-    and the removals are swept, until no trial removes one: True when a domain empties."""
-    domain = window_sets(g, k)
-    if propagation_empties_a_domain(g, k, domain):
-        return True
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            for colour in (min(domain[v]), max(domain[v])):
-                if len(domain[v]) > 1 and colour in domain[v]:
-                    trial = {u: set(d) for u, d in domain.items()}
-                    trial[v] = {colour}
-                    if propagation_empties_a_domain(g, k, trial):
-                        domain[v].remove(colour)
-                        if propagation_empties_a_domain(g, k, domain):
-                            return True
-                        changed = True
     return False
 
 
@@ -297,11 +275,10 @@ class TestWindowsRefute:
         assert brute_force_chi(g)[0] == 3
 
     def test_sound_and_the_fixpoint_of_the_rules(self):
-        # chi from brute-force decides, which do not read the bracket; the shaving
-        # refutes every k the propagation does and 459 more, of the 589 below chi that
-        # it leaves; the search decides every k as brute does, and under a cap of n
-        # nodes it leaves 172 of them open
-        checks = below = refuted = shaved = capped = 0
+        # chi from brute-force decides, which do not read the bracket; the search
+        # decides every k as brute does, and under a cap of n nodes it leaves 172 of
+        # them open
+        checks = below = refuted = capped = 0
         for seed in range(2000):
             rng = random.Random(seed)
             n = rng.randint(1, 10)
@@ -311,9 +288,6 @@ class TestWindowsRefute:
                 answer = bounds.windows_refute(g, k)
                 assert not (answer and k >= chi), (seed, k)
                 assert answer == propagation_empties_a_domain(g, k), (seed, k)
-                shaving = bounds.windows_shave(g, k)
-                assert not (shaving and k >= chi) and shaving >= answer, (seed, k)
-                assert shaving == shaving_empties_a_domain(g, k), (seed, k)
                 coloring, unspent = bounds.window_search(g, k, UNBOUNDED)
                 assert unspent >= 0 and (coloring is not None) == (k >= chi), (seed, k)
                 if coloring is not None:
@@ -334,9 +308,8 @@ class TestWindowsRefute:
                 checks += 1
                 below += k < chi
                 refuted += answer
-                shaved += shaving
                 capped += left < 0
-        assert (checks, below, refuted, shaved, capped) == (12_971, 3_955, 3_366, 3_825, 172)
+        assert (checks, below, refuted, capped) == (12_971, 3_955, 3_366, 172)
 
     def test_the_search_keeps_one_domain_list_and_a_trail(self):
         # 500 disjoint stars K_1,3 and a triangle at k = 2: the centres have the most
@@ -355,14 +328,6 @@ class TestWindowsRefute:
         finally:
             tracemalloc.stop()
         assert peak < 400 * n
-
-    def test_a_budget_of_one_stops_the_shaving(self):
-        # at k = 2 both trials on the lone vertex 1 leave every domain, and the first
-        # trial on the odd cycle 2 .. 6 empties one, whose removal refutes k: three trials
-        g = mixed_graph(6, edges=[(v, v % 5 + 2) for v in range(2, 7)])
-        assert not bounds.windows_refute(g, 2)
-        assert bounds.windows_shave(g, 2) and bounds.windows_shave(g, 2, 3)
-        assert not bounds.windows_shave(g, 2, 2) and not bounds.windows_shave(g, 2, 1)
 
 
 class TestLayeringColoring:
@@ -392,6 +357,14 @@ class TestLayeringColoring:
                 sub, _ = induced_subgraph(g, layer)
                 total += chi_u_exact(sub)[0]
             assert coloring.num_colors() <= total
+
+
+def test_layering_coloring_raises_past_the_budget(monkeypatch):
+    # the Grötzsch graph is one layer, searched up from its clique number 2: refuting 2
+    # takes more than one node
+    monkeypatch.setattr(bounds, "DEFAULT_NODE_BUDGET", 1)
+    with pytest.raises(BudgetExceeded, match="layer search exceeded 1 nodes"):
+        layering_coloring(grotzsch())
 
 
 class TestVcColoring:
@@ -480,8 +453,9 @@ class TestBracketing:
     def test_a_later_bound_names_the_end_only_when_it_raises_it(self):
         # the propagation gives 3; the window search gives up on 3 past its 8 nodes, the
         # window cliques then run but leave the end where it was, so a second round would
-        # repeat the first and does not run; the shaving then raises the end to chi = 4,
-        # and names it (found by a seeded search of random graphs)
+        # repeat the first and does not run; the budgeted search then refutes 3 in 10
+        # nodes, names the end, and colours with chi = 4 in 5 more (found by a seeded
+        # search of random graphs)
         g = mixed_graph(
             8,
             edges=[(1, 3), (1, 5), (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (5, 8), (6, 8)],
@@ -491,12 +465,11 @@ class TestBracketing:
         assert not bounds.windows_refute(g, 3) and bounds.window_search(g, 3, g.n) == (None, -1)
         stats = {}
         lower, upper, source = bounds.bracket(g, DEFAULT_NODE_BUDGET, stats)
-        assert (lower, upper.num_colors(), source, stats) == (4, 4, "window_shaving", {"search_nodes": 8})
+        assert (lower, upper.num_colors(), source, stats) == (4, 4, "window_search", {"search_nodes": 23})
 
     def test_split_superstring_brackets_keep_their_ends(self):
         # the paper's split reduction, 2-3 binary strings of length 2-3: at budget 10**4,
-        # 133 of 200 brackets stay open; running the window cliques only after the
-        # search gives up, with no second search round, would leave 141 open
+        # 41 of 200 brackets stay open
         pairs = []
         for i in range(200):
             rng = random.Random(1000 + i)
@@ -507,18 +480,51 @@ class TestBracketing:
             g, _ = reduce_superstring(SuperstringInstance(strings, k), split=True)
             lower, upper, _ = bounds.bracket(g, 10**4)
             pairs.append((lower, upper.num_colors()))
-        assert sum(lower < upper for lower, upper in pairs) == 133
-        assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == "0ec0b6e85883f972"
+        assert sum(lower < upper for lower, upper in pairs) == 41
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == "bc8de7c052bc3c58"
+
+    def test_random_brackets_all_close(self):
+        # 1,500 draws of 16 vertices: the two n-node rounds leave 74 brackets open, and
+        # the budgeted search closes every one of them within 10**4 nodes
+        pairs = []
+        for i in range(1500):
+            lower, upper, _ = bounds.bracket(random_mixed_graph(random.Random(i), 16, 0.4, 0.1), 10**4)
+            pairs.append((lower, upper.num_colors()))
+        assert sum(lower < upper for lower, upper in pairs) == 0
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == "2653ea311cd5c8e8"
 
     def test_an_arc_free_bracket_keeps_the_chi_u_coloring(self):
-        # no arc: chi_u is chi, so where both search rounds and the shaving give up, the
-        # chi_u search's coloring closes the bracket that the schedules leave at 9 colors
+        # no arc: where both search rounds give up, the budgeted search is the chi_u
+        # search, and its coloring closes the bracket that the schedules leave at 9 colors
         g = random_mixed_graph(random.Random(24), 30, 0.5, 0.0)
         assert min(bounds.schedule_coloring(g).num_colors(), bounds.schedule_coloring(g, True).num_colors()) == 9
         stats = {}
         lower, upper, source = bounds.bracket(g, 10**5, stats)
-        assert (lower, upper.num_colors(), source, stats) == (7, 7, "undirected_clique", {"search_nodes": 60})
+        assert (lower, upper.num_colors(), source, stats) == (7, 7, "window_search", {"search_nodes": 147})
         assert upper.colors == chi_u_exact(g, 10**5, 7)[1] and check_proper(g, upper)[0]
+
+    def test_the_search_takes_one_component_at_a_time(self):
+        # the star K_1,14 beside the Grötzsch graph, no arcs: a search of the whole graph
+        # fixes the 14 leaves first and refutes the Grötzsch graph's 3 again under each
+        # of their colourings, past 10**4 nodes; taken alone, the Grötzsch graph's 3 falls
+        # and its 4 closes the bracket
+        g = mixed_graph(26, [(1, leaf) for leaf in range(2, 16)] + [(u + 15, v + 15) for u, v in grotzsch().edges])
+        assert bounds.window_search(g, 3, 10**4) == (None, -1)
+        lower, upper, source = bounds.bracket(g, 10**4)
+        assert (lower, upper.num_colors(), source) == (4, 4, "window_search")
+        assert check_proper(g, upper)[0]
+
+    def test_the_search_spends_no_more_than_its_budget(self):
+        # a split superstring graph that superstring_exists answers no at 5 (n = 66): the
+        # window cliques give 5 before the first round, which gives up on 5 past its n
+        # nodes; nothing raises the end, so no second round runs, and the budgeted search
+        # gives up on 5 after exactly its budget
+        g, _ = reduce_superstring(SuperstringInstance(("0110", "011", "1000"), 5), split=True)
+        assert bounds.window_search(g, 5, g.n) == (None, -1)
+        stats = {}
+        lower, upper, source = bounds.bracket(g, 10**5, stats)
+        assert (lower, upper.num_colors(), source) == (5, 6, "window_clique")
+        assert stats["search_nodes"] == g.n + 10**5
 
     def test_maxrank_plus_one_lower_bound(self, small_corpus):
         # strengthened form of the rank bound, checked against the oracle

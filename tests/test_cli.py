@@ -51,8 +51,8 @@ def path4(tmp_path):
 @pytest.fixture()
 def unscheduled(tmp_path):
     # chi 4, but both schedule colorings use 5 colors, and the window search at k = 4
-    # needs 8 nodes, past its cap of n = 6, so the ascent decides k = 4 (found by a
-    # seeded search of random graphs; the search closes nearly every smaller bracket)
+    # needs 8 nodes, past its cap of n = 6 in each round, so the budgeted search that
+    # ends the bracket colors with 4 (found by a seeded search of random graphs)
     p = tmp_path / "unscheduled.graph"
     p.write_text(
         "p mixed 6 9 3\ne 1 3\ne 1 5\ne 1 6\ne 2 3\ne 2 4\ne 2 5\ne 2 6\ne 3 5\ne 3 6\na 2 1\na 4 3\na 4 5\n"
@@ -381,11 +381,11 @@ class TestRoutes:
         lines = report_lines(out)
         assert lines[3:-1] == [
             ("chi", "4"),
-            ("decides", "1"),
+            ("decides", "0"),
             ("first_k", "4"),
             ("lower_witness", "window_propagation"),
-            ("search_nodes", "6"),
-            ("upper", "5"),
+            ("search_nodes", "14"),
+            ("upper", "4"),
         ]
         assert lines[-1][0] == "wall_time"
 
@@ -397,14 +397,24 @@ def test_method_choices_are_the_routes():
 
 class TestBudget:
     def test_default_route_solves_an_arc_free_graph(self, capsys, tmp_path):
-        # no arcs: the window search gives up, the chi_u search closes the bracket at 7,
-        # so branch, like every route, decides nothing
+        # no arcs: both window search rounds give up, the budgeted search that ends the
+        # bracket closes it at 7, so branch, like every route, decides nothing
         graph = str(tmp_path / "r30.graph")
         assert run(capsys, "gen", "random", "30", "0.5", "0", "--seed", "15", "--out", graph)[0] == 0
         code, out, _ = run(capsys, "solve", graph, "--budget", "100000")
         fields = report_dict(out)
         assert code == 0
-        assert (fields["chi"], fields["decides"], fields["lower_witness"]) == ("7", "0", "undirected_clique")
+        assert (fields["chi"], fields["decides"], fields["lower_witness"]) == ("7", "0", "window_search")
+
+    def test_search_nodes_count_the_whole_bracket(self, capsys, tmp_path):
+        # the two rounds spend their 30 nodes each and the budgeted search 87 more to
+        # refute 6 and color with 7
+        graph = str(tmp_path / "r24.graph")
+        assert run(capsys, "gen", "random", "30", "0.5", "0", "--seed", "24", "--out", graph)[0] == 0
+        code, out, _ = run(capsys, "solve", graph)
+        fields = report_dict(out)
+        assert code == 0
+        assert (fields["chi"], fields["decides"], fields["search_nodes"]) == ("7", "0", "147")
 
     def test_branch_chi_budget_exceeded(self, capsys, unscheduled):
         code, out, err = run(capsys, "solve", unscheduled, "--method", "branch", "--budget", "1")
@@ -541,7 +551,7 @@ class TestBoundsParams:
         assert (fields["lower"], fields["upper"], fields["lower_witness"]) == ("3", "3", "window_propagation")
 
     def test_bounds_empty_graph(self, capsys, tmp_path):
-        # no chi_u search runs, so the lower bound 0 is the windows alone
+        # no search runs, so the lower bound 0 is the windows alone
         graph = tmp_path / "empty.graph"
         graph.write_text("p mixed 0 0 0\n")
         code, out, _ = run(capsys, "bounds", str(graph))

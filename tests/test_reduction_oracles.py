@@ -43,7 +43,7 @@ def test_brackets_hold_the_oracle(drawn):
         assert check_proper(g, upper)[0]
         assert lower <= k if yes else upper.num_colors() > k
         opened += lower < upper.num_colors()
-    assert opened == 47
+    assert opened == 10
 
 
 def test_window_search_agrees_or_overruns(drawn):

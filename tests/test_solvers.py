@@ -441,18 +441,19 @@ class TestBranching:
         # search refutes k = 1 before any node; the windows' propagation refutes k = 2
         # as well (both heads are fixed at 2), and the window search gives up on k = 3
         # past its 15 nodes, as the Grötzsch graph alone takes 45 to refute it; the
-        # chi_u search then finds the Grötzsch graph's 4, so the ascent starts at chi
+        # budgeted search then refutes 3 on the Grötzsch graph's component and colors
+        # with 4, so the ascent starts at chi
         g = mixed_graph(15, edges=[*grotzsch().edges, (14, 15)], arcs=[(12, 14), (13, 15)])
         stats: dict = {}
         chi_exact(g, "branch", stats=stats)
         assert bounds.window_clique_bound(g, 0) == 2 and bounds.windows_refute(g, 2)
         assert bounds.window_search(g, 3, g.n) == (None, -1)
-        assert (stats["first_k"], stats["lower_witness"], stats["decides"]) == (4, "undirected_clique", 0)
+        assert (stats["first_k"], stats["lower_witness"], stats["decides"]) == (4, "window_search", 0)
         result = solvers.ROUTES["branch"](g, None, DEFAULT_NODE_BUDGET)(1)
         assert not result.decision and result.stats["nodes"] == 0
 
     def test_branch_answers_arc_free_graphs(self):
-        # an arc-free graph's chi is its chi_u, which the bracket's chi_u search finds
+        # an arc-free graph's chi is its chi_u, which the bracket's budgeted search finds
         # within the budget where the branching search would run past it
         for i in range(40):
             g = random_mixed_graph(random.Random(i), 24, 0.5, 0.0)
@@ -460,8 +461,8 @@ class TestBranching:
 
     def test_arc_free_brackets_close_without_a_decide(self):
         # no arcs, the schedules 1-2 colors above chi, and a branch search that runs past
-        # the budget: the window search's symmetry rule closes these brackets, and on 24
-        # and 25 the chi_u search's coloring does
+        # the budget: the window search's symmetry rule closes these brackets, on 24 and
+        # 25 in the budgeted search after both rounds give up
         for i in (9, 11, 12, 19, 23, 30, 33, 24, 25):
             g = random_mixed_graph(random.Random(i), 30, 0.5, 0.0)
             stats: dict = {}
@@ -478,7 +479,7 @@ class TestBranching:
             maximal_independent_sets(everything, keep, budget=728)
 
     def test_branch_mis_enumeration_is_bounded_by_the_budget(self, monkeypatch):
-        # eleven disjoint triangles and the Grötzsch graph: the bracket's chi_u search
+        # eleven disjoint triangles and the Grötzsch graph: the bracket's window search
         # closes it at 4, so the branch route decides k = 3 here directly; its first node
         # is the root, and the root's sources have 16 * 3**11 = 2,834,352 maximal
         # independent sets
@@ -628,17 +629,17 @@ class TestBudget:
 
     @pytest.mark.parametrize("method", ["brute", "twdp", "ndm", "branch"])
     def test_chi_exact_passes_budget_to_lower_bounds(self, monkeypatch, method):
-        # the bracket's chi_u search is the one that takes the budget
+        # the bracket's budgeted search is the one that takes the budget
         seen = []
-        real = bounds.chi_u_exact
+        real = bounds._component_search
 
-        def spy(g, budget=DEFAULT_NODE_BUDGET, start=0):
+        def spy(g, vertices, k, budget):
             seen.append(budget)
-            return real(g, budget, start)
+            return real(g, vertices, k, budget)
 
-        monkeypatch.setattr(bounds, "chi_u_exact", spy)
-        # the graph's largest clique is a triangle, and neither the window search within
-        # its 9 nodes nor the shaving passes it, so only the chi_u search finds its 4
+        monkeypatch.setattr(bounds, "_component_search", spy)
+        # the graph's largest clique is a triangle, and the window search within its 9
+        # nodes does not pass it, so only the budgeted search finds its 4
         # (random_mixed_graph's draw 9160 of 9 vertices)
         edges = [(1, 3), (1, 5), (1, 7), (1, 9), (2, 3), (2, 4), (2, 6), (2, 9), (3, 9), (4, 9), (5, 6), (6, 7)]
         g = mixed_graph(9, edges=edges + [(6, 8), (6, 9)], arcs=[(7, 5)])

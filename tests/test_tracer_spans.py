@@ -24,7 +24,7 @@ import pytest
 
 from mixedcolor import bounds, mixed_graph, solvers
 from mixedcolor.cli import main
-from mixedcolor.errors import InvalidDecomposition
+from mixedcolor.errors import DEFAULT_NODE_BUDGET, InvalidDecomposition
 from mixedcolor.graphs import save_graph
 from mixedcolor.treedecomp import load_td
 from mixedcolor.reductions import family_layered_cliques, family_tripartite
@@ -36,10 +36,10 @@ ASCENT = mixed_graph(
     arcs=[(1, 4), (2, 3), (4, 2), (4, 5), (4, 6), (7, 3), (7, 4)],
 )
 
-# first k 5 (the window propagation; the window search gives up on 5 past its 7
-# nodes, and neither the window cliques, the shaving nor chi_u raise it), chi 6, and
-# both schedule colorings
-# take 7 colors: the ascent decides k = 5 and 6
+# chi 6, and both schedule colorings take 7 colors; the window propagation gives 5,
+# and the window search gives up on 5 past its 7 nodes in each round, so a route called
+# on its own decides k = 5 and 6 (the bracket's budgeted search closes it at 6, so
+# ``chi_exact`` decides nothing)
 TWO_DECIDES = mixed_graph(
     7,
     edges=[(1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7)],
@@ -79,7 +79,8 @@ def test_twdp_ascent_builds_the_nice_form_only_for_a_decide(monkeypatch):
     # chi 6 is the first k and the schedule coloring's count: no decide
     assert solvers.chi_exact(family_layered_cliques(1, 3), "twdp")[0] == 6
     assert (len(fills), len(nices), len(decides)) == (0, 0, 0)
-    assert solvers.chi_exact(TWO_DECIDES, "twdp")[0] == 6
+    decide = solvers.ROUTES["twdp"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
+    assert [decide(k).decision for k in (5, 6)] == [False, True]
     assert [k for _, _, k, _ in decides] == [5, 6]
     assert (len(fills), len(nices)) == (1, 1)
 
@@ -99,21 +100,24 @@ def test_branch_ascent_builds_its_search_once(monkeypatch):
     stats = {}
     assert solvers.chi_exact(family_layered_cliques(1, 3), "branch", stats=stats)[0] == 6
     assert (stats["decides"], len(builds)) == (0, 0)
-    assert solvers.chi_exact(TWO_DECIDES, "branch", stats=stats)[0] == 6
-    assert (stats["decides"], len(builds)) == (2, 1)
+    decide = solvers.ROUTES["branch"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
+    assert [decide(k).decision for k in (5, 6)] == [False, True]
+    assert len(builds) == 1
 
 
 def test_ndm_ascent_builds_the_closure_partition_once(monkeypatch):
     partitions = spy(monkeypatch, solvers, "closure_neighborhood_partition")
     decides = spy(monkeypatch, solvers, "ndm_fpt_decide")
-    assert solvers.chi_exact(TWO_DECIDES, "ndm")[0] == 6
+    decide = solvers.ROUTES["ndm"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
+    assert [decide(k).decision for k in (5, 6)] == [False, True]
     assert [k for _, k, _ in decides] == [5, 6]
     assert len(partitions) == 1
 
 
 def test_ndm_decide_enumerates_preorders_once(monkeypatch):
     enumerations = spy(monkeypatch, solvers, "maximal_proper_preorders")
-    assert solvers.chi_exact(TWO_DECIDES, "ndm")[0] == 6
+    decide = solvers.ROUTES["ndm"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
+    assert [decide(k).decision for k in (5, 6)] == [False, True]
     # one enumeration per decide, k = 5 and 6, each with at most k + 1 positions
     assert [max_ell for _, _, max_ell, _ in enumerations] == [6, 7]
 
@@ -158,7 +162,8 @@ def test_chi_exact_dispatches_branch_and_brute_through_their_chi(monkeypatch):
 def test_branch_route_calls_the_mis_kernel(monkeypatch):
     kernel = solvers.maximal_independent_sets
     calls = spy(monkeypatch, solvers, "maximal_independent_sets")
-    assert solvers.chi_exact(TWO_DECIDES, "branch")[0] == 6
+    decide = solvers.ROUTES["branch"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
+    assert [decide(k).decision for k in (5, 6)] == [False, True]
     assert any(len(kernel(*args)) > 1 for args in calls)  # some state branches
 
 
