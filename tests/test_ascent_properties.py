@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 
 from mixedcolor import brute_force_chi, check_proper, chi_exact, mixed_graph, random_mixed_graph, schedule_coloring
 from mixedcolor.bounds import bracket
-from mixedcolor.errors import DEFAULT_NODE_BUDGET
+from mixedcolor.errors import DEFAULT_NODE_BUDGET, BudgetExceeded
 from mixedcolor.reductions import family_layered_cliques, family_oriented_grid
 from mixedcolor.solvers import METHODS, ROUTES
 
@@ -172,13 +172,15 @@ def test_chi_exact_routes_match_brute_force_where_the_schedule_is_not_optimal():
     # the search closes nearly every small bracket, so the graphs are drawn dense and
     # kept only where its two n-node rounds leave a gap; the budgeted search closes
     # each of those at the default budget, so every route is also called on its own
-    # at chi - 1 and chi, as the ascent calls it where the bracket stays open
+    # at chi - 1 and chi, and the ascent runs under budgets of 10 and 30, which the
+    # bracket's search overruns on some graphs that a route still decides within
     rng = random.Random(18)
     graphs = [random_mixed_graph(rng, rng.randint(8, 10), 0.5, 0.2) for _ in range(1000)]
     unscheduled = [
         g for g in graphs if rounds_leave_a_gap(g) and brute_force_chi(g)[0] < schedule_coloring(g).num_colors()
     ]
     assert len(unscheduled) >= 10
+    decided = 0
     for g in unscheduled:
         assert_routes_match_brute_force(g)
         chi = brute_force_chi(g)[0]
@@ -188,6 +190,16 @@ def test_chi_exact_routes_match_brute_force_where_the_schedule_is_not_optimal():
             result = decide(chi)
             assert result.decision and check_proper(g, result.witness)[0]
             assert result.witness.max_color() <= chi
+            for budget in (10, 30):
+                stats = {}
+                try:
+                    got, witness = chi_exact(g, method, budget=budget, stats=stats)
+                except BudgetExceeded:
+                    continue
+                assert got == witness.num_colors() == chi and check_proper(g, witness)[0]
+                assert stats["decides"] == min(chi + 1, stats["upper"]) - stats["first_k"]
+                decided += stats["decides"] > 0
+    assert decided == 18  # brute 5, ndm 4, branch 9; twdp's tables overrun both budgets
 
 
 @PROPERTY

@@ -375,19 +375,27 @@ class TestRoutes:
         assert code == 2 and out == ""
         assert "--k: expected a non-negative integer" in err
 
-    def test_chi_reports_its_bracket(self, capsys, unscheduled, method):
-        code, out, _ = run(capsys, "solve", unscheduled, "--method", method)
+    def test_chi_reports_its_bracket(self, capsys, tmp_path, unscheduled, method):
+        # a budget that the bracket's search overruns but the route fits, so the ascent
+        # decides the first k once: brute and ndm on ``unscheduled`` at 7 nodes, twdp
+        # and branch on the paper's split reduction of ("00", "001") at k = 5 within 10**4
+        if method in ("brute", "ndm"):
+            graph, budget, ends = unscheduled, "7", [("chi", "4"), ("decides", "1"), ("first_k", "4")]
+            bound, nodes, upper = "window_propagation", "13", "5"
+        else:
+            spec, graph = tmp_path / "split.json", str(tmp_path / "split.graph")
+            spec.write_text(json.dumps({"strings": ["00", "001"], "k": 5}))
+            assert run(capsys, "gen", "superstring", str(spec), "--split", "--out", graph)[0] == 0
+            budget, ends = "10000", [("chi", "5"), ("decides", "1"), ("first_k", "5")]
+            bound, nodes, upper = "window_clique", "10030", "6"
+        code, out, _ = run(capsys, "solve", graph, "--method", method, "--budget", budget)
         assert code == 0
         lines = report_lines(out)
-        assert lines[3:-1] == [
-            ("chi", "4"),
-            ("decides", "0"),
-            ("first_k", "4"),
-            ("lower_witness", "window_propagation"),
-            ("search_nodes", "14"),
-            ("upper", "4"),
-        ]
+        assert lines[3:-1] == [*ends, ("lower_witness", bound), ("search_nodes", nodes), ("upper", upper)]
         assert lines[-1][0] == "wall_time"
+        # at the default budget the search colors ``unscheduled`` with 4: no decide
+        fields = report_dict(run(capsys, "solve", unscheduled, "--method", method)[1])
+        assert (fields["chi"], fields["decides"], fields["upper"]) == ("4", "0", "4")
 
 
 def test_method_choices_are_the_routes():

@@ -24,10 +24,10 @@ import pytest
 
 from mixedcolor import bounds, mixed_graph, solvers
 from mixedcolor.cli import main
-from mixedcolor.errors import DEFAULT_NODE_BUDGET, InvalidDecomposition
+from mixedcolor.errors import InvalidDecomposition
 from mixedcolor.graphs import save_graph
 from mixedcolor.treedecomp import load_td
-from mixedcolor.reductions import family_layered_cliques, family_tripartite
+from mixedcolor.reductions import SuperstringInstance, family_layered_cliques, family_tripartite, reduce_superstring
 
 # combined lower bound 4, chi 6
 ASCENT = mixed_graph(
@@ -36,15 +36,19 @@ ASCENT = mixed_graph(
     arcs=[(1, 4), (2, 3), (4, 2), (4, 5), (4, 6), (7, 3), (7, 4)],
 )
 
-# chi 6, and both schedule colorings take 7 colors; the window propagation gives 5,
-# and the window search gives up on 5 past its 7 nodes in each round, so a route called
-# on its own decides k = 5 and 6 (the bracket's budgeted search closes it at 6, so
-# ``chi_exact`` decides nothing)
+# chi 8, and both schedule colorings take 9 colors; the window cliques give 7, and
+# both window search rounds give up on 7; under a budget of 100 the bracket's
+# budgeted search gives up too (at 150 it colors with 8), so the ascent decides k = 7
+# and 8 (random_mixed_graph(Random(21924), 9, 0.6, 0.3))
 TWO_DECIDES = mixed_graph(
-    7,
-    edges=[(1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7)],
-    arcs=[(2, 5), (2, 7), (4, 1), (5, 6), (7, 6)],
+    9,
+    edges=[
+        (1, 3), (1, 5), (1, 6), (1, 8), (2, 3), (2, 4), (2, 8), (3, 4), (3, 5), (3, 6), (3, 7),
+        (3, 8), (3, 9), (4, 6), (4, 8), (5, 6), (5, 7), (5, 9), (6, 7), (6, 8), (6, 9), (7, 9),
+    ],
+    arcs=[(1, 7), (1, 9), (2, 1), (2, 6), (2, 9), (4, 1), (4, 5), (4, 7), (4, 9), (8, 5), (8, 7)],
 )
+TWO_DECIDES_BUDGET = 100
 
 
 def test_ndm_route_calls_preorder_program_once_per_preorder(monkeypatch):
@@ -79,9 +83,11 @@ def test_twdp_ascent_builds_the_nice_form_only_for_a_decide(monkeypatch):
     # chi 6 is the first k and the schedule coloring's count: no decide
     assert solvers.chi_exact(family_layered_cliques(1, 3), "twdp")[0] == 6
     assert (len(fills), len(nices), len(decides)) == (0, 0, 0)
-    decide = solvers.ROUTES["twdp"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
-    assert [decide(k).decision for k in (5, 6)] == [False, True]
-    assert [k for _, _, k, _ in decides] == [5, 6]
+    # the paper's split reduction of ("00", "001") at k = 5: the bracket leaves 5 / 6
+    # under 10**4 nodes, and the table decides 5 within them
+    g = reduce_superstring(SuperstringInstance(("00", "001"), 5), split=True)[0]
+    assert solvers.chi_exact(g, "twdp", budget=10**4)[0] == 5
+    assert [k for _, _, k, _ in decides] == [5]
     assert (len(fills), len(nices)) == (1, 1)
 
 
@@ -100,26 +106,23 @@ def test_branch_ascent_builds_its_search_once(monkeypatch):
     stats = {}
     assert solvers.chi_exact(family_layered_cliques(1, 3), "branch", stats=stats)[0] == 6
     assert (stats["decides"], len(builds)) == (0, 0)
-    decide = solvers.ROUTES["branch"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
-    assert [decide(k).decision for k in (5, 6)] == [False, True]
-    assert len(builds) == 1
+    assert solvers.chi_exact(TWO_DECIDES, "branch", budget=TWO_DECIDES_BUDGET, stats=stats)[0] == 8
+    assert (stats["decides"], len(builds)) == (2, 1)
 
 
 def test_ndm_ascent_builds_the_closure_partition_once(monkeypatch):
     partitions = spy(monkeypatch, solvers, "closure_neighborhood_partition")
     decides = spy(monkeypatch, solvers, "ndm_fpt_decide")
-    decide = solvers.ROUTES["ndm"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
-    assert [decide(k).decision for k in (5, 6)] == [False, True]
-    assert [k for _, k, _ in decides] == [5, 6]
+    assert solvers.chi_exact(TWO_DECIDES, "ndm", budget=TWO_DECIDES_BUDGET)[0] == 8
+    assert [k for _, k, _ in decides] == [7, 8]
     assert len(partitions) == 1
 
 
 def test_ndm_decide_enumerates_preorders_once(monkeypatch):
     enumerations = spy(monkeypatch, solvers, "maximal_proper_preorders")
-    decide = solvers.ROUTES["ndm"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
-    assert [decide(k).decision for k in (5, 6)] == [False, True]
-    # one enumeration per decide, k = 5 and 6, each with at most k + 1 positions
-    assert [max_ell for _, _, max_ell, _ in enumerations] == [6, 7]
+    assert solvers.chi_exact(TWO_DECIDES, "ndm", budget=TWO_DECIDES_BUDGET)[0] == 8
+    # one enumeration per decide, k = 7 and 8, each with at most k + 1 positions
+    assert [max_ell for _, _, max_ell, _ in enumerations] == [8, 9]
 
 
 def test_dump_ilp_shares_the_routes_class_structure(monkeypatch, tmp_path, capsys):
@@ -153,17 +156,16 @@ def test_layering_coloring_calls_layering_once(monkeypatch):
 def test_chi_exact_dispatches_branch_and_brute_through_their_chi(monkeypatch):
     branch = spy(monkeypatch, solvers, "branching_chi")
     brute = spy(monkeypatch, solvers, "brute_force_chi")
-    assert solvers.chi_exact(TWO_DECIDES, "branch")[0] == 6
+    assert solvers.chi_exact(TWO_DECIDES, "branch")[0] == 8
     assert (len(branch), len(brute)) == (1, 0)
-    assert solvers.chi_exact(TWO_DECIDES, "brute")[0] == 6
+    assert solvers.chi_exact(TWO_DECIDES, "brute")[0] == 8
     assert (len(branch), len(brute)) == (1, 1)
 
 
 def test_branch_route_calls_the_mis_kernel(monkeypatch):
     kernel = solvers.maximal_independent_sets
     calls = spy(monkeypatch, solvers, "maximal_independent_sets")
-    decide = solvers.ROUTES["branch"](TWO_DECIDES, None, DEFAULT_NODE_BUDGET)
-    assert [decide(k).decision for k in (5, 6)] == [False, True]
+    assert solvers.chi_exact(TWO_DECIDES, "branch", budget=TWO_DECIDES_BUDGET)[0] == 8
     assert any(len(kernel(*args)) > 1 for args in calls)  # some state branches
 
 
