@@ -32,10 +32,10 @@ Violation = tuple[str, int, int]  # ("edge"|"arc", u, v)
 
 EXACT_LAYER_CAP = 20
 
-# the bracket runs the window cliques before its first search round only on a gap of at
+# the bracket runs the window cliques before its n-node search round only on a gap of at
 # least this many colours, where the search alone may spend its n nodes refuting one k
 # after another; a narrower gap the search closes for less than the cliques cost, and
-# the cliques wait until the first round gives up
+# the cliques wait until the round gives up
 CLIQUE_GAP = 3
 
 
@@ -445,17 +445,15 @@ def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None
     color windows alone and ``windows_refute`` past every k it refutes, both named
     ``window_propagation`` (an empty window is an empty domain, so the propagation refutes every
     k below the windows alone); the reversed schedule as the upper witness if it uses fewer
-    colors; then at most two rounds of ``window_search`` from the lower end, n nodes each, the
-    first k of the first not propagated again: a coloring closes the bracket and a refutation
-    raises the lower end by one. ``window_clique_bound`` runs once, before the first round on a
-    gap of at least ``CLIQUE_GAP`` colors, else before the second, which runs only where the
-    first gives up and something raised the lower end since the first began: from the same k it
-    would make the same steps. Only if both rounds give up, ``_component_search`` ascends from
-    the lower end under ``budget``, one weakly connected component of g at a time: its coloring
-    becomes the upper witness, and a refutation raises the lower end, named ``window_search``;
-    past the budget the k it reached stays the lower end and the ascent goes on from there.
-    ``stats``, if given, gets as ``search_nodes`` every node the bracket spent: both rounds'
-    nodes, at most n each, and the component search's, at most ``budget``.
+    colors; then one round of ``window_search`` from the lower end, n nodes, its first k not
+    propagated again: a coloring closes the bracket and a refutation raises the lower end by
+    one. ``window_clique_bound`` runs once, before the round on a gap of at least ``CLIQUE_GAP``
+    colors, else after it where it gives up. Only if the gap is still open, ``_component_search``
+    ascends from the lower end under ``budget``, one weakly connected component of g at a time:
+    its coloring becomes the upper witness, and a refutation raises the lower end, named
+    ``window_search``; past the budget the k it reached stays the lower end and the ascent goes
+    on from there. ``stats``, if given, gets as ``search_nodes`` every node the bracket spent:
+    the round's, at most n, and the component search's, at most ``budget``.
     """
     upper = schedule_coloring(g)
     count = upper.num_colors()
@@ -466,25 +464,19 @@ def bracket(g: MixedGraph, budget: int = DEFAULT_NODE_BUDGET, stats: dict | None
     if lower < count:
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)  # a tie keeps the forward one
         count = upper.num_colors()
-    wide, spent = count - lower >= CLIQUE_GAP, 0
-    for first in (True, False):
-        if lower < count and first == wide:
-            found = window_clique_bound(g, count)
-            if found > lower:
-                lower, source, domain = found, "window_clique", None
-        if not first and lower == start:
-            break  # the second round would repeat the first one's steps
-        start, nodes = lower, g.n  # n: the first descent's own bound
-        while lower < count and nodes >= 0:
-            searched, nodes = window_search(g, lower, nodes, domain)
-            domain = None
-            if searched is not None:
-                upper, count = searched, lower
-            elif nodes >= 0:
-                lower, source = lower + 1, "window_search"
-        spent += g.n - max(nodes, 0)
-        if nodes >= 0:
-            break
+    nodes, wide = g.n, count - lower >= CLIQUE_GAP  # n: the first descent's own bound
+    if wide and (found := window_clique_bound(g, count)) > lower:
+        lower, source, domain = found, "window_clique", None
+    while lower < count and nodes >= 0:
+        searched, nodes = window_search(g, lower, nodes, domain)
+        domain = None
+        if searched is not None:
+            upper, count = searched, lower
+        elif nodes >= 0:
+            lower, source = lower + 1, "window_search"
+    spent = g.n - max(nodes, 0)
+    if lower < count and not wide and (found := window_clique_bound(g, count)) > lower:
+        lower, source = found, "window_clique"
     if lower < count:
         found, colors, left = _component_search(g, (1 << (g.n + 1)) - 2, lower, budget)
         spent += budget - max(left, 0)

@@ -162,7 +162,7 @@ def test_chi_exact_routes_match_brute_force(g):
     assert_routes_match_brute_force(g)
 
 
-def rounds_leave_a_gap(g):
+def round_leaves_a_gap(g):
     """True when the bracket leaves a gap with its budgeted search cut to one node."""
     lower, upper, _ = bracket(g, 1)
     return lower < upper.num_colors()
@@ -170,14 +170,14 @@ def rounds_leave_a_gap(g):
 
 def test_chi_exact_routes_match_brute_force_where_the_schedule_is_not_optimal():
     # the search closes nearly every small bracket, so the graphs are drawn dense and
-    # kept only where its two n-node rounds leave a gap; the budgeted search closes
+    # kept only where its n-node round leaves a gap; the budgeted search closes
     # each of those at the default budget, so every route is also called on its own
     # at chi - 1 and chi, and the ascent runs under budgets of 10 and 30, which the
     # bracket's search overruns on some graphs that a route still decides within
     rng = random.Random(18)
     graphs = [random_mixed_graph(rng, rng.randint(8, 10), 0.5, 0.2) for _ in range(1000)]
     unscheduled = [
-        g for g in graphs if rounds_leave_a_gap(g) and brute_force_chi(g)[0] < schedule_coloring(g).num_colors()
+        g for g in graphs if round_leaves_a_gap(g) and brute_force_chi(g)[0] < schedule_coloring(g).num_colors()
     ]
     assert len(unscheduled) >= 10
     decided = 0

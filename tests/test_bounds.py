@@ -451,11 +451,10 @@ class TestBracketing:
         assert (lower, upper.num_colors(), source, stats) == (4, 4, "window_search", {"search_nodes": 2})
 
     def test_a_later_bound_names_the_end_only_when_it_raises_it(self):
-        # the propagation gives 3; the window search gives up on 3 past its 8 nodes, the
-        # window cliques then run but leave the end where it was, so a second round would
-        # repeat the first and does not run; the budgeted search then refutes 3 in 10
-        # nodes, names the end, and colours with chi = 4 in 5 more (found by a seeded
-        # search of random graphs)
+        # the propagation gives 3; the window search round gives up on 3 past its 8 nodes,
+        # and the window cliques then run but leave the end where it was; the budgeted
+        # search then refutes 3 in 10 nodes, names the end, and colours with chi = 4 in 5
+        # more (found by a seeded search of random graphs)
         g = mixed_graph(
             8,
             edges=[(1, 3), (1, 5), (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (5, 8), (6, 8)],
@@ -484,8 +483,9 @@ class TestBracketing:
         assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == "bc8de7c052bc3c58"
 
     def test_random_brackets_all_close(self):
-        # 1,500 draws of 16 vertices: the two n-node rounds leave 74 brackets open, and
-        # the budgeted search closes every one of them within 10**4 nodes
+        # 1,500 draws of 16 vertices: the n-node search round and the window cliques
+        # leave 153 brackets open, and the budgeted search closes every one of them
+        # within 10**4 nodes
         pairs = []
         for i in range(1500):
             lower, upper, _ = bounds.bracket(random_mixed_graph(random.Random(i), 16, 0.4, 0.1), 10**4)
@@ -494,13 +494,14 @@ class TestBracketing:
         assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == "2653ea311cd5c8e8"
 
     def test_an_arc_free_bracket_keeps_the_chi_u_coloring(self):
-        # no arc: where both search rounds give up, the budgeted search is the chi_u
-        # search, and its coloring closes the bracket that the schedules leave at 9 colors
+        # no arc: where the search round gives up past its 30 nodes, the budgeted search is
+        # the chi_u search, and its coloring closes the bracket that the schedules leave at
+        # 9 colors
         g = random_mixed_graph(random.Random(24), 30, 0.5, 0.0)
         assert min(bounds.schedule_coloring(g).num_colors(), bounds.schedule_coloring(g, True).num_colors()) == 9
         stats = {}
         lower, upper, source = bounds.bracket(g, 10**5, stats)
-        assert (lower, upper.num_colors(), source, stats) == (7, 7, "window_search", {"search_nodes": 147})
+        assert (lower, upper.num_colors(), source, stats) == (7, 7, "window_search", {"search_nodes": 117})
         assert upper.colors == chi_u_exact(g, 10**5, 7)[1] and check_proper(g, upper)[0]
 
     def test_the_search_takes_one_component_at_a_time(self):
@@ -516,9 +517,8 @@ class TestBracketing:
 
     def test_the_search_spends_no_more_than_its_budget(self):
         # a split superstring graph that superstring_exists answers no at 5 (n = 66): the
-        # window cliques give 5 before the first round, which gives up on 5 past its n
-        # nodes; nothing raises the end, so no second round runs, and the budgeted search
-        # gives up on 5 after exactly its budget
+        # window cliques give 5 before the search round, which gives up on 5 past its n
+        # nodes, and the budgeted search gives up on 5 after exactly its budget
         g, _ = reduce_superstring(SuperstringInstance(("0110", "011", "1000"), 5), split=True)
         assert bounds.window_search(g, 5, g.n) == (None, -1)
         stats = {}

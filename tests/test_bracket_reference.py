@@ -1,18 +1,15 @@
-"""``bounds.bracket`` against the bracket as its steps read, without its shortcuts.
+"""``bounds.bracket`` against the bracket as its steps read, without its shortcut.
 
 The reference below decides the colour windows' propagation by ``windows_refute``
 alone, so its window search propagates its first k again, where the bracket hands
-the search the propagation's last domain list; and it runs the second search
-round wherever the first gives up, where the bracket skips a second round that
-would start from the first one's k with the same n nodes and so make the same
-steps. The window cliques run once in both: before the first round on a gap of
-at least ``bounds.CLIQUE_GAP`` colours, else before the second. Neither shortcut
-changes an answer, so the bracket gives the reference's lower end, upper witness
-and label on every graph. Where both rounds give up, both end with the window
-search ascending from the lower end one weakly connected component at a time,
-under the whole budget. The graphs are derandomized ``mixed_graphs()``, an
-arc-free graph that this budgeted search closes, and the benchmark's four seed-1
-pools.
+the search the propagation's last domain list. That shortcut changes no answer,
+so the bracket gives the reference's lower end, upper witness and label on every
+graph. Both run one search round of n nodes, with the window cliques once: before
+the round on a gap of at least ``bounds.CLIQUE_GAP`` colours, else after it where
+it gives up. Where the gap is still open, both end with the window search
+ascending from the lower end one weakly connected component at a time, under the
+whole budget. The graphs are derandomized ``mixed_graphs()``, an arc-free graph
+that this budgeted search closes, and the benchmark's four seed-1 pools.
 """
 
 import io
@@ -79,8 +76,8 @@ def component_ascent(g, k, budget):
 
 
 def reference_bracket(g, budget=DEFAULT_NODE_BUDGET):
-    """The propagation, the schedules, two full search rounds with the window cliques
-    before one of them, then the component ascent from the lower end, whose coloring is
+    """The propagation, the schedules, one full search round with the window cliques
+    before or after it, then the component ascent from the lower end, whose coloring is
     the upper witness: (lower, upper coloring, label)."""
     upper = schedule_coloring(g)
     lower, source = window_clique_bound(g, 0), "window_propagation"
@@ -89,18 +86,18 @@ def reference_bracket(g, budget=DEFAULT_NODE_BUDGET):
     if lower < upper.num_colors():
         upper = min(upper, schedule_coloring(g, reverse=True), key=Coloring.num_colors)
     count = upper.num_colors()
-    for cliques in (True, False) if count - lower >= bounds.CLIQUE_GAP else (False, True):
-        if cliques and lower < count and (found := window_clique_bound(g, count)) > lower:
-            lower, source = found, "window_clique"
-        nodes = g.n
-        while lower < count and nodes >= 0:
-            found, nodes = window_search(g, lower, nodes)
-            if found is not None:
-                upper, count = found, found.num_colors()
-            elif nodes >= 0:
-                lower, source = lower + 1, "window_search"
-        if nodes >= 0:  # the round closed the bracket
-            break
+    wide = count - lower >= bounds.CLIQUE_GAP
+    if wide and (found := window_clique_bound(g, count)) > lower:
+        lower, source = found, "window_clique"
+    nodes = g.n
+    while lower < count and nodes >= 0:
+        found, nodes = window_search(g, lower, nodes)
+        if found is not None:
+            upper, count = found, found.num_colors()
+        elif nodes >= 0:
+            lower, source = lower + 1, "window_search"
+    if not wide and lower < count and (found := window_clique_bound(g, count)) > lower:
+        lower, source = found, "window_clique"
     if lower < count:
         found, coloring = component_ascent(g, lower, budget)
         if found > lower:
@@ -135,3 +132,15 @@ def test_bracket_matches_the_reference(g):
 def test_bracket_matches_the_reference_on_the_seed_one_pools(workloads, pool):
     for text in workloads.materialize(workloads.WORKLOADS[pool].plan(1, SECONDS)):
         assert_matches_reference(graphs.load_graph(io.StringIO(text)))
+
+
+@pytest.mark.parametrize("budget", [1, 10, 1000])
+@settings(max_examples=200)
+@given(mixed_graphs())
+# the round gives up after a refutation, and at budgets 1 and 10 the budgeted search
+# spends all it has: 16 + 1 and 16 + 10 nodes
+@example(random_mixed_graph(random.Random(16), 16, 0.4, 0.1))
+def test_the_bracket_spends_at_most_its_round_and_its_budget(budget, g):
+    stats = {}
+    bounds.bracket(g, budget, stats)
+    assert stats["search_nodes"] <= g.n + budget

@@ -405,7 +405,7 @@ def test_method_choices_are_the_routes():
 
 class TestBudget:
     def test_default_route_solves_an_arc_free_graph(self, capsys, tmp_path):
-        # no arcs: both window search rounds give up, the budgeted search that ends the
+        # no arcs: the window search round gives up, the budgeted search that ends the
         # bracket closes it at 7, so branch, like every route, decides nothing
         graph = str(tmp_path / "r30.graph")
         assert run(capsys, "gen", "random", "30", "0.5", "0", "--seed", "15", "--out", graph)[0] == 0
@@ -415,14 +415,14 @@ class TestBudget:
         assert (fields["chi"], fields["decides"], fields["lower_witness"]) == ("7", "0", "window_search")
 
     def test_search_nodes_count_the_whole_bracket(self, capsys, tmp_path):
-        # the two rounds spend their 30 nodes each and the budgeted search 87 more to
-        # refute 6 and color with 7
+        # the search round spends its 30 nodes and the budgeted search 87 more to refute
+        # 6 and color with 7
         graph = str(tmp_path / "r24.graph")
         assert run(capsys, "gen", "random", "30", "0.5", "0", "--seed", "24", "--out", graph)[0] == 0
         code, out, _ = run(capsys, "solve", graph)
         fields = report_dict(out)
         assert code == 0
-        assert (fields["chi"], fields["decides"], fields["search_nodes"]) == ("7", "0", "147")
+        assert (fields["chi"], fields["decides"], fields["search_nodes"]) == ("7", "0", "117")
 
     def test_branch_chi_budget_exceeded(self, capsys, unscheduled):
         code, out, err = run(capsys, "solve", unscheduled, "--method", "branch", "--budget", "1")
@@ -698,6 +698,59 @@ class TestGen:
     def test_random_rejects_impossible_probabilities(self, capsys, tmp_path, edge_p, arc_p, message):
         out_file = tmp_path / "g.graph"
         code, out, err = run(capsys, "gen", "random", "5", edge_p, arc_p, "--out", str(out_file))
+        assert (code, out, err) == (2, "", f"error: ValueError: {message}\n")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv, spec, message",
+        [
+            (["random", "-1", "0.5", "0"], None, "vertex count must be nonnegative"),
+            (["oriented_grid", "0"], None, "need ell >= 1"),
+            (["hamiltonian_tournament", "0"], None, "need ell >= 1"),
+            (["layered_cliques", "-1", "2"], None, "need ell >= 0 and k >= 1"),
+            (["layered_cliques", "2", "0"], None, "need ell >= 0 and k >= 1"),
+            (["tripartite", "0"], None, "need ell >= 1"),
+            (["grid_arc_vertices", "1"], None, "need ell >= 2"),
+            (["oriented_star", "0"], None, "need ell >= 1"),
+            (["grid_hamiltonian", "0"], None, "need ell >= 1"),
+            (["superstring"], {"strings": [], "k": 3}, "need at least one string"),
+            (["superstring"], {"strings": ["012"], "k": 3}, "strings must be nonempty over 0/1, got '012'"),
+            (["superstring"], {"strings": ["01"], "k": 0}, "target length must be positive"),
+            (
+                ["scheduling"],
+                {"tasks_m1": ["t1"], "tasks_m2": ["t1"], "deadline": 2},
+                "task names must be distinct across machines",
+            ),
+            (["scheduling"], {"tasks_m1": ["t1"], "tasks_m2": ["t2"], "deadline": 0}, "deadline must be positive"),
+            (
+                ["scheduling"],
+                {"tasks_m1": ["t1"], "tasks_m2": ["t2"], "precedence": [["t1", "t9"]], "deadline": 2},
+                "precedence over unknown task (t1,t9)",
+            ),
+            (
+                ["scheduling"],
+                {"tasks_m1": ["t1"], "tasks_m2": ["t2"], "precedence": [["t1", "t1"]], "deadline": 2},
+                "precedence must be irreflexive",
+            ),
+            (
+                ["list_coloring"],
+                {"n": 2, "edges": [[1, 2]], "lists": {"1": [1], "2": [3]}, "num_colors": 2},
+                "list of vertex 2 not a nonempty subset of [2]",
+            ),
+            (
+                ["multicolored_clique"],
+                {"n": 4, "edges": [], "classes": [[1, 2], [2, 3, 4]]},
+                "classes must partition the vertex set",
+            ),
+        ],
+    )
+    def test_invalid_parameters_write_nothing(self, capsys, tmp_path, argv, spec, message):
+        # the generators' and the instances' own checks, reached through gen
+        if spec is not None:
+            (tmp_path / "inst.json").write_text(json.dumps(spec))
+            argv = [*argv, str(tmp_path / "inst.json")]
+        out_file = tmp_path / "x.graph"
+        code, out, err = run(capsys, "gen", *argv, "--out", str(out_file))
         assert (code, out, err) == (2, "", f"error: ValueError: {message}\n")
         assert not out_file.exists()
 

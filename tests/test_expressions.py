@@ -205,6 +205,19 @@ class TestNdmExpression:
             assert relabel_to(evaluate(expr).graph, ndm_introduce_order(g)) == g
 
 
+@pytest.mark.parametrize(
+    "build, arg, message",
+    [
+        (ndm_expression, mixed_graph(0), "cannot express the empty graph"),
+        (directed_path_expression, -1, "length must be nonnegative"),
+        (tournament_expression, 0, "tournament needs at least one vertex"),
+    ],
+)
+def test_constructions_reject_what_they_cannot_build(build, arg, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(arg)
+
+
 class TestTournamentExpression:
     def test_single_vertex(self):
         expr = tournament_expression(1)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from mixedcolor import Constraint, FeasibilityProgram, propagate_bounds, solve_feasibility
 from mixedcolor.errors import BudgetExceeded
-from mixedcolor.feasibility import EQ, LE
+from mixedcolor.feasibility import EQ, LE, search
 
 
 def program(variables, constraints):
@@ -57,6 +58,27 @@ class TestSolve:
         out = solve_feasibility(program(variables, cons), stats=stats)
         assert out == {name: 0 for name, _, _ in variables}
         assert stats["nodes"] == n + 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Constraint((("v", 1),), "<", 2), "unknown relation '<'"),
+        (lambda: program([("v", 0, 1), ("v", 0, 2)], []), "duplicate variable 'v'"),
+        (lambda: program([("v", 0, 1)], [Constraint((("w", 1),), LE, 1)]), "constraint uses unknown variable 'w'"),
+        (lambda: program([("v", 0, 1)], [Constraint((("v", 0.5),), LE, 1)]), "coefficients must be integral"),
+    ],
+)
+def test_malformed_programs_are_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_values_outside_the_bounds_are_rejected():
+    p = program([("v", 0, 3), ("w", 0, 3)], [Constraint((("v", 1), ("w", 1)), LE, 4)])
+    assert p.check({"v": 1, "w": 3})
+    assert not p.check({"v": 1}) and not p.check({"v": 1, "w": 4})
+    assert search(program([("v", 2, 1)], []).rows) is None  # an empty domain, before any node
 
 
 class TestPropagation:

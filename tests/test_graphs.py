@@ -90,6 +90,10 @@ class TestLoadGraph:
         save_coloring(c, buf)
         assert load_coloring(io.StringIO(buf.getvalue())) == c
 
+    def test_coloring_rejects_a_non_positive_color(self):
+        with pytest.raises(ValueError, match=r"^vertex 2 has non-positive color 0$"):
+            Coloring({1: 1, 2: 0})
+
 
 # One malformed relation each: the relations as handed to ``mixed_graph``, the
 # error it raises (None: it takes an edge in either orientation), then the

@@ -175,6 +175,11 @@ class TestScheduling:
 
 
 class TestListColoring:
+    def test_instances_are_undirected(self):
+        # gen list_coloring builds its graph from edges alone, so only the API reaches this
+        with pytest.raises(ValueError, match=r"^list coloring instances are undirected$"):
+            ListColoringInstance(mixed_graph(2, arcs=[(1, 2)]), {1: frozenset({1}), 2: frozenset({2})}, 2)
+
     def test_blocker_paths_added(self):
         base = mixed_graph(1)
         inst = ListColoringInstance(base, {1: frozenset({1, 4})}, 5)

@@ -462,7 +462,7 @@ class TestBranching:
     def test_arc_free_brackets_close_without_a_decide(self):
         # no arcs, the schedules 1-2 colors above chi, and a branch search that runs past
         # the budget: the window search's symmetry rule closes these brackets, on 24 and
-        # 25 in the budgeted search after both rounds give up
+        # 25 in the budgeted search after the search round gives up
         for i in (9, 11, 12, 19, 23, 30, 33, 24, 25):
             g = random_mixed_graph(random.Random(i), 30, 0.5, 0.0)
             stats: dict = {}
@@ -509,6 +509,10 @@ class TestChiExact:
     def test_empty_graph(self):
         for method in ("brute", "twdp", "ndm", "branch"):
             assert chi_exact(mixed_graph(0), method)[0] == 0
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match=r"^unknown method 'nope'$"):
+            chi_exact(mixed_graph(1), "nope")
 
     def test_layered_cliques(self):
         for ell, k in ((1, 2), (2, 2), (2, 3)):

@@ -37,7 +37,7 @@ ASCENT = mixed_graph(
 )
 
 # chi 8, and both schedule colorings take 9 colors; the window cliques give 7, and
-# both window search rounds give up on 7; under a budget of 100 the bracket's
+# the window search round gives up on 7; under a budget of 100 the bracket's
 # budgeted search gives up too (at 150 it colors with 8), so the ascent decides k = 7
 # and 8 (random_mixed_graph(Random(21924), 9, 0.6, 0.3))
 TWO_DECIDES = mixed_graph(
